@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmax", type=int, default=1)
     p.add_argument("--tmax", type=int, default=3)
     p.add_argument("--dim-cap", type=int, default=4096, help="skip rings with more than this many bits")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="worker processes, 1..CPU count (default: serial)")
     p.set_defaults(func=_cmd_conjecture)
 
     return parser

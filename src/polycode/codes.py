@@ -20,7 +20,13 @@ DEFAULT_ENUM_CAP = 28
 
 def default_cap() -> int:
     """Enumeration cap (log2 of word count), overridable via POLYCODE_ORACLE_CAP."""
-    return int(os.environ.get("POLYCODE_ORACLE_CAP", DEFAULT_ENUM_CAP))
+    raw = os.environ.get("POLYCODE_ORACLE_CAP")
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"POLYCODE_ORACLE_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ size limit beyond memory.
 
 from __future__ import annotations
 
+import math
 import re
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import CapExceeded, ValidationError
 
 # ---------------------------------------------------------------------------
 # basic queries
@@ -64,6 +65,11 @@ def mul(a: int, b: int) -> int:
     return out
 
 
+def square(a: int) -> int:
+    """a*a, which over GF(2) is a(x^2): a zero digit after each binary digit, in one C-level pass."""
+    return int("0".join(format(a, "b")), 2)
+
+
 def mul_trunc(a: int, b: int, nbits: int) -> int:
     """Product reduced mod x^nbits (only the low nbits coefficients)."""
     mask = (1 << nbits) - 1
@@ -88,6 +94,18 @@ def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, div_rem(a, b)[1]
     return a
+
+
+def inverse_trunc(a: int, nbits: int) -> int:
+    """Power-series inverse of a (constant term 1) mod x^nbits, by Newton doubling."""
+    if not a & 1:
+        raise ValidationError("only a polynomial with constant term 1 is invertible mod x^nbits")
+    inv, k = 1, 1
+    while k < nbits:
+        k = min(2 * k, nbits)
+        # a*inv == 1 mod x^h implies a*(inv^2*a) == (a*inv)^2 == 1 mod x^(2h)
+        inv = mul_trunc(square(inv), a, k)
+    return inv
 
 
 def power(a: int, e: int) -> int:
@@ -124,11 +142,11 @@ def power_mod(a: int, e: int, modulus: int) -> int:
         raise ValidationError("zero modulus")
     out = 1
     a = div_rem(a, modulus)[1]
-    while e:
-        if e & 1:
+    # left to right, so each multiply is by a itself: one shift when a is x
+    for i in range(e.bit_length() - 1, -1, -1):
+        out = div_rem(square(out), modulus)[1]
+        if e >> i & 1:
             out = div_rem(mul(out, a), modulus)[1]
-        a = div_rem(mul(a, a), modulus)[1]
-        e >>= 1
     return out
 
 
@@ -156,24 +174,113 @@ def reciprocal(a: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015); above it a probable prime stays unproven.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+_TRIAL_LIMIT = 1024  # trial division runs below this; a cofactor below its square is prime
+# Pollard-Brent iterations spent on one cofactor before factoring gives up.
+_RHO_BUDGET = 1 << 17
+
+
+def _is_prime(n: int) -> bool | None:
+    """Deterministic Miller-Rabin for odd n > 41; None for a probable prime it cannot prove."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True if n < _MR_EXACT_BELOW else None
+
+
+def _rho_split(n: int) -> int | None:
+    """A proper factor of the odd composite n by Pollard-Brent rho, or None once the budget is spent."""
+    budget = _RHO_BUDGET
+    for c in range(1, 64):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            budget -= 2 * r
+            r <<= 1
+        if g == n:  # the batch overshot: step the last batch one value at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+        if budget <= 0:
+            return None
+    return None
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The distinct prime factors of n >= 1; CapExceeded if a cofactor neither splits nor proves prime."""
+    out = set()
+    for p in range(2, _TRIAL_LIMIT):  # a composite p never divides: its prime factors are gone
+        if p * p > n:
+            break
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        c = stack.pop()
+        if c < _TRIAL_LIMIT**2:
+            out.add(c)
+            continue
+        prime = _is_prime(c)
+        if prime:
+            out.add(c)
+            continue
+        g = _rho_split(c)
+        if g is None:
+            status = "is composite" if prime is False else "may be prime but is unproven"
+            raise CapExceeded(f"cannot factor {c} ({status}) within {_RHO_BUDGET} rho steps")
+        stack += [g, c // g]
+    return out
+
+
 def order(f: int) -> int:
-    """Least e >= 1 with x^e == 1 mod f, for f with nonzero constant term and degree >= 1."""
+    """Least e >= 1 with x^e == 1 mod f, for f of degree m >= 1 with x^(2^m - 1) == 1 mod f.
+
+    Every irreducible f qualifies, since x then lies in the multiplicative group
+    of the field F2[x]/<f>, of order 2^m - 1.  Any f failing that test (most
+    reducible ones) is refused.  The order divides 2^m - 1, so it comes from
+    factoring 2^m - 1 and stripping each prime q while x^(e/q) == 1 mod f.
+    """
     if f == 0 or not (f & 1):
         raise ValidationError("order requires a nonzero constant term")
     m = degree(f)
     if m < 1:
         raise ValidationError("order requires degree >= 1")
-    cur = 2
-    if cur.bit_length() > m:
-        cur ^= f
-    cap = 1 << m
-    for e in range(1, cap + 1):
-        if cur == 1:
-            return e
-        cur <<= 1
-        if cur.bit_length() > m:
-            cur ^= f
-    raise InternalConsistencyError("order exceeded 2^deg iterations")
+    e = (1 << m) - 1
+    if power_mod(2, e, f) != 1:
+        raise ValidationError("order requires x^(2^m - 1) == 1 mod f, which every irreducible f meets")
+    for q in _prime_factors(e):
+        while e % q == 0 and power_mod(2, e // q, f) == 1:
+            e //= q
+    return e
 
 
 def is_irreducible(f: int) -> bool:

@@ -12,6 +12,7 @@ counterexamples.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 from ._linalg import column_kernel, nullspace, parity_dot, rank
@@ -215,6 +216,9 @@ def conjecture_scan(
     """Hull of every C_j over every family ring with n <= dim_cap; rows sorted by (v, T, j)."""
     if v_max < 0 or t_max < 1:
         raise ValidationError("conjecture scan needs v_max >= 0 and t_max >= 1")
+    cpus = os.cpu_count() or 1
+    if workers is not None and not 1 <= workers <= cpus:
+        raise ValidationError(f"workers must be in 1..{cpus} (the CPU count), got {workers}")
     tasks = [
         (v, T)
         for v in range(v_max + 1)

@@ -5,9 +5,16 @@ its ideals are exactly <P^j> for j = 0..L, each a binary code of length
 n = m*L once polynomials (ints, bit i = coefficient of x^i) are read as
 coordinate vectors.  A RingContext carries the derived constants everything
 else keys off: T with 2^(T-1) < L <= 2^T, the multiplicative order e of x mod
-P, the cofactor U = (x^e + 1)/P, and the position of L inside its dyadic
-window (2^(T-1), 2^T] — at the top ("pow2"), in the lower part up to
-3*2^(T-2) ("low"), or strictly above it ("high").
+P, the cofactor U = (x^e + 1)/P and its reciprocal U* = (x^e + 1)/P*, and the
+position of L inside its dyadic window (2^(T-1), 2^T] — at the top ("pow2"),
+in the lower part up to 3*2^(T-2) ("low"), or strictly above it ("high").
+
+U and U* are kept as their low b = min(n, e - m + 1) coefficients: every
+consumer works mod x^n, and deg U = e - m, so they are exact whenever
+e - m < n.  Since P*U = 1 + x^e, the low b coefficients of U are the
+power-series inverse of P mod x^b, which takes O(log b) products where the
+full cofactor would need a division of an e-bit dividend (e can reach
+2^m - 1).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError, ValidationError
-from .gf2poly import degree, div_rem, is_irreducible, mul, order, reciprocal
+from .gf2poly import degree, div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, power_mod, reciprocal
 
 
 @dataclass(frozen=True)
@@ -29,8 +36,8 @@ class RingContext:
     n: int
     T: int
     e: int
-    U: int
-    U_star: int
+    U: int  # (x^e + 1)/P, low min(n, e - m + 1) coefficients
+    U_star: int  # (x^e + 1)/P*, low min(n, e - m + 1) coefficients
     regime: str  # "pow2" | "low" | "high"
     R: int | None  # only for "high": depth of the upper split
     L_prime: int | None  # tail length; None for "pow2"
@@ -39,8 +46,8 @@ class RingContext:
 
     @property
     def x_e_1(self) -> int:
-        """The mask of x^e + 1, which P divides exactly."""
-        return (1 << self.e) | 1
+        """The mask of x^e + 1 mod x^n; P divides x^e + 1 exactly, and e can reach 2^m - 1."""
+        return (1 << self.e) | 1 if self.e < self.n else 1
 
 
 def new_context(P: int, L: int) -> RingContext:
@@ -58,9 +65,14 @@ def new_context(P: int, L: int) -> RingContext:
     n = m * L
     T = (L - 1).bit_length()
     e = order(P)
-    U, rem = div_rem((1 << e) | 1, P)
-    if rem != 0 or not (U & 1):
+    if power_mod(2, e, P) != 1:
         raise InternalConsistencyError("x^e + 1 is not an exact multiple of P")
+    b = min(n, e - m + 1)
+    P_star = reciprocal(P)
+    U, U_star = inverse_trunc(P, b), inverse_trunc(P_star, b)
+    # b <= e - m + 1 < e, so x^e + 1 == 1 mod x^b
+    if mul_trunc(P, U, b) != 1 or mul_trunc(P_star, U_star, b) != 1:
+        raise InternalConsistencyError("cofactor of x^e + 1 disagrees with its defining product")
 
     if L == 1 << T:
         regime, R, L_prime = "pow2", None, None
@@ -85,7 +97,7 @@ def new_context(P: int, L: int) -> RingContext:
         T=T,
         e=e,
         U=U,
-        U_star=reciprocal(U),
+        U_star=U_star,
         regime=regime,
         R=R,
         L_prime=L_prime,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -115,3 +116,21 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def test_malformed_oracle_cap_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("POLYCODE_ORACLE_CAP", "abc")
+    assert main(["analyze", "--poly", "x^3+x+1", "--power", "4"]) == 2
+    assert "POLYCODE_ORACLE_CAP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", str((os.cpu_count() or 1) + 1)])
+def test_conjecture_refuses_worker_counts_outside_the_cpu_range(capsys, workers):
+    # each value is refused before any worker process starts
+    assert main(["conjecture", "--vmax", "0", "--tmax", "1", "--workers", workers]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_analyze_on_a_degree_32_primitive_ring(capsys):
+    assert main(["analyze", "--poly", "x^32+x^22+x^2+x+1", "--power", "2", "--j", "1"]) == 0
+    assert "order=4294967295" in capsys.readouterr().out

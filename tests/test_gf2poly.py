@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycode.errors import ValidationError
+from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import (
+    _prime_factors,
     add,
     coeff_weight,
     degree,
     div_rem,
     format_poly,
     gcd,
+    inverse_trunc,
     is_irreducible,
     mul,
     mul_trunc,
@@ -23,6 +25,7 @@ from polycode.gf2poly import (
     power_mod,
     power_trunc,
     reciprocal,
+    square,
     substitute_power,
     weight,
 )
@@ -99,6 +102,11 @@ def test_mul_trunc_matches_masked_mul(a, b, nbits):
     assert mul_trunc(a, b, nbits) == mul(a, b) & ((1 << nbits) - 1)
 
 
+@given(polys)
+def test_square_matches_mul(a):
+    assert square(a) == mul(a, a)
+
+
 @given(small, st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=120))
 def test_power_trunc_matches_masked_power(a, e, nbits):
     assert power_trunc(a, e, nbits) == power(a, e) & ((1 << nbits) - 1)
@@ -136,6 +144,68 @@ def test_order_divides_field_multiplicative_order():
         for f in range((1 << deg) | 1, 1 << (deg + 1), 2):
             if is_irreducible(f):
                 assert (2**deg - 1) % order(f) == 0
+
+
+def _order_by_stepping(f):
+    """The defining walk: multiply by x mod f until the power returns to 1."""
+    m, cur, e = degree(f), 2, 1
+    while cur != 1:
+        cur <<= 1
+        if cur >> m:
+            cur ^= f
+        e += 1
+    return e
+
+
+def test_order_matches_stepping_for_every_irreducible_up_to_degree_12():
+    for deg in range(2, 13):
+        for f in range((1 << deg) | 1, 1 << (deg + 1), 2):
+            if is_irreducible(f):
+                assert order(f) == _order_by_stepping(f), format_poly(f)
+
+
+def test_order_refuses_f_without_x_in_its_unit_group():
+    with pytest.raises(ValidationError):
+        order(parse("x^2+1"))  # x^3 == x mod x^2 + 1
+    with pytest.raises(ValidationError):
+        order(parse("x^3+x"))
+
+
+def test_order_refuses_rather_than_guesses_an_unproven_cofactor():
+    # 2^89 - 1 is prime but above the exact range of the Miller-Rabin bases
+    with pytest.raises(CapExceeded, match="unproven"):
+        order(parse("x^89+x^38+1"))
+
+
+@given(st.integers(min_value=1, max_value=10**10))
+def test_prime_factors_match_trial_division(n):
+    expected, rest, p = set(), n, 2
+    while p * p <= rest:
+        while rest % p == 0:
+            expected.add(p)
+            rest //= p
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        expected.add(rest)
+    assert _prime_factors(n) == expected
+
+
+def test_prime_factors_split_mersenne_cofactors_by_rho():
+    assert _prime_factors(2**67 - 1) == {193707721, 761838257287}
+    assert _prime_factors(2**62 - 1) == {3, 715827883, 2147483647}
+
+
+@given(st.integers(min_value=0, max_value=(1 << 200) - 1), st.integers(min_value=1, max_value=300))
+def test_inverse_trunc_is_the_power_series_inverse(a, nbits):
+    a |= 1
+    inv = inverse_trunc(a, nbits)
+    assert inv < 1 << nbits
+    assert mul_trunc(a, inv, nbits) == 1
+
+
+def test_inverse_trunc_refuses_non_units():
+    with pytest.raises(ValidationError):
+        inverse_trunc(parse("x^3+x"), 8)
 
 
 def test_coeff_weight_examples():

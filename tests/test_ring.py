@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from polycode.codes import code, contains
 from polycode.errors import ValidationError
-from polycode.gf2poly import is_irreducible, mul, parse, power
+from polycode.gf2poly import div_rem, is_irreducible, mul, mul_trunc, parse, power, reciprocal
 from polycode.ring import classify, ideal_generator, new_context, reduce_mod, shift_word
 
 P2 = parse("x^2+x+1")
@@ -121,10 +121,41 @@ def test_reduce_mod_is_remainder(w):
     assert reduce_mod(ctx, w) == div_rem(w, power(ctx.P, ctx.L))[1]
 
 
+def _assert_low_cofactors(ctx):
+    """U and U* are the low min(n, e - m + 1) bits of the exact cofactors of x^e + 1."""
+    U, rem = div_rem((1 << ctx.e) | 1, ctx.P)
+    assert rem == 0
+    mask = (1 << min(ctx.n, ctx.e - ctx.m + 1)) - 1
+    assert ctx.U == U & mask
+    assert ctx.U_star == reciprocal(U) & mask
+
+
 def test_every_small_irreducible_context_builds():
     for deg in (2, 3, 4, 5):
         for f in range((1 << deg) | 1, 1 << (deg + 1), 2):
             if is_irreducible(f):
                 ctx = new_context(f, 3)
-                assert mul(ctx.P, ctx.U) == ctx.x_e_1
+                _assert_low_cofactors(ctx)
                 assert (2**deg - 1) % ctx.e == 0
+
+
+IRREDUCIBLE_UP_TO_10 = [
+    f for deg in range(2, 11) for f in range((1 << deg) | 1, 1 << (deg + 1), 2) if is_irreducible(f)
+]
+
+
+@given(st.sampled_from(IRREDUCIBLE_UP_TO_10), st.integers(min_value=2, max_value=40))
+def test_cofactors_are_low_bits_of_exact_division(P, L):
+    _assert_low_cofactors(new_context(P, L))
+
+
+def test_context_builds_on_wide_primitive_rings():
+    ctx = new_context(parse("x^32+x^22+x^2+x+1"), 2)
+    assert ctx.e == 2**32 - 1
+    assert mul_trunc(ctx.P, ctx.U, ctx.n) == 1  # b = n here: the cofactor's low n bits
+    assert ctx.x_e_1 == 1  # x^e + 1 mod x^n
+    # 2^61 - 1 is prime, so every irreducible of degree 61 is primitive
+    P61 = next(f for f in range((1 << 61) | 3, (1 << 61) | (1 << 12), 2) if is_irreducible(f))
+    ctx = new_context(P61, 2)
+    assert ctx.e == 2**61 - 1
+    assert mul_trunc(reciprocal(P61), ctx.U_star, ctx.n) == 1
