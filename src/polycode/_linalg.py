@@ -2,9 +2,11 @@
 
 A matrix row is an int whose bit c is the entry in column c.  Rank, reduced
 echelon form, null spaces, and span membership all work on lists of such ints.
-The minimum-weight routine enumerates a full row space: a pure-int Gray-code
-walk up to 2^16 words, and a numpy meet-in-the-middle sweep (prefix Gray walk
-over a precomputed suffix table) beyond that.
+One kernel, min_weight_affine, finds the minimum nonzero weight over an
+affine span g ^ span(rows); the oracle, the reduced candidate sets and the
+dual candidate sets all call it.  It builds a table of all combinations of the
+low rows by doubling and walks the other rows in Gray-code order over it: on
+plain ints (2^8-word table) up to 2^16 words, on numpy (2^16 words) beyond.
 """
 
 from __future__ import annotations
@@ -96,70 +98,100 @@ def column_kernel(cols: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# minimum nonzero weight of a row space
+# minimum nonzero weight over an affine span: the one enumeration kernel
 # ---------------------------------------------------------------------------
 
-_SPLIT = 16  # suffix half processed as a numpy table
+# Up to 2^16 words the walk XORs plain ints, though numpy is 10-30x faster from
+# 2^12 words on: on a shared host numpy's speed drifts by up to +-20% against
+# interpreted int code, so the commands' timings would not compare run to run.
+_INT_TABLE = 8  # rows in the int table: 2^8 words, a few KB
+_INT_WALK_MAX = 16
+_SPLIT = 16  # rows in the numpy suffix table: 2^16 words, a few MB at most
 
-if hasattr(np, "bitwise_count"):
-
-    def _popcounts(arr: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(arr).astype(np.uint32)
-
-else:
-    _LUT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
-    def _popcounts(arr: np.ndarray) -> np.ndarray:
-        return _LUT16[arr.view(np.uint16)].astype(np.uint32)
+_LUT16 = np.zeros(1 << 16, dtype=np.uint8)
+for _b in range(16):  # popcount(i + 2^b) == popcount(i) + 1 for i < 2^b
+    _LUT16[1 << _b : 2 << _b] = _LUT16[: 1 << _b] + 1
 
 
-def _min_weight_int(rows: list[int]) -> int:
-    """Gray-code walk over all 2^k combinations with plain ints."""
-    best = min(r.bit_count() for r in rows)
-    cur = 0
-    for i in range(1, 1 << len(rows)):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        w = cur.bit_count()
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+def _popcounts_lut(arr: np.ndarray) -> np.ndarray:
+    v = _LUT16[np.ascontiguousarray(arr).view(np.uint16)]
+    return v[..., 0::4] + v[..., 1::4] + v[..., 2::4] + v[..., 3::4]
 
 
-def _to_lanes(word: int, lanes: int) -> list[int]:
-    return [(word >> (64 * lane)) & 0xFFFFFFFFFFFFFFFF for lane in range(lanes)]
+# Element-wise popcount of a uint64 array; numpy < 2 has no bitwise_count.
+_popcounts = np.bitwise_count if hasattr(np, "bitwise_count") else _popcounts_lut
 
 
-def _min_weight_numpy(rows: list[int], nbits: int) -> int:
-    """Prefix Gray walk against a table of all suffix combinations."""
-    k = len(rows)
-    k_suf = min(k, _SPLIT)
-    suffix, prefix = rows[:k_suf], rows[k_suf:]
+def _weight_chunks(g: int, rows: list[int], nbits: int):
+    """Yield (start, weights): weights[t] is the weight of g ^ combo(start + t).
+
+    combo(i) is the XOR of rows[b] over the set bits b of i.  The low
+    k_suf = min(k, _SPLIT) rows fill a table of all their combinations, built
+    by doubling and weighed as it grows, so a light word near the start ends
+    the walk early.  The other rows are walked in Gray-code order, one XOR
+    into the whole table per step.  Word t sits in column t, one 64-bit lane
+    per row: a sum along a short last axis would cost about 8x more.
+    """
+    k_suf = min(len(rows), _SPLIT)
     lanes = (nbits + 63) // 64
+    raw = b"".join(w.to_bytes(8 * lanes, "little") for w in [g, *rows])
+    words = np.frombuffer(raw, dtype="<u8").reshape(len(rows) + 1, lanes).T[:, :, None]
+    suffix, prefix = words[:, 1 : k_suf + 1], words[:, k_suf + 1 :]
 
-    tab_int = [0] * (1 << k_suf)
-    for i in range(1, 1 << k_suf):
-        tab_int[i] = tab_int[i ^ (i & -i)] ^ suffix[(i & -i).bit_length() - 1]
-    tab = np.empty((1 << k_suf, lanes), dtype=np.uint64)
-    for lane in range(lanes):
-        shift, m64 = 64 * lane, 0xFFFFFFFFFFFFFFFF
-        tab[:, lane] = np.fromiter(
-            ((w >> shift) & m64 for w in tab_int), dtype=np.uint64, count=len(tab_int)
-        )
+    def weigh(block: np.ndarray) -> np.ndarray:
+        return _popcounts(block).sum(axis=0, dtype=np.uint32)
 
-    best = int(_popcounts(tab[1:]).sum(axis=1).min())
-    cur = 0
-    for i in range(1, 1 << len(prefix)):
-        cur ^= prefix[(i & -i).bit_length() - 1]
-        cur_lanes = np.fromiter(_to_lanes(cur, lanes), dtype=np.uint64, count=lanes)
-        weights = _popcounts(tab ^ cur_lanes).sum(axis=1, dtype=np.uint32)
-        w = int(weights.min())
-        if w < best:
-            best = w
-            if best == 1:
+    tab = np.empty((lanes, 1 << k_suf), dtype=np.uint64)
+    tab[:, :1] = words[:, 0]
+    done = 0
+    for i in range(k_suf + 1):
+        if i == k_suf or (i >= _INT_TABLE and (i - _INT_TABLE) % 2 == 0):
+            yield done, weigh(tab[:, done : 1 << i])  # first 2^8 words, then 4x more each time
+            done = 1 << i
+        if i < k_suf:
+            np.bitwise_xor(tab[:, : 1 << i], suffix[:, i], out=tab[:, 1 << i : 2 << i])
+
+    p = 0
+    for i in range(1, 1 << (len(rows) - k_suf)):
+        b = (i & -i).bit_length() - 1
+        p ^= 1 << b
+        tab ^= prefix[:, b]
+        yield p << k_suf, weigh(tab)
+
+
+def affine_weights(g: int, rows: list[int], nbits: int) -> np.ndarray:
+    """Weight of the word g ^ combo(i) at index i, for every i < 2^len(rows)."""
+    out = np.empty(1 << len(rows), dtype=np.uint32)
+    for start, weights in _weight_chunks(g, rows, nbits):
+        out[start : start + len(weights)] = weights
+    return out
+
+
+def min_weight_affine(g: int, rows: list[int], nbits: int, floor: int = 0) -> int | None:
+    """Minimum nonzero weight over g ^ span(rows), or None when every word is zero.
+
+    Words must fit in nbits.  floor is a proven lower bound on the answer: the
+    walk may stop at the first word that light (0 walks every word).
+    """
+    none = nbits + 1  # heavier than any word
+    best = none
+    if len(rows) <= _INT_WALK_MAX:
+        tab = [g]
+        for r in rows[:_INT_TABLE]:
+            tab += [w ^ r for w in tab]
+        p, prefix = 0, rows[_INT_TABLE:]
+        for i in range(1 << len(prefix)):
+            p ^= prefix[(i & -i).bit_length() - 1] if i else 0
+            best = min(best, min(filter(None, map(int.bit_count, map(p.__xor__, tab))), default=none))
+            if best <= floor:
                 break
-    return best
+    else:
+        for _, weights in _weight_chunks(g, rows, nbits):
+            # zero words wrap to 2^32 - 1 and drop out of the minimum
+            best = min(best, int((weights - np.uint32(1)).min()) + 1)
+            if best <= floor:
+                break
+    return best if best < none else None
 
 
 def min_weight_span(rows: list[int], nbits: int) -> int:
@@ -167,9 +199,7 @@ def min_weight_span(rows: list[int], nbits: int) -> int:
     basis = [row for _, row in rref(list(rows))]
     if not basis:
         raise ValueError("empty span has no nonzero word")
-    if len(basis) <= _SPLIT:
-        return _min_weight_int(basis)
-    return _min_weight_numpy(basis, nbits)
+    return min_weight_affine(0, basis, nbits, floor=1)  # type: ignore[return-value]
 
 
 def min_weight_span_reference(rows: list[int]) -> int:

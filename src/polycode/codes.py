@@ -16,6 +16,7 @@ from .gf2poly import div_rem, mul
 from .ring import RingContext
 
 DEFAULT_ENUM_CAP = 28
+DEFAULT_CANDIDATE_CAP = 1 << 20  # words in one reduced or dual candidate set
 
 
 def default_cap() -> int:

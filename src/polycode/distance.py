@@ -11,6 +11,8 @@ Three independent sources feed one report per j:
   order e of x mod P, weight witnesses wt(P^j), doubling lower bounds on the
   tail, and monotonicity along the chain (C_{j+1} inside C_j).
 
+The oracle and the reduced sets are both minima over an affine span of
+words, taken by the one enumeration kernel of _linalg (min_weight_affine).
 full_distance_profile fuses all of it, tags every bound with its source, and
 raises InternalConsistencyError the moment two sources disagree.
 """
@@ -19,13 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._linalg import min_weight_span
-from .codes import PolycyclicCode, code, default_cap, generator_rows
+from ._linalg import min_weight_affine, min_weight_span
+from .codes import DEFAULT_CANDIDATE_CAP, PolycyclicCode, code, default_cap, generator_rows
 from .errors import CapExceeded, InternalConsistencyError, ValidationError, WrongRegime
 from .gf2poly import weight
 from .ring import RingContext
-
-DEFAULT_CANDIDATE_CAP = 1 << 20
 
 
 @dataclass
@@ -136,35 +136,24 @@ def head_zone_reports(ctx: RingContext) -> dict[int, tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_set_min(g: int, B: int, lam: int, candidate_cap: int) -> int:
-    """Minimum weight of g * a(x^B) over constant-term-1 a of degree < lam."""
-    count = 1 << (lam - 1)
-    if count > candidate_cap:
-        raise CapExceeded(
-            f"reduced set has 2^{lam - 1} candidates, over the cap of {candidate_cap}"
-        )
-    shifted = [g << (B * t) for t in range(1, lam)]
-    best = g.bit_count()
-    cur = g
-    for i in range(1, count):
-        cur ^= shifted[(i & -i).bit_length() - 1]
-        w = cur.bit_count()
-        if w < best:
-            best = w
-            if best == 2:
-                break  # no chain code with j >= 1 goes below 2
-    return best
+def _reduced_set_min(ctx: RingContext, j: int, B: int, candidate_cap: int | None) -> int:
+    """Min weight of P^j * a(x^B) over constant-term-1 a of degree < lam = ceil(m(L-j)/B)."""
+    cap = DEFAULT_CANDIDATE_CAP if candidate_cap is None else candidate_cap
+    lam = -(-(ctx.m * (ctx.L - j)) // B)
+    if 1 << (lam - 1) > cap:
+        raise CapExceeded(f"reduced set has 2^{lam - 1} candidates, over the cap of {cap}")
+    g = ctx.P_pows[j]
+    rows = [g << (B * t) for t in range(1, lam)]
+    # floor 2: no chain code with j >= 1 goes below 2; a nonzero g leaves no zero word
+    return min_weight_affine(g, rows, ctx.n, floor=2)  # type: ignore[return-value]
 
 
 def lower_anchor_distance(ctx: RingContext, s: int, candidate_cap: int | None = None) -> int:
     """Exact d(C_j) at j = 2^(T-s), 1 <= s <= T."""
     if not 1 <= s <= ctx.T:
         raise ValidationError("anchor parameter s must satisfy 1 <= s <= T")
-    cap = DEFAULT_CANDIDATE_CAP if candidate_cap is None else candidate_cap
     j = 1 << (ctx.T - s)
-    B = j
-    lam = -(-(ctx.m * (ctx.L - j)) // B)
-    return _reduced_set_min(ctx.P_pows[j], B, lam, cap)
+    return _reduced_set_min(ctx, j, j, candidate_cap)
 
 
 def upper_anchor_distance(ctx: RingContext, r: int, candidate_cap: int | None = None) -> int:
@@ -177,11 +166,8 @@ def upper_anchor_distance(ctx: RingContext, r: int, candidate_cap: int | None = 
         raise WrongRegime("upper anchors need L == 2^T or L above 3*2^(T-2)")
     if not 1 <= r <= rmax:
         raise ValidationError(f"anchor parameter r must satisfy 1 <= r <= {rmax}")
-    cap = DEFAULT_CANDIDATE_CAP if candidate_cap is None else candidate_cap
     B = 1 << (ctx.T - r)
-    j = (1 << ctx.T) - B
-    lam = -(-(ctx.m * (ctx.L - j)) // B)
-    return _reduced_set_min(ctx.P_pows[j], B, lam, cap)
+    return _reduced_set_min(ctx, (1 << ctx.T) - B, B, candidate_cap)
 
 
 def plateau_bounds(ctx: RingContext, r: int, i: int, candidate_cap: int | None = None) -> tuple[int, int]:

@@ -6,8 +6,9 @@ verifies full rank and orthogonality against the generator matrix.  Duals are
 "sequential" codes: shifting a dual word right by one position stays in the
 dual after an appropriate bit enters at the top.  On two families of indices
 (j a power of two, and j of the form 2^T - 2^(T-r)) the dual distance is the
-minimum over a small explicit candidate set, computed here by enumeration;
-everything else falls back to the brute-force oracle.
+minimum over a small explicit candidate set.  That set is an affine span (the
+spread map is linear), so the enumeration kernel of _linalg walks it, as it
+walks the dual code itself in the brute-force oracle that covers every other j.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._linalg import in_span, min_weight_span, parity_dot, rank, rref
-from .codes import PolycyclicCode, code, default_cap, generator_rows
+from ._linalg import affine_weights, in_span, min_weight_affine, min_weight_span, parity_dot, rank, rref
+from .codes import DEFAULT_CANDIDATE_CAP, PolycyclicCode, code, default_cap, generator_rows
 from .errors import CapExceeded, InternalConsistencyError, ValidationError, WrongRegime
-from .gf2poly import mul, mul_trunc, power_trunc, substitute_power
+from .gf2poly import mul_trunc, power_trunc, substitute_power
 from .ring import RingContext
-
-DEFAULT_CANDIDATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -102,50 +101,56 @@ def sequential_closure_check(dual: DualCode, samples: int = 0, seed: int = 0) ->
 # ---------------------------------------------------------------------------
 
 
-def _spread_candidates(ctx: RingContext, base: int, lead_deg: int, factor: int, candidate_cap: int):
-    """Yield (ell, candidate) for ell = x^lead_deg + lower terms, candidate =
-    (ell * base)(x^factor) * x^(factor - 1) reduced mod x^n."""
-    count = 1 << lead_deg
-    if count > candidate_cap:
-        raise CapExceeded(
-            f"dual reduced set has 2^{lead_deg} candidates, over the cap of {candidate_cap}"
-        )
-    n = ctx.n
-    mask = (1 << n) - 1
-    tbits = -(-n // factor)  # only these low coefficients survive the spread
-    base_t = base & ((1 << tbits) - 1)
-    tmask = (1 << tbits) - 1
-    for low in range(count):
-        ell = (1 << lead_deg) | low
-        w = mul(ell, base_t) & tmask
-        cand = (substitute_power(w, factor) << (factor - 1)) & mask
-        yield ell, cand
+def _spread_candidates(
+    ctx: RingContext, t: int, x_exp: int, u_exp: int, lead_deg: int, candidate_cap: int | None
+) -> tuple[int, list[int]]:
+    """The dual candidates with spread factor 2^(T-t), as (g, rows).
+
+    With base = (x^e + 1)^x_exp * U*^u_exp and spread(w) = w(x^factor) *
+    x^(factor - 1) mod x^n, the candidates are spread(ell * base) for ell =
+    x^lead_deg + lower terms.  spread is GF(2)-linear, so the candidate of
+    ell = x^lead_deg + i is word i of g ^ span(rows), with g =
+    spread(base * x^lead_deg) and rows[b] = spread(base * x^b).
+    """
+    cap = DEFAULT_CANDIDATE_CAP if candidate_cap is None else candidate_cap
+    if 1 << lead_deg > cap:
+        raise CapExceeded(f"dual reduced set has 2^{lead_deg} candidates, over the cap of {cap}")
+    factor = 1 << (ctx.T - t)
+    tbits = -(-ctx.n // factor)  # only these low coefficients survive the spread
+    base = mul_trunc(power_trunc(ctx.x_e_1, x_exp, tbits), power_trunc(ctx.U_star, u_exp, tbits), tbits)
+    mask, tmask = (1 << ctx.n) - 1, (1 << tbits) - 1
+
+    def spread(w: int) -> int:
+        return (substitute_power(w & tmask, factor) << (factor - 1)) & mask
+
+    return spread(base << lead_deg), [spread(base << b) for b in range(lead_deg)]
+
+
+def _candidate_min(ctx: RingContext, candidates: tuple[int, list[int]]) -> int:
+    """Minimum nonzero weight over the (g, rows) candidates of _spread_candidates."""
+    best = min_weight_affine(*candidates, ctx.n)
+    if best is None:
+        raise InternalConsistencyError("every dual candidate reduced to zero")
+    return best
+
+
+def _pow2_candidates(ctx: RingContext, s: int, candidate_cap: int | None) -> tuple[int, list[int]]:
+    """(g, rows) of the dual candidates at j = 2^(T-s): (x^e + 1)^(2^s - 1) * U* spread by 2^(T-s)."""
+    if not 1 <= s <= ctx.T:
+        raise ValidationError("dual anchor parameter s must satisfy 1 <= s <= T")
+    return _spread_candidates(ctx, s, (1 << s) - 1, 1, ctx.m - 1, candidate_cap)
 
 
 def dual_pow2_candidates(ctx: RingContext, s: int, candidate_cap: int | None = None) -> dict[int, int]:
     """Candidate weights for the dual distance at j = 2^(T-s): {ell mask: weight}."""
-    if not 1 <= s <= ctx.T:
-        raise ValidationError("dual anchor parameter s must satisfy 1 <= s <= T")
-    cap = DEFAULT_CANDIDATE_CAP if candidate_cap is None else candidate_cap
-    factor = 1 << (ctx.T - s)
-    tbits = -(-ctx.n // factor)
-    base = mul_trunc(
-        power_trunc(ctx.x_e_1, (1 << s) - 1, tbits),
-        ctx.U_star,
-        tbits,
-    )
-    out: dict[int, int] = {}
-    for ell, cand in _spread_candidates(ctx, base, ctx.m - 1, factor, cap):
-        out[ell] = cand.bit_count()
-    return out
+    g, rows = _pow2_candidates(ctx, s, candidate_cap)
+    lead = 1 << len(rows)
+    return {lead | i: w for i, w in enumerate(affine_weights(g, rows, ctx.n).tolist())}
 
 
 def dual_pow2_distance(ctx: RingContext, s: int, candidate_cap: int | None = None) -> int:
     """Exact dual distance at j = 2^(T-s) as the minimum over the candidate set."""
-    weights = [w for w in dual_pow2_candidates(ctx, s, candidate_cap).values() if w]
-    if not weights:
-        raise InternalConsistencyError("every dual candidate reduced to zero")
-    return min(weights)
+    return _candidate_min(ctx, _pow2_candidates(ctx, s, candidate_cap))
 
 
 def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int | None = None) -> int:
@@ -158,25 +163,8 @@ def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int | None
         raise WrongRegime("dual complement anchors need L == 2^T or L above 3*2^(T-2)")
     if not 1 <= r <= rmax:
         raise ValidationError(f"dual anchor parameter r must satisfy 1 <= r <= {rmax}")
-    cap = DEFAULT_CANDIDATE_CAP if candidate_cap is None else candidate_cap
-    factor = 1 << (ctx.T - r)
-    tbits = -(-ctx.n // factor)
-    base = mul_trunc(
-        ctx.x_e_1 & ((1 << tbits) - 1),
-        power_trunc(ctx.U_star, (1 << r) - 1, tbits),
-        tbits,
-    )
     lead_deg = ctx.m * ((1 << r) - 1) - 1
-    best: int | None = None
-    for _, cand in _spread_candidates(ctx, base, lead_deg, factor, cap):
-        if cand == 0:
-            continue
-        w = cand.bit_count()
-        if best is None or w < best:
-            best = w
-    if best is None:
-        raise InternalConsistencyError("every dual candidate reduced to zero")
-    return best
+    return _candidate_min(ctx, _spread_candidates(ctx, r, 1, (1 << r) - 1, lead_deg, candidate_cap))
 
 
 def dual_distance_with_provenance(

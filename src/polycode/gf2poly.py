@@ -116,7 +116,7 @@ def power(a: int, e: int) -> int:
     while e:
         if e & 1:
             out = mul(out, a)
-        a = mul(a, a)
+        a = square(a)
         e >>= 1
     return out
 
@@ -126,12 +126,13 @@ def power_trunc(a: int, e: int, nbits: int) -> int:
     if e < 0:
         raise ValidationError("negative exponent")
     mask = (1 << nbits) - 1
+    half = (1 << (nbits + 1) // 2) - 1  # coefficients at or above nbits/2 square past x^nbits
     out = 1
     a &= mask
     while e:
         if e & 1:
             out = mul(out, a) & mask
-        a = mul(a, a) & mask
+        a = square(a & half)
         e >>= 1
     return out
 
@@ -202,6 +203,14 @@ def _is_prime(n: int) -> bool | None:
     return True if n < _MR_EXACT_BELOW else None
 
 
+def _lucas_lehmer(m: int) -> bool:
+    """Whether 2^m - 1 is prime, for m >= 3; for p dividing m, 2^p - 1 divides it."""
+    c, s = (1 << m) - 1, 4
+    for _ in range(m - 2):
+        s = (s * s - 2) % c
+    return s == 0 and all(m % p for p in range(2, math.isqrt(m) + 1))
+
+
 def _rho_split(n: int) -> int | None:
     """A proper factor of the odd composite n by Pollard-Brent rho, or None once the budget is spent."""
     budget = _RHO_BUDGET
@@ -250,6 +259,8 @@ def _prime_factors(n: int) -> set[int]:
             out.add(c)
             continue
         prime = _is_prime(c)
+        if prime is None and c & (c + 1) == 0:  # 2^m - 1, which Lucas-Lehmer decides
+            prime = _lucas_lehmer(c.bit_length())
         if prime:
             out.add(c)
             continue

@@ -12,13 +12,8 @@ InternalConsistencyError rather than return a value that disagrees.
 
 from __future__ import annotations
 
-from .codes import code, is_reversible
-from .distance import (
-    DEFAULT_CANDIDATE_CAP,
-    DistanceReport,
-    head_zone_reports,
-    monotone_fuse,
-)
+from .codes import DEFAULT_CANDIDATE_CAP, code, is_reversible
+from .distance import DistanceReport, head_zone_reports, monotone_fuse
 from .duality import dual_complement_distance, dual_pow2_distance
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import mul, power, weight

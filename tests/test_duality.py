@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycode._linalg import nullspace, parity_dot, rank
 from polycode.codes import code, generator_rows
@@ -17,7 +19,7 @@ from polycode.duality import (
     sequential_closure_check,
 )
 from polycode.errors import ValidationError
-from polycode.gf2poly import parse
+from polycode.gf2poly import is_irreducible, mul, mul_trunc, parse, power_trunc, substitute_power
 from polycode.ring import new_context
 
 M3 = parse("x^3+x+1")
@@ -72,6 +74,44 @@ def test_dual_candidate_weights_m3L9():
     }
     for s, want in table.items():
         assert dual_pow2_candidates(ctx, s) == want
+
+
+def _spread_weights_reference(ctx, base, lead_deg, factor):
+    """{ell: weight of (ell * base)(x^factor) * x^(factor - 1) mod x^n}, one ell at a time."""
+    mask = (1 << ctx.n) - 1
+    tmask = (1 << -(-ctx.n // factor)) - 1
+    out = {}
+    for low in range(1 << lead_deg):
+        ell = (1 << lead_deg) | low
+        w = mul(ell, base & tmask) & tmask
+        out[ell] = ((substitute_power(w, factor) << (factor - 1)) & mask).bit_count()
+    return out
+
+
+@st.composite
+def small_rings(draw):
+    m = draw(st.integers(2, 10))
+    P = draw(st.integers(1 << m, (2 << m) - 1).filter(is_irreducible))
+    return new_context(P, draw(st.integers(2, 24)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings(), st.data())
+def test_dual_candidates_match_a_per_ell_loop(ctx, data):
+    s = data.draw(st.integers(1, ctx.T))
+    factor, tbits = 1 << (ctx.T - s), -(-ctx.n // (1 << (ctx.T - s)))
+    base = mul_trunc(power_trunc(ctx.x_e_1, (1 << s) - 1, tbits), ctx.U_star, tbits)
+    want = _spread_weights_reference(ctx, base, ctx.m - 1, factor)
+    assert dual_pow2_candidates(ctx, s) == want
+    assert dual_pow2_distance(ctx, s) == min(w for w in want.values() if w)
+    if ctx.regime in ("pow2", "high"):
+        r = data.draw(st.integers(1, ctx.T if ctx.regime == "pow2" else ctx.R))
+        lead_deg = ctx.m * ((1 << r) - 1) - 1
+        if lead_deg <= 12:
+            factor, tbits = 1 << (ctx.T - r), -(-ctx.n // (1 << (ctx.T - r)))
+            base = mul_trunc(ctx.x_e_1, power_trunc(ctx.U_star, (1 << r) - 1, tbits), tbits)
+            want = _spread_weights_reference(ctx, base, lead_deg, factor)
+            assert dual_complement_distance(ctx, r) == min(w for w in want.values() if w)
 
 
 def test_complement_and_pow2_paths_agree_on_shared_anchor():

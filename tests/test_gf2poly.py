@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import (
+    _lucas_lehmer,
     _prime_factors,
     add,
     coeff_weight,
@@ -172,9 +173,21 @@ def test_order_refuses_f_without_x_in_its_unit_group():
 
 
 def test_order_refuses_rather_than_guesses_an_unproven_cofactor():
-    # 2^89 - 1 is prime but above the exact range of the Miller-Rabin bases
+    # 2^97 - 1 = 11447 * 13842607235828485645766393; the second factor is prime,
+    # above the exact range of the Miller-Rabin bases, and not a Mersenne number
     with pytest.raises(CapExceeded, match="unproven"):
-        order(parse("x^89+x^38+1"))
+        order(parse("x^97+x^6+1"))
+
+
+@pytest.mark.parametrize("text", ["x^89+x^38+1", "x^127+x+1"])
+def test_order_proves_mersenne_prime_cofactors_by_lucas_lehmer(text):
+    f = parse(text)
+    assert is_irreducible(f)
+    assert order(f) == (1 << degree(f)) - 1
+
+
+def test_lucas_lehmer_finds_the_mersenne_prime_exponents():
+    assert [m for m in range(3, 130) if _lucas_lehmer(m)] == [3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127]
 
 
 @given(st.integers(min_value=1, max_value=10**10))
