@@ -2,6 +2,10 @@
 
 A matrix row is an int whose bit c is the entry in column c.  Rank, reduced
 echelon form, null spaces, and span membership all work on lists of such ints.
+Elimination reduces each row against a table of basis rows keyed by leading
+bit; rref then back-substitutes once, lowest pivot first.  nullspace checks
+every basis vector against every row through the columns of the rows, each a
+mask over the rows.
 One kernel, min_weight_affine, finds the minimum nonzero weight over an
 affine span g ^ span(rows); the oracle, the reduced candidate sets and the
 dual candidate sets all call it.  It builds a table of all combinations of the
@@ -15,40 +19,50 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import InternalConsistencyError
+
 
 def parity_dot(a: int, b: int) -> int:
     """Inner product of two rows over GF(2)."""
     return (a & b).bit_count() & 1
 
 
+def _echelon(rows: list[int]) -> dict[int, int]:
+    """Echelon form as {pivot column: row}, each row reduced against the table by leading bit."""
+    lead: dict[int, int] = {}
+    for v in rows:
+        while v:
+            c = v.bit_length() - 1
+            b = lead.get(c)
+            if b is None:
+                lead[c] = v
+                break
+            v ^= b
+    return lead
+
+
 def rank(rows: list[int]) -> int:
     """Rank of the row set."""
-    basis: list[int] = []
-    r = 0
-    for v in rows:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            r += 1
-    return r
+    return len(_echelon(rows))
 
 
 def rref(rows: list[int]) -> list[tuple[int, int]]:
     """Reduced echelon form as (pivot_column, row) pairs, highest pivot first."""
-    pivots: list[tuple[int, int]] = []
-    for v in rows:
-        for c, b in pivots:
-            if (v >> c) & 1:
-                v ^= b
-        if v == 0:
-            continue
-        c = v.bit_length() - 1
-        pivots = [(pc, pr ^ v if (pr >> c) & 1 else pr) for pc, pr in pivots]
-        pivots.append((c, v))
-        pivots.sort(reverse=True)
-    return pivots
+    lead = _echelon(rows)
+    # back-substitution, lowest pivot first: a reduced row holds no pivot
+    # column but its own, so clearing one pivot bit never sets another
+    reduced: dict[int, int] = {}
+    below = 0  # mask of the pivot columns already reduced
+    for c in sorted(lead):
+        v = lead[c]
+        hits = v & below
+        while hits:
+            low = hits & -hits
+            v ^= reduced[low.bit_length() - 1]
+            hits ^= low
+        reduced[c] = v
+        below |= 1 << c
+    return sorted(reduced.items(), reverse=True)
 
 
 def in_span(pivots: list[tuple[int, int]], word: int) -> bool:
@@ -60,22 +74,41 @@ def in_span(pivots: list[tuple[int, int]], word: int) -> bool:
 
 
 def nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {v : parity_dot(r, v) == 0 for every row r}."""
+    """Basis of {v : parity_dot(r, v) == 0 for every row r}, one vector per free column.
+
+    Every basis vector is checked against every row, transposed: column c of
+    the rows as a mask over the rows, so v's parities with all rows at once are
+    the XOR of those masks over v's set bits.
+    """
     pivots = rref(rows)
-    pivot_cols = {c for c, _ in pivots}
-    out: list[int] = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = 1 << free
-        for c, b in pivots:
-            if (b >> free) & 1:
-                v |= 1 << c
-        out.append(v)
+    free_mask = (1 << ncols) - 1
+    for c, _ in pivots:
+        free_mask &= ~(1 << c)
+    basis = [1 << f for f in range(ncols)]  # basis[f] is v_f for each free column f
+    for c, b in pivots:  # v_f holds pivot column c when b has free column f
+        rest, bit = b & free_mask, 1 << c
+        while rest:
+            low = rest & -rest
+            basis[low.bit_length() - 1] |= bit
+            rest ^= low
+    out = [v for f, v in enumerate(basis) if (free_mask >> f) & 1]
+
+    columns = [0] * max([ncols, *(r.bit_length() for r in rows)])
+    bit = 1
+    for r in rows:
+        while r:
+            low = r & -r
+            columns[low.bit_length() - 1] |= bit
+            r ^= low
+        bit <<= 1
     for v in out:
-        for r in rows:
-            if parity_dot(r, v):
-                raise AssertionError("nullspace vector fails orthogonality")
+        parities = 0
+        while v:
+            low = v & -v
+            parities ^= columns[low.bit_length() - 1]
+            v ^= low
+        if parities:
+            raise InternalConsistencyError("nullspace vector fails orthogonality")
     return out
 
 

@@ -3,7 +3,10 @@
 Two independent routes: an oracle that measures the hull C intersect C-dual
 through the rank of the Gram matrix G*G^T (cross-checked against a null-space
 computation), and rank criteria that decide LCD directly from one structured
-matrix — one form for j up to 2^(T-1), another for j beyond it.  Family
+matrix — one form for j up to 2^(T-1), another for j beyond it.  The rows of
+G are the shifts x^i * P^j, none of which wraps past x^(n-1), so G*G^T is a
+symmetric Toeplitz matrix built from k parities.  The head criterion's
+cross-check sweeps every nonzero delta in Gray-code order, one XOR each.  Family
 helpers assert LCD for the power-of-two, complement, and third-power codes
 over the trinomial family, and a scanner sweeps entire families looking for
 counterexamples.
@@ -14,6 +17,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import xor
 
 from ._linalg import column_kernel, nullspace, parity_dot, rank
 from .codes import PolycyclicCode, code, generator_rows
@@ -45,17 +50,34 @@ class LcdVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _toeplitz_gram(g: int, k: int) -> list[int]:
+    """Gram matrix of the rows x^a * g for a < k, taken whole (no row wraps mod x^n).
+
+    Gram[a][b] = <x^a g, x^b g> = <g, x^|a-b| g> = t[|a-b|]: a symmetric
+    Toeplitz matrix.  The band holds t[d] at bits k-1+d and k-1-d, so row a is
+    the band shifted right by k-1-a, cut to k bits.
+    """
+    band = 0
+    for d in range(min(k, g.bit_length())):  # t[d] = 0 once the shift clears g
+        if parity_dot(g, g << d):
+            band |= (1 << (k - 1 + d)) | (1 << (k - 1 - d))
+    mask = (1 << k) - 1
+    return [(band >> (k - 1 - a)) & mask for a in range(k)]
+
+
 def hull_dimension_oracle(c: PolycyclicCode) -> int:
-    """dim(C intersect C-dual) via the Gram matrix, cross-checked via null spaces."""
+    """dim(C intersect C-dual) via the Gram matrix, cross-checked via null spaces.
+
+    The generator rows are x^i * P^j for i < k; the last one has degree
+    k-1 + m*j = n-1, so no row wraps and the Gram matrix is Toeplitz
+    (_toeplitz_gram): k parities instead of k^2.
+    """
     if c.j == c.ctx.L:
         return 0
-    rows = generator_rows(c)
     k = c.k
-    gram = [
-        sum(parity_dot(rows[a], rows[b]) << b for b in range(k)) for a in range(k)
-    ]
-    hull = k - rank(gram)
+    hull = k - rank(_toeplitz_gram(c.generator, k))
 
+    rows = generator_rows(c)
     dual_basis = nullspace(rows, c.n)
     stacked = rows + dual_basis
     hull_ns = k + len(dual_basis) - rank(stacked)
@@ -94,10 +116,23 @@ def is_lcd_head_criterion(c: PolycyclicCode) -> bool:
 
     if mj <= 12:
         # exhaustive sweep over nonzero delta: the top block of W*delta must never vanish
-        sweep = all((mul_trunc(W, delta, n) >> k) != 0 for delta in range(1, 1 << mj))
-        if sweep != full_rank:
+        steps = [mul_trunc(W, 1 << i, n) >> k for i in range(mj)]
+        if _gray_sweep(steps) != full_rank:
             raise InternalConsistencyError("head rank criterion disagrees with direct sweep")
     return full_rank
+
+
+def _gray_sweep(steps: list[int]) -> bool:
+    """Whether the XOR of steps[i] over the set bits i of delta is nonzero for every delta > 0.
+
+    delta walks 1 .. 2^len(steps) - 1 in Gray-code order, so each next XOR
+    differs from the last by one step vector: steps[ruler[t]], where ruler[t]
+    is the lowest set bit of t + 1.
+    """
+    ruler: list[int] = []
+    for i in range(len(steps)):
+        ruler = [*ruler, i, *ruler]
+    return all(accumulate(map(steps.__getitem__, ruler), xor))
 
 
 def is_lcd_tail_criterion(c: PolycyclicCode) -> bool:

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from polycode import _linalg
 from polycode.cli import main
 
 
@@ -134,3 +135,33 @@ def test_conjecture_refuses_worker_counts_outside_the_cpu_range(capsys, workers)
 def test_analyze_on_a_degree_32_primitive_ring(capsys):
     assert main(["analyze", "--poly", "x^32+x^22+x^2+x+1", "--power", "2", "--j", "1"]) == 0
     assert "order=4294967295" in capsys.readouterr().out
+
+
+def test_many_calls_in_one_process_do_not_leak_options(capsys):
+    ring = ["--poly", "x^4+x+1", "--power", "16"]
+    assert main(["analyze", *ring, "--j", "9", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["j"] == 9
+    assert main(["analyze", *ring, "--json"]) == 0  # --j from the call before must not stick
+    assert [row["j"] for row in json.loads(capsys.readouterr().out)] == list(range(17))
+    assert main(["lcd", *ring, "--methods", "theorem"]) == 0
+    assert capsys.readouterr().out.count("\n") == 15  # j = 1..15
+    assert main(["lcd", *ring, "--j", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["methods"] == ["oracle", "head-criterion"]
+    assert main(["dual", *ring, "--j", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["j"] == 2
+    assert main(["analyze", "--poly", "x^3+x+1", "--power", "4", "--csv"]) == 0
+    assert capsys.readouterr().out.startswith("j,lower,upper,exact,provenance")
+    assert main(["analyze", "--poly", "x^3+x+1", "--power", "4"]) == 0
+    assert capsys.readouterr().out.startswith("# n=12")
+
+
+def test_a_failing_nullspace_check_exits_3(capsys, monkeypatch):
+    good = _linalg.rref
+
+    def corrupted(rows):
+        (c, b), *rest = good(rows)
+        return [(c, b ^ 1), *rest]
+
+    monkeypatch.setattr(_linalg, "rref", corrupted)
+    assert main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--j", "2", "--methods", "oracle"]) == 3
+    assert "nullspace" in capsys.readouterr().err

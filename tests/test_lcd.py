@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
+import random
+from functools import reduce
+from operator import xor
 
-from polycode.codes import code
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polycode._linalg import parity_dot, rank
+from polycode.codes import code, generator_rows
 from polycode.errors import ValidationError, WrongRegime
-from polycode.gf2poly import is_irreducible, parse
+from polycode.gf2poly import is_irreducible, mul_trunc, parse
 from polycode.lcd import (
+    _gray_sweep,
+    _toeplitz_gram,
     assert_lcd_complement_family,
     assert_lcd_pow2_family,
     assert_lcd_third_power,
@@ -41,6 +50,47 @@ def test_hull_dimensions_frozen():
     assert hull_dimension_oracle(code(new_context(parse("x^9+x^7+x^2+x+1"), 2), 1)) == 0
     # the one published-as-LCD ring that actually has a 10-dimensional hull
     assert hull_dimension_oracle(code(new_context(parse("x^11+x^10+x^5+x^4+1"), 8), 1)) == 10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32))
+def test_toeplitz_gram_matches_the_pairwise_gram(deg, seed):
+    rng = random.Random(seed)
+    while True:
+        P = (1 << deg) | rng.getrandbits(deg - 1) << 1 | 1
+        if is_irreducible(P):
+            break
+    ctx = new_context(P, rng.randrange(2, max(3, 72 // deg + 1)))
+    for j in range(ctx.L + 1):  # j = 0 is the whole space, k = n
+        c = code(ctx, j)
+        rows = generator_rows(c)
+        pairwise = [sum(parity_dot(ra, rb) << b for b, rb in enumerate(rows)) for ra in rows]
+        assert _toeplitz_gram(c.generator, c.k) == pairwise, (P, ctx.L, j)
+        assert hull_dimension_oracle(c) == c.k - rank(pairwise)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gray_sweep_matches_the_per_delta_product_sweep(data):
+    # a narrow top block (n - k small) makes vanishing products likely
+    n = data.draw(st.integers(2, 48))
+    k = data.draw(st.integers(0, n - 1))
+    mj = data.draw(st.integers(1, 12))
+    W = data.draw(st.integers(0, (1 << n) - 1))
+    steps = [mul_trunc(W, 1 << i, n) >> k for i in range(mj)]
+    want = all((mul_trunc(W, delta, n) >> k) != 0 for delta in range(1, 1 << mj))
+    assert _gray_sweep(steps) == want
+
+
+@pytest.mark.parametrize("mj", range(1, 9))
+def test_gray_sweep_catches_a_single_vanishing_delta_anywhere(mj):
+    # the only vanishing combination is delta0: the Gray walk must reach every delta
+    for delta0 in range(1, 1 << mj):
+        top = delta0.bit_length() - 1
+        steps = [1 << i for i in range(mj)]
+        steps[top] = reduce(xor, (1 << i for i in range(top) if delta0 >> i & 1), 0)
+        assert not _gray_sweep(steps), (mj, delta0)
+    assert _gray_sweep([1 << i for i in range(mj)])
 
 
 def test_trivial_ideals_are_lcd():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import _linalg
+from polycode.errors import InternalConsistencyError
 from polycode._linalg import (
     affine_weights,
     column_kernel,
@@ -70,6 +71,79 @@ def test_nullspace_dimension_and_orthogonality():
         for v in ns:
             assert all(parity_dot(v, row) == 0 for row in rows)
         assert rank(list(ns)) == len(ns)
+
+
+def _rank_reference(rows):
+    """Rank by min(v, v ^ b) over a basis kept sorted, highest first."""
+    basis, r = [], 0
+    for v in rows:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+            r += 1
+    return r
+
+
+def _rref_reference(rows):
+    """Reduced echelon form, every pivot row reduced against each new row as it comes."""
+    pivots = []
+    for v in rows:
+        for c, b in pivots:
+            if (v >> c) & 1:
+                v ^= b
+        if v == 0:
+            continue
+        c = v.bit_length() - 1
+        pivots = [(pc, pr ^ v if (pr >> c) & 1 else pr) for pc, pr in pivots]
+        pivots.append((c, v))
+        pivots.sort(reverse=True)
+    return pivots
+
+
+@st.composite
+def row_lists(draw):
+    """(rows, ncols): zero rows, duplicate rows and dependent rows all likely."""
+    ncols = draw(st.integers(1, 200))
+    word = st.integers(0, (1 << ncols) - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["fresh", "zero", "duplicate", "dependent"]))
+        if kind == "fresh" or not rows:
+            rows.append(draw(word) if kind != "zero" else 0)
+        elif kind == "zero":
+            rows.append(0)
+        elif kind == "duplicate":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(reduce(xor, draw(st.lists(st.sampled_from(rows), min_size=2, max_size=4)), 0))
+    return rows, ncols
+
+
+@given(row_lists())
+def test_elimination_matches_the_reference_implementations(case):
+    rows, ncols = case
+    assert rank(list(rows)) == _rank_reference(list(rows))
+    assert rref(list(rows)) == _rref_reference(list(rows))
+    ns = nullspace(list(rows), ncols)
+    assert all(parity_dot(r, v) == 0 for r in rows for v in ns)
+    assert len(ns) == ncols - rank(list(rows))
+    assert _rank_reference(ns) == len(ns)
+    assert all(v < 1 << ncols for v in ns)
+
+
+def test_nullspace_refuses_a_corrupted_echelon_form(monkeypatch):
+    rows = [0b1011 << i for i in range(4)]
+    good = rref(rows)
+
+    def corrupted(r):
+        (c, b), *rest = good
+        return [(c, b ^ 1), *rest]  # the top pivot row loses its orthogonality
+
+    monkeypatch.setattr(_linalg, "rref", corrupted)
+    with pytest.raises(InternalConsistencyError):
+        nullspace(rows, 7)
 
 
 def test_column_kernel_masks_cancel_columns():
