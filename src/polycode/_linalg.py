@@ -8,14 +8,16 @@ every basis vector against every row through the columns of the rows, each a
 mask over the rows.
 One kernel, min_weight_affine, finds the minimum nonzero weight over an
 affine span g ^ span(rows); the oracle, the reduced candidate sets and the
-dual candidate sets all call it.  It builds a table of all combinations of the
-low rows by doubling and walks the other rows in Gray-code order over it: on
-plain ints (2^8-word table) up to 2^16 words, on numpy (2^16 words) beyond.
+dual candidate sets all call it.  Beyond 8 rows it runs Brouwer-Zimmermann's
+information-set search on plain ints: exact, at a cost that grows with the
+answer, not with 2^k.  affine_weights weighs every word of a span with numpy.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, islice
+from operator import xor
 
 import numpy as np
 
@@ -46,11 +48,10 @@ def rank(rows: list[int]) -> int:
     return len(_echelon(rows))
 
 
-def rref(rows: list[int]) -> list[tuple[int, int]]:
-    """Reduced echelon form as (pivot_column, row) pairs, highest pivot first."""
-    lead = _echelon(rows)
-    # back-substitution, lowest pivot first: a reduced row holds no pivot
-    # column but its own, so clearing one pivot bit never sets another
+def _reduce_pivots(lead: dict[int, int]) -> dict[int, int]:
+    """Back-substitute an echelon table: each row keeps no pivot column but its own."""
+    # lowest pivot first: a reduced row holds no pivot column but its own,
+    # so clearing one pivot bit never sets another
     reduced: dict[int, int] = {}
     below = 0  # mask of the pivot columns already reduced
     for c in sorted(lead):
@@ -62,7 +63,12 @@ def rref(rows: list[int]) -> list[tuple[int, int]]:
             hits ^= low
         reduced[c] = v
         below |= 1 << c
-    return sorted(reduced.items(), reverse=True)
+    return reduced
+
+
+def rref(rows: list[int]) -> list[tuple[int, int]]:
+    """Reduced echelon form as (pivot_column, row) pairs, highest pivot first."""
+    return sorted(_reduce_pivots(_echelon(rows)).items(), reverse=True)
 
 
 def in_span(pivots: list[tuple[int, int]], word: int) -> bool:
@@ -134,12 +140,8 @@ def column_kernel(cols: list[int]) -> list[int]:
 # minimum nonzero weight over an affine span: the one enumeration kernel
 # ---------------------------------------------------------------------------
 
-# Up to 2^16 words the walk XORs plain ints, though numpy is 10-30x faster from
-# 2^12 words on: on a shared host numpy's speed drifts by up to +-20% against
-# interpreted int code, so the commands' timings would not compare run to run.
-_INT_TABLE = 8  # rows in the int table: 2^8 words, a few KB
-_INT_WALK_MAX = 16
-_SPLIT = 16  # rows in the numpy suffix table: 2^16 words, a few MB at most
+_TABLE_MAX = 8  # up to 8 rows the kernel weighs every word of one int table
+_SPLIT = 16  # rows in affine_weights' numpy table: 2^16 words, a few MB at most
 
 _LUT16 = np.zeros(1 << 16, dtype=np.uint8)
 for _b in range(16):  # popcount(i + 2^b) == popcount(i) + 1 for i < 2^b
@@ -155,97 +157,121 @@ def _popcounts_lut(arr: np.ndarray) -> np.ndarray:
 _popcounts = np.bitwise_count if hasattr(np, "bitwise_count") else _popcounts_lut
 
 
-def _weight_chunks(g: int, rows: list[int], nbits: int):
-    """Yield (start, weights): weights[t] is the weight of g ^ combo(start + t).
+def affine_weights(g: int, rows: list[int], nbits: int) -> np.ndarray:
+    """Weight of the word g ^ combo(i) at index i, for every i < 2^len(rows).
 
     combo(i) is the XOR of rows[b] over the set bits b of i.  The low
     k_suf = min(k, _SPLIT) rows fill a table of all their combinations, built
-    by doubling and weighed as it grows, so a light word near the start ends
-    the walk early.  The other rows are walked in Gray-code order, one XOR
-    into the whole table per step.  Word t sits in column t, one 64-bit lane
-    per row: a sum along a short last axis would cost about 8x more.
+    by doubling; the other rows are walked in Gray-code order, one XOR into
+    the whole table per step.  Word t sits in column t, one 64-bit lane per
+    row: a sum along a short last axis would cost about 8x more.
     """
     k_suf = min(len(rows), _SPLIT)
     lanes = (nbits + 63) // 64
     raw = b"".join(w.to_bytes(8 * lanes, "little") for w in [g, *rows])
     words = np.frombuffer(raw, dtype="<u8").reshape(len(rows) + 1, lanes).T[:, :, None]
-    suffix, prefix = words[:, 1 : k_suf + 1], words[:, k_suf + 1 :]
-
-    def weigh(block: np.ndarray) -> np.ndarray:
-        return _popcounts(block).sum(axis=0, dtype=np.uint32)
-
     tab = np.empty((lanes, 1 << k_suf), dtype=np.uint64)
     tab[:, :1] = words[:, 0]
-    done = 0
-    for i in range(k_suf + 1):
-        if i == k_suf or (i >= _INT_TABLE and (i - _INT_TABLE) % 2 == 0):
-            yield done, weigh(tab[:, done : 1 << i])  # first 2^8 words, then 4x more each time
-            done = 1 << i
-        if i < k_suf:
-            np.bitwise_xor(tab[:, : 1 << i], suffix[:, i], out=tab[:, 1 << i : 2 << i])
-
-    p = 0
-    for i in range(1, 1 << (len(rows) - k_suf)):
-        b = (i & -i).bit_length() - 1
-        p ^= 1 << b
-        tab ^= prefix[:, b]
-        yield p << k_suf, weigh(tab)
-
-
-def affine_weights(g: int, rows: list[int], nbits: int) -> np.ndarray:
-    """Weight of the word g ^ combo(i) at index i, for every i < 2^len(rows)."""
+    for i in range(k_suf):
+        np.bitwise_xor(tab[:, : 1 << i], words[:, 1 + i], out=tab[:, 1 << i : 2 << i])
     out = np.empty(1 << len(rows), dtype=np.uint32)
-    for start, weights in _weight_chunks(g, rows, nbits):
-        out[start : start + len(weights)] = weights
+    p = 0
+    for i in range(1 << (len(rows) - k_suf)):
+        if i:
+            b = (i & -i).bit_length() - 1
+            p ^= 1 << b
+            tab ^= words[:, 1 + k_suf + b]
+        out[p << k_suf : (p + 1) << k_suf] = _popcounts(tab).sum(axis=0, dtype=np.uint32)
     return out
+
+
+def _information_sets(rows: list[int]) -> list[dict[int, int]]:
+    """Disjoint information sets of span(rows), each as systematic rows {pivot column: row}.
+
+    Each set eliminates with pivots restricted to the columns no earlier set
+    took (a mask _echelon does not take: the hull oracle's ranks would pay for
+    it), so its rows are a basis of the span with the identity on its pivot
+    columns.  The first set of rank below the span's ends the list.
+    """
+    sets: list[dict[int, int]] = []
+    used = 0
+    while True:
+        lead: dict[int, int] = {}
+        for v in rows:
+            while live := v & ~used:
+                c = live.bit_length() - 1
+                if c not in lead:
+                    lead[c] = v
+                    break
+                v ^= lead[c]
+        if not lead or (sets and len(lead) < len(rows)):
+            return sets
+        sets.append(_reduce_pivots(lead))
+        rows = list(sets[-1].values())
+        used |= sum(1 << c for c in lead)
+
+
+def _level(g: int, R: list[int], pairs: list[int], w: int):
+    """Yield (x, tail): the words x ^ t, t in tail, are g ^ (XOR of w rows of R), each once."""
+    if w <= 2:
+        yield g, R if w == 1 else pairs
+        return
+    k = len(R)
+    for head in combinations(range(k - 2), w - 2):
+        a = k - 1 - head[-1]  # rows past the head's last one
+        yield reduce(xor, map(R.__getitem__, head), g), islice(pairs, a * (a - 1) // 2)
 
 
 def min_weight_affine(g: int, rows: list[int], nbits: int, floor: int = 0) -> int | None:
     """Minimum nonzero weight over g ^ span(rows), or None when every word is zero.
 
     Words must fit in nbits.  floor is a proven lower bound on the answer: the
-    walk may stop at the first word that light (0 walks every word).
+    search may stop at the first word that light (0 proves the minimum).
+
+    Up to _TABLE_MAX nonzero rows every word is weighed.  Beyond, the search is
+    Brouwer-Zimmermann's over N disjoint information sets of the span, with
+    rank k.  Per set, g's bits on the set's pivot columns are cleared against
+    its systematic rows; then g ^ (XOR of w of those rows) are exactly the
+    words with w bits on the set.  Levels w = 0, 1, ... run over every set in
+    turn.  Once level w has run on sets 0..i-1 and level w-1 on the rest, a
+    word not yet seen has at least w+1 bits on each of those i sets and w on
+    each other set, so weighs at least N*w + i; the search stops when the
+    lightest word found is that light.  Level w >= 3 runs depth-first: each
+    XOR of w-2 rows meets the table of pair XORs past its last row, so no
+    level is ever held whole.
     """
     none = nbits + 1  # heavier than any word
-    best = none
-    if len(rows) <= _INT_WALK_MAX:
+    rows = list(filter(None, rows))
+    if len(rows) <= _TABLE_MAX or not rows:
         tab = [g]
-        for r in rows[:_INT_TABLE]:
+        for r in rows:
             tab += [w ^ r for w in tab]
-        p, prefix = 0, rows[_INT_TABLE:]
-        for i in range(1 << len(prefix)):
-            p ^= prefix[(i & -i).bit_length() - 1] if i else 0
-            best = min(best, min(filter(None, map(int.bit_count, map(p.__xor__, tab))), default=none))
-            if best <= floor:
-                break
-    else:
-        for _, weights in _weight_chunks(g, rows, nbits):
-            # zero words wrap to 2^32 - 1 and drop out of the minimum
-            best = min(best, int((weights - np.uint32(1)).min()) + 1)
-            if best <= floor:
-                break
-    return best if best < none else None
+        best = min(filter(None, map(int.bit_count, tab)), default=none)
+        return best if best < none else None
+    sets = _information_sets(rows)
+    k, N = len(sets[0]), len(sets)
+    # per set: g with its bits on the pivot columns cleared, and the set's rows
+    starts = [(reduce(xor, (r for c, r in piv.items() if g >> c & 1), g), list(piv.values())) for piv in sets]
+    best = min(filter(None, (gs.bit_count() for gs, _ in starts)), default=none)  # level 0
+    pairs: list[list[int]] = [[] for _ in sets]
+    for w in range(1, k + 1):
+        for i, (gs, R) in enumerate(starts):
+            stop = max(N * w + i, floor)
+            if best <= stop:
+                return best
+            if w == 2:  # the C(k-1-a, 2) pairs of rows past row a come first
+                pairs[i] = [R[a] ^ R[b] for a in range(k - 2, -1, -1) for b in range(a + 1, k)]
+            for x, tail in _level(gs, R, pairs[i], w):
+                best = min(best, min(map(int.bit_count, map(x.__xor__, tail))))
+                if best <= stop:
+                    return best
+    return best
 
 
 def min_weight_span(rows: list[int], nbits: int) -> int:
     """Minimum Hamming weight over all nonzero words spanned by rows."""
-    basis = [row for _, row in rref(list(rows))]
-    if not basis:
-        raise ValueError("empty span has no nonzero word")
-    return min_weight_affine(0, basis, nbits, floor=1)  # type: ignore[return-value]
-
-
-def min_weight_span_reference(rows: list[int]) -> int:
-    """Slow itertools cross-check of min_weight_span, for tests."""
-    best = None
-    for size in range(1, len(rows) + 1):
-        for combo in combinations(rows, size):
-            w = 0
-            for r in combo:
-                w ^= r
-            wt = w.bit_count()
-            if wt and (best is None or wt < best):
-                best = wt
+    best = min_weight_affine(0, list(rows), nbits, floor=1)
     if best is None:
         raise ValueError("empty span has no nonzero word")
     return best
+

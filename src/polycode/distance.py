@@ -2,8 +2,8 @@
 
 Three independent sources feed one report per j:
 
-* a brute-force oracle that walks the whole code (capped, for cross-checks
-  and small dimensions);
+* an exact oracle over the whole code by information-set search (capped by
+  the dimension k, for cross-checks and small dimensions);
 * exact values on a lattice of "anchor" indices, where the minimum is
   attained inside a small reduced candidate set P^j * a(x^B) with B a power
   of two and a running over constant-term-1 polynomials of bounded degree;
@@ -12,7 +12,7 @@ Three independent sources feed one report per j:
   tail, and monotonicity along the chain (C_{j+1} inside C_j).
 
 The oracle and the reduced sets are both minima over an affine span of
-words, taken by the one enumeration kernel of _linalg (min_weight_affine).
+words, taken by the one kernel of _linalg (min_weight_affine).
 full_distance_profile fuses all of it, tags every bound with its source, and
 raises InternalConsistencyError the moment two sources disagree.
 """
@@ -88,12 +88,12 @@ class DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# exact oracle over the whole code
 # ---------------------------------------------------------------------------
 
 
 def min_distance_bruteforce(c: PolycyclicCode, cap: int | None = None) -> int:
-    """Exact d(C_j) by enumerating the full code (k must stay within the cap)."""
+    """Exact d(C_j) over the whole code, by information-set search (k must stay within the cap)."""
     if c.j == c.ctx.L:
         raise ValidationError("the zero code has no nonzero word, hence no distance")
     cap = default_cap() if cap is None else cap
@@ -158,28 +158,20 @@ def lower_anchor_distance(ctx: RingContext, s: int, candidate_cap: int | None = 
 
 def upper_anchor_distance(ctx: RingContext, r: int, candidate_cap: int | None = None) -> int:
     """Exact d(C_j) at j = 2^T - 2^(T-r); needs L at the top of its window or in its upper part."""
-    if ctx.regime == "pow2":
-        rmax = ctx.T
-    elif ctx.regime == "high":
-        rmax = ctx.R  # type: ignore[assignment]
-    else:
+    if not ctx.rmax:
         raise WrongRegime("upper anchors need L == 2^T or L above 3*2^(T-2)")
-    if not 1 <= r <= rmax:
-        raise ValidationError(f"anchor parameter r must satisfy 1 <= r <= {rmax}")
+    if not 1 <= r <= ctx.rmax:
+        raise ValidationError(f"anchor parameter r must satisfy 1 <= r <= {ctx.rmax}")
     B = 1 << (ctx.T - r)
     return _reduced_set_min(ctx, (1 << ctx.T) - B, B, candidate_cap)
 
 
 def plateau_bounds(ctx: RingContext, r: int, i: int, candidate_cap: int | None = None) -> tuple[int, int]:
     """Bounds 2*d(anchor r) <= d <= d(anchor r+1) for j = (2^T - 2^(T-r)) + i."""
-    if ctx.regime == "pow2":
-        rmax = ctx.T - 1
-    elif ctx.regime == "high":
-        rmax = ctx.R - 1  # type: ignore[operator]
-    else:
+    if not ctx.rmax:
         raise WrongRegime("plateau bounds need L == 2^T or L above 3*2^(T-2)")
-    if not 1 <= r <= rmax:
-        raise ValidationError(f"plateau parameter r must satisfy 1 <= r <= {rmax}")
+    if not 1 <= r <= ctx.rmax - 1:
+        raise ValidationError(f"plateau parameter r must satisfy 1 <= r <= {ctx.rmax - 1}")
     if not 1 <= i <= 1 << (ctx.T - r - 1):
         raise ValidationError("plateau offset i out of range")
     return (
@@ -219,7 +211,7 @@ def full_distance_profile(
 ) -> list[DistanceReport]:
     """Best-known distance report for every j = 0..L, cross-checked along the way."""
     ocap = default_cap() if oracle_cap is None else oracle_cap
-    L, T, m, n = ctx.L, ctx.T, ctx.m, ctx.n
+    L, T, n = ctx.L, ctx.T, ctx.n
     reports = [DistanceReport(j, 1, n) for j in range(L + 1)]
     reports[0].set_exact(1, "full-space")
     reports[L].set_exact(n, "zero-code")
@@ -235,55 +227,42 @@ def full_distance_profile(
             reports[j].set_exact(lower_anchor_distance(ctx, s, candidate_cap), "reduced-set")
         except CapExceeded:
             pass
-    if ctx.regime in ("pow2", "high"):
-        rmax = T if ctx.regime == "pow2" else ctx.R
-        for r in range(1, rmax + 1):
-            j = (1 << T) - (1 << (T - r))
-            try:
-                reports[j].set_exact(upper_anchor_distance(ctx, r, candidate_cap), "reduced-set")
-            except CapExceeded:
-                pass
+    # upper anchors j = 2^T - 2^(T-r), r = 1..rmax; a "low" ring has none
+    tops = [(1 << T) - (1 << (T - r)) for r in range(1, ctx.rmax + 1)]
+    for r, j in enumerate(tops, 1):
+        try:
+            reports[j].set_exact(upper_anchor_distance(ctx, r, candidate_cap), "reduced-set")
+        except CapExceeded:
+            pass
 
     # weight witnesses
     for j in range(1, L):
         reports[j].cut_upper(weight(ctx.P_pows[j]), "weight-witness")
 
-    # doubling lower bounds past each anchor
-    if ctx.regime == "pow2":
-        for r in range(1, T):
-            a = (1 << T) - (1 << (T - r))
-            nxt = (1 << T) - (1 << (T - r - 1))
-            for jj in range(a + 1, nxt):
-                reports[jj].raise_lower(2 * reports[a].lower, "double-bound")
-    elif ctx.regime == "low":
-        a = 1 << (T - 1)
-        for jj in range(a + 1, L):
-            reports[jj].raise_lower(2 * reports[a].lower, "double-bound")
-    else:
-        for r in range(1, ctx.R):  # type: ignore[arg-type]
-            a = (1 << T) - (1 << (T - r))
-            nxt = (1 << T) - (1 << (T - r - 1))
-            for jj in range(a + 1, nxt):
-                reports[jj].raise_lower(2 * reports[a].lower, "double-bound")
-        a = (1 << T) - (1 << (T - ctx.R))  # type: ignore[operator]
-        for jj in range(a + 1, L):
+    # doubling lower bounds: every index past an anchor, up to the next, gets 2*d(anchor)
+    for a, nxt in zip(tops, tops[1:] + [L]) if tops else [(1 << (T - 1), L)]:
+        for jj in range(a + 1, nxt):
             reports[jj].raise_lower(2 * reports[a].lower, "double-bound")
 
     monotone_fuse(reports)
 
     # oracle pass over whatever is still open and small enough
-    for j in range(1, L):
-        rep = reports[j]
-        if rep.exact or m * (L - j) > ocap:
-            continue
-        d = min_distance_bruteforce(code(ctx, j), cap=ocap)
-        if not rep.lower <= d <= rep.upper:
-            raise InternalConsistencyError(
-                f"j={j}: oracle distance {d} outside the proven interval [{rep.lower}, {rep.upper}]"
-            )
-        rep.set_exact(d, "oracle")
+    for rep in reports[1:L]:
+        _oracle_pass(ctx, rep, ocap)
     monotone_fuse(reports)
     return reports
+
+
+def _oracle_pass(ctx: RingContext, rep: DistanceReport, ocap: int) -> None:
+    """Close an open report with the oracle when k fits the cap; the value must lie in the interval."""
+    if rep.exact or ctx.m * (ctx.L - rep.j) > ocap:
+        return
+    d = min_distance_bruteforce(code(ctx, rep.j), cap=ocap)
+    if not rep.lower <= d <= rep.upper:
+        raise InternalConsistencyError(
+            f"j={rep.j}: oracle distance {d} outside the proven interval [{rep.lower}, {rep.upper}]"
+        )
+    rep.set_exact(d, "oracle")
 
 
 def single_distance_report(
@@ -297,12 +276,5 @@ def single_distance_report(
         raise ValidationError("index j must satisfy 0 <= j <= L")
     ocap = default_cap() if oracle_cap is None else oracle_cap
     reports = full_distance_profile(ctx, oracle_cap=0, candidate_cap=candidate_cap)
-    rep = reports[j]
-    if not rep.exact and ctx.m * (ctx.L - j) <= ocap:
-        d = min_distance_bruteforce(code(ctx, j), cap=ocap)
-        if not rep.lower <= d <= rep.upper:
-            raise InternalConsistencyError(
-                f"j={j}: oracle distance {d} outside the proven interval [{rep.lower}, {rep.upper}]"
-            )
-        rep.set_exact(d, "oracle")
-    return rep
+    _oracle_pass(ctx, reports[j], ocap)
+    return reports[j]

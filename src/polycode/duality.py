@@ -2,13 +2,14 @@
 
 The dual of C_j is spanned by the first m*j shifts of one word h*, built from
 x^e + 1 and the coefficient-reversed cofactor of P; construction always
-verifies full rank and orthogonality against the generator matrix.  Duals are
+verifies full rank and orthogonality against the generator matrix, the latter
+by n - 1 parities since both row sets are shifts of one word.  Duals are
 "sequential" codes: shifting a dual word right by one position stays in the
 dual after an appropriate bit enters at the top.  On two families of indices
 (j a power of two, and j of the form 2^T - 2^(T-r)) the dual distance is the
 minimum over a small explicit candidate set.  That set is an affine span (the
-spread map is linear), so the enumeration kernel of _linalg walks it, as it
-walks the dual code itself in the brute-force oracle that covers every other j.
+spread map is linear), so the minimum-weight kernel of _linalg searches it, as it
+searches the dual code itself in the exact oracle that covers every other j.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from ._linalg import affine_weights, in_span, min_weight_affine, min_weight_span, parity_dot, rank, rref
-from .codes import DEFAULT_CANDIDATE_CAP, PolycyclicCode, code, default_cap, generator_rows
+from .codes import DEFAULT_CANDIDATE_CAP, PolycyclicCode, code, default_cap
 from .errors import CapExceeded, InternalConsistencyError, ValidationError, WrongRegime
 from .gf2poly import mul_trunc, power_trunc, substitute_power
 from .ring import RingContext
@@ -56,15 +57,16 @@ def dual_code(c: PolycyclicCode) -> DualCode:
     rows = tuple((h << i) & mask for i in range(ctx.m * j))
     if rank(list(rows)) != ctx.m * j:
         raise InternalConsistencyError("dual spanning rows are not independent")
-    for g in generator_rows(c):
-        for hrow in rows:
-            if parity_dot(g, hrow):
-                raise InternalConsistencyError("dual spanning row not orthogonal to the code")
+    # generator rows g << a never pass n bits, so <g << a, (h << b) & mask> is
+    # <g << (a - b), h> or <g, h << (b - a)>: n - 1 parities decide all k*m*j pairs
+    g = c.generator
+    if any(parity_dot(g << d, h) for d in range(c.k)) or any(parity_dot(g, h << d) for d in range(1, ctx.m * j)):
+        raise InternalConsistencyError("dual spanning row not orthogonal to the code")
     return DualCode(ctx, j, h, rows)
 
 
 def dual_min_distance_bruteforce(dual: DualCode, cap: int | None = None) -> int:
-    """Exact dual distance by enumerating the dual code."""
+    """Exact dual distance over the whole dual code (information-set search)."""
     cap = default_cap() if cap is None else cap
     if dual.dim > cap:
         raise CapExceeded(
@@ -155,14 +157,10 @@ def dual_pow2_distance(ctx: RingContext, s: int, candidate_cap: int | None = Non
 
 def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int | None = None) -> int:
     """Exact dual distance at j = 2^T - 2^(T-r) (L at the window top or in its upper part)."""
-    if ctx.regime == "pow2":
-        rmax = ctx.T
-    elif ctx.regime == "high":
-        rmax = ctx.R  # type: ignore[assignment]
-    else:
+    if not ctx.rmax:
         raise WrongRegime("dual complement anchors need L == 2^T or L above 3*2^(T-2)")
-    if not 1 <= r <= rmax:
-        raise ValidationError(f"dual anchor parameter r must satisfy 1 <= r <= {rmax}")
+    if not 1 <= r <= ctx.rmax:
+        raise ValidationError(f"dual anchor parameter r must satisfy 1 <= r <= {ctx.rmax}")
     lead_deg = ctx.m * ((1 << r) - 1) - 1
     return _candidate_min(ctx, _spread_candidates(ctx, r, 1, (1 << r) - 1, lead_deg, candidate_cap))
 
@@ -180,23 +178,17 @@ def dual_distance_with_provenance(
     d: int | None = None
     provenance: list[str] = []
 
-    if j & (j - 1) == 0:
-        try:
+    diff = (1 << ctx.T) - j
+    r = ctx.T - diff.bit_length() + 1  # j = 2^T - 2^(T-r) when diff is a power of two
+    try:
+        if j & (j - 1) == 0:
             d = dual_pow2_distance(ctx, ctx.T - j.bit_length() + 1, candidate_cap)
-            provenance.append("dual-reduced-set")
-        except CapExceeded:
-            pass
-    else:
-        diff = (1 << ctx.T) - j
-        if diff & (diff - 1) == 0 and ctx.regime in ("pow2", "high"):
-            r = ctx.T - diff.bit_length() + 1
-            rmax = ctx.T if ctx.regime == "pow2" else ctx.R
-            if 1 <= r <= rmax:  # type: ignore[operator]
-                try:
-                    d = dual_complement_distance(ctx, r, candidate_cap)
-                    provenance.append("dual-reduced-set")
-                except CapExceeded:
-                    pass
+        elif diff & (diff - 1) == 0 and 1 <= r <= ctx.rmax:
+            d = dual_complement_distance(ctx, r, candidate_cap)
+    except CapExceeded:
+        pass
+    if d is not None:
+        provenance.append("dual-reduced-set")
 
     if ctx.m * j <= ocap:
         oracle_d = dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=ocap)

@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import degree, div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, power_mod, reciprocal
+
+RING_TABLE_BITS = 1 << 26  # budget for P^0..P^L (about m*L^2/2 bits); 8 MB of ints
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,11 @@ class RingContext:
     associate: int  # x^n reduced mod P^L; feeds the length-n shift
 
     @property
+    def rmax(self) -> int:
+        """Upper anchors j = 2^T - 2^(T-r) exist for r = 1..rmax: T for "pow2", R for "high", none for "low"."""
+        return self.T if self.regime == "pow2" else self.R or 0
+
+    @property
     def x_e_1(self) -> int:
         """The mask of x^e + 1 mod x^n; P divides x^e + 1 exactly, and e can reach 2^m - 1."""
         return (1 << self.e) | 1 if self.e < self.n else 1
@@ -63,6 +70,9 @@ def new_context(P: int, L: int) -> RingContext:
         raise ValidationError("P must be irreducible over GF(2)")
 
     n = m * L
+    bits = m * L * (L + 1) // 2  # P^0..P^L, built below
+    if bits > RING_TABLE_BITS:
+        raise CapExceeded(f"the powers P^0..P^L need ~{bits} bits, over the budget of {RING_TABLE_BITS}")
     T = (L - 1).bit_length()
     e = order(P)
     if power_mod(2, e, P) != 1:

@@ -6,10 +6,11 @@ import csv
 import io
 import json
 import os
+import time
 
 import pytest
 
-from polycode import _linalg
+from polycode import _linalg, duality
 from polycode.cli import main
 
 
@@ -165,3 +166,18 @@ def test_a_failing_nullspace_check_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(_linalg, "rref", corrupted)
     assert main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--j", "2", "--methods", "oracle"]) == 3
     assert "nullspace" in capsys.readouterr().err
+
+
+def test_a_dual_word_off_the_dual_exits_3(capsys, monkeypatch):
+    real = duality.mul_trunc
+    monkeypatch.setattr(duality, "mul_trunc", lambda a, b, nbits: real(a, b, nbits) ^ 1)
+    assert main(["dual", "--poly", "x^3+x+1", "--power", "9", "--j", "2"]) == 3
+    assert "not orthogonal" in capsys.readouterr().err
+
+
+def test_an_oversized_ring_is_refused_within_a_second(capsys):
+    # P^0..P^L would need ~2.5 GB at L = 100000
+    start = time.perf_counter()
+    assert main(["analyze", "--poly", "x^4+x+1", "--power", "100000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "budget" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,8 @@ from polycode.duality import (
     dual_summary,
     sequential_closure_check,
 )
-from polycode.errors import ValidationError
+from polycode import duality
+from polycode.errors import InternalConsistencyError, ValidationError
 from polycode.gf2poly import is_irreducible, mul, mul_trunc, parse, power_trunc, substitute_power
 from polycode.ring import new_context
 
@@ -34,6 +37,33 @@ def test_dual_dimensions_and_orthogonality():
         assert rank(list(dual.rows)) == dual.dim
         for g in generator_rows(code(ctx, j)):
             assert all(parity_dot(g, h) == 0 for h in dual.rows)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_orthogonality_by_shifts_agrees_with_every_pair(data):
+    # dual_code decides k*m*j pairs by n - 1 parities; any word h must get the all-pairs verdict
+    m = data.draw(st.integers(2, 6))
+    P = data.draw(st.sampled_from([f for f in range((1 << m) | 1, 1 << (m + 1), 2) if is_irreducible(f)]))
+    ctx = new_context(P, data.draw(st.integers(2, 10)))
+    j = data.draw(st.integers(1, ctx.L - 1))
+    c, n = code(ctx, j), ctx.n
+    good = dual_code(c).h_star
+    h = data.draw(
+        st.just(good)
+        | st.integers(0, n - 1).map(lambda b: good ^ (1 << b))
+        | st.integers(0, (1 << n) - 1)
+        | st.integers(1, m * j - 1).map(lambda s: (good << s) & ((1 << n) - 1))
+    )
+    rows = [(h << i) & ((1 << n) - 1) for i in range(m * j)]
+    full_rank = rank(rows) == m * j
+    orthogonal = all(parity_dot(g, r) == 0 for g in generator_rows(c) for r in rows)
+    with mock.patch.object(duality, "mul_trunc", lambda a, b, nbits: h):
+        if full_rank and orthogonal:
+            assert dual_code(c).h_star == h
+        else:
+            with pytest.raises(InternalConsistencyError, match="independent" if not full_rank else "orthogonal"):
+                dual_code(c)
 
 
 def test_dual_rejects_trivial_ideals():

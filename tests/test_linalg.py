@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from functools import reduce
 from itertools import combinations, product
 from operator import xor
@@ -14,19 +15,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import _linalg
+from polycode.codes import code, generator_rows
 from polycode.errors import InternalConsistencyError
+from polycode.gf2poly import is_irreducible
+from polycode.ring import new_context
 from polycode._linalg import (
     affine_weights,
     column_kernel,
     in_span,
     min_weight_affine,
     min_weight_span,
-    min_weight_span_reference,
     nullspace,
     parity_dot,
     rank,
     rref,
 )
+
+
+def min_weight_span_reference(rows):
+    """Minimum nonzero weight over the span by itertools, every subset of the rows."""
+    weights = [reduce(xor, combo).bit_count() for size in range(1, len(rows) + 1) for combo in combinations(rows, size)]
+    if not any(weights):
+        raise ValueError("empty span has no nonzero word")
+    return min(w for w in weights if w)
 
 
 def test_parity_dot_small():
@@ -182,7 +193,7 @@ def test_min_weight_handles_dependent_rows():
 
 
 def test_min_weight_crosses_the_engine_split():
-    # one case on each side of the int/vectorized boundary, same span
+    # 17 rows, past the int table: no heavier than any XOR of up to three rows
     rng = random.Random(29)
     rows = [rng.getrandbits(40) | 1 for _ in range(17)]
     got = min_weight_span(rows, 40)
@@ -236,19 +247,10 @@ def _check_kernel(g, rows, nbits):
         assert min_weight_affine(g, rows, nbits, floor=best - 1) == best
 
 
-@given(
-    affine_sets(),
-    st.sampled_from([-1, _linalg._INT_WALK_MAX]),
-    st.sampled_from([1, 3, _linalg._INT_TABLE]),
-    st.sampled_from([1, 3, _linalg._SPLIT]),
-)
-def test_kernel_matches_brute_force(case, int_walk_max, int_table, split):
-    # shrinking the thresholds sends small sets down the prefix walks, on ints and on the numpy table
-    with (
-        mock.patch.object(_linalg, "_INT_WALK_MAX", int_walk_max),
-        mock.patch.object(_linalg, "_INT_TABLE", int_table),
-        mock.patch.object(_linalg, "_SPLIT", split),
-    ):
+@given(affine_sets(), st.sampled_from([-1, 3, _linalg._TABLE_MAX]), st.sampled_from([1, 3, _linalg._SPLIT]))
+def test_kernel_matches_brute_force(case, table_max, split):
+    # shrinking the thresholds sends small sets down the information-set search and the numpy prefix walk
+    with mock.patch.object(_linalg, "_TABLE_MAX", table_max), mock.patch.object(_linalg, "_SPLIT", split):
         _check_kernel(*case)
 
 
@@ -258,25 +260,24 @@ def test_kernel_matches_brute_force_across_the_table_split(case):
     _check_kernel(*case)
 
 
-@pytest.mark.parametrize("int_walk_max, int_table, split", [(16, 8, 16), (16, 3, 16), (-1, 8, 3)])
-def test_kernel_finds_the_lightest_word_wherever_it_sits(int_walk_max, int_table, split):
-    # one weight-1 word among random 64-bit words, moved through every index of a 2^10-word set
+@pytest.mark.parametrize("table_max, split", [(16, 16), (8, 16), (-1, 3)])
+def test_kernel_finds_the_lightest_word_wherever_it_sits(table_max, split):
+    # one weight-1 word among random 64-bit words, moved through every index of a 2^10-word set:
+    # the int table, the information-set search at the real thresholds, and the numpy prefix walk
     rng = random.Random(7)
     rows = [rng.getrandbits(64) for _ in range(10)]
-    with (
-        mock.patch.object(_linalg, "_INT_WALK_MAX", int_walk_max),
-        mock.patch.object(_linalg, "_INT_TABLE", int_table),
-        mock.patch.object(_linalg, "_SPLIT", split),
-    ):
+    with mock.patch.object(_linalg, "_TABLE_MAX", table_max), mock.patch.object(_linalg, "_SPLIT", split):
         for t in range(1 << len(rows)):
             g = reduce(xor, (r for b, r in enumerate(rows) if t >> b & 1), 1 << 40)
             assert min_weight_affine(g, rows, 64) == 1, t
+            assert affine_weights(g, rows, 64)[t] == 1, t
 
 
 def test_kernel_returns_none_when_every_word_is_zero():
-    for k in (0, 3, _linalg._INT_TABLE + 2, _linalg._INT_WALK_MAX + 1):
+    for k in (0, 3, _linalg._TABLE_MAX + 2, 20):
         assert min_weight_affine(0, [0] * k, 64) is None
     assert min_weight_affine(0b101, [0b101] * 10, 3) == 2
+    assert min_weight_affine(0b100, [0] * 10, 3) == 1
 
 
 def test_kernel_lookup_table_popcount_agrees():
@@ -286,10 +287,106 @@ def test_kernel_lookup_table_popcount_agrees():
         g = rng.getrandbits(nbits)
         rows = [rng.getrandbits(nbits) for _ in range(_linalg._SPLIT + 1)]
         want = affine_weights(g, rows, nbits)
-        with (
-            mock.patch.object(_linalg, "_popcounts", _linalg._popcounts_lut),
-            mock.patch.object(_linalg, "_INT_WALK_MAX", -1),  # the span below takes the numpy path too
-        ):
+        with mock.patch.object(_linalg, "_popcounts", _linalg._popcounts_lut):
             assert np.array_equal(affine_weights(g, rows, nbits), want)
-            assert min_weight_affine(g, rows, nbits) == int(want[want > 0].min())
-            assert min_weight_span(rows[:12], nbits) == min_weight_span_reference(rows[:12])
+            with mock.patch.object(_linalg, "_SPLIT", 3):  # the Gray prefix walk, 2^14 steps
+                assert np.array_equal(affine_weights(g, rows, nbits), want)
+        assert min_weight_affine(g, rows, nbits) == int(want[want > 0].min())
+
+
+# ---------------------------------------------------------------------------
+# the information-set search (Brouwer-Zimmermann) in every shape
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def searched_sets(draw):
+    """(g, rows, nbits) above the table threshold: one information set (nbits < 2k) or many (nbits >> k)."""
+    k = draw(st.integers(_linalg._TABLE_MAX + 1, 13))
+    nbits = draw(st.integers(k, 2 * k - 1) | st.integers(4 * k, 200))
+    word = st.integers(0, (1 << nbits) - 1)
+    sparse = st.lists(st.integers(0, nbits - 1), max_size=4).map(lambda bits: sum(1 << b for b in set(bits)))
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["fresh", "sparse", "zero", "dependent"]))
+        if kind == "dependent" and rows:
+            rows.append(reduce(xor, draw(st.lists(st.sampled_from(rows), max_size=3)), 0))
+        else:
+            rows.append(0 if kind == "zero" else draw(sparse if kind == "sparse" else word))
+    g = draw(st.just(0) | word | sparse | st.sampled_from(rows))
+    return g, rows, nbits
+
+
+@settings(deadline=None)
+@given(searched_sets())
+def test_information_set_search_matches_brute_force(case):
+    g, rows, nbits = case
+    words = {reduce(xor, combo, g) for combo in product(*([0, r] for r in rows))}
+    best = min((w.bit_count() for w in words if w), default=None)
+    assert min_weight_affine(g, rows, nbits) == best
+    if best is not None:
+        assert min_weight_affine(g, rows, nbits, floor=best) == best
+        assert min_weight_affine(g, rows, nbits, floor=best - 1) == best
+    if g == 0 and any(rows):
+        assert min_weight_span(rows, nbits) == min_weight_span_reference(rows) == best
+
+
+@given(searched_sets())
+def test_information_sets_are_disjoint_systematic_bases(case):
+    _, rows, nbits = case
+    sets = _linalg._information_sets(rows)
+    k = rank(list(rows))
+    assert bool(sets) == (k > 0)
+    used = 0
+    for piv in sets:
+        mask = sum(1 << c for c in piv)
+        assert used & mask == 0 and len(piv) == k
+        assert all(r & mask == 1 << c for c, r in piv.items())  # identity on the pivot columns
+        assert rank([*rows, *piv.values()]) == k == rank(list(piv.values()))
+        used |= mask
+    # greedy: the columns left over after the last set hold less than the full rank
+    assert rank([r & ~used for r in rows]) < k or k == 0
+    if k and nbits < 2 * k:
+        assert len(sets) == 1
+
+
+def test_kernel_search_stops_at_the_proven_bound():
+    # three disjoint copies of the identity: every row weighs 3 = N * 1, so level 1 on the first set proves it
+    rows = [(1 << i) | (1 << (i + 10)) | (1 << (i + 20)) for i in range(10)]
+    assert len(_linalg._information_sets(rows)) == 3
+    levels, real = [], _linalg._level
+    with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[3]) or real(*args)):
+        assert min_weight_affine(0, rows, 30) == 3
+    assert levels == [1]
+    assert min_weight_affine(1 << 29, rows, 30) == 1
+
+
+def test_kernel_memory_stays_bounded_at_k_28():
+    # x^4+x+1, L = 16, j = 9: the oracle over a 2^28-word code holds no level whole
+    rows = generator_rows(code(new_context(0b10011, 16), 9))
+    assert len(rows) == 28
+    tracemalloc.start()
+    try:
+        assert min_weight_span(rows, 64) == 6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_kernel_equals_the_numpy_walk_on_every_small_chain():
+    # every ring with deg P <= 5 and mL <= 30, every j with k <= 20: the kernel
+    # against the minimum of affine_weights, the independent numpy walk
+    checked = 0
+    for deg in (2, 3, 4, 5):
+        for f in range((1 << deg) | 1, 1 << (deg + 1), 2):
+            if not is_irreducible(f):
+                continue
+            for L in range(2, 30 // deg + 1):
+                ctx = new_context(f, L)
+                for j in range(max(0, L - 20 // deg), L):
+                    rows = generator_rows(code(ctx, j))
+                    weights = affine_weights(0, rows, ctx.n)
+                    assert min_weight_span(rows, ctx.n) == int(weights[1:].min()), (f, L, j)
+                    checked += 1
+    assert checked == 366

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polycode.codes import code, contains
-from polycode.errors import ValidationError
+from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import div_rem, is_irreducible, mul, mul_trunc, parse, power, reciprocal
-from polycode.ring import classify, ideal_generator, new_context, reduce_mod, shift_word
+from polycode.ring import RING_TABLE_BITS, classify, ideal_generator, new_context, reduce_mod, shift_word
+from polycode.trinomial_family import family_context
 
 P2 = parse("x^2+x+1")
 P3 = parse("x^3+x+1")
@@ -159,3 +160,21 @@ def test_context_builds_on_wide_primitive_rings():
     ctx = new_context(P61, 2)
     assert ctx.e == 2**61 - 1
     assert mul_trunc(reciprocal(P61), ctx.U_star, ctx.n) == 1
+
+
+def test_the_power_table_budget_refuses_before_building():
+    # m*L*(L+1)/2 bits for P^0..P^L: L = 8191 fits 2^26 at m = 2, L = 8192 does not
+    assert sum(p.bit_length() for p in new_context(P2, 8191).P_pows) <= RING_TABLE_BITS
+    with pytest.raises(CapExceeded, match="budget"):
+        new_context(P2, 8192)
+    with pytest.raises(CapExceeded, match="budget"):
+        new_context(P4, 100000)
+
+
+def test_every_conjecture_scan_ring_fits_the_power_table_budget():
+    # every family ring of the default --dim-cap 4096: m = 2*3^v, L = 2^T, n = m*L <= 4096
+    rings = [(2 * 3**v, 1 << T) for v in range(7) for T in range(1, 13) if 2 * 3**v << T <= 4096]
+    assert len(rings) == 41
+    assert all(m * L * (L + 1) // 2 <= RING_TABLE_BITS for m, L in rings)
+    for v, T in ((0, 11), (1, 9), (2, 7), (3, 6)):  # the largest L at each of the four smallest m
+        assert family_context(v, 1 << T).n == 2 * 3**v << T
