@@ -10,7 +10,8 @@ One kernel, min_weight_affine, finds the minimum nonzero weight over an
 affine span g ^ span(rows); the oracle, the reduced candidate sets and the
 dual candidate sets all call it.  Beyond 8 rows it runs Brouwer-Zimmermann's
 information-set search on plain ints: exact, at a cost that grows with the
-answer, not with 2^k.  affine_weights weighs every word of a span with numpy.
+answer, not with 2^k.  Up to 8 rows it weighs every word of one int table,
+affine_weights, which the dual candidate weights read too.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations, islice
 from operator import xor
-
-import numpy as np
 
 from .errors import InternalConsistencyError
 
@@ -141,48 +140,18 @@ def column_kernel(cols: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 _TABLE_MAX = 8  # up to 8 rows the kernel weighs every word of one int table
-_SPLIT = 16  # rows in affine_weights' numpy table: 2^16 words, a few MB at most
-
-_LUT16 = np.zeros(1 << 16, dtype=np.uint8)
-for _b in range(16):  # popcount(i + 2^b) == popcount(i) + 1 for i < 2^b
-    _LUT16[1 << _b : 2 << _b] = _LUT16[: 1 << _b] + 1
 
 
-def _popcounts_lut(arr: np.ndarray) -> np.ndarray:
-    v = _LUT16[np.ascontiguousarray(arr).view(np.uint16)]
-    return v[..., 0::4] + v[..., 1::4] + v[..., 2::4] + v[..., 3::4]
-
-
-# Element-wise popcount of a uint64 array; numpy < 2 has no bitwise_count.
-_popcounts = np.bitwise_count if hasattr(np, "bitwise_count") else _popcounts_lut
-
-
-def affine_weights(g: int, rows: list[int], nbits: int) -> np.ndarray:
+def affine_weights(g: int, rows: list[int]) -> list[int]:
     """Weight of the word g ^ combo(i) at index i, for every i < 2^len(rows).
 
-    combo(i) is the XOR of rows[b] over the set bits b of i.  The low
-    k_suf = min(k, _SPLIT) rows fill a table of all their combinations, built
-    by doubling; the other rows are walked in Gray-code order, one XOR into
-    the whole table per step.  Word t sits in column t, one 64-bit lane per
-    row: a sum along a short last axis would cost about 8x more.
+    combo(i) is the XOR of rows[b] over the set bits b of i.  The words fill
+    one int table, built by doubling: the kernel's table up to _TABLE_MAX rows.
     """
-    k_suf = min(len(rows), _SPLIT)
-    lanes = (nbits + 63) // 64
-    raw = b"".join(w.to_bytes(8 * lanes, "little") for w in [g, *rows])
-    words = np.frombuffer(raw, dtype="<u8").reshape(len(rows) + 1, lanes).T[:, :, None]
-    tab = np.empty((lanes, 1 << k_suf), dtype=np.uint64)
-    tab[:, :1] = words[:, 0]
-    for i in range(k_suf):
-        np.bitwise_xor(tab[:, : 1 << i], words[:, 1 + i], out=tab[:, 1 << i : 2 << i])
-    out = np.empty(1 << len(rows), dtype=np.uint32)
-    p = 0
-    for i in range(1 << (len(rows) - k_suf)):
-        if i:
-            b = (i & -i).bit_length() - 1
-            p ^= 1 << b
-            tab ^= words[:, 1 + k_suf + b]
-        out[p << k_suf : (p + 1) << k_suf] = _popcounts(tab).sum(axis=0, dtype=np.uint32)
-    return out
+    tab = [g]
+    for r in rows:
+        tab += [w ^ r for w in tab]
+    return list(map(int.bit_count, tab))
 
 
 def _information_sets(rows: list[int]) -> list[dict[int, int]]:
@@ -243,11 +212,7 @@ def min_weight_affine(g: int, rows: list[int], nbits: int, floor: int = 0) -> in
     none = nbits + 1  # heavier than any word
     rows = list(filter(None, rows))
     if len(rows) <= _TABLE_MAX or not rows:
-        tab = [g]
-        for r in rows:
-            tab += [w ^ r for w in tab]
-        best = min(filter(None, map(int.bit_count, tab)), default=none)
-        return best if best < none else None
+        return min(filter(None, affine_weights(g, rows)), default=None)
     sets = _information_sets(rows)
     k, N = len(sets[0]), len(sets)
     # per set: g with its bits on the pivot columns cleared, and the set's rows

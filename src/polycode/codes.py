@@ -3,7 +3,7 @@
 C_j has length n = m*L and dimension k = m*(L - j); its generator matrix
 stacks the shifts x^i * P^j for i < k, so codewords are exactly the masks of
 polynomial multiples of P^j of degree below n.  Codewords travel as ints
-(bit i = coordinate i) and serialize to hex with bit 0 the coefficient of x^0.
+(bit i = coordinate i).
 """
 
 from __future__ import annotations
@@ -28,15 +28,6 @@ def default_cap() -> int:
         return int(raw)
     except ValueError:
         raise ValidationError(f"POLYCODE_ORACLE_CAP must be an integer, got {raw!r}") from None
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """A bit-packed matrix: row r is an int whose bit c is entry (r, c)."""
-
-    nrows: int
-    ncols: int
-    rows: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -69,13 +60,6 @@ def code(ctx: RingContext, j: int) -> PolycyclicCode:
 def generator_rows(c: PolycyclicCode) -> list[int]:
     """The k shifted-generator rows x^i * P^j, i = 0..k-1."""
     return [c.generator << i for i in range(c.k)]
-
-
-def generator_matrix(c: PolycyclicCode) -> Gf2Matrix:
-    """Full-rank k x n generator matrix of C_j (error for the empty j = L code)."""
-    if c.j == c.ctx.L:
-        raise ValidationError("the zero code (j = L) has an empty generator matrix")
-    return Gf2Matrix(c.k, c.n, tuple(generator_rows(c)))
 
 
 def encode(c: PolycyclicCode, message: int) -> int:
@@ -119,21 +103,3 @@ def is_reversible(c: PolycyclicCode) -> bool:
     if c.j == c.ctx.L:
         return True
     return all(contains(c, reverse_word(row, c.n)) for row in generator_rows(c))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def codeword_hex(word: int) -> str:
-    """Hex form of a codeword (reading the mask as an integer, bit 0 = x^0)."""
-    return format(word, "x")
-
-
-def codeword_from_hex(text: str) -> int:
-    """Inverse of codeword_hex."""
-    try:
-        return int(text, 16)
-    except ValueError as exc:
-        raise ValidationError(f"not a hex codeword: {text!r}") from exc

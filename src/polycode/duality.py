@@ -76,7 +76,15 @@ def dual_min_distance_bruteforce(dual: DualCode, cap: int | None = None) -> int:
 
 
 def sequential_closure_check(dual: DualCode, samples: int = 0, seed: int = 0) -> bool:
-    """Whether each checked dual word, shifted right, stays in the dual for some top bit."""
+    """Whether each checked dual word, shifted right, stays in the dual for some top bit.
+
+    The rows are checked, plus samples random dual words; samples is refused
+    below 0 and above DEFAULT_CANDIDATE_CAP.
+    """
+    if samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {samples}")
+    if samples > DEFAULT_CANDIDATE_CAP:
+        raise CapExceeded(f"{samples} closure samples, over the cap of {DEFAULT_CANDIDATE_CAP}")
     pivots = rref(list(dual.rows))
     top = 1 << (dual.n - 1)
 
@@ -147,7 +155,7 @@ def dual_pow2_candidates(ctx: RingContext, s: int, candidate_cap: int | None = N
     """Candidate weights for the dual distance at j = 2^(T-s): {ell mask: weight}."""
     g, rows = _pow2_candidates(ctx, s, candidate_cap)
     lead = 1 << len(rows)
-    return {lead | i: w for i, w in enumerate(affine_weights(g, rows, ctx.n).tolist())}
+    return {lead | i: w for i, w in enumerate(affine_weights(g, rows))}
 
 
 def dual_pow2_distance(ctx: RingContext, s: int, candidate_cap: int | None = None) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from operator import xor
 
 from ._linalg import column_kernel, nullspace, parity_dot, rank
@@ -86,12 +86,6 @@ def hull_dimension_oracle(c: PolycyclicCode) -> int:
             f"hull dimension mismatch: Gram rank gives {hull}, null space gives {hull_ns}"
         )
     return hull
-
-
-def is_lcd_oracle(c: PolycyclicCode) -> LcdVerdict:
-    """LCD verdict from the hull oracle alone."""
-    hull = hull_dimension_oracle(c)
-    return LcdVerdict(c.j, hull == 0, hull, ("oracle",))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +248,11 @@ def conjecture_scan(
     cpus = os.cpu_count() or 1
     if workers is not None and not 1 <= workers <= cpus:
         raise ValidationError(f"workers must be in 1..{cpus} (the CPU count), got {workers}")
+    # n = 2 * 3^v * 2^T grows in v and in T, so each loop stops at the first n past dim_cap
     tasks = [
         (v, T)
-        for v in range(v_max + 1)
-        for T in range(1, t_max + 1)
-        if 2 * 3**v * (1 << T) <= dim_cap
+        for v in takewhile(lambda v: 4 * 3**v <= dim_cap, range(v_max + 1))
+        for T in takewhile(lambda T: 2 * 3**v << T <= dim_cap, range(1, t_max + 1))
     ]
     if workers and workers > 1:
         with multiprocessing.Pool(workers) as pool:

@@ -6,10 +6,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import polycode
 from polycode import _linalg, duality
 from polycode.cli import main
 
@@ -181,3 +184,35 @@ def test_an_oversized_ring_is_refused_within_a_second(capsys):
     assert main(["analyze", "--poly", "x^4+x+1", "--power", "100000"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "budget" in capsys.readouterr().err
+
+
+def _python(*args, timeout):
+    """Run a fresh interpreter on the package; a run past timeout fails the test instead of hanging it."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(polycode.__file__))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("samples, message", [("-3", ">= 0"), ("100000000", "over the cap")], ids=["negative", "over-cap"])
+def test_a_bad_sample_count_is_refused_within_a_second(samples, message):
+    argv = ["dual", "--poly", "x^3+x+1", "--power", "4", "--j", "1", "--samples", samples]
+    start = time.perf_counter()
+    run = _python("-m", "polycode.cli", *argv, timeout=5)
+    assert run.returncode == 2 and message in run.stderr
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("huge, small", [(["--vmax", "1", "--tmax", "3000000"], ["--vmax", "1", "--tmax", "5"]),
+                                         (["--vmax", "200000", "--tmax", "2"], ["--vmax", "2", "--tmax", "2"])],
+                         ids=["tmax", "vmax"])
+def test_conjecture_ranges_stop_at_the_dim_cap(huge, small):
+    # rings past --dim-cap are never built, however far --vmax or --tmax reach
+    want = _python("-m", "polycode.cli", "conjecture", "--dim-cap", "64", *small, timeout=10)
+    got = _python("-m", "polycode.cli", "conjecture", "--dim-cap", "64", *huge, timeout=5)
+    assert want.returncode == got.returncode == 0
+    assert (got.stdout, got.stderr) == (want.stdout, want.stderr)
+
+
+def test_the_runtime_imports_no_numpy():
+    # the package and its CLI load on the standard library alone
+    run = _python("-c", "import sys, polycode, polycode.cli; print('numpy' in sys.modules)", timeout=30)
+    assert run.stdout.strip() == "False", run.stderr

@@ -204,6 +204,10 @@ def test_min_weight_crosses_the_engine_split():
         for subset_xor in [combo[0] if r == 1 else (combo[0] ^ combo[1] if r == 2 else combo[0] ^ combo[1] ^ combo[2])]
     )
     assert got <= best
+    # 16 and 17 rows with a zero and a dependent row, every word weighed by the brute force
+    for k, nbits in ((16, 65), (17, 129)):
+        rows = [rng.getrandbits(nbits) for _ in range(k - 2)]
+        _check_kernel(rng.getrandbits(nbits), [*rows, 0, rows[0] ^ rows[1]], nbits)
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +244,31 @@ def affine_sets(draw, min_k=0, max_k=12):
 def _check_kernel(g, rows, nbits):
     want = _affine_weights_brute(g, rows)
     best = min((w for w in want if w), default=None)
-    assert affine_weights(g, rows, nbits).tolist() == want
+    assert affine_weights(g, rows) == want
     assert min_weight_affine(g, rows, nbits) == best
     if best is not None:
         assert min_weight_affine(g, rows, nbits, floor=best) == best
         assert min_weight_affine(g, rows, nbits, floor=best - 1) == best
 
 
-@given(affine_sets(), st.sampled_from([-1, 3, _linalg._TABLE_MAX]), st.sampled_from([1, 3, _linalg._SPLIT]))
-def test_kernel_matches_brute_force(case, table_max, split):
-    # shrinking the thresholds sends small sets down the information-set search and the numpy prefix walk
-    with mock.patch.object(_linalg, "_TABLE_MAX", table_max), mock.patch.object(_linalg, "_SPLIT", split):
+@given(affine_sets(), st.sampled_from([-1, 3, _linalg._TABLE_MAX]))
+def test_kernel_matches_brute_force(case, table_max):
+    # shrinking the threshold sends small sets down the information-set search
+    with mock.patch.object(_linalg, "_TABLE_MAX", table_max):
         _check_kernel(*case)
 
 
-@settings(max_examples=6, deadline=None)
-@given(affine_sets(min_k=_linalg._SPLIT, max_k=_linalg._SPLIT + 1))
-def test_kernel_matches_brute_force_across_the_table_split(case):
-    _check_kernel(*case)
-
-
-@pytest.mark.parametrize("table_max, split", [(16, 16), (8, 16), (-1, 3)])
-def test_kernel_finds_the_lightest_word_wherever_it_sits(table_max, split):
+@pytest.mark.parametrize("table_max", [16, 8, -1])
+def test_kernel_finds_the_lightest_word_wherever_it_sits(table_max):
     # one weight-1 word among random 64-bit words, moved through every index of a 2^10-word set:
-    # the int table, the information-set search at the real thresholds, and the numpy prefix walk
+    # the int table, then the information-set search (at the real threshold and with the table off)
     rng = random.Random(7)
     rows = [rng.getrandbits(64) for _ in range(10)]
-    with mock.patch.object(_linalg, "_TABLE_MAX", table_max), mock.patch.object(_linalg, "_SPLIT", split):
+    with mock.patch.object(_linalg, "_TABLE_MAX", table_max):
         for t in range(1 << len(rows)):
             g = reduce(xor, (r for b, r in enumerate(rows) if t >> b & 1), 1 << 40)
             assert min_weight_affine(g, rows, 64) == 1, t
-            assert affine_weights(g, rows, 64)[t] == 1, t
+            assert affine_weights(g, rows)[t] == 1, t
 
 
 def test_kernel_returns_none_when_every_word_is_zero():
@@ -278,20 +276,6 @@ def test_kernel_returns_none_when_every_word_is_zero():
         assert min_weight_affine(0, [0] * k, 64) is None
     assert min_weight_affine(0b101, [0b101] * 10, 3) == 2
     assert min_weight_affine(0b100, [0] * 10, 3) == 1
-
-
-def test_kernel_lookup_table_popcount_agrees():
-    # numpy < 2 has no bitwise_count; the lookup-table path must give the same weights
-    rng = random.Random(31)
-    for nbits in (40, 64, 65, 129):
-        g = rng.getrandbits(nbits)
-        rows = [rng.getrandbits(nbits) for _ in range(_linalg._SPLIT + 1)]
-        want = affine_weights(g, rows, nbits)
-        with mock.patch.object(_linalg, "_popcounts", _linalg._popcounts_lut):
-            assert np.array_equal(affine_weights(g, rows, nbits), want)
-            with mock.patch.object(_linalg, "_SPLIT", 3):  # the Gray prefix walk, 2^14 steps
-                assert np.array_equal(affine_weights(g, rows, nbits), want)
-        assert min_weight_affine(g, rows, nbits) == int(want[want > 0].min())
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +358,19 @@ def test_kernel_memory_stays_bounded_at_k_28():
     assert peak < 4 << 20
 
 
+def _numpy_weights(g, rows, nbits):
+    """affine_weights' index order by a numpy doubling table, one uint64 lane per 64 bits of a word."""
+    lanes = -(-nbits // 64)
+    words = np.array([[w >> (64 * i) & (1 << 64) - 1 for i in range(lanes)] for w in [g, *rows]], dtype=np.uint64)
+    tab = words[:1]
+    for r in words[1:]:
+        tab = np.concatenate([tab, tab ^ r])
+    return np.bitwise_count(tab).sum(axis=1)
+
+
 def test_kernel_equals_the_numpy_walk_on_every_small_chain():
     # every ring with deg P <= 5 and mL <= 30, every j with k <= 20: the kernel
-    # against the minimum of affine_weights, the independent numpy walk
+    # against the minimum of _numpy_weights, an independent numpy walk
     checked = 0
     for deg in (2, 3, 4, 5):
         for f in range((1 << deg) | 1, 1 << (deg + 1), 2):
@@ -386,7 +380,7 @@ def test_kernel_equals_the_numpy_walk_on_every_small_chain():
                 ctx = new_context(f, L)
                 for j in range(max(0, L - 20 // deg), L):
                     rows = generator_rows(code(ctx, j))
-                    weights = affine_weights(0, rows, ctx.n)
+                    weights = _numpy_weights(0, rows, ctx.n)
                     assert min_weight_span(rows, ctx.n) == int(weights[1:].min()), (f, L, j)
                     checked += 1
     assert checked == 366
