@@ -258,6 +258,13 @@ def test_kernel_matches_brute_force(case, table_max):
         _check_kernel(*case)
 
 
+@settings(max_examples=6, deadline=None)
+@given(affine_sets(min_k=_linalg._TABLE_MAX, max_k=_linalg._TABLE_MAX + 1))
+def test_kernel_matches_brute_force_across_the_table_split(case):
+    # the last size the int table weighs and the first the information-set search takes
+    _check_kernel(*case)
+
+
 @pytest.mark.parametrize("table_max", [16, 8, -1])
 def test_kernel_finds_the_lightest_word_wherever_it_sits(table_max):
     # one weight-1 word among random 64-bit words, moved through every index of a 2^10-word set:
