@@ -5,11 +5,14 @@ Three independent sources feed one report per j:
 * an exact oracle over the whole code by information-set search (capped by
   the dimension k, for cross-checks and small dimensions);
 * exact values on a lattice of "anchor" indices, where the minimum is
-  attained inside a small reduced candidate set P^j * a(x^B) with B a power
-  of two and a running over constant-term-1 polynomials of bounded degree;
+  attained inside a small reduced candidate set P^j * a(x^B) with B = j & -j
+  and a running over constant-term-1 polynomials of bounded degree.  The
+  lower anchors are j = 2^(T-s); the upper ones are ctx.tops, whose first
+  entry 2^(T-1) is also the top lower anchor;
 * interval bounds everywhere else: a head-zone classification driven by the
-  order e of x mod P, weight witnesses wt(P^j), doubling lower bounds on the
-  tail, and monotonicity along the chain (C_{j+1} inside C_j).
+  order e of x mod P, weight witnesses wt(P^j), doubling lower bounds
+  2*d(anchor) from each upper anchor up to the next one (or L), and
+  monotonicity along the chain (C_{j+1} inside C_j).
 
 The oracle and the reduced sets are both minima over an affine span of
 words, taken by the one kernel of _linalg (min_weight_affine).
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 from ._linalg import min_weight_affine, min_weight_span
 from .codes import DEFAULT_CANDIDATE_CAP, PolycyclicCode, code, default_cap, generator_rows
-from .errors import CapExceeded, InternalConsistencyError, ValidationError, WrongRegime
+from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import weight
 from .ring import RingContext
 
@@ -157,38 +160,11 @@ def lower_anchor_distance(ctx: RingContext, s: int, candidate_cap: int | None = 
 
 
 def upper_anchor_distance(ctx: RingContext, r: int, candidate_cap: int | None = None) -> int:
-    """Exact d(C_j) at j = 2^T - 2^(T-r); needs L at the top of its window or in its upper part."""
-    if not ctx.rmax:
-        raise WrongRegime("upper anchors need L == 2^T or L above 3*2^(T-2)")
-    if not 1 <= r <= ctx.rmax:
-        raise ValidationError(f"anchor parameter r must satisfy 1 <= r <= {ctx.rmax}")
-    B = 1 << (ctx.T - r)
-    return _reduced_set_min(ctx, (1 << ctx.T) - B, B, candidate_cap)
-
-
-def plateau_bounds(ctx: RingContext, r: int, i: int, candidate_cap: int | None = None) -> tuple[int, int]:
-    """Bounds 2*d(anchor r) <= d <= d(anchor r+1) for j = (2^T - 2^(T-r)) + i."""
-    if not ctx.rmax:
-        raise WrongRegime("plateau bounds need L == 2^T or L above 3*2^(T-2)")
-    if not 1 <= r <= ctx.rmax - 1:
-        raise ValidationError(f"plateau parameter r must satisfy 1 <= r <= {ctx.rmax - 1}")
-    if not 1 <= i <= 1 << (ctx.T - r - 1):
-        raise ValidationError("plateau offset i out of range")
-    return (
-        2 * upper_anchor_distance(ctx, r, candidate_cap),
-        upper_anchor_distance(ctx, r + 1, candidate_cap),
-    )
-
-
-def tail_lower_bound(ctx: RingContext, i: int, candidate_cap: int | None = None) -> int:
-    """Lower bound 2*d(last anchor) for the unanchored tail j = (L - L') + i, i < L'."""
-    if ctx.regime == "pow2":
-        raise WrongRegime("no unanchored tail when L == 2^T")
-    if not 1 <= i < (ctx.L_prime or 1):
-        raise ValidationError("tail offset i must satisfy 1 <= i < L'")
-    if ctx.regime == "low":
-        return 2 * lower_anchor_distance(ctx, 1, candidate_cap)
-    return 2 * upper_anchor_distance(ctx, ctx.R, candidate_cap)  # type: ignore[arg-type]
+    """Exact d(C_j) at the upper anchor j = ctx.tops[r - 1] = 2^T - 2^(T-r), 1 <= r <= len(ctx.tops)."""
+    if not 1 <= r <= len(ctx.tops):
+        raise ValidationError(f"anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
+    j = ctx.tops[r - 1]
+    return _reduced_set_min(ctx, j, j & -j, candidate_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +203,9 @@ def full_distance_profile(
             reports[j].set_exact(lower_anchor_distance(ctx, s, candidate_cap), "reduced-set")
         except CapExceeded:
             pass
-    # upper anchors j = 2^T - 2^(T-r), r = 1..rmax; a "low" ring has none
-    tops = [(1 << T) - (1 << (T - r)) for r in range(1, ctx.rmax + 1)]
-    for r, j in enumerate(tops, 1):
+    # upper anchors r >= 2; r = 1 is the lower anchor s = 1 (j = B = 2^(T-1)), weighed above
+    tops = ctx.tops
+    for r, j in enumerate(tops[1:], 2):
         try:
             reports[j].set_exact(upper_anchor_distance(ctx, r, candidate_cap), "reduced-set")
         except CapExceeded:
@@ -239,8 +215,8 @@ def full_distance_profile(
     for j in range(1, L):
         reports[j].cut_upper(weight(ctx.P_pows[j]), "weight-witness")
 
-    # doubling lower bounds: every index past an anchor, up to the next, gets 2*d(anchor)
-    for a, nxt in zip(tops, tops[1:] + [L]) if tops else [(1 << (T - 1), L)]:
+    # doubling lower bounds: every index past an upper anchor, up to the next (or L), gets 2*d(anchor)
+    for a, nxt in zip(tops, tops[1:] + (L,)):
         for jj in range(a + 1, nxt):
             reports[jj].raise_lower(2 * reports[a].lower, "double-bound")
 

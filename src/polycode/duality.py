@@ -6,10 +6,11 @@ verifies full rank and orthogonality against the generator matrix, the latter
 by n - 1 parities since both row sets are shifts of one word.  Duals are
 "sequential" codes: shifting a dual word right by one position stays in the
 dual after an appropriate bit enters at the top.  On two families of indices
-(j a power of two, and j of the form 2^T - 2^(T-r)) the dual distance is the
-minimum over a small explicit candidate set.  That set is an affine span (the
-spread map is linear), so the minimum-weight kernel of _linalg searches it, as it
-searches the dual code itself in the exact oracle that covers every other j.
+(j a power of two, and the upper anchors j = 2^T - 2^(T-r) in ctx.tops) the
+dual distance is the minimum over a small explicit candidate set.  That set
+is an affine span (the spread map is linear), so the minimum-weight kernel of
+_linalg searches it, as it searches the dual code itself in the exact oracle
+that covers every other j.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from dataclasses import dataclass
 
 from ._linalg import affine_weights, in_span, min_weight_affine, min_weight_span, parity_dot, rank, rref
 from .codes import DEFAULT_CANDIDATE_CAP, PolycyclicCode, code, default_cap
-from .errors import CapExceeded, InternalConsistencyError, ValidationError, WrongRegime
+from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import mul_trunc, power_trunc, substitute_power
 from .ring import RingContext
+
+CLOSURE_WORK_CAP = 1 << 22  # closure samples x dual dimension; a sample costs ~0.4 us per dimension
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,14 @@ def sequential_closure_check(dual: DualCode, samples: int = 0, seed: int = 0) ->
     """Whether each checked dual word, shifted right, stays in the dual for some top bit.
 
     The rows are checked, plus samples random dual words; samples is refused
-    below 0 and above DEFAULT_CANDIDATE_CAP.
+    below 0, above DEFAULT_CANDIDATE_CAP, and when samples * dim passes
+    CLOSURE_WORK_CAP.
     """
     if samples < 0:
         raise ValidationError(f"samples must be >= 0, got {samples}")
-    if samples > DEFAULT_CANDIDATE_CAP:
-        raise CapExceeded(f"{samples} closure samples, over the cap of {DEFAULT_CANDIDATE_CAP}")
+    cap = min(DEFAULT_CANDIDATE_CAP, CLOSURE_WORK_CAP // dual.dim)
+    if samples > cap:
+        raise CapExceeded(f"{samples} closure samples, over the cap of {cap} at dual dimension {dual.dim}")
     pivots = rref(list(dual.rows))
     top = 1 << (dual.n - 1)
 
@@ -164,11 +169,9 @@ def dual_pow2_distance(ctx: RingContext, s: int, candidate_cap: int | None = Non
 
 
 def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int | None = None) -> int:
-    """Exact dual distance at j = 2^T - 2^(T-r) (L at the window top or in its upper part)."""
-    if not ctx.rmax:
-        raise WrongRegime("dual complement anchors need L == 2^T or L above 3*2^(T-2)")
-    if not 1 <= r <= ctx.rmax:
-        raise ValidationError(f"dual anchor parameter r must satisfy 1 <= r <= {ctx.rmax}")
+    """Exact dual distance at the upper anchor j = ctx.tops[r - 1] = 2^T - 2^(T-r), 1 <= r <= len(ctx.tops)."""
+    if not 1 <= r <= len(ctx.tops):
+        raise ValidationError(f"dual anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
     lead_deg = ctx.m * ((1 << r) - 1) - 1
     return _candidate_min(ctx, _spread_candidates(ctx, r, 1, (1 << r) - 1, lead_deg, candidate_cap))
 
@@ -186,13 +189,11 @@ def dual_distance_with_provenance(
     d: int | None = None
     provenance: list[str] = []
 
-    diff = (1 << ctx.T) - j
-    r = ctx.T - diff.bit_length() + 1  # j = 2^T - 2^(T-r) when diff is a power of two
     try:
         if j & (j - 1) == 0:
             d = dual_pow2_distance(ctx, ctx.T - j.bit_length() + 1, candidate_cap)
-        elif diff & (diff - 1) == 0 and 1 <= r <= ctx.rmax:
-            d = dual_complement_distance(ctx, r, candidate_cap)
+        elif j in ctx.tops:
+            d = dual_complement_distance(ctx, ctx.tops.index(j) + 1, candidate_cap)
     except CapExceeded:
         pass
     if d is not None:
@@ -214,8 +215,9 @@ def dual_summary(
 ) -> dict:
     """JSON-ready dual summary for C_j."""
     dual = dual_code(code(ctx, j))
+    closed = sequential_closure_check(dual, samples=samples, seed=seed)  # refuses a bad count before the distance runs
     d, provenance = dual_distance_with_provenance(ctx, j, oracle_cap=oracle_cap)
-    if sequential_closure_check(dual, samples=samples, seed=seed):
+    if closed:
         provenance.append("sequential-closure")
     return {
         "j": j,

@@ -6,8 +6,10 @@ n = m*L once polynomials (ints, bit i = coefficient of x^i) are read as
 coordinate vectors.  A RingContext carries the derived constants everything
 else keys off: T with 2^(T-1) < L <= 2^T, the multiplicative order e of x mod
 P, the cofactor U = (x^e + 1)/P and its reciprocal U* = (x^e + 1)/P*, and the
-position of L inside its dyadic window (2^(T-1), 2^T] — at the top ("pow2"),
-in the lower part up to 3*2^(T-2) ("low"), or strictly above it ("high").
+anchor lattice `tops`: the upper anchors j = 2^T - 2^(T-r) below L, for
+r = 1, 2, ...  Every anchor j has the spread B = j & -j (so tops[0] = 2^(T-1)
+is also the top lower anchor, B = j), and the unanchored tail past the last
+one has length L - tops[-1].
 
 U and U* are kept as their low b = min(n, e - m + 1) coefficients: every
 consumer works mod x^n, and deg U = e - m, so they are exact whenever
@@ -30,7 +32,11 @@ RING_TABLE_BITS = 1 << 26  # budget for P^0..P^L (about m*L^2/2 bits); 8 MB of i
 
 @dataclass(frozen=True)
 class RingContext:
-    """Immutable bundle of constants for one ring F2[x]/<P^L>."""
+    """Immutable bundle of constants for one ring F2[x]/<P^L>.
+
+    tops is the one record of the anchor lattice: the profile, the dual
+    anchors and the trinomial closed forms all read it.
+    """
 
     P: int
     m: int
@@ -40,16 +46,14 @@ class RingContext:
     e: int
     U: int  # (x^e + 1)/P, low min(n, e - m + 1) coefficients
     U_star: int  # (x^e + 1)/P*, low min(n, e - m + 1) coefficients
-    regime: str  # "pow2" | "low" | "high"
-    R: int | None  # only for "high": depth of the upper split
-    L_prime: int | None  # tail length; None for "pow2"
+    tops: tuple[int, ...]  # upper anchors 2^T - 2^(T-r) < L, r = 1, 2, ...; tops[0] = 2^(T-1)
     P_pows: tuple[int, ...]  # P^0 .. P^L
     associate: int  # x^n reduced mod P^L; feeds the length-n shift
 
     @property
-    def rmax(self) -> int:
-        """Upper anchors j = 2^T - 2^(T-r) exist for r = 1..rmax: T for "pow2", R for "high", none for "low"."""
-        return self.T if self.regime == "pow2" else self.R or 0
+    def regime(self) -> str:
+        """Label for L in (2^(T-1), 2^T], for text headers: "pow2" at the top, else "low"/"high" by anchor count."""
+        return "pow2" if self.L == 1 << self.T else "low" if len(self.tops) == 1 else "high"
 
     @property
     def x_e_1(self) -> int:
@@ -84,15 +88,6 @@ def new_context(P: int, L: int) -> RingContext:
     if mul_trunc(P, U, b) != 1 or mul_trunc(P_star, U_star, b) != 1:
         raise InternalConsistencyError("cofactor of x^e + 1 disagrees with its defining product")
 
-    if L == 1 << T:
-        regime, R, L_prime = "pow2", None, None
-    elif L <= 3 << (T - 2):
-        regime, R, L_prime = "low", None, L - (1 << (T - 1))
-    else:
-        D = (1 << T) - L
-        R = T - D.bit_length()
-        regime, L_prime = "high", (1 << (T - R)) - D
-
     pows = [1]
     for _ in range(L):
         pows.append(mul(pows[-1], P))
@@ -108,9 +103,7 @@ def new_context(P: int, L: int) -> RingContext:
         e=e,
         U=U,
         U_star=U_star,
-        regime=regime,
-        R=R,
-        L_prime=L_prime,
+        tops=tuple(j for j in ((1 << T) - (1 << (T - r)) for r in range(1, T + 1)) if j < L),
         P_pows=tuple(pows),
         associate=pows[L] ^ (1 << n),
     )

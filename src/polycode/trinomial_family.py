@@ -4,10 +4,12 @@ These trinomials are exactly the irreducible ones of their shape, have order
 e = 3s, cofactor U = x^s + 1, and are self-reciprocal, which makes every
 chain code over them reversible.  The powers P^(2^r - 1) expand to an explicit
 set of exponents (all multiples of s), their weights obey two closed
-formulas, and the whole distance profile of every chain code over P^(2^T)
-(and its neighbors below) collapses to closed forms.  Each formula here is
-cross-checked against the generic machinery where cheap, and raises
-InternalConsistencyError rather than return a value that disagrees.
+formulas, and the whole distance profile of every chain code over P^L
+collapses to closed forms keyed on the ring's anchor lattice ctx.tops: exact
+values at the anchors, plateau intervals between them, and a doubling bound
+on the tail past the last one.  Each formula here is cross-checked against
+the generic machinery where cheap, and raises InternalConsistencyError rather
+than return a value that disagrees.
 """
 
 from __future__ import annotations
@@ -137,53 +139,29 @@ def family_distance_profile(v: int, L: int) -> list[DistanceReport]:
             raise InternalConsistencyError("family head zone must be exact (wt(P) = 3)")
         reports[j].set_exact(lo, "head-zone")
 
-    if ctx.regime == "pow2":
-        for r in range(2, T + 1):
-            j = (1 << T) - (1 << (T - r))
-            reports[j].set_exact(complement_anchor_value(r), "closed-form")
-        for r in range(1, T):
-            lo, hi = _plateau_closed_form(r)
-            nxt_val = complement_anchor_value(r + 1)
-            if not lo <= nxt_val <= hi:
-                raise InternalConsistencyError(f"plateau r={r} misses its closing anchor")
-            a = (1 << T) - (1 << (T - r))
-            for j in range(a + 1, (1 << T) - (1 << (T - r - 1))):
-                reports[j].raise_lower(lo, "closed-form")
-                reports[j].cut_upper(hi, "closed-form")
-    elif ctx.regime == "low":
-        start = 1 << (T - 1)
-        for j in range(start + 1, L):
-            reports[j].raise_lower(6, "double-bound")
-            reports[j].cut_upper(weight(ctx.P_pows[j]), "weight-witness")
-    else:  # high
-        R = ctx.R
-        assert R is not None
-        for r in range(2, R + 1):
-            j = (1 << T) - (1 << (T - r))
-            if r == R and R % 2 == 1:
-                value = ((1 << (R + 2)) + 1) // 3
-            else:
-                value = complement_anchor_value(r)
-            reports[j].set_exact(value, "closed-form")
-        for r in range(1, R - 1):
-            lo, hi = _plateau_closed_form(r)
-            a = (1 << T) - (1 << (T - r))
-            for j in range(a + 1, (1 << T) - (1 << (T - r - 1))):
-                reports[j].raise_lower(lo, "closed-form")
-                reports[j].cut_upper(hi, "closed-form")
-        # the plateau before the last anchor widens to a 2-gap in both parities
-        lo = ((1 << (R + 2)) - 2) // 3 if (R - 1) % 2 == 0 else ((1 << (R + 2)) - 4) // 3
-        hi = lo + 1
-        last_anchor = (1 << T) - (1 << (T - R))
-        if not lo <= reports[last_anchor].lower <= hi:
-            raise InternalConsistencyError("pre-anchor plateau misses the last anchor value")
-        for j in range((1 << T) - (1 << (T - R + 1)) + 1, last_anchor):
+    # anchors r >= 2 (r = 1 is 2^(T-1), in the head zone); a ring short of 2^T
+    # ends on an odd-r anchor one above the closed form
+    tops, short = ctx.tops, L < 1 << T
+    for r, j in enumerate(tops[1:], 2):
+        value = complement_anchor_value(r)
+        if short and r == len(tops) and r % 2 == 1:
+            value = ((1 << (r + 2)) + 1) // 3
+        reports[j].set_exact(value, "closed-form")
+    # plateaus between consecutive anchors; a short ring's last one widens to a 2-gap in both parities
+    for r, (a, b) in enumerate(zip(tops, tops[1:]), 1):
+        lo, hi = _plateau_closed_form(r)
+        if short and b == tops[-1]:
+            hi = lo + 1
+        if not lo <= reports[b].lower <= hi:
+            raise InternalConsistencyError(f"plateau r={r} misses its closing anchor")
+        for j in range(a + 1, b):
             reports[j].raise_lower(lo, "closed-form")
             reports[j].cut_upper(hi, "closed-form")
-        tail_lo = ((1 << (R + 3)) - 2) // 3 if R % 2 == 0 else ((1 << (R + 3)) + 2) // 3
-        for j in range(last_anchor + 1, L):
-            reports[j].raise_lower(tail_lo, "double-bound")
-            reports[j].cut_upper(weight(ctx.P_pows[j]), "weight-witness")
+    # the tail past the last anchor doubles it (empty when L == 2^T)
+    tail_lo = 2 * reports[tops[-1]].lower
+    for j in range(tops[-1] + 1, L):
+        reports[j].raise_lower(tail_lo, "double-bound")
+        reports[j].cut_upper(weight(ctx.P_pows[j]), "weight-witness")
 
     monotone_fuse(reports)
     return reports

@@ -178,23 +178,36 @@ def test_a_dual_word_off_the_dual_exits_3(capsys, monkeypatch):
     assert "not orthogonal" in capsys.readouterr().err
 
 
-def test_an_oversized_ring_is_refused_within_a_second(capsys):
-    # P^0..P^L would need ~2.5 GB at L = 100000
-    start = time.perf_counter()
-    assert main(["analyze", "--poly", "x^4+x+1", "--power", "100000"]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert "budget" in capsys.readouterr().err
-
-
 def _python(*args, timeout):
     """Run a fresh interpreter on the package; a run past timeout fails the test instead of hanging it."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(polycode.__file__))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("samples, message", [("-3", ">= 0"), ("100000000", "over the cap")], ids=["negative", "over-cap"])
-def test_a_bad_sample_count_is_refused_within_a_second(samples, message):
-    argv = ["dual", "--poly", "x^3+x+1", "--power", "4", "--j", "1", "--samples", samples]
+def test_an_oversized_ring_is_refused_within_a_second():
+    # P^0..P^L would need ~2.5 GB at L = 100000
+    start = time.perf_counter()
+    run = _python("-m", "polycode.cli", "analyze", "--poly", "x^4+x+1", "--power", "100000", timeout=5)
+    assert run.returncode == 2 and "budget" in run.stderr
+    assert time.perf_counter() - start < 1.0
+
+
+SMALL_DUAL = ["--poly", "x^3+x+1", "--power", "4", "--j", "1"]  # dual dimension 3
+WIDE_DUAL = ["--poly", "x^8+x^4+x^3+x^2+1", "--power", "24", "--j", "20"]  # dual dimension 160
+
+
+@pytest.mark.parametrize(
+    "ring, samples, message",
+    [
+        (SMALL_DUAL, "-3", ">= 0"),
+        (SMALL_DUAL, "100000000", "over the cap"),
+        # 2^20 samples pass the plain count cap, but at dimension 160 they would run about a minute
+        (WIDE_DUAL, "1048576", "over the cap"),
+    ],
+    ids=["negative", "over-cap", "over-cap-at-wide-dual"],
+)
+def test_a_bad_sample_count_is_refused_within_a_second(ring, samples, message):
+    argv = ["dual", *ring, "--samples", samples]
     start = time.perf_counter()
     run = _python("-m", "polycode.cli", *argv, timeout=5)
     assert run.returncode == 2 and message in run.stderr

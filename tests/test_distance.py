@@ -13,12 +13,11 @@ from polycode.distance import (
     lower_anchor_distance,
     min_distance_bruteforce,
     monotone_fuse,
-    plateau_bounds,
     single_distance_report,
-    tail_lower_bound,
     upper_anchor_distance,
 )
-from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError, WrongRegime
+from polycode import distance
+from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import parse
 from polycode.ring import new_context
 
@@ -76,14 +75,42 @@ def test_anchor_distances_m4L16():
 
 
 def test_plateau_and_tail_bounds():
+    # plateau: 2*d(anchor r) <= d <= d(anchor r+1); tail: 2*d(last anchor) from below
     ctx = new_context(M4, 16)
-    assert plateau_bounds(ctx, 1, 1) == (6, 8)  # j = 9
+    profile = full_distance_profile(ctx, oracle_cap=0)
+    assert profile[9].lower == 6 and profile[9].upper <= 8  # j = 9, between tops 8 and 12
     low_ctx = new_context(M5, 12)
-    assert tail_lower_bound(low_ctx, 1) == 6  # j = 9
-    with pytest.raises(WrongRegime):
-        upper_anchor_distance(low_ctx, 1)
-    with pytest.raises(WrongRegime):
-        tail_lower_bound(ctx, 1)
+    assert low_ctx.tops == (8,)
+    assert full_distance_profile(low_ctx, oracle_cap=0)[9].lower == 2 * lower_anchor_distance(low_ctx, 1) == 6
+    with pytest.raises(ValidationError):
+        upper_anchor_distance(low_ctx, 2)  # a "low" ring has only the r = 1 anchor
+
+
+RINGS_BY_REGIME = {"low": (M5, 12), "high": (M4, 14), "pow2": (M4, 16)}
+
+
+@pytest.mark.parametrize("regime", RINGS_BY_REGIME)
+def test_upper_anchor_one_is_the_lower_anchor_one(regime):
+    ctx = new_context(*RINGS_BY_REGIME[regime])
+    assert ctx.regime == regime and ctx.tops[0] == 1 << (ctx.T - 1)
+    assert upper_anchor_distance(ctx, 1) == lower_anchor_distance(ctx, 1)
+
+
+@pytest.mark.parametrize("regime", RINGS_BY_REGIME)
+def test_profile_weighs_each_reduced_set_once(regime, monkeypatch):
+    ctx = new_context(*RINGS_BY_REGIME[regime])
+    weighed = []
+    inner = distance._reduced_set_min
+
+    def counting(ctx, j, B, cap):
+        weighed.append((j, B))
+        return inner(ctx, j, B, cap)
+
+    monkeypatch.setattr(distance, "_reduced_set_min", counting)
+    full_distance_profile(ctx, oracle_cap=0)
+    assert len(weighed) == len(set(weighed)), weighed
+    lower = {(1 << (ctx.T - s), 1 << (ctx.T - s)) for s in range(1, ctx.T + 1)}
+    assert sorted(weighed) == sorted(lower | {(j, j & -j) for j in ctx.tops})
 
 
 def test_full_profile_m4L16_matches_frozen_values():

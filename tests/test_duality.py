@@ -21,7 +21,7 @@ from polycode.duality import (
     sequential_closure_check,
 )
 from polycode import duality
-from polycode.errors import InternalConsistencyError, ValidationError
+from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import is_irreducible, mul, mul_trunc, parse, power_trunc, substitute_power
 from polycode.ring import new_context
 
@@ -134,20 +134,21 @@ def test_dual_candidates_match_a_per_ell_loop(ctx, data):
     want = _spread_weights_reference(ctx, base, ctx.m - 1, factor)
     assert dual_pow2_candidates(ctx, s) == want
     assert dual_pow2_distance(ctx, s) == min(w for w in want.values() if w)
-    if ctx.regime in ("pow2", "high"):
-        r = data.draw(st.integers(1, ctx.T if ctx.regime == "pow2" else ctx.R))
-        lead_deg = ctx.m * ((1 << r) - 1) - 1
-        if lead_deg <= 12:
-            factor, tbits = 1 << (ctx.T - r), -(-ctx.n // (1 << (ctx.T - r)))
-            base = mul_trunc(ctx.x_e_1, power_trunc(ctx.U_star, (1 << r) - 1, tbits), tbits)
-            want = _spread_weights_reference(ctx, base, lead_deg, factor)
-            assert dual_complement_distance(ctx, r) == min(w for w in want.values() if w)
+    r = data.draw(st.integers(1, len(ctx.tops)))
+    lead_deg = ctx.m * ((1 << r) - 1) - 1
+    if lead_deg <= 12:
+        factor, tbits = 1 << (ctx.T - r), -(-ctx.n // (1 << (ctx.T - r)))
+        base = mul_trunc(ctx.x_e_1, power_trunc(ctx.U_star, (1 << r) - 1, tbits), tbits)
+        want = _spread_weights_reference(ctx, base, lead_deg, factor)
+        assert dual_complement_distance(ctx, r) == min(w for w in want.values() if w)
 
 
 def test_complement_and_pow2_paths_agree_on_shared_anchor():
-    # j = 2^(T-1) is both the s = 1 reduced set and the r = 1 complement anchor
-    ctx = new_context(M4, 16)
-    assert dual_complement_distance(ctx, 1) == dual_pow2_distance(ctx, 1)
+    # j = 2^(T-1) is both the s = 1 reduced set and the r = 1 complement anchor, in every regime
+    for poly, L, regime in ((M4, 16, "pow2"), (M4, 14, "high"), (parse("x^5+x^4+x^2+x+1"), 12, "low")):
+        ctx = new_context(poly, L)
+        assert ctx.regime == regime
+        assert dual_complement_distance(ctx, 1) == dual_pow2_distance(ctx, 1)
 
 
 def test_dual_oracle_matches_plain_nullspace_enumeration():
@@ -196,12 +197,33 @@ def test_dual_summary_shape():
     assert set(summary) == {"j", "n", "k_dual", "d_dual", "provenance"}
     assert summary["j"] == 2 and summary["n"] == 27 and summary["k_dual"] == 6
     assert summary["d_dual"] == 7
-    assert "sequential-closure" in summary["provenance"]
+    assert summary["provenance"] == ["dual-reduced-set", "dual-oracle", "sequential-closure"]
 
 
-def test_complement_distance_needs_the_right_regime():
-    from polycode.errors import WrongRegime
-
+def test_complement_distance_covers_exactly_the_tops():
     low_ctx = new_context(parse("x^5+x^4+x^2+x+1"), 12)
-    with pytest.raises(WrongRegime):
-        dual_complement_distance(low_ctx, 1)
+    assert low_ctx.tops == (8,)
+    assert dual_complement_distance(low_ctx, 1) == dual_pow2_distance(low_ctx, 1)
+    for r in (0, 2):
+        with pytest.raises(ValidationError):
+            dual_complement_distance(low_ctx, r)
+
+
+def test_dual_summary_refuses_a_bad_sample_count_before_the_distance(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the dual distance ran before the sample count was checked")
+
+    monkeypatch.setattr(duality, "dual_distance_with_provenance", unreachable)
+    with pytest.raises(ValidationError):
+        dual_summary(new_context(M3, 9), 3, samples=-3)
+
+
+def test_closure_samples_are_capped_by_samples_times_dimension():
+    small = dual_code(code(new_context(M3, 4), 1))  # dim 3: the 2^20 cap holds
+    big = dual_code(code(new_context(parse("x^8+x^4+x^3+x^2+1"), 24), 20))  # dim 160
+    assert (small.dim, big.dim) == (3, 160)
+    with pytest.raises(CapExceeded):
+        sequential_closure_check(small, samples=(1 << 20) + 1)
+    with pytest.raises(CapExceeded, match="dual dimension 160"):
+        sequential_closure_check(big, samples=duality.CLOSURE_WORK_CAP // 160 + 1)
+    assert sequential_closure_check(big, samples=50, seed=1)

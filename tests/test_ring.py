@@ -25,6 +25,18 @@ def test_context_basic_quantities():
     assert ctx.associate == power(P4, 16) ^ (1 << 64)
 
 
+def _old_regime(L):
+    """The pre-lattice classification, kept as the reference: (regime, R, L_prime)."""
+    T = (L - 1).bit_length()
+    if L == 1 << T:
+        return "pow2", None, None
+    if L <= 3 << (T - 2):
+        return "low", None, L - (1 << (T - 1))
+    D = (1 << T) - L
+    R = T - D.bit_length()
+    return "high", R, (1 << (T - R)) - D
+
+
 @pytest.mark.parametrize(
     "L,regime,R,L_prime",
     [(16, "pow2", None, None), (12, "low", None, 4), (9, "low", None, 1)],
@@ -32,15 +44,30 @@ def test_context_basic_quantities():
 def test_regime_classification_m4(L, regime, R, L_prime):
     ctx = new_context(P4, L)
     assert ctx.regime == regime
-    assert ctx.R == R
-    assert ctx.L_prime == L_prime
+    assert _old_regime(L) == (regime, R, L_prime)
+    assert ctx.tops == {16: (8, 12, 14, 15), 12: (8,), 9: (8,)}[L]
+    assert L - ctx.tops[-1] == (L_prime or 1)
 
 
 def test_regime_high():
     ctx = new_context(parse("x^6+x^5+x^3+x^2+1"), 25)
-    assert (ctx.regime, ctx.T, ctx.R, ctx.L_prime) == ("high", 5, 2, 1)
+    assert (ctx.regime, ctx.T, ctx.tops) == ("high", 5, (16, 24))
     ctx = new_context(P2, 7)
-    assert (ctx.regime, ctx.T, ctx.R, ctx.L_prime) == ("high", 3, 2, 1)
+    assert (ctx.regime, ctx.T, ctx.tops) == ("high", 3, (4, 6))
+
+
+def test_tops_match_the_old_regime_formulas():
+    # one anchor per r = 1..T in "pow2", R of them in "high", only 2^(T-1) in "low";
+    # the tail past the last one is L' long (1 in "pow2")
+    for L in range(2, 301):
+        ctx = new_context(P2, L)
+        T = ctx.T
+        regime, R, L_prime = _old_regime(L)
+        count = {"pow2": T, "low": 1, "high": R}[regime]
+        assert ctx.tops == tuple((1 << T) - (1 << (T - r)) for r in range(1, count + 1)), L
+        assert ctx.tops[0] == 1 << (T - 1)
+        assert L - ctx.tops[-1] == (L_prime or 1), L
+        assert ctx.regime == regime, L
 
 
 def test_validation_messages():

@@ -151,3 +151,16 @@ def test_family_rejects_bad_indices():
         family_distance_profile(0, 1)
     with pytest.raises(ValidationError):
         family_parameters(0, 3, "nope")
+
+
+def test_family_profile_agrees_with_the_generic_profile_on_every_ring_shape():
+    # short rings (L < 2^T) end on their own closed forms: an odd last anchor one
+    # above complement_anchor_value and a widened last plateau.  The intervals
+    # must overlap, so an exact value on either side lies inside the other's.
+    from polycode.distance import full_distance_profile
+
+    for v, Ls in ((0, range(2, 36)), (1, range(2, 10))):
+        for L in Ls:
+            generic = full_distance_profile(family_context(v, L), oracle_cap=24)
+            for fam, gen in zip(family_distance_profile(v, L), generic):
+                assert max(fam.lower, gen.lower) <= min(fam.upper, gen.upper), (v, L, fam, gen)
