@@ -5,185 +5,33 @@ least 2.  Every ideal is generated by a power of P, giving a chain of codes;
 this package computes their parameters (distance bounds with provenance,
 duals, hulls and LCD verdicts) by structure where possible and by exhaustive
 search where affordable, cross-checking one against the other.
+
+The names below are what a caller of the library needs; everything else
+stays importable from its submodule.
 """
 
 from __future__ import annotations
 
-from .codes import (
-    DEFAULT_CANDIDATE_CAP,
-    DEFAULT_ENUM_CAP,
-    PolycyclicCode,
-    code,
-    contains,
-    default_cap,
-    encode,
-    enumerate_codewords,
-    generator_rows,
-    is_reversible,
-    reverse_word,
-)
-from .distance import (
-    DistanceReport,
-    full_distance_profile,
-    head_zone_reports,
-    head_zone_split,
-    lower_anchor_distance,
-    min_distance_bruteforce,
-    monotone_fuse,
-    single_distance_report,
-    upper_anchor_distance,
-)
-from .duality import (
-    DualCode,
-    dual_code,
-    dual_complement_distance,
-    dual_distance_with_provenance,
-    dual_min_distance_bruteforce,
-    dual_pow2_candidates,
-    dual_pow2_distance,
-    dual_summary,
-    sequential_closure_check,
-)
-from .errors import (
-    CapExceeded,
-    InternalConsistencyError,
-    PolycodeError,
-    ValidationError,
-    WrongRegime,
-)
-from .fixtures import FIXTURE_KEYS, FixtureResult, FixtureRow, run_all_fixtures, run_fixture
-from .gf2poly import (
-    add,
-    coeff_weight,
-    degree,
-    div_rem,
-    format_poly,
-    gcd,
-    is_irreducible,
-    mul,
-    mul_trunc,
-    order,
-    parse,
-    power,
-    power_mod,
-    power_trunc,
-    reciprocal,
-    substitute_power,
-    weight,
-)
-from .lcd import (
-    LcdVerdict,
-    assert_lcd_complement_family,
-    assert_lcd_pow2_family,
-    assert_lcd_third_power,
-    conjecture_scan,
-    hull_dimension_oracle,
-    is_lcd_head_criterion,
-    is_lcd_tail_criterion,
-    lcd_verdict,
-)
-from .ring import (
-    Classification,
-    RingContext,
-    classify,
-    ideal_generator,
-    new_context,
-    reduce_mod,
-    shift_word,
-)
-from .trinomial_family import (
-    complement_anchor_value,
-    expansion_pow_2r_minus_1,
-    family_context,
-    family_distance_profile,
-    family_dual_d1,
-    family_parameters,
-    family_poly,
-    is_irreducible_trinomial,
-    weight_formulas,
-)
+from .codes import code
+from .distance import full_distance_profile
+from .duality import dual_summary
+from .errors import CapExceeded, InternalConsistencyError, PolycodeError, ValidationError
+from .gf2poly import format_poly, parse
+from .lcd import lcd_verdict
+from .ring import new_context
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",
-    "Classification",
-    "DEFAULT_CANDIDATE_CAP",
-    "DEFAULT_ENUM_CAP",
-    "DistanceReport",
-    "DualCode",
-    "FIXTURE_KEYS",
-    "FixtureResult",
-    "FixtureRow",
     "InternalConsistencyError",
-    "LcdVerdict",
     "PolycodeError",
-    "PolycyclicCode",
-    "RingContext",
     "ValidationError",
-    "WrongRegime",
-    "add",
-    "assert_lcd_complement_family",
-    "assert_lcd_pow2_family",
-    "assert_lcd_third_power",
-    "classify",
     "code",
-    "coeff_weight",
-    "complement_anchor_value",
-    "conjecture_scan",
-    "contains",
-    "default_cap",
-    "degree",
-    "div_rem",
-    "dual_code",
-    "dual_complement_distance",
-    "dual_distance_with_provenance",
-    "dual_min_distance_bruteforce",
-    "dual_pow2_candidates",
-    "dual_pow2_distance",
     "dual_summary",
-    "encode",
-    "enumerate_codewords",
-    "expansion_pow_2r_minus_1",
-    "family_context",
-    "family_distance_profile",
-    "family_dual_d1",
-    "family_parameters",
-    "family_poly",
     "format_poly",
     "full_distance_profile",
-    "gcd",
-    "generator_rows",
-    "head_zone_reports",
-    "head_zone_split",
-    "hull_dimension_oracle",
-    "ideal_generator",
-    "is_irreducible",
-    "is_irreducible_trinomial",
-    "is_lcd_head_criterion",
-    "is_lcd_tail_criterion",
-    "is_reversible",
     "lcd_verdict",
-    "lower_anchor_distance",
-    "min_distance_bruteforce",
-    "monotone_fuse",
-    "mul",
-    "mul_trunc",
     "new_context",
-    "order",
     "parse",
-    "power",
-    "power_mod",
-    "power_trunc",
-    "reciprocal",
-    "reduce_mod",
-    "reverse_word",
-    "run_all_fixtures",
-    "run_fixture",
-    "sequential_closure_check",
-    "shift_word",
-    "single_distance_report",
-    "substitute_power",
-    "upper_anchor_distance",
-    "weight",
 ]

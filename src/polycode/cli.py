@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, code
 from .distance import full_distance_profile, single_distance_report
 from .duality import dual_summary
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
@@ -21,7 +22,6 @@ from .fixtures import FIXTURE_KEYS, dump_fixture, run_fixture
 from .gf2poly import parse
 from .lcd import conjecture_scan, lcd_verdict
 from .ring import new_context
-from .codes import code
 
 
 def _context(args: argparse.Namespace):
@@ -174,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="distance bounds for the chain of codes")
     _add_ring_args(p)
     p.add_argument("--j", type=int, default=None, help="single index instead of the whole chain")
-    p.add_argument("--oracle-cap", type=int, default=None, help="max dimension handed to brute force")
-    p.add_argument("--candidate-cap", type=int, default=None, help="max candidates per reduced set")
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ENUM_CAP, help="max dimension handed to the exact oracle")
+    p.add_argument("--candidate-cap", type=int, default=DEFAULT_CANDIDATE_CAP, help="max candidates per reduced set")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="dual code summary for one index")
     _add_ring_args(p)
     p.add_argument("--j", required=True, type=int)
-    p.add_argument("--oracle-cap", type=int, default=None)
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ENUM_CAP, help="max dual dimension handed to the exact oracle")
     p.add_argument("--samples", type=int, default=0, help="extra random words for the closure check")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_dual)

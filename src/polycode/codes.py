@@ -3,31 +3,22 @@
 C_j has length n = m*L and dimension k = m*(L - j); its generator matrix
 stacks the shifts x^i * P^j for i < k, so codewords are exactly the masks of
 polynomial multiples of P^j of degree below n.  Codewords travel as ints
-(bit i = coordinate i).
+(bit i = coordinate i).  Here live the code object, its generator rows,
+membership, reversibility, and the two default caps every search shares:
+DEFAULT_ENUM_CAP on the dimension an exact oracle takes, and
+DEFAULT_CANDIDATE_CAP on the words in one reduced candidate set.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .errors import CapExceeded, ValidationError
-from .gf2poly import div_rem, mul
+from .errors import ValidationError
+from .gf2poly import div_rem
 from .ring import RingContext
 
 DEFAULT_ENUM_CAP = 28
 DEFAULT_CANDIDATE_CAP = 1 << 20  # words in one reduced or dual candidate set
-
-
-def default_cap() -> int:
-    """Enumeration cap (log2 of word count), overridable via POLYCODE_ORACLE_CAP."""
-    raw = os.environ.get("POLYCODE_ORACLE_CAP")
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"POLYCODE_ORACLE_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -62,13 +53,6 @@ def generator_rows(c: PolycyclicCode) -> list[int]:
     return [c.generator << i for i in range(c.k)]
 
 
-def encode(c: PolycyclicCode, message: int) -> int:
-    """Codeword of a k-bit message: message(x) * P^j."""
-    if message < 0 or message.bit_length() > c.k:
-        raise ValidationError(f"message must fit in k = {c.k} bits")
-    return mul(message, c.generator)
-
-
 def contains(c: PolycyclicCode, word: int) -> bool:
     """Whether a length-n word lies in C_j (i.e. P^j divides it)."""
     if word < 0 or word.bit_length() > c.n:
@@ -76,21 +60,6 @@ def contains(c: PolycyclicCode, word: int) -> bool:
     if c.j == c.ctx.L:
         return word == 0
     return div_rem(word, c.generator)[1] == 0
-
-
-def enumerate_codewords(c: PolycyclicCode, cap: int | None = None):
-    """Yield all 2^k codewords in Gray-code order (consecutive words differ by one row)."""
-    cap = default_cap() if cap is None else cap
-    if c.k > cap:
-        raise CapExceeded(
-            f"enumerating 2^{c.k} codewords exceeds the cap of 2^{cap}; pass a larger cap"
-        )
-    rows = generator_rows(c)
-    cur = 0
-    yield cur
-    for i in range(1, 1 << c.k):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        yield cur
 
 
 def reverse_word(word: int, n: int) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._linalg import min_weight_affine, min_weight_span
-from .codes import DEFAULT_CANDIDATE_CAP, PolycyclicCode, code, default_cap, generator_rows
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, code, generator_rows
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import weight
 from .ring import RingContext
@@ -95,11 +95,10 @@ class DistanceReport:
 # ---------------------------------------------------------------------------
 
 
-def min_distance_bruteforce(c: PolycyclicCode, cap: int | None = None) -> int:
+def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact d(C_j) over the whole code, by information-set search (k must stay within the cap)."""
     if c.j == c.ctx.L:
         raise ValidationError("the zero code has no nonzero word, hence no distance")
-    cap = default_cap() if cap is None else cap
     if c.k > cap:
         raise CapExceeded(
             f"distance oracle needs 2^{c.k} words, over the cap of 2^{cap}; raise the cap"
@@ -139,9 +138,8 @@ def head_zone_reports(ctx: RingContext) -> dict[int, tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_set_min(ctx: RingContext, j: int, B: int, candidate_cap: int | None) -> int:
+def _reduced_set_min(ctx: RingContext, j: int, B: int, cap: int) -> int:
     """Min weight of P^j * a(x^B) over constant-term-1 a of degree < lam = ceil(m(L-j)/B)."""
-    cap = DEFAULT_CANDIDATE_CAP if candidate_cap is None else candidate_cap
     lam = -(-(ctx.m * (ctx.L - j)) // B)
     if 1 << (lam - 1) > cap:
         raise CapExceeded(f"reduced set has 2^{lam - 1} candidates, over the cap of {cap}")
@@ -151,7 +149,7 @@ def _reduced_set_min(ctx: RingContext, j: int, B: int, candidate_cap: int | None
     return min_weight_affine(g, rows, ctx.n, floor=2)  # type: ignore[return-value]
 
 
-def lower_anchor_distance(ctx: RingContext, s: int, candidate_cap: int | None = None) -> int:
+def lower_anchor_distance(ctx: RingContext, s: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
     """Exact d(C_j) at j = 2^(T-s), 1 <= s <= T."""
     if not 1 <= s <= ctx.T:
         raise ValidationError("anchor parameter s must satisfy 1 <= s <= T")
@@ -159,7 +157,7 @@ def lower_anchor_distance(ctx: RingContext, s: int, candidate_cap: int | None = 
     return _reduced_set_min(ctx, j, j, candidate_cap)
 
 
-def upper_anchor_distance(ctx: RingContext, r: int, candidate_cap: int | None = None) -> int:
+def upper_anchor_distance(ctx: RingContext, r: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
     """Exact d(C_j) at the upper anchor j = ctx.tops[r - 1] = 2^T - 2^(T-r), 1 <= r <= len(ctx.tops)."""
     if not 1 <= r <= len(ctx.tops):
         raise ValidationError(f"anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
@@ -182,11 +180,10 @@ def monotone_fuse(reports: list[DistanceReport]) -> None:
 
 def full_distance_profile(
     ctx: RingContext,
-    oracle_cap: int | None = None,
-    candidate_cap: int | None = None,
+    oracle_cap: int = DEFAULT_ENUM_CAP,
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> list[DistanceReport]:
     """Best-known distance report for every j = 0..L, cross-checked along the way."""
-    ocap = default_cap() if oracle_cap is None else oracle_cap
     L, T, n = ctx.L, ctx.T, ctx.n
     reports = [DistanceReport(j, 1, n) for j in range(L + 1)]
     reports[0].set_exact(1, "full-space")
@@ -224,7 +221,7 @@ def full_distance_profile(
 
     # oracle pass over whatever is still open and small enough
     for rep in reports[1:L]:
-        _oracle_pass(ctx, rep, ocap)
+        _oracle_pass(ctx, rep, oracle_cap)
     monotone_fuse(reports)
     return reports
 
@@ -244,13 +241,12 @@ def _oracle_pass(ctx: RingContext, rep: DistanceReport, ocap: int) -> None:
 def single_distance_report(
     ctx: RingContext,
     j: int,
-    oracle_cap: int | None = None,
-    candidate_cap: int | None = None,
+    oracle_cap: int = DEFAULT_ENUM_CAP,
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> DistanceReport:
     """Report for one j: structural profile plus an oracle pass on this index only."""
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
-    ocap = default_cap() if oracle_cap is None else oracle_cap
     reports = full_distance_profile(ctx, oracle_cap=0, candidate_cap=candidate_cap)
-    _oracle_pass(ctx, reports[j], ocap)
+    _oracle_pass(ctx, reports[j], oracle_cap)
     return reports[j]

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from ._linalg import affine_weights, in_span, min_weight_affine, min_weight_span, parity_dot, rank, rref
-from .codes import DEFAULT_CANDIDATE_CAP, PolycyclicCode, code, default_cap
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, code
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import mul_trunc, power_trunc, substitute_power
 from .ring import RingContext
@@ -68,9 +68,8 @@ def dual_code(c: PolycyclicCode) -> DualCode:
     return DualCode(ctx, j, h, rows)
 
 
-def dual_min_distance_bruteforce(dual: DualCode, cap: int | None = None) -> int:
+def dual_min_distance_bruteforce(dual: DualCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact dual distance over the whole dual code (information-set search)."""
-    cap = default_cap() if cap is None else cap
     if dual.dim > cap:
         raise CapExceeded(
             f"dual oracle needs 2^{dual.dim} words, over the cap of 2^{cap}; raise the cap"
@@ -117,7 +116,7 @@ def sequential_closure_check(dual: DualCode, samples: int = 0, seed: int = 0) ->
 
 
 def _spread_candidates(
-    ctx: RingContext, t: int, x_exp: int, u_exp: int, lead_deg: int, candidate_cap: int | None
+    ctx: RingContext, t: int, x_exp: int, u_exp: int, lead_deg: int, cap: int
 ) -> tuple[int, list[int]]:
     """The dual candidates with spread factor 2^(T-t), as (g, rows).
 
@@ -127,7 +126,6 @@ def _spread_candidates(
     ell = x^lead_deg + i is word i of g ^ span(rows), with g =
     spread(base * x^lead_deg) and rows[b] = spread(base * x^b).
     """
-    cap = DEFAULT_CANDIDATE_CAP if candidate_cap is None else candidate_cap
     if 1 << lead_deg > cap:
         raise CapExceeded(f"dual reduced set has 2^{lead_deg} candidates, over the cap of {cap}")
     factor = 1 << (ctx.T - t)
@@ -149,26 +147,26 @@ def _candidate_min(ctx: RingContext, candidates: tuple[int, list[int]]) -> int:
     return best
 
 
-def _pow2_candidates(ctx: RingContext, s: int, candidate_cap: int | None) -> tuple[int, list[int]]:
+def _pow2_candidates(ctx: RingContext, s: int, candidate_cap: int) -> tuple[int, list[int]]:
     """(g, rows) of the dual candidates at j = 2^(T-s): (x^e + 1)^(2^s - 1) * U* spread by 2^(T-s)."""
     if not 1 <= s <= ctx.T:
         raise ValidationError("dual anchor parameter s must satisfy 1 <= s <= T")
     return _spread_candidates(ctx, s, (1 << s) - 1, 1, ctx.m - 1, candidate_cap)
 
 
-def dual_pow2_candidates(ctx: RingContext, s: int, candidate_cap: int | None = None) -> dict[int, int]:
+def dual_pow2_candidates(ctx: RingContext, s: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> dict[int, int]:
     """Candidate weights for the dual distance at j = 2^(T-s): {ell mask: weight}."""
     g, rows = _pow2_candidates(ctx, s, candidate_cap)
     lead = 1 << len(rows)
     return {lead | i: w for i, w in enumerate(affine_weights(g, rows))}
 
 
-def dual_pow2_distance(ctx: RingContext, s: int, candidate_cap: int | None = None) -> int:
+def dual_pow2_distance(ctx: RingContext, s: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
     """Exact dual distance at j = 2^(T-s) as the minimum over the candidate set."""
     return _candidate_min(ctx, _pow2_candidates(ctx, s, candidate_cap))
 
 
-def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int | None = None) -> int:
+def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
     """Exact dual distance at the upper anchor j = ctx.tops[r - 1] = 2^T - 2^(T-r), 1 <= r <= len(ctx.tops)."""
     if not 1 <= r <= len(ctx.tops):
         raise ValidationError(f"dual anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
@@ -179,13 +177,12 @@ def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int | None
 def dual_distance_with_provenance(
     ctx: RingContext,
     j: int,
-    oracle_cap: int | None = None,
-    candidate_cap: int | None = None,
+    oracle_cap: int = DEFAULT_ENUM_CAP,
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> tuple[int | None, list[str]]:
     """Best effort at the dual distance of C_j: anchored families, then the oracle."""
     if not 1 <= j <= ctx.L - 1:
         raise ValidationError("dual distance covers 1 <= j <= L - 1")
-    ocap = default_cap() if oracle_cap is None else oracle_cap
     d: int | None = None
     provenance: list[str] = []
 
@@ -199,8 +196,8 @@ def dual_distance_with_provenance(
     if d is not None:
         provenance.append("dual-reduced-set")
 
-    if ctx.m * j <= ocap:
-        oracle_d = dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=ocap)
+    if ctx.m * j <= oracle_cap:
+        oracle_d = dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=oracle_cap)
         if d is not None and oracle_d != d:
             raise InternalConsistencyError(
                 f"dual distance at j={j}: reduced set says {d}, oracle says {oracle_d}"
@@ -211,7 +208,7 @@ def dual_distance_with_provenance(
 
 
 def dual_summary(
-    ctx: RingContext, j: int, oracle_cap: int | None = None, samples: int = 0, seed: int = 0
+    ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP, samples: int = 0, seed: int = 0
 ) -> dict:
     """JSON-ready dual summary for C_j."""
     dual = dual_code(code(ctx, j))

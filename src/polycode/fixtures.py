@@ -24,8 +24,6 @@ from .gf2poly import is_irreducible, mul, parse, substitute_power, weight
 from .lcd import lcd_verdict
 from .ring import new_context
 
-ORACLE_CAP = 28  # fixtures pin their own cap so results never depend on the environment
-
 
 @dataclass(frozen=True)
 class FixtureRow:
@@ -255,7 +253,7 @@ def _run_profile(key: str) -> FixtureResult:
         _eq(rows, f"bounds d_{j}", (lo, hi), (structural[j].lower, structural[j].upper))
     for j, lo in sorted(expect_lower.items()):
         _eq(rows, f"lower d_{j}", lo, structural[j].lower)
-    resolved = full_distance_profile(ctx, oracle_cap=ORACLE_CAP)
+    resolved = full_distance_profile(ctx)
     for j, d in sorted(expect_oracle.items()):
         rep = resolved[j]
         got = rep.lower if rep.exact else f"[{rep.lower}, {rep.upper}]"
@@ -293,7 +291,7 @@ def _run_dual_distances_m3l9() -> FixtureResult:
         s = ctx.T - j.bit_length() + 1
         _eq(rows, f"reduced set d_dual j={j}", DUAL_DISTANCES_M3L9[j], dual_pow2_distance(ctx, s))
     for j, d in sorted(DUAL_DISTANCES_M3L9.items()):
-        got = dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=ORACLE_CAP)
+        got = dual_min_distance_bruteforce(dual_code(code(ctx, j)))
         _eq(rows, f"oracle d_dual j={j}", d, got)
     return FixtureResult("dual-distances-m3L9", tuple(rows))
 
@@ -319,10 +317,10 @@ def _run_lcd_m3l8() -> FixtureResult:
     _eq(rows, "is_lcd", True, verdict.is_lcd)
     _eq(rows, "hull_dim", 0, verdict.hull_dim)
     _eq(rows, "methods", ("oracle", "head-criterion"), verdict.methods)
-    rep = single_distance_report(ctx, 1, oracle_cap=ORACLE_CAP)
+    rep = single_distance_report(ctx, 1)
     _eq(rows, "d", d, rep.lower if rep.exact else None)
     _eq(rows, "d_dual reduced set", d_dual, dual_pow2_distance(ctx, ctx.T))
-    got = dual_min_distance_bruteforce(dual_code(code(ctx, 1)), cap=ORACLE_CAP)
+    got = dual_min_distance_bruteforce(dual_code(code(ctx, 1)))
     _eq(rows, "d_dual oracle", d_dual, got)
     return FixtureResult("lcd-m3L8", tuple(rows))
 
@@ -335,14 +333,14 @@ def _survey_rows(table, check_lcd: bool) -> list[FixtureRow]:
         _eq(rows, f"{tag} n", n, ctx.n)
         _eq(rows, f"{tag} k", k, ctx.m * (L - 1))
         _eq(rows, f"{tag} k_dual", k_dual, ctx.m)
-        rep = single_distance_report(ctx, 1, oracle_cap=ORACLE_CAP)
+        rep = single_distance_report(ctx, 1)
         if rep.exact:
             _eq(rows, f"{tag} d", d, rep.lower)
         else:
             _contains(rows, f"{tag} d within bounds", d, rep.lower, rep.upper)
         theorem_dd = dual_pow2_distance(ctx, ctx.T)
         _eq(rows, f"{tag} d_dual", d_dual, theorem_dd)
-        oracle_dd = dual_min_distance_bruteforce(dual_code(code(ctx, 1)), cap=ORACLE_CAP)
+        oracle_dd = dual_min_distance_bruteforce(dual_code(code(ctx, 1)))
         _eq(rows, f"{tag} d_dual oracle", d_dual, oracle_dd)
         if check_lcd:
             verdict = lcd_verdict(code(ctx, 1), "all")
@@ -386,11 +384,6 @@ def run_fixture(key: str) -> FixtureResult:
     if key not in FIXTURES:
         raise ValidationError(f"unknown fixture {key!r}; known: {', '.join(FIXTURE_KEYS)}")
     return FIXTURES[key]()
-
-
-def run_all_fixtures() -> list[FixtureResult]:
-    """Replay every fixture, in declaration order."""
-    return [FIXTURES[key]() for key in FIXTURE_KEYS]
 
 
 # ---------------------------------------------------------------------------

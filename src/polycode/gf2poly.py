@@ -4,7 +4,8 @@ A polynomial is a plain Python int used as a bit mask: bit i is the
 coefficient of x^i, so the constant term sits in bit 0 and x^4 + x + 1 is
 0b10011.  Addition is XOR, multiplication is carry-less, and degrees are one
 less than ``int.bit_length``.  Everything here is pure int arithmetic with no
-size limit beyond memory.
+size limit beyond memory, except that parse refuses a term past
+RING_TABLE_BITS: no ring over such a polynomial can be set up.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 import re
 
 from .errors import CapExceeded, ValidationError
+
+RING_TABLE_BITS = 1 << 26  # budget for a ring's powers P^0..P^L (about m*L^2/2 bits); 8 MB of ints
 
 # ---------------------------------------------------------------------------
 # basic queries
@@ -29,29 +32,9 @@ def weight(a: int) -> int:
     return a.bit_count()
 
 
-def coeff_weight(a: int) -> int:
-    """Smallest gap between consecutive exponents present in a (0 if fewer than two terms)."""
-    if a.bit_count() <= 1:
-        return 0
-    gap = a.bit_length()
-    prev = -1
-    while a:
-        low = (a & -a).bit_length() - 1
-        if prev >= 0:
-            gap = min(gap, low - prev)
-        prev = low
-        a &= a - 1
-    return gap
-
-
 # ---------------------------------------------------------------------------
 # ring operations
 # ---------------------------------------------------------------------------
-
-
-def add(a: int, b: int) -> int:
-    """Sum of two polynomials (XOR of masks)."""
-    return a ^ b
 
 
 def mul(a: int, b: int) -> int:
@@ -324,12 +307,15 @@ _MONOMIAL = re.compile(r"x\^(\d+)$|x$|1$")
 
 
 def parse(text: str) -> int:
-    """Parse '1 + x + x^4', a 0b literal, or a decimal bit mask into a polynomial."""
+    """Parse '1 + x + x^4', a 0b literal, or a decimal bit mask into a polynomial.
+
+    A term x^N with N past RING_TABLE_BITS is refused before its N-bit mask is built.
+    """
     stripped = text.strip()
     if re.fullmatch(r"0b[01]+", stripped):
         return int(stripped, 2)
     if re.fullmatch(r"\d+", stripped):
-        return int(stripped)
+        return _decimal(stripped)
     out = 0
     pos = 0
     expecting_term = True
@@ -358,12 +344,22 @@ def parse(text: str) -> int:
         elif token == "x":
             exp = 1
         else:
-            exp = int(match.group(1))
+            exp = _decimal(match.group(1))
+            if exp > RING_TABLE_BITS:
+                raise ValidationError(f"term {token[:40]!r} is past the budget of x^{RING_TABLE_BITS}")
         out ^= 1 << exp  # repeated terms cancel over GF(2)
         expecting_term = False
     if expecting_term:
         raise ValidationError(f"empty term at offset {n} in {text!r}")
     return out
+
+
+def _decimal(digits: str) -> int:
+    """int(digits), refused with ValidationError past the interpreter's limit on digits."""
+    try:
+        return int(digits)
+    except ValueError:  # more than sys.get_int_max_str_digits() digits
+        raise ValidationError(f"the number {digits[:20]}... has too many digits") from None
 
 
 def format_poly(a: int) -> str:

@@ -6,9 +6,8 @@ computation), and rank criteria that decide LCD directly from one structured
 matrix — one form for j up to 2^(T-1), another for j beyond it.  The rows of
 G are the shifts x^i * P^j, none of which wraps past x^(n-1), so G*G^T is a
 symmetric Toeplitz matrix built from k parities.  The head criterion's
-cross-check sweeps every nonzero delta in Gray-code order, one XOR each.  Family
-helpers assert LCD for the power-of-two, complement, and third-power codes
-over the trinomial family, and a scanner sweeps entire families looking for
+cross-check sweeps every nonzero delta in Gray-code order, one XOR each.  A
+scanner sweeps whole rings of the trinomial family looking for
 counterexamples.
 """
 
@@ -181,39 +180,8 @@ def lcd_verdict(c: PolycyclicCode, methods: str = "all") -> LcdVerdict:
 
 
 # ---------------------------------------------------------------------------
-# trinomial-family assertions and the sweep
+# the sweep over the trinomial family
 # ---------------------------------------------------------------------------
-
-
-def assert_lcd_pow2_family(v: int, T: int, r: int) -> LcdVerdict:
-    """C_{2^r} over the scale-3^v trinomial to the 2^T is LCD; verify and return."""
-    if not 0 <= r <= T - 1:
-        raise ValidationError("power-of-two family needs 0 <= r <= T - 1")
-    verdict = lcd_verdict(code(family_context(v, 1 << T), 1 << r), "all")
-    if not verdict.is_lcd:
-        raise InternalConsistencyError(f"family code j=2^{r} over v={v}, T={T} is not LCD")
-    return verdict
-
-
-def assert_lcd_complement_family(v: int, T: int, r: int) -> LcdVerdict:
-    """C_{2^T - 2^(T-r)} over the family ring is LCD; verify and return."""
-    if not 2 <= r <= T:
-        raise ValidationError("complement family needs 2 <= r <= T")
-    j = (1 << T) - (1 << (T - r))
-    verdict = lcd_verdict(code(family_context(v, 1 << T), j), "all")
-    if not verdict.is_lcd:
-        raise InternalConsistencyError(f"family code j=2^{T}-2^{T - r} over v={v}, T={T} is not LCD")
-    return verdict
-
-
-def assert_lcd_third_power(v: int, T: int) -> LcdVerdict:
-    """C_3 over the family ring (T >= 3) is LCD; verify and return."""
-    if T < 3:
-        raise ValidationError("the third-power statement needs T >= 3")
-    verdict = lcd_verdict(code(family_context(v, 1 << T), 3), "all")
-    if not verdict.is_lcd:
-        raise InternalConsistencyError(f"family code j=3 over v={v}, T={T} is not LCD")
-    return verdict
 
 
 def _scan_pair(args: tuple[int, int]) -> list[dict]:
@@ -245,6 +213,8 @@ def conjecture_scan(
     """Hull of every C_j over every family ring with n <= dim_cap; rows sorted by (v, T, j)."""
     if v_max < 0 or t_max < 1:
         raise ValidationError("conjecture scan needs v_max >= 0 and t_max >= 1")
+    if dim_cap < 4:
+        raise ValidationError(f"dim_cap {dim_cap} is below 4, the length of the smallest family ring")
     cpus = os.cpu_count() or 1
     if workers is not None and not 1 <= workers <= cpus:
         raise ValidationError(f"workers must be in 1..{cpus} (the CPU count), got {workers}")

@@ -22,12 +22,9 @@ full cofactor would need a division of an e-bit dividend (e can reach
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import degree, div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, power_mod, reciprocal
-
-RING_TABLE_BITS = 1 << 26  # budget for P^0..P^L (about m*L^2/2 bits); 8 MB of ints
+from .gf2poly import RING_TABLE_BITS, degree, inverse_trunc, is_irreducible, mul, mul_trunc, order, power_mod, reciprocal
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,6 @@ class RingContext:
     U_star: int  # (x^e + 1)/P*, low min(n, e - m + 1) coefficients
     tops: tuple[int, ...]  # upper anchors 2^T - 2^(T-r) < L, r = 1, 2, ...; tops[0] = 2^(T-1)
     P_pows: tuple[int, ...]  # P^0 .. P^L
-    associate: int  # x^n reduced mod P^L; feeds the length-n shift
 
     @property
     def regime(self) -> str:
@@ -70,13 +66,13 @@ def new_context(P: int, L: int) -> RingContext:
     m = degree(P)
     if m < 2:
         raise ValidationError("P must have degree at least 2")
+    bits = m * L * (L + 1) // 2  # P^0..P^L, built below; checked first, as it needs only m and L
+    if bits > RING_TABLE_BITS:
+        raise CapExceeded(f"the powers P^0..P^L need ~{bits} bits, over the budget of {RING_TABLE_BITS}")
     if not is_irreducible(P):
         raise ValidationError("P must be irreducible over GF(2)")
 
     n = m * L
-    bits = m * L * (L + 1) // 2  # P^0..P^L, built below
-    if bits > RING_TABLE_BITS:
-        raise CapExceeded(f"the powers P^0..P^L need ~{bits} bits, over the budget of {RING_TABLE_BITS}")
     T = (L - 1).bit_length()
     e = order(P)
     if power_mod(2, e, P) != 1:
@@ -105,56 +101,4 @@ def new_context(P: int, L: int) -> RingContext:
         U_star=U_star,
         tops=tuple(j for j in ((1 << T) - (1 << (T - r)) for r in range(1, T + 1)) if j < L),
         P_pows=tuple(pows),
-        associate=pows[L] ^ (1 << n),
     )
-
-
-# ---------------------------------------------------------------------------
-# elements and ideals
-# ---------------------------------------------------------------------------
-
-
-class Classification(NamedTuple):
-    """Where an element sits in the ideal chain."""
-
-    kind: str  # "zero" | "unit" | "nilpotent"
-    index: int | None  # for "nilpotent": the largest j with a in <P^j>
-
-
-def classify(ctx: RingContext, a: int) -> Classification:
-    """Classify a ring element as zero, a unit, or nilpotent of a given level."""
-    if a < 0 or degree(a) >= ctx.n:
-        raise ValidationError("element must have degree below n = m*L")
-    if a == 0:
-        return Classification("zero", None)
-    level = 0
-    while True:
-        q, r = div_rem(a, ctx.P)
-        if r != 0:
-            break
-        a = q
-        level += 1
-    if level == 0:
-        return Classification("unit", None)
-    return Classification("nilpotent", level)
-
-
-def ideal_generator(ctx: RingContext, j: int) -> int:
-    """Reduced generator of <P^j>: P^j for j < L, and 0 for j == L."""
-    if not 0 <= j <= ctx.L:
-        raise ValidationError("ideal index j must satisfy 0 <= j <= L")
-    return 0 if j == ctx.L else ctx.P_pows[j]
-
-
-def reduce_mod(ctx: RingContext, a: int) -> int:
-    """Canonical representative of a modulo P^L."""
-    return div_rem(a, ctx.P_pows[ctx.L])[1]
-
-
-def shift_word(ctx: RingContext, c: int) -> int:
-    """Multiply a length-n word by x inside the ring (the length-n shift map)."""
-    mask = (1 << ctx.n) - 1
-    out = (c << 1) & mask
-    if (c >> (ctx.n - 1)) & 1:
-        out ^= ctx.associate
-    return out

@@ -10,16 +10,11 @@ from polycode.codes import code, contains, is_reversible
 from polycode.distance import full_distance_profile, min_distance_bruteforce
 from polycode.duality import dual_code, dual_min_distance_bruteforce, sequential_closure_check
 from polycode._linalg import parity_dot
-from polycode.codes import enumerate_codewords, generator_rows
+from polycode.codes import generator_rows
 from polycode.fixtures import run_fixture
-from polycode.gf2poly import format_poly, is_irreducible, parse, power
-from polycode.lcd import (
-    assert_lcd_complement_family,
-    assert_lcd_pow2_family,
-    assert_lcd_third_power,
-    conjecture_scan,
-)
-from polycode.ring import classify, new_context, shift_word
+from polycode.gf2poly import div_rem, format_poly, is_irreducible, mul, parse, power
+from polycode.lcd import conjecture_scan, lcd_verdict
+from polycode.ring import new_context
 from polycode.trinomial_family import (
     expansion_pow_2r_minus_1,
     family_context,
@@ -160,16 +155,27 @@ def test_trinomial_closed_forms_match_generic_machinery_and_oracle():
 
 
 def test_lcd_families_and_scan_have_no_counterexamples():
+    # C_(2^r) for r < T, C_(2^T - 2^(T-r)) for 2 <= r <= T, and C_3 for T >= 3
     for v in (0, 1):
         for T in (1, 2, 3, 4):
-            for r in range(T):
-                assert assert_lcd_pow2_family(v, T, r).is_lcd
-            for r in range(2, T + 1):
-                assert assert_lcd_complement_family(v, T, r).is_lcd
-        for T in (3, 4):
-            assert assert_lcd_third_power(v, T).is_lcd
+            ctx = family_context(v, 1 << T)
+            js = [1 << r for r in range(T)] + [(1 << T) - (1 << (T - r)) for r in range(2, T + 1)]
+            js += [3] if T >= 3 else []
+            for j in js:
+                assert lcd_verdict(code(ctx, j), "all").is_lcd, (v, T, j)
     rows = conjecture_scan(0, 3)
     assert rows and all(row["hull_dim"] == 0 for row in rows)
+
+
+def _valuation(ctx, w):
+    """Reference P-adic valuation of a ring word by repeated division, capped at L (the zero word)."""
+    v = 0
+    while v < ctx.L:
+        q, r = div_rem(w, ctx.P)
+        if r:
+            break
+        w, v = q, v + 1
+    return v
 
 
 def test_structural_property_suite():
@@ -182,12 +188,11 @@ def test_structural_property_suite():
                 ctx = new_context(f, L)
                 by_valuation = {j: set() for j in range(L + 1)}
                 for w in range(1 << ctx.n):
-                    c = classify(ctx, w)
-                    v = L if c.kind == "zero" else (c.index or 0)
-                    for j in range(min(v, L) + 1):
+                    for j in range(_valuation(ctx, w) + 1):
                         by_valuation[j].add(w)
                 for j in range(L + 1):
-                    assert set(enumerate_codewords(code(ctx, j), cap=16)) == by_valuation[j]
+                    c = code(ctx, j)
+                    assert {mul(a, c.generator) for a in range(1 << c.k)} == by_valuation[j]
 
     # dual pairing, dimension complement, closure of dual rows
     for poly_text, L in (("x^2+x+1", 6), ("x^3+x+1", 5), ("x^4+x+1", 4), ("x^5+x^2+1", 3)):
@@ -211,7 +216,7 @@ def test_structural_property_suite():
         for j in range(L):
             c = code(ctx, j)
             for row in generator_rows(c):
-                assert contains(c, shift_word(ctx, row))
+                assert contains(c, div_rem(row << 1, ctx.P_pows[L])[1])  # x * row in the ring
 
 
 def test_published_survey_parameters_reproduce():

@@ -123,10 +123,11 @@ def test_missing_subcommand_is_usage_error():
     assert err.value.code == 2
 
 
-def test_malformed_oracle_cap_env_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("POLYCODE_ORACLE_CAP", "abc")
-    assert main(["analyze", "--poly", "x^3+x+1", "--power", "4"]) == 2
-    assert "POLYCODE_ORACLE_CAP" in capsys.readouterr().err
+@pytest.mark.parametrize("dim_cap", ["3", "0", "-1"])
+def test_conjecture_refuses_a_dim_cap_below_the_smallest_ring(capsys, dim_cap):
+    # a scan of no ring would report "scanned 0 codes: all LCD"
+    assert main(["conjecture", "--dim-cap", dim_cap]) == 2
+    assert "dim_cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", str((os.cpu_count() or 1) + 1)])
@@ -188,6 +189,21 @@ def test_an_oversized_ring_is_refused_within_a_second():
     # P^0..P^L would need ~2.5 GB at L = 100000
     start = time.perf_counter()
     run = _python("-m", "polycode.cli", "analyze", "--poly", "x^4+x+1", "--power", "100000", timeout=5)
+    assert run.returncode == 2 and "budget" in run.stderr
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        "x^100000000+x+1",  # parse refuses the term before building its 10^8-bit mask
+        "x^30000000+x+1",  # parses, but P^0..P^2 needs 9*10^7 bits: refused before the irreducibility test
+    ],
+    ids=["parse", "ring"],
+)
+def test_a_huge_degree_is_refused_within_a_second(poly):
+    start = time.perf_counter()
+    run = _python("-m", "polycode.cli", "analyze", "--poly", poly, "--power", "2", timeout=5)
     assert run.returncode == 2 and "budget" in run.stderr
     assert time.perf_counter() - start < 1.0
 

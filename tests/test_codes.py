@@ -1,4 +1,4 @@
-"""Code objects: generators, encoding, membership, enumeration, reversal."""
+"""Code objects: generators, membership, reversal."""
 
 from __future__ import annotations
 
@@ -10,15 +10,13 @@ from polycode._linalg import rank
 from polycode.codes import (
     code,
     contains,
-    encode,
-    enumerate_codewords,
     generator_rows,
     is_reversible,
     reverse_word,
 )
-from polycode.errors import CapExceeded, ValidationError
-from polycode.gf2poly import parse, weight
-from polycode.ring import new_context, shift_word
+from polycode.errors import ValidationError
+from polycode.gf2poly import div_rem, mul, parse, weight
+from polycode.ring import new_context
 
 P2 = parse("x^2+x+1")
 P3 = parse("x^3+x+1")
@@ -50,36 +48,10 @@ def test_encode_then_contains(msg):
     ctx = new_context(P3, 3)
     c = code(ctx, 1)  # k = 6
     msg &= (1 << c.k) - 1
-    word = encode(c, msg)
+    word = mul(msg, c.generator)  # a k-bit message encodes as msg(x) * P^j
     assert contains(c, word)
     if msg:
         assert word != 0
-
-
-def test_encode_rejects_oversized_messages():
-    ctx = new_context(P3, 3)
-    c = code(ctx, 2)
-    with pytest.raises(ValidationError):
-        encode(c, 1 << c.k)
-
-
-def test_enumeration_is_the_whole_span_in_gray_order():
-    ctx = new_context(P2, 3)
-    c = code(ctx, 1)
-    words = list(enumerate_codewords(c))
-    assert words[0] == 0
-    assert len(words) == 1 << c.k
-    assert len(set(words)) == len(words)
-    rows = set(generator_rows(c))
-    for prev, cur in zip(words, words[1:]):
-        assert prev ^ cur in rows  # Gray order: consecutive words differ by one row
-    assert set(words) == {encode(c, msg) for msg in range(1 << c.k)}
-
-
-def test_enumeration_refuses_oversized_codes():
-    ctx = new_context(P3, 12)
-    with pytest.raises(CapExceeded, match="cap"):
-        list(enumerate_codewords(code(ctx, 0), cap=20))
 
 
 def test_zero_code_membership_and_enumeration():
@@ -87,7 +59,7 @@ def test_zero_code_membership_and_enumeration():
     z = code(ctx, 2)
     assert contains(z, 0)
     assert not contains(z, 1)
-    assert list(enumerate_codewords(z)) == [0]
+    assert generator_rows(z) == []  # so its only codeword is 0
 
 
 def test_polycyclic_closure_of_generator_rows():
@@ -97,7 +69,7 @@ def test_polycyclic_closure_of_generator_rows():
         for j in range(L):
             c = code(ctx, j)
             for row in generator_rows(c):
-                assert contains(c, shift_word(ctx, row))
+                assert contains(c, div_rem(row << 1, ctx.P_pows[L])[1])  # x * row in the ring
 
 
 def test_reverse_word():

@@ -10,8 +10,7 @@ from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import (
     _lucas_lehmer,
     _prime_factors,
-    add,
-    coeff_weight,
+    RING_TABLE_BITS,
     degree,
     div_rem,
     format_poly,
@@ -48,13 +47,13 @@ def test_mul_associates(a, b, c):
 
 @given(polys, polys, polys)
 def test_mul_distributes_over_add(a, b, c):
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)  # addition is XOR
 
 
 @given(polys, nonzero)
 def test_div_rem_roundtrip(a, b):
     q, r = div_rem(a, b)
-    assert add(mul(q, b), r) == a
+    assert mul(q, b) ^ r == a
     assert r == 0 or degree(r) < degree(b)
 
 
@@ -221,15 +220,6 @@ def test_inverse_trunc_refuses_non_units():
         inverse_trunc(parse("x^3+x"), 8)
 
 
-def test_coeff_weight_examples():
-    assert coeff_weight(0) == 0
-    assert coeff_weight(1) == 0
-    assert coeff_weight(parse("x^5")) == 0
-    assert coeff_weight(parse("x^3+1")) == 3
-    assert coeff_weight(parse("x^5+x^3+1")) == 2
-    assert coeff_weight(parse("x^7+x^6+x^3+x+1")) == 1
-
-
 # --- text form ----------------------------------------------------------------
 
 
@@ -257,6 +247,18 @@ def test_format_small_cases():
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(ValidationError):
         parse(bad)
+
+
+def test_parse_refuses_a_term_past_the_ring_budget():
+    assert parse(f"x^{RING_TABLE_BITS}") == 1 << RING_TABLE_BITS
+    with pytest.raises(ValidationError, match="budget"):
+        parse(f"x^{RING_TABLE_BITS + 1}")  # refused before its 2^26-bit mask is built
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "x^" + "1" * 5000 + " + 1"], ids=["mask", "exponent"])
+def test_parse_refuses_numbers_int_cannot_convert(text):
+    with pytest.raises(ValidationError, match="digits"):
+        parse(text)
 
 
 def test_parse_error_names_byte_offset():

@@ -17,9 +17,6 @@ from polycode.gf2poly import is_irreducible, mul_trunc, parse
 from polycode.lcd import (
     _gray_sweep,
     _toeplitz_gram,
-    assert_lcd_complement_family,
-    assert_lcd_pow2_family,
-    assert_lcd_third_power,
     conjecture_scan,
     hull_dimension_oracle,
     is_lcd_head_criterion,
@@ -27,6 +24,7 @@ from polycode.lcd import (
     lcd_verdict,
 )
 from polycode.ring import new_context
+from polycode.trinomial_family import family_context
 
 M3 = parse("x^3+x+1")
 
@@ -142,23 +140,15 @@ def test_criteria_regime_boundaries():
 
 
 def test_lcd_families_hold():
+    # C_(2^r) for r < T, C_(2^T - 2^(T-r)) for 2 <= r <= T, and C_3 for T >= 3
     for v in (0, 1):
         for T in (1, 2, 3, 4):
-            for r in range(T):
-                assert assert_lcd_pow2_family(v, T, r).is_lcd
-            for r in range(2, T + 1):
-                assert assert_lcd_complement_family(v, T, r).is_lcd
-        for T in (3, 4):
-            assert assert_lcd_third_power(v, T).is_lcd
-
-
-def test_family_assertion_ranges():
-    with pytest.raises(ValidationError):
-        assert_lcd_pow2_family(0, 3, 3)  # r must stay below T
-    with pytest.raises(ValidationError):
-        assert_lcd_complement_family(0, 3, 1)
-    with pytest.raises(ValidationError):
-        assert_lcd_third_power(0, 2)
+            ctx = family_context(v, 1 << T)
+            js = [1 << r for r in range(T)] + [(1 << T) - (1 << (T - r)) for r in range(2, T + 1)]
+            js += [3] if T >= 3 else []
+            for j in js:
+                verdict = lcd_verdict(code(ctx, j), "all")
+                assert verdict.is_lcd and verdict.hull_dim == 0, (v, T, j)
 
 
 def test_conjecture_scan_is_clean_and_sorted():
@@ -173,6 +163,10 @@ def test_conjecture_scan_is_clean_and_sorted():
 def test_conjecture_scan_respects_dim_cap():
     rows = conjecture_scan(2, 4, dim_cap=100)
     assert all(row["n"] <= 100 for row in rows)
+    assert len(conjecture_scan(2, 4, dim_cap=4)) == 1  # only C_1 of the smallest ring, n = 4
+    for cap in (3, 0, -1):  # below n = 4 the scan would be vacuous
+        with pytest.raises(ValidationError, match="dim_cap"):
+            conjecture_scan(2, 4, dim_cap=cap)
 
 
 def test_conjecture_scan_parallel_matches_serial():

@@ -1,4 +1,4 @@
-"""Ring context construction, classification, and the ideal chain."""
+"""Ring context construction and the ideal chain."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from polycode.codes import code, contains
 from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import div_rem, is_irreducible, mul, mul_trunc, parse, power, reciprocal
-from polycode.ring import RING_TABLE_BITS, classify, ideal_generator, new_context, reduce_mod, shift_word
+from polycode import ring
+from polycode.ring import RING_TABLE_BITS, new_context
 from polycode.trinomial_family import family_context
 
 P2 = parse("x^2+x+1")
@@ -17,12 +18,23 @@ P3 = parse("x^3+x+1")
 P4 = parse("x^4+x+1")
 
 
+def valuation(ctx, w):
+    """Reference P-adic valuation of a ring word by repeated division, capped at L (the zero word)."""
+    v = 0
+    while v < ctx.L:
+        q, r = div_rem(w, ctx.P)
+        if r:
+            break
+        w, v = q, v + 1
+    return v
+
+
 def test_context_basic_quantities():
     ctx = new_context(P4, 16)
     assert (ctx.m, ctx.L, ctx.n, ctx.T, ctx.e) == (4, 16, 64, 4, 15)
     assert mul(ctx.P, ctx.U) == ctx.x_e_1
     assert ctx.P_pows[0] == 1 and ctx.P_pows[1] == P4
-    assert ctx.associate == power(P4, 16) ^ (1 << 64)
+    assert ctx.P_pows[16] == power(P4, 16)
 
 
 def _old_regime(L):
@@ -83,35 +95,6 @@ def test_validation_messages():
         new_context(P3, "4")  # type: ignore[arg-type]
 
 
-def test_classify_by_exhaustion():
-    ctx = new_context(P3, 2)
-    for w in range(1, 1 << ctx.n):
-        c = classify(ctx, w)
-        # recompute the P-adic valuation directly
-        val = 0
-        cur = w
-        while True:
-            from polycode.gf2poly import div_rem
-
-            q, r = div_rem(cur, ctx.P)
-            if r:
-                break
-            val += 1
-            cur = q
-        val = min(val, ctx.L)
-        if val == 0:
-            assert c == ("unit", None)
-        else:
-            assert c == ("nilpotent", val)
-    assert classify(ctx, 0) == ("zero", None)
-
-
-def test_classify_rejects_out_of_ring_words():
-    ctx = new_context(P3, 2)
-    with pytest.raises(ValidationError):
-        classify(ctx, 1 << ctx.n)
-
-
 @pytest.mark.parametrize("poly,L", [(P2, 4), (P2, 8), (P3, 4), (P4, 4), (P3, 5)])
 def test_ideal_lattice_exhaustive(poly, L):
     """Membership in C_j is exactly 'P-adic valuation >= j', for every ring word."""
@@ -120,8 +103,7 @@ def test_ideal_lattice_exhaustive(poly, L):
         pytest.skip("exhaustive sweep kept small")
     codes = [code(ctx, j) for j in range(L + 1)]
     for w in range(1 << ctx.n):
-        c = classify(ctx, w)
-        v = L if c.kind == "zero" else (c.index or 0)
+        v = valuation(ctx, w)
         for j in range(L + 1):
             assert contains(codes[j], w) == (v >= j)
 
@@ -129,24 +111,9 @@ def test_ideal_lattice_exhaustive(poly, L):
 def test_ideal_generators_are_powers():
     ctx = new_context(P4, 7)
     for j in range(8):
-        assert ideal_generator(ctx, j) == (ctx.P_pows[j] if j < 7 else 0)
+        assert code(ctx, j).generator == power(P4, j)
     with pytest.raises(ValidationError):
-        ideal_generator(ctx, 8)
-
-
-@given(st.integers(min_value=0, max_value=(1 << 12) - 1))
-def test_shift_word_is_multiplication_by_x(w):
-    ctx = new_context(P3, 4)
-    w &= (1 << ctx.n) - 1
-    assert shift_word(ctx, w) == reduce_mod(ctx, w << 1)
-
-
-@given(st.integers(min_value=0, max_value=(1 << 30) - 1))
-def test_reduce_mod_is_remainder(w):
-    ctx = new_context(P2, 5)
-    from polycode.gf2poly import div_rem
-
-    assert reduce_mod(ctx, w) == div_rem(w, power(ctx.P, ctx.L))[1]
+        code(ctx, 8)
 
 
 def _assert_low_cofactors(ctx):
@@ -187,6 +154,15 @@ def test_context_builds_on_wide_primitive_rings():
     ctx = new_context(P61, 2)
     assert ctx.e == 2**61 - 1
     assert mul_trunc(reciprocal(P61), ctx.U_star, ctx.n) == 1
+
+
+def test_the_power_table_budget_refuses_before_the_irreducibility_test(monkeypatch):
+    def unreachable(f):
+        raise AssertionError("is_irreducible ran on a ring over the budget")
+
+    monkeypatch.setattr(ring, "is_irreducible", unreachable)
+    with pytest.raises(CapExceeded, match="budget"):
+        new_context((1 << 30_000_000) | 3, 2)  # 3m bits for P^0..P^2, m = 3*10^7
 
 
 def test_the_power_table_budget_refuses_before_building():
