@@ -6,7 +6,8 @@ polynomial multiples of P^j of degree below n.  Codewords travel as ints
 (bit i = coordinate i).  Here live the code object, its generator rows,
 membership, reversibility, and the two default caps every search shares:
 DEFAULT_ENUM_CAP on the dimension an exact oracle takes, and
-DEFAULT_CANDIDATE_CAP on the words in one reduced candidate set.
+DEFAULT_CANDIDATE_CAP on the words in one reduced candidate set (check_caps
+refuses a negative one).
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ from .ring import RingContext
 
 DEFAULT_ENUM_CAP = 28
 DEFAULT_CANDIDATE_CAP = 1 << 20  # words in one reduced or dual candidate set
+
+
+def check_caps(**caps: int) -> None:
+    """Refuse a negative cap; 0 is legal and turns its search off."""
+    for name, value in caps.items():
+        if value < 0:
+            raise ValidationError(f"{name.replace('_', ' ')} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._linalg import min_weight_affine, min_weight_span
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, code, generator_rows
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, generator_rows
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import weight
 from .ring import RingContext
@@ -184,6 +184,7 @@ def full_distance_profile(
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> list[DistanceReport]:
     """Best-known distance report for every j = 0..L, cross-checked along the way."""
+    check_caps(oracle_cap=oracle_cap, candidate_cap=candidate_cap)
     L, T, n = ctx.L, ctx.T, ctx.n
     reports = [DistanceReport(j, 1, n) for j in range(L + 1)]
     reports[0].set_exact(1, "full-space")
@@ -247,6 +248,7 @@ def single_distance_report(
     """Report for one j: structural profile plus an oracle pass on this index only."""
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
+    check_caps(oracle_cap=oracle_cap)
     reports = full_distance_profile(ctx, oracle_cap=0, candidate_cap=candidate_cap)
     _oracle_pass(ctx, reports[j], oracle_cap)
     return reports[j]

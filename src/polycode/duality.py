@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from ._linalg import affine_weights, in_span, min_weight_affine, min_weight_span, parity_dot, rank, rref
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, code
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import mul_trunc, power_trunc, substitute_power
 from .ring import RingContext
@@ -211,6 +211,7 @@ def dual_summary(
     ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP, samples: int = 0, seed: int = 0
 ) -> dict:
     """JSON-ready dual summary for C_j."""
+    check_caps(oracle_cap=oracle_cap)
     dual = dual_code(code(ctx, j))
     closed = sequential_closure_check(dual, samples=samples, seed=seed)  # refuses a bad count before the distance runs
     d, provenance = dual_distance_with_provenance(ctx, j, oracle_cap=oracle_cap)

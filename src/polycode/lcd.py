@@ -1,13 +1,14 @@
 """Linear-complementary-dual (LCD) verdicts for the chain codes.
 
 Two independent routes: an oracle that measures the hull C intersect C-dual
-through the rank of the Gram matrix G*G^T (cross-checked against a null-space
-computation), and rank criteria that decide LCD directly from one structured
-matrix — one form for j up to 2^(T-1), another for j beyond it.  The rows of
-G are the shifts x^i * P^j, none of which wraps past x^(n-1), so G*G^T is a
-symmetric Toeplitz matrix built from k parities.  The head criterion's
-cross-check sweeps every nonzero delta in Gray-code order, one XOR each.  A
-scanner sweeps whole rings of the trinomial family looking for
+through the rank of the Gram matrix G*G^T (cross-checked by rational
+reconstruction: one extended Euclid on x^n and (P * P_star)^j, P_star the
+reciprocal of P), and rank criteria that decide LCD directly from one
+structured matrix — one form for j up to 2^(T-1), another for j beyond it.
+The rows of G are the shifts x^i * P^j, none of which wraps past x^(n-1), so
+G*G^T is a symmetric Toeplitz matrix built from k parities.  The head
+criterion's cross-check sweeps every nonzero delta in Gray-code order, one
+XOR each.  A scanner sweeps whole rings of the trinomial family looking for
 counterexamples.
 """
 
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 from itertools import accumulate, takewhile
 from operator import xor
 
-from ._linalg import column_kernel, nullspace, parity_dot, rank
-from .codes import PolycyclicCode, code, generator_rows
+from ._linalg import column_kernel, parity_dot, rank
+from .codes import PolycyclicCode, code
 from .errors import InternalConsistencyError, ValidationError, WrongRegime
-from .gf2poly import mul_trunc, power_trunc
+from .gf2poly import degree, mul, mul_trunc, power_trunc, reciprocal
 from .trinomial_family import family_context
 
 
@@ -64,8 +65,33 @@ def _toeplitz_gram(g: int, k: int) -> list[int]:
     return [(band >> (k - 1 - a)) & mask for a in range(k)]
 
 
+def _hull_by_reconstruction(c: PolycyclicCode) -> int:
+    """dim(C intersect C-dual) from one extended Euclid on (x^n, q), q = (P * P_star)^j mod x^n.
+
+    The dual word h has inverse P_star^j mod x^n (e * 2^T > n), so a*g lies
+    in C-dual iff deg(a*q mod x^n) < m*j.  Every such a with deg a < k is a
+    multiple alpha*t of the cofactor t at the first remainder r of degree
+    below m*j (uniqueness of rational reconstruction, von zur Gathen-Gerhard,
+    Modern Computer Algebra, 5.7); deg(alpha*t) < k and deg(alpha*r) < m*j
+    bound deg alpha.
+    """
+    ctx, k, mj = c.ctx, c.k, c.ctx.m * c.j
+    q = power_trunc(mul(ctx.P, reciprocal(ctx.P)), c.j, ctx.n)
+    # (r0, t0), (r1, t1) are consecutive Euclid rows; each keeps r == t*q mod x^n
+    r0, t0, r1, t1 = 1 << ctx.n, 0, q, 1
+    while r1.bit_length() > mj:
+        while r0.bit_length() >= r1.bit_length():
+            shift = r0.bit_length() - r1.bit_length()
+            r0 ^= r1 << shift
+            t0 ^= t1 << shift
+        r0, t0, r1, t1 = r1, t1, r0, t0
+    if r1 == 0:
+        return k - degree(t1)
+    return max(0, min(k - degree(t1), mj - degree(r1)))
+
+
 def hull_dimension_oracle(c: PolycyclicCode) -> int:
-    """dim(C intersect C-dual) via the Gram matrix, cross-checked via null spaces.
+    """dim(C intersect C-dual) via the Gram matrix, cross-checked by rational reconstruction.
 
     The generator rows are x^i * P^j for i < k; the last one has degree
     k-1 + m*j = n-1, so no row wraps and the Gram matrix is Toeplitz
@@ -73,16 +99,11 @@ def hull_dimension_oracle(c: PolycyclicCode) -> int:
     """
     if c.j == c.ctx.L:
         return 0
-    k = c.k
-    hull = k - rank(_toeplitz_gram(c.generator, k))
-
-    rows = generator_rows(c)
-    dual_basis = nullspace(rows, c.n)
-    stacked = rows + dual_basis
-    hull_ns = k + len(dual_basis) - rank(stacked)
-    if hull != hull_ns:
+    hull = c.k - rank(_toeplitz_gram(c.generator, c.k))
+    hull_rr = _hull_by_reconstruction(c)
+    if hull != hull_rr:
         raise InternalConsistencyError(
-            f"hull dimension mismatch: Gram rank gives {hull}, null space gives {hull_ns}"
+            f"hull dimension mismatch: Gram rank gives {hull}, rational reconstruction gives {hull_rr}"
         )
     return hull
 

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import polycode
-from polycode import _linalg, duality
+from polycode import duality, lcd
 from polycode.cli import main
 
 
@@ -67,6 +67,25 @@ def test_dual_unresolved_prints_placeholder(capsys):
     assert main(["dual", "--poly", "x^5+x^4+x^2+x+1", "--power", "12", "--j", "3",
                  "--oracle-cap", "0"]) == 0
     assert "unresolved" in capsys.readouterr().out
+
+
+ANALYZE_M3 = ["analyze", "--poly", "x^3+x+1", "--power", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, cap, value",
+    [
+        (ANALYZE_M3, "--oracle-cap", "-5"),
+        (ANALYZE_M3, "--candidate-cap", "-1"),
+        ([*ANALYZE_M3, "--j", "2"], "--oracle-cap", "-1"),
+        (["dual", "--poly", "x^3+x+1", "--power", "4", "--j", "2"], "--oracle-cap", "-1"),
+    ],
+    ids=["analyze-oracle", "analyze-candidate", "analyze-single", "dual"],
+)
+def test_a_negative_cap_exits_2(capsys, argv, cap, value):
+    assert main([*argv, cap, value]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert main([*argv, cap, "0"]) == 0  # cap 0 stays legal: it only turns the search off
 
 
 def test_lcd_single_and_sweep(capsys):
@@ -160,16 +179,12 @@ def test_many_calls_in_one_process_do_not_leak_options(capsys):
     assert capsys.readouterr().out.startswith("# n=12")
 
 
-def test_a_failing_nullspace_check_exits_3(capsys, monkeypatch):
-    good = _linalg.rref
-
-    def corrupted(rows):
-        (c, b), *rest = good(rows)
-        return [(c, b ^ 1), *rest]
-
-    monkeypatch.setattr(_linalg, "rref", corrupted)
+def test_a_failing_hull_cross_check_exits_3(capsys, monkeypatch):
+    # a flipped bit in q = (P * P_star)^j moves the reconstruction's hull off the Gram rank's
+    real = lcd.power_trunc
+    monkeypatch.setattr(lcd, "power_trunc", lambda a, e, nbits: real(a, e, nbits) ^ 2)
     assert main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--j", "2", "--methods", "oracle"]) == 3
-    assert "nullspace" in capsys.readouterr().err
+    assert "hull dimension mismatch" in capsys.readouterr().err
 
 
 def test_a_dual_word_off_the_dual_exits_3(capsys, monkeypatch):

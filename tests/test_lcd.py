@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode._linalg import parity_dot, rank
+from polycode._linalg import nullspace, parity_dot, rank
 from polycode.codes import code, generator_rows
+from polycode.duality import dual_code
 from polycode.errors import ValidationError, WrongRegime
-from polycode.gf2poly import is_irreducible, mul_trunc, parse
+from polycode.gf2poly import is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
 from polycode.lcd import (
     _gray_sweep,
+    _hull_by_reconstruction,
     _toeplitz_gram,
     conjecture_scan,
     hull_dimension_oracle,
@@ -50,21 +52,57 @@ def test_hull_dimensions_frozen():
     assert hull_dimension_oracle(code(new_context(parse("x^11+x^10+x^5+x^4+1"), 8), 1)) == 10
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 2**32))
-def test_toeplitz_gram_matches_the_pairwise_gram(deg, seed):
+def _random_ring(deg: int, seed: int):
+    """A ring over a random irreducible P of degree deg, with n = deg*L up to about 72."""
     rng = random.Random(seed)
     while True:
         P = (1 << deg) | rng.getrandbits(deg - 1) << 1 | 1
         if is_irreducible(P):
-            break
-    ctx = new_context(P, rng.randrange(2, max(3, 72 // deg + 1)))
+            return new_context(P, rng.randrange(2, max(3, 72 // deg + 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32))
+def test_toeplitz_gram_matches_the_pairwise_gram(deg, seed):
+    ctx = _random_ring(deg, seed)
     for j in range(ctx.L + 1):  # j = 0 is the whole space, k = n
         c = code(ctx, j)
         rows = generator_rows(c)
         pairwise = [sum(parity_dot(ra, rb) << b for b, rb in enumerate(rows)) for ra in rows]
         assert _toeplitz_gram(c.generator, c.k) == pairwise, (P, ctx.L, j)
         assert hull_dimension_oracle(c) == c.k - rank(pairwise)
+
+
+def _nullspace_hull(c) -> int:
+    """Reference hull: k + dim(C-dual) - rank of the generator rows stacked on a C-dual basis."""
+    rows = generator_rows(c)
+    ns = nullspace(rows, c.n)
+    return c.k + len(ns) - rank(rows + ns)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32))
+def test_reconstruction_hull_matches_the_nullspace_hull(deg, seed):
+    ctx = _random_ring(deg, seed)
+    for j in range(ctx.L + 1):
+        c = code(ctx, j)
+        want = _nullspace_hull(c)
+        assert _hull_by_reconstruction(c) == want, (ctx.P, ctx.L, j)
+        assert hull_dimension_oracle(c) == want, (ctx.P, ctx.L, j)
+
+
+def test_reconstruction_target_inverts_the_dual_word():
+    # q = (P * P_star)^j mod x^n is g * h^-1: the dual word h has inverse P_star^j mod x^n
+    for deg in (2, 3, 4, 5):
+        for P in range((1 << deg) | 1, 1 << (deg + 1), 2):
+            if not is_irreducible(P):
+                continue
+            for L in range(2, 24 // deg + 3):
+                ctx = new_context(P, L)
+                for j in range(1, L):
+                    c = code(ctx, j)
+                    q = power_trunc(mul(P, reciprocal(P)), j, ctx.n)
+                    assert mul_trunc(q, dual_code(c).h_star, ctx.n) == c.generator, (P, L, j)
 
 
 @settings(max_examples=200, deadline=None)
