@@ -1,7 +1,7 @@
 """Bit-packed linear algebra over GF(2).
 
 A matrix row is an int whose bit c is the entry in column c.  Rank, reduced
-echelon form, null spaces, and span membership all work on lists of such ints.
+echelon form and null spaces all work on lists of such ints.
 Elimination reduces each row against a table of basis rows keyed by leading
 bit; rref then back-substitutes once, lowest pivot first.  nullspace checks
 every basis vector against every row through the columns of the rows, each a
@@ -68,14 +68,6 @@ def _reduce_pivots(lead: dict[int, int]) -> dict[int, int]:
 def rref(rows: list[int]) -> list[tuple[int, int]]:
     """Reduced echelon form as (pivot_column, row) pairs, highest pivot first."""
     return sorted(_reduce_pivots(_echelon(rows)).items(), reverse=True)
-
-
-def in_span(pivots: list[tuple[int, int]], word: int) -> bool:
-    """Whether word lies in the row space described by rref output."""
-    for c, b in pivots:
-        if (word >> c) & 1:
-            word ^= b
-    return word == 0
 
 
 def nullspace(rows: list[int], ncols: int) -> list[int]:

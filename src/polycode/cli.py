@@ -64,7 +64,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_dual(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    summary = dual_summary(ctx, args.j, oracle_cap=args.oracle_cap, samples=args.samples)
+    summary = dual_summary(ctx, args.j, oracle_cap=args.oracle_cap)
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_args(p)
     p.add_argument("--j", required=True, type=int)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ENUM_CAP, help="max dual dimension handed to the exact oracle")
-    p.add_argument("--samples", type=int, default=0, help="extra random words for the closure check")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_dual)
 

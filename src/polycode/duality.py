@@ -1,30 +1,29 @@
 """Euclidean duals of the chain codes.
 
-The dual of C_j is spanned by the first m*j shifts of one word h*, built from
-x^e + 1 and the coefficient-reversed cofactor of P; construction always
-verifies full rank and orthogonality against the generator matrix, the latter
-by n - 1 parities since both row sets are shifts of one word.  Duals are
-"sequential" codes: shifting a dual word right by one position stays in the
-dual after an appropriate bit enters at the top.  On two families of indices
-(j a power of two, and the upper anchors j = 2^T - 2^(T-r) in ctx.tops) the
-dual distance is the minimum over a small explicit candidate set.  That set
-is an affine span (the spread map is linear), so the minimum-weight kernel of
-_linalg searches it, as it searches the dual code itself in the exact oracle
-that covers every other j.
+The dual of C_j is spanned by the first m*j shifts of one word h* = P*^-j
+mod x^n, P* the reciprocal of P.  The paper builds h* as
+(x^e + 1)^(2^T - j) * ((x^e + 1)/P*)^j; since e * 2^T > n (ring.py),
+(x^e + 1)^(2^T) == 1 mod x^n and that product is P*^-j.  Construction always verifies full
+rank and orthogonality against the generator matrix, the latter by n - 1
+parities since both row sets are shifts of one word.  Duals are "sequential"
+codes: shifting a dual word right by one position stays in the dual after an
+appropriate bit enters at the top.  On two families of indices (j a power of
+two, and the upper anchors j = 2^T - 2^(T-r) in ctx.tops) the dual distance
+is the minimum over a small explicit candidate set.  That set is an affine
+span (the spread map is linear), so the minimum-weight kernel of _linalg
+searches it, as it searches the dual code itself in the exact oracle that
+covers every other j.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from ._linalg import affine_weights, in_span, min_weight_affine, min_weight_span, parity_dot, rank, rref
+from ._linalg import affine_weights, min_weight_affine, min_weight_span, parity_dot, rank
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import mul_trunc, power_trunc, substitute_power
+from .gf2poly import power_trunc, substitute_power
 from .ring import RingContext
-
-CLOSURE_WORK_CAP = 1 << 22  # closure samples x dual dimension; a sample costs ~0.4 us per dimension
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,7 @@ def dual_code(c: PolycyclicCode) -> DualCode:
         raise ValidationError("dual construction covers 1 <= j <= L - 1")
     n = ctx.n
     mask = (1 << n) - 1
-    h = mul_trunc(
-        power_trunc(ctx.x_e_1, (1 << ctx.T) - j, n),
-        power_trunc(ctx.U_star, j, n),
-        n,
-    )
+    h = power_trunc(ctx.P_star_inv, j, n)
     rows = tuple((h << i) & mask for i in range(ctx.m * j))
     if rank(list(rows)) != ctx.m * j:
         raise InternalConsistencyError("dual spanning rows are not independent")
@@ -77,37 +72,15 @@ def dual_min_distance_bruteforce(dual: DualCode, cap: int = DEFAULT_ENUM_CAP) ->
     return min_weight_span(list(dual.rows), dual.n)
 
 
-def sequential_closure_check(dual: DualCode, samples: int = 0, seed: int = 0) -> bool:
-    """Whether each checked dual word, shifted right, stays in the dual for some top bit.
+def sequential_closure_check(dual: DualCode) -> bool:
+    """Whether every dual word, shifted right, stays in the dual for some top bit.
 
-    The rows are checked, plus samples random dual words; samples is refused
-    below 0, above DEFAULT_CANDIDATE_CAP, and when samples * dim passes
-    CLOSURE_WORK_CAP.
+    With top = x^(n-1), "w >> 1 or (w >> 1) | top lies in D" says w >> 1 lies
+    in D + <top>, a subspace, and w -> w >> 1 is linear: so the whole dual
+    closes exactly when every row does, which one rank comparison decides.
     """
-    if samples < 0:
-        raise ValidationError(f"samples must be >= 0, got {samples}")
-    cap = min(DEFAULT_CANDIDATE_CAP, CLOSURE_WORK_CAP // dual.dim)
-    if samples > cap:
-        raise CapExceeded(f"{samples} closure samples, over the cap of {cap} at dual dimension {dual.dim}")
-    pivots = rref(list(dual.rows))
-    top = 1 << (dual.n - 1)
-
-    def shifted_stays(w: int) -> bool:
-        w1 = w >> 1
-        return in_span(pivots, w1) or in_span(pivots, w1 | top)
-
-    words = list(dual.rows)
-    if samples:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            combo = rng.getrandbits(dual.dim)
-            w = 0
-            t = combo
-            while t:
-                w ^= dual.rows[(t & -t).bit_length() - 1]
-                t &= t - 1
-            words.append(w)
-    return all(shifted_stays(w) for w in words)
+    with_top = [*dual.rows, 1 << (dual.n - 1)]
+    return rank(with_top + [r >> 1 for r in dual.rows]) == rank(with_top)
 
 
 # ---------------------------------------------------------------------------
@@ -115,22 +88,23 @@ def sequential_closure_check(dual: DualCode, samples: int = 0, seed: int = 0) ->
 # ---------------------------------------------------------------------------
 
 
-def _spread_candidates(
-    ctx: RingContext, t: int, x_exp: int, u_exp: int, lead_deg: int, cap: int
-) -> tuple[int, list[int]]:
+def _spread_candidates(ctx: RingContext, t: int, u_exp: int, lead_deg: int, cap: int) -> tuple[int, list[int]]:
     """The dual candidates with spread factor 2^(T-t), as (g, rows).
 
-    With base = (x^e + 1)^x_exp * U*^u_exp and spread(w) = w(x^factor) *
+    With base = P*^-u_exp mod x^tbits and spread(w) = w(x^factor) *
     x^(factor - 1) mod x^n, the candidates are spread(ell * base) for ell =
-    x^lead_deg + lower terms.  spread is GF(2)-linear, so the candidate of
-    ell = x^lead_deg + i is word i of g ^ span(rows), with g =
-    spread(base * x^lead_deg) and rows[b] = spread(base * x^b).
+    x^lead_deg + lower terms.  The paper's base also carries a power
+    (x^e + 1)^x_exp with u_exp + x_exp = 2^t; tbits <= m * 2^t < e * 2^t, so
+    (x^e + 1)^(2^t) == 1 mod x^tbits and the base is P*^-u_exp alone.
+    spread is GF(2)-linear, so the candidate of ell = x^lead_deg + i is word
+    i of g ^ span(rows), with g = spread(base * x^lead_deg) and rows[b] =
+    spread(base * x^b).
     """
     if 1 << lead_deg > cap:
         raise CapExceeded(f"dual reduced set has 2^{lead_deg} candidates, over the cap of {cap}")
     factor = 1 << (ctx.T - t)
     tbits = -(-ctx.n // factor)  # only these low coefficients survive the spread
-    base = mul_trunc(power_trunc(ctx.x_e_1, x_exp, tbits), power_trunc(ctx.U_star, u_exp, tbits), tbits)
+    base = power_trunc(ctx.P_star_inv, u_exp, tbits)
     mask, tmask = (1 << ctx.n) - 1, (1 << tbits) - 1
 
     def spread(w: int) -> int:
@@ -148,10 +122,10 @@ def _candidate_min(ctx: RingContext, candidates: tuple[int, list[int]]) -> int:
 
 
 def _pow2_candidates(ctx: RingContext, s: int, candidate_cap: int) -> tuple[int, list[int]]:
-    """(g, rows) of the dual candidates at j = 2^(T-s): (x^e + 1)^(2^s - 1) * U* spread by 2^(T-s)."""
+    """(g, rows) of the dual candidates at j = 2^(T-s): P*^-1 spread by 2^(T-s)."""
     if not 1 <= s <= ctx.T:
         raise ValidationError("dual anchor parameter s must satisfy 1 <= s <= T")
-    return _spread_candidates(ctx, s, (1 << s) - 1, 1, ctx.m - 1, candidate_cap)
+    return _spread_candidates(ctx, s, 1, ctx.m - 1, candidate_cap)
 
 
 def dual_pow2_candidates(ctx: RingContext, s: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> dict[int, int]:
@@ -171,7 +145,7 @@ def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int = DEFA
     if not 1 <= r <= len(ctx.tops):
         raise ValidationError(f"dual anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
     lead_deg = ctx.m * ((1 << r) - 1) - 1
-    return _candidate_min(ctx, _spread_candidates(ctx, r, 1, (1 << r) - 1, lead_deg, candidate_cap))
+    return _candidate_min(ctx, _spread_candidates(ctx, r, (1 << r) - 1, lead_deg, candidate_cap))
 
 
 def dual_distance_with_provenance(
@@ -207,13 +181,11 @@ def dual_distance_with_provenance(
     return d, provenance
 
 
-def dual_summary(
-    ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP, samples: int = 0, seed: int = 0
-) -> dict:
+def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> dict:
     """JSON-ready dual summary for C_j."""
     check_caps(oracle_cap=oracle_cap)
     dual = dual_code(code(ctx, j))
-    closed = sequential_closure_check(dual, samples=samples, seed=seed)  # refuses a bad count before the distance runs
+    closed = sequential_closure_check(dual)
     d, provenance = dual_distance_with_provenance(ctx, j, oracle_cap=oracle_cap)
     if closed:
         provenance.append("sequential-closure")

@@ -225,9 +225,14 @@ def _rho_split(n: int) -> int | None:
     return None
 
 
-def _prime_factors(n: int) -> set[int]:
-    """The distinct prime factors of n >= 1; CapExceeded if a cofactor neither splits nor proves prime."""
+def _prime_factors(n: int) -> tuple[set[int], dict[int, str]]:
+    """The distinct prime factors of n >= 1, and each cofactor that neither splits nor proves prime.
+
+    The second part maps such a cofactor to its status, "is composite" or
+    "may be prime but is unproven"; it is empty when n factors completely.
+    """
     out = set()
+    stuck: dict[int, str] = {}
     for p in range(2, _TRIAL_LIMIT):  # a composite p never divides: its prime factors are gone
         if p * p > n:
             break
@@ -249,10 +254,10 @@ def _prime_factors(n: int) -> set[int]:
             continue
         g = _rho_split(c)
         if g is None:
-            status = "is composite" if prime is False else "may be prime but is unproven"
-            raise CapExceeded(f"cannot factor {c} ({status}) within {_RHO_BUDGET} rho steps")
-        stack += [g, c // g]
-    return out
+            stuck[c] = "is composite" if prime is False else "may be prime but is unproven"
+        else:
+            stack += [g, c // g]
+    return out, stuck
 
 
 def order(f: int) -> int:
@@ -261,7 +266,10 @@ def order(f: int) -> int:
     Every irreducible f qualifies, since x then lies in the multiplicative group
     of the field F2[x]/<f>, of order 2^m - 1.  Any f failing that test (most
     reducible ones) is refused.  The order divides 2^m - 1, so it comes from
-    factoring 2^m - 1 and stripping each prime q while x^(e/q) == 1 mod f.
+    factoring 2^m - 1 and stripping each prime q while x^(e/q) == 1 mod f.  A
+    cofactor c that does not factor is stripped whole: its part g of e (the
+    divisor of e built from c's primes) goes when x^(e/g) == 1 mod f, and the
+    order is refused only when it needs c.
     """
     if f == 0 or not (f & 1):
         raise ValidationError("order requires a nonzero constant term")
@@ -271,9 +279,18 @@ def order(f: int) -> int:
     e = (1 << m) - 1
     if power_mod(2, e, f) != 1:
         raise ValidationError("order requires x^(2^m - 1) == 1 mod f, which every irreducible f meets")
-    for q in _prime_factors(e):
+    primes, stuck = _prime_factors(e)
+    for q in primes:
         while e % q == 0 and power_mod(2, e // q, f) == 1:
             e //= q
+    for c, status in stuck.items():
+        g, t = 1, math.gcd(e, c)
+        while t > 1:
+            g *= t
+            t = math.gcd(e // g, c)
+        if power_mod(2, e // g, f) != 1:
+            raise CapExceeded(f"cannot factor {c} ({status}) within {_RHO_BUDGET} rho steps")
+        e //= g
     return e
 
 

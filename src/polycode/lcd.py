@@ -120,11 +120,7 @@ def is_lcd_head_criterion(c: PolycyclicCode) -> bool:
         raise WrongRegime("the head rank criterion covers 1 <= j <= 2^(T-1)")
     n, k, mj = ctx.n, c.k, ctx.m * j
     mask = (1 << n) - 1
-    W = mul_trunc(
-        power_trunc(ctx.x_e_1, (1 << ctx.T) - 2 * j, n),
-        power_trunc(mul_trunc(ctx.U, ctx.U_star, n), j, n),
-        n,
-    )
+    W = power_trunc(mul_trunc(ctx.P_inv, ctx.P_star_inv, n), j, n)
     cols = [((W << i) & mask) >> k for i in range(mj)]
     full_rank = not column_kernel(cols)
 
@@ -157,11 +153,7 @@ def is_lcd_tail_criterion(c: PolycyclicCode) -> bool:
     n, k, mj = ctx.n, c.k, ctx.m * j
     mask = (1 << n) - 1
     A = power_trunc(ctx.P, 2 * j - (1 << ctx.T), n)
-    Q = mul_trunc(
-        power_trunc(ctx.U, (1 << ctx.T) - j, n),
-        power_trunc(ctx.U_star, j, n),
-        n,
-    )
+    Q = mul_trunc(power_trunc(ctx.P_inv, (1 << ctx.T) - j, n), power_trunc(ctx.P_star_inv, j, n), n)
     cols = [(A << i) & mask for i in range(k)] + [(Q << i) & mask for i in range(mj)]
     kernel = column_kernel(cols)
     for combo in kernel:

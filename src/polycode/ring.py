@@ -5,18 +5,17 @@ its ideals are exactly <P^j> for j = 0..L, each a binary code of length
 n = m*L once polynomials (ints, bit i = coefficient of x^i) are read as
 coordinate vectors.  A RingContext carries the derived constants everything
 else keys off: T with 2^(T-1) < L <= 2^T, the multiplicative order e of x mod
-P, the cofactor U = (x^e + 1)/P and its reciprocal U* = (x^e + 1)/P*, and the
-anchor lattice `tops`: the upper anchors j = 2^T - 2^(T-r) below L, for
-r = 1, 2, ...  Every anchor j has the spread B = j & -j (so tops[0] = 2^(T-1)
-is also the top lower anchor, B = j), and the unanchored tail past the last
-one has length L - tops[-1].
+P, the power-series inverses P^-1 and P*^-1 mod x^n of P and its reciprocal
+P*, and the anchor lattice `tops`: the upper anchors j = 2^T - 2^(T-r) below
+L, for r = 1, 2, ...  Every anchor j has the spread B = j & -j (so tops[0] =
+2^(T-1) is also the top lower anchor, B = j), and the unanchored tail past the
+last one has length L - tops[-1].
 
-U and U* are kept as their low b = min(n, e - m + 1) coefficients: every
-consumer works mod x^n, and deg U = e - m, so they are exact whenever
-e - m < n.  Since P*U = 1 + x^e, the low b coefficients of U are the
-power-series inverse of P mod x^b, which takes O(log b) products where the
-full cofactor would need a division of an e-bit dividend (e can reach
-2^m - 1).
+The paper writes the dual and LCD words with the cofactor (x^e + 1)/P and
+powers of x^e + 1.  P divides x^e + 1 and x^m + 1 is reducible, so e > m and
+e * 2^T > m * L = n; then (x^e + 1)^(2^T) = x^(e * 2^T) + 1 == 1 mod x^n, and
+each such word is a power of P^-1 and P*^-1 mod x^n: the inverses are all the
+ring needs to keep.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ class RingContext:
     n: int
     T: int
     e: int
-    U: int  # (x^e + 1)/P, low min(n, e - m + 1) coefficients
-    U_star: int  # (x^e + 1)/P*, low min(n, e - m + 1) coefficients
+    P_inv: int  # P^-1 mod x^n
+    P_star_inv: int  # P*^-1 mod x^n, P* the reciprocal of P
     tops: tuple[int, ...]  # upper anchors 2^T - 2^(T-r) < L, r = 1, 2, ...; tops[0] = 2^(T-1)
     P_pows: tuple[int, ...]  # P^0 .. P^L
 
@@ -50,11 +49,6 @@ class RingContext:
     def regime(self) -> str:
         """Label for L in (2^(T-1), 2^T], for text headers: "pow2" at the top, else "low"/"high" by anchor count."""
         return "pow2" if self.L == 1 << self.T else "low" if len(self.tops) == 1 else "high"
-
-    @property
-    def x_e_1(self) -> int:
-        """The mask of x^e + 1 mod x^n; P divides x^e + 1 exactly, and e can reach 2^m - 1."""
-        return (1 << self.e) | 1 if self.e < self.n else 1
 
 
 def new_context(P: int, L: int) -> RingContext:
@@ -77,12 +71,10 @@ def new_context(P: int, L: int) -> RingContext:
     e = order(P)
     if power_mod(2, e, P) != 1:
         raise InternalConsistencyError("x^e + 1 is not an exact multiple of P")
-    b = min(n, e - m + 1)
     P_star = reciprocal(P)
-    U, U_star = inverse_trunc(P, b), inverse_trunc(P_star, b)
-    # b <= e - m + 1 < e, so x^e + 1 == 1 mod x^b
-    if mul_trunc(P, U, b) != 1 or mul_trunc(P_star, U_star, b) != 1:
-        raise InternalConsistencyError("cofactor of x^e + 1 disagrees with its defining product")
+    P_inv, P_star_inv = inverse_trunc(P, n), inverse_trunc(P_star, n)
+    if mul_trunc(P, P_inv, n) != 1 or mul_trunc(P_star, P_star_inv, n) != 1:
+        raise InternalConsistencyError("power-series inverse of P or P* disagrees with its defining product")
 
     pows = [1]
     for _ in range(L):
@@ -97,8 +89,8 @@ def new_context(P: int, L: int) -> RingContext:
         n=n,
         T=T,
         e=e,
-        U=U,
-        U_star=U_star,
+        P_inv=P_inv,
+        P_star_inv=P_star_inv,
         tops=tuple(j for j in ((1 << T) - (1 << (T - r)) for r in range(1, T + 1)) if j < L),
         P_pows=tuple(pows),
     )

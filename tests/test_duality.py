@@ -21,8 +21,8 @@ from polycode.duality import (
     sequential_closure_check,
 )
 from polycode import duality
-from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
-from polycode.gf2poly import is_irreducible, mul, mul_trunc, parse, power_trunc, substitute_power
+from polycode.errors import InternalConsistencyError, ValidationError
+from polycode.gf2poly import div_rem, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal, substitute_power
 from polycode.ring import new_context
 
 M3 = parse("x^3+x+1")
@@ -58,7 +58,7 @@ def test_orthogonality_by_shifts_agrees_with_every_pair(data):
     rows = [(h << i) & ((1 << n) - 1) for i in range(m * j)]
     full_rank = rank(rows) == m * j
     orthogonal = all(parity_dot(g, r) == 0 for g in generator_rows(c) for r in rows)
-    with mock.patch.object(duality, "mul_trunc", lambda a, b, nbits: h):
+    with mock.patch.object(duality, "power_trunc", lambda a, e, nbits: h):
         if full_rank and orthogonal:
             assert dual_code(c).h_star == h
         else:
@@ -118,6 +118,14 @@ def _spread_weights_reference(ctx, base, lead_deg, factor):
     return out
 
 
+def cofactor_forms(ctx):
+    """The paper's cofactors, as the reference: (x^e + 1, U = (x^e + 1)/P, U* = (x^e + 1)/P*) by exact division."""
+    x_e_1 = (1 << ctx.e) | 1
+    U, rem = div_rem(x_e_1, ctx.P)
+    assert rem == 0
+    return x_e_1, U, reciprocal(U)
+
+
 @st.composite
 def small_rings(draw):
     m = draw(st.integers(2, 10))
@@ -130,7 +138,8 @@ def small_rings(draw):
 def test_dual_candidates_match_a_per_ell_loop(ctx, data):
     s = data.draw(st.integers(1, ctx.T))
     factor, tbits = 1 << (ctx.T - s), -(-ctx.n // (1 << (ctx.T - s)))
-    base = mul_trunc(power_trunc(ctx.x_e_1, (1 << s) - 1, tbits), ctx.U_star, tbits)
+    x_e_1, _, U_star = cofactor_forms(ctx)
+    base = mul_trunc(power_trunc(x_e_1, (1 << s) - 1, tbits), U_star, tbits)
     want = _spread_weights_reference(ctx, base, ctx.m - 1, factor)
     assert dual_pow2_candidates(ctx, s) == want
     assert dual_pow2_distance(ctx, s) == min(w for w in want.values() if w)
@@ -138,7 +147,7 @@ def test_dual_candidates_match_a_per_ell_loop(ctx, data):
     lead_deg = ctx.m * ((1 << r) - 1) - 1
     if lead_deg <= 12:
         factor, tbits = 1 << (ctx.T - r), -(-ctx.n // (1 << (ctx.T - r)))
-        base = mul_trunc(ctx.x_e_1, power_trunc(ctx.U_star, (1 << r) - 1, tbits), tbits)
+        base = mul_trunc(x_e_1, power_trunc(U_star, (1 << r) - 1, tbits), tbits)
         want = _spread_weights_reference(ctx, base, lead_deg, factor)
         assert dual_complement_distance(ctx, r) == min(w for w in want.values() if w)
 
@@ -178,7 +187,7 @@ def test_sequential_closure_holds_for_constructed_duals():
     for poly, L in ((M3, 9), (M4, 6), (parse("x^5+x^2+1"), 4)):
         ctx = new_context(poly, L)
         for j in range(1, L):
-            assert sequential_closure_check(dual_code(code(ctx, j)), samples=25, seed=3)
+            assert sequential_closure_check(dual_code(code(ctx, j)))
 
 
 def test_dual_distance_provenance_paths():
@@ -193,7 +202,7 @@ def test_dual_distance_provenance_paths():
 
 def test_dual_summary_shape():
     ctx = new_context(M3, 9)
-    summary = dual_summary(ctx, 2, oracle_cap=24, samples=10)
+    summary = dual_summary(ctx, 2, oracle_cap=24)
     assert set(summary) == {"j", "n", "k_dual", "d_dual", "provenance"}
     assert summary["j"] == 2 and summary["n"] == 27 and summary["k_dual"] == 6
     assert summary["d_dual"] == 7
@@ -209,21 +218,26 @@ def test_complement_distance_covers_exactly_the_tops():
             dual_complement_distance(low_ctx, r)
 
 
-def test_dual_summary_refuses_a_bad_sample_count_before_the_distance(monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the dual distance ran before the sample count was checked")
-
-    monkeypatch.setattr(duality, "dual_distance_with_provenance", unreachable)
-    with pytest.raises(ValidationError):
-        dual_summary(new_context(M3, 9), 3, samples=-3)
+def _stays_shifted(rows, n, w):
+    """Per-word reference: w >> 1, or w >> 1 with the top bit set, lies in span(rows)."""
+    full = rank(rows)
+    w1 = w >> 1
+    return rank([*rows, w1]) == full or rank([*rows, w1 | 1 << (n - 1)]) == full
 
 
-def test_closure_samples_are_capped_by_samples_times_dimension():
-    small = dual_code(code(new_context(M3, 4), 1))  # dim 3: the 2^20 cap holds
-    big = dual_code(code(new_context(parse("x^8+x^4+x^3+x^2+1"), 24), 20))  # dim 160
-    assert (small.dim, big.dim) == (3, 160)
-    with pytest.raises(CapExceeded):
-        sequential_closure_check(small, samples=(1 << 20) + 1)
-    with pytest.raises(CapExceeded, match="dual dimension 160"):
-        sequential_closure_check(big, samples=duality.CLOSURE_WORK_CAP // 160 + 1)
-    assert sequential_closure_check(big, samples=50, seed=1)
+@settings(deadline=None)
+@given(st.data())
+def test_closure_rank_check_matches_a_per_word_reference(data):
+    # a real dual (always closed), or one with a bit flipped in a row (closed or not)
+    m = data.draw(st.integers(2, 4))
+    P = data.draw(st.sampled_from([f for f in range((1 << m) | 1, 1 << (m + 1), 2) if is_irreducible(f)]))
+    ctx = new_context(P, data.draw(st.integers(2, 6)))
+    dual = dual_code(code(ctx, data.draw(st.integers(1, ctx.L - 1))))
+    rows = list(dual.rows)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] ^= 1 << data.draw(st.integers(0, ctx.n - 1))
+    combos = data.draw(st.lists(st.integers(1, (1 << len(rows)) - 1), min_size=1, max_size=30))
+    words = rows + [_combine(rows, c) for c in combos]
+    want = all(_stays_shifted(rows, ctx.n, w) for w in words)
+    assert sequential_closure_check(duality.DualCode(ctx, dual.j, rows[0], tuple(rows))) == want

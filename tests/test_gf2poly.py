@@ -29,6 +29,7 @@ from polycode.gf2poly import (
     substitute_power,
     weight,
 )
+from polycode.trinomial_family import family_poly
 
 polys = st.integers(min_value=0, max_value=(1 << 256) - 1)
 nonzero = st.integers(min_value=1, max_value=(1 << 256) - 1)
@@ -178,6 +179,13 @@ def test_order_refuses_rather_than_guesses_an_unproven_cofactor():
         order(parse("x^97+x^6+1"))
 
 
+def test_order_strips_a_cofactor_it_cannot_factor_when_the_order_avoids_it():
+    # 2^486 - 1 leaves cofactors that do not factor within the rho budget, but
+    # the family trinomial at v = 5 has order 3^6, which none of them divides
+    assert _prime_factors((1 << 486) - 1)[1]
+    assert order(family_poly(5)) == 729
+
+
 @pytest.mark.parametrize("text", ["x^89+x^38+1", "x^127+x+1"])
 def test_order_proves_mersenne_prime_cofactors_by_lucas_lehmer(text):
     f = parse(text)
@@ -199,12 +207,12 @@ def test_prime_factors_match_trial_division(n):
         p += 1 if p == 2 else 2
     if rest > 1:
         expected.add(rest)
-    assert _prime_factors(n) == expected
+    assert _prime_factors(n) == (expected, {})
 
 
 def test_prime_factors_split_mersenne_cofactors_by_rho():
-    assert _prime_factors(2**67 - 1) == {193707721, 761838257287}
-    assert _prime_factors(2**62 - 1) == {3, 715827883, 2147483647}
+    assert _prime_factors(2**67 - 1) == ({193707721, 761838257287}, {})
+    assert _prime_factors(2**62 - 1) == ({3, 715827883, 2147483647}, {})
 
 
 @given(st.integers(min_value=0, max_value=(1 << 200) - 1), st.integers(min_value=1, max_value=300))

@@ -22,7 +22,6 @@ from polycode.ring import new_context
 from polycode._linalg import (
     affine_weights,
     column_kernel,
-    in_span,
     min_weight_affine,
     min_weight_span,
     nullspace,
@@ -60,16 +59,6 @@ def test_rank_and_rref_agree():
         for c, row in pivots:
             assert row >> c & 1
             assert sum(other >> c & 1 for _, other in pivots) == 1
-
-
-def test_in_span_matches_rank_growth():
-    rng = random.Random(11)
-    for _ in range(200):
-        ncols = rng.randrange(1, 18)
-        rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 10))]
-        pivots = rref(list(rows))
-        w = rng.getrandbits(ncols)
-        assert in_span(pivots, w) == (rank(rows + [w]) == rank(list(rows)))
 
 
 def test_nullspace_dimension_and_orthogonality():

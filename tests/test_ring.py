@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode.codes import code, contains
+from polycode.duality import dual_code
 from polycode.errors import CapExceeded, ValidationError
-from polycode.gf2poly import div_rem, is_irreducible, mul, mul_trunc, parse, power, reciprocal
+from polycode.gf2poly import div_rem, is_irreducible, mul_trunc, parse, power, power_trunc, reciprocal
 from polycode import ring
 from polycode.ring import RING_TABLE_BITS, new_context
 from polycode.trinomial_family import family_context
@@ -32,7 +33,7 @@ def valuation(ctx, w):
 def test_context_basic_quantities():
     ctx = new_context(P4, 16)
     assert (ctx.m, ctx.L, ctx.n, ctx.T, ctx.e) == (4, 16, 64, 4, 15)
-    assert mul(ctx.P, ctx.U) == ctx.x_e_1
+    _assert_inverses(ctx)
     assert ctx.P_pows[0] == 1 and ctx.P_pows[1] == P4
     assert ctx.P_pows[16] == power(P4, 16)
 
@@ -116,13 +117,10 @@ def test_ideal_generators_are_powers():
         code(ctx, 8)
 
 
-def _assert_low_cofactors(ctx):
-    """U and U* are the low min(n, e - m + 1) bits of the exact cofactors of x^e + 1."""
-    U, rem = div_rem((1 << ctx.e) | 1, ctx.P)
-    assert rem == 0
-    mask = (1 << min(ctx.n, ctx.e - ctx.m + 1)) - 1
-    assert ctx.U == U & mask
-    assert ctx.U_star == reciprocal(U) & mask
+def _assert_inverses(ctx):
+    """P_inv and P_star_inv are the power-series inverses of P and P* mod x^n."""
+    assert ctx.P_inv < 1 << ctx.n and ctx.P_star_inv < 1 << ctx.n
+    assert mul_trunc(ctx.P, ctx.P_inv, ctx.n) == mul_trunc(reciprocal(ctx.P), ctx.P_star_inv, ctx.n) == 1
 
 
 def test_every_small_irreducible_context_builds():
@@ -130,7 +128,7 @@ def test_every_small_irreducible_context_builds():
         for f in range((1 << deg) | 1, 1 << (deg + 1), 2):
             if is_irreducible(f):
                 ctx = new_context(f, 3)
-                _assert_low_cofactors(ctx)
+                _assert_inverses(ctx)
                 assert (2**deg - 1) % ctx.e == 0
 
 
@@ -139,21 +137,54 @@ IRREDUCIBLE_UP_TO_10 = [
 ]
 
 
-@given(st.sampled_from(IRREDUCIBLE_UP_TO_10), st.integers(min_value=2, max_value=40))
-def test_cofactors_are_low_bits_of_exact_division(P, L):
-    _assert_low_cofactors(new_context(P, L))
+def cofactor_forms(ctx):
+    """The paper's cofactors, as the reference: (x^e + 1, U = (x^e + 1)/P, U* = (x^e + 1)/P*) by exact division."""
+    x_e_1 = (1 << ctx.e) | 1
+    U, rem = div_rem(x_e_1, ctx.P)
+    assert rem == 0
+    return x_e_1, U, reciprocal(U)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(IRREDUCIBLE_UP_TO_10), st.integers(min_value=2, max_value=40), st.data())
+def test_cofactors_are_low_bits_of_exact_division(P, L, data):
+    # each word the paper builds from x^e + 1 and the cofactors is a power of P^-1 and P*^-1
+    ctx = new_context(P, L)
+    n, T = ctx.n, ctx.T
+    x_e_1, U, U_star = cofactor_forms(ctx)
+    low = (1 << min(n, ctx.e)) - 1  # P*U = x^e + 1 == 1 mod x^e
+    assert ctx.P_inv & low == U & low and ctx.P_star_inv & low == U_star & low
+
+    def form(x_exp, u_exp, us_exp, nbits):
+        """(x^e + 1)^x_exp * U^u_exp * U*^us_exp mod x^nbits."""
+        out = mul_trunc(power_trunc(x_e_1, x_exp, nbits), power_trunc(U, u_exp, nbits), nbits)
+        return mul_trunc(out, power_trunc(U_star, us_exp, nbits), nbits)
+
+    j = data.draw(st.integers(1, L - 1))
+    assert dual_code(code(ctx, j)).h_star == form((1 << T) - j, 0, j, n)
+    if j <= 1 << (T - 1):  # the head criterion's W
+        assert power_trunc(mul_trunc(ctx.P_inv, ctx.P_star_inv, n), j, n) == form((1 << T) - 2 * j, j, j, n)
+    else:  # the tail criterion's Q
+        Q = mul_trunc(power_trunc(ctx.P_inv, (1 << T) - j, n), power_trunc(ctx.P_star_inv, j, n), n)
+        assert Q == form(0, (1 << T) - j, j, n)
+    # the spread bases, mod x^tbits with tbits = ceil(n / 2^(T-t))
+    s = data.draw(st.integers(1, T))
+    tbits = -(-n // (1 << (T - s)))
+    assert ctx.P_star_inv & ((1 << tbits) - 1) == form((1 << s) - 1, 0, 1, tbits)
+    r = data.draw(st.integers(1, len(ctx.tops)))
+    tbits = -(-n // (1 << (T - r)))
+    assert power_trunc(ctx.P_star_inv, (1 << r) - 1, tbits) == form(1, 0, (1 << r) - 1, tbits)
 
 
 def test_context_builds_on_wide_primitive_rings():
     ctx = new_context(parse("x^32+x^22+x^2+x+1"), 2)
     assert ctx.e == 2**32 - 1
-    assert mul_trunc(ctx.P, ctx.U, ctx.n) == 1  # b = n here: the cofactor's low n bits
-    assert ctx.x_e_1 == 1  # x^e + 1 mod x^n
+    _assert_inverses(ctx)
     # 2^61 - 1 is prime, so every irreducible of degree 61 is primitive
     P61 = next(f for f in range((1 << 61) | 3, (1 << 61) | (1 << 12), 2) if is_irreducible(f))
     ctx = new_context(P61, 2)
     assert ctx.e == 2**61 - 1
-    assert mul_trunc(reciprocal(P61), ctx.U_star, ctx.n) == 1
+    _assert_inverses(ctx)
 
 
 def test_the_power_table_budget_refuses_before_the_irreducibility_test(monkeypatch):

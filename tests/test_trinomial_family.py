@@ -7,7 +7,7 @@ import pytest
 from polycode.codes import code, is_reversible
 from polycode.duality import dual_code, dual_min_distance_bruteforce
 from polycode.errors import ValidationError
-from polycode.gf2poly import is_irreducible, mul, power, weight
+from polycode.gf2poly import is_irreducible, mul, power, reciprocal, weight
 from polycode.lcd import lcd_verdict
 from polycode.trinomial_family import (
     complement_anchor_value,
@@ -36,7 +36,8 @@ def test_family_context_invariants():
         s = 3**v
         assert ctx.P == family_poly(v)
         assert ctx.e == 3 * s
-        assert ctx.U == ctx.U_star == (1 << s) | 1
+        assert mul(ctx.P, (1 << s) | 1) == (1 << (3 * s)) | 1
+        assert reciprocal(ctx.P) == ctx.P
 
 
 @pytest.mark.parametrize("s", [1, 3, 9])
