@@ -1,15 +1,13 @@
 """Linear-complementary-dual (LCD) verdicts for the chain codes.
 
 Two independent routes: an oracle that measures the hull C intersect C-dual
-through the rank of the Gram matrix G*G^T (cross-checked by rational
-reconstruction: one extended Euclid on x^n and (P * P_star)^j, P_star the
-reciprocal of P), and rank criteria that decide LCD directly from one
-structured matrix — one form for j up to 2^(T-1), another for j beyond it.
-The rows of G are the shifts x^i * P^j, none of which wraps past x^(n-1), so
-G*G^T is a symmetric Toeplitz matrix built from k parities.  The head
-criterion's cross-check sweeps every nonzero delta in Gray-code order, one
-XOR each.  A scanner sweeps whole rings of the trinomial family looking for
-counterexamples.
+through the rank of the Gram matrix G*G^T, and the paper's rank criteria,
+one form for j up to 2^(T-1) and another beyond it.  The rows of G are the
+shifts x^i * P^j, none of which wraps past x^(n-1), so G*G^T is a symmetric
+Toeplitz matrix built from k parities.  The oracle's cross-check and both
+criteria run one extended Euclid: on q = (P * P_star)^j it measures the hull,
+on W = q^-1 the criteria's kernel (the hull in dual coordinates), which a
+Gray-code sweep checks where m*j <= 12.  A scanner sweeps the family's rings.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate, takewhile
 from operator import xor
 
-from ._linalg import column_kernel, parity_dot, rank
+from ._linalg import parity_dot, rank
 from .codes import PolycyclicCode, code
 from .errors import InternalConsistencyError, ValidationError, WrongRegime
 from .gf2poly import degree, mul, mul_trunc, power_trunc, reciprocal
@@ -65,29 +63,34 @@ def _toeplitz_gram(g: int, k: int) -> list[int]:
     return [(band >> (k - 1 - a)) & mask for a in range(k)]
 
 
-def _hull_by_reconstruction(c: PolycyclicCode) -> int:
-    """dim(C intersect C-dual) from one extended Euclid on (x^n, q), q = (P * P_star)^j mod x^n.
+def _reconstruction_dim(q: int, n: int, a: int) -> int:
+    """dim{delta : deg delta < a, deg(delta*q mod x^n) < n - a}, by one extended Euclid on (x^n, q mod x^n).
 
-    The dual word h has inverse P_star^j mod x^n (e * 2^T > n), so a*g lies
-    in C-dual iff deg(a*q mod x^n) < m*j.  Every such a with deg a < k is a
-    multiple alpha*t of the cofactor t at the first remainder r of degree
-    below m*j (uniqueness of rational reconstruction, von zur Gathen-Gerhard,
-    Modern Computer Algebra, 5.7); deg(alpha*t) < k and deg(alpha*r) < m*j
-    bound deg alpha.
+    Every such delta is alpha*t, t the cofactor at the first remainder r of degree below n - a:
+    the degree bounds sum to less than n, so the reconstruction is unique (von zur Gathen-Gerhard,
+    Modern Computer Algebra, 5.7).  deg(alpha*t) < a and deg(alpha*r) < n - a (if r != 0) bound
+    deg alpha; deg t = n - deg(the remainder before r) <= a, so the count is never negative.
     """
-    ctx, k, mj = c.ctx, c.k, c.ctx.m * c.j
-    q = power_trunc(mul(ctx.P, reciprocal(ctx.P)), c.j, ctx.n)
     # (r0, t0), (r1, t1) are consecutive Euclid rows; each keeps r == t*q mod x^n
-    r0, t0, r1, t1 = 1 << ctx.n, 0, q, 1
-    while r1.bit_length() > mj:
+    r0, t0, r1, t1 = 1 << n, 0, q, 1
+    while r1.bit_length() > n - a:
         while r0.bit_length() >= r1.bit_length():
             shift = r0.bit_length() - r1.bit_length()
             r0 ^= r1 << shift
             t0 ^= t1 << shift
         r0, t0, r1, t1 = r1, t1, r0, t0
-    if r1 == 0:
-        return k - degree(t1)
-    return max(0, min(k - degree(t1), mj - degree(r1)))
+    if mul_trunc(t1, q, n) != r1:
+        raise InternalConsistencyError("extended Euclid stopped on a row with r != t*q mod x^n")
+    return min(a - degree(t1), n - a - degree(r1) if r1 else a)
+
+
+def _hull_by_reconstruction(c: PolycyclicCode) -> int:
+    """dim(C intersect C-dual): a*g lies in C-dual iff deg(a*q mod x^n) < m*j = n - k, q = (P * P_star)^j.
+
+    q = g * h^-1 mod x^n, since the dual word h has inverse P_star^j mod x^n (e * 2^T > n).
+    """
+    ctx = c.ctx
+    return _reconstruction_dim(power_trunc(mul(ctx.P, reciprocal(ctx.P)), c.j, ctx.n), ctx.n, c.k)
 
 
 def hull_dimension_oracle(c: PolycyclicCode) -> int:
@@ -114,21 +117,37 @@ def hull_dimension_oracle(c: PolycyclicCode) -> int:
 
 
 def is_lcd_head_criterion(c: PolycyclicCode) -> bool:
-    """Rank test for 1 <= j <= 2^(T-1): full rank of the top-block matrix of W."""
-    ctx, j = c.ctx, c.j
-    if not 1 <= j <= 1 << (ctx.T - 1):
+    """The paper's rank test for 1 <= j <= 2^(T-1): the top n - k bits of W*x^i, i < m*j, are independent."""
+    if not 1 <= c.j <= 1 << (c.ctx.T - 1):
         raise WrongRegime("the head rank criterion covers 1 <= j <= 2^(T-1)")
-    n, k, mj = ctx.n, c.k, ctx.m * j
-    mask = (1 << n) - 1
-    W = power_trunc(mul_trunc(ctx.P_inv, ctx.P_star_inv, n), j, n)
-    cols = [((W << i) & mask) >> k for i in range(mj)]
-    full_rank = not column_kernel(cols)
+    return _criterion(c)
 
+
+def is_lcd_tail_criterion(c: PolycyclicCode) -> bool:
+    """The paper's rank test for 2^(T-1) < j < L: x^i*A (i < k) and x^i*Q (i < m*j) are independent mod x^n.
+
+    A = P^(2j - 2^T) is a unit, so gamma*A + delta*Q == 0 iff gamma == delta*Q*A^-1; with
+    Q = P^-(2^T - j) * P_star^-j, Q*A^-1 = P^-j * P_star^-j is the head's W, and so is the kernel.
+    """
+    if not (1 << (c.ctx.T - 1)) < c.j < c.ctx.L:
+        raise WrongRegime("the tail rank criterion covers 2^(T-1) < j < L")
+    return _criterion(c)
+
+
+def _criterion(c: PolycyclicCode) -> bool:
+    """Whether no nonzero delta with deg delta < m*j has deg(delta*W mod x^n) < k, W = (P^-1 * P_star^-1)^j.
+
+    W is q^-1 for the hull's q = (P * P_star)^j, so delta = a*q mod x^n maps
+    the hull {a : deg a < k, deg(a*q mod x^n) < m*j} onto this kernel.
+    """
+    ctx, n, k, mj = c.ctx, c.ctx.n, c.k, c.ctx.m * c.j
+    W = power_trunc(mul_trunc(ctx.P_inv, ctx.P_star_inv, n), c.j, n)
+    full_rank = _reconstruction_dim(W, n, mj) == 0
     if mj <= 12:
         # exhaustive sweep over nonzero delta: the top block of W*delta must never vanish
         steps = [mul_trunc(W, 1 << i, n) >> k for i in range(mj)]
         if _gray_sweep(steps) != full_rank:
-            raise InternalConsistencyError("head rank criterion disagrees with direct sweep")
+            raise InternalConsistencyError(f"rank criterion disagrees with direct sweep at j={c.j}")
     return full_rank
 
 
@@ -143,26 +162,6 @@ def _gray_sweep(steps: list[int]) -> bool:
     for i in range(len(steps)):
         ruler = [*ruler, i, *ruler]
     return all(accumulate(map(steps.__getitem__, ruler), xor))
-
-
-def is_lcd_tail_criterion(c: PolycyclicCode) -> bool:
-    """Rank test for 2^(T-1) < j < L: the joint unit-multiplication matrix is invertible."""
-    ctx, j = c.ctx, c.j
-    if not (1 << (ctx.T - 1)) < j < ctx.L:
-        raise WrongRegime("the tail rank criterion covers 2^(T-1) < j < L")
-    n, k, mj = ctx.n, c.k, ctx.m * j
-    mask = (1 << n) - 1
-    A = power_trunc(ctx.P, 2 * j - (1 << ctx.T), n)
-    Q = mul_trunc(power_trunc(ctx.P_inv, (1 << ctx.T) - j, n), power_trunc(ctx.P_star_inv, j, n), n)
-    cols = [(A << i) & mask for i in range(k)] + [(Q << i) & mask for i in range(mj)]
-    kernel = column_kernel(cols)
-    for combo in kernel:
-        gamma, delta = combo & ((1 << k) - 1), combo >> k
-        if gamma == 0 or delta == 0:
-            # both blocks multiply by constant-term-1 units, so a kernel vector
-            # can never sit in only one of them
-            raise InternalConsistencyError("tail criterion kernel vector with a zero block")
-    return not kernel
 
 
 def lcd_verdict(c: PolycyclicCode, methods: str = "all") -> LcdVerdict:

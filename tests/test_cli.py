@@ -187,6 +187,16 @@ def test_a_failing_hull_cross_check_exits_3(capsys, monkeypatch):
     assert "hull dimension mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("poly,j", [("x^3+x+1", 2), ("x^3+x+1", 3), ("x^2+x+1", 1), ("x^2+x+1", 3)])
+def test_a_wrong_criterion_kernel_exits_3(capsys, monkeypatch, poly, j):
+    # a Euclid that reports a kernel where there is none, or none where there is one, in either
+    # regime (j = 3 is a tail code in both rings); x^3+x+1 has no LCD code at L = 4, x^2+x+1 no other
+    real = lcd._reconstruction_dim
+    monkeypatch.setattr(lcd, "_reconstruction_dim", lambda q, n, a: 0 if real(q, n, a) else 1)
+    assert main(["lcd", "--poly", poly, "--power", "4", "--j", str(j), "--methods", "theorem"]) == 3
+    assert "internal consistency failure" in capsys.readouterr().err
+
+
 def test_a_dual_word_off_the_dual_exits_3(capsys, monkeypatch):
     real = duality.power_trunc
     monkeypatch.setattr(duality, "power_trunc", lambda a, e, nbits: real(a, e, nbits) ^ 1)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode._linalg import nullspace, parity_dot, rank
+from polycode._linalg import column_kernel, nullspace, parity_dot, rank
 from polycode.codes import code, generator_rows
 from polycode.duality import dual_code
 from polycode.errors import ValidationError, WrongRegime
@@ -18,6 +18,7 @@ from polycode.gf2poly import is_irreducible, mul, mul_trunc, parse, power_trunc,
 from polycode.lcd import (
     _gray_sweep,
     _hull_by_reconstruction,
+    _reconstruction_dim,
     _toeplitz_gram,
     conjecture_scan,
     hull_dimension_oracle,
@@ -103,6 +104,50 @@ def test_reconstruction_target_inverts_the_dual_word():
                     c = code(ctx, j)
                     q = power_trunc(mul(P, reciprocal(P)), j, ctx.n)
                     assert mul_trunc(q, dual_code(c).h_star, ctx.n) == c.generator, (P, L, j)
+
+
+def _top_block_kernel_dim(q: int, n: int, a: int) -> int:
+    """Reference for _reconstruction_dim: the dependencies among the top a bits of q*x^i mod x^n, i < a."""
+    return len(column_kernel([mul_trunc(q, 1 << i, n) >> (n - a) for i in range(a)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reconstruction_dim_matches_the_column_kernel(data):
+    n = data.draw(st.integers(1, 40))
+    a = data.draw(st.integers(0, n))
+    q = data.draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, (1 << (n - a)) - 1),  # deg q < n - a: delta = 1 already lies in the set
+            st.integers(0, (1 << n) - 1),  # units and non-units alike
+        )
+    )
+    assert _reconstruction_dim(q, n, a) == _top_block_kernel_dim(q, n, a), (q, n, a)
+
+
+def test_both_criteria_kernels_have_the_hull_dimension():
+    # the paper's matrices, solved densely: the head's columns are the top n - k bits of W*x^i
+    # (i < m*j), the tail's the words x^i*A (i < k) and x^i*Q (i < m*j) mod x^n
+    for deg in (2, 3, 4, 5):
+        for P in range((1 << deg) | 1, 1 << (deg + 1), 2):
+            if not is_irreducible(P):
+                continue
+            for L in range(2, 24 // deg + 3):
+                ctx = new_context(P, L)
+                n, T = ctx.n, ctx.T
+                for j in range(1, L):
+                    c = code(ctx, j)
+                    k, mj = c.k, deg * j
+                    W = power_trunc(mul_trunc(ctx.P_inv, ctx.P_star_inv, n), j, n)
+                    want = _reconstruction_dim(W, n, mj)
+                    assert want == hull_dimension_oracle(c), (P, L, j)
+                    assert _top_block_kernel_dim(W, n, mj) == want, (P, L, j)
+                    if 2 * j >= 1 << T:
+                        A = power_trunc(P, 2 * j - (1 << T), n)
+                        Q = mul_trunc(power_trunc(ctx.P_inv, (1 << T) - j, n), power_trunc(ctx.P_star_inv, j, n), n)
+                        cols = [mul_trunc(A, 1 << i, n) for i in range(k)] + [mul_trunc(Q, 1 << i, n) for i in range(mj)]
+                        assert len(column_kernel(cols)) == want, (P, L, j)
 
 
 @settings(max_examples=200, deadline=None)

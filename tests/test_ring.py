@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from polycode.codes import code, contains
 from polycode.duality import dual_code
 from polycode.errors import CapExceeded, ValidationError
-from polycode.gf2poly import div_rem, is_irreducible, mul_trunc, parse, power, power_trunc, reciprocal
+from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul_trunc, parse, power, power_trunc, reciprocal
 from polycode import ring
 from polycode.ring import RING_TABLE_BITS, new_context
 from polycode.trinomial_family import family_context
@@ -162,11 +162,13 @@ def test_cofactors_are_low_bits_of_exact_division(P, L, data):
 
     j = data.draw(st.integers(1, L - 1))
     assert dual_code(code(ctx, j)).h_star == form((1 << T) - j, 0, j, n)
+    W = power_trunc(mul_trunc(ctx.P_inv, ctx.P_star_inv, n), j, n)
     if j <= 1 << (T - 1):  # the head criterion's W
-        assert power_trunc(mul_trunc(ctx.P_inv, ctx.P_star_inv, n), j, n) == form((1 << T) - 2 * j, j, j, n)
-    else:  # the tail criterion's Q
+        assert W == form((1 << T) - 2 * j, j, j, n)
+    else:  # the tail criterion's Q, and Q * A^-1 = W, on which the tail criterion rests
         Q = mul_trunc(power_trunc(ctx.P_inv, (1 << T) - j, n), power_trunc(ctx.P_star_inv, j, n), n)
         assert Q == form(0, (1 << T) - j, j, n)
+        assert mul_trunc(Q, inverse_trunc(power_trunc(P, 2 * j - (1 << T), n), n), n) == W
     # the spread bases, mod x^tbits with tbits = ceil(n / 2^(T-t))
     s = data.draw(st.integers(1, T))
     tbits = -(-n // (1 << (T - s)))
