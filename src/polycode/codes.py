@@ -12,7 +12,7 @@ refuses a negative one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .gf2poly import div_rem
@@ -29,8 +29,7 @@ def check_caps(**caps: int) -> None:
             raise ValidationError(f"{name.replace('_', ' ')} must be >= 0, got {value}")
 
 
-@dataclass(frozen=True)
-class PolycyclicCode:
+class PolycyclicCode(NamedTuple):
     """The code C_j = <P^j>, with k = m*(L - j) and n = m*L."""
 
     ctx: RingContext

@@ -22,8 +22,6 @@ raises InternalConsistencyError the moment two sources disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ._linalg import min_weight_affine, min_weight_span
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, generator_rows
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
@@ -31,14 +29,16 @@ from .gf2poly import weight
 from .ring import RingContext
 
 
-@dataclass
 class DistanceReport:
     """Best known bounds on d(C_j), with the source of every improvement."""
 
-    j: int
-    lower: int
-    upper: int
-    provenance: list[str] = field(default_factory=list)
+    __slots__ = ("j", "lower", "upper", "provenance")
+
+    def __init__(self, j: int, lower: int, upper: int, provenance: list[str] | None = None) -> None:
+        self.j = j
+        self.lower = lower
+        self.upper = upper
+        self.provenance = [] if provenance is None else provenance
 
     @property
     def exact(self) -> bool:

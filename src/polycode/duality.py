@@ -17,7 +17,7 @@ covers every other j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._linalg import affine_weights, min_weight_affine, min_weight_span, parity_dot, rank
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code
@@ -26,8 +26,7 @@ from .gf2poly import power_trunc, substitute_power
 from .ring import RingContext
 
 
-@dataclass(frozen=True)
-class DualCode:
+class DualCode(NamedTuple):
     """The dual of C_j, spanned by shifts of h_star; rank-checked at build time."""
 
     ctx: RingContext

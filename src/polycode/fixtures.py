@@ -9,7 +9,7 @@ proven interval must contain the reference value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import code
 from .distance import full_distance_profile, single_distance_report, upper_anchor_distance
@@ -25,16 +25,14 @@ from .lcd import lcd_verdict
 from .ring import new_context
 
 
-@dataclass(frozen=True)
-class FixtureRow:
+class FixtureRow(NamedTuple):
     label: str
     expected: str
     got: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class FixtureResult:
+class FixtureResult(NamedTuple):
     key: str
     rows: tuple[FixtureRow, ...]
 
@@ -376,13 +374,11 @@ FIXTURES = {
     "lcd-survey": _run_lcd_survey,
 }
 
-FIXTURE_KEYS = tuple(FIXTURES)
-
 
 def run_fixture(key: str) -> FixtureResult:
     """Replay one fixture by key."""
     if key not in FIXTURES:
-        raise ValidationError(f"unknown fixture {key!r}; known: {', '.join(FIXTURE_KEYS)}")
+        raise ValidationError(f"unknown fixture {key!r}; known: {', '.join(FIXTURES)}")
     return FIXTURES[key]()
 
 
@@ -394,7 +390,7 @@ def run_fixture(key: str) -> FixtureResult:
 def dump_fixture(key: str) -> list[tuple[str, str]]:
     """The embedded reference rows of one fixture as (label, expected) pairs."""
     if key not in FIXTURES:
-        raise ValidationError(f"unknown fixture {key!r}; known: {', '.join(FIXTURE_KEYS)}")
+        raise ValidationError(f"unknown fixture {key!r}; known: {', '.join(FIXTURES)}")
     out: list[tuple[str, str]] = []
     if key == "head-survey":
         for poly_text, L, expect in HEAD_SURVEY:

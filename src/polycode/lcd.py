@@ -12,11 +12,10 @@ Gray-code sweep checks where m*j <= 12.  A scanner sweeps the family's rings.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from dataclasses import dataclass
 from itertools import accumulate, takewhile
 from operator import xor
+from typing import NamedTuple
 
 from ._linalg import parity_dot, rank
 from .codes import PolycyclicCode, code
@@ -25,8 +24,7 @@ from .gf2poly import degree, mul, mul_trunc, power_trunc, reciprocal
 from .trinomial_family import family_context
 
 
-@dataclass(frozen=True)
-class LcdVerdict:
+class LcdVerdict(NamedTuple):
     """Outcome of an LCD determination, with every method that weighed in."""
 
     j: int
@@ -135,13 +133,14 @@ def is_lcd_tail_criterion(c: PolycyclicCode) -> bool:
 
 
 def _criterion(c: PolycyclicCode) -> bool:
-    """Whether no nonzero delta with deg delta < m*j has deg(delta*W mod x^n) < k, W = (P^-1 * P_star^-1)^j.
+    """Whether no nonzero delta with deg delta < m*j has deg(delta*W mod x^n) < k, W = (P * P_star)^-j.
 
     W is q^-1 for the hull's q = (P * P_star)^j, so delta = a*q mod x^n maps
-    the hull {a : deg a < k, deg(a*q mod x^n) < m*j} onto this kernel.
+    the hull {a : deg a < k, deg(a*q mod x^n) < m*j} onto this kernel.  W is
+    a power of the ring constant ctx.PP_star_inv = (P * P_star)^-1 mod x^n.
     """
     ctx, n, k, mj = c.ctx, c.ctx.n, c.k, c.ctx.m * c.j
-    W = power_trunc(mul_trunc(ctx.P_inv, ctx.P_star_inv, n), c.j, n)
+    W = power_trunc(ctx.PP_star_inv, c.j, n)
     full_rank = _reconstruction_dim(W, n, mj) == 0
     if mj <= 12:
         # exhaustive sweep over nonzero delta: the top block of W*delta must never vanish
@@ -237,6 +236,8 @@ def conjecture_scan(
         for T in takewhile(lambda T: 2 * 3**v << T <= dim_cap, range(1, t_max + 1))
     ]
     if workers and workers > 1:
+        import multiprocessing  # only a parallel scan pays for loading it
+
         with multiprocessing.Pool(workers) as pool:
             groups = pool.map(_scan_pair, tasks)
     else:

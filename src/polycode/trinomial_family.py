@@ -18,8 +18,8 @@ from .codes import DEFAULT_CANDIDATE_CAP, code, is_reversible
 from .distance import DistanceReport, head_zone_reports, monotone_fuse
 from .duality import dual_complement_distance, dual_pow2_distance
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import mul, power, weight
-from .ring import RingContext, new_context
+from .gf2poly import mul, power, power_mod, weight
+from .ring import RingContext, build_context
 
 
 def family_poly(v: int) -> int:
@@ -40,12 +40,20 @@ def is_irreducible_trinomial(s: int) -> bool:
 
 
 def family_context(v: int, L: int) -> RingContext:
-    """Ring context over the scale-3^v trinomial, with the family constants verified."""
-    s = 3**v
-    ctx = new_context(family_poly(v), L)
-    if ctx.e != 3 * s:
-        raise InternalConsistencyError(f"family order should be 3^{v + 1}, got {ctx.e}")
-    return ctx
+    """Ring context over the scale-3^v trinomial, its order 3^(v+1) proven instead of found.
+
+    build_context checks x^e == 1 mod P for the e it is given, which puts the
+    order among the divisors of e = 3^(v+1); x^(e/3) != 1 rules out every
+    proper one, as they all divide 3^v.
+    """
+    P, e = family_poly(v), 3 ** (v + 1)
+
+    def family_order(P: int) -> int:
+        if power_mod(2, e // 3, P) == 1:
+            raise InternalConsistencyError(f"the order of x mod the scale-3^{v} trinomial is not 3^{v + 1}")
+        return e
+
+    return build_context(P, L, family_order)
 
 
 # ---------------------------------------------------------------------------

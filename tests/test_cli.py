@@ -13,7 +13,7 @@ import time
 import pytest
 
 import polycode
-from polycode import duality, lcd
+from polycode import cli, duality, fixtures, lcd
 from polycode.cli import main
 
 
@@ -256,6 +256,33 @@ def test_conjecture_ranges_stop_at_the_dim_cap(huge, small):
     got = _python("-m", "polycode.cli", "conjecture", "--dim-cap", "64", *huge, timeout=5)
     assert want.returncode == got.returncode == 0
     assert (got.stdout, got.stderr) == (want.stdout, want.stderr)
+
+
+def test_the_parser_offers_every_fixture_key():
+    assert cli.FIXTURE_KEYS == tuple(fixtures.FIXTURES)
+
+
+def test_the_cli_loads_only_what_every_command_needs():
+    # a set difference, since what the interpreter loads before the script (site, .pth files) varies
+    script = (
+        "import sys; before = set(sys.modules); import polycode, polycode.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    run = _python("-c", script, timeout=30)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "polycode.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "multiprocessing", "polycode.fixtures"}
+
+
+def test_the_lazily_loaded_commands_run_from_a_fresh_process():
+    run = _python("-m", "polycode.cli", "fixtures", "--which", "lcd-m3L8", timeout=30)
+    assert run.returncode == 0 and run.stdout.startswith("lcd-m3L8: PASS"), run.stderr
+    serial = _python("-m", "polycode.cli", "conjecture", "--vmax", "1", "--tmax", "3", timeout=30)
+    pooled = _python("-m", "polycode.cli", "conjecture", "--vmax", "1", "--tmax", "3", "--workers", "2", timeout=30)
+    assert serial.returncode == pooled.returncode == 0, pooled.stderr
+    assert (pooled.stdout, pooled.stderr) == (serial.stdout, serial.stderr)
+    assert pooled.stderr == "scanned 22 codes: all LCD\n"
 
 
 def test_the_runtime_imports_no_numpy():

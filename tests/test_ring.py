@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from polycode.codes import code, contains
 from polycode.duality import dual_code
 from polycode.errors import CapExceeded, ValidationError
-from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul_trunc, parse, power, power_trunc, reciprocal
+from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, parse, power, power_trunc, reciprocal
 from polycode import ring
 from polycode.ring import RING_TABLE_BITS, new_context
 from polycode.trinomial_family import family_context
@@ -118,9 +118,12 @@ def test_ideal_generators_are_powers():
 
 
 def _assert_inverses(ctx):
-    """P_inv and P_star_inv are the power-series inverses of P and P* mod x^n."""
-    assert ctx.P_inv < 1 << ctx.n and ctx.P_star_inv < 1 << ctx.n
-    assert mul_trunc(ctx.P, ctx.P_inv, ctx.n) == mul_trunc(reciprocal(ctx.P), ctx.P_star_inv, ctx.n) == 1
+    """P_star_inv and PP_star_inv are the power-series inverses of P* and P * P* mod x^n."""
+    n, P_star = ctx.n, reciprocal(ctx.P)
+    assert ctx.P_star_inv < 1 << n and ctx.PP_star_inv < 1 << n
+    assert mul_trunc(P_star, ctx.P_star_inv, n) == mul_trunc(mul(ctx.P, P_star), ctx.PP_star_inv, n) == 1
+    # so (P * P*)^-1 is the product of the two inverses, P^-1 computed here
+    assert ctx.PP_star_inv == mul_trunc(inverse_trunc(ctx.P, n), ctx.P_star_inv, n)
 
 
 def test_every_small_irreducible_context_builds():
@@ -151,9 +154,10 @@ def test_cofactors_are_low_bits_of_exact_division(P, L, data):
     # each word the paper builds from x^e + 1 and the cofactors is a power of P^-1 and P*^-1
     ctx = new_context(P, L)
     n, T = ctx.n, ctx.T
+    P_inv = inverse_trunc(P, n)  # the ring keeps only P*^-1 and (P * P*)^-1
     x_e_1, U, U_star = cofactor_forms(ctx)
     low = (1 << min(n, ctx.e)) - 1  # P*U = x^e + 1 == 1 mod x^e
-    assert ctx.P_inv & low == U & low and ctx.P_star_inv & low == U_star & low
+    assert P_inv & low == U & low and ctx.P_star_inv & low == U_star & low
 
     def form(x_exp, u_exp, us_exp, nbits):
         """(x^e + 1)^x_exp * U^u_exp * U*^us_exp mod x^nbits."""
@@ -162,11 +166,11 @@ def test_cofactors_are_low_bits_of_exact_division(P, L, data):
 
     j = data.draw(st.integers(1, L - 1))
     assert dual_code(code(ctx, j)).h_star == form((1 << T) - j, 0, j, n)
-    W = power_trunc(mul_trunc(ctx.P_inv, ctx.P_star_inv, n), j, n)
+    W = power_trunc(ctx.PP_star_inv, j, n)
     if j <= 1 << (T - 1):  # the head criterion's W
         assert W == form((1 << T) - 2 * j, j, j, n)
     else:  # the tail criterion's Q, and Q * A^-1 = W, on which the tail criterion rests
-        Q = mul_trunc(power_trunc(ctx.P_inv, (1 << T) - j, n), power_trunc(ctx.P_star_inv, j, n), n)
+        Q = mul_trunc(power_trunc(P_inv, (1 << T) - j, n), power_trunc(ctx.P_star_inv, j, n), n)
         assert Q == form(0, (1 << T) - j, j, n)
         assert mul_trunc(Q, inverse_trunc(power_trunc(P, 2 * j - (1 << T), n), n), n) == W
     # the spread bases, mod x^tbits with tbits = ceil(n / 2^(T-t))

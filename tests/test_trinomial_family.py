@@ -6,8 +6,9 @@ import pytest
 
 from polycode.codes import code, is_reversible
 from polycode.duality import dual_code, dual_min_distance_bruteforce
-from polycode.errors import ValidationError
-from polycode.gf2poly import is_irreducible, mul, power, reciprocal, weight
+from polycode import ring, trinomial_family
+from polycode.errors import InternalConsistencyError, ValidationError
+from polycode.gf2poly import is_irreducible, mul, order, parse, power, reciprocal, weight
 from polycode.lcd import lcd_verdict
 from polycode.trinomial_family import (
     complement_anchor_value,
@@ -143,6 +144,26 @@ def test_family_codes_are_reversible_and_lcd_spot_checks():
             assert is_reversible(code(ctx, j))
         verdict = lcd_verdict(code(ctx, 1), "all")
         assert verdict.is_lcd and verdict.hull_dim == 0
+
+
+def test_family_order_is_proven_not_factored(monkeypatch):
+    # the generic order, which factors 2^m - 1, agrees with the proven 3^(v+1)
+    for v in range(5):
+        assert order(family_poly(v)) == 3 ** (v + 1) == family_context(v, 2).e
+
+    def unreachable(f):
+        raise AssertionError("family_context factored 2^m - 1")
+
+    monkeypatch.setattr(ring, "order", unreachable)
+    assert family_context(5, 2).e == 729  # m = 486, where factoring took ~0.5 s
+
+
+@pytest.mark.parametrize("poly, match", [("x^2+x+1", "not 3\\^2"), ("x^3+x+1", "exact multiple")], ids=["x^3=1", "x^9!=1"])
+def test_family_context_refuses_a_polynomial_of_the_wrong_order(monkeypatch, poly, match):
+    # x^2+x+1 has order 3, a proper divisor of 9; x^3+x+1 has order 7, so x^9 != 1
+    monkeypatch.setattr(trinomial_family, "family_poly", lambda v: parse(poly))
+    with pytest.raises(InternalConsistencyError, match=match):
+        family_context(1, 4)
 
 
 def test_family_rejects_bad_indices():
