@@ -18,7 +18,7 @@ from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, code
 from .distance import full_distance_profile, single_distance_report
 from .duality import dual_summary
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import parse
+from .gf2poly import order, parse
 from .lcd import conjecture_scan, lcd_verdict
 from .ring import new_context
 
@@ -65,7 +65,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for rep in reports:
             writer.writerow([rep.j, rep.lower, rep.upper, rep.exact, ";".join(rep.provenance)])
     else:
-        print(f"# n={ctx.n} m={ctx.m} L={ctx.L} regime={ctx.regime} order={ctx.e}")
+        print(f"# n={ctx.n} m={ctx.m} L={ctx.L} regime={ctx.regime} order={order(ctx.P)}")
         for rep in reports:
             mid = f"d = {rep.lower}" if rep.exact else f"d in [{rep.lower}, {rep.upper}]"
             print(f"j={rep.j:>3}  {mid:<18}  {', '.join(rep.provenance)}")

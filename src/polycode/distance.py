@@ -10,7 +10,8 @@ Three independent sources feed one report per j:
   lower anchors are j = 2^(T-s); the upper ones are ctx.tops, whose first
   entry 2^(T-1) is also the top lower anchor;
 * interval bounds everywhere else: a head-zone classification driven by the
-  order e of x mod P, weight witnesses wt(P^j), doubling lower bounds
+  order e of x mod P (supplied by the caller: the ring does not keep it),
+  weight witnesses wt(P^j), doubling lower bounds
   2*d(anchor) from each upper anchor up to the next one (or L), and
   monotonicity along the chain (C_{j+1} inside C_j).
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from ._linalg import min_weight_affine, min_weight_span
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, generator_rows
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import weight
+from .gf2poly import order, power_mod, weight
 from .ring import RingContext
 
 
@@ -111,19 +112,25 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 # ---------------------------------------------------------------------------
 
 
-def head_zone_split(ctx: RingContext) -> int | None:
-    """Smallest J with e * 2^(T-J) < n, or None when e >= n (no weight-2 words at all)."""
-    if ctx.e >= ctx.n:
+def head_zone_split(ctx: RingContext, e: int) -> int | None:
+    """Smallest J with e * 2^(T-J) < n, or None when e >= n (no weight-2 words at all).
+
+    e is the order of x mod P, which the caller finds or proves; x^e == 1 mod P
+    is checked here.
+    """
+    if power_mod(2, e, ctx.P) != 1:
+        raise InternalConsistencyError("x^e + 1 is not an exact multiple of P")
+    if e >= ctx.n:
         return None
     for J in range(1, ctx.T + 1):
-        if ctx.e << (ctx.T - J) < ctx.n:
+        if e << (ctx.T - J) < ctx.n:
             return J
     raise InternalConsistencyError("e < n but no split index J found")
 
 
-def head_zone_reports(ctx: RingContext) -> dict[int, tuple[int, int]]:
-    """Distance bounds for every j up to 2^(T-1): exact 2 below the split, [3, wt(P)] above."""
-    J = head_zone_split(ctx)
+def head_zone_reports(ctx: RingContext, e: int) -> dict[int, tuple[int, int]]:
+    """Distance bounds for every j up to 2^(T-1), e the order of x mod P: exact 2 below the split, [3, wt(P)] above."""
+    J = head_zone_split(ctx, e)
     out: dict[int, tuple[int, int]] = {}
     for j in range(1, (1 << (ctx.T - 1)) + 1):
         if J is not None and j <= 1 << (ctx.T - J):
@@ -190,7 +197,7 @@ def full_distance_profile(
     reports[0].set_exact(1, "full-space")
     reports[L].set_exact(n, "zero-code")
 
-    for j, (lo, hi) in head_zone_reports(ctx).items():
+    for j, (lo, hi) in head_zone_reports(ctx, order(ctx.P)).items():
         reports[j].raise_lower(lo, "head-zone")
         reports[j].cut_upper(hi, "head-zone")
 

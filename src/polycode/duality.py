@@ -148,14 +148,12 @@ def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int = DEFA
 
 
 def dual_distance_with_provenance(
-    ctx: RingContext,
-    j: int,
+    dual: DualCode,
     oracle_cap: int = DEFAULT_ENUM_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> tuple[int | None, list[str]]:
     """Best effort at the dual distance of C_j: anchored families, then the oracle."""
-    if not 1 <= j <= ctx.L - 1:
-        raise ValidationError("dual distance covers 1 <= j <= L - 1")
+    ctx, j = dual.ctx, dual.j
     d: int | None = None
     provenance: list[str] = []
 
@@ -169,8 +167,8 @@ def dual_distance_with_provenance(
     if d is not None:
         provenance.append("dual-reduced-set")
 
-    if ctx.m * j <= oracle_cap:
-        oracle_d = dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=oracle_cap)
+    if dual.dim <= oracle_cap:
+        oracle_d = dual_min_distance_bruteforce(dual, cap=oracle_cap)
         if d is not None and oracle_d != d:
             raise InternalConsistencyError(
                 f"dual distance at j={j}: reduced set says {d}, oracle says {oracle_d}"
@@ -185,7 +183,7 @@ def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -
     check_caps(oracle_cap=oracle_cap)
     dual = dual_code(code(ctx, j))
     closed = sequential_closure_check(dual)
-    d, provenance = dual_distance_with_provenance(ctx, j, oracle_cap=oracle_cap)
+    d, provenance = dual_distance_with_provenance(dual, oracle_cap=oracle_cap)
     if closed:
         provenance.append("sequential-closure")
     return {

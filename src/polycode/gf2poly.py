@@ -303,17 +303,14 @@ def is_irreducible(f: int) -> bool:
         return True
     if not (f & 1):
         return False  # divisible by x
-    # No factor of degree d <= m/2 exists iff gcd(f, x^(2^d) - x) == 1 for each d.
+    # A reducible f has an irreducible factor of degree d <= m/2, which divides
+    # x^(2^d) - x: so f is irreducible iff gcd(f, x^(2^d) - x) == 1 for each such d.
     t = 2  # the polynomial x
     for _ in range(m // 2):
         t = power_mod(t, 2, f)
         if gcd(f, t ^ 2) != 1:
             return False
-    # And x must be a root of x^(2^m) - x mod f.
-    t = 2
-    for _ in range(m):
-        t = power_mod(t, 2, f)
-    return t == 2
+    return True
 
 
 # ---------------------------------------------------------------------------

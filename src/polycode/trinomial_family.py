@@ -19,7 +19,7 @@ from .distance import DistanceReport, head_zone_reports, monotone_fuse
 from .duality import dual_complement_distance, dual_pow2_distance
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import mul, power, power_mod, weight
-from .ring import RingContext, build_context
+from .ring import RingContext, new_context
 
 
 def family_poly(v: int) -> int:
@@ -40,20 +40,25 @@ def is_irreducible_trinomial(s: int) -> bool:
 
 
 def family_context(v: int, L: int) -> RingContext:
-    """Ring context over the scale-3^v trinomial, its order 3^(v+1) proven instead of found.
+    """Ring context over the scale-3^v trinomial.
 
-    build_context checks x^e == 1 mod P for the e it is given, which puts the
-    order among the divisors of e = 3^(v+1); x^(e/3) != 1 rules out every
-    proper one, as they all divide 3^v.
+    Ring set-up finds no order of x, so 2^m - 1 is never factored; the one
+    reader of the order, the family's head zone, takes it from family_order.
     """
-    P, e = family_poly(v), 3 ** (v + 1)
+    return new_context(family_poly(v), L)
 
-    def family_order(P: int) -> int:
-        if power_mod(2, e // 3, P) == 1:
-            raise InternalConsistencyError(f"the order of x mod the scale-3^{v} trinomial is not 3^{v + 1}")
-        return e
 
-    return build_context(P, L, family_order)
+def family_order(v: int) -> int:
+    """The order e = 3^(v+1) of x mod the scale-3^v trinomial, proven instead of found.
+
+    head_zone_split checks x^e == 1 mod P for the e it is given, which puts the
+    order among the divisors of e; x^(e/3) != 1 rules out every proper one, as
+    they all divide 3^v.
+    """
+    e = 3 ** (v + 1)
+    if power_mod(2, e // 3, family_poly(v)) == 1:
+        raise InternalConsistencyError(f"the order of x mod the scale-3^{v} trinomial is not 3^{v + 1}")
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +145,7 @@ def family_distance_profile(v: int, L: int) -> list[DistanceReport]:
     reports[0].set_exact(1, "full-space")
     reports[L].set_exact(n, "zero-code")
 
-    for j, (lo, hi) in head_zone_reports(ctx).items():
+    for j, (lo, hi) in head_zone_reports(ctx, family_order(v)).items():
         if lo != hi:
             raise InternalConsistencyError("family head zone must be exact (wt(P) = 3)")
         reports[j].set_exact(lo, "head-zone")

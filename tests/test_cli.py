@@ -161,6 +161,18 @@ def test_analyze_on_a_degree_32_primitive_ring(capsys):
     assert "order=4294967295" in capsys.readouterr().out
 
 
+def test_only_analyze_needs_the_order_of_x(capsys):
+    # 2^97 - 1 does not factor within the rho budget, and the order of x mod
+    # x^97+x^6+1 needs the part it cannot split; only the head zone reads it
+    ring = ["--poly", "x^97+x^6+1", "--power", "2", "--j", "1"]
+    assert main(["lcd", *ring, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_lcd"] is True
+    assert main(["dual", *ring, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["d_dual"] is None
+    assert main(["analyze", *ring]) == 2
+    assert "cannot factor" in capsys.readouterr().err
+
+
 def test_many_calls_in_one_process_do_not_leak_options(capsys):
     ring = ["--poly", "x^4+x+1", "--power", "16"]
     assert main(["analyze", *ring, "--j", "9", "--json"]) == 0

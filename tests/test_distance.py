@@ -18,7 +18,7 @@ from polycode.distance import (
 )
 from polycode import distance
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
-from polycode.gf2poly import parse
+from polycode.gf2poly import order, parse
 from polycode.ring import new_context
 
 M4 = parse("x^4+x+1")
@@ -52,14 +52,15 @@ def test_bruteforce_basics():
 
 
 def test_head_zone_split_values():
-    assert head_zone_split(new_context(M4, 16)) == 2  # 15*4 = 60 < 64
-    assert head_zone_split(new_context(M5, 5)) is None  # order 31 >= 25
-    assert head_zone_split(new_context(parse("x^3+x+1"), 9)) == 3  # 7*2 = 14 < 27, 7*4 = 28 is not
+    # the ring keeps no order: the caller passes e = order(P)
+    assert head_zone_split(new_context(M4, 16), order(M4)) == 2  # 15*4 = 60 < 64
+    assert head_zone_split(new_context(M5, 5), order(M5)) is None  # order 31 >= 25
+    assert head_zone_split(new_context(parse("x^3+x+1"), 9), order(parse("x^3+x+1"))) == 3  # 7*2 = 14 < 27, 7*4 = 28 is not
 
 
 def test_head_zone_reports_m4L16():
     ctx = new_context(M4, 16)
-    reports = head_zone_reports(ctx)
+    reports = head_zone_reports(ctx, order(ctx.P))
     assert set(reports) == set(range(1, 9))
     assert all(reports[j] == (2, 2) for j in range(1, 5))
     assert all(reports[j] == (3, 3) for j in range(5, 9))  # trinomial: wt(P) = 3

@@ -22,7 +22,7 @@ from polycode.duality import (
 )
 from polycode import duality
 from polycode.errors import InternalConsistencyError, ValidationError
-from polycode.gf2poly import div_rem, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal, substitute_power
+from polycode.gf2poly import div_rem, is_irreducible, mul, mul_trunc, order, parse, power_trunc, reciprocal, substitute_power
 from polycode.ring import new_context
 
 M3 = parse("x^3+x+1")
@@ -120,7 +120,7 @@ def _spread_weights_reference(ctx, base, lead_deg, factor):
 
 def cofactor_forms(ctx):
     """The paper's cofactors, as the reference: (x^e + 1, U = (x^e + 1)/P, U* = (x^e + 1)/P*) by exact division."""
-    x_e_1 = (1 << ctx.e) | 1
+    x_e_1 = (1 << order(ctx.P)) | 1
     U, rem = div_rem(x_e_1, ctx.P)
     assert rem == 0
     return x_e_1, U, reciprocal(U)
@@ -192,11 +192,11 @@ def test_sequential_closure_holds_for_constructed_duals():
 
 def test_dual_distance_provenance_paths():
     ctx = new_context(M3, 9)
-    d, prov = dual_distance_with_provenance(ctx, 4, oracle_cap=24)
+    d, prov = dual_distance_with_provenance(dual_code(code(ctx, 4)), oracle_cap=24)
     assert d == 3 and prov == ["dual-reduced-set", "dual-oracle"]
-    d, prov = dual_distance_with_provenance(ctx, 3, oracle_cap=24)
+    d, prov = dual_distance_with_provenance(dual_code(code(ctx, 3)), oracle_cap=24)
     assert d == 7 and prov == ["dual-oracle"]  # j = 3 has no anchored family here
-    d, prov = dual_distance_with_provenance(ctx, 3, oracle_cap=0)
+    d, prov = dual_distance_with_provenance(dual_code(code(ctx, 3)), oracle_cap=0)
     assert d is None and prov == []
 
 
@@ -207,6 +207,20 @@ def test_dual_summary_shape():
     assert summary["j"] == 2 and summary["n"] == 27 and summary["k_dual"] == 6
     assert summary["d_dual"] == 7
     assert summary["provenance"] == ["dual-reduced-set", "dual-oracle", "sequential-closure"]
+
+
+def test_dual_summary_builds_the_dual_once(monkeypatch):
+    # the oracle route searches the summary's own DualCode
+    built = []
+
+    def counting(c):
+        built.append(c.j)
+        return dual_code(c)
+
+    monkeypatch.setattr(duality, "dual_code", counting)
+    summary = dual_summary(new_context(M3, 9), 3, oracle_cap=24)
+    assert summary["d_dual"] == 7 and summary["provenance"] == ["dual-oracle", "sequential-closure"]
+    assert built == [3]
 
 
 def test_complement_distance_covers_exactly_the_tops():

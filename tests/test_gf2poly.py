@@ -122,7 +122,7 @@ def test_power_mod_matches_div_rem(a, e, f):
 # --- irreducibility and order ------------------------------------------------
 
 # number of monic irreducible polynomials over GF(2) by degree (necklace counts)
-IRREDUCIBLE_COUNTS = {2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30, 9: 56, 10: 99}
+IRREDUCIBLE_COUNTS = {2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30, 9: 56, 10: 99, 11: 186, 12: 335, 13: 630}
 
 
 @pytest.mark.parametrize("deg,count", sorted(IRREDUCIBLE_COUNTS.items()))

@@ -6,7 +6,7 @@ import pytest
 
 from polycode.codes import code, is_reversible
 from polycode.duality import dual_code, dual_min_distance_bruteforce
-from polycode import ring, trinomial_family
+from polycode import distance, trinomial_family
 from polycode.errors import InternalConsistencyError, ValidationError
 from polycode.gf2poly import is_irreducible, mul, order, parse, power, reciprocal, weight
 from polycode.lcd import lcd_verdict
@@ -16,6 +16,7 @@ from polycode.trinomial_family import (
     family_context,
     family_distance_profile,
     family_dual_d1,
+    family_order,
     family_parameters,
     family_poly,
     is_irreducible_trinomial,
@@ -36,7 +37,7 @@ def test_family_context_invariants():
         ctx = family_context(v, 4)
         s = 3**v
         assert ctx.P == family_poly(v)
-        assert ctx.e == 3 * s
+        assert order(ctx.P) == family_order(v) == 3 * s
         assert mul(ctx.P, (1 << s) | 1) == (1 << (3 * s)) | 1
         assert reciprocal(ctx.P) == ctx.P
 
@@ -149,21 +150,23 @@ def test_family_codes_are_reversible_and_lcd_spot_checks():
 def test_family_order_is_proven_not_factored(monkeypatch):
     # the generic order, which factors 2^m - 1, agrees with the proven 3^(v+1)
     for v in range(5):
-        assert order(family_poly(v)) == 3 ** (v + 1) == family_context(v, 2).e
+        assert order(family_poly(v)) == 3 ** (v + 1) == family_order(v)
 
     def unreachable(f):
-        raise AssertionError("family_context factored 2^m - 1")
+        raise AssertionError("the family profile factored 2^m - 1")
 
-    monkeypatch.setattr(ring, "order", unreachable)
-    assert family_context(5, 2).e == 729  # m = 486, where factoring took ~0.5 s
+    monkeypatch.setattr(distance, "order", unreachable)
+    assert family_order(5) == 729  # m = 486, where factoring took ~0.5 s
+    assert family_distance_profile(5, 2)[1].lower == 2  # e = 729 < n = 972: the head zone's weight-2 word
 
 
 @pytest.mark.parametrize("poly, match", [("x^2+x+1", "not 3\\^2"), ("x^3+x+1", "exact multiple")], ids=["x^3=1", "x^9!=1"])
-def test_family_context_refuses_a_polynomial_of_the_wrong_order(monkeypatch, poly, match):
-    # x^2+x+1 has order 3, a proper divisor of 9; x^3+x+1 has order 7, so x^9 != 1
+def test_family_profile_refuses_a_polynomial_of_the_wrong_order(monkeypatch, poly, match):
+    # x^2+x+1 has order 3, a proper divisor of 9 (family_order refuses); x^3+x+1
+    # has order 7, so x^9 != 1 (head_zone_split refuses)
     monkeypatch.setattr(trinomial_family, "family_poly", lambda v: parse(poly))
     with pytest.raises(InternalConsistencyError, match=match):
-        family_context(1, 4)
+        family_distance_profile(1, 4)
 
 
 def test_family_rejects_bad_indices():
