@@ -65,7 +65,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for rep in reports:
             writer.writerow([rep.j, rep.lower, rep.upper, rep.exact, ";".join(rep.provenance)])
     else:
-        print(f"# n={ctx.n} m={ctx.m} L={ctx.L} regime={ctx.regime} order={order(ctx.P)}")
+        e = order(ctx.P, ctx.n)  # min(order, n): the head zone asks only whether the order is below n
+        print(f"# n={ctx.n} m={ctx.m} L={ctx.L} regime={ctx.regime} order{'=' if e < ctx.n else '>='}{e}")
         for rep in reports:
             mid = f"d = {rep.lower}" if rep.exact else f"d in [{rep.lower}, {rep.upper}]"
             print(f"j={rep.j:>3}  {mid:<18}  {', '.join(rep.provenance)}")

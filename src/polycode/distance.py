@@ -10,7 +10,9 @@ Three independent sources feed one report per j:
   lower anchors are j = 2^(T-s); the upper ones are ctx.tops, whose first
   entry 2^(T-1) is also the top lower anchor;
 * interval bounds everywhere else: a head-zone classification driven by the
-  order e of x mod P (supplied by the caller: the ring does not keep it),
+  order e of x mod P, which it needs only below n (supplied by the caller:
+  the generic profile steps x^i mod P for i < n, the trinomial family
+  proves e),
   weight witnesses wt(P^j), doubling lower bounds
   2*d(anchor) from each upper anchor up to the next one (or L), and
   monotonicity along the chain (C_{j+1} inside C_j).
@@ -115,13 +117,15 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 def head_zone_split(ctx: RingContext, e: int) -> int | None:
     """Smallest J with e * 2^(T-J) < n, or None when e >= n (no weight-2 words at all).
 
-    e is the order of x mod P, which the caller finds or proves; x^e == 1 mod P
-    is checked here.
+    e is the order of x mod P, which the caller finds or proves, or any e >= n
+    when the order is at least n: the split needs only whether e < n, so a
+    caller may step x^i mod P for i < n and pass n when no power returns to 1.
+    x^e == 1 mod P is checked here when e < n; a capped e = n is no order.
     """
-    if power_mod(2, e, ctx.P) != 1:
-        raise InternalConsistencyError("x^e + 1 is not an exact multiple of P")
     if e >= ctx.n:
         return None
+    if power_mod(2, e, ctx.P) != 1:
+        raise InternalConsistencyError("x^e + 1 is not an exact multiple of P")
     for J in range(1, ctx.T + 1):
         if e << (ctx.T - J) < ctx.n:
             return J
@@ -197,7 +201,7 @@ def full_distance_profile(
     reports[0].set_exact(1, "full-space")
     reports[L].set_exact(n, "zero-code")
 
-    for j, (lo, hi) in head_zone_reports(ctx, order(ctx.P)).items():
+    for j, (lo, hi) in head_zone_reports(ctx, order(ctx.P, n)).items():
         reports[j].raise_lower(lo, "head-zone")
         reports[j].cut_upper(hi, "head-zone")
 

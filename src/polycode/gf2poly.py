@@ -5,15 +5,15 @@ coefficient of x^i, so the constant term sits in bit 0 and x^4 + x + 1 is
 0b10011.  Addition is XOR, multiplication is carry-less, and degrees are one
 less than ``int.bit_length``.  Everything here is pure int arithmetic with no
 size limit beyond memory, except that parse refuses a term past
-RING_TABLE_BITS: no ring over such a polynomial can be set up.
+RING_TABLE_BITS (no ring over such a polynomial can be set up) and that
+order walks the powers of x only up to the cap its caller gives.
 """
 
 from __future__ import annotations
 
-import math
 import re
 
-from .errors import CapExceeded, ValidationError
+from .errors import ValidationError
 
 RING_TABLE_BITS = 1 << 26  # budget for a ring's powers P^0..P^L (about m*L^2/2 bits); 8 MB of ints
 
@@ -158,140 +158,28 @@ def reciprocal(a: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Miller-Rabin with the first 13 prime bases is exact below this bound
-# (Sorenson and Webster, 2015); above it a probable prime stays unproven.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
-_TRIAL_LIMIT = 1024  # trial division runs below this; a cofactor below its square is prime
-# Pollard-Brent iterations spent on one cofactor before factoring gives up.
-_RHO_BUDGET = 1 << 17
+def order(f: int, cap: int) -> int:
+    """min(e, cap), e the least e >= 1 with x^e == 1 mod f (the order of x), for f of degree >= 1.
 
-
-def _is_prime(n: int) -> bool | None:
-    """Deterministic Miller-Rabin for odd n > 41; None for a probable prime it cannot prove."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        y = pow(a, d, n)
-        if y in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            y = y * y % n
-            if y == n - 1:
-                break
-        else:
-            return False
-    return True if n < _MR_EXACT_BELOW else None
-
-
-def _lucas_lehmer(m: int) -> bool:
-    """Whether 2^m - 1 is prime, for m >= 3; for p dividing m, 2^p - 1 divides it."""
-    c, s = (1 << m) - 1, 4
-    for _ in range(m - 2):
-        s = (s * s - 2) % c
-    return s == 0 and all(m % p for p in range(2, math.isqrt(m) + 1))
-
-
-def _rho_split(n: int) -> int | None:
-    """A proper factor of the odd composite n by Pollard-Brent rho, or None once the budget is spent."""
-    budget = _RHO_BUDGET
-    for c in range(1, 64):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1 and budget > 0:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            budget -= 2 * r
-            r <<= 1
-        if g == n:  # the batch overshot: step the last batch one value at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g
-        if budget <= 0:
-            return None
-    return None
-
-
-def _prime_factors(n: int) -> tuple[set[int], dict[int, str]]:
-    """The distinct prime factors of n >= 1, and each cofactor that neither splits nor proves prime.
-
-    The second part maps such a cofactor to its status, "is composite" or
-    "may be prime but is unproven"; it is empty when n factors completely.
+    x is a unit mod f exactly when f has a constant term, so e exists for every
+    such f and for no other; the rest are refused.  The walk t <- x*t mod f
+    takes at most cap - 1 steps, each a shift, a conditional XOR with f and a
+    compare with 1, so a caller that asks only whether e < cap never waits on
+    an order of 2^m - 1.
     """
-    out = set()
-    stuck: dict[int, str] = {}
-    for p in range(2, _TRIAL_LIMIT):  # a composite p never divides: its prime factors are gone
-        if p * p > n:
-            break
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        c = stack.pop()
-        if c < _TRIAL_LIMIT**2:
-            out.add(c)
-            continue
-        prime = _is_prime(c)
-        if prime is None and c & (c + 1) == 0:  # 2^m - 1, which Lucas-Lehmer decides
-            prime = _lucas_lehmer(c.bit_length())
-        if prime:
-            out.add(c)
-            continue
-        g = _rho_split(c)
-        if g is None:
-            stuck[c] = "is composite" if prime is False else "may be prime but is unproven"
-        else:
-            stack += [g, c // g]
-    return out, stuck
-
-
-def order(f: int) -> int:
-    """Least e >= 1 with x^e == 1 mod f, for f of degree m >= 1 with x^(2^m - 1) == 1 mod f.
-
-    Every irreducible f qualifies, since x then lies in the multiplicative group
-    of the field F2[x]/<f>, of order 2^m - 1.  Any f failing that test (most
-    reducible ones) is refused.  The order divides 2^m - 1, so it comes from
-    factoring 2^m - 1 and stripping each prime q while x^(e/q) == 1 mod f.  A
-    cofactor c that does not factor is stripped whole: its part g of e (the
-    divisor of e built from c's primes) goes when x^(e/g) == 1 mod f, and the
-    order is refused only when it needs c.
-    """
-    if f == 0 or not (f & 1):
+    if not f & 1:
         raise ValidationError("order requires a nonzero constant term")
     m = degree(f)
     if m < 1:
         raise ValidationError("order requires degree >= 1")
-    e = (1 << m) - 1
-    if power_mod(2, e, f) != 1:
-        raise ValidationError("order requires x^(2^m - 1) == 1 mod f, which every irreducible f meets")
-    primes, stuck = _prime_factors(e)
-    for q in primes:
-        while e % q == 0 and power_mod(2, e // q, f) == 1:
-            e //= q
-    for c, status in stuck.items():
-        g, t = 1, math.gcd(e, c)
-        while t > 1:
-            g *= t
-            t = math.gcd(e // g, c)
-        if power_mod(2, e // g, f) != 1:
-            raise CapExceeded(f"cannot factor {c} ({status}) within {_RHO_BUDGET} rho steps")
-        e //= g
-    return e
+    t = 1
+    for e in range(1, cap):
+        t <<= 1
+        if t >> m:
+            t ^= f
+        if t == 1:
+            return e
+    return cap
 
 
 def is_irreducible(f: int) -> bool:

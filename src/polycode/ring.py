@@ -20,8 +20,9 @@ LCD-criterion words powers of (P * P*)^-1, so those two inverses are all the
 ring needs to keep.
 
 The ring never finds e itself: only the head-zone distance result reads it
-(distance.head_zone_split), and its callers supply it, by factoring 2^m - 1
-in the generic profile and by a proof for the trinomial family.
+(distance.head_zone_split), and only whether e < n.  Its callers supply it,
+by stepping x^i mod P for i < n in the generic profile and by a proof for
+the trinomial family.
 """
 
 from __future__ import annotations

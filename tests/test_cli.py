@@ -157,20 +157,22 @@ def test_conjecture_refuses_worker_counts_outside_the_cpu_range(capsys, workers)
 
 
 def test_analyze_on_a_degree_32_primitive_ring(capsys):
+    # the order of x is 2^32 - 1 (test_ring asserts it); the header steps only up to n = 64
     assert main(["analyze", "--poly", "x^32+x^22+x^2+x+1", "--power", "2", "--j", "1"]) == 0
-    assert "order=4294967295" in capsys.readouterr().out
+    assert "order>=64" in capsys.readouterr().out
 
 
-def test_only_analyze_needs_the_order_of_x(capsys):
-    # 2^97 - 1 does not factor within the rho budget, and the order of x mod
-    # x^97+x^6+1 needs the part it cannot split; only the head zone reads it
+def test_no_command_needs_the_full_order_of_x(capsys):
+    # the head zone asks only whether the order of x is below n = 194, so no command factors 2^97 - 1
     ring = ["--poly", "x^97+x^6+1", "--power", "2", "--j", "1"]
     assert main(["lcd", *ring, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["is_lcd"] is True
     assert main(["dual", *ring, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["d_dual"] is None
-    assert main(["analyze", *ring]) == 2
-    assert "cannot factor" in capsys.readouterr().err
+    assert main(["analyze", *ring, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["lower"], report["upper"], report["exact"]) == (3, 3, True)
+    assert report["provenance"] == ["head-zone"]
 
 
 def test_many_calls_in_one_process_do_not_leak_options(capsys):
@@ -253,7 +255,7 @@ def test_the_dual_closure_takes_no_sample_count():
 
 
 def test_conjecture_reaches_v5():
-    # ring set-up at v = 5 orders x^486 + x^243 + 1 although 2^486 - 1 does not factor within the rho budget
+    # ring set-up at v = 5 (m = 486) finds no order of x
     run = _python("-m", "polycode.cli", "conjecture", "--vmax", "5", "--tmax", "1", "--dim-cap", "1000", timeout=30)
     assert run.returncode == 0 and run.stderr == "scanned 6 codes: all LCD\n"
     assert run.stdout.splitlines()[-1] == "5,1,1,972,486,True,0"

@@ -52,15 +52,20 @@ def test_bruteforce_basics():
 
 
 def test_head_zone_split_values():
-    # the ring keeps no order: the caller passes e = order(P)
-    assert head_zone_split(new_context(M4, 16), order(M4)) == 2  # 15*4 = 60 < 64
-    assert head_zone_split(new_context(M5, 5), order(M5)) is None  # order 31 >= 25
-    assert head_zone_split(new_context(parse("x^3+x+1"), 9), order(parse("x^3+x+1"))) == 3  # 7*2 = 14 < 27, 7*4 = 28 is not
+    # the ring keeps no order: the caller passes e = order(P, cap), exact at cap 2^m
+    assert head_zone_split(new_context(M4, 16), order(M4, 1 << 4)) == 2  # 15*4 = 60 < 64
+    assert head_zone_split(new_context(M5, 5), order(M5, 1 << 5)) is None  # order 31 >= 25
+    assert head_zone_split(new_context(parse("x^3+x+1"), 9), order(parse("x^3+x+1"), 1 << 3)) == 3  # 7*2 = 14 < 27, 7*4 = 28 is not
+
+
+def test_head_zone_split_checks_the_order_only_below_n():
+    ctx = new_context(M5, 5)  # n = 25, order 31
+    assert head_zone_split(ctx, order(M5, ctx.n)) is None  # the capped 25 is no order, and goes unchecked
 
 
 def test_head_zone_reports_m4L16():
     ctx = new_context(M4, 16)
-    reports = head_zone_reports(ctx, order(ctx.P))
+    reports = head_zone_reports(ctx, order(ctx.P, 1 << ctx.m))
     assert set(reports) == set(range(1, 9))
     assert all(reports[j] == (2, 2) for j in range(1, 5))
     assert all(reports[j] == (3, 3) for j in range(5, 9))  # trinomial: wt(P) = 3

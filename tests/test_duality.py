@@ -120,7 +120,7 @@ def _spread_weights_reference(ctx, base, lead_deg, factor):
 
 def cofactor_forms(ctx):
     """The paper's cofactors, as the reference: (x^e + 1, U = (x^e + 1)/P, U* = (x^e + 1)/P*) by exact division."""
-    x_e_1 = (1 << order(ctx.P)) | 1
+    x_e_1 = (1 << order(ctx.P, 1 << ctx.m)) | 1
     U, rem = div_rem(x_e_1, ctx.P)
     assert rem == 0
     return x_e_1, U, reciprocal(U)

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycode.errors import CapExceeded, ValidationError
+from polycode.errors import ValidationError
 from polycode.gf2poly import (
-    _lucas_lehmer,
-    _prime_factors,
     RING_TABLE_BITS,
     degree,
     div_rem,
@@ -29,7 +27,6 @@ from polycode.gf2poly import (
     substitute_power,
     weight,
 )
-from polycode.trinomial_family import family_poly
 
 polys = st.integers(min_value=0, max_value=(1 << 256) - 1)
 nonzero = st.integers(min_value=1, max_value=(1 << 256) - 1)
@@ -134,17 +131,17 @@ def test_irreducible_counts_by_degree(deg, count):
 
 
 def test_known_orders():
-    assert order(parse("x^2+x+1")) == 3
-    assert order(parse("x^3+x+1")) == 7
-    assert order(parse("x^4+x^3+x^2+x+1")) == 5  # irreducible but not primitive
-    assert order(parse("x^4+x+1")) == 15
+    assert order(parse("x^2+x+1"), 1 << 2) == 3
+    assert order(parse("x^3+x+1"), 1 << 3) == 7
+    assert order(parse("x^4+x^3+x^2+x+1"), 1 << 4) == 5  # irreducible but not primitive
+    assert order(parse("x^4+x+1"), 1 << 4) == 15
 
 
 def test_order_divides_field_multiplicative_order():
     for deg in range(2, 9):
         for f in range((1 << deg) | 1, 1 << (deg + 1), 2):
             if is_irreducible(f):
-                assert (2**deg - 1) % order(f) == 0
+                assert (2**deg - 1) % order(f, 1 << deg) == 0
 
 
 def _order_by_stepping(f):
@@ -162,57 +159,15 @@ def test_order_matches_stepping_for_every_irreducible_up_to_degree_12():
     for deg in range(2, 13):
         for f in range((1 << deg) | 1, 1 << (deg + 1), 2):
             if is_irreducible(f):
-                assert order(f) == _order_by_stepping(f), format_poly(f)
+                e = _order_by_stepping(f)
+                for cap in (e - 1, e, e + 1, 1 << deg):
+                    assert order(f, cap) == min(e, cap), (format_poly(f), cap)
 
 
 def test_order_refuses_f_without_x_in_its_unit_group():
+    assert order(parse("x^2+1"), 8) == 2  # x^2 == 1 mod x^2 + 1: a constant term makes x a unit
     with pytest.raises(ValidationError):
-        order(parse("x^2+1"))  # x^3 == x mod x^2 + 1
-    with pytest.raises(ValidationError):
-        order(parse("x^3+x"))
-
-
-def test_order_refuses_rather_than_guesses_an_unproven_cofactor():
-    # 2^97 - 1 = 11447 * 13842607235828485645766393; the second factor is prime,
-    # above the exact range of the Miller-Rabin bases, and not a Mersenne number
-    with pytest.raises(CapExceeded, match="unproven"):
-        order(parse("x^97+x^6+1"))
-
-
-def test_order_strips_a_cofactor_it_cannot_factor_when_the_order_avoids_it():
-    # 2^486 - 1 leaves cofactors that do not factor within the rho budget, but
-    # the family trinomial at v = 5 has order 3^6, which none of them divides
-    assert _prime_factors((1 << 486) - 1)[1]
-    assert order(family_poly(5)) == 729
-
-
-@pytest.mark.parametrize("text", ["x^89+x^38+1", "x^127+x+1"])
-def test_order_proves_mersenne_prime_cofactors_by_lucas_lehmer(text):
-    f = parse(text)
-    assert is_irreducible(f)
-    assert order(f) == (1 << degree(f)) - 1
-
-
-def test_lucas_lehmer_finds_the_mersenne_prime_exponents():
-    assert [m for m in range(3, 130) if _lucas_lehmer(m)] == [3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127]
-
-
-@given(st.integers(min_value=1, max_value=10**10))
-def test_prime_factors_match_trial_division(n):
-    expected, rest, p = set(), n, 2
-    while p * p <= rest:
-        while rest % p == 0:
-            expected.add(p)
-            rest //= p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        expected.add(rest)
-    assert _prime_factors(n) == (expected, {})
-
-
-def test_prime_factors_split_mersenne_cofactors_by_rho():
-    assert _prime_factors(2**67 - 1) == ({193707721, 761838257287}, {})
-    assert _prime_factors(2**62 - 1) == ({3, 715827883, 2147483647}, {})
+        order(parse("x^3+x"), 8)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 200) - 1), st.integers(min_value=1, max_value=300))

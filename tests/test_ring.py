@@ -12,7 +12,7 @@ from polycode.codes import code, contains
 from polycode.distance import full_distance_profile
 from polycode.duality import dual_code, dual_summary
 from polycode.errors import CapExceeded, ValidationError
-from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, parse, power, power_trunc, reciprocal
+from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, parse, power, power_mod, power_trunc, reciprocal
 from polycode import gf2poly, ring
 from polycode.lcd import conjecture_scan, lcd_verdict
 from polycode.ring import RING_TABLE_BITS, new_context
@@ -36,7 +36,7 @@ def valuation(ctx, w):
 
 def test_context_basic_quantities():
     ctx = new_context(P4, 16)
-    assert (ctx.m, ctx.L, ctx.n, ctx.T, order(ctx.P)) == (4, 16, 64, 4, 15)
+    assert (ctx.m, ctx.L, ctx.n, ctx.T, order(ctx.P, 1 << ctx.m)) == (4, 16, 64, 4, 15)
     _assert_inverses(ctx)
     assert ctx.P_pows[0] == 1 and ctx.P_pows[1] == P4
     assert ctx.P_pows[16] == power(P4, 16)
@@ -136,7 +136,7 @@ def test_every_small_irreducible_context_builds():
             if is_irreducible(f):
                 ctx = new_context(f, 3)
                 _assert_inverses(ctx)
-                assert (2**deg - 1) % order(ctx.P) == 0
+                assert (2**deg - 1) % order(ctx.P, 1 << deg) == 0
 
 
 IRREDUCIBLE_UP_TO_10 = [
@@ -146,7 +146,7 @@ IRREDUCIBLE_UP_TO_10 = [
 
 def cofactor_forms(ctx):
     """The paper's cofactors, as the reference: (x^e + 1, U = (x^e + 1)/P, U* = (x^e + 1)/P*) by exact division."""
-    x_e_1 = (1 << order(ctx.P)) | 1
+    x_e_1 = (1 << order(ctx.P, 1 << ctx.m)) | 1
     U, rem = div_rem(x_e_1, ctx.P)
     assert rem == 0
     return x_e_1, U, reciprocal(U)
@@ -160,7 +160,7 @@ def test_cofactors_are_low_bits_of_exact_division(P, L, data):
     n, T = ctx.n, ctx.T
     P_inv = inverse_trunc(P, n)  # the ring keeps only P*^-1 and (P * P*)^-1
     x_e_1, U, U_star = cofactor_forms(ctx)
-    low = (1 << min(n, order(P))) - 1  # P*U = x^e + 1 == 1 mod x^e
+    low = (1 << order(P, n)) - 1  # P*U = x^e + 1 == 1 mod x^e; order(P, n) = min(e, n)
     assert P_inv & low == U & low and ctx.P_star_inv & low == U_star & low
 
     def form(x_exp, u_exp, us_exp, nbits):
@@ -187,29 +187,31 @@ def test_cofactors_are_low_bits_of_exact_division(P, L, data):
 
 
 def test_context_builds_on_wide_primitive_rings():
+    # x is primitive: x^(2^32 - 1) == 1, and x^((2^32 - 1)/p) != 1 for each prime p of 2^32 - 1
     ctx = new_context(parse("x^32+x^22+x^2+x+1"), 2)
-    assert order(ctx.P) == 2**32 - 1
+    assert power_mod(2, 2**32 - 1, ctx.P) == 1
+    assert all(power_mod(2, (2**32 - 1) // p, ctx.P) != 1 for p in (3, 5, 17, 257, 65537))
     _assert_inverses(ctx)
-    # 2^61 - 1 is prime, so every irreducible of degree 61 is primitive
+    # 2^61 - 1 is prime, so every irreducible of degree 61 is primitive (x != 1 there)
     P61 = next(f for f in range((1 << 61) | 3, (1 << 61) | (1 << 12), 2) if is_irreducible(f))
     ctx = new_context(P61, 2)
-    assert order(ctx.P) == 2**61 - 1
+    assert power_mod(2, 2**61 - 1, ctx.P) == 1
     _assert_inverses(ctx)
 
 
 def test_ring_set_up_dual_and_lcd_never_find_the_order(monkeypatch):
-    def unreachable(f):
-        raise AssertionError("2^m - 1 was factored")
+    def unreachable(*args):
+        raise AssertionError("the order of x was sought")
 
     found = gf2poly.order
     for name, module in list(sys.modules.items()):
         if name.startswith("polycode") and getattr(module, "order", None) is found:
             monkeypatch.setattr(module, "order", unreachable)
-    ctx = new_context(parse("x^97+x^6+1"), 2)  # its order needs a part of 2^97 - 1 that does not factor
+    ctx = new_context(parse("x^97+x^6+1"), 2)
     assert dual_summary(ctx, 1)["k_dual"] == 97
     assert lcd_verdict(code(ctx, 1), "all").is_lcd
     assert len(conjecture_scan(1, 3)) == 22
-    with pytest.raises(AssertionError, match="factored"):  # the head zone reads it
+    with pytest.raises(AssertionError, match="sought"):  # the head zone reads it
         full_distance_profile(ctx, oracle_cap=0)
 
 

@@ -37,7 +37,7 @@ def test_family_context_invariants():
         ctx = family_context(v, 4)
         s = 3**v
         assert ctx.P == family_poly(v)
-        assert order(ctx.P) == family_order(v) == 3 * s
+        assert order(ctx.P, 1 << ctx.m) == family_order(v) == 3 * s
         assert mul(ctx.P, (1 << s) | 1) == (1 << (3 * s)) | 1
         assert reciprocal(ctx.P) == ctx.P
 
@@ -148,15 +148,15 @@ def test_family_codes_are_reversible_and_lcd_spot_checks():
 
 
 def test_family_order_is_proven_not_factored(monkeypatch):
-    # the generic order, which factors 2^m - 1, agrees with the proven 3^(v+1)
+    # the generic order, which steps x^i mod P, agrees with the proven 3^(v+1)
     for v in range(5):
-        assert order(family_poly(v)) == 3 ** (v + 1) == family_order(v)
+        assert order(family_poly(v), 1 << (2 * 3**v)) == 3 ** (v + 1) == family_order(v)
 
-    def unreachable(f):
-        raise AssertionError("the family profile factored 2^m - 1")
+    def unreachable(*args):
+        raise AssertionError("the family profile sought the order of x")
 
     monkeypatch.setattr(distance, "order", unreachable)
-    assert family_order(5) == 729  # m = 486, where factoring took ~0.5 s
+    assert family_order(5) == 729  # m = 486
     assert family_distance_profile(5, 2)[1].lower == 2  # e = 729 < n = 972: the head zone's weight-2 word
 
 
