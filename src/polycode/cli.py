@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, code
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, chain, code
 from .distance import full_distance_profile, single_distance_report
 from .duality import dual_summary
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
@@ -99,12 +99,12 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 def _cmd_lcd(args: argparse.Namespace) -> int:
     ctx = _context(args)
     if args.j is not None:
-        js = [args.j]
+        codes = [code(ctx, args.j)]
     elif args.methods == "theorem":
-        js = list(range(1, ctx.L))  # the structural tests cover proper nonzero ideals only
+        codes = chain(ctx, 1, ctx.L)  # the structural tests cover proper nonzero ideals only
     else:
-        js = list(range(0, ctx.L + 1))
-    verdicts = [lcd_verdict(code(ctx, j), args.methods) for j in js]
+        codes = chain(ctx, 0, ctx.L + 1)
+    verdicts = [lcd_verdict(c, args.methods) for c in codes]
     if args.json:
         payload = [v.to_json_dict() for v in verdicts]
         print(json.dumps(payload[0] if args.j is not None else payload, indent=2))

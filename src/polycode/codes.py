@@ -3,19 +3,21 @@
 C_j has length n = m*L and dimension k = m*(L - j); its generator matrix
 stacks the shifts x^i * P^j for i < k, so codewords are exactly the masks of
 polynomial multiples of P^j of degree below n.  Codewords travel as ints
-(bit i = coordinate i).  Here live the code object, its generator rows,
-membership, reversibility, and the two default caps every search shares:
-DEFAULT_ENUM_CAP on the dimension an exact oracle takes, and
-DEFAULT_CANDIDATE_CAP on the words in one reduced candidate set (check_caps
-refuses a negative one).
+(bit i = coordinate i).  Each code carries its own generator P^j: code() takes
+one power, chain() steps from one code to the next by one product by P.  Here
+live the code object, the walk, generator rows, membership, reversibility,
+and the two default caps every search shares: DEFAULT_ENUM_CAP on the
+dimension an exact oracle takes, and DEFAULT_CANDIDATE_CAP on the words in
+one reduced candidate set (check_caps refuses a negative one).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .gf2poly import div_rem
+from .gf2poly import div_rem, mul, power, reciprocal
 from .ring import RingContext
 
 DEFAULT_ENUM_CAP = 28
@@ -34,6 +36,7 @@ class PolycyclicCode(NamedTuple):
 
     ctx: RingContext
     j: int
+    generator: int  # P^j
 
     @property
     def n(self) -> int:
@@ -43,16 +46,20 @@ class PolycyclicCode(NamedTuple):
     def k(self) -> int:
         return self.ctx.m * (self.ctx.L - self.j)
 
-    @property
-    def generator(self) -> int:
-        return self.ctx.P_pows[self.j]
-
 
 def code(ctx: RingContext, j: int) -> PolycyclicCode:
     """The j-th code of the chain, 0 <= j <= L (j = L is the zero code)."""
     if not 0 <= j <= ctx.L:
         raise ValidationError("code index j must satisfy 0 <= j <= L")
-    return PolycyclicCode(ctx, j)
+    return PolycyclicCode(ctx, j, power(ctx.P, j))
+
+
+def chain(ctx: RingContext, start: int, stop: int) -> Iterator[PolycyclicCode]:
+    """The codes C_start .. C_(stop-1), 0 <= start <= stop <= L + 1: one power, then one product by P per step."""
+    g = power(ctx.P, start)
+    for j in range(start, stop):
+        yield PolycyclicCode(ctx, j, g)
+        g = mul(g, ctx.P)
 
 
 def generator_rows(c: PolycyclicCode) -> list[int]:
@@ -69,13 +76,11 @@ def contains(c: PolycyclicCode, word: int) -> bool:
     return div_rem(word, c.generator)[1] == 0
 
 
-def reverse_word(word: int, n: int) -> int:
-    """The length-n coordinate reversal of a word."""
-    return int(format(word, f"0{n}b")[::-1], 2) if word else 0
-
-
 def is_reversible(c: PolycyclicCode) -> bool:
-    """Whether coordinate reversal maps C_j into itself (checked on generator rows)."""
-    if c.j == c.ctx.L:
-        return True
-    return all(contains(c, reverse_word(row, c.n)) for row in generator_rows(c))
+    """Whether coordinate reversal maps C_j into itself.
+
+    The full space and the zero code are.  For 0 < j < L, reversing the row
+    x^i * P^j gives x^s * (P^j)*, which P^j (prime to x) divides iff it
+    divides (P^j)* of the same degree: iff P^j is self-reciprocal.
+    """
+    return c.j in (0, c.ctx.L) or reciprocal(c.generator) == c.generator

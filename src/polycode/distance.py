@@ -26,7 +26,7 @@ raises InternalConsistencyError the moment two sources disagree.
 from __future__ import annotations
 
 from ._linalg import min_weight_affine, min_weight_span
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, generator_rows
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, chain, check_caps, code, generator_rows
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import order, power_mod, weight
 from .ring import RingContext
@@ -154,7 +154,7 @@ def _reduced_set_min(ctx: RingContext, j: int, B: int, cap: int) -> int:
     lam = -(-(ctx.m * (ctx.L - j)) // B)
     if 1 << (lam - 1) > cap:
         raise CapExceeded(f"reduced set has 2^{lam - 1} candidates, over the cap of {cap}")
-    g = ctx.P_pows[j]
+    g = code(ctx, j).generator
     rows = [g << (B * t) for t in range(1, lam)]
     # floor 2: no chain code with j >= 1 goes below 2; a nonzero g leaves no zero word
     return min_weight_affine(g, rows, ctx.n, floor=2)  # type: ignore[return-value]
@@ -221,8 +221,8 @@ def full_distance_profile(
             pass
 
     # weight witnesses
-    for j in range(1, L):
-        reports[j].cut_upper(weight(ctx.P_pows[j]), "weight-witness")
+    for c in chain(ctx, 1, L):
+        reports[c.j].cut_upper(weight(c.generator), "weight-witness")
 
     # doubling lower bounds: every index past an upper anchor, up to the next (or L), gets 2*d(anchor)
     for a, nxt in zip(tops, tops[1:] + (L,)):
@@ -231,18 +231,18 @@ def full_distance_profile(
 
     monotone_fuse(reports)
 
-    # oracle pass over whatever is still open and small enough
-    for rep in reports[1:L]:
-        _oracle_pass(ctx, rep, oracle_cap)
+    # oracle pass over whatever is still open and small enough: the tail j >= L - ocap/m, where k <= ocap
+    for c in chain(ctx, max(1, L - oracle_cap // ctx.m), L):
+        _oracle_pass(c, reports[c.j], oracle_cap)
     monotone_fuse(reports)
     return reports
 
 
-def _oracle_pass(ctx: RingContext, rep: DistanceReport, ocap: int) -> None:
-    """Close an open report with the oracle when k fits the cap; the value must lie in the interval."""
-    if rep.exact or ctx.m * (ctx.L - rep.j) > ocap:
+def _oracle_pass(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
+    """Close the open report on C_j with the oracle when k fits the cap; the value must lie in the interval."""
+    if rep.exact or c.k > ocap:
         return
-    d = min_distance_bruteforce(code(ctx, rep.j), cap=ocap)
+    d = min_distance_bruteforce(c, cap=ocap)
     if not rep.lower <= d <= rep.upper:
         raise InternalConsistencyError(
             f"j={rep.j}: oracle distance {d} outside the proven interval [{rep.lower}, {rep.upper}]"
@@ -261,5 +261,5 @@ def single_distance_report(
         raise ValidationError("index j must satisfy 0 <= j <= L")
     check_caps(oracle_cap=oracle_cap)
     reports = full_distance_profile(ctx, oracle_cap=0, candidate_cap=candidate_cap)
-    _oracle_pass(ctx, reports[j], oracle_cap)
+    _oracle_pass(code(ctx, j), reports[j], oracle_cap)
     return reports[j]

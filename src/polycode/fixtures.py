@@ -263,7 +263,7 @@ def _run_anchor_weights_m4l16() -> FixtureResult:
     ctx = new_context(parse("x^4 + x + 1"), 16)
     rows: list[FixtureRow] = []
     for r, table in sorted(ANCHOR_WEIGHTS_M4L16.items()):
-        base = ctx.P_pows[(1 << r) - 1]
+        base = code(ctx, (1 << r) - 1).generator
         for a, w in sorted(table.items()):
             _eq(rows, f"r={r} a={a:#06b}", w, weight(mul(a, base)))
         _eq(rows, f"r={r} min == anchor", min(table.values()), upper_anchor_distance(ctx, r))
@@ -273,7 +273,7 @@ def _run_anchor_weights_m4l16() -> FixtureResult:
 def _run_anchor_weights_m6l25() -> FixtureResult:
     ctx = new_context(parse("x^6 + x^5 + x^3 + x^2 + 1"), 25)
     rows: list[FixtureRow] = []
-    base = ctx.P_pows[16]
+    base = code(ctx, 16).generator
     for a, w in sorted(ANCHOR_WEIGHTS_M6L25.items()):
         _eq(rows, f"a={a:#06b}", w, weight(mul(substitute_power(a, 16), base)))
     a_wit, word = ANCHOR_WITNESS_M6L25

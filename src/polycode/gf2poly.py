@@ -15,7 +15,7 @@ import re
 
 from .errors import ValidationError
 
-RING_TABLE_BITS = 1 << 26  # budget for a ring's powers P^0..P^L (about m*L^2/2 bits); 8 MB of ints
+RING_TABLE_BITS = 1 << 26  # budget for the bits of P^0..P^L (about m*L^2/2) that a walk along a whole chain produces
 
 # ---------------------------------------------------------------------------
 # basic queries

@@ -18,7 +18,7 @@ from operator import xor
 from typing import NamedTuple
 
 from ._linalg import parity_dot, rank
-from .codes import PolycyclicCode, code
+from .codes import PolycyclicCode, chain
 from .errors import InternalConsistencyError, ValidationError, WrongRegime
 from .gf2poly import degree, mul, mul_trunc, power_trunc, reciprocal
 from .trinomial_family import family_context
@@ -199,15 +199,15 @@ def _scan_pair(args: tuple[int, int]) -> list[dict]:
     v, T = args
     ctx = family_context(v, 1 << T)
     out = []
-    for j in range(1, ctx.L):
-        hull = hull_dimension_oracle(code(ctx, j))
+    for c in chain(ctx, 1, ctx.L):
+        hull = hull_dimension_oracle(c)
         out.append(
             {
                 "v": v,
                 "T": T,
-                "j": j,
+                "j": c.j,
                 "n": ctx.n,
-                "k": ctx.m * (ctx.L - j),
+                "k": c.k,
                 "is_lcd": hull == 0,
                 "hull_dim": hull,
             }

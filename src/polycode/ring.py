@@ -9,7 +9,8 @@ and (P * P*)^-1 mod x^n (P* the reciprocal of P), and the anchor lattice
 `tops`: the upper anchors j = 2^T - 2^(T-r) below L, for r = 1, 2, ...  Every
 anchor j has the spread B = j & -j (so tops[0] = 2^(T-1) is also the top
 lower anchor, B = j), and the unanchored tail past the last one has length
-L - tops[-1].
+L - tops[-1].  The ring holds O(n) bits and no power of P: each code carries
+its own P^j (codes.code, codes.chain).
 
 With e the multiplicative order of x mod P, the paper writes the dual and LCD
 words with the cofactor (x^e + 1)/P and powers of x^e + 1.  P divides x^e + 1
@@ -48,7 +49,6 @@ class RingContext(NamedTuple):
     P_star_inv: int  # P*^-1 mod x^n, P* the reciprocal of P
     PP_star_inv: int  # (P * P*)^-1 mod x^n
     tops: tuple[int, ...]  # upper anchors 2^T - 2^(T-r) < L, r = 1, 2, ...; tops[0] = 2^(T-1)
-    P_pows: tuple[int, ...]  # P^0 .. P^L
 
     @property
     def regime(self) -> str:
@@ -65,9 +65,9 @@ def new_context(P: int, L: int) -> RingContext:
     m = degree(P)
     if m < 2:
         raise ValidationError("P must have degree at least 2")
-    bits = m * L * (L + 1) // 2  # P^0..P^L, built below; checked first, as it needs only m and L
+    bits = m * L * (L + 1) // 2  # P^0..P^L, the output of a whole-chain walk; checked first, as it needs only m and L
     if bits > RING_TABLE_BITS:
-        raise CapExceeded(f"the powers P^0..P^L need ~{bits} bits, over the budget of {RING_TABLE_BITS}")
+        raise CapExceeded(f"a whole-chain walk produces P^0..P^L, ~{bits} bits, over the budget of {RING_TABLE_BITS}")
     if not is_irreducible(P):
         raise ValidationError("P must be irreducible over GF(2)")
 
@@ -79,12 +79,6 @@ def new_context(P: int, L: int) -> RingContext:
     if mul_trunc(P_star, P_star_inv, n) != 1 or mul_trunc(PP_star, PP_star_inv, n) != 1:
         raise InternalConsistencyError("power-series inverse of P* or P * P* disagrees with its defining product")
 
-    pows = [1]
-    for _ in range(L):
-        pows.append(mul(pows[-1], P))
-    if pows[L].bit_length() - 1 != n:
-        raise InternalConsistencyError("deg P^L != m*L")
-
     return RingContext(
         P=P,
         m=m,
@@ -94,5 +88,4 @@ def new_context(P: int, L: int) -> RingContext:
         P_star_inv=P_star_inv,
         PP_star_inv=PP_star_inv,
         tops=tuple(j for j in ((1 << T) - (1 << (T - r)) for r in range(1, T + 1)) if j < L),
-        P_pows=tuple(pows),
     )

@@ -14,7 +14,7 @@ than return a value that disagrees.
 
 from __future__ import annotations
 
-from .codes import DEFAULT_CANDIDATE_CAP, code, is_reversible
+from .codes import DEFAULT_CANDIDATE_CAP, chain, code, is_reversible
 from .distance import DistanceReport, head_zone_reports, monotone_fuse
 from .duality import dual_complement_distance, dual_pow2_distance
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
@@ -170,9 +170,9 @@ def family_distance_profile(v: int, L: int) -> list[DistanceReport]:
             reports[j].cut_upper(hi, "closed-form")
     # the tail past the last anchor doubles it (empty when L == 2^T)
     tail_lo = 2 * reports[tops[-1]].lower
-    for j in range(tops[-1] + 1, L):
-        reports[j].raise_lower(tail_lo, "double-bound")
-        reports[j].cut_upper(weight(ctx.P_pows[j]), "weight-witness")
+    for c in chain(ctx, tops[-1] + 1, L):
+        reports[c.j].raise_lower(tail_lo, "double-bound")
+        reports[c.j].cut_upper(weight(c.generator), "weight-witness")
 
     monotone_fuse(reports)
     return reports

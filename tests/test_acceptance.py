@@ -216,7 +216,7 @@ def test_structural_property_suite():
         for j in range(L):
             c = code(ctx, j)
             for row in generator_rows(c):
-                assert contains(c, div_rem(row << 1, ctx.P_pows[L])[1])  # x * row in the ring
+                assert contains(c, div_rem(row << 1, power(ctx.P, L))[1])  # x * row in the ring
 
 
 def test_published_survey_parameters_reproduce():

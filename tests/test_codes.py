@@ -6,20 +6,35 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polycode import codes
 from polycode._linalg import rank
+from polycode.cli import main
 from polycode.codes import (
+    chain,
     code,
     contains,
     generator_rows,
     is_reversible,
-    reverse_word,
 )
+from polycode.distance import min_distance_bruteforce
 from polycode.errors import ValidationError
-from polycode.gf2poly import div_rem, mul, parse, weight
+from polycode.gf2poly import div_rem, is_irreducible, mul, parse, power, weight
+from polycode.lcd import _scan_pair, lcd_verdict
 from polycode.ring import new_context
 
 P2 = parse("x^2+x+1")
 P3 = parse("x^3+x+1")
+IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]
+
+
+def reverse_word(word, n):
+    """The length-n coordinate reversal of a word."""
+    return int(format(word, f"0{n}b")[::-1], 2) if word else 0
+
+
+def reversible_by_rows(c):
+    """Reference: coordinate reversal maps every generator row back into C_j."""
+    return all(contains(c, reverse_word(row, c.n)) for row in generator_rows(c))
 
 
 def test_dimensions_along_the_chain():
@@ -69,7 +84,7 @@ def test_polycyclic_closure_of_generator_rows():
         for j in range(L):
             c = code(ctx, j)
             for row in generator_rows(c):
-                assert contains(c, div_rem(row << 1, ctx.P_pows[L])[1])  # x * row in the ring
+                assert contains(c, div_rem(row << 1, power(ctx.P, L))[1])  # x * row in the ring
 
 
 def test_reverse_word():
@@ -83,3 +98,51 @@ def test_reversibility_frozen_values():
     ctx = new_context(P2, 4)  # self-reciprocal trinomial: whole chain reversible
     for j in range(5):
         assert is_reversible(code(ctx, j)) is True
+
+
+def test_reversibility_matches_the_row_by_row_reference():
+    # every irreducible P of degree 2-6, L <= 6, every j
+    checked = 0
+    for P in IRREDUCIBLE_2_TO_6:
+        for L in range(2, 7):
+            ctx = new_context(P, L)
+            for j in range(L + 1):
+                c = code(ctx, j)
+                assert is_reversible(c) == reversible_by_rows(c), (P, L, j)
+                checked += 1
+    assert checked == sum(L + 1 for L in range(2, 7)) * len(IRREDUCIBLE_2_TO_6) == 525
+
+
+def test_the_chain_walk_matches_power_and_code():
+    # every irreducible P of degree 2-6, L <= 10, every 0 <= start <= stop <= L + 1
+    for P in IRREDUCIBLE_2_TO_6:
+        for L in range(2, 11):
+            ctx = new_context(P, L)
+            pows = [power(P, j) for j in range(L + 1)]
+            assert [code(ctx, j).generator for j in range(L + 1)] == pows
+            for start in range(L + 2):
+                for stop in range(start, L + 2):
+                    walk = list(chain(ctx, start, stop))
+                    assert [c.j for c in walk] == list(range(start, stop))
+                    assert [c.generator for c in walk] == pows[start:stop], (P, L, start, stop)
+
+
+def test_each_code_takes_at_most_one_power(monkeypatch, capsys):
+    # P^j comes from one power per code() call, and a walk along the chain takes one in all
+    calls = []
+    real = codes.power
+    monkeypatch.setattr(codes, "power", lambda a, e: calls.append(e) or real(a, e))
+    ctx = new_context(P3, 8)
+    c = code(ctx, 6)
+    assert calls == [6]
+    min_distance_bruteforce(c)
+    lcd_verdict(c)
+    assert calls == [6]
+    for methods in ("all", "theorem"):
+        calls.clear()
+        assert main(["lcd", "--poly", "x^3+x+1", "--power", "8", "--methods", methods]) == 0
+        assert len(calls) <= 1
+    calls.clear()
+    assert len(_scan_pair((0, 5))) == 31
+    assert len(calls) <= 1
+    capsys.readouterr()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode.codes import code, contains
+from polycode.codes import chain, code, contains
 from polycode.distance import full_distance_profile
 from polycode.duality import dual_code, dual_summary
 from polycode.errors import CapExceeded, ValidationError
@@ -38,8 +38,19 @@ def test_context_basic_quantities():
     ctx = new_context(P4, 16)
     assert (ctx.m, ctx.L, ctx.n, ctx.T, order(ctx.P, 1 << ctx.m)) == (4, 16, 64, 4, 15)
     _assert_inverses(ctx)
-    assert ctx.P_pows[0] == 1 and ctx.P_pows[1] == P4
-    assert ctx.P_pows[16] == power(P4, 16)
+    for j in (0, 1, 16):
+        assert code(ctx, j).generator == power(P4, j)
+
+
+def test_the_ring_holds_o_n_bits():
+    # no power of P is kept: the fields are O(n) bits even at the largest chain the budget admits
+    ctx = new_context(P2, 8191)
+    assert ctx._fields == ("P", "m", "L", "n", "T", "P_star_inv", "PP_star_inv", "tops")
+
+    def bits(field):
+        return sum(map(bits, field)) if isinstance(field, tuple) else field.bit_length()
+
+    assert sum(map(bits, ctx)) <= 3 * ctx.n
 
 
 def _old_regime(L):
@@ -226,7 +237,8 @@ def test_the_power_table_budget_refuses_before_the_irreducibility_test(monkeypat
 
 def test_the_power_table_budget_refuses_before_building():
     # m*L*(L+1)/2 bits for P^0..P^L: L = 8191 fits 2^26 at m = 2, L = 8192 does not
-    assert sum(p.bit_length() for p in new_context(P2, 8191).P_pows) <= RING_TABLE_BITS
+    ctx = new_context(P2, 8191)
+    assert sum(c.generator.bit_length() for c in chain(ctx, 0, ctx.L + 1)) <= RING_TABLE_BITS
     with pytest.raises(CapExceeded, match="budget"):
         new_context(P2, 8192)
     with pytest.raises(CapExceeded, match="budget"):
