@@ -6,6 +6,7 @@ polynomial multiples of P^j of degree below n.  Codewords travel as ints
 (bit i = coordinate i).  Each code carries its own generator P^j: code() takes
 one power, chain() steps from one code to the next by one product by P.  Here
 live the code object, the walk, generator rows, membership, reversibility,
+the split of C_j into t interleaved codes up to t times shorter (interleave),
 and the two default caps every search shares: DEFAULT_ENUM_CAP on the
 dimension an exact oracle takes, and DEFAULT_CANDIDATE_CAP on the words in
 one reduced candidate set (check_caps refuses a negative one).
@@ -14,6 +15,7 @@ one reduced candidate set (check_caps refuses a negative one).
 from __future__ import annotations
 
 from collections.abc import Iterator
+from math import gcd
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -60,6 +62,41 @@ def chain(ctx: RingContext, start: int, stop: int) -> Iterator[PolycyclicCode]:
     for j in range(start, stop):
         yield PolycyclicCode(ctx, j, g)
         g = mul(g, ctx.P)
+
+
+class Interleave(NamedTuple):
+    """C_j split as the t-fold interleave of D_i = {R*c : deg(R*c) < ceil((n - i)/t)}, i < t.
+
+    P = Q(x^s) with s the gcd of P's exponents (odd for an irreducible P), and
+    with 2^a the largest power of 2 dividing j, b = j/2^a and t = 2^a*s,
+    P^j = Q(x^s)^(2^a*b) = R(x^t) over GF(2), R = Q^b.  A word f = sum over
+    i < t of x^i*f_i(x^t) is a multiple of R(x^t) iff every f_i is one of R,
+    so d(C_j) is d(D_0), the longest component: length n0, dimension k0.
+    Every field is a small constant; R, one power, is taken only when read.
+    """
+
+    s: int
+    Q: int
+    t: int
+    b: int
+    n0: int  # ceil(n/t)
+    k0: int  # n0 - deg R
+
+    @property
+    def R(self) -> int:
+        return power(self.Q, self.b)
+
+
+def interleave(ctx: RingContext, j: int) -> Interleave:
+    """The interleave split of C_j, 1 <= j <= L - 1."""
+    if not 1 <= j < ctx.L:
+        raise ValidationError("the interleave split covers 1 <= j <= L - 1")
+    exps = [i for i in range(1, ctx.m + 1) if ctx.P >> i & 1]
+    s = gcd(*exps)
+    t = (j & -j) * s
+    b = j // (j & -j)
+    n0 = -(-ctx.n // t)
+    return Interleave(s, sum(1 << (i // s) for i in [0, *exps]), t, b, n0, n0 - b * ctx.m // s)
 
 
 def generator_rows(c: PolycyclicCode) -> list[int]:

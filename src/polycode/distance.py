@@ -1,9 +1,15 @@
 """Minimum Hamming distances of the chain codes C_j.
 
-Three independent sources feed one report per j:
+Four independent sources feed one report per j:
 
 * an exact oracle over the whole code by information-set search (capped by
   the dimension k, for cross-checks and small dimensions);
+* the same oracle on a code up to t times shorter: P^j = R(x^t) splits C_j
+  into t interleaved components D_i = {R*c : deg(R*c) < ceil((n - i)/t)}
+  (codes.interleave), and d(C_j) = d(D_0), of dimension k0 about k/t.
+  Wherever t > 1 and k0 is within the same cap, D_0 is weighed; it closes
+  even j and every j on P = Q(x^s), s > 1, at k/t dimensions, and checks
+  the direct oracle where both run;
 * exact values on a lattice of "anchor" indices, where the minimum is
   attained inside a small reduced candidate set P^j * a(x^B) with B = j & -j
   and a running over constant-term-1 polynomials of bounded degree.  The
@@ -17,7 +23,7 @@ Three independent sources feed one report per j:
   2*d(anchor) from each upper anchor up to the next one (or L), and
   monotonicity along the chain (C_{j+1} inside C_j).
 
-The oracle and the reduced sets are both minima over an affine span of
+The oracles and the reduced sets are all minima over an affine span of
 words, taken by the one kernel of _linalg (min_weight_affine).
 full_distance_profile fuses all of it, tags every bound with its source, and
 raises InternalConsistencyError the moment two sources disagree.
@@ -26,9 +32,18 @@ raises InternalConsistencyError the moment two sources disagree.
 from __future__ import annotations
 
 from ._linalg import min_weight_affine, min_weight_span
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, chain, check_caps, code, generator_rows
+from .codes import (
+    DEFAULT_CANDIDATE_CAP,
+    DEFAULT_ENUM_CAP,
+    PolycyclicCode,
+    chain,
+    check_caps,
+    code,
+    generator_rows,
+    interleave,
+)
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import order, power_mod, weight
+from .gf2poly import order, power_mod, substitute_power, weight
 from .ring import RingContext
 
 
@@ -103,9 +118,7 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
     if c.j == c.ctx.L:
         raise ValidationError("the zero code has no nonzero word, hence no distance")
     if c.k > cap:
-        raise CapExceeded(
-            f"distance oracle needs 2^{c.k} words, over the cap of 2^{cap}; raise the cap"
-        )
+        raise CapExceeded(f"distance oracle: dimension {c.k} is over the oracle cap of {cap}; raise the cap")
     return min_weight_span(generator_rows(c), c.n)
 
 
@@ -234,6 +247,11 @@ def full_distance_profile(
     # oracle pass over whatever is still open and small enough: the tail j >= L - ocap/m, where k <= ocap
     for c in chain(ctx, max(1, L - oracle_cap // ctx.m), L):
         _oracle_pass(c, reports[c.j], oracle_cap)
+    # then the interleave component D_0 wherever t > 1 and k0 <= ocap (never at cap 0: k0 >= 1), closing open
+    # slots and checking the oracle's
+    if oracle_cap:
+        for c in chain(ctx, 1, L):
+            _spread_pass(c, reports[c.j], oracle_cap)
     monotone_fuse(reports)
     return reports
 
@@ -250,16 +268,36 @@ def _oracle_pass(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
     rep.set_exact(d, "oracle")
 
 
+def _spread_pass(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
+    """Weigh D_0, C_j's longest interleave component, when t > 1 and k0 fits the cap; d(D_0) must lie in the interval.
+
+    It runs on an open slot, to close it, and on one within the direct oracle's
+    reach (k <= ocap), where set_exact makes d(D_0) equal the exact value.
+    """
+    if rep.exact and c.k > ocap:
+        return
+    iv = interleave(c.ctx, c.j)
+    if iv.t == 1 or iv.k0 > ocap:
+        return
+    R = iv.R
+    if substitute_power(R, iv.t) != c.generator:
+        raise InternalConsistencyError(f"j={c.j}: R(x^{iv.t}) is not P^j")
+    rep.set_exact(min_weight_span([R << i for i in range(iv.k0)], iv.n0), f"spread-t{iv.t}")
+
+
 def single_distance_report(
     ctx: RingContext,
     j: int,
     oracle_cap: int = DEFAULT_ENUM_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> DistanceReport:
-    """Report for one j: structural profile plus an oracle pass on this index only."""
+    """Report for one j: structural profile plus the oracle and spread passes on this index only."""
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
     check_caps(oracle_cap=oracle_cap)
     reports = full_distance_profile(ctx, oracle_cap=0, candidate_cap=candidate_cap)
-    _oracle_pass(code(ctx, j), reports[j], oracle_cap)
+    c = code(ctx, j)
+    _oracle_pass(c, reports[j], oracle_cap)
+    if 0 < j < ctx.L:
+        _spread_pass(c, reports[j], oracle_cap)
     return reports[j]

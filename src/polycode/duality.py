@@ -65,9 +65,7 @@ def dual_code(c: PolycyclicCode) -> DualCode:
 def dual_min_distance_bruteforce(dual: DualCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact dual distance over the whole dual code (information-set search)."""
     if dual.dim > cap:
-        raise CapExceeded(
-            f"dual oracle needs 2^{dual.dim} words, over the cap of 2^{cap}; raise the cap"
-        )
+        raise CapExceeded(f"dual oracle: dimension {dual.dim} is over the oracle cap of {cap}; raise the cap")
     return min_weight_span(list(dual.rows), dual.n)
 
 

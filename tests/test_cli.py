@@ -24,6 +24,14 @@ def test_analyze_json_single_index(capsys):
     assert payload["j"] == 9 and payload["lower"] == 6 and payload["exact"] is True
 
 
+def test_analyze_closes_an_odd_j_through_the_spread(capsys):
+    # x^12+x^3+1 = Q(x^3): C_5 (k = 36, over the default cap) is weighed as D_0 over Q, k0 = 12
+    assert main(["analyze", "--poly", "x^12+x^3+1", "--power", "8", "--j", "5", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["lower"], payload["upper"], payload["exact"]) == (6, 6, True)
+    assert "spread-t3" in payload["provenance"]
+
+
 def test_analyze_json_whole_chain(capsys):
     assert main(["analyze", "--poly", "x^3+x+1", "--power", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

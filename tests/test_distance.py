@@ -51,6 +51,12 @@ def test_bruteforce_basics():
         min_distance_bruteforce(code(ctx, 0), cap=4)
 
 
+def test_oracle_refusal_names_the_dimension_and_the_cap():
+    # the information-set search walks nothing like 2^k words: the refusal names the dimension it counts
+    with pytest.raises(CapExceeded, match=r"^distance oracle: dimension 60 is over the oracle cap of 28; raise the cap$"):
+        min_distance_bruteforce(code(new_context(M4, 16), 1))
+
+
 def test_head_zone_split_values():
     # the ring keeps no order: the caller passes e = order(P, cap), exact at cap 2^m
     assert head_zone_split(new_context(M4, 16), order(M4, 1 << 4)) == 2  # 15*4 = 60 < 64

@@ -21,7 +21,7 @@ from polycode.duality import (
     sequential_closure_check,
 )
 from polycode import duality
-from polycode.errors import InternalConsistencyError, ValidationError
+from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import div_rem, is_irreducible, mul, mul_trunc, order, parse, power_trunc, reciprocal, substitute_power
 from polycode.ring import new_context
 
@@ -92,6 +92,13 @@ def test_dual_reduced_set_distances_m3L9():
         s = ctx.T - j.bit_length() + 1
         assert dual_pow2_distance(ctx, s) == d
         assert dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=24) == d
+
+
+def test_dual_oracle_refusal_names_the_dimension_and_the_cap():
+    # the information-set search walks nothing like 2^k words: the refusal names the dimension it counts
+    dual = dual_code(code(new_context(M3, 9), 8))  # dimension m*j = 24
+    with pytest.raises(CapExceeded, match=r"^dual oracle: dimension 24 is over the oracle cap of 20; raise the cap$"):
+        dual_min_distance_bruteforce(dual, cap=20)
 
 
 def test_dual_candidate_weights_m3L9():

@@ -1,0 +1,175 @@
+"""The interleave split P^j = R(x^t) and the `spread` distance source it feeds.
+
+C_j is the t-fold interleave of D_i = {R*c : deg(R*c) < ceil((n - i)/t)}, so
+d(C_j) = d(D_0).  The profile weighs D_0 wherever t > 1 and its dimension k0
+fits the oracle cap; these tests check the split itself, the spread against
+the direct oracle with the cap lifted, the family rings against the v = 0
+ring, and two identities of the same kind: reversal (P against P*) and the
+hull under halving j and L.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from polycode import distance
+from polycode.codes import chain, code, interleave
+from polycode.distance import DistanceReport, full_distance_profile, min_distance_bruteforce, single_distance_report
+from polycode.errors import InternalConsistencyError, ValidationError
+from polycode.gf2poly import degree, is_irreducible, parse, power, reciprocal, substitute_power
+from polycode.lcd import lcd_verdict
+from polycode.ring import new_context
+from polycode.trinomial_family import family_poly
+
+IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]
+# P = Q(x^s), s > 1: (Q, s) = (x^2+x+1, 3), (x^4+x+1, 3), (x^4+x+1, 5)
+SPREAD_RINGS = {"x^6+x^3+1": (0b111, 3), "x^12+x^3+1": (0b10011, 3), "x^20+x^5+1": (0b10011, 5)}
+
+
+def _rings(polys, nmax):
+    for P in polys:
+        for L in range(2, nmax // degree(P) + 1):
+            yield new_context(P, L)
+
+
+def test_the_split_rebuilds_every_power_and_its_dimension():
+    polys = IRREDUCIBLE_2_TO_6 + [parse(text) for text in SPREAD_RINGS]
+    checked = 0
+    for ctx in _rings(polys, 60):
+        for c in chain(ctx, 1, ctx.L):
+            iv = interleave(ctx, c.j)
+            assert iv.s % 2 == 1 and substitute_power(iv.Q, iv.s) == ctx.P
+            assert iv.t == (c.j & -c.j) * iv.s and iv.b * (c.j & -c.j) == c.j
+            assert substitute_power(iv.R, iv.t) == c.generator == power(ctx.P, c.j)
+            # the t components D_i, lengths ceil((n - i)/t), share R: their dimensions add up to k, D_0's is k0
+            dims = [-(-(ctx.n - i) // iv.t) - degree(iv.R) for i in range(iv.t)]
+            assert sum(max(0, d) for d in dims) == c.k
+            assert iv.n0 == -(-ctx.n // iv.t) and iv.k0 == dims[0] >= 1
+            checked += 1
+    assert checked == 1989
+
+
+def test_the_split_knows_s_and_q():
+    for text, (Q, s) in SPREAD_RINGS.items():
+        iv = interleave(new_context(parse(text), 8), 6)  # 2^a = 2, b = 3
+        assert (iv.s, iv.Q, iv.t, iv.b, iv.R) == (s, Q, 2 * s, 3, power(Q, 3))
+    iv = interleave(new_context(parse("x^4+x+1"), 16), 12)
+    assert (iv.s, iv.t, iv.b, iv.n0, iv.k0) == (1, 4, 3, 16, 4)
+    ctx = new_context(parse("x^4+x+1"), 4)
+    for j in (0, 4):
+        with pytest.raises(ValidationError):
+            interleave(ctx, j)
+
+
+def _spread_value(c):
+    """d(C_j) by the spread alone, on a fresh report with no bounds, at the cap it needs."""
+    iv = interleave(c.ctx, c.j)
+    rep = DistanceReport(c.j, 1, c.n)
+    distance._spread_pass(c, rep, iv.k0)
+    assert rep.exact and rep.provenance == [f"spread-t{iv.t}"]
+    return rep.lower
+
+
+@pytest.mark.parametrize(
+    "polys,nmax,expected",
+    [(IRREDUCIBLE_2_TO_6, 60, 922), ([parse(text) for text in SPREAD_RINGS], 120, 250)],
+    ids=["degree-2-to-6", "spread-rings"],
+)
+def test_spread_matches_the_uncapped_direct_oracle(polys, nmax, expected):
+    checked = 0
+    for ctx in _rings(polys, nmax):
+        for c in chain(ctx, 1, ctx.L):
+            if interleave(ctx, c.j).t > 1:
+                assert _spread_value(c) == min_distance_bruteforce(c, cap=c.k), (ctx.P, ctx.L, c.j)
+                checked += 1
+    assert checked == expected
+
+
+def test_profile_closes_an_odd_j_on_a_spread_ring():
+    ctx = new_context(parse("x^12+x^3+1"), 8)  # j = 5: k = 36, t = 3, k0 = 12
+    assert full_distance_profile(ctx, oracle_cap=0)[5].upper == 7  # [6, 7] from structure alone
+    rep = single_distance_report(ctx, 5)
+    assert (rep.lower, rep.upper) == (6, 6) and "spread-t3" in rep.provenance
+    assert min_distance_bruteforce(code(ctx, 5), cap=36) == 6
+    assert "spread-t3" in full_distance_profile(ctx)[5].provenance
+
+
+def test_the_spread_checks_the_direct_oracle_where_both_run(monkeypatch):
+    # cap 36: the tail oracle closes j = 5 first and keeps its tag; the spread then weighs D_0 there and
+    # at the anchors j = 6, 7 (k <= 36), which must agree with what each already holds
+    weighed = []
+    real = distance.min_weight_span
+
+    def counting(rows, nbits):
+        weighed.append((nbits, len(rows)))
+        return real(rows, nbits)
+
+    monkeypatch.setattr(distance, "min_weight_span", counting)
+    ctx = new_context(parse("x^12+x^3+1"), 8)
+    profile = full_distance_profile(ctx, oracle_cap=36)
+    assert all(rep.exact for rep in profile)
+    assert profile[5].provenance[-1] == "oracle" and profile[5].lower == 6
+    assert not any("spread" in tag for rep in profile for tag in rep.provenance)
+    assert weighed == [(96, 36), (32, 12), (16, 4), (32, 4)]  # C_5 itself, then D_0 at j = 5, 6, 7 (t = 3, 6, 3)
+
+
+@pytest.mark.parametrize("field", ["b", "n0"])
+def test_a_wrong_split_raises(monkeypatch, field):
+    real = distance.interleave
+
+    def wrong(ctx, j):  # R = Q^(b+1), or D_0 one coordinate too long
+        iv = real(ctx, j)
+        return iv._replace(b=iv.b + 1) if field == "b" else iv._replace(n0=iv.n0 + 1, k0=iv.k0 + 1)
+
+    monkeypatch.setattr(distance, "interleave", wrong)
+    ctx = new_context(parse("x^4+x+1"), 16)
+    with pytest.raises(InternalConsistencyError):
+        full_distance_profile(ctx, oracle_cap=28)
+
+
+def test_an_oracle_cap_of_zero_turns_the_spread_off(monkeypatch):
+    monkeypatch.setattr(distance, "min_weight_span", lambda rows, nbits: pytest.fail("an oracle ran"))
+    for text in SPREAD_RINGS:
+        ctx = new_context(parse(text), 8)
+        full_distance_profile(ctx, oracle_cap=0)
+        single_distance_report(ctx, 5, oracle_cap=0)
+
+
+def test_family_rings_answer_as_the_v0_ring():
+    # x^(2*3^v) + x^(3^v) + 1 = Q(x^(3^v)) with Q = x^2+x+1: every v reads the v = 0 ring
+    for L in range(2, 17):
+        base = full_distance_profile(new_context(family_poly(0), L))
+        for v in (1, 2):
+            profile = full_distance_profile(new_context(family_poly(v), L))
+            for r0, r in zip(base[1:L], profile[1:L]):
+                if r0.exact:
+                    assert r.exact and r.lower == r0.lower, (v, L, r0.j)
+                elif r.exact:
+                    assert r0.lower <= r.lower <= r0.upper, (v, L, r0.j)
+
+
+def test_the_reciprocal_gives_the_same_profile():
+    # C_j over P* is C_j over P with its coordinates reversed; one P per reciprocal pair
+    rings = 0
+    for ctx in _rings([P for P in IRREDUCIBLE_2_TO_6 if P <= reciprocal(P)], 60):
+        mirror = new_context(reciprocal(ctx.P), ctx.L)
+        a, b = full_distance_profile(ctx, oracle_cap=20), full_distance_profile(mirror, oracle_cap=20)
+        assert [(r.lower, r.upper) for r in a] == [(r.lower, r.upper) for r in b], (ctx.P, ctx.L)
+        rings += 1
+    assert rings == 154
+
+
+def test_the_hull_of_an_even_j_is_2_to_the_a_times_the_halved_ring_hull():
+    # 2^a || j and 2^a | L: each of the 2^a components is C_(j/2^a) over P^(L/2^a)
+    codes = nonzero = 0
+    for ctx in _rings(IRREDUCIBLE_2_TO_6, 120):
+        for c in chain(ctx, 1, ctx.L):
+            B = c.j & -c.j
+            if B == 1 or ctx.L % B:
+                continue
+            hull = lcd_verdict(c, "oracle").hull_dim
+            halved = lcd_verdict(code(new_context(ctx.P, ctx.L // B), c.j // B), "oracle").hull_dim
+            assert hull == B * halved, (ctx.P, ctx.L, c.j)
+            codes += 1
+            nonzero += hull > 0
+    assert (codes, nonzero) == (1339, 811)
