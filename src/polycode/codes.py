@@ -5,9 +5,9 @@ stacks the shifts x^i * P^j for i < k, so codewords are exactly the masks of
 polynomial multiples of P^j of degree below n.  Codewords travel as ints
 (bit i = coordinate i).  Each code carries its own generator P^j: code() takes
 one power, chain() steps from one code to the next by one product by P.  Here
-live the code object, the walk, generator rows, membership, reversibility,
-the split of C_j into t interleaved codes up to t times shorter (interleave),
-and the two default caps every search shares: DEFAULT_ENUM_CAP on the
+live the code object, the walk, generator rows, membership, the split of
+C_j into t interleaved codes up to t times shorter (interleave), and the
+two default caps every search shares: DEFAULT_ENUM_CAP on the
 dimension an exact oracle takes, and DEFAULT_CANDIDATE_CAP on the words in
 one reduced candidate set (check_caps refuses a negative one).
 """
@@ -19,7 +19,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .gf2poly import div_rem, mul, power, reciprocal
+from .gf2poly import div_rem, mul, power
 from .ring import RingContext
 
 DEFAULT_ENUM_CAP = 28
@@ -111,13 +111,3 @@ def contains(c: PolycyclicCode, word: int) -> bool:
     if c.j == c.ctx.L:
         return word == 0
     return div_rem(word, c.generator)[1] == 0
-
-
-def is_reversible(c: PolycyclicCode) -> bool:
-    """Whether coordinate reversal maps C_j into itself.
-
-    The full space and the zero code are.  For 0 < j < L, reversing the row
-    x^i * P^j gives x^s * (P^j)*, which P^j (prime to x) divides iff it
-    divides (P^j)* of the same degree: iff P^j is self-reciprocal.
-    """
-    return c.j in (0, c.ctx.L) or reciprocal(c.generator) == c.generator

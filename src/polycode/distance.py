@@ -16,10 +16,8 @@ Four independent sources feed one report per j:
   lower anchors are j = 2^(T-s); the upper ones are ctx.tops, whose first
   entry 2^(T-1) is also the top lower anchor;
 * interval bounds everywhere else: a head-zone classification driven by the
-  order e of x mod P, which it needs only below n (supplied by the caller:
-  the generic profile steps x^i mod P for i < n, the trinomial family
-  proves e),
-  weight witnesses wt(P^j), doubling lower bounds
+  order e of x mod P, which it needs only below n (so it steps x^i mod P
+  for i < n), weight witnesses wt(P^j), doubling lower bounds
   2*d(anchor) from each upper anchor up to the next one (or L), and
   monotonicity along the chain (C_{j+1} inside C_j).
 
@@ -127,14 +125,15 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 # ---------------------------------------------------------------------------
 
 
-def head_zone_split(ctx: RingContext, e: int) -> int | None:
+def head_zone_split(ctx: RingContext) -> int | None:
     """Smallest J with e * 2^(T-J) < n, or None when e >= n (no weight-2 words at all).
 
-    e is the order of x mod P, which the caller finds or proves, or any e >= n
-    when the order is at least n: the split needs only whether e < n, so a
-    caller may step x^i mod P for i < n and pass n when no power returns to 1.
-    x^e == 1 mod P is checked here when e < n; a capped e = n is no order.
+    e is the order of x mod P.  The split needs only whether e < n, so it
+    steps x^i mod P for i < n (order with cap n), which gives n when no power
+    returns to 1.  x^e == 1 mod P is checked when e < n; a capped e = n is no
+    order.
     """
+    e = order(ctx.P, ctx.n)
     if e >= ctx.n:
         return None
     if power_mod(2, e, ctx.P) != 1:
@@ -145,9 +144,9 @@ def head_zone_split(ctx: RingContext, e: int) -> int | None:
     raise InternalConsistencyError("e < n but no split index J found")
 
 
-def head_zone_reports(ctx: RingContext, e: int) -> dict[int, tuple[int, int]]:
-    """Distance bounds for every j up to 2^(T-1), e the order of x mod P: exact 2 below the split, [3, wt(P)] above."""
-    J = head_zone_split(ctx, e)
+def head_zone_reports(ctx: RingContext) -> dict[int, tuple[int, int]]:
+    """Distance bounds for every j up to 2^(T-1): exact 2 below the split, [3, wt(P)] above."""
+    J = head_zone_split(ctx)
     out: dict[int, tuple[int, int]] = {}
     for j in range(1, (1 << (ctx.T - 1)) + 1):
         if J is not None and j <= 1 << (ctx.T - J):
@@ -214,7 +213,7 @@ def full_distance_profile(
     reports[0].set_exact(1, "full-space")
     reports[L].set_exact(n, "zero-code")
 
-    for j, (lo, hi) in head_zone_reports(ctx, order(ctx.P, n)).items():
+    for j, (lo, hi) in head_zone_reports(ctx).items():
         reports[j].raise_lower(lo, "head-zone")
         reports[j].cut_upper(hi, "head-zone")
 

@@ -7,7 +7,9 @@ shifts x^i * P^j, none of which wraps past x^(n-1), so G*G^T is a symmetric
 Toeplitz matrix built from k parities.  The oracle's cross-check and both
 criteria run one extended Euclid: on q = (P * P_star)^j it measures the hull,
 on W = q^-1 the criteria's kernel (the hull in dual coordinates), which a
-Gray-code sweep checks where m*j <= 12.  A scanner sweeps the family's rings.
+Gray-code sweep checks where m*j <= 12.  A scanner sweeps the rings over
+powers 2^T of the self-reciprocal trinomials x^(2*3^v) + x^(3^v) + 1
+(family_poly), whose codes the paper conjectures are all LCD.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from ._linalg import parity_dot, rank
 from .codes import PolycyclicCode, chain
 from .errors import InternalConsistencyError, ValidationError, WrongRegime
 from .gf2poly import degree, mul, mul_trunc, power_trunc, reciprocal
-from .trinomial_family import family_context
+from .ring import new_context
 
 
 class LcdVerdict(NamedTuple):
@@ -195,9 +197,17 @@ def lcd_verdict(c: PolycyclicCode, methods: str = "all") -> LcdVerdict:
 # ---------------------------------------------------------------------------
 
 
+def family_poly(v: int) -> int:
+    """The scale-3^v trinomial x^(2*3^v) + x^(3^v) + 1."""
+    if v < 0:
+        raise ValidationError("scale exponent v must be >= 0")
+    s = 3**v
+    return (1 << (2 * s)) | (1 << s) | 1
+
+
 def _scan_pair(args: tuple[int, int]) -> list[dict]:
     v, T = args
-    ctx = family_context(v, 1 << T)
+    ctx = new_context(family_poly(v), 1 << T)
     out = []
     for c in chain(ctx, 1, ctx.L):
         hull = hull_dimension_oracle(c)

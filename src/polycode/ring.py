@@ -21,9 +21,8 @@ LCD-criterion words powers of (P * P*)^-1, so those two inverses are all the
 ring needs to keep.
 
 The ring never finds e itself: only the head-zone distance result reads it
-(distance.head_zone_split), and only whether e < n.  Its callers supply it,
-by stepping x^i mod P for i < n in the generic profile and by a proof for
-the trinomial family.
+(distance.head_zone_split), and only whether e < n, which it learns by
+stepping x^i mod P for i < n.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from .gf2poly import RING_TABLE_BITS, degree, inverse_trunc, is_irreducible, mul
 class RingContext(NamedTuple):
     """Immutable bundle of constants for one ring F2[x]/<P^L>.
 
-    tops is the one record of the anchor lattice: the profile, the dual
-    anchors and the trinomial closed forms all read it.
+    tops is the one record of the anchor lattice: the profile and the dual
+    anchors both read it.
     """
 
     P: int

@@ -6,24 +6,16 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from polycode.codes import code, contains, is_reversible
+from polycode.codes import code, contains
 from polycode.distance import full_distance_profile, min_distance_bruteforce
 from polycode.duality import dual_code, dual_min_distance_bruteforce, sequential_closure_check
 from polycode._linalg import parity_dot
 from polycode.codes import generator_rows
 from polycode.fixtures import run_fixture
-from polycode.gf2poly import div_rem, format_poly, is_irreducible, mul, parse, power
-from polycode.lcd import conjecture_scan, lcd_verdict
+from polycode.gf2poly import div_rem, format_poly, is_irreducible, mul, parse, power, weight
+from polycode.lcd import conjecture_scan, family_poly, lcd_verdict
 from polycode.ring import new_context
-from polycode.trinomial_family import (
-    expansion_pow_2r_minus_1,
-    family_context,
-    family_distance_profile,
-    family_dual_d1,
-    family_poly,
-    weight_formulas,
-)
-from polycode.gf2poly import mul, weight
+from test_codes import reversible_by_rows
 
 
 def _assert_fixture(key: str) -> None:
@@ -129,28 +121,30 @@ def test_structural_bounds_agree_with_brute_force_everywhere_under_10min():
 
 
 def test_trinomial_closed_forms_match_generic_machinery_and_oracle():
-    for s in (1, 3, 9):
-        P = (1 << (2 * s)) | (1 << s) | 1
-        for r in range(2, 7):
-            assert expansion_pow_2r_minus_1(s, r) == power(P, (1 << r) - 1)
+    # the paper's weights of P^(2^r - 1) and (x^s + 1) * P^(2^r - 1) over x^(2s) + x^s + 1, s = 3^v
     for v in (0, 1, 2):
         s = 3**v
         for r in range(1, 11):
-            w_plain, w_shifted = weight_formulas(v, r)
-            exp = expansion_pow_2r_minus_1(s, r)
-            assert weight(exp) == w_plain
-            assert weight(mul((1 << s) | 1, exp)) == w_shifted
-    # closed-form chain profiles against brute force on the rings small enough for it
+            pw = power(family_poly(v), (1 << r) - 1)
+            w = 1 << (r + 2)
+            want = ((w - 1) // 3, (w + 2) // 3) if r % 2 == 0 else ((w + 1) // 3, (w - 2) // 3)
+            assert (weight(pw), weight(mul((1 << s) | 1, pw))) == want, (v, r)
+    # the generic profile, and the paper's anchor, plateau and dual distances, against brute force
     for v, T in ((0, 1), (0, 2), (0, 3), (1, 1), (1, 2)):
         L = 1 << T
-        profile = family_distance_profile(v, L)
-        ctx = family_context(v, L)
+        ctx = new_context(family_poly(v), L)
+        profile = full_distance_profile(ctx)
+        d = [0] + [min_distance_bruteforce(code(ctx, j), cap=28) for j in range(1, L)]
         for j in range(1, L):
-            d = min_distance_bruteforce(code(ctx, j), cap=28)
-            assert profile[j].lower <= d <= profile[j].upper, (v, T, j)
+            assert profile[j].lower <= d[j] <= profile[j].upper, (v, T, j)
             if profile[j].exact:
-                assert d == profile[j].lower, (v, T, j)
-        want = family_dual_d1(v, T)
+                assert d[j] == profile[j].lower, (v, T, j)
+        for r, j in enumerate(ctx.tops[1:], 2):  # anchors 2^T - 2^(T-r)
+            assert d[j] == ((1 << (r + 2)) - (1 if r % 2 == 0 else 2)) // 3, (v, T, j)
+        for r, (a, b) in enumerate(zip(ctx.tops, ctx.tops[1:]), 1):  # plateaus: exact for even r, a 2-gap else
+            lo = ((1 << (r + 3)) - (2 if r % 2 == 0 else 4)) // 3
+            assert all(lo <= d[j] <= lo + r % 2 for j in range(a + 1, b)), (v, T, r)
+        want = ((1 << (T + 2)) - (2 if T % 2 else 1)) // 3  # d of the dual of C_1
         assert dual_min_distance_bruteforce(dual_code(code(ctx, 1)), cap=24) == want
 
 
@@ -158,7 +152,7 @@ def test_lcd_families_and_scan_have_no_counterexamples():
     # C_(2^r) for r < T, C_(2^T - 2^(T-r)) for 2 <= r <= T, and C_3 for T >= 3
     for v in (0, 1):
         for T in (1, 2, 3, 4):
-            ctx = family_context(v, 1 << T)
+            ctx = new_context(family_poly(v), 1 << T)
             js = [1 << r for r in range(T)] + [(1 << T) - (1 << (T - r)) for r in range(2, T + 1)]
             js += [3] if T >= 3 else []
             for j in js:
@@ -207,10 +201,9 @@ def test_structural_property_suite():
 
     # reversibility across the trinomial family, and shift closure everywhere
     for v, L in ((0, 5), (1, 3), (2, 2)):
-        ctx = family_context(v, L)
-        assert ctx.P == family_poly(v)
+        ctx = new_context(family_poly(v), L)
         for j in range(L + 1):
-            assert is_reversible(code(ctx, j))
+            assert reversible_by_rows(code(ctx, j))
     for poly_text, L in (("x^3+x+1", 4), ("x^5+x^2+1", 3)):
         ctx = new_context(parse(poly_text), L)
         for j in range(L):

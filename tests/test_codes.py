@@ -14,12 +14,11 @@ from polycode.codes import (
     code,
     contains,
     generator_rows,
-    is_reversible,
 )
 from polycode.distance import min_distance_bruteforce
 from polycode.errors import ValidationError
-from polycode.gf2poly import div_rem, is_irreducible, mul, parse, power, weight
-from polycode.lcd import _scan_pair, lcd_verdict
+from polycode.gf2poly import div_rem, is_irreducible, mul, parse, power, reciprocal, weight
+from polycode.lcd import _scan_pair, family_poly, lcd_verdict
 from polycode.ring import new_context
 
 P2 = parse("x^2+x+1")
@@ -94,21 +93,21 @@ def test_reverse_word():
 
 
 def test_reversibility_frozen_values():
-    assert is_reversible(code(new_context(P3, 2), 1)) is False
-    ctx = new_context(P2, 4)  # self-reciprocal trinomial: whole chain reversible
-    for j in range(5):
-        assert is_reversible(code(ctx, j)) is True
+    assert reversible_by_rows(code(new_context(P3, 2), 1)) is False
+    for v, L in ((0, 4), (1, 3), (2, 2)):  # self-reciprocal trinomials: whole chains reversible
+        ctx = new_context(family_poly(v), L)
+        for j in range(L + 1):
+            assert reversible_by_rows(code(ctx, j)) is True
 
 
 def test_reversibility_matches_the_row_by_row_reference():
-    # every irreducible P of degree 2-6, L <= 6, every j
+    # C_j (0 < j < L) is reversible iff P^j is self-reciprocal, iff P is: every irreducible P of degree 2-6, L <= 6
     checked = 0
     for P in IRREDUCIBLE_2_TO_6:
         for L in range(2, 7):
             ctx = new_context(P, L)
             for j in range(L + 1):
-                c = code(ctx, j)
-                assert is_reversible(c) == reversible_by_rows(c), (P, L, j)
+                assert reversible_by_rows(code(ctx, j)) == (j in (0, L) or reciprocal(P) == P), (P, L, j)
                 checked += 1
     assert checked == sum(L + 1 for L in range(2, 7)) * len(IRREDUCIBLE_2_TO_6) == 525
 

@@ -18,7 +18,7 @@ from polycode.distance import (
 )
 from polycode import distance
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
-from polycode.gf2poly import order, parse
+from polycode.gf2poly import degree, is_irreducible, order, parse
 from polycode.ring import new_context
 
 M4 = parse("x^4+x+1")
@@ -58,20 +58,30 @@ def test_oracle_refusal_names_the_dimension_and_the_cap():
 
 
 def test_head_zone_split_values():
-    # the ring keeps no order: the caller passes e = order(P, cap), exact at cap 2^m
-    assert head_zone_split(new_context(M4, 16), order(M4, 1 << 4)) == 2  # 15*4 = 60 < 64
-    assert head_zone_split(new_context(M5, 5), order(M5, 1 << 5)) is None  # order 31 >= 25
-    assert head_zone_split(new_context(parse("x^3+x+1"), 9), order(parse("x^3+x+1"), 1 << 3)) == 3  # 7*2 = 14 < 27, 7*4 = 28 is not
+    # the ring keeps no order: the split finds it, stepping x^i mod P for i < n
+    assert head_zone_split(new_context(M4, 16)) == 2  # 15*4 = 60 < 64
+    assert head_zone_split(new_context(M5, 5)) is None  # order 31 >= 25
+    assert head_zone_split(new_context(parse("x^3+x+1"), 9)) == 3  # 7*2 = 14 < 27, 7*4 = 28 is not
 
 
-def test_head_zone_split_checks_the_order_only_below_n():
+def test_head_zone_split_checks_the_order_only_below_n(monkeypatch):
     ctx = new_context(M5, 5)  # n = 25, order 31
-    assert head_zone_split(ctx, order(M5, ctx.n)) is None  # the capped 25 is no order, and goes unchecked
+    assert order(M5, ctx.n) == ctx.n  # the capped 25 is no order, and goes unchecked
+    assert head_zone_split(ctx) is None
+    monkeypatch.setattr(distance, "power_mod", lambda *args: pytest.fail("x^e was checked at e >= n"))
+    assert head_zone_split(ctx) is None
+
+
+def test_the_head_zone_refuses_an_order_that_x_does_not_return_to_1(monkeypatch):
+    # x^3+x+1 has order 7; an order walk that answered 9 (below n = 12) is caught by the x^e == 1 check
+    monkeypatch.setattr(distance, "order", lambda f, cap: 9)
+    with pytest.raises(InternalConsistencyError, match="exact multiple"):
+        full_distance_profile(new_context(parse("x^3+x+1"), 4))
 
 
 def test_head_zone_reports_m4L16():
     ctx = new_context(M4, 16)
-    reports = head_zone_reports(ctx, order(ctx.P, 1 << ctx.m))
+    reports = head_zone_reports(ctx)
     assert set(reports) == set(range(1, 9))
     assert all(reports[j] == (2, 2) for j in range(1, 5))
     assert all(reports[j] == (3, 3) for j in range(5, 9))  # trinomial: wt(P) = 3
@@ -167,6 +177,21 @@ def test_single_report_matches_full_profile():
             profile[j].upper,
             profile[j].exact,
         )
+
+
+def test_the_single_j_interval_contains_the_whole_chain_answer():
+    # one j fuses no neighbours, so it may answer wider than the whole chain, never beside it
+    ctx = new_context(parse("x^3+x+1"), 24)
+    whole = full_distance_profile(ctx, oracle_cap=20)[17]
+    one = single_distance_report(ctx, 17, oracle_cap=20)
+    assert (one.lower, one.upper) == (6, 9) and (whole.lower, whole.upper) == (6, 6)
+    for P in (f for f in range(8, 64) if is_irreducible(f)):  # degree 3-5, n <= 60
+        for L in range(2, 60 // degree(P) + 1):
+            ctx = new_context(P, L)
+            profile = full_distance_profile(ctx, oracle_cap=20)
+            for j in range(L + 1):
+                one = single_distance_report(ctx, j, oracle_cap=20)
+                assert one.lower <= profile[j].lower <= profile[j].upper <= one.upper, (P, L, j)
 
 
 def test_profile_is_monotone_for_many_rings():

@@ -17,9 +17,8 @@ from polycode.codes import chain, code, interleave
 from polycode.distance import DistanceReport, full_distance_profile, min_distance_bruteforce, single_distance_report
 from polycode.errors import InternalConsistencyError, ValidationError
 from polycode.gf2poly import degree, is_irreducible, parse, power, reciprocal, substitute_power
-from polycode.lcd import lcd_verdict
+from polycode.lcd import family_poly, lcd_verdict
 from polycode.ring import new_context
-from polycode.trinomial_family import family_poly
 
 IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]
 # P = Q(x^s), s > 1: (Q, s) = (x^2+x+1, 3), (x^4+x+1, 3), (x^4+x+1, 5)

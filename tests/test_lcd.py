@@ -21,13 +21,13 @@ from polycode.lcd import (
     _reconstruction_dim,
     _toeplitz_gram,
     conjecture_scan,
+    family_poly,
     hull_dimension_oracle,
     is_lcd_head_criterion,
     is_lcd_tail_criterion,
     lcd_verdict,
 )
 from polycode.ring import new_context
-from polycode.trinomial_family import family_context
 
 M3 = parse("x^3+x+1")
 
@@ -227,7 +227,7 @@ def test_lcd_families_hold():
     # C_(2^r) for r < T, C_(2^T - 2^(T-r)) for 2 <= r <= T, and C_3 for T >= 3
     for v in (0, 1):
         for T in (1, 2, 3, 4):
-            ctx = family_context(v, 1 << T)
+            ctx = new_context(family_poly(v), 1 << T)
             js = [1 << r for r in range(T)] + [(1 << T) - (1 << (T - r)) for r in range(2, T + 1)]
             js += [3] if T >= 3 else []
             for j in js:

@@ -14,9 +14,8 @@ from polycode.duality import dual_code, dual_summary
 from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, parse, power, power_mod, power_trunc, reciprocal
 from polycode import gf2poly, ring
-from polycode.lcd import conjecture_scan, lcd_verdict
+from polycode.lcd import conjecture_scan, family_poly, lcd_verdict
 from polycode.ring import RING_TABLE_BITS, new_context
-from polycode.trinomial_family import family_context
 
 P2 = parse("x^2+x+1")
 P3 = parse("x^3+x+1")
@@ -251,4 +250,4 @@ def test_every_conjecture_scan_ring_fits_the_power_table_budget():
     assert len(rings) == 41
     assert all(m * L * (L + 1) // 2 <= RING_TABLE_BITS for m, L in rings)
     for v, T in ((0, 11), (1, 9), (2, 7), (3, 6)):  # the largest L at each of the four smallest m
-        assert family_context(v, 1 << T).n == 2 * 3**v << T
+        assert new_context(family_poly(v), 1 << T).n == 2 * 3**v << T

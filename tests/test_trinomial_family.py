@@ -1,43 +1,73 @@
-"""The self-reciprocal trinomial family: closed forms against generic machinery."""
+"""The self-reciprocal trinomial family x^(2s) + x^s + 1, s = 3^v: the paper's formulas against generic machinery.
+
+The paper gives closed forms for this family: the expansion and weights of
+P^(2^r - 1), the distance of every chain code over P^L and the dual distance
+of C_1.  Each is a one-line expected value here, asserted against the
+generic profile, the reduced sets, plain powers and the dual oracle.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from polycode.codes import code, is_reversible
-from polycode.duality import dual_code, dual_min_distance_bruteforce
-from polycode import distance, trinomial_family
-from polycode.errors import InternalConsistencyError, ValidationError
-from polycode.gf2poly import is_irreducible, mul, order, parse, power, reciprocal, weight
-from polycode.lcd import lcd_verdict
-from polycode.trinomial_family import (
-    complement_anchor_value,
-    expansion_pow_2r_minus_1,
-    family_context,
-    family_distance_profile,
-    family_dual_d1,
-    family_order,
-    family_parameters,
-    family_poly,
-    is_irreducible_trinomial,
-    weight_formulas,
-)
+from polycode.codes import DEFAULT_CANDIDATE_CAP, code
+from polycode.distance import full_distance_profile, upper_anchor_distance
+from polycode.duality import dual_code, dual_min_distance_bruteforce, dual_pow2_distance
+from polycode.errors import ValidationError
+from polycode.gf2poly import is_irreducible, mul, order, power, power_mod, reciprocal, weight
+from polycode.lcd import family_poly, lcd_verdict
+from polycode.ring import new_context
+from test_codes import reversible_by_rows
+
+
+def anchor_value(r: int) -> int:
+    """The paper's d(C_j) at the upper anchor j = 2^T - 2^(T-r), r >= 2, when L = 2^T."""
+    return ((1 << (r + 2)) - 1) // 3 if r % 2 == 0 else ((1 << (r + 2)) - 2) // 3
+
+
+def plateau_bounds(r: int) -> tuple[int, int]:
+    """The paper's bounds on d(C_j) between the anchors r and r + 1 when L = 2^T: exact for even r, a 2-gap else."""
+    if r % 2 == 0:
+        return ((1 << (r + 3)) - 2) // 3, ((1 << (r + 3)) - 2) // 3
+    return ((1 << (r + 3)) - 4) // 3, ((1 << (r + 3)) - 1) // 3
+
+
+def weights(r: int) -> tuple[int, int]:
+    """The paper's weights of P^(2^r - 1) and of (x^s + 1) * P^(2^r - 1)."""
+    four = 1 << (r + 2)
+    return ((four - 1) // 3, (four + 2) // 3) if r % 2 == 0 else ((four + 1) // 3, (four - 2) // 3)
+
+
+def dual_d1(T: int) -> int:
+    """The paper's dual distance of C_1 when L = 2^T."""
+    return ((1 << (T + 2)) - 2) // 3 if T % 2 == 1 else ((1 << (T + 2)) - 1) // 3
+
+
+def expansion(s: int, r: int) -> int:
+    """The paper's explicit exponent set of P^(2^r - 1), every exponent a multiple of s."""
+    two_r = 1 << r
+    if r % 2 == 0:
+        q = (two_r - 1) // 3
+        exps = [e for i in range(q) for e in (3 * i, 3 * i + 1)] + [two_r - 1]
+        exps += [e for i in range(q, 2 * q) for e in (3 * i + 2, 3 * i + 3)]
+    else:
+        q = (two_r - 2) // 3
+        exps = [e for i in range(q) for e in (3 * i, 3 * i + 1)] + [two_r - 2, two_r - 1, two_r]
+        exps += [e for i in range(q + 1, 2 * q + 1) for e in (3 * i + 1, 3 * i + 2)]
+    return sum(1 << (s * e) for e in exps)
 
 
 def test_family_polys_are_the_irreducible_trinomials():
-    for s in range(1, 82):
-        f = (1 << (2 * s)) | (1 << s) | 1
-        assert is_irreducible_trinomial(s) == is_irreducible(f), s
-    # the predicate is exactly 's is a power of 3'
-    assert [s for s in range(1, 100) if is_irreducible_trinomial(s)] == [1, 3, 9, 27, 81]
+    # x^(2s) + x^s + 1 is irreducible exactly when s is a power of 3
+    assert [s for s in range(1, 100) if is_irreducible((1 << (2 * s)) | (1 << s) | 1)] == [1, 3, 9, 27, 81]
+    assert [family_poly(v) for v in range(3)] == [0b111, 0b1001001, (1 << 18) | (1 << 9) | 1]
 
 
 def test_family_context_invariants():
     for v in (0, 1, 2):
-        ctx = family_context(v, 4)
+        ctx = new_context(family_poly(v), 4)
         s = 3**v
-        assert ctx.P == family_poly(v)
-        assert order(ctx.P, 1 << ctx.m) == family_order(v) == 3 * s
+        assert order(ctx.P, 1 << ctx.m) == 3 * s
         assert mul(ctx.P, (1 << s) | 1) == (1 << (3 * s)) | 1
         assert reciprocal(ctx.P) == ctx.P
 
@@ -46,17 +76,15 @@ def test_family_context_invariants():
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_expansion_equals_generic_power(s, r):
     P = (1 << (2 * s)) | (1 << s) | 1
-    assert expansion_pow_2r_minus_1(s, r) == power(P, (1 << r) - 1)
+    assert expansion(s, r) == power(P, (1 << r) - 1)
 
 
 @pytest.mark.parametrize("v", [0, 1, 2])
 @pytest.mark.parametrize("r", range(1, 11))
 def test_weight_formulas_match_popcounts(v, r):
     s = 3**v
-    w_plain, w_shifted = weight_formulas(v, r)
-    exp = expansion_pow_2r_minus_1(s, r)
-    assert weight(exp) == w_plain
-    assert weight(mul((1 << s) | 1, exp)) == w_shifted
+    pw = power(family_poly(v), (1 << r) - 1)
+    assert (weight(pw), weight(mul((1 << s) | 1, pw))) == weights(r)
 
 
 def test_anchor_weight_decomposition_all_multipliers():
@@ -64,17 +92,18 @@ def test_anchor_weight_decomposition_all_multipliers():
     for v in (0, 1):
         s = 3**v
         for r in (2, 3, 4, 5):
-            w_plain, w_shifted = weight_formulas(v, r)
-            exp = expansion_pow_2r_minus_1(s, r)
+            w_plain, w_shifted = weights(r)
+            pw = power(family_poly(v), (1 << r) - 1)
             for g in range(1, 1 << (2 * s)):
                 lo, hi = g & ((1 << s) - 1), g >> s
                 alpha = bin(lo ^ hi).count("1")
                 beta = bin(lo & hi).count("1")
-                assert weight(mul(g, exp)) == alpha * w_plain + beta * w_shifted
+                assert weight(mul(g, pw)) == alpha * w_plain + beta * w_shifted
 
 
 def test_complement_anchor_values():
-    assert [complement_anchor_value(r) for r in range(2, 7)] == [5, 10, 21, 42, 85]
+    ctx = new_context(family_poly(0), 64)
+    assert [upper_anchor_distance(ctx, r) for r in range(2, 7)] == [anchor_value(r) for r in range(2, 7)] == [5, 10, 21, 42, 85]
 
 
 FROZEN_PROFILES = {
@@ -95,7 +124,7 @@ FROZEN_PROFILES = {
 
 @pytest.mark.parametrize("v,L", sorted(FROZEN_PROFILES))
 def test_family_profile_contains_frozen_truth(v, L):
-    profile = family_distance_profile(v, L)
+    profile = full_distance_profile(new_context(family_poly(v), L))
     truth = FROZEN_PROFILES[(v, L)]
     assert len(profile) == L + 1
     assert profile[0].lower == 1 and profile[L].lower == 2 * (3**v) * L
@@ -107,85 +136,93 @@ def test_family_profile_contains_frozen_truth(v, L):
 
 
 def test_family_profile_exact_slots_v0_L16():
-    profile = family_distance_profile(0, 16)
-    exact = {j: d for j, d in zip(range(1, 16), FROZEN_PROFILES[(0, 16)])}
-    open_slots = {9, 10, 11}  # the odd plateau leaves one-unit gaps here
-    for j, d in exact.items():
-        if j in open_slots:
-            continue
-        assert profile[j].exact and profile[j].lower == d, (j, profile[j])
+    # the paper's odd plateau r = 3 leaves one-unit gaps at j = 9, 10, 11; the generic profile closes them
+    profile = full_distance_profile(new_context(family_poly(0), 16))
+    assert [(rep.lower, rep.upper) for rep in profile[1:16]] == [(d, d) for d in FROZEN_PROFILES[(0, 16)]]
 
 
 @pytest.mark.parametrize(
     "v,T,want", [(0, 1, 2), (0, 2, 5), (0, 3, 10), (0, 4, 21), (1, 1, 2), (1, 2, 5), (1, 3, 10)]
 )
 def test_family_dual_first_distance(v, T, want):
-    assert family_dual_d1(v, T) == want
-    if 2 * 3**v <= 12:
-        ctx = family_context(v, 1 << T)
+    ctx = new_context(family_poly(v), 1 << T)
+    assert dual_d1(T) == dual_pow2_distance(ctx, T) == want
+    if ctx.m <= 12:
         assert dual_min_distance_bruteforce(dual_code(code(ctx, 1)), cap=24) == want
 
 
 def test_family_parameters_identities():
+    # [n, k] of the paper's three named families over L = 2^T, and d where the paper gives it
     for v in (0, 1):
-        for T in (2, 3):
-            for which, r in (("power-of-two", 1), ("complement", 2), ("first-power", None)):
-                row = family_parameters(v, T, which, r=r)
-                m, L = 2 * 3**v, 1 << T
-                assert row["n"] == m * L
-                assert row["k"] == m * (L - row["j"])
-                assert row["k"] + row["k_dual"] == row["n"]
-                assert row["reversible"] is True
+        s = 3**v
+        for T in (2, 3, 4):
+            ctx = new_context(family_poly(v), 1 << T)
+            profile = full_distance_profile(ctx)
+            rows = [(1 << r, s * (1 << (r + 1)) * ((1 << (T - r)) - 1), s * (1 << (r + 1)), 2) for r in range(T)]
+            rows += [((1 << T) - (1 << (T - r)), s * (1 << (T - r + 1)), None, anchor_value(r)) for r in range(2, T + 1)]
+            rows += [(1, s * ((1 << (T + 1)) - 2), ctx.m, 2)]
+            for j, k, k_dual, d in rows:
+                c = code(ctx, j)
+                assert c.k == k and c.n == ctx.m << T
+                assert dual_code(c).dim == (ctx.n - k if k_dual is None else k_dual)
+                assert profile[j].exact and profile[j].lower == d, (v, T, j)
 
 
 def test_family_codes_are_reversible_and_lcd_spot_checks():
-    for v, L in ((0, 4), (0, 8), (1, 4)):
-        ctx = family_context(v, L)
+    for v, L in ((0, 4), (0, 8), (1, 4), (2, 2)):
+        ctx = new_context(family_poly(v), L)
         for j in range(L + 1):
-            assert is_reversible(code(ctx, j))
+            assert reversible_by_rows(code(ctx, j))
         verdict = lcd_verdict(code(ctx, 1), "all")
         assert verdict.is_lcd and verdict.hull_dim == 0
 
 
-def test_family_order_is_proven_not_factored(monkeypatch):
-    # the generic order, which steps x^i mod P, agrees with the proven 3^(v+1)
-    for v in range(5):
-        assert order(family_poly(v), 1 << (2 * 3**v)) == 3 ** (v + 1) == family_order(v)
-
-    def unreachable(*args):
-        raise AssertionError("the family profile sought the order of x")
-
-    monkeypatch.setattr(distance, "order", unreachable)
-    assert family_order(5) == 729  # m = 486
-    assert family_distance_profile(5, 2)[1].lower == 2  # e = 729 < n = 972: the head zone's weight-2 word
-
-
-@pytest.mark.parametrize("poly, match", [("x^2+x+1", "not 3\\^2"), ("x^3+x+1", "exact multiple")], ids=["x^3=1", "x^9!=1"])
-def test_family_profile_refuses_a_polynomial_of_the_wrong_order(monkeypatch, poly, match):
-    # x^2+x+1 has order 3, a proper divisor of 9 (family_order refuses); x^3+x+1
-    # has order 7, so x^9 != 1 (head_zone_split refuses)
-    monkeypatch.setattr(trinomial_family, "family_poly", lambda v: parse(poly))
-    with pytest.raises(InternalConsistencyError, match=match):
-        family_distance_profile(1, 4)
-
-
 def test_family_rejects_bad_indices():
     with pytest.raises(ValidationError):
-        family_context(-1, 4)
+        family_poly(-1)
     with pytest.raises(ValidationError):
-        family_distance_profile(0, 1)
-    with pytest.raises(ValidationError):
-        family_parameters(0, 3, "nope")
+        new_context(family_poly(0), 1)
 
 
-def test_family_profile_agrees_with_the_generic_profile_on_every_ring_shape():
-    # short rings (L < 2^T) end on their own closed forms: an odd last anchor one
-    # above complement_anchor_value and a widened last plateau.  The intervals
-    # must overlap, so an exact value on either side lies inside the other's.
-    from polycode.distance import full_distance_profile
+# v = 0 over every ring shape up to L = 40 (short rings L < 2^T included) and L = 512, fewer L as m grows
+FAMILY_RINGS = [(0, [*range(2, 41), 512]), (1, range(2, 21)), (2, range(2, 11)), (3, range(2, 7))]
 
-    for v, Ls in ((0, range(2, 36)), (1, range(2, 10))):
+
+def test_paper_family_formulas_hold_on_the_generic_profile():
+    for v, Ls in FAMILY_RINGS:
+        P, s = family_poly(v), 3**v
+        assert order(P, 1 << (2 * s)) == 3 * s and power_mod(2, s, P) != 1
+        for r in range(1, 11):
+            pw = power(P, (1 << r) - 1)
+            assert (weight(pw), weight(mul((1 << s) | 1, pw))) == weights(r), (v, r)
         for L in Ls:
-            generic = full_distance_profile(family_context(v, L), oracle_cap=24)
-            for fam, gen in zip(family_distance_profile(v, L), generic):
-                assert max(fam.lower, gen.lower) <= min(fam.upper, gen.upper), (v, L, fam, gen)
+            ctx = new_context(P, L)
+            profile = full_distance_profile(ctx)
+            tops, short = ctx.tops, L < 1 << ctx.T
+            # head zone: weight-2 words x^N + 1 with N = 3s * 2^ceil(log2 j) < n, else wt(P) = 3
+            for j in range(1, tops[0] + 1):
+                d = 2 if 3 << (j - 1).bit_length() < 2 * L else 3
+                assert (profile[j].lower, profile[j].upper) == (d, d), (v, L, j)
+            # anchors; a short ring's last anchor, when odd, sits one above
+            for r, j in enumerate(tops[1:], 2):
+                d = ((1 << (r + 2)) + 1) // 3 if short and r == len(tops) and r % 2 else anchor_value(r)
+                assert (profile[j].lower, profile[j].upper) == (d, d), (v, L, j)
+            # plateaus; a short ring's last one widens to a 2-gap in both parities
+            for r, (a, b) in enumerate(zip(tops, tops[1:]), 1):
+                lo, hi = plateau_bounds(r)
+                hi = lo + 1 if short and b == tops[-1] else hi
+                for j in range(a + 1, b):
+                    if lo == hi:
+                        assert (profile[j].lower, profile[j].upper) == (lo, lo), (v, L, j)
+                    assert max(lo, profile[j].lower) <= min(hi, profile[j].upper), (v, L, j)
+            # the tail past the last anchor doubles it
+            for j in range(tops[-1] + 1, L):
+                assert profile[j].upper >= 2 * profile[tops[-1]].lower, (v, L, j)
+            if not short and 1 << (ctx.m - 1) <= DEFAULT_CANDIDATE_CAP:
+                assert dual_pow2_distance(ctx, ctx.T) == dual_d1(ctx.T), (v, L)
+                dual = dual_code(code(ctx, 1))
+                if dual.dim <= 24:
+                    assert dual_min_distance_bruteforce(dual, cap=24) == dual_d1(ctx.T), (v, L)
+    # m = 486: the order 729 is below n = 972, so the head zone has its weight-2 word
+    assert order(family_poly(5), 1 << 486) == 729
+    assert full_distance_profile(new_context(family_poly(5), 2))[1].lower == 2
