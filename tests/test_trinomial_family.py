@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from polycode.codes import DEFAULT_CANDIDATE_CAP, code
-from polycode.distance import full_distance_profile, upper_anchor_distance
+from polycode.distance import full_distance_profile, head_zone_split, upper_anchor_distance
 from polycode.duality import dual_code, dual_min_distance_bruteforce, dual_pow2_distance
 from polycode.errors import ValidationError
 from polycode.gf2poly import is_irreducible, mul, order, power, power_mod, reciprocal, weight
@@ -188,6 +188,30 @@ def test_family_rejects_bad_indices():
 FAMILY_RINGS = [(0, [*range(2, 41), 512]), (1, range(2, 21)), (2, range(2, 11)), (3, range(2, 7))]
 
 
+def paper_profile(ctx) -> dict[int, tuple[int, int]]:
+    """The paper's interval for d(C_j), j = 1..L-1, on a family ring: exact where the two ends meet."""
+    L, tops, short = ctx.L, ctx.tops, ctx.L < 1 << ctx.T
+    want = {}
+    # head zone: weight-2 words x^N + 1 with N = 3s * 2^ceil(log2 j) < n, else wt(P) = 3
+    for j in range(1, tops[0] + 1):
+        d = 2 if 3 << (j - 1).bit_length() < 2 * L else 3
+        want[j] = (d, d)
+    # anchors; a short ring's last anchor, when odd, sits one above
+    for r, j in enumerate(tops[1:], 2):
+        d = ((1 << (r + 2)) + 1) // 3 if short and r == len(tops) and r % 2 else anchor_value(r)
+        want[j] = (d, d)
+    # plateaus; a short ring's last one widens to a 2-gap in both parities
+    for r, (a, b) in enumerate(zip(tops, tops[1:]), 1):
+        lo, hi = plateau_bounds(r)
+        hi = lo + 1 if short and b == tops[-1] else hi
+        for j in range(a + 1, b):
+            want[j] = (lo, hi)
+    # the tail past the last anchor doubles it
+    for j in range(tops[-1] + 1, L):
+        want[j] = (2 * want[tops[-1]][0], ctx.n)
+    return want
+
+
 def test_paper_family_formulas_hold_on_the_generic_profile():
     for v, Ls in FAMILY_RINGS:
         P, s = family_poly(v), 3**v
@@ -198,27 +222,11 @@ def test_paper_family_formulas_hold_on_the_generic_profile():
         for L in Ls:
             ctx = new_context(P, L)
             profile = full_distance_profile(ctx)
-            tops, short = ctx.tops, L < 1 << ctx.T
-            # head zone: weight-2 words x^N + 1 with N = 3s * 2^ceil(log2 j) < n, else wt(P) = 3
-            for j in range(1, tops[0] + 1):
-                d = 2 if 3 << (j - 1).bit_length() < 2 * L else 3
-                assert (profile[j].lower, profile[j].upper) == (d, d), (v, L, j)
-            # anchors; a short ring's last anchor, when odd, sits one above
-            for r, j in enumerate(tops[1:], 2):
-                d = ((1 << (r + 2)) + 1) // 3 if short and r == len(tops) and r % 2 else anchor_value(r)
-                assert (profile[j].lower, profile[j].upper) == (d, d), (v, L, j)
-            # plateaus; a short ring's last one widens to a 2-gap in both parities
-            for r, (a, b) in enumerate(zip(tops, tops[1:]), 1):
-                lo, hi = plateau_bounds(r)
-                hi = lo + 1 if short and b == tops[-1] else hi
-                for j in range(a + 1, b):
-                    if lo == hi:
-                        assert (profile[j].lower, profile[j].upper) == (lo, lo), (v, L, j)
-                    assert max(lo, profile[j].lower) <= min(hi, profile[j].upper), (v, L, j)
-            # the tail past the last anchor doubles it
-            for j in range(tops[-1] + 1, L):
-                assert profile[j].upper >= 2 * profile[tops[-1]].lower, (v, L, j)
-            if not short and 1 << (ctx.m - 1) <= DEFAULT_CANDIDATE_CAP:
+            for j, (lo, hi) in paper_profile(ctx).items():
+                if lo == hi:
+                    assert (profile[j].lower, profile[j].upper) == (lo, lo), (v, L, j)
+                assert max(lo, profile[j].lower) <= min(hi, profile[j].upper), (v, L, j)
+            if L >= 1 << ctx.T and 1 << (ctx.m - 1) <= DEFAULT_CANDIDATE_CAP:
                 assert dual_pow2_distance(ctx, ctx.T) == dual_d1(ctx.T), (v, L)
                 dual = dual_code(code(ctx, 1))
                 if dual.dim <= 24:
@@ -226,3 +234,23 @@ def test_paper_family_formulas_hold_on_the_generic_profile():
     # m = 486: the order 729 is below n = 972, so the head zone has its weight-2 word
     assert order(family_poly(5), 1 << 486) == 729
     assert full_distance_profile(new_context(family_poly(5), 2))[1].lower == 2
+
+
+def test_family_order_is_proven_not_factored():
+    # the generic order steps x^i mod P, so it meets the paper's 3^(v+1) even at
+    # v = 5 (m = 486), where 2^m - 1 is far past factoring; the head zone walks it itself
+    for v in range(6):
+        P, s = family_poly(v), 3**v
+        assert order(P, 1 << (2 * s)) == 3 ** (v + 1) and power_mod(2, s, P) != 1, v
+    assert head_zone_split(new_context(family_poly(5), 2)) == 1  # 729 < n = 972
+
+
+def test_family_profile_agrees_with_the_generic_profile_on_every_ring_shape():
+    # below the default oracle cap the oracle closes fewer slots; short rings
+    # (L < 2^T) included, the profile must still meet the paper's intervals
+    for v, Ls in ((0, range(2, 36)), (1, range(2, 10))):
+        for L in Ls:
+            ctx = new_context(family_poly(v), L)
+            profile = full_distance_profile(ctx, oracle_cap=24)
+            for j, (lo, hi) in paper_profile(ctx).items():
+                assert max(lo, profile[j].lower) <= min(hi, profile[j].upper), (v, L, j, profile[j])
