@@ -1,6 +1,6 @@
 """Minimum Hamming distances of the chain codes C_j.
 
-Four independent sources feed one report per j:
+Five independent sources feed one report per j:
 
 * an exact oracle over the whole code by information-set search (capped by
   the dimension k, for cross-checks and small dimensions);
@@ -15,6 +15,14 @@ Four independent sources feed one report per j:
   and a running over constant-term-1 polynomials of bounded degree.  The
   lower anchors are j = 2^(T-s); the upper ones are ctx.tops, whose first
   entry 2^(T-1) is also the top lower anchor;
+* a small-weight kernel that decides min(d, 4) exactly from P^j alone, in
+  O(n) steps and independent of k: the residues r_i = x^i mod P^j, i < n,
+  give a weight-2 word x^a + x^b at a repeat r_a = r_b and a weight-3 word
+  1 + x^a + x^b at r_a + r_b = 1 (a weight-3 word divided by its lowest power
+  of x stays in C_j, so this is complete); with neither, d >= 4.  Since
+  min(d, 4) never falls along the chain, the whole-chain profile binary-searches
+  its two thresholds over the slots whose interval meets {2, 3}.  Every
+  witness is checked by division, and oracle_cap = 0 turns the kernel off;
 * interval bounds everywhere else: a head-zone classification driven by the
   order e of x mod P, which it needs only below n (so it steps x^i mod P
   for i < n), weight witnesses wt(P^j), doubling lower bounds
@@ -41,7 +49,7 @@ from .codes import (
     interleave,
 )
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import order, power_mod, substitute_power, weight
+from .gf2poly import degree, div_rem, order, power_mod, substitute_power, weight
 from .ring import RingContext
 
 
@@ -189,6 +197,111 @@ def upper_anchor_distance(ctx: RingContext, r: int, candidate_cap: int = DEFAULT
 
 
 # ---------------------------------------------------------------------------
+# small weights: min(d, 4) from the residues x^i mod P^j
+# ---------------------------------------------------------------------------
+
+
+def _light_word(M: int, n: int) -> int | None:
+    """A word of weight 2 in <M> of length n if there is one, else one of weight 3, else None.
+
+    r_i = x^i mod M is x^i itself below D = deg M, so only the k = n - D
+    residues from i = D on are stepped.  A repeat r_a = r_b gives x^a + x^b,
+    and x is a unit mod M, so the first repeat is r_i = r_0 = 1.  With every
+    r_i distinct, r_a + r_b = 1 (0 < a < b, so b >= D) gives 1 + x^a + x^b:
+    r_b is 1 + x^a with a < D, or r_a + 1 is another stepped residue.  Any
+    weight-3 word x^c * (1 + x^a + x^b) of length n has 1 + x^a + x^b in <M>
+    too (M is prime to x), so finding none proves d >= 4.
+    """
+    D = degree(M)
+    res = []
+    r = 1 << (D - 1)
+    for i in range(D, n):
+        r <<= 1
+        if r >> D:
+            r ^= M
+        if r == 1:
+            return 1 | 1 << i
+        res.append(r)
+    # weight 3 only once no weight-2 word exists
+    index = dict(zip(res, range(D, n)))
+    for r, b in index.items():
+        s = r ^ 1  # nonzero, as r != 1
+        if not s & (s - 1):
+            return 1 | s | 1 << b
+        a = index.get(s)
+        if a is not None:
+            return 1 | 1 << a | 1 << b
+    return None
+
+
+def small_weight(c: PolycyclicCode) -> int:
+    """min(d(C_j), 4) for 1 <= j <= L - 1, in O(n) steps whatever k is; each witness is checked by division."""
+    word = _light_word(c.generator, c.n)
+    if word is None:
+        return 4
+    if div_rem(word, c.generator)[1]:
+        raise InternalConsistencyError(f"j={c.j}: weight-{weight(word)} witness is not a multiple of P^j")
+    return weight(word)
+
+
+def _last(pred, lo: int, hi: int, guess: int) -> int:
+    """The largest j in [lo, hi) with pred(j), for pred true on a prefix; lo is taken as true without asking.
+
+    A binary search whose first two probes are guess and guess + 1, so a right
+    guess costs two calls of pred.
+    """
+    for mid in (guess, guess + 1):
+        if lo < mid < hi:
+            if pred(mid):
+                lo = mid
+            else:
+                hi = mid
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _small_weight_chain(ctx: RingContext, reports: list[DistanceReport]) -> None:
+    """Settle min(d, 4) on every j in 1..L-1 whose interval meets {2, 3}, with O(log L) kernel calls.
+
+    C_(j+1) lies in C_j, so min(d, 4) never falls along the chain: a binary
+    search finds the last j with d = 2 and the last with d <= 3, probing first
+    where the fused bounds put them, so those bounds are checked right at their
+    edges.  The fused lower bounds make the slots a prefix of the chain; every
+    one is set from the two thresholds, already exact ones included, which
+    leaves the chain fused.
+    """
+    top = _last(lambda j: reports[j].lower <= 3, 0, ctx.L, 0)
+    memo: dict[int, int] = {}
+
+    def d4(j: int) -> int:
+        if j not in memo:
+            memo[j] = small_weight(code(ctx, j))
+        return memo[j]
+
+    guess = _last(lambda j: reports[j].upper <= 2, 0, top + 1, 0)
+    two = _last(lambda j: d4(j) == 2, 0, top + 1, guess)
+    # the first search's probes already bracket the second threshold
+    lo = max([two] + [j for j, d in memo.items() if d == 3])
+    hi = min([top + 1] + [j for j, d in memo.items() if d == 4])
+    guess = _last(lambda j: reports[j].upper <= 3, lo, hi, lo)
+    three = _last(lambda j: d4(j) <= 3, lo, hi, guess)
+    for j in range(1, top + 1):
+        _apply_small_weight(reports[j], 2 if j <= two else 3 if j <= three else 4)
+
+
+def _apply_small_weight(rep: DistanceReport, d4: int) -> None:
+    if d4 < 4:
+        rep.set_exact(d4, f"weight-{d4}")
+    else:
+        rep.raise_lower(4, "no-weight-3")
+
+
+# ---------------------------------------------------------------------------
 # profile assembly
 # ---------------------------------------------------------------------------
 
@@ -252,6 +365,9 @@ def full_distance_profile(
         for c in chain(ctx, 1, L):
             _spread_pass(c, reports[c.j], oracle_cap)
     monotone_fuse(reports)
+    # last, min(d, 4) by the small-weight kernel, off with the oracles at cap 0
+    if oracle_cap:
+        _small_weight_chain(ctx, reports)
     return reports
 
 
@@ -290,7 +406,7 @@ def single_distance_report(
     oracle_cap: int = DEFAULT_ENUM_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> DistanceReport:
-    """Report for one j: structural profile plus the oracle and spread passes on this index only."""
+    """Report for one j: structural profile plus the oracle, spread and small-weight passes on this index only."""
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
     check_caps(oracle_cap=oracle_cap)
@@ -299,4 +415,6 @@ def single_distance_report(
     _oracle_pass(c, reports[j], oracle_cap)
     if 0 < j < ctx.L:
         _spread_pass(c, reports[j], oracle_cap)
+        if oracle_cap and reports[j].lower <= 3:
+            _apply_small_weight(reports[j], small_weight(c))
     return reports[j]

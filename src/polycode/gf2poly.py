@@ -182,8 +182,27 @@ def order(f: int, cap: int) -> int:
     return cap
 
 
+def _prime_divisors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
 def is_irreducible(f: int) -> bool:
-    """Whether f is irreducible over GF(2) (degree >= 1 required)."""
+    """Whether f is irreducible over GF(2) (degree >= 1 required), by Rabin's test.
+
+    f of degree m is irreducible iff x^(2^m) == x mod f and
+    gcd(x^(2^(m/p)) - x, f) == 1 for each prime p dividing m: m squarings and
+    one gcd per prime.  When g = f - x^m has degree at most m/2, a square
+    is reduced by folding its high half through g (at most two folds, each
+    wt(g) shifts); a dense f is reduced by division.
+    """
     m = degree(f)
     if m < 1:
         raise ValidationError("irreducibility is defined for degree >= 1")
@@ -191,14 +210,20 @@ def is_irreducible(f: int) -> bool:
         return True
     if not (f & 1):
         return False  # divisible by x
-    # A reducible f has an irreducible factor of degree d <= m/2, which divides
-    # x^(2^d) - x: so f is irreducible iff gcd(f, x^(2^d) - x) == 1 for each such d.
-    t = 2  # the polynomial x
-    for _ in range(m // 2):
-        t = power_mod(t, 2, f)
-        if gcd(f, t ^ 2) != 1:
+    g, mask = f ^ (1 << m), (1 << m) - 1
+    sparse = 2 * degree(g) <= m
+    checks = {m // p for p in _prime_divisors(m)}
+    t = 2  # x^(2^i) mod f
+    for i in range(1, m + 1):
+        t = square(t)
+        if sparse:
+            while t >> m:
+                t = (t & mask) ^ mul(t >> m, g)
+        else:
+            t = div_rem(t, f)[1]
+        if i in checks and gcd(f, t ^ 2) != 1:
             return False
-    return True
+    return t == 2
 
 
 # ---------------------------------------------------------------------------

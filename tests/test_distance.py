@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from polycode.codes import code
+from polycode.codes import chain, code
 from polycode.distance import (
     DistanceReport,
     full_distance_profile,
@@ -14,6 +14,7 @@ from polycode.distance import (
     min_distance_bruteforce,
     monotone_fuse,
     single_distance_report,
+    small_weight,
     upper_anchor_distance,
 )
 from polycode import distance
@@ -216,3 +217,104 @@ def test_oracle_pass_tags_provenance():
     rep = single_distance_report(ctx, 3, oracle_cap=28)
     assert rep.exact and rep.lower == 4
     assert rep.provenance[-1] == "oracle"
+
+
+# --- the small-weight kernel: min(d, 4) from the residues x^i mod P^j -------
+
+IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]
+SMALL_WEIGHT_TAGS = {"weight-2", "weight-3", "no-weight-3"}
+
+
+def _rings_up_to_60():
+    for P in IRREDUCIBLE_2_TO_6:
+        for L in range(2, 60 // degree(P) + 1):
+            yield new_context(P, L)
+
+
+def test_small_weight_matches_the_uncapped_oracle_on_every_code():
+    # the kernel alone at every j, and the whole-chain search at cap 1, where no oracle closes a slot
+    checked = 0
+    for ctx in _rings_up_to_60():
+        profile = full_distance_profile(ctx, oracle_cap=1)
+        for c in chain(ctx, 1, ctx.L):
+            d4 = min(min_distance_bruteforce(c, cap=c.k), 4)
+            assert small_weight(c) == d4, (ctx.P, ctx.L, c.j)
+            assert min(profile[c.j].lower, 4) == d4 and profile[c.j].upper >= d4, (ctx.P, ctx.L, c.j)
+            if d4 < 4:
+                assert profile[c.j].exact, (ctx.P, ctx.L, c.j)
+            checked += 1
+    assert checked == 1931
+
+
+def test_the_last_weight_2_index_is_the_head_zone_split():
+    for ctx in _rings_up_to_60():
+        J = head_zone_split(ctx)
+        last = max((c.j for c in chain(ctx, 1, ctx.L) if small_weight(c) == 2), default=0)
+        assert last == (0 if J is None else 1 << (ctx.T - J)), (ctx.P, ctx.L)
+
+
+def test_weight_2_is_found_before_an_earlier_weight_3_word():
+    # over x^2+x+1, 1 + x + x^2 is the first light word the residues show, but 1 + x^3 is lighter
+    assert distance._light_word(0b111, 6) == 0b1001
+    assert distance._light_word(0b111, 3) == 0b111  # no x^3 below n = 3
+    assert distance._light_word(code(new_context(M5, 5), 3).generator, 25) is None  # d(C_3) = 4 there
+
+
+@pytest.mark.parametrize("text,L,w", [("x^2+x+1", 4, 2), ("x^3+x+1", 2, 3)])
+def test_a_witness_off_by_one_bit_raises(monkeypatch, text, L, w):
+    # the top exponent moved up by one: never a codeword, and the division check must say so
+    ctx = new_context(parse(text), L)
+    assert small_weight(code(ctx, 1)) == w
+    real = distance._light_word
+
+    def off_by_one(M, nbits):
+        word = real(M, nbits)
+        top = 1 << word.bit_length() - 1
+        return word ^ top ^ top << 1
+
+    monkeypatch.setattr(distance, "_light_word", off_by_one)
+    with pytest.raises(InternalConsistencyError, match=f"weight-{w} witness"):
+        small_weight(code(ctx, 1))
+    with pytest.raises(InternalConsistencyError, match="witness"):
+        full_distance_profile(ctx)
+
+
+def test_the_kernel_closes_a_slot_over_the_oracle_cap():
+    ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)  # j = 1: k = 32, over the default cap of 28
+    assert single_distance_report(ctx, 1, oracle_cap=0).upper == full_distance_profile(ctx, oracle_cap=0)[1].upper == 4
+    rep = single_distance_report(ctx, 1)
+    assert (rep.lower, rep.upper) == (3, 3) and rep.provenance[-1] == "weight-3"
+    assert full_distance_profile(ctx)[1].provenance[-1] == "weight-3"
+
+
+def test_the_kernel_raises_the_lower_bound_to_4():
+    ctx = new_context(parse("x^11+x^10+x^5+x^4+1"), 8)  # j = 1: [3, 5] from structure alone, d = 4
+    assert (single_distance_report(ctx, 1, oracle_cap=0).lower, single_distance_report(ctx, 1).lower) == (3, 4)
+    assert single_distance_report(ctx, 1).provenance[-1] == "no-weight-3"
+
+
+def test_the_kernel_checks_slots_that_are_already_exact(monkeypatch):
+    # x^4+x+1, L = 16: j = 1..4 are exact 2 and j = 5..8 exact 3 from the head zone and the anchors
+    ctx = new_context(M4, 16)
+    probed = []
+    real = distance.small_weight
+
+    def recording(c):
+        probed.append(c.j)
+        return real(c)
+
+    monkeypatch.setattr(distance, "small_weight", recording)
+    profile = full_distance_profile(ctx)
+    assert sorted(probed) == [4, 5, 8]  # at the edges the bounds give; j = 9 starts at 6, past the slots searched
+    assert [profile[j].lower for j in range(1, 10)] == [2, 2, 2, 2, 3, 3, 3, 3, 6]
+    assert not any(SMALL_WEIGHT_TAGS & set(profile[j].provenance) for j in range(1, 9))
+    monkeypatch.setattr(distance, "_light_word", lambda M, n: None)  # a kernel that misses every light word
+    with pytest.raises(InternalConsistencyError):
+        full_distance_profile(ctx)
+
+
+def test_an_oracle_cap_of_zero_turns_the_kernel_off(monkeypatch):
+    monkeypatch.setattr(distance, "_light_word", lambda M, n: pytest.fail("the kernel ran"))
+    ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)
+    full_distance_profile(ctx, oracle_cap=0)
+    single_distance_report(ctx, 1, oracle_cap=0)

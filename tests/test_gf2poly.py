@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -128,6 +130,45 @@ def test_irreducible_counts_by_degree(deg, count):
         1 for f in range((1 << deg) | 1, 1 << (deg + 1), 2) if is_irreducible(f)
     )
     assert got == count
+
+
+def _irreducible_by_gcds(f):
+    """The m/2-gcd reference: a reducible f has a factor of degree d <= m/2, which divides x^(2^d) - x."""
+    m = degree(f)
+    if m == 1:
+        return True
+    if not f & 1:
+        return False
+    t = 2
+    for _ in range(m // 2):
+        t = power_mod(t, 2, f)
+        if gcd(f, t ^ 2) != 1:
+            return False
+    return True
+
+
+def test_rabin_agrees_with_the_gcd_test_on_every_polynomial_below_2_to_the_12():
+    assert all(is_irreducible(f) == _irreducible_by_gcds(f) for f in range(2, 1 << 12))
+
+
+def test_rabin_agrees_with_the_gcd_test_on_random_polynomials():
+    # degree 13-64; every other f has a tail of degree <= m/2, so both reductions run
+    rng = random.Random(19)
+    irreducible = 0
+    for i in range(200):
+        m = rng.randint(13, 64)
+        f = 1 << m | rng.getrandbits(m if i % 2 else m // 2 + 1) | 1
+        assert is_irreducible(f) == _irreducible_by_gcds(f), format_poly(f)
+        irreducible += is_irreducible(f)
+    assert irreducible == 11
+
+
+def test_rabin_on_large_trinomials():
+    f = parse("x^1279+x^216+1")  # folded through x^216 + 1
+    assert is_irreducible(f)
+    assert not is_irreducible(mul(f, parse("x+1")))  # a dense tail, reduced by division
+    assert not is_irreducible(parse("x^1280+x^216+1"))  # (x^640 + x^108 + 1)^2
+    assert not is_irreducible(parse("x^1279+x^217+x^216+1"))  # x + 1 divides every f with an even weight
 
 
 def test_known_orders():
