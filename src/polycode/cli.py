@@ -65,7 +65,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for rep in reports:
             writer.writerow([rep.j, rep.lower, rep.upper, rep.exact, ";".join(rep.provenance)])
     else:
-        e = order(ctx.P, ctx.n)  # min(order, n): the head zone asks only whether the order is below n
+        e = order(ctx.P, ctx.n)  # min(order, n): the header reports the order only below n, never factoring 2^m - 1
         print(f"# n={ctx.n} m={ctx.m} L={ctx.L} regime={ctx.regime} order{'=' if e < ctx.n else '>='}{e}")
         for rep in reports:
             mid = f"d = {rep.lower}" if rep.exact else f"d in [{rep.lower}, {rep.upper}]"

@@ -1,15 +1,15 @@
 """Minimum Hamming distances of the chain codes C_j.
 
-Five independent sources feed one report per j:
+Four independent sources feed one report per j:
 
-* an exact oracle over the whole code by information-set search (capped by
-  the dimension k, for cross-checks and small dimensions);
-* the same oracle on a code up to t times shorter: P^j = R(x^t) splits C_j
+* an exact oracle by information-set search, capped by the dimension it
+  takes (oracle_cap, which bounds nothing else), run two ways: over the
+  whole code, and on a code up to t times shorter.  P^j = R(x^t) splits C_j
   into t interleaved components D_i = {R*c : deg(R*c) < ceil((n - i)/t)}
   (codes.interleave), and d(C_j) = d(D_0), of dimension k0 about k/t.
-  Wherever t > 1 and k0 is within the same cap, D_0 is weighed; it closes
-  even j and every j on P = Q(x^s), s > 1, at k/t dimensions, and checks
-  the direct oracle where both run;
+  Wherever t > 1 and k0 is within the cap, D_0 is weighed (the spread
+  source); it closes even j and every j on P = Q(x^s), s > 1, at k/t
+  dimensions, and checks the direct oracle where both run;
 * exact values on a lattice of "anchor" indices, where the minimum is
   attained inside a small reduced candidate set P^j * a(x^B) with B = j & -j
   and a running over constant-term-1 polynomials of bounded degree.  The
@@ -22,17 +22,23 @@ Five independent sources feed one report per j:
   of x stays in C_j, so this is complete); with neither, d >= 4.  Since
   min(d, 4) never falls along the chain, the whole-chain profile binary-searches
   its two thresholds over the slots whose interval meets {2, 3}.  Every
-  witness is checked by division, and oracle_cap = 0 turns the kernel off;
-* interval bounds everywhere else: a head-zone classification driven by the
-  order e of x mod P, which it needs only below n (so it steps x^i mod P
-  for i < n), weight witnesses wt(P^j), doubling lower bounds
-  2*d(anchor) from each upper anchor up to the next one (or L), and
-  monotonicity along the chain (C_{j+1} inside C_j).
+  witness is checked by division.  It runs at every cap and after both
+  oracle runs, so it checks every value they return below 4.  The paper's
+  theorem for the head of the chain (d = 2 exactly while
+  e * 2^ceil(log2 j) < n, e the order of x mod P) is its weight-2 case, so
+  nothing here reads e;
+* interval bounds everywhere else: weight witnesses wt(P^j), doubling lower
+  bounds 2*d(anchor) from each upper anchor up to the next one (or L), and
+  monotonicity along the chain (C_{j+1} inside C_j).  Where the reduced set
+  of the first anchor 2^(T-1) is over the candidate cap, the kernel's
+  min(d, 4) there is the lower bound the doubling reads.
 
 The oracles and the reduced sets are all minima over an affine span of
 words, taken by the one kernel of _linalg (min_weight_affine).
-full_distance_profile fuses all of it, tags every bound with its source, and
-raises InternalConsistencyError the moment two sources disagree.
+_structural_profile holds the anchors and the interval bounds;
+full_distance_profile and single_distance_report add the oracle, then the
+kernel, tag every bound with its source, and raise InternalConsistencyError
+the moment two sources disagree.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .codes import (
     interleave,
 )
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import degree, div_rem, order, power_mod, substitute_power, weight
+from .gf2poly import degree, div_rem, substitute_power, weight
 from .ring import RingContext
 
 
@@ -126,42 +132,6 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
     if c.k > cap:
         raise CapExceeded(f"distance oracle: dimension {c.k} is over the oracle cap of {cap}; raise the cap")
     return min_weight_span(generator_rows(c), c.n)
-
-
-# ---------------------------------------------------------------------------
-# head zone: j = 1 .. 2^(T-1)
-# ---------------------------------------------------------------------------
-
-
-def head_zone_split(ctx: RingContext) -> int | None:
-    """Smallest J with e * 2^(T-J) < n, or None when e >= n (no weight-2 words at all).
-
-    e is the order of x mod P.  The split needs only whether e < n, so it
-    steps x^i mod P for i < n (order with cap n), which gives n when no power
-    returns to 1.  x^e == 1 mod P is checked when e < n; a capped e = n is no
-    order.
-    """
-    e = order(ctx.P, ctx.n)
-    if e >= ctx.n:
-        return None
-    if power_mod(2, e, ctx.P) != 1:
-        raise InternalConsistencyError("x^e + 1 is not an exact multiple of P")
-    for J in range(1, ctx.T + 1):
-        if e << (ctx.T - J) < ctx.n:
-            return J
-    raise InternalConsistencyError("e < n but no split index J found")
-
-
-def head_zone_reports(ctx: RingContext) -> dict[int, tuple[int, int]]:
-    """Distance bounds for every j up to 2^(T-1): exact 2 below the split, [3, wt(P)] above."""
-    J = head_zone_split(ctx)
-    out: dict[int, tuple[int, int]] = {}
-    for j in range(1, (1 << (ctx.T - 1)) + 1):
-        if J is not None and j <= 1 << (ctx.T - J):
-            out[j] = (2, 2)
-        else:
-            out[j] = (3, weight(ctx.P))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +284,12 @@ def monotone_fuse(reports: list[DistanceReport]) -> None:
         reports[j].cut_upper(reports[j + 1].upper, "monotone")
 
 
-def full_distance_profile(
-    ctx: RingContext,
-    oracle_cap: int = DEFAULT_ENUM_CAP,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> list[DistanceReport]:
-    """Best-known distance report for every j = 0..L, cross-checked along the way."""
-    check_caps(oracle_cap=oracle_cap, candidate_cap=candidate_cap)
+def _structural_profile(ctx: RingContext, candidate_cap: int) -> list[DistanceReport]:
+    """Reports for j = 0..L from structure alone: anchors, weight witnesses and doubling bounds, fused."""
     L, T, n = ctx.L, ctx.T, ctx.n
     reports = [DistanceReport(j, 1, n) for j in range(L + 1)]
     reports[0].set_exact(1, "full-space")
     reports[L].set_exact(n, "zero-code")
-
-    for j, (lo, hi) in head_zone_reports(ctx).items():
-        reports[j].raise_lower(lo, "head-zone")
-        reports[j].cut_upper(hi, "head-zone")
 
     # exact anchors from reduced candidate sets (skipped when over the cap)
     for s in range(1, T + 1):
@@ -349,13 +310,30 @@ def full_distance_profile(
     for c in chain(ctx, 1, L):
         reports[c.j].cut_upper(weight(c.generator), "weight-witness")
 
+    # the doubling reads d(tops[0]); where its reduced set is over the cap, the kernel's min(d, 4) bounds it,
+    # from below only, so the oracle still runs there and the last kernel pass checks it
+    if not reports[tops[0]].exact:
+        d4 = small_weight(code(ctx, tops[0]))
+        reports[tops[0]].raise_lower(d4, f"weight-{d4}" if d4 < 4 else "no-weight-3")
+
     # doubling lower bounds: every index past an upper anchor, up to the next (or L), gets 2*d(anchor)
     for a, nxt in zip(tops, tops[1:] + (L,)):
         for jj in range(a + 1, nxt):
             reports[jj].raise_lower(2 * reports[a].lower, "double-bound")
 
     monotone_fuse(reports)
+    return reports
 
+
+def full_distance_profile(
+    ctx: RingContext,
+    oracle_cap: int = DEFAULT_ENUM_CAP,
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
+) -> list[DistanceReport]:
+    """Best-known distance report for every j = 0..L, cross-checked along the way."""
+    check_caps(oracle_cap=oracle_cap, candidate_cap=candidate_cap)
+    L = ctx.L
+    reports = _structural_profile(ctx, candidate_cap)
     # oracle pass over whatever is still open and small enough: the tail j >= L - ocap/m, where k <= ocap
     for c in chain(ctx, max(1, L - oracle_cap // ctx.m), L):
         _oracle_pass(c, reports[c.j], oracle_cap)
@@ -365,9 +343,8 @@ def full_distance_profile(
         for c in chain(ctx, 1, L):
             _spread_pass(c, reports[c.j], oracle_cap)
     monotone_fuse(reports)
-    # last, min(d, 4) by the small-weight kernel, off with the oracles at cap 0
-    if oracle_cap:
-        _small_weight_chain(ctx, reports)
+    # last, min(d, 4) by the small-weight kernel, which checks every value the searches returned
+    _small_weight_chain(ctx, reports)
     return reports
 
 
@@ -409,12 +386,12 @@ def single_distance_report(
     """Report for one j: structural profile plus the oracle, spread and small-weight passes on this index only."""
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
-    check_caps(oracle_cap=oracle_cap)
-    reports = full_distance_profile(ctx, oracle_cap=0, candidate_cap=candidate_cap)
+    check_caps(oracle_cap=oracle_cap, candidate_cap=candidate_cap)
+    rep = _structural_profile(ctx, candidate_cap)[j]
     c = code(ctx, j)
-    _oracle_pass(c, reports[j], oracle_cap)
+    _oracle_pass(c, rep, oracle_cap)
     if 0 < j < ctx.L:
-        _spread_pass(c, reports[j], oracle_cap)
-        if oracle_cap and reports[j].lower <= 3:
-            _apply_small_weight(reports[j], small_weight(c))
-    return reports[j]
+        _spread_pass(c, rep, oracle_cap)
+        if rep.lower <= 3:
+            _apply_small_weight(rep, small_weight(c))
+    return rep

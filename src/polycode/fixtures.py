@@ -53,7 +53,7 @@ def _contains(rows: list[FixtureRow], label: str, expected: int, lo: int, hi: in
 # embedded reference data
 # ---------------------------------------------------------------------------
 
-# six small rings whose whole head zone is decided exactly
+# six small rings whose head j <= 2^(T-1) is exact at oracle cap 0: d <= 3 there, which the small-weight kernel decides
 HEAD_SURVEY = (
     ("x^2 + x + 1", 5, {1: 2, 2: 2, 3: 3, 4: 3}),
     ("x^3 + x + 1", 2, {1: 3}),
@@ -63,12 +63,12 @@ HEAD_SURVEY = (
     ("x^7 + x^4 + 1", 31, {1: 2, **{j: 3 for j in range(2, 17)}}),
 )
 
-# full-profile fixtures: structural bounds, then oracle resolutions of the open slots
+# full-profile fixtures: bounds at oracle cap 0 (structure and the small-weight kernel), then oracle resolutions
 PROFILES = {
     "profile-m5L5": (
         "x^5 + x^4 + x^2 + x + 1",
         5,
-        {0: (1, 1), 1: (3, 3), 2: (3, 3), 3: (3, 4), 4: (4, 4), 5: (25, 25)},
+        {0: (1, 1), 1: (3, 3), 2: (3, 3), 3: (4, 4), 4: (4, 4), 5: (25, 25)},
         {},
         {3: 4},
     ),

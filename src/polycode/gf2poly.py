@@ -120,20 +120,6 @@ def power_trunc(a: int, e: int, nbits: int) -> int:
     return out
 
 
-def power_mod(a: int, e: int, modulus: int) -> int:
-    """a**e reduced modulo another polynomial."""
-    if modulus == 0:
-        raise ValidationError("zero modulus")
-    out = 1
-    a = div_rem(a, modulus)[1]
-    # left to right, so each multiply is by a itself: one shift when a is x
-    for i in range(e.bit_length() - 1, -1, -1):
-        out = div_rem(square(out), modulus)[1]
-        if e >> i & 1:
-            out = div_rem(mul(out, a), modulus)[1]
-    return out
-
-
 def substitute_power(a: int, t: int) -> int:
     """a(x^t): each exponent i becomes t*i (t >= 1)."""
     if t == 1:

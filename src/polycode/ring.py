@@ -20,9 +20,9 @@ of P^-1 and P*^-1 mod x^n.  The dual words are powers of P*^-1 and the
 LCD-criterion words powers of (P * P*)^-1, so those two inverses are all the
 ring needs to keep.
 
-The ring never finds e itself: only the head-zone distance result reads it
-(distance.head_zone_split), and only whether e < n, which it learns by
-stepping x^i mod P for i < n.
+The ring never finds e itself.  The one reader of e is the `analyze` text
+header, which steps x^i mod P for i < n and prints e only when it is below
+n; the distances take min(d, 4) from the residues x^i mod P^j instead.
 """
 
 from __future__ import annotations

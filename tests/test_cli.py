@@ -171,7 +171,7 @@ def test_analyze_on_a_degree_32_primitive_ring(capsys):
 
 
 def test_no_command_needs_the_full_order_of_x(capsys):
-    # the head zone asks only whether the order of x is below n = 194, so no command factors 2^97 - 1
+    # no command factors 2^97 - 1: only the analyze text header reads the order of x, and only below n = 194
     ring = ["--poly", "x^97+x^6+1", "--power", "2", "--j", "1"]
     assert main(["lcd", *ring, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["is_lcd"] is True
@@ -180,7 +180,7 @@ def test_no_command_needs_the_full_order_of_x(capsys):
     assert main(["analyze", *ring, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["lower"], report["upper"], report["exact"]) == (3, 3, True)
-    assert report["provenance"] == ["head-zone"]
+    assert report["provenance"] == ["weight-witness", "weight-3"]
 
 
 def test_many_calls_in_one_process_do_not_leak_options(capsys):

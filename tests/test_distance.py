@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from polycode.codes import chain, code
+from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code
 from polycode.distance import (
     DistanceReport,
     full_distance_profile,
-    head_zone_reports,
-    head_zone_split,
     lower_anchor_distance,
     min_distance_bruteforce,
     monotone_fuse,
@@ -24,6 +22,18 @@ from polycode.ring import new_context
 
 M4 = parse("x^4+x+1")
 M5 = parse("x^5+x^4+x^2+x+1")
+
+
+def head_zone_split(ctx):
+    """The paper's d = 2 theorem: the smallest J with e * 2^(T-J) < n, or None when e >= n.
+
+    e is the order of x mod P, needed only below n.  d(C_j) = 2 exactly for
+    j <= 2^(T-J): the weight-2 words are x^N + 1, N a multiple of e * 2^ceil(log2 j).
+    """
+    e = order(ctx.P, ctx.n)
+    if e >= ctx.n:
+        return None
+    return next(J for J in range(1, ctx.T + 1) if e << (ctx.T - J) < ctx.n)
 
 
 def test_report_bound_updates_guard_against_contradiction():
@@ -59,33 +69,19 @@ def test_oracle_refusal_names_the_dimension_and_the_cap():
 
 
 def test_head_zone_split_values():
-    # the ring keeps no order: the split finds it, stepping x^i mod P for i < n
     assert head_zone_split(new_context(M4, 16)) == 2  # 15*4 = 60 < 64
     assert head_zone_split(new_context(M5, 5)) is None  # order 31 >= 25
     assert head_zone_split(new_context(parse("x^3+x+1"), 9)) == 3  # 7*2 = 14 < 27, 7*4 = 28 is not
 
 
-def test_head_zone_split_checks_the_order_only_below_n(monkeypatch):
-    ctx = new_context(M5, 5)  # n = 25, order 31
-    assert order(M5, ctx.n) == ctx.n  # the capped 25 is no order, and goes unchecked
-    assert head_zone_split(ctx) is None
-    monkeypatch.setattr(distance, "power_mod", lambda *args: pytest.fail("x^e was checked at e >= n"))
-    assert head_zone_split(ctx) is None
-
-
-def test_the_head_zone_refuses_an_order_that_x_does_not_return_to_1(monkeypatch):
-    # x^3+x+1 has order 7; an order walk that answered 9 (below n = 12) is caught by the x^e == 1 check
-    monkeypatch.setattr(distance, "order", lambda f, cap: 9)
-    with pytest.raises(InternalConsistencyError, match="exact multiple"):
-        full_distance_profile(new_context(parse("x^3+x+1"), 4))
-
-
 def test_head_zone_reports_m4L16():
+    # the paper's head zone j <= 2^(T-1) = 8 at oracle cap 0: exact 2 up to 2^(T-J) = 4, then exact wt(P) = 3
     ctx = new_context(M4, 16)
-    reports = head_zone_reports(ctx)
-    assert set(reports) == set(range(1, 9))
-    assert all(reports[j] == (2, 2) for j in range(1, 5))
-    assert all(reports[j] == (3, 3) for j in range(5, 9))  # trinomial: wt(P) = 3
+    J = head_zone_split(ctx)
+    profile = full_distance_profile(ctx, oracle_cap=0)
+    for j in range(1, 9):
+        d = 2 if j <= 1 << (ctx.T - J) else 3
+        assert (profile[j].lower, profile[j].upper) == (d, d), profile[j]
 
 
 def test_anchor_distances_m4L16():
@@ -102,6 +98,9 @@ def test_plateau_and_tail_bounds():
     ctx = new_context(M4, 16)
     profile = full_distance_profile(ctx, oracle_cap=0)
     assert profile[9].lower == 6 and profile[9].upper <= 8  # j = 9, between tops 8 and 12
+    # with every reduced set refused, the kernel's min(d, 4) = 3 at j = 8 is what the doubling reads
+    assert full_distance_profile(ctx, oracle_cap=0, candidate_cap=0)[9].lower == 6
+    assert single_distance_report(ctx, 9, oracle_cap=0, candidate_cap=0).lower == 6
     low_ctx = new_context(M5, 12)
     assert low_ctx.tops == (8,)
     assert full_distance_profile(low_ctx, oracle_cap=0)[9].lower == 2 * lower_anchor_distance(low_ctx, 1) == 6
@@ -189,10 +188,11 @@ def test_the_single_j_interval_contains_the_whole_chain_answer():
     for P in (f for f in range(8, 64) if is_irreducible(f)):  # degree 3-5, n <= 60
         for L in range(2, 60 // degree(P) + 1):
             ctx = new_context(P, L)
-            profile = full_distance_profile(ctx, oracle_cap=20)
-            for j in range(L + 1):
-                one = single_distance_report(ctx, j, oracle_cap=20)
-                assert one.lower <= profile[j].lower <= profile[j].upper <= one.upper, (P, L, j)
+            for cap in (0, 20):
+                profile = full_distance_profile(ctx, oracle_cap=cap)
+                for j in range(L + 1):
+                    one = single_distance_report(ctx, j, oracle_cap=cap)
+                    assert one.lower <= profile[j].lower <= profile[j].upper <= one.upper, (P, L, j, cap)
 
 
 def test_profile_is_monotone_for_many_rings():
@@ -232,16 +232,17 @@ def _rings_up_to_60():
 
 
 def test_small_weight_matches_the_uncapped_oracle_on_every_code():
-    # the kernel alone at every j, and the whole-chain search at cap 1, where no oracle closes a slot
+    # the kernel alone at every j, and the whole-chain search at caps 0 and 1, where no oracle closes a slot
     checked = 0
     for ctx in _rings_up_to_60():
-        profile = full_distance_profile(ctx, oracle_cap=1)
+        profiles = [full_distance_profile(ctx, oracle_cap=cap) for cap in (0, 1)]
         for c in chain(ctx, 1, ctx.L):
             d4 = min(min_distance_bruteforce(c, cap=c.k), 4)
             assert small_weight(c) == d4, (ctx.P, ctx.L, c.j)
-            assert min(profile[c.j].lower, 4) == d4 and profile[c.j].upper >= d4, (ctx.P, ctx.L, c.j)
-            if d4 < 4:
-                assert profile[c.j].exact, (ctx.P, ctx.L, c.j)
+            for profile in profiles:
+                assert min(profile[c.j].lower, 4) == d4 and profile[c.j].upper >= d4, (ctx.P, ctx.L, c.j)
+                if d4 < 4:
+                    assert profile[c.j].exact, (ctx.P, ctx.L, c.j)
             checked += 1
     assert checked == 1931
 
@@ -281,20 +282,23 @@ def test_a_witness_off_by_one_bit_raises(monkeypatch, text, L, w):
 
 def test_the_kernel_closes_a_slot_over_the_oracle_cap():
     ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)  # j = 1: k = 32, over the default cap of 28
-    assert single_distance_report(ctx, 1, oracle_cap=0).upper == full_distance_profile(ctx, oracle_cap=0)[1].upper == 4
-    rep = single_distance_report(ctx, 1)
-    assert (rep.lower, rep.upper) == (3, 3) and rep.provenance[-1] == "weight-3"
-    assert full_distance_profile(ctx)[1].provenance[-1] == "weight-3"
+    assert distance._structural_profile(ctx, DEFAULT_CANDIDATE_CAP)[1].upper == 4
+    for cap in (0, 28):
+        rep = single_distance_report(ctx, 1, oracle_cap=cap)
+        assert (rep.lower, rep.upper) == (3, 3) and rep.provenance[-1] == "weight-3"
+        assert full_distance_profile(ctx, oracle_cap=cap)[1].provenance[-1] == "weight-3"
 
 
 def test_the_kernel_raises_the_lower_bound_to_4():
-    ctx = new_context(parse("x^11+x^10+x^5+x^4+1"), 8)  # j = 1: [3, 5] from structure alone, d = 4
-    assert (single_distance_report(ctx, 1, oracle_cap=0).lower, single_distance_report(ctx, 1).lower) == (3, 4)
-    assert single_distance_report(ctx, 1).provenance[-1] == "no-weight-3"
+    ctx = new_context(parse("x^11+x^10+x^5+x^4+1"), 8)  # j = 1: [1, 5] from structure alone, d = 4
+    assert distance._structural_profile(ctx, DEFAULT_CANDIDATE_CAP)[1].lower == 1
+    for cap in (0, 28):
+        rep = single_distance_report(ctx, 1, oracle_cap=cap)
+        assert (rep.lower, rep.upper, rep.provenance[-1]) == (4, 5, "no-weight-3")
 
 
 def test_the_kernel_checks_slots_that_are_already_exact(monkeypatch):
-    # x^4+x+1, L = 16: j = 1..4 are exact 2 and j = 5..8 exact 3 from the head zone and the anchors
+    # x^4+x+1, L = 16: j = 2, 4, 6, 8 are exact from the anchors and the spread, and j = 3, 7 by monotonicity
     ctx = new_context(M4, 16)
     probed = []
     real = distance.small_weight
@@ -307,14 +311,26 @@ def test_the_kernel_checks_slots_that_are_already_exact(monkeypatch):
     profile = full_distance_profile(ctx)
     assert sorted(probed) == [4, 5, 8]  # at the edges the bounds give; j = 9 starts at 6, past the slots searched
     assert [profile[j].lower for j in range(1, 10)] == [2, 2, 2, 2, 3, 3, 3, 3, 6]
-    assert not any(SMALL_WEIGHT_TAGS & set(profile[j].provenance) for j in range(1, 9))
+    assert [j for j in range(1, 9) if SMALL_WEIGHT_TAGS & set(profile[j].provenance)] == [1, 5]
     monkeypatch.setattr(distance, "_light_word", lambda M, n: None)  # a kernel that misses every light word
     with pytest.raises(InternalConsistencyError):
         full_distance_profile(ctx)
 
 
-def test_an_oracle_cap_of_zero_turns_the_kernel_off(monkeypatch):
-    monkeypatch.setattr(distance, "_light_word", lambda M, n: pytest.fail("the kernel ran"))
+def test_the_kernel_runs_at_an_oracle_cap_of_zero(monkeypatch):
+    # the oracle cap bounds the two searches alone: at cap 0 neither runs, and the kernel still settles min(d, 4)
+    monkeypatch.setattr(distance, "min_weight_span", lambda *args: pytest.fail("a search ran at cap 0"))
+    probed = []
+    real = distance.small_weight
+
+    def recording(c):
+        probed.append(c.j)
+        return real(c)
+
+    monkeypatch.setattr(distance, "small_weight", recording)
     ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)
-    full_distance_profile(ctx, oracle_cap=0)
-    single_distance_report(ctx, 1, oracle_cap=0)
+    assert full_distance_profile(ctx, oracle_cap=0)[1].provenance[-1] == "weight-3"
+    assert probed
+    probed.clear()
+    rep = single_distance_report(ctx, 1, oracle_cap=0)
+    assert (rep.lower, rep.upper) == (3, 3) and probed == [1]

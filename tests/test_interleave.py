@@ -95,7 +95,8 @@ def test_profile_closes_an_odd_j_on_a_spread_ring():
 
 def test_the_spread_checks_the_direct_oracle_where_both_run(monkeypatch):
     # cap 36: the tail oracle closes j = 5 first and keeps its tag; the spread then weighs D_0 there and
-    # at the anchors j = 6, 7 (k <= 36), which must agree with what each already holds
+    # at the anchors j = 6, 7 (k <= 36), which must agree with what each already holds, and closes the
+    # head j = 1..3, which the small-weight kernel checks after it
     weighed = []
     real = distance.min_weight_span
 
@@ -108,8 +109,9 @@ def test_the_spread_checks_the_direct_oracle_where_both_run(monkeypatch):
     profile = full_distance_profile(ctx, oracle_cap=36)
     assert all(rep.exact for rep in profile)
     assert profile[5].provenance[-1] == "oracle" and profile[5].lower == 6
-    assert not any("spread" in tag for rep in profile for tag in rep.provenance)
-    assert weighed == [(96, 36), (32, 12), (16, 4), (32, 4)]  # C_5 itself, then D_0 at j = 5, 6, 7 (t = 3, 6, 3)
+    assert [rep.j for rep in profile if any("spread" in tag for tag in rep.provenance)] == [1, 2, 3]
+    # C_5 itself, then D_0 at j = 1, 2, 3, 5, 6, 7 (t = 3, 6, 3, 3, 6, 3); j = 4 is an anchor with k = 48
+    assert weighed == [(96, 36), (32, 28), (16, 12), (32, 20), (32, 12), (16, 4), (32, 4)]
 
 
 @pytest.mark.parametrize("field", ["b", "n0"])

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode.codes import chain, code, contains
-from polycode.distance import full_distance_profile
+from polycode.distance import full_distance_profile, single_distance_report
 from polycode.duality import dual_code, dual_summary
 from polycode.errors import CapExceeded, ValidationError
-from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, parse, power, power_mod, power_trunc, reciprocal
+from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, parse, power, power_trunc, reciprocal
 from polycode import gf2poly, ring
 from polycode.lcd import conjecture_scan, family_poly, lcd_verdict
 from polycode.ring import RING_TABLE_BITS, new_context
+from test_gf2poly import x_power_mod
 
 P2 = parse("x^2+x+1")
 P3 = parse("x^3+x+1")
@@ -199,13 +200,13 @@ def test_cofactors_are_low_bits_of_exact_division(P, L, data):
 def test_context_builds_on_wide_primitive_rings():
     # x is primitive: x^(2^32 - 1) == 1, and x^((2^32 - 1)/p) != 1 for each prime p of 2^32 - 1
     ctx = new_context(parse("x^32+x^22+x^2+x+1"), 2)
-    assert power_mod(2, 2**32 - 1, ctx.P) == 1
-    assert all(power_mod(2, (2**32 - 1) // p, ctx.P) != 1 for p in (3, 5, 17, 257, 65537))
+    assert x_power_mod(2**32 - 1, ctx.P) == 1
+    assert all(x_power_mod((2**32 - 1) // p, ctx.P) != 1 for p in (3, 5, 17, 257, 65537))
     _assert_inverses(ctx)
     # 2^61 - 1 is prime, so every irreducible of degree 61 is primitive (x != 1 there)
     P61 = next(f for f in range((1 << 61) | 3, (1 << 61) | (1 << 12), 2) if is_irreducible(f))
     ctx = new_context(P61, 2)
-    assert power_mod(2, 2**61 - 1, ctx.P) == 1
+    assert x_power_mod(2**61 - 1, ctx.P) == 1
     _assert_inverses(ctx)
 
 
@@ -221,8 +222,8 @@ def test_ring_set_up_dual_and_lcd_never_find_the_order(monkeypatch):
     assert dual_summary(ctx, 1)["k_dual"] == 97
     assert lcd_verdict(code(ctx, 1), "all").is_lcd
     assert len(conjecture_scan(1, 3)) == 22
-    with pytest.raises(AssertionError, match="sought"):  # the head zone reads it
-        full_distance_profile(ctx, oracle_cap=0)
+    # min(d, 4) comes from the residues x^i mod P^j, so no distance source reads the order either
+    assert full_distance_profile(ctx)[1].lower == single_distance_report(ctx, 1, oracle_cap=0).lower == 3
 
 
 def test_the_power_table_budget_refuses_before_the_irreducibility_test(monkeypatch):

@@ -11,13 +11,15 @@ from __future__ import annotations
 import pytest
 
 from polycode.codes import DEFAULT_CANDIDATE_CAP, code
-from polycode.distance import full_distance_profile, head_zone_split, upper_anchor_distance
+from polycode.distance import full_distance_profile, upper_anchor_distance
 from polycode.duality import dual_code, dual_min_distance_bruteforce, dual_pow2_distance
 from polycode.errors import ValidationError
-from polycode.gf2poly import is_irreducible, mul, order, power, power_mod, reciprocal, weight
+from polycode.gf2poly import is_irreducible, mul, order, power, reciprocal, weight
 from polycode.lcd import family_poly, lcd_verdict
 from polycode.ring import new_context
 from test_codes import reversible_by_rows
+from test_distance import head_zone_split
+from test_gf2poly import x_power_mod
 
 
 def anchor_value(r: int) -> int:
@@ -215,7 +217,7 @@ def paper_profile(ctx) -> dict[int, tuple[int, int]]:
 def test_paper_family_formulas_hold_on_the_generic_profile():
     for v, Ls in FAMILY_RINGS:
         P, s = family_poly(v), 3**v
-        assert order(P, 1 << (2 * s)) == 3 * s and power_mod(2, s, P) != 1
+        assert order(P, 1 << (2 * s)) == 3 * s and x_power_mod(s, P) != 1
         for r in range(1, 11):
             pw = power(P, (1 << r) - 1)
             assert (weight(pw), weight(mul((1 << s) | 1, pw))) == weights(r), (v, r)
@@ -231,17 +233,17 @@ def test_paper_family_formulas_hold_on_the_generic_profile():
                 dual = dual_code(code(ctx, 1))
                 if dual.dim <= 24:
                     assert dual_min_distance_bruteforce(dual, cap=24) == dual_d1(ctx.T), (v, L)
-    # m = 486: the order 729 is below n = 972, so the head zone has its weight-2 word
+    # m = 486: the order 729 is below n = 972, so the head j = 1 has its weight-2 word 1 + x^729
     assert order(family_poly(5), 1 << 486) == 729
     assert full_distance_profile(new_context(family_poly(5), 2))[1].lower == 2
 
 
 def test_family_order_is_proven_not_factored():
     # the generic order steps x^i mod P, so it meets the paper's 3^(v+1) even at
-    # v = 5 (m = 486), where 2^m - 1 is far past factoring; the head zone walks it itself
+    # v = 5 (m = 486), where 2^m - 1 is far past factoring; the paper's d = 2 split reads it there
     for v in range(6):
         P, s = family_poly(v), 3**v
-        assert order(P, 1 << (2 * s)) == 3 ** (v + 1) and power_mod(2, s, P) != 1, v
+        assert order(P, 1 << (2 * s)) == 3 ** (v + 1) and x_power_mod(s, P) != 1, v
     assert head_zone_split(new_context(family_poly(5), 2)) == 1  # 729 < n = 972
 
 
