@@ -2,14 +2,18 @@
 
 Every fixture pins previously computed reference values — distance profiles,
 candidate-set weights, dual distances, LCD verdicts, and published code
-parameters — and replays the library against them row by row.  Survey rows
-whose dimension is out of oracle range degrade to a containment check: the
-proven interval must contain the reference value.
+parameters — as one ordered list of checks.  A check pairs a label and a
+reference value with a deferred computation: replay runs the computations and
+compares row by row, and a dump lists the labels and reference values without
+computing anything.  Survey rows whose d is out of oracle range degrade to a
+containment check: the proven interval must contain the reference value.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cache, partial
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .codes import code
 from .distance import full_distance_profile, single_distance_report, upper_anchor_distance
@@ -25,6 +29,15 @@ from .lcd import lcd_verdict
 from .ring import new_context
 
 
+class Check(NamedTuple):
+    """One reference value and the deferred computation that replays it."""
+
+    label: str
+    expected: object
+    compute: Callable[[], object]
+    within: bool = False  # compute gives a distance report whose [lower, upper] must contain expected
+
+
 class FixtureRow(NamedTuple):
     label: str
     expected: str
@@ -35,18 +48,6 @@ class FixtureRow(NamedTuple):
 class FixtureResult(NamedTuple):
     key: str
     rows: tuple[FixtureRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def _eq(rows: list[FixtureRow], label: str, expected, got) -> None:
-    rows.append(FixtureRow(label, str(expected), str(got), expected == got))
-
-
-def _contains(rows: list[FixtureRow], label: str, expected: int, lo: int, hi: int) -> None:
-    rows.append(FixtureRow(label, str(expected), f"[{lo}, {hi}]", lo <= expected <= hi))
 
 
 # ---------------------------------------------------------------------------
@@ -226,205 +227,168 @@ NON_LCD_SURVEY_ROWS = {("x^11 + x^10 + x^5 + x^4 + 1", 8): 10}
 
 
 # ---------------------------------------------------------------------------
-# runners
+# check lists, built without computing anything
 # ---------------------------------------------------------------------------
 
 
-def _run_head_survey() -> FixtureResult:
-    rows: list[FixtureRow] = []
+class _Ring:
+    """The work that one ring's checks share, each piece computed on first use and kept for the replay."""
+
+    def __init__(self, poly_text: str, L: int) -> None:
+        self.ctx = cache(lambda: new_context(parse(poly_text), L))
+        self.code = cache(lambda j: code(self.ctx(), j))
+        self.structural = cache(lambda: full_distance_profile(self.ctx(), oracle_cap=0))
+        self.resolved = cache(lambda: full_distance_profile(self.ctx()))
+        self.verdict = cache(lambda: lcd_verdict(self.code(1), "all"))
+        self.dual_oracle = cache(lambda j: dual_min_distance_bruteforce(dual_code(self.code(j))))
+        self.dual_candidates = cache(lambda s: dual_pow2_candidates(self.ctx(), s))
+        # the dual distance at an anchor j = 2^(T-s), from its reduced candidate set
+        self.dual_reduced = cache(lambda j: dual_pow2_distance(self.ctx(), self.ctx().T - j.bit_length() + 1))
+
+    def on(self, fn: Callable, *args) -> Callable[[], object]:
+        """The deferred fn(ctx, *args)."""
+        return lambda: fn(self.ctx(), *args)
+
+
+def _shown(rep) -> int | str:
+    return rep.lower if rep.exact else f"[{rep.lower}, {rep.upper}]"
+
+
+def _slot(profile: Callable, j: int, view: Callable = _shown) -> Callable[[], object]:
+    """The deferred view of slot j of a deferred profile."""
+    return lambda: view(profile()[j])
+
+
+def _word(ring: _Ring, a: int, j: int, spread: int = 1, view: Callable = weight) -> Callable[[], object]:
+    """The deferred view of the candidate word a(x^spread) * P^j."""
+    return lambda: view(mul(substitute_power(a, spread), ring.code(j).generator))
+
+
+def _head_survey() -> list[Check]:
+    checks: list[Check] = []
     for poly_text, L, expect in HEAD_SURVEY:
-        ctx = new_context(parse(poly_text), L)
-        profile = full_distance_profile(ctx, oracle_cap=0)
-        for j, d in sorted(expect.items()):
-            rep = profile[j]
-            got = rep.lower if rep.exact else f"[{rep.lower}, {rep.upper}]"
-            _eq(rows, f"{poly_text} L={L} d_{j}", d, got)
-    return FixtureResult("head-survey", tuple(rows))
+        ring = _Ring(poly_text, L)
+        checks += [Check(f"{poly_text} L={L} d_{j}", d, _slot(ring.structural, j)) for j, d in sorted(expect.items())]
+    return checks
 
 
-def _run_profile(key: str) -> FixtureResult:
-    poly_text, L, expect_bounds, expect_lower, expect_oracle = PROFILES[key]
-    ctx = new_context(parse(poly_text), L)
-    rows: list[FixtureRow] = []
-    structural = full_distance_profile(ctx, oracle_cap=0)
-    for j, (lo, hi) in sorted(expect_bounds.items()):
-        _eq(rows, f"bounds d_{j}", (lo, hi), (structural[j].lower, structural[j].upper))
-    for j, lo in sorted(expect_lower.items()):
-        _eq(rows, f"lower d_{j}", lo, structural[j].lower)
-    resolved = full_distance_profile(ctx)
-    for j, d in sorted(expect_oracle.items()):
-        rep = resolved[j]
-        got = rep.lower if rep.exact else f"[{rep.lower}, {rep.upper}]"
-        _eq(rows, f"oracle d_{j}", d, got)
-    return FixtureResult(key, tuple(rows))
+def _profile(poly_text: str, L: int, expect_bounds: dict, expect_lower: dict, expect_oracle: dict) -> list[Check]:
+    ring = _Ring(poly_text, L)
+    bounds, lower = attrgetter("lower", "upper"), attrgetter("lower")
+    return [
+        *(Check(f"bounds d_{j}", b, _slot(ring.structural, j, bounds)) for j, b in sorted(expect_bounds.items())),
+        *(Check(f"lower d_{j}", lo, _slot(ring.structural, j, lower)) for j, lo in sorted(expect_lower.items())),
+        *(Check(f"oracle d_{j}", d, _slot(ring.resolved, j)) for j, d in sorted(expect_oracle.items())),
+    ]
 
 
-def _run_anchor_weights_m4l16() -> FixtureResult:
-    ctx = new_context(parse("x^4 + x + 1"), 16)
-    rows: list[FixtureRow] = []
+def _anchor_weights_m4l16() -> list[Check]:
+    ring = _Ring("x^4 + x + 1", 16)
+    checks: list[Check] = []
     for r, table in sorted(ANCHOR_WEIGHTS_M4L16.items()):
-        base = code(ctx, (1 << r) - 1).generator
-        for a, w in sorted(table.items()):
-            _eq(rows, f"r={r} a={a:#06b}", w, weight(mul(a, base)))
-        _eq(rows, f"r={r} min == anchor", min(table.values()), upper_anchor_distance(ctx, r))
-    return FixtureResult("anchor-weights-m4L16", tuple(rows))
+        checks += [Check(f"r={r} a={a:#06b}", w, _word(ring, a, (1 << r) - 1)) for a, w in sorted(table.items())]
+        checks.append(Check(f"r={r} min == anchor", min(table.values()), ring.on(upper_anchor_distance, r)))
+    return checks
 
 
-def _run_anchor_weights_m6l25() -> FixtureResult:
-    ctx = new_context(parse("x^6 + x^5 + x^3 + x^2 + 1"), 25)
-    rows: list[FixtureRow] = []
-    base = code(ctx, 16).generator
-    for a, w in sorted(ANCHOR_WEIGHTS_M6L25.items()):
-        _eq(rows, f"a={a:#06b}", w, weight(mul(substitute_power(a, 16), base)))
+def _anchor_weights_m6l25() -> list[Check]:
+    ring = _Ring("x^6 + x^5 + x^3 + x^2 + 1", 25)
     a_wit, word = ANCHOR_WITNESS_M6L25
-    _eq(rows, "weight-3 witness word", word, mul(substitute_power(a_wit, 16), base))
-    _eq(rows, "min == anchor", min(ANCHOR_WEIGHTS_M6L25.values()), upper_anchor_distance(ctx, 1))
-    return FixtureResult("anchor-weights-m6L25", tuple(rows))
+    return [
+        *(Check(f"a={a:#06b}", w, _word(ring, a, 16, 16)) for a, w in sorted(ANCHOR_WEIGHTS_M6L25.items())),
+        Check("weight-3 witness word", word, _word(ring, a_wit, 16, 16, view=int)),
+        Check("min == anchor", min(ANCHOR_WEIGHTS_M6L25.values()), ring.on(upper_anchor_distance, 1)),
+    ]
 
 
-def _run_dual_distances_m3l9() -> FixtureResult:
-    ctx = new_context(parse("x^3 + x + 1"), 9)
-    rows: list[FixtureRow] = []
-    for j in DUAL_ANCHORED_M3L9:
-        s = ctx.T - j.bit_length() + 1
-        _eq(rows, f"reduced set d_dual j={j}", DUAL_DISTANCES_M3L9[j], dual_pow2_distance(ctx, s))
-    for j, d in sorted(DUAL_DISTANCES_M3L9.items()):
-        got = dual_min_distance_bruteforce(dual_code(code(ctx, j)))
-        _eq(rows, f"oracle d_dual j={j}", d, got)
-    return FixtureResult("dual-distances-m3L9", tuple(rows))
+def _dual_distances_m3l9() -> list[Check]:
+    ring, table = _Ring("x^3 + x + 1", 9), DUAL_DISTANCES_M3L9
+    return [
+        *(Check(f"reduced set d_dual j={j}", table[j], partial(ring.dual_reduced, j)) for j in DUAL_ANCHORED_M3L9),
+        *(Check(f"oracle d_dual j={j}", d, partial(ring.dual_oracle, j)) for j, d in sorted(table.items())),
+    ]
 
 
-def _run_dual_weights_m3l9() -> FixtureResult:
-    ctx = new_context(parse("x^3 + x + 1"), 9)
-    rows: list[FixtureRow] = []
-    for s, table in sorted(DUAL_WEIGHTS_M3L9.items()):
-        got = dual_pow2_candidates(ctx, s)
-        for ell, w in sorted(table.items()):
-            _eq(rows, f"s={s} ell={ell:#05b}", w, got.get(ell))
-    return FixtureResult("dual-weights-m3L9", tuple(rows))
+def _dual_weights_m3l9() -> list[Check]:
+    ring = _Ring("x^3 + x + 1", 9)
+    return [
+        Check(f"s={s} ell={ell:#05b}", w, partial(lambda s, ell: ring.dual_candidates(s).get(ell), s, ell))
+        for s, table in sorted(DUAL_WEIGHTS_M3L9.items())
+        for ell, w in sorted(table.items())
+    ]
 
 
-def _run_lcd_m3l8() -> FixtureResult:
+def _lcd_m3l8() -> list[Check]:
     poly_text, L, (n, k, d), (n2, k_dual, d_dual) = LCD_M3L8
-    ctx = new_context(parse(poly_text), L)
-    rows: list[FixtureRow] = []
-    _eq(rows, "n", n, ctx.n)
-    _eq(rows, "k", k, ctx.m * (L - 1))
-    _eq(rows, "k_dual", k_dual, n2 - k)
-    verdict = lcd_verdict(code(ctx, 1), "all")
-    _eq(rows, "is_lcd", True, verdict.is_lcd)
-    _eq(rows, "hull_dim", 0, verdict.hull_dim)
-    _eq(rows, "methods", ("oracle", "head-criterion"), verdict.methods)
-    rep = single_distance_report(ctx, 1)
-    _eq(rows, "d", d, rep.lower if rep.exact else None)
-    _eq(rows, "d_dual reduced set", d_dual, dual_pow2_distance(ctx, ctx.T))
-    got = dual_min_distance_bruteforce(dual_code(code(ctx, 1)))
-    _eq(rows, "d_dual oracle", d_dual, got)
-    return FixtureResult("lcd-m3L8", tuple(rows))
+    ring = _Ring(poly_text, L)
+    return [
+        Check("n", n, ring.on(lambda ctx: ctx.n)),
+        Check("k", k, ring.on(lambda ctx: ctx.m * (L - 1))),
+        Check("k_dual", k_dual, lambda: n2 - k),
+        Check("is_lcd", True, lambda: ring.verdict().is_lcd),
+        Check("hull_dim", 0, lambda: ring.verdict().hull_dim),
+        Check("methods", ("oracle", "head-criterion"), lambda: ring.verdict().methods),
+        Check("d", d, lambda: _shown(single_distance_report(ring.ctx(), 1))),
+        Check("d_dual reduced set", d_dual, lambda: ring.dual_reduced(1)),
+        Check("d_dual oracle", d_dual, lambda: ring.dual_oracle(1)),
+    ]
 
 
-def _survey_rows(table, check_lcd: bool) -> list[FixtureRow]:
-    rows: list[FixtureRow] = []
-    for poly_text, L, n, k, d, k_dual, d_dual in table:
-        ctx = new_context(parse(poly_text), L)
-        tag = f"{poly_text} L={L}"
-        _eq(rows, f"{tag} n", n, ctx.n)
-        _eq(rows, f"{tag} k", k, ctx.m * (L - 1))
-        _eq(rows, f"{tag} k_dual", k_dual, ctx.m)
-        rep = single_distance_report(ctx, 1)
-        if rep.exact:
-            _eq(rows, f"{tag} d", d, rep.lower)
-        else:
-            _contains(rows, f"{tag} d within bounds", d, rep.lower, rep.upper)
-        theorem_dd = dual_pow2_distance(ctx, ctx.T)
-        _eq(rows, f"{tag} d_dual", d_dual, theorem_dd)
-        oracle_dd = dual_min_distance_bruteforce(dual_code(code(ctx, 1)))
-        _eq(rows, f"{tag} d_dual oracle", d_dual, oracle_dd)
-        if check_lcd:
-            verdict = lcd_verdict(code(ctx, 1), "all")
-            expect_hull = NON_LCD_SURVEY_ROWS.get((poly_text, L), 0)
-            _eq(rows, f"{tag} is_lcd", expect_hull == 0, verdict.is_lcd)
-            _eq(rows, f"{tag} hull_dim", expect_hull, verdict.hull_dim)
-    return rows
+def _survey_row(poly_text: str, L: int, n: int, k: int, d: int, k_dual: int, d_dual: int, lcd: bool) -> list[Check]:
+    ring = _Ring(poly_text, L)
+    tag = f"{poly_text} L={L}"
+    checks = [
+        Check(f"{tag} n", n, ring.on(lambda ctx: ctx.n)),
+        Check(f"{tag} k", k, ring.on(lambda ctx: ctx.m * (L - 1))),
+        Check(f"{tag} k_dual", k_dual, ring.on(lambda ctx: ctx.m)),
+        Check(f"{tag} d", d, ring.on(single_distance_report, 1), within=True),
+        Check(f"{tag} d_dual", d_dual, lambda: ring.dual_reduced(1)),
+        Check(f"{tag} d_dual oracle", d_dual, lambda: ring.dual_oracle(1)),
+    ]
+    if lcd:
+        hull = NON_LCD_SURVEY_ROWS.get((poly_text, L), 0)
+        checks.append(Check(f"{tag} is_lcd", hull == 0, lambda: ring.verdict().is_lcd))
+        checks.append(Check(f"{tag} hull_dim", hull, lambda: ring.verdict().hull_dim))
+    return checks
 
 
-def _run_dual_survey() -> FixtureResult:
-    rows = _survey_rows(DUAL_SURVEY, check_lcd=False)
-    poly_text, L = REJECTED_DUAL_SURVEY_ROW[0], REJECTED_DUAL_SURVEY_ROW[1]
-    _eq(rows, f"{poly_text} L={L} rejected (reducible)", False, is_irreducible(parse(poly_text)))
-    return FixtureResult("dual-survey", tuple(rows))
-
-
-def _run_lcd_survey() -> FixtureResult:
-    return FixtureResult("lcd-survey", tuple(_survey_rows(LCD_SURVEY, check_lcd=True)))
+def _dual_survey() -> list[Check]:
+    poly_text, L = REJECTED_DUAL_SURVEY_ROW[:2]
+    checks = [check for row in DUAL_SURVEY for check in _survey_row(*row, lcd=False)]
+    return checks + [Check(f"{poly_text} L={L} rejected (reducible)", False, lambda: is_irreducible(parse(poly_text)))]
 
 
 FIXTURES = {
-    "head-survey": _run_head_survey,
-    "profile-m5L5": lambda: _run_profile("profile-m5L5"),
-    "profile-m4L16": lambda: _run_profile("profile-m4L16"),
-    "profile-m5L12": lambda: _run_profile("profile-m5L12"),
-    "profile-m6L25": lambda: _run_profile("profile-m6L25"),
-    "anchor-weights-m4L16": _run_anchor_weights_m4l16,
-    "anchor-weights-m6L25": _run_anchor_weights_m6l25,
-    "dual-distances-m3L9": _run_dual_distances_m3l9,
-    "dual-weights-m3L9": _run_dual_weights_m3l9,
-    "lcd-m3L8": _run_lcd_m3l8,
-    "dual-survey": _run_dual_survey,
-    "lcd-survey": _run_lcd_survey,
+    "head-survey": _head_survey,
+    **{key: partial(_profile, *spec) for key, spec in PROFILES.items()},
+    "anchor-weights-m4L16": _anchor_weights_m4l16,
+    "anchor-weights-m6L25": _anchor_weights_m6l25,
+    "dual-distances-m3L9": _dual_distances_m3l9,
+    "dual-weights-m3L9": _dual_weights_m3l9,
+    "lcd-m3L8": _lcd_m3l8,
+    "dual-survey": _dual_survey,
+    "lcd-survey": lambda: [check for row in LCD_SURVEY for check in _survey_row(*row, lcd=True)],
 }
 
 
-def run_fixture(key: str) -> FixtureResult:
-    """Replay one fixture by key."""
+def _checks(key: str) -> list[Check]:
     if key not in FIXTURES:
         raise ValidationError(f"unknown fixture {key!r}; known: {', '.join(FIXTURES)}")
     return FIXTURES[key]()
 
 
-# ---------------------------------------------------------------------------
-# dumps of the embedded data (no computation)
-# ---------------------------------------------------------------------------
+def _replay(check: Check) -> FixtureRow:
+    got = check.compute()
+    if check.within:  # a proven interval for d; once exact, this is an equality check
+        return FixtureRow(check.label, str(check.expected), str(_shown(got)), got.lower <= check.expected <= got.upper)
+    return FixtureRow(check.label, str(check.expected), str(got), check.expected == got)
+
+
+def run_fixture(key: str) -> FixtureResult:
+    """Replay one fixture by key."""
+    return FixtureResult(key, tuple(_replay(check) for check in _checks(key)))
 
 
 def dump_fixture(key: str) -> list[tuple[str, str]]:
-    """The embedded reference rows of one fixture as (label, expected) pairs."""
-    if key not in FIXTURES:
-        raise ValidationError(f"unknown fixture {key!r}; known: {', '.join(FIXTURES)}")
-    out: list[tuple[str, str]] = []
-    if key == "head-survey":
-        for poly_text, L, expect in HEAD_SURVEY:
-            for j, d in sorted(expect.items()):
-                out.append((f"{poly_text} L={L} d_{j}", str(d)))
-    elif key in PROFILES:
-        poly_text, L, expect_bounds, expect_lower, expect_oracle = PROFILES[key]
-        for j, (lo, hi) in sorted(expect_bounds.items()):
-            out.append((f"{poly_text} L={L} bounds d_{j}", f"({lo}, {hi})"))
-        for j, lo in sorted(expect_lower.items()):
-            out.append((f"{poly_text} L={L} lower d_{j}", str(lo)))
-        for j, d in sorted(expect_oracle.items()):
-            out.append((f"{poly_text} L={L} oracle d_{j}", str(d)))
-    elif key == "anchor-weights-m4L16":
-        for r, table in sorted(ANCHOR_WEIGHTS_M4L16.items()):
-            for a, w in sorted(table.items()):
-                out.append((f"r={r} a={a:#06b}", str(w)))
-    elif key == "anchor-weights-m6L25":
-        for a, w in sorted(ANCHOR_WEIGHTS_M6L25.items()):
-            out.append((f"a={a:#06b}", str(w)))
-        out.append(("weight-3 witness word", hex(ANCHOR_WITNESS_M6L25[1])))
-    elif key == "dual-distances-m3L9":
-        for j, d in sorted(DUAL_DISTANCES_M3L9.items()):
-            out.append((f"d_dual j={j}", str(d)))
-    elif key == "dual-weights-m3L9":
-        for s, table in sorted(DUAL_WEIGHTS_M3L9.items()):
-            for ell, w in sorted(table.items()):
-                out.append((f"s={s} ell={ell:#05b}", str(w)))
-    elif key == "lcd-m3L8":
-        poly_text, L, params, dual_params = LCD_M3L8
-        out.append((f"{poly_text} L={L} params", str(params)))
-        out.append((f"{poly_text} L={L} dual params", str(dual_params)))
-    else:
-        table = DUAL_SURVEY if key == "dual-survey" else LCD_SURVEY
-        for poly_text, L, n, k, d, k_dual, d_dual in table:
-            out.append((f"{poly_text} L={L}", f"[{n},{k},{d}] / [{n},{k_dual},{d_dual}]"))
-    return out
+    """The (label, reference value) of every check of one fixture, computing nothing."""
+    return [(check.label, str(check.expected)) for check in _checks(key)]

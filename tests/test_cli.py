@@ -13,7 +13,7 @@ import time
 import pytest
 
 import polycode
-from polycode import cli, duality, fixtures, lcd
+from polycode import duality, fixtures, lcd
 from polycode.cli import main
 
 
@@ -129,10 +129,26 @@ def test_fixtures_dump_prints_reference_rows(capsys):
     assert "s=1" in out and out.count("\n") == 16
 
 
-def test_fixtures_rejects_unknown_key():
+def test_fixtures_rejects_unknown_key(capsys):
+    assert main(["fixtures", "--which", "nope"]) == 2
+    assert "lcd-survey" in capsys.readouterr().err
+
+
+def test_fixtures_dump_and_json_exclude_each_other():
     with pytest.raises(SystemExit) as err:
-        main(["fixtures", "--which", "nope"])
+        main(["fixtures", "--which", "lcd-m3L8", "--dump", "--json"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("key", list(fixtures.FIXTURES))
+def test_the_dump_lists_the_replayed_checks_without_computing(key, monkeypatch):
+    replayed = [row.label for row in fixtures.run_fixture(key).rows]
+
+    def refuse(*args):
+        raise AssertionError("the dump built a ring")
+
+    monkeypatch.setattr(fixtures, "new_context", refuse)
+    assert [label for label, _ in fixtures.dump_fixture(key)] == replayed
 
 
 def test_conjecture_csv(capsys):
@@ -278,10 +294,6 @@ def test_conjecture_ranges_stop_at_the_dim_cap(huge, small):
     got = _python("-m", "polycode.cli", "conjecture", "--dim-cap", "64", *huge, timeout=5)
     assert want.returncode == got.returncode == 0
     assert (got.stdout, got.stderr) == (want.stdout, want.stderr)
-
-
-def test_the_parser_offers_every_fixture_key():
-    assert cli.FIXTURE_KEYS == tuple(fixtures.FIXTURES)
 
 
 def test_the_cli_loads_only_what_every_command_needs():
