@@ -147,7 +147,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
-    rows = conjecture_scan(args.vmax, args.tmax, dim_cap=args.dim_cap, workers=args.workers)
+    rows = conjecture_scan(args.vmax, args.tmax, dim_cap=args.dim_cap)
     writer = csv.writer(sys.stdout)
     writer.writerow(["v", "T", "j", "n", "k", "is_lcd", "hull_dim"])
     for row in rows:
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmax", type=int, default=1)
     p.add_argument("--tmax", type=int, default=3)
     p.add_argument("--dim-cap", type=int, default=4096, help="skip rings with more than this many bits")
-    p.add_argument("--workers", type=int, default=None, help="worker processes, 1..CPU count (default: serial)")
     p.set_defaults(func=_cmd_conjecture)
 
     return parser

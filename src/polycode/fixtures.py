@@ -319,12 +319,12 @@ def _dual_weights_m3l9() -> list[Check]:
 
 
 def _lcd_m3l8() -> list[Check]:
-    poly_text, L, (n, k, d), (n2, k_dual, d_dual) = LCD_M3L8
+    poly_text, L, (n, k, d), (_, k_dual, d_dual) = LCD_M3L8
     ring = _Ring(poly_text, L)
     return [
         Check("n", n, ring.on(lambda ctx: ctx.n)),
         Check("k", k, ring.on(lambda ctx: ctx.m * (L - 1))),
-        Check("k_dual", k_dual, lambda: n2 - k),
+        Check("k_dual", k_dual, ring.on(lambda ctx: ctx.m)),
         Check("is_lcd", True, lambda: ring.verdict().is_lcd),
         Check("hull_dim", 0, lambda: ring.verdict().hull_dim),
         Check("methods", ("oracle", "head-criterion"), lambda: ring.verdict().methods),

@@ -7,14 +7,13 @@ shifts x^i * P^j, none of which wraps past x^(n-1), so G*G^T is a symmetric
 Toeplitz matrix built from k parities.  The oracle's cross-check and both
 criteria run one extended Euclid: on q = (P * P_star)^j it measures the hull,
 on W = q^-1 the criteria's kernel (the hull in dual coordinates), which a
-Gray-code sweep checks where m*j <= 12.  A scanner sweeps the rings over
+Gray-code sweep checks where m*j <= 12.  A serial scan walks the rings over
 powers 2^T of the self-reciprocal trinomials x^(2*3^v) + x^(3^v) + 1
 (family_poly), whose codes the paper conjectures are all LCD.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import accumulate, takewhile
 from operator import xor
 from typing import NamedTuple
@@ -205,53 +204,35 @@ def family_poly(v: int) -> int:
     return (1 << (2 * s)) | (1 << s) | 1
 
 
-def _scan_pair(args: tuple[int, int]) -> list[dict]:
-    v, T = args
-    ctx = new_context(family_poly(v), 1 << T)
-    out = []
-    for c in chain(ctx, 1, ctx.L):
-        hull = hull_dimension_oracle(c)
-        out.append(
-            {
-                "v": v,
-                "T": T,
-                "j": c.j,
-                "n": ctx.n,
-                "k": c.k,
-                "is_lcd": hull == 0,
-                "hull_dim": hull,
-            }
-        )
-    return out
+def conjecture_scan(v_max: int, t_max: int, dim_cap: int = 4096) -> list[dict]:
+    """Hull of every C_j over every family ring with n <= dim_cap; rows in (v, T, j) order.
 
-
-def conjecture_scan(
-    v_max: int,
-    t_max: int,
-    dim_cap: int = 4096,
-    workers: int | None = None,
-) -> list[dict]:
-    """Hull of every C_j over every family ring with n <= dim_cap; rows sorted by (v, T, j)."""
+    Every ring is set up before the first hull, so a ring over the power-table
+    budget is refused at once, not after the smaller rings are scanned.
+    """
     if v_max < 0 or t_max < 1:
         raise ValidationError("conjecture scan needs v_max >= 0 and t_max >= 1")
     if dim_cap < 4:
         raise ValidationError(f"dim_cap {dim_cap} is below 4, the length of the smallest family ring")
-    cpus = os.cpu_count() or 1
-    if workers is not None and not 1 <= workers <= cpus:
-        raise ValidationError(f"workers must be in 1..{cpus} (the CPU count), got {workers}")
     # n = 2 * 3^v * 2^T grows in v and in T, so each loop stops at the first n past dim_cap
-    tasks = [
-        (v, T)
+    rings = [
+        (v, T, new_context(family_poly(v), 1 << T))
         for v in takewhile(lambda v: 4 * 3**v <= dim_cap, range(v_max + 1))
         for T in takewhile(lambda T: 2 * 3**v << T <= dim_cap, range(1, t_max + 1))
     ]
-    if workers and workers > 1:
-        import multiprocessing  # only a parallel scan pays for loading it
-
-        with multiprocessing.Pool(workers) as pool:
-            groups = pool.map(_scan_pair, tasks)
-    else:
-        groups = [_scan_pair(t) for t in tasks]
-    rows = [row for group in groups for row in group]
-    rows.sort(key=lambda r: (r["v"], r["T"], r["j"]))
+    rows = []
+    for v, T, ctx in rings:
+        for c in chain(ctx, 1, ctx.L):
+            hull = hull_dimension_oracle(c)
+            rows.append(
+                {
+                    "v": v,
+                    "T": T,
+                    "j": c.j,
+                    "n": ctx.n,
+                    "k": c.k,
+                    "is_lcd": hull == 0,
+                    "hull_dim": hull,
+                }
+            )
     return rows

@@ -18,7 +18,7 @@ from polycode.codes import (
 from polycode.distance import min_distance_bruteforce
 from polycode.errors import ValidationError
 from polycode.gf2poly import div_rem, is_irreducible, mul, parse, power, reciprocal, weight
-from polycode.lcd import _scan_pair, family_poly, lcd_verdict
+from polycode.lcd import conjecture_scan, family_poly, lcd_verdict
 from polycode.ring import new_context
 
 P2 = parse("x^2+x+1")
@@ -142,6 +142,7 @@ def test_each_code_takes_at_most_one_power(monkeypatch, capsys):
         assert main(["lcd", "--poly", "x^3+x+1", "--power", "8", "--methods", methods]) == 0
         assert len(calls) <= 1
     calls.clear()
-    assert len(_scan_pair((0, 5))) == 31
-    assert len(calls) <= 1
+    rows = conjecture_scan(0, 5)
+    assert len(rows) == 57  # j = 1..2^T - 1 over T = 1..5
+    assert len(calls) <= len({(row["v"], row["T"]) for row in rows})
     capsys.readouterr()

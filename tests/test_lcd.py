@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycode import lcd
 from polycode._linalg import column_kernel, nullspace, parity_dot, rank
 from polycode.codes import code, generator_rows
 from polycode.duality import dual_code
-from polycode.errors import ValidationError, WrongRegime
+from polycode.errors import CapExceeded, ValidationError, WrongRegime
 from polycode.gf2poly import inverse_trunc, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
 from polycode.lcd import (
     _gray_sweep,
@@ -253,5 +254,11 @@ def test_conjecture_scan_respects_dim_cap():
             conjecture_scan(2, 4, dim_cap=cap)
 
 
-def test_conjecture_scan_parallel_matches_serial():
-    assert conjecture_scan(1, 2, workers=2) == conjecture_scan(1, 2)
+def test_conjecture_scan_refuses_an_over_budget_ring_before_the_first_hull(monkeypatch):
+    # v = 0, T = 13: P^0..P^8192 over x^2+x+1 is past the budget; the twelve smaller rings are never scanned
+    def unreachable(c):
+        raise AssertionError("a hull was measured before every ring was set up")
+
+    monkeypatch.setattr(lcd, "hull_dimension_oracle", unreachable)
+    with pytest.raises(CapExceeded, match="budget"):
+        conjecture_scan(0, 13, dim_cap=16384)
