@@ -139,8 +139,9 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 # ---------------------------------------------------------------------------
 
 
-def _reduced_set_min(ctx: RingContext, j: int, B: int, cap: int) -> int:
-    """Min weight of P^j * a(x^B) over constant-term-1 a of degree < lam = ceil(m(L-j)/B)."""
+def _reduced_set_min(ctx: RingContext, j: int, cap: int) -> int:
+    """Min weight of P^j * a(x^B), B = j & -j, over constant-term-1 a of degree < lam = ceil(m(L-j)/B)."""
+    B = j & -j
     lam = -(-(ctx.m * (ctx.L - j)) // B)
     if 1 << (lam - 1) > cap:
         raise CapExceeded(f"reduced set has 2^{lam - 1} candidates, over the cap of {cap}")
@@ -154,16 +155,14 @@ def lower_anchor_distance(ctx: RingContext, s: int, candidate_cap: int = DEFAULT
     """Exact d(C_j) at j = 2^(T-s), 1 <= s <= T."""
     if not 1 <= s <= ctx.T:
         raise ValidationError("anchor parameter s must satisfy 1 <= s <= T")
-    j = 1 << (ctx.T - s)
-    return _reduced_set_min(ctx, j, j, candidate_cap)
+    return _reduced_set_min(ctx, 1 << (ctx.T - s), candidate_cap)
 
 
 def upper_anchor_distance(ctx: RingContext, r: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
     """Exact d(C_j) at the upper anchor j = ctx.tops[r - 1] = 2^T - 2^(T-r), 1 <= r <= len(ctx.tops)."""
     if not 1 <= r <= len(ctx.tops):
         raise ValidationError(f"anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
-    j = ctx.tops[r - 1]
-    return _reduced_set_min(ctx, j, j & -j, candidate_cap)
+    return _reduced_set_min(ctx, ctx.tops[r - 1], candidate_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ mod x^n, P* the reciprocal of P.  The paper builds h* as
 rank and orthogonality against the generator matrix, the latter by n - 1
 parities since both row sets are shifts of one word.  Duals are "sequential"
 codes: shifting a dual word right by one position stays in the dual after an
-appropriate bit enters at the top.  On two families of indices (j a power of
-two, and the upper anchors j = 2^T - 2^(T-r) in ctx.tops) the dual distance
-is the minimum over a small explicit candidate set.  That set is an affine
-span (the spread map is linear), so the minimum-weight kernel of _linalg
-searches it, as it searches the dual code itself in the exact oracle that
-covers every other j.
+appropriate bit enters at the top.  At every anchor j (a power of two
+below 2^T, or an upper anchor 2^T - 2^(T-r) in ctx.tops) the dual distance
+is the minimum over a candidate set keyed by j alone, through its spread
+B = j & -j, as the primal anchors are (distance.py).  The set is an affine
+span of 2^(m*j/B - 1) words (spreading is linear), refused above the fixed
+DEFAULT_CANDIDATE_CAP, and the minimum-weight kernel of _linalg searches it,
+as it searches the whole dual in the oracle that covers every other j.
 """
 
 from __future__ import annotations
@@ -81,85 +82,70 @@ def sequential_closure_check(dual: DualCode) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dual distances on the two anchored families
+# dual distances at the anchors, keyed by j
 # ---------------------------------------------------------------------------
 
 
-def _spread_candidates(ctx: RingContext, t: int, u_exp: int, lead_deg: int, cap: int) -> tuple[int, list[int]]:
-    """The dual candidates with spread factor 2^(T-t), as (g, rows).
+def _anchor_candidates(ctx: RingContext, j: int) -> tuple[int, list[int]]:
+    """The dual candidates at the anchor j, as (g, rows), with spread B = j & -j and u = j // B.
 
-    With base = P*^-u_exp mod x^tbits and spread(w) = w(x^factor) *
-    x^(factor - 1) mod x^n, the candidates are spread(ell * base) for ell =
-    x^lead_deg + lower terms.  The paper's base also carries a power
-    (x^e + 1)^x_exp with u_exp + x_exp = 2^t; tbits <= m * 2^t < e * 2^t, so
-    (x^e + 1)^(2^t) == 1 mod x^tbits and the base is P*^-u_exp alone.
-    spread is GF(2)-linear, so the candidate of ell = x^lead_deg + i is word
-    i of g ^ span(rows), with g = spread(base * x^lead_deg) and rows[b] =
-    spread(base * x^b).
+    With base = P*^-u mod x^tbits and spread(w) = w(x^B) * x^(B - 1) mod x^n,
+    the candidates are spread(ell * base) for ell = x^(m*u - 1) + lower terms.
+    The paper's base also carries a power (x^e + 1)^(2^T/B - u); tbits <=
+    m * 2^T/B < e * 2^T/B, so (x^e + 1)^(2^T/B) == 1 mod x^tbits and the base
+    is P*^-u alone.  spread is GF(2)-linear, so the candidate of ell =
+    x^(m*u - 1) + i is word i of g ^ span(rows), with g = spread(base *
+    x^(m*u - 1)) and rows[b] = spread(base * x^b).
     """
-    if 1 << lead_deg > cap:
-        raise CapExceeded(f"dual reduced set has 2^{lead_deg} candidates, over the cap of {cap}")
-    factor = 1 << (ctx.T - t)
-    tbits = -(-ctx.n // factor)  # only these low coefficients survive the spread
-    base = power_trunc(ctx.P_star_inv, u_exp, tbits)
+    B = j & -j
+    lead_deg = ctx.m * (j // B) - 1
+    if 1 << lead_deg > DEFAULT_CANDIDATE_CAP:
+        raise CapExceeded(f"dual reduced set has 2^{lead_deg} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
+    tbits = -(-ctx.n // B)  # only these low coefficients survive the spread
+    base = power_trunc(ctx.P_star_inv, j // B, tbits)
     mask, tmask = (1 << ctx.n) - 1, (1 << tbits) - 1
 
     def spread(w: int) -> int:
-        return (substitute_power(w & tmask, factor) << (factor - 1)) & mask
+        return (substitute_power(w & tmask, B) << (B - 1)) & mask
 
     return spread(base << lead_deg), [spread(base << b) for b in range(lead_deg)]
 
 
-def _candidate_min(ctx: RingContext, candidates: tuple[int, list[int]]) -> int:
-    """Minimum nonzero weight over the (g, rows) candidates of _spread_candidates."""
-    best = min_weight_affine(*candidates, ctx.n)
+def dual_anchor_distance(ctx: RingContext, j: int) -> int:
+    """Exact dual distance at an anchor j (a power of two below 2^T, or an entry of ctx.tops) over its candidates."""
+    if not (0 < j < 1 << ctx.T and j & (j - 1) == 0 or j in ctx.tops):
+        raise ValidationError(f"dual anchor j={j} is neither a power of two below 2^T = {1 << ctx.T} nor in {ctx.tops}")
+    best = min_weight_affine(*_anchor_candidates(ctx, j), ctx.n)
     if best is None:
         raise InternalConsistencyError("every dual candidate reduced to zero")
     return best
 
 
-def _pow2_candidates(ctx: RingContext, s: int, candidate_cap: int) -> tuple[int, list[int]]:
-    """(g, rows) of the dual candidates at j = 2^(T-s): P*^-1 spread by 2^(T-s)."""
+def dual_pow2_candidates(ctx: RingContext, s: int) -> dict[int, int]:
+    """Candidate weights for the dual distance at j = 2^(T-s): {ell mask: weight}."""
     if not 1 <= s <= ctx.T:
         raise ValidationError("dual anchor parameter s must satisfy 1 <= s <= T")
-    return _spread_candidates(ctx, s, 1, ctx.m - 1, candidate_cap)
-
-
-def dual_pow2_candidates(ctx: RingContext, s: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> dict[int, int]:
-    """Candidate weights for the dual distance at j = 2^(T-s): {ell mask: weight}."""
-    g, rows = _pow2_candidates(ctx, s, candidate_cap)
+    g, rows = _anchor_candidates(ctx, 1 << (ctx.T - s))
     lead = 1 << len(rows)
     return {lead | i: w for i, w in enumerate(affine_weights(g, rows))}
 
 
-def dual_pow2_distance(ctx: RingContext, s: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
-    """Exact dual distance at j = 2^(T-s) as the minimum over the candidate set."""
-    return _candidate_min(ctx, _pow2_candidates(ctx, s, candidate_cap))
-
-
-def dual_complement_distance(ctx: RingContext, r: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
+def dual_complement_distance(ctx: RingContext, r: int) -> int:
     """Exact dual distance at the upper anchor j = ctx.tops[r - 1] = 2^T - 2^(T-r), 1 <= r <= len(ctx.tops)."""
     if not 1 <= r <= len(ctx.tops):
         raise ValidationError(f"dual anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
-    lead_deg = ctx.m * ((1 << r) - 1) - 1
-    return _candidate_min(ctx, _spread_candidates(ctx, r, (1 << r) - 1, lead_deg, candidate_cap))
+    return dual_anchor_distance(ctx, ctx.tops[r - 1])
 
 
-def dual_distance_with_provenance(
-    dual: DualCode,
-    oracle_cap: int = DEFAULT_ENUM_CAP,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> tuple[int | None, list[str]]:
-    """Best effort at the dual distance of C_j: anchored families, then the oracle."""
+def dual_distance_with_provenance(dual: DualCode, oracle_cap: int = DEFAULT_ENUM_CAP) -> tuple[int | None, list[str]]:
+    """Best effort at the dual distance of C_j: the anchor's reduced set, then the oracle."""
     ctx, j = dual.ctx, dual.j
     d: int | None = None
     provenance: list[str] = []
 
     try:
-        if j & (j - 1) == 0:
-            d = dual_pow2_distance(ctx, ctx.T - j.bit_length() + 1, candidate_cap)
-        elif j in ctx.tops:
-            d = dual_complement_distance(ctx, ctx.tops.index(j) + 1, candidate_cap)
+        if j & (j - 1) == 0 or j in ctx.tops:
+            d = dual_anchor_distance(ctx, j)
     except CapExceeded:
         pass
     if d is not None:

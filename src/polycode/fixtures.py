@@ -5,8 +5,10 @@ candidate-set weights, dual distances, LCD verdicts, and published code
 parameters — as one ordered list of checks.  A check pairs a label and a
 reference value with a deferred computation: replay runs the computations and
 compares row by row, and a dump lists the labels and reference values without
-computing anything.  Survey rows whose d is out of oracle range degrade to a
+computing anything.  Survey rows whose published d is 4 or more degrade to a
 containment check: the proven interval must contain the reference value.
+Below 4 the small-weight kernel decides d exactly, so those rows compare by
+equality.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ from typing import Callable, NamedTuple
 
 from .codes import code
 from .distance import full_distance_profile, single_distance_report, upper_anchor_distance
-from .duality import (
-    dual_code,
-    dual_min_distance_bruteforce,
-    dual_pow2_candidates,
-    dual_pow2_distance,
-)
+from .duality import dual_anchor_distance, dual_code, dual_min_distance_bruteforce, dual_pow2_candidates
 from .errors import ValidationError
 from .gf2poly import is_irreducible, mul, parse, substitute_power, weight
 from .lcd import lcd_verdict
@@ -139,8 +136,6 @@ DUAL_WEIGHTS_M3L9 = {
     4: {4: 15, 5: 15, 6: 15, 7: 15},
 }
 
-LCD_M3L8 = ("x^3 + x + 1", 8, (24, 21, 2), (24, 3, 13))
-
 # published survey rows: (poly, L, n, k, d, k_dual, d_dual)
 DUAL_SURVEY = (
     ("x^3 + x + 1", 9, 27, 24, 2, 3, 15),
@@ -242,8 +237,8 @@ class _Ring:
         self.verdict = cache(lambda: lcd_verdict(self.code(1), "all"))
         self.dual_oracle = cache(lambda j: dual_min_distance_bruteforce(dual_code(self.code(j))))
         self.dual_candidates = cache(lambda s: dual_pow2_candidates(self.ctx(), s))
-        # the dual distance at an anchor j = 2^(T-s), from its reduced candidate set
-        self.dual_reduced = cache(lambda j: dual_pow2_distance(self.ctx(), self.ctx().T - j.bit_length() + 1))
+        # the dual distance at an anchor j, from its reduced candidate set
+        self.dual_reduced = cache(lambda j: dual_anchor_distance(self.ctx(), j))
 
     def on(self, fn: Callable, *args) -> Callable[[], object]:
         """The deferred fn(ctx, *args)."""
@@ -318,30 +313,16 @@ def _dual_weights_m3l9() -> list[Check]:
     ]
 
 
-def _lcd_m3l8() -> list[Check]:
-    poly_text, L, (n, k, d), (_, k_dual, d_dual) = LCD_M3L8
-    ring = _Ring(poly_text, L)
-    return [
-        Check("n", n, ring.on(lambda ctx: ctx.n)),
-        Check("k", k, ring.on(lambda ctx: ctx.m * (L - 1))),
-        Check("k_dual", k_dual, ring.on(lambda ctx: ctx.m)),
-        Check("is_lcd", True, lambda: ring.verdict().is_lcd),
-        Check("hull_dim", 0, lambda: ring.verdict().hull_dim),
-        Check("methods", ("oracle", "head-criterion"), lambda: ring.verdict().methods),
-        Check("d", d, lambda: _shown(single_distance_report(ring.ctx(), 1))),
-        Check("d_dual reduced set", d_dual, lambda: ring.dual_reduced(1)),
-        Check("d_dual oracle", d_dual, lambda: ring.dual_oracle(1)),
-    ]
-
-
 def _survey_row(poly_text: str, L: int, n: int, k: int, d: int, k_dual: int, d_dual: int, lcd: bool) -> list[Check]:
     ring = _Ring(poly_text, L)
     tag = f"{poly_text} L={L}"
+    report = ring.on(single_distance_report, 1)
     checks = [
         Check(f"{tag} n", n, ring.on(lambda ctx: ctx.n)),
         Check(f"{tag} k", k, ring.on(lambda ctx: ctx.m * (L - 1))),
         Check(f"{tag} k_dual", k_dual, ring.on(lambda ctx: ctx.m)),
-        Check(f"{tag} d", d, ring.on(single_distance_report, 1), within=True),
+        # the small-weight kernel decides min(d, 4), so only d >= 4 may stay a proven interval
+        Check(f"{tag} d", d, report, within=True) if d >= 4 else Check(f"{tag} d", d, lambda: _shown(report())),
         Check(f"{tag} d_dual", d_dual, lambda: ring.dual_reduced(1)),
         Check(f"{tag} d_dual oracle", d_dual, lambda: ring.dual_oracle(1)),
     ]
@@ -349,6 +330,7 @@ def _survey_row(poly_text: str, L: int, n: int, k: int, d: int, k_dual: int, d_d
         hull = NON_LCD_SURVEY_ROWS.get((poly_text, L), 0)
         checks.append(Check(f"{tag} is_lcd", hull == 0, lambda: ring.verdict().is_lcd))
         checks.append(Check(f"{tag} hull_dim", hull, lambda: ring.verdict().hull_dim))
+        checks.append(Check(f"{tag} methods", ("oracle", "head-criterion"), lambda: ring.verdict().methods))
     return checks
 
 
@@ -365,7 +347,6 @@ FIXTURES = {
     "anchor-weights-m6L25": _anchor_weights_m6l25,
     "dual-distances-m3L9": _dual_distances_m3l9,
     "dual-weights-m3L9": _dual_weights_m3l9,
-    "lcd-m3L8": _lcd_m3l8,
     "dual-survey": _dual_survey,
     "lcd-survey": lambda: [check for row in LCD_SURVEY for check in _survey_row(*row, lcd=True)],
 }

@@ -80,7 +80,8 @@ def test_dual_distances_by_reduced_sets_and_oracle():
 
 
 def test_lcd_verdict_three_ways_on_the_worked_example():
-    _assert_fixture("lcd-m3L8")
+    # the worked example x^3+x+1, L = 8 is a survey row; every row's verdict reads the oracle and the head criterion
+    _assert_fixture("lcd-survey")
 
 
 # --- exhaustive oracle agreement over every small ring -------------------------

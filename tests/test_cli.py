@@ -136,7 +136,7 @@ def test_fixtures_rejects_unknown_key(capsys):
 
 def test_fixtures_dump_and_json_exclude_each_other():
     with pytest.raises(SystemExit) as err:
-        main(["fixtures", "--which", "lcd-m3L8", "--dump", "--json"])
+        main(["fixtures", "--which", "profile-m5L5", "--dump", "--json"])
     assert err.value.code == 2
 
 
@@ -320,8 +320,8 @@ def test_the_cli_loads_only_what_every_command_needs():
 
 
 def test_the_lazily_loaded_commands_run_from_a_fresh_process():
-    run = _python("-m", "polycode.cli", "fixtures", "--which", "lcd-m3L8", timeout=30)
-    assert run.returncode == 0 and run.stdout.startswith("lcd-m3L8: PASS"), run.stderr
+    run = _python("-m", "polycode.cli", "fixtures", "--which", "profile-m5L5", timeout=30)
+    assert run.returncode == 0 and run.stdout.startswith("profile-m5L5: PASS"), run.stderr
     run = _python("-m", "polycode.cli", "conjecture", "--vmax", "1", "--tmax", "3", timeout=30)
     assert run.returncode == 0 and run.stderr == "scanned 22 codes: all LCD\n", run.stderr
 

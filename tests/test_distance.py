@@ -124,15 +124,15 @@ def test_profile_weighs_each_reduced_set_once(regime, monkeypatch):
     weighed = []
     inner = distance._reduced_set_min
 
-    def counting(ctx, j, B, cap):
-        weighed.append((j, B))
-        return inner(ctx, j, B, cap)
+    def counting(ctx, j, cap):
+        weighed.append(j)
+        return inner(ctx, j, cap)
 
     monkeypatch.setattr(distance, "_reduced_set_min", counting)
     full_distance_profile(ctx, oracle_cap=0)
     assert len(weighed) == len(set(weighed)), weighed
-    lower = {(1 << (ctx.T - s), 1 << (ctx.T - s)) for s in range(1, ctx.T + 1)}
-    assert sorted(weighed) == sorted(lower | {(j, j & -j) for j in ctx.tops})
+    lower = {1 << (ctx.T - s) for s in range(1, ctx.T + 1)}
+    assert sorted(weighed) == sorted(lower | set(ctx.tops))
 
 
 def test_full_profile_m4L16_matches_frozen_values():

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode._linalg import nullspace, parity_dot, rank
-from polycode.codes import code, generator_rows
+from polycode.codes import DEFAULT_CANDIDATE_CAP, code, generator_rows
 from polycode.duality import (
+    dual_anchor_distance,
     dual_code,
     dual_complement_distance,
     dual_distance_with_provenance,
     dual_min_distance_bruteforce,
     dual_pow2_candidates,
-    dual_pow2_distance,
     dual_summary,
     sequential_closure_check,
 )
@@ -89,8 +89,7 @@ def test_dual_reduced_set_distances_m3L9():
     ctx = new_context(M3, 9)
     expected = {1: 15, 2: 7, 4: 3, 8: 1}  # j -> dual distance, j = 2^(T-s)
     for j, d in expected.items():
-        s = ctx.T - j.bit_length() + 1
-        assert dual_pow2_distance(ctx, s) == d
+        assert dual_anchor_distance(ctx, j) == d
         assert dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=24) == d
 
 
@@ -149,7 +148,7 @@ def test_dual_candidates_match_a_per_ell_loop(ctx, data):
     base = mul_trunc(power_trunc(x_e_1, (1 << s) - 1, tbits), U_star, tbits)
     want = _spread_weights_reference(ctx, base, ctx.m - 1, factor)
     assert dual_pow2_candidates(ctx, s) == want
-    assert dual_pow2_distance(ctx, s) == min(w for w in want.values() if w)
+    assert dual_anchor_distance(ctx, 1 << (ctx.T - s)) == min(w for w in want.values() if w)
     r = data.draw(st.integers(1, len(ctx.tops)))
     lead_deg = ctx.m * ((1 << r) - 1) - 1
     if lead_deg <= 12:
@@ -159,12 +158,41 @@ def test_dual_candidates_match_a_per_ell_loop(ctx, data):
         assert dual_complement_distance(ctx, r) == min(w for w in want.values() if w)
 
 
+def _pow2_min(ctx, s):
+    """The dual distance at j = 2^(T-s), read from the s-keyed candidate table."""
+    return min(w for w in dual_pow2_candidates(ctx, s).values() if w)
+
+
 def test_complement_and_pow2_paths_agree_on_shared_anchor():
-    # j = 2^(T-1) is both the s = 1 reduced set and the r = 1 complement anchor, in every regime
+    # j = 2^(T-1) is both s = 1 and r = 1, in every regime: both wrappers must map their index to it
     for poly, L, regime in ((M4, 16, "pow2"), (M4, 14, "high"), (parse("x^5+x^4+x^2+x+1"), 12, "low")):
         ctx = new_context(poly, L)
         assert ctx.regime == regime
-        assert dual_complement_distance(ctx, 1) == dual_pow2_distance(ctx, 1)
+        assert dual_complement_distance(ctx, 1) == _pow2_min(ctx, 1) == dual_anchor_distance(ctx, 1 << (ctx.T - 1))
+
+
+def test_every_dual_anchor_matches_the_dual_oracle():
+    # every anchor with m*j <= 32 whose set is within the cap (four are over it), upper anchors with r >= 2 included
+    checked = upper = 0
+    for m in range(2, 7):
+        for P in (f for f in range((1 << m) | 1, 2 << m, 2) if is_irreducible(f)):
+            for L in range(2, 64 // m + 1):
+                ctx = new_context(P, L)
+                anchors = {1 << i for i in range(ctx.T)} | set(ctx.tops)
+                within = (a for a in anchors if m * a <= 32 and 1 << (m * a // (a & -a) - 1) <= DEFAULT_CANDIDATE_CAP)
+                for j in sorted(within):
+                    want = dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=32)
+                    assert dual_anchor_distance(ctx, j) == want, (P, L, j)
+                    checked += 1
+                    upper += j & (j - 1) != 0
+    assert (checked, upper) == (849, 54)
+
+
+def test_dual_anchor_distance_refuses_an_index_off_the_anchors():
+    ctx = new_context(M4, 16)
+    for j in (0, 3):
+        with pytest.raises(ValidationError):
+            dual_anchor_distance(ctx, j)
 
 
 def test_dual_oracle_matches_plain_nullspace_enumeration():
@@ -233,7 +261,7 @@ def test_dual_summary_builds_the_dual_once(monkeypatch):
 def test_complement_distance_covers_exactly_the_tops():
     low_ctx = new_context(parse("x^5+x^4+x^2+x+1"), 12)
     assert low_ctx.tops == (8,)
-    assert dual_complement_distance(low_ctx, 1) == dual_pow2_distance(low_ctx, 1)
+    assert dual_complement_distance(low_ctx, 1) == _pow2_min(low_ctx, 1) == dual_anchor_distance(low_ctx, 8)
     for r in (0, 2):
         with pytest.raises(ValidationError):
             dual_complement_distance(low_ctx, r)

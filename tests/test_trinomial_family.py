@@ -12,7 +12,7 @@ import pytest
 
 from polycode.codes import DEFAULT_CANDIDATE_CAP, code
 from polycode.distance import full_distance_profile, upper_anchor_distance
-from polycode.duality import dual_code, dual_min_distance_bruteforce, dual_pow2_distance
+from polycode.duality import dual_anchor_distance, dual_code, dual_min_distance_bruteforce
 from polycode.errors import ValidationError
 from polycode.gf2poly import is_irreducible, mul, order, power, reciprocal, weight
 from polycode.lcd import family_poly, lcd_verdict
@@ -148,7 +148,7 @@ def test_family_profile_exact_slots_v0_L16():
 )
 def test_family_dual_first_distance(v, T, want):
     ctx = new_context(family_poly(v), 1 << T)
-    assert dual_d1(T) == dual_pow2_distance(ctx, T) == want
+    assert dual_d1(T) == dual_anchor_distance(ctx, 1) == want  # j = 1 = 2^(T-s) at s = T
     if ctx.m <= 12:
         assert dual_min_distance_bruteforce(dual_code(code(ctx, 1)), cap=24) == want
 
@@ -229,7 +229,7 @@ def test_paper_family_formulas_hold_on_the_generic_profile():
                     assert (profile[j].lower, profile[j].upper) == (lo, lo), (v, L, j)
                 assert max(lo, profile[j].lower) <= min(hi, profile[j].upper), (v, L, j)
             if L >= 1 << ctx.T and 1 << (ctx.m - 1) <= DEFAULT_CANDIDATE_CAP:
-                assert dual_pow2_distance(ctx, ctx.T) == dual_d1(ctx.T), (v, L)
+                assert dual_anchor_distance(ctx, 1) == dual_d1(ctx.T), (v, L)
                 dual = dual_code(code(ctx, 1))
                 if dual.dim <= 24:
                     assert dual_min_distance_bruteforce(dual, cap=24) == dual_d1(ctx.T), (v, L)
