@@ -35,10 +35,11 @@ Four independent sources feed one report per j:
 
 The oracles and the reduced sets are all minima over an affine span of
 words, taken by the one kernel of _linalg (min_weight_affine).
-_structural_profile holds the anchors and the interval bounds;
-full_distance_profile and single_distance_report add the oracle, then the
-kernel, tag every bound with its source, and raise InternalConsistencyError
-the moment two sources disagree.
+_structural_profile holds the anchors and the interval bounds.  _search, the
+one search step, runs the oracle and then weighs D_0: full_distance_profile on
+every j before it fuses and runs the kernel, single_distance_report on j, then
+(past the kernel) out to the nearest exact slot each side before it fuses.
+Every bound is tagged; two sources that disagree raise InternalConsistencyError.
 """
 
 from __future__ import annotations
@@ -331,40 +332,25 @@ def full_distance_profile(
 ) -> list[DistanceReport]:
     """Best-known distance report for every j = 0..L, cross-checked along the way."""
     check_caps(oracle_cap=oracle_cap, candidate_cap=candidate_cap)
-    L = ctx.L
     reports = _structural_profile(ctx, candidate_cap)
-    # oracle pass over whatever is still open and small enough: the tail j >= L - ocap/m, where k <= ocap
-    for c in chain(ctx, max(1, L - oracle_cap // ctx.m), L):
-        _oracle_pass(c, reports[c.j], oracle_cap)
-    # then the interleave component D_0 wherever t > 1 and k0 <= ocap (never at cap 0: k0 >= 1), closing open
-    # slots and checking the oracle's
-    if oracle_cap:
-        for c in chain(ctx, 1, L):
-            _spread_pass(c, reports[c.j], oracle_cap)
+    for c in chain(ctx, 1, ctx.L):
+        _search(c, reports[c.j], oracle_cap)
     monotone_fuse(reports)
     # last, min(d, 4) by the small-weight kernel, which checks every value the searches returned
     _small_weight_chain(ctx, reports)
     return reports
 
 
-def _oracle_pass(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
-    """Close the open report on C_j with the oracle when k fits the cap; the value must lie in the interval."""
-    if rep.exact or c.k > ocap:
-        return
-    d = min_distance_bruteforce(c, cap=ocap)
-    if not rep.lower <= d <= rep.upper:
-        raise InternalConsistencyError(
-            f"j={rep.j}: oracle distance {d} outside the proven interval [{rep.lower}, {rep.upper}]"
-        )
-    rep.set_exact(d, "oracle")
+def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
+    """The searches on C_j, 1 <= j <= L - 1, each within the oracle cap; set_exact checks every value they return.
 
-
-def _spread_pass(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
-    """Weigh D_0, C_j's longest interleave component, when t > 1 and k0 fits the cap; d(D_0) must lie in the interval.
-
-    It runs on an open slot, to close it, and on one within the direct oracle's
-    reach (k <= ocap), where set_exact makes d(D_0) equal the exact value.
+    The direct oracle closes an open slot when k <= ocap.  D_0, C_j's longest
+    interleave component, is then weighed when t > 1 and k0 <= ocap (never at
+    cap 0: k0 >= 1): on an open slot, to close it, and on one within the
+    oracle's reach, where d(D_0) must equal the exact value.
     """
+    if not rep.exact and c.k <= ocap:
+        rep.set_exact(min_distance_bruteforce(c, cap=ocap), "oracle")
     if rep.exact and c.k > ocap:
         return
     iv = interleave(c.ctx, c.j)
@@ -382,15 +368,29 @@ def single_distance_report(
     oracle_cap: int = DEFAULT_ENUM_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> DistanceReport:
-    """Report for one j: structural profile plus the oracle, spread and small-weight passes on this index only."""
+    """The whole chain's interval at j, from the searches on j and on its neighbours out to the nearest exact slots.
+
+    The searches and the kernel run on j first.  While j is open, the searches
+    walk up from j + 1 and down from j - 1, each side stopping at its first
+    exact slot, and the chain is fused.  d never falls along the chain, so no
+    slot past those two can tighten j, and no neighbour's min(d, 4) can tighten
+    what the kernel gave at j.
+    """
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
     check_caps(oracle_cap=oracle_cap, candidate_cap=candidate_cap)
-    rep = _structural_profile(ctx, candidate_cap)[j]
-    c = code(ctx, j)
-    _oracle_pass(c, rep, oracle_cap)
+    reports = _structural_profile(ctx, candidate_cap)
+    rep = reports[j]
     if 0 < j < ctx.L:
-        _spread_pass(c, rep, oracle_cap)
+        c = code(ctx, j)
+        _search(c, rep, oracle_cap)
         if rep.lower <= 3:
             _apply_small_weight(rep, small_weight(c))
+    if not rep.exact:
+        for side in (chain(ctx, j + 1, ctx.L), (code(ctx, i) for i in range(j - 1, 0, -1))):
+            for c in side:
+                _search(c, reports[c.j], oracle_cap)
+                if reports[c.j].exact:
+                    break
+        monotone_fuse(reports)
     return rep

@@ -16,6 +16,7 @@ from polycode.gf2poly import div_rem, format_poly, is_irreducible, mul, parse, p
 from polycode.lcd import conjecture_scan, family_poly, lcd_verdict
 from polycode.ring import new_context
 from test_codes import reversible_by_rows
+from test_ring import valuation
 
 
 def _assert_fixture(key: str) -> None:
@@ -162,17 +163,6 @@ def test_lcd_families_and_scan_have_no_counterexamples():
     assert rows and all(row["hull_dim"] == 0 for row in rows)
 
 
-def _valuation(ctx, w):
-    """Reference P-adic valuation of a ring word by repeated division, capped at L (the zero word)."""
-    v = 0
-    while v < ctx.L:
-        q, r = div_rem(w, ctx.P)
-        if r:
-            break
-        w, v = q, v + 1
-    return v
-
-
 def test_structural_property_suite():
     # exhaustive ideal lattice for every ring with at most 16 bits
     for deg in (2, 3, 4, 5):
@@ -183,7 +173,7 @@ def test_structural_property_suite():
                 ctx = new_context(f, L)
                 by_valuation = {j: set() for j in range(L + 1)}
                 for w in range(1 << ctx.n):
-                    for j in range(_valuation(ctx, w) + 1):
+                    for j in range(valuation(ctx, w) + 1):
                         by_valuation[j].add(w)
                 for j in range(L + 1):
                     c = code(ctx, j)

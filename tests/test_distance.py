@@ -22,6 +22,14 @@ from polycode.ring import new_context
 
 M4 = parse("x^4+x+1")
 M5 = parse("x^5+x^4+x^2+x+1")
+IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]
+SMALL_WEIGHT_TAGS = {"weight-2", "weight-3", "no-weight-3"}
+
+
+def _rings_up_to_60():
+    for P in IRREDUCIBLE_2_TO_6:
+        for L in range(2, 60 // degree(P) + 1):
+            yield new_context(P, L)
 
 
 def head_zone_split(ctx):
@@ -179,20 +187,44 @@ def test_single_report_matches_full_profile():
         )
 
 
-def test_the_single_j_interval_contains_the_whole_chain_answer():
-    # one j fuses no neighbours, so it may answer wider than the whole chain, never beside it
+def test_the_single_j_report_is_the_whole_chain_answer():
+    # j = 17 alone reads [6, 9]; the spread closes j = 18 at 6, and fusing it in gives the chain's 6
     ctx = new_context(parse("x^3+x+1"), 24)
     whole = full_distance_profile(ctx, oracle_cap=20)[17]
     one = single_distance_report(ctx, 17, oracle_cap=20)
-    assert (one.lower, one.upper) == (6, 9) and (whole.lower, whole.upper) == (6, 6)
-    for P in (f for f in range(8, 64) if is_irreducible(f)):  # degree 3-5, n <= 60
-        for L in range(2, 60 // degree(P) + 1):
-            ctx = new_context(P, L)
-            for cap in (0, 20):
-                profile = full_distance_profile(ctx, oracle_cap=cap)
-                for j in range(L + 1):
-                    one = single_distance_report(ctx, j, oracle_cap=cap)
-                    assert one.lower <= profile[j].lower <= profile[j].upper <= one.upper, (P, L, j, cap)
+    assert (one.lower, one.upper) == (whole.lower, whole.upper) == (6, 6)
+    for cap in (0, 20, 28):
+        slots = 0
+        for ctx in _rings_up_to_60():
+            profile = full_distance_profile(ctx, oracle_cap=cap)
+            for j in range(ctx.L + 1):
+                one = single_distance_report(ctx, j, oracle_cap=cap)
+                assert (one.lower, one.upper) == (profile[j].lower, profile[j].upper), (ctx.P, ctx.L, j, cap)
+                slots += 1
+        assert slots == 2443
+
+
+def test_the_single_report_searches_out_to_the_nearest_exact_slots(monkeypatch):
+    searched = []
+    real = distance._search
+
+    def recording(c, rep, ocap):
+        searched.append(c.j)
+        real(c, rep, ocap)
+
+    monkeypatch.setattr(distance, "_search", recording)
+    ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)  # j = 1: the kernel closes it at 3, so no neighbour is searched
+    assert single_distance_report(ctx, 1).exact and searched == [1]
+    searched.clear()
+    ctx = new_context(parse("x^3+x+1"), 24)  # j = 17 stays [6, 9]; j = 18 closes by the spread, j = 16 is an anchor
+    assert single_distance_report(ctx, 17, oracle_cap=20).exact and searched == [17, 18, 16]
+
+
+def test_the_single_report_reads_the_chain_deep_in_a_long_ring():
+    # x^2+x+1, L = 8191: j = 5000 alone reads [4, 5]; the walk closes it at 4 between the nearest exact slots
+    ctx = new_context(parse("x^2+x+1"), 8191)
+    rep = single_distance_report(ctx, 5000)
+    assert (rep.lower, rep.upper) == (4, 4)
 
 
 def test_profile_is_monotone_for_many_rings():
@@ -219,16 +251,17 @@ def test_oracle_pass_tags_provenance():
     assert rep.provenance[-1] == "oracle"
 
 
+def test_an_oracle_value_outside_the_interval_raises(monkeypatch):
+    # n is over every upper bound the structure gives, so the search step must refuse it and name its source
+    monkeypatch.setattr(distance, "min_distance_bruteforce", lambda c, cap: c.n)
+    ctx = new_context(M5, 5)
+    with pytest.raises(InternalConsistencyError, match=r"j=3: exact value 25 \(oracle\)"):
+        single_distance_report(ctx, 3, oracle_cap=28)
+    with pytest.raises(InternalConsistencyError, match=r"\(oracle\)"):
+        full_distance_profile(ctx, oracle_cap=28)
+
+
 # --- the small-weight kernel: min(d, 4) from the residues x^i mod P^j -------
-
-IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]
-SMALL_WEIGHT_TAGS = {"weight-2", "weight-3", "no-weight-3"}
-
-
-def _rings_up_to_60():
-    for P in IRREDUCIBLE_2_TO_6:
-        for L in range(2, 60 // degree(P) + 1):
-            yield new_context(P, L)
 
 
 def test_small_weight_matches_the_uncapped_oracle_on_every_code():

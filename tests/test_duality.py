@@ -22,8 +22,9 @@ from polycode.duality import (
 )
 from polycode import duality
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
-from polycode.gf2poly import div_rem, is_irreducible, mul, mul_trunc, order, parse, power_trunc, reciprocal, substitute_power
+from polycode.gf2poly import is_irreducible, mul, mul_trunc, parse, power_trunc, substitute_power
 from polycode.ring import new_context
+from test_ring import cofactor_forms
 
 M3 = parse("x^3+x+1")
 M4 = parse("x^4+x+1")
@@ -122,14 +123,6 @@ def _spread_weights_reference(ctx, base, lead_deg, factor):
         w = mul(ell, base & tmask) & tmask
         out[ell] = ((substitute_power(w, factor) << (factor - 1)) & mask).bit_count()
     return out
-
-
-def cofactor_forms(ctx):
-    """The paper's cofactors, as the reference: (x^e + 1, U = (x^e + 1)/P, U* = (x^e + 1)/P*) by exact division."""
-    x_e_1 = (1 << order(ctx.P, 1 << ctx.m)) | 1
-    U, rem = div_rem(x_e_1, ctx.P)
-    assert rem == 0
-    return x_e_1, U, reciprocal(U)
 
 
 @st.composite

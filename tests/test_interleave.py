@@ -61,10 +61,10 @@ def test_the_split_knows_s_and_q():
 
 
 def _spread_value(c):
-    """d(C_j) by the spread alone, on a fresh report with no bounds, at the cap it needs."""
+    """d(C_j) by the spread alone, on a fresh report with no bounds, at the cap it needs (k > k0: no oracle runs)."""
     iv = interleave(c.ctx, c.j)
     rep = DistanceReport(c.j, 1, c.n)
-    distance._spread_pass(c, rep, iv.k0)
+    distance._search(c, rep, iv.k0)
     assert rep.exact and rep.provenance == [f"spread-t{iv.t}"]
     return rep.lower
 
@@ -94,9 +94,9 @@ def test_profile_closes_an_odd_j_on_a_spread_ring():
 
 
 def test_the_spread_checks_the_direct_oracle_where_both_run(monkeypatch):
-    # cap 36: the tail oracle closes j = 5 first and keeps its tag; the spread then weighs D_0 there and
-    # at the anchors j = 6, 7 (k <= 36), which must agree with what each already holds, and closes the
-    # head j = 1..3, which the small-weight kernel checks after it
+    # cap 36, one walk up the chain: the spread closes the head j = 1..3, which the small-weight kernel checks
+    # after it; at j = 5 the oracle closes the slot first and keeps its tag, and D_0 is weighed there and at
+    # the anchors j = 6, 7 (k <= 36), where it must agree with what each already holds
     weighed = []
     real = distance.min_weight_span
 
@@ -110,8 +110,9 @@ def test_the_spread_checks_the_direct_oracle_where_both_run(monkeypatch):
     assert all(rep.exact for rep in profile)
     assert profile[5].provenance[-1] == "oracle" and profile[5].lower == 6
     assert [rep.j for rep in profile if any("spread" in tag for tag in rep.provenance)] == [1, 2, 3]
-    # C_5 itself, then D_0 at j = 1, 2, 3, 5, 6, 7 (t = 3, 6, 3, 3, 6, 3); j = 4 is an anchor with k = 48
-    assert weighed == [(96, 36), (32, 28), (16, 12), (32, 20), (32, 12), (16, 4), (32, 4)]
+    # D_0 at j = 1, 2, 3 (t = 3, 6, 3), C_5 itself and its D_0 (t = 3), then D_0 at j = 6, 7 (t = 6, 3);
+    # j = 4 is an anchor with k = 48
+    assert weighed == [(32, 28), (16, 12), (32, 20), (96, 36), (32, 12), (16, 4), (32, 4)]
 
 
 @pytest.mark.parametrize("field", ["b", "n0"])
