@@ -7,8 +7,9 @@ bit; rref then back-substitutes once, lowest pivot first.  nullspace checks
 every basis vector against every row through the columns of the rows, each a
 mask over the rows.
 One kernel, min_weight_affine, finds the minimum nonzero weight over an
-affine span g ^ span(rows); the oracle, the reduced candidate sets and the
-dual candidate sets all call it.  Beyond 8 rows it runs Brouwer-Zimmermann's
+affine span g ^ span(rows) from those words alone; the oracle, the spread
+component, the reduced candidate sets and the dual candidate sets all call
+it.  Beyond 8 rows it runs Brouwer-Zimmermann's
 information-set search on plain ints: exact, at a cost that grows with the
 answer, not with 2^k.  Up to 8 rows it weighs every word of one int table,
 affine_weights, which the dual candidate weights read too.
@@ -183,11 +184,8 @@ def _level(g: int, R: list[int], pairs: list[int], w: int):
         yield reduce(xor, map(R.__getitem__, head), g), islice(pairs, a * (a - 1) // 2)
 
 
-def min_weight_affine(g: int, rows: list[int], nbits: int, floor: int = 0) -> int | None:
+def min_weight_affine(g: int, rows: list[int]) -> int | None:
     """Minimum nonzero weight over g ^ span(rows), or None when every word is zero.
-
-    Words must fit in nbits.  floor is a proven lower bound on the answer: the
-    search may stop at the first word that light (0 proves the minimum).
 
     Up to _TABLE_MAX nonzero rows every word is weighed.  Beyond, the search is
     Brouwer-Zimmermann's over N disjoint information sets of the span, with
@@ -201,10 +199,10 @@ def min_weight_affine(g: int, rows: list[int], nbits: int, floor: int = 0) -> in
     XOR of w-2 rows meets the table of pair XORs past its last row, so no
     level is ever held whole.
     """
-    none = nbits + 1  # heavier than any word
     rows = list(filter(None, rows))
     if len(rows) <= _TABLE_MAX or not rows:
         return min(filter(None, affine_weights(g, rows)), default=None)
+    none = max(g.bit_length(), *map(int.bit_length, rows)) + 1  # heavier than any word
     sets = _information_sets(rows)
     k, N = len(sets[0]), len(sets)
     # per set: g with its bits on the pivot columns cleared, and the set's rows
@@ -213,7 +211,7 @@ def min_weight_affine(g: int, rows: list[int], nbits: int, floor: int = 0) -> in
     pairs: list[list[int]] = [[] for _ in sets]
     for w in range(1, k + 1):
         for i, (gs, R) in enumerate(starts):
-            stop = max(N * w + i, floor)
+            stop = N * w + i
             if best <= stop:
                 return best
             if w == 2:  # the C(k-1-a, 2) pairs of rows past row a come first
@@ -225,9 +223,9 @@ def min_weight_affine(g: int, rows: list[int], nbits: int, floor: int = 0) -> in
     return best
 
 
-def min_weight_span(rows: list[int], nbits: int) -> int:
+def min_weight_span(rows: list[int]) -> int:
     """Minimum Hamming weight over all nonzero words spanned by rows."""
-    best = min_weight_affine(0, list(rows), nbits, floor=1)
+    best = min_weight_affine(0, rows)
     if best is None:
         raise ValueError("empty span has no nonzero word")
     return best

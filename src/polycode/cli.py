@@ -49,7 +49,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             writer.writerow([rep.j, rep.lower, rep.upper, rep.exact, ";".join(rep.provenance)])
     else:
         e = order(ctx.P, ctx.n)  # min(order, n): the header reports the order only below n, never factoring 2^m - 1
-        print(f"# n={ctx.n} m={ctx.m} L={ctx.L} regime={ctx.regime} order{'=' if e < ctx.n else '>='}{e}")
+        print(f"# n={ctx.n} m={ctx.m} L={ctx.L} order{'=' if e < ctx.n else '>='}{e}")
         for rep in reports:
             mid = f"d = {rep.lower}" if rep.exact else f"d in [{rep.lower}, {rep.upper}]"
             print(f"j={rep.j:>3}  {mid:<18}  {', '.join(rep.provenance)}")
@@ -89,7 +89,7 @@ def _cmd_lcd(args: argparse.Namespace) -> int:
         codes = chain(ctx, 0, ctx.L + 1)
     verdicts = [lcd_verdict(c, args.methods) for c in codes]
     if args.json:
-        payload = [v.to_json_dict() for v in verdicts]
+        payload = [v._asdict() for v in verdicts]
         print(json.dumps(payload[0] if args.j is not None else payload, indent=2))
     else:
         for v in verdicts:

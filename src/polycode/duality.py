@@ -67,7 +67,7 @@ def dual_min_distance_bruteforce(dual: DualCode, cap: int = DEFAULT_ENUM_CAP) ->
     """Exact dual distance over the whole dual code (information-set search)."""
     if dual.dim > cap:
         raise CapExceeded(f"dual oracle: dimension {dual.dim} is over the oracle cap of {cap}; raise the cap")
-    return min_weight_span(list(dual.rows), dual.n)
+    return min_weight_span(list(dual.rows))
 
 
 def sequential_closure_check(dual: DualCode) -> bool:
@@ -115,7 +115,7 @@ def dual_anchor_distance(ctx: RingContext, j: int) -> int:
     """Exact dual distance at an anchor j (a power of two below 2^T, or an entry of ctx.tops) over its candidates."""
     if not (0 < j < 1 << ctx.T and j & (j - 1) == 0 or j in ctx.tops):
         raise ValidationError(f"dual anchor j={j} is neither a power of two below 2^T = {1 << ctx.T} nor in {ctx.tops}")
-    best = min_weight_affine(*_anchor_candidates(ctx, j), ctx.n)
+    best = min_weight_affine(*_anchor_candidates(ctx, j))
     if best is None:
         raise InternalConsistencyError("every dual candidate reduced to zero")
     return best

@@ -8,11 +8,7 @@ class PolycodeError(Exception):
 
 
 class ValidationError(PolycodeError):
-    """Rejected input: malformed polynomial text, bad parameter range, etc."""
-
-
-class WrongRegime(ValidationError):
-    """A structural result was requested outside the power range it covers."""
+    """Rejected input: malformed polynomial text, a parameter out of range, a criterion asked outside the j it covers."""
 
 
 class CapExceeded(PolycodeError):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from ._linalg import parity_dot, rank
 from .codes import PolycyclicCode, chain
-from .errors import InternalConsistencyError, ValidationError, WrongRegime
+from .errors import InternalConsistencyError, ValidationError
 from .gf2poly import degree, mul, mul_trunc, power_trunc, reciprocal
 from .ring import new_context
 
@@ -32,14 +32,6 @@ class LcdVerdict(NamedTuple):
     is_lcd: bool
     hull_dim: int | None  # None when only a rank criterion ran
     methods: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "is_lcd": self.is_lcd,
-            "hull_dim": self.hull_dim,
-            "methods": list(self.methods),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +110,7 @@ def hull_dimension_oracle(c: PolycyclicCode) -> int:
 def is_lcd_head_criterion(c: PolycyclicCode) -> bool:
     """The paper's rank test for 1 <= j <= 2^(T-1): the top n - k bits of W*x^i, i < m*j, are independent."""
     if not 1 <= c.j <= 1 << (c.ctx.T - 1):
-        raise WrongRegime("the head rank criterion covers 1 <= j <= 2^(T-1)")
+        raise ValidationError("the head rank criterion covers 1 <= j <= 2^(T-1)")
     return _criterion(c)
 
 
@@ -129,7 +121,7 @@ def is_lcd_tail_criterion(c: PolycyclicCode) -> bool:
     Q = P^-(2^T - j) * P_star^-j, Q*A^-1 = P^-j * P_star^-j is the head's W, and so is the kernel.
     """
     if not (1 << (c.ctx.T - 1)) < c.j < c.ctx.L:
-        raise WrongRegime("the tail rank criterion covers 2^(T-1) < j < L")
+        raise ValidationError("the tail rank criterion covers 2^(T-1) < j < L")
     return _criterion(c)
 
 
@@ -185,7 +177,7 @@ def lcd_verdict(c: PolycyclicCode, methods: str = "all") -> LcdVerdict:
             votes.append(is_lcd_tail_criterion(c))
             used.append("tail-criterion")
         elif methods == "theorem":
-            raise WrongRegime("no rank criterion applies to j = 0 or j = L")
+            raise ValidationError("no rank criterion applies to j = 0 or j = L")
     if len(set(votes)) > 1:
         raise InternalConsistencyError(f"LCD methods disagree at j={j}: {dict(zip(used, votes))}")
     return LcdVerdict(j, votes[0], hull, tuple(used))

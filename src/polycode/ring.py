@@ -49,11 +49,6 @@ class RingContext(NamedTuple):
     PP_star_inv: int  # (P * P*)^-1 mod x^n
     tops: tuple[int, ...]  # upper anchors 2^T - 2^(T-r) < L, r = 1, 2, ...; tops[0] = 2^(T-1)
 
-    @property
-    def regime(self) -> str:
-        """Label for L in (2^(T-1), 2^T], for text headers: "pow2" at the top, else "low"/"high" by anchor count."""
-        return "pow2" if self.L == 1 << self.T else "low" if len(self.tops) == 1 else "high"
-
 
 def new_context(P: int, L: int) -> RingContext:
     """Validate (P, L) and precompute the derived constants."""

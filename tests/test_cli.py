@@ -224,7 +224,7 @@ def test_many_calls_in_one_process_do_not_leak_options(capsys):
     assert main(["analyze", "--poly", "x^3+x+1", "--power", "4", "--csv"]) == 0
     assert capsys.readouterr().out.startswith("j,lower,upper,exact,provenance")
     assert main(["analyze", "--poly", "x^3+x+1", "--power", "4"]) == 0
-    assert capsys.readouterr().out.startswith("# n=12")
+    assert capsys.readouterr().out.splitlines()[0] == "# n=12 m=3 L=4 order=7"
 
 
 def test_a_failing_hull_cross_check_exits_3(capsys, monkeypatch):

@@ -19,6 +19,7 @@ from polycode import distance
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import degree, is_irreducible, order, parse
 from polycode.ring import new_context
+from test_ring import _old_regime
 
 M4 = parse("x^4+x+1")
 M5 = parse("x^5+x^4+x^2+x+1")
@@ -122,7 +123,7 @@ RINGS_BY_REGIME = {"low": (M5, 12), "high": (M4, 14), "pow2": (M4, 16)}
 @pytest.mark.parametrize("regime", RINGS_BY_REGIME)
 def test_upper_anchor_one_is_the_lower_anchor_one(regime):
     ctx = new_context(*RINGS_BY_REGIME[regime])
-    assert ctx.regime == regime and ctx.tops[0] == 1 << (ctx.T - 1)
+    assert _old_regime(ctx.L)[0] == regime and ctx.tops[0] == 1 << (ctx.T - 1)
     assert upper_anchor_distance(ctx, 1) == lower_anchor_distance(ctx, 1)
 
 

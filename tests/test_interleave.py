@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from polycode import distance
-from polycode.codes import chain, code, interleave
+from polycode._linalg import min_weight_span
+from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, interleave
 from polycode.distance import DistanceReport, full_distance_profile, min_distance_bruteforce, single_distance_report
 from polycode.errors import InternalConsistencyError, ValidationError
 from polycode.gf2poly import degree, is_irreducible, parse, power, reciprocal, substitute_power
@@ -21,6 +22,7 @@ from polycode.lcd import family_poly, lcd_verdict
 from polycode.ring import new_context
 
 IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]
+IRREDUCIBLE_2_TO_7 = [f for f in range(4, 256) if is_irreducible(f)]
 # P = Q(x^s), s > 1: (Q, s) = (x^2+x+1, 3), (x^4+x+1, 3), (x^4+x+1, 5)
 SPREAD_RINGS = {"x^6+x^3+1": (0b111, 3), "x^12+x^3+1": (0b10011, 3), "x^20+x^5+1": (0b10011, 5)}
 
@@ -100,9 +102,9 @@ def test_the_spread_checks_the_direct_oracle_where_both_run(monkeypatch):
     weighed = []
     real = distance.min_weight_span
 
-    def counting(rows, nbits):
-        weighed.append((nbits, len(rows)))
-        return real(rows, nbits)
+    def counting(rows):
+        weighed.append((max(map(int.bit_length, rows)), len(rows)))
+        return real(rows)
 
     monkeypatch.setattr(distance, "min_weight_span", counting)
     ctx = new_context(parse("x^12+x^3+1"), 8)
@@ -111,8 +113,26 @@ def test_the_spread_checks_the_direct_oracle_where_both_run(monkeypatch):
     assert profile[5].provenance[-1] == "oracle" and profile[5].lower == 6
     assert [rep.j for rep in profile if any("spread" in tag for tag in rep.provenance)] == [1, 2, 3]
     # D_0 at j = 1, 2, 3 (t = 3, 6, 3), C_5 itself and its D_0 (t = 3), then D_0 at j = 6, 7 (t = 6, 3);
-    # j = 4 is an anchor with k = 48
+    # j = 4 is an anchor with k = 48; each weighing as (the longest row's bit length, the row count)
     assert weighed == [(32, 28), (16, 12), (32, 20), (96, 36), (32, 12), (16, 4), (32, 4)]
+
+
+def test_every_anchor_reduced_set_equals_the_interleave_component():
+    # two theorems for d(C_j) at an anchor j: the paper's reduced set P^j * a(x^B), and D_0 of the interleave
+    # lemma; every irreducible P of degree 2-7, n <= 200, every anchor where both sets (2^(lam-1) and 2^(k0-1)
+    # words of constant term 1) are within the candidate cap, far past the oracle cap that _search needs
+    rings = anchors = 0
+    for ctx in _rings(IRREDUCIBLE_2_TO_7, 200):
+        rings += 1
+        for j in {1 << (ctx.T - s) for s in range(1, ctx.T + 1)} | set(ctx.tops):
+            lam = -(-(ctx.m * (ctx.L - j)) // (j & -j))
+            iv = interleave(ctx, j)
+            if 1 << (lam - 1) > DEFAULT_CANDIDATE_CAP or 1 << (iv.k0 - 1) > DEFAULT_CANDIDATE_CAP:
+                continue
+            want = min_weight_span([iv.R << i for i in range(iv.k0)])
+            assert distance._reduced_set_min(ctx, j, DEFAULT_CANDIDATE_CAP) == want, (ctx.P, ctx.L, j)
+            anchors += 1
+    assert (rings, anchors) == (1384, 4145)
 
 
 @pytest.mark.parametrize("field", ["b", "n0"])
@@ -130,7 +150,7 @@ def test_a_wrong_split_raises(monkeypatch, field):
 
 
 def test_an_oracle_cap_of_zero_turns_the_spread_off(monkeypatch):
-    monkeypatch.setattr(distance, "min_weight_span", lambda rows, nbits: pytest.fail("an oracle ran"))
+    monkeypatch.setattr(distance, "min_weight_span", lambda rows: pytest.fail("an oracle ran"))
     for text in SPREAD_RINGS:
         ctx = new_context(parse(text), 8)
         full_distance_profile(ctx, oracle_cap=0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import reduce
 from operator import xor
 
@@ -14,7 +15,7 @@ from polycode import lcd
 from polycode._linalg import column_kernel, nullspace, parity_dot, rank
 from polycode.codes import code, generator_rows
 from polycode.duality import dual_code
-from polycode.errors import CapExceeded, ValidationError, WrongRegime
+from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import inverse_trunc, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
 from polycode.lcd import (
     _gray_sweep,
@@ -180,7 +181,7 @@ def test_trivial_ideals_are_lcd():
     ctx = new_context(M3, 4)
     assert lcd_verdict(code(ctx, 0), "oracle").is_lcd
     assert lcd_verdict(code(ctx, 4), "oracle").is_lcd
-    with pytest.raises(WrongRegime):
+    with pytest.raises(ValidationError, match="no rank criterion applies to j = 0 or j = L"):
         lcd_verdict(code(ctx, 0), "theorem")
 
 
@@ -217,9 +218,9 @@ def test_tail_criterion_matches_oracle_on_small_rings():
 def test_criteria_regime_boundaries():
     ctx = new_context(M3, 8)  # T = 3, boundary at j = 4
     assert isinstance(is_lcd_head_criterion(code(ctx, 4)), bool)
-    with pytest.raises(WrongRegime):
+    with pytest.raises(ValidationError, match=re.escape("the head rank criterion covers 1 <= j <= 2^(T-1)")):
         is_lcd_head_criterion(code(ctx, 5))
-    with pytest.raises(WrongRegime):
+    with pytest.raises(ValidationError, match=re.escape("the tail rank criterion covers 2^(T-1) < j < L")):
         is_lcd_tail_criterion(code(ctx, 4))
     assert isinstance(is_lcd_tail_criterion(code(ctx, 5)), bool)
 

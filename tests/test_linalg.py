@@ -173,19 +173,19 @@ def test_min_weight_engine_matches_reference():
         rows = [rng.getrandbits(nbits) for _ in range(nrows)]
         if not any(rows):
             rows[0] = 1
-        assert min_weight_span(rows, nbits) == min_weight_span_reference(rows)
+        assert min_weight_span(rows) == min_weight_span_reference(rows)
 
 
 def test_min_weight_handles_dependent_rows():
     rows = [0b1011, 0b0110, 0b1101]  # third row = first ^ second
-    assert min_weight_span(rows, 4) == min_weight_span_reference(rows) == 2
+    assert min_weight_span(rows) == min_weight_span_reference(rows) == 2
 
 
 def test_min_weight_crosses_the_engine_split():
     # 17 rows, past the int table: no heavier than any XOR of up to three rows
     rng = random.Random(29)
     rows = [rng.getrandbits(40) | 1 for _ in range(17)]
-    got = min_weight_span(rows, 40)
+    got = min_weight_span(rows)
     best = min(
         bin(subset_xor).count("1")
         for r in range(1, 4)
@@ -196,7 +196,7 @@ def test_min_weight_crosses_the_engine_split():
     # 16 and 17 rows with a zero and a dependent row, every word weighed by the brute force
     for k, nbits in ((16, 65), (17, 129)):
         rows = [rng.getrandbits(nbits) for _ in range(k - 2)]
-        _check_kernel(rng.getrandbits(nbits), [*rows, 0, rows[0] ^ rows[1]], nbits)
+        _check_kernel(rng.getrandbits(nbits), [*rows, 0, rows[0] ^ rows[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def _affine_weights_brute(g, rows):
 
 @st.composite
 def affine_sets(draw, min_k=0, max_k=12):
-    """(g, rows, nbits) with zero words, zero rows and dependent rows all likely."""
+    """(g, rows) with zero words, zero rows and dependent rows all likely."""
     nbits = draw(st.sampled_from(LANE_EDGES) | st.integers(1, 200))
     word = st.integers(0, (1 << nbits) - 1)
     k = draw(st.integers(min_k, max_k))
@@ -227,17 +227,13 @@ def affine_sets(draw, min_k=0, max_k=12):
             picks = draw(st.lists(st.sampled_from(rows), max_size=3))
             rows.append(reduce(xor, picks, 0))
     g = draw(st.just(0) | word | st.sampled_from(rows or [0]))
-    return g, rows, nbits
+    return g, rows
 
 
-def _check_kernel(g, rows, nbits):
+def _check_kernel(g, rows):
     want = _affine_weights_brute(g, rows)
-    best = min((w for w in want if w), default=None)
     assert affine_weights(g, rows) == want
-    assert min_weight_affine(g, rows, nbits) == best
-    if best is not None:
-        assert min_weight_affine(g, rows, nbits, floor=best) == best
-        assert min_weight_affine(g, rows, nbits, floor=best - 1) == best
+    assert min_weight_affine(g, rows) == min((w for w in want if w), default=None)
 
 
 @given(affine_sets(), st.sampled_from([-1, 3, _linalg._TABLE_MAX]))
@@ -263,15 +259,15 @@ def test_kernel_finds_the_lightest_word_wherever_it_sits(table_max):
     with mock.patch.object(_linalg, "_TABLE_MAX", table_max):
         for t in range(1 << len(rows)):
             g = reduce(xor, (r for b, r in enumerate(rows) if t >> b & 1), 1 << 40)
-            assert min_weight_affine(g, rows, 64) == 1, t
+            assert min_weight_affine(g, rows) == 1, t
             assert affine_weights(g, rows)[t] == 1, t
 
 
 def test_kernel_returns_none_when_every_word_is_zero():
     for k in (0, 3, _linalg._TABLE_MAX + 2, 20):
-        assert min_weight_affine(0, [0] * k, 64) is None
-    assert min_weight_affine(0b101, [0b101] * 10, 3) == 2
-    assert min_weight_affine(0b100, [0] * 10, 3) == 1
+        assert min_weight_affine(0, [0] * k) is None
+    assert min_weight_affine(0b101, [0b101] * 10) == 2
+    assert min_weight_affine(0b100, [0] * 10) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +296,12 @@ def searched_sets(draw):
 @settings(deadline=None)
 @given(searched_sets())
 def test_information_set_search_matches_brute_force(case):
-    g, rows, nbits = case
+    g, rows, _ = case
     words = {reduce(xor, combo, g) for combo in product(*([0, r] for r in rows))}
     best = min((w.bit_count() for w in words if w), default=None)
-    assert min_weight_affine(g, rows, nbits) == best
-    if best is not None:
-        assert min_weight_affine(g, rows, nbits, floor=best) == best
-        assert min_weight_affine(g, rows, nbits, floor=best - 1) == best
+    assert min_weight_affine(g, rows) == best
     if g == 0 and any(rows):
-        assert min_weight_span(rows, nbits) == min_weight_span_reference(rows) == best
+        assert min_weight_span(rows) == min_weight_span_reference(rows) == best
 
 
 @given(searched_sets())
@@ -336,9 +329,9 @@ def test_kernel_search_stops_at_the_proven_bound():
     assert len(_linalg._information_sets(rows)) == 3
     levels, real = [], _linalg._level
     with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[3]) or real(*args)):
-        assert min_weight_affine(0, rows, 30) == 3
+        assert min_weight_affine(0, rows) == 3
     assert levels == [1]
-    assert min_weight_affine(1 << 29, rows, 30) == 1
+    assert min_weight_affine(1 << 29, rows) == 1
 
 
 def test_kernel_memory_stays_bounded_at_k_28():
@@ -347,7 +340,7 @@ def test_kernel_memory_stays_bounded_at_k_28():
     assert len(rows) == 28
     tracemalloc.start()
     try:
-        assert min_weight_span(rows, 64) == 6
+        assert min_weight_span(rows) == 6
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -377,6 +370,6 @@ def test_kernel_equals_the_numpy_walk_on_every_small_chain():
                 for j in range(max(0, L - 20 // deg), L):
                     rows = generator_rows(code(ctx, j))
                     weights = _numpy_weights(0, rows, ctx.n)
-                    assert min_weight_span(rows, ctx.n) == int(weights[1:].min()), (f, L, j)
+                    assert min_weight_span(rows) == int(weights[1:].min()), (f, L, j)
                     checked += 1
     assert checked == 366

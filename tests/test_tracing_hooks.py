@@ -18,12 +18,15 @@ def _literal(name: str) -> ast.expr:
     raise AssertionError(f"{name} is not assigned in {TRACING}")
 
 
-def _traced() -> set[tuple[str, str]]:
-    wrapped = ast.literal_eval(_literal("WRAPPED"))
+def _counted() -> set[tuple[str, str]]:
     counters = _literal("ARG_COUNTERS")
     assert isinstance(counters, ast.Dict)
-    pairs = {(mod, fn) for mod, fns in wrapped.values() for fn in fns}
-    return pairs | {ast.literal_eval(key) for key in counters.keys}
+    return {ast.literal_eval(key) for key in counters.keys}
+
+
+def _traced() -> set[tuple[str, str]]:
+    wrapped = ast.literal_eval(_literal("WRAPPED"))
+    return {(mod, fn) for mod, fns in wrapped.values() for fn in fns} | _counted()
 
 
 def test_every_traced_function_resolves_in_the_package():
@@ -33,9 +36,19 @@ def test_every_traced_function_resolves_in_the_package():
         assert callable(getattr(importlib.import_module(mod), fn, None)), f"{mod}.{fn} is gone"
 
 
-def test_anchor_counters_read_the_second_argument():
-    # the reduced-set counter reads (ctx, s_or_r) from the call's positional arguments
-    from polycode.distance import lower_anchor_distance, upper_anchor_distance
+# each counter reads the call's leading positional arguments: these are their names
+COUNTER_PARAMETERS = {
+    ("polycode.gf2poly", "div_rem"): ["a"],
+    ("polycode.distance", "lower_anchor_distance"): ["ctx", "s"],
+    ("polycode.distance", "upper_anchor_distance"): ["ctx", "r"],
+    ("polycode._linalg", "min_weight_span"): ["rows"],
+    ("polycode.duality", "dual_pow2_candidates"): ["ctx"],
+    ("polycode.lcd", "hull_dimension_oracle"): ["c"],
+}
 
-    assert list(inspect.signature(lower_anchor_distance).parameters)[:2] == ["ctx", "s"]
-    assert list(inspect.signature(upper_anchor_distance).parameters)[:2] == ["ctx", "r"]
+
+def test_every_counter_reads_the_parameters_it_names():
+    assert _counted() == set(COUNTER_PARAMETERS)
+    for (mod, fn), names in COUNTER_PARAMETERS.items():
+        params = list(inspect.signature(getattr(importlib.import_module(mod), fn)).parameters)
+        assert params[: len(names)] == names, f"{mod}.{fn}{params}"
