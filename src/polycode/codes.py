@@ -71,7 +71,8 @@ class Interleave(NamedTuple):
     with 2^a the largest power of 2 dividing j, b = j/2^a and t = 2^a*s,
     P^j = Q(x^s)^(2^a*b) = R(x^t) over GF(2), R = Q^b.  A word f = sum over
     i < t of x^i*f_i(x^t) is a multiple of R(x^t) iff every f_i is one of R,
-    so d(C_j) is d(D_0), the longest component: length n0, dimension k0.
+    so d(C_j) is d(D_0), the longest component: D_0 has ceil(n/t) coordinates,
+    dimension k0.
     Every field is a small constant; R, one power, is taken only when read.
     """
 
@@ -79,8 +80,7 @@ class Interleave(NamedTuple):
     Q: int
     t: int
     b: int
-    n0: int  # ceil(n/t)
-    k0: int  # n0 - deg R
+    k0: int  # ceil(n/t) - deg R
 
     @property
     def R(self) -> int:
@@ -95,8 +95,7 @@ def interleave(ctx: RingContext, j: int) -> Interleave:
     s = gcd(*exps)
     t = (j & -j) * s
     b = j // (j & -j)
-    n0 = -(-ctx.n // t)
-    return Interleave(s, sum(1 << (i // s) for i in [0, *exps]), t, b, n0, n0 - b * ctx.m // s)
+    return Interleave(s, sum(1 << (i // s) for i in [0, *exps]), t, b, -(-ctx.n // t) - b * ctx.m // s)
 
 
 def generator_rows(c: PolycyclicCode) -> list[int]:

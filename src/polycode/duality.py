@@ -7,13 +7,13 @@ mod x^n, P* the reciprocal of P.  The paper builds h* as
 rank and orthogonality against the generator matrix, the latter by n - 1
 parities since both row sets are shifts of one word.  Duals are "sequential"
 codes: shifting a dual word right by one position stays in the dual after an
-appropriate bit enters at the top.  At every anchor j (a power of two
-below 2^T, or an upper anchor 2^T - 2^(T-r) in ctx.tops) the dual distance
-is the minimum over a candidate set keyed by j alone, through its spread
-B = j & -j, as the primal anchors are (distance.py).  The set is an affine
-span of 2^(m*j/B - 1) words (spreading is linear), refused above the fixed
-DEFAULT_CANDIDATE_CAP, and the minimum-weight kernel of _linalg searches it,
-as it searches the whole dual in the oracle that covers every other j.
+appropriate bit enters at the top; dual_summary raises on a dual that does not.
+At every anchor j (a power of two below 2^T, or an upper anchor 2^T - 2^(T-r)
+in ctx.tops) the dual distance is the minimum over a candidate set keyed by
+j alone, through B = j & -j, as the primal anchors are (distance.py).  The
+set is an affine span of 2^(m*j/B - 1) words on n // B coefficients, refused
+above the fixed DEFAULT_CANDIDATE_CAP, and the minimum-weight kernel of
+_linalg searches it, as it searches the whole dual in the oracle for every other j.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 from ._linalg import affine_weights, min_weight_affine, min_weight_span, parity_dot, rank
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import power_trunc, substitute_power
+from .gf2poly import power_trunc
 from .ring import RingContext
 
 
@@ -87,28 +87,24 @@ def sequential_closure_check(dual: DualCode) -> bool:
 
 
 def _anchor_candidates(ctx: RingContext, j: int) -> tuple[int, list[int]]:
-    """The dual candidates at the anchor j, as (g, rows), with spread B = j & -j and u = j // B.
+    """The dual candidates at the anchor j, as (g, rows), with B = j & -j and u = j // B.
 
-    With base = P*^-u mod x^tbits and spread(w) = w(x^B) * x^(B - 1) mod x^n,
-    the candidates are spread(ell * base) for ell = x^(m*u - 1) + lower terms.
-    The paper's base also carries a power (x^e + 1)^(2^T/B - u); tbits <=
-    m * 2^T/B < e * 2^T/B, so (x^e + 1)^(2^T/B) == 1 mod x^tbits and the base
-    is P*^-u alone.  spread is GF(2)-linear, so the candidate of ell =
-    x^(m*u - 1) + i is word i of g ^ span(rows), with g = spread(base *
-    x^(m*u - 1)) and rows[b] = spread(base * x^b).
+    The paper's candidates are spread(ell * base), ell = x^(m*u - 1) + lower terms, with
+    spread(w) = w(x^B) * x^(B - 1) mod x^n and base = P*^-u * (x^e + 1)^(2^T/B - u); since
+    n // B <= m * 2^T/B < e * 2^T/B, (x^e + 1)^(2^T/B) == 1 mod x^(n // B).  spread moves
+    coefficient i to B*i + B - 1 and keeps it exactly when i < n // B, so each candidate
+    weighs what ell * P*^-u does mod x^(n // B), linearly in ell: the candidate of
+    x^(m*u - 1) + i is word i of g ^ span(rows), with g = P*^-u * x^(m*u - 1) and
+    rows[b] = P*^-u * x^b, all mod x^(n // B).
     """
     B = j & -j
     lead_deg = ctx.m * (j // B) - 1
     if 1 << lead_deg > DEFAULT_CANDIDATE_CAP:
         raise CapExceeded(f"dual reduced set has 2^{lead_deg} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    tbits = -(-ctx.n // B)  # only these low coefficients survive the spread
-    base = power_trunc(ctx.P_star_inv, j // B, tbits)
-    mask, tmask = (1 << ctx.n) - 1, (1 << tbits) - 1
-
-    def spread(w: int) -> int:
-        return (substitute_power(w & tmask, B) << (B - 1)) & mask
-
-    return spread(base << lead_deg), [spread(base << b) for b in range(lead_deg)]
+    nbits = ctx.n // B
+    base = power_trunc(ctx.P_star_inv, j // B, nbits)
+    mask = (1 << nbits) - 1
+    return (base << lead_deg) & mask, [(base << b) & mask for b in range(lead_deg)]
 
 
 def dual_anchor_distance(ctx: RingContext, j: int) -> int:
@@ -137,19 +133,20 @@ def dual_complement_distance(ctx: RingContext, r: int) -> int:
     return dual_anchor_distance(ctx, ctx.tops[r - 1])
 
 
-def dual_distance_with_provenance(dual: DualCode, oracle_cap: int = DEFAULT_ENUM_CAP) -> tuple[int | None, list[str]]:
-    """Best effort at the dual distance of C_j: the anchor's reduced set, then the oracle."""
-    ctx, j = dual.ctx, dual.j
+def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> dict:
+    """JSON-ready dual summary for C_j: closure, then the anchor's reduced set, then the oracle."""
+    check_caps(oracle_cap=oracle_cap)
+    dual = dual_code(code(ctx, j))
+    if not sequential_closure_check(dual):
+        raise InternalConsistencyError(f"the dual of C_{j} is not sequential")
     d: int | None = None
     provenance: list[str] = []
-
-    try:
-        if j & (j - 1) == 0 or j in ctx.tops:
+    if j & (j - 1) == 0 or j in ctx.tops:
+        try:
             d = dual_anchor_distance(ctx, j)
-    except CapExceeded:
-        pass
-    if d is not None:
-        provenance.append("dual-reduced-set")
+            provenance.append("dual-reduced-set")
+        except CapExceeded:
+            pass
 
     if dual.dim <= oracle_cap:
         oracle_d = dual_min_distance_bruteforce(dual, cap=oracle_cap)
@@ -159,17 +156,7 @@ def dual_distance_with_provenance(dual: DualCode, oracle_cap: int = DEFAULT_ENUM
             )
         d = oracle_d
         provenance.append("dual-oracle")
-    return d, provenance
-
-
-def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> dict:
-    """JSON-ready dual summary for C_j."""
-    check_caps(oracle_cap=oracle_cap)
-    dual = dual_code(code(ctx, j))
-    closed = sequential_closure_check(dual)
-    d, provenance = dual_distance_with_provenance(dual, oracle_cap=oracle_cap)
-    if closed:
-        provenance.append("sequential-closure")
+    provenance.append("sequential-closure")
     return {
         "j": j,
         "n": dual.n,

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode._linalg import nullspace, parity_dot, rank
+from polycode._linalg import affine_weights, nullspace, parity_dot, rank
+from polycode.cli import main
 from polycode.codes import DEFAULT_CANDIDATE_CAP, code, generator_rows
 from polycode.duality import (
     dual_anchor_distance,
     dual_code,
     dual_complement_distance,
-    dual_distance_with_provenance,
     dual_min_distance_bruteforce,
     dual_pow2_candidates,
     dual_summary,
@@ -151,6 +151,32 @@ def test_dual_candidates_match_a_per_ell_loop(ctx, data):
         assert dual_complement_distance(ctx, r) == min(w for w in want.values() if w)
 
 
+def test_unspread_candidates_weigh_as_the_spread_words():
+    # every anchor with m*(j/B) - 1 <= 12 on every irreducible P of degree 2-6, n <= 64: the candidates on
+    # n // B coefficients weigh, ell by ell, what the paper's spread words of its cofactor bases weigh
+    checked = 0
+    for m in range(2, 7):
+        for P in (f for f in range((1 << m) | 1, 2 << m, 2) if is_irreducible(f)):
+            for L in range(2, 64 // m + 1):
+                ctx = new_context(P, L)
+                x_e_1, _, U_star = cofactor_forms(ctx)
+                for j in sorted({1 << i for i in range(ctx.T)} | set(ctx.tops)):
+                    B = j & -j
+                    lead_deg = m * (j // B) - 1
+                    if lead_deg > 12:
+                        continue
+                    tbits = -(-ctx.n // B)
+                    # the paper's base (x^e + 1)^(2^T/B - u) * U*^u, u = j/B
+                    u = j // B
+                    x_e_power = power_trunc(x_e_1, (1 << ctx.T) // B - u, tbits)
+                    base = mul_trunc(x_e_power, power_trunc(U_star, u, tbits), tbits)
+                    got = dict(enumerate(affine_weights(*duality._anchor_candidates(ctx, j))))
+                    want = _spread_weights_reference(ctx, base, lead_deg, B)
+                    assert {(1 << lead_deg) | i: w for i, w in got.items()} == want, (P, L, j)
+                    checked += 1
+    assert checked == 897
+
+
 def _pow2_min(ctx, s):
     """The dual distance at j = 2^(T-s), read from the s-keyed candidate table."""
     return min(w for w in dual_pow2_candidates(ctx, s).values() if w)
@@ -220,12 +246,22 @@ def test_sequential_closure_holds_for_constructed_duals():
 
 def test_dual_distance_provenance_paths():
     ctx = new_context(M3, 9)
-    d, prov = dual_distance_with_provenance(dual_code(code(ctx, 4)), oracle_cap=24)
-    assert d == 3 and prov == ["dual-reduced-set", "dual-oracle"]
-    d, prov = dual_distance_with_provenance(dual_code(code(ctx, 3)), oracle_cap=24)
-    assert d == 7 and prov == ["dual-oracle"]  # j = 3 has no anchored family here
-    d, prov = dual_distance_with_provenance(dual_code(code(ctx, 3)), oracle_cap=0)
-    assert d is None and prov == []
+    summary = dual_summary(ctx, 4, oracle_cap=24)
+    assert summary["d_dual"] == 3 and summary["provenance"] == ["dual-reduced-set", "dual-oracle", "sequential-closure"]
+    # j = 3 is no anchor here
+    summary = dual_summary(ctx, 3, oracle_cap=24)
+    assert summary["d_dual"] == 7 and summary["provenance"] == ["dual-oracle", "sequential-closure"]
+    summary = dual_summary(ctx, 3, oracle_cap=0)
+    assert summary["d_dual"] is None and summary["provenance"] == ["sequential-closure"]
+
+
+def test_a_dual_that_is_not_sequential_raises(capsys, monkeypatch):
+    # duals of polycyclic codes are sequential, so a failed closure test is a fault, not a missing tag
+    monkeypatch.setattr(duality, "sequential_closure_check", lambda dual: False)
+    with pytest.raises(InternalConsistencyError, match="not sequential"):
+        dual_summary(new_context(M3, 9), 2)
+    assert main(["dual", "--poly", "x^3+x+1", "--power", "9", "--j", "2", "--json"]) == 3
+    assert "not sequential" in capsys.readouterr().err
 
 
 def test_dual_summary_shape():

@@ -45,7 +45,7 @@ def test_the_split_rebuilds_every_power_and_its_dimension():
             # the t components D_i, lengths ceil((n - i)/t), share R: their dimensions add up to k, D_0's is k0
             dims = [-(-(ctx.n - i) // iv.t) - degree(iv.R) for i in range(iv.t)]
             assert sum(max(0, d) for d in dims) == c.k
-            assert iv.n0 == -(-ctx.n // iv.t) and iv.k0 == dims[0] >= 1
+            assert iv.k0 == dims[0] >= 1
             checked += 1
     assert checked == 1989
 
@@ -55,7 +55,7 @@ def test_the_split_knows_s_and_q():
         iv = interleave(new_context(parse(text), 8), 6)  # 2^a = 2, b = 3
         assert (iv.s, iv.Q, iv.t, iv.b, iv.R) == (s, Q, 2 * s, 3, power(Q, 3))
     iv = interleave(new_context(parse("x^4+x+1"), 16), 12)
-    assert (iv.s, iv.t, iv.b, iv.n0, iv.k0) == (1, 4, 3, 16, 4)
+    assert (iv.s, iv.t, iv.b, iv.k0) == (1, 4, 3, 4)
     ctx = new_context(parse("x^4+x+1"), 4)
     for j in (0, 4):
         with pytest.raises(ValidationError):
@@ -135,13 +135,13 @@ def test_every_anchor_reduced_set_equals_the_interleave_component():
     assert (rings, anchors) == (1384, 4145)
 
 
-@pytest.mark.parametrize("field", ["b", "n0"])
+@pytest.mark.parametrize("field", ["b", "k0"])
 def test_a_wrong_split_raises(monkeypatch, field):
     real = distance.interleave
 
-    def wrong(ctx, j):  # R = Q^(b+1), or D_0 one coordinate too long
+    def wrong(ctx, j):  # R = Q^(b+1), or D_0 one dimension too large
         iv = real(ctx, j)
-        return iv._replace(b=iv.b + 1) if field == "b" else iv._replace(n0=iv.n0 + 1, k0=iv.k0 + 1)
+        return iv._replace(b=iv.b + 1) if field == "b" else iv._replace(k0=iv.k0 + 1)
 
     monkeypatch.setattr(distance, "interleave", wrong)
     ctx = new_context(parse("x^4+x+1"), 16)
