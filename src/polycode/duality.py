@@ -2,10 +2,13 @@
 
 The dual of C_j is spanned by the first m*j shifts of one word h* = P*^-j
 mod x^n, P* the reciprocal of P.  The paper builds h* as
-(x^e + 1)^(2^T - j) * ((x^e + 1)/P*)^j; since e * 2^T > n (ring.py),
-(x^e + 1)^(2^T) == 1 mod x^n and that product is P*^-j.  Construction always verifies full
-rank and orthogonality against the generator matrix, the latter by n - 1
-parities since both row sets are shifts of one word.  Duals are "sequential"
+(x^e + 1)^(2^T - j) * ((x^e + 1)/P*)^j, e the order of x mod P.  P divides
+x^e + 1 and x^m + 1 is reducible, so e > m and e * 2^T > m * L = n; then
+(x^e + 1)^(2^T) = x^(e * 2^T) + 1 == 1 mod x^n and that product is P*^-j,
+the inverse of the reciprocal of the code's own generator, since
+(P^j)* = (P*)^j.  Construction always verifies full rank and
+orthogonality against the generator matrix, the latter by n - 1 parities
+since both row sets are shifts of one word.  Duals are "sequential"
 codes: shifting a dual word right by one position stays in the dual after an
 appropriate bit enters at the top; dual_summary raises on a dual that does not.
 At every anchor j (a power of two below 2^T, or an upper anchor 2^T - 2^(T-r)
@@ -23,7 +26,7 @@ from typing import NamedTuple
 from ._linalg import affine_weights, min_weight_affine, min_weight_span, parity_dot, rank
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import power_trunc
+from .gf2poly import inverse_trunc, power_trunc, reciprocal
 from .ring import RingContext
 
 
@@ -51,13 +54,13 @@ def dual_code(c: PolycyclicCode) -> DualCode:
         raise ValidationError("dual construction covers 1 <= j <= L - 1")
     n = ctx.n
     mask = (1 << n) - 1
-    h = power_trunc(ctx.P_star_inv, j, n)
+    g = c.generator
+    h = inverse_trunc(reciprocal(g), n)
     rows = tuple((h << i) & mask for i in range(ctx.m * j))
     if rank(list(rows)) != ctx.m * j:
         raise InternalConsistencyError("dual spanning rows are not independent")
     # generator rows g << a never pass n bits, so <g << a, (h << b) & mask> is
     # <g << (a - b), h> or <g, h << (b - a)>: n - 1 parities decide all k*m*j pairs
-    g = c.generator
     if any(parity_dot(g << d, h) for d in range(c.k)) or any(parity_dot(g, h << d) for d in range(1, ctx.m * j)):
         raise InternalConsistencyError("dual spanning row not orthogonal to the code")
     return DualCode(ctx, j, h, rows)
@@ -102,7 +105,7 @@ def _anchor_candidates(ctx: RingContext, j: int) -> tuple[int, list[int]]:
     if 1 << lead_deg > DEFAULT_CANDIDATE_CAP:
         raise CapExceeded(f"dual reduced set has 2^{lead_deg} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
     nbits = ctx.n // B
-    base = power_trunc(ctx.P_star_inv, j // B, nbits)
+    base = power_trunc(inverse_trunc(reciprocal(ctx.P), nbits), j // B, nbits)
     mask = (1 << nbits) - 1
     return (base << lead_deg) & mask, [(base << b) & mask for b in range(lead_deg)]
 

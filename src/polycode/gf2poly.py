@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ValidationError
+from .errors import InternalConsistencyError, ValidationError
 
 RING_TABLE_BITS = 1 << 26  # budget for the bits of P^0..P^L (about m*L^2/2) that a walk along a whole chain produces
 
@@ -80,7 +80,7 @@ def gcd(a: int, b: int) -> int:
 
 
 def inverse_trunc(a: int, nbits: int) -> int:
-    """Power-series inverse of a (constant term 1) mod x^nbits, by Newton doubling."""
+    """Power-series inverse of a (constant term 1) mod x^nbits, by Newton doubling, checked by its product with a."""
     if not a & 1:
         raise ValidationError("only a polynomial with constant term 1 is invertible mod x^nbits")
     inv, k = 1, 1
@@ -88,6 +88,8 @@ def inverse_trunc(a: int, nbits: int) -> int:
         k = min(2 * k, nbits)
         # a*inv == 1 mod x^h implies a*(inv^2*a) == (a*inv)^2 == 1 mod x^(2h)
         inv = mul_trunc(square(inv), a, k)
+    if mul_trunc(a, inv, nbits) != 1:
+        raise InternalConsistencyError("power-series inverse disagrees with its defining product")
     return inv
 
 

@@ -5,11 +5,15 @@ through the rank of the Gram matrix G*G^T, and the paper's rank criteria,
 one form for j up to 2^(T-1) and another beyond it.  The rows of G are the
 shifts x^i * P^j, none of which wraps past x^(n-1), so G*G^T is a symmetric
 Toeplitz matrix built from k parities.  The oracle's cross-check and both
-criteria run one extended Euclid: on q = (P * P_star)^j it measures the hull,
-on W = q^-1 the criteria's kernel (the hull in dual coordinates), which a
-Gray-code sweep checks where m*j <= 12.  A serial scan walks the rings over
-powers 2^T of the self-reciprocal trinomials x^(2*3^v) + x^(3^v) + 1
-(family_poly), whose codes the paper conjectures are all LCD.
+criteria run one extended Euclid: on q = g * g_star mod x^n, g = P^j the
+code's generator and g_star = (P_star)^j its reciprocal, it measures the
+hull, on W = q^-1 mod x^n the criteria's kernel (the hull in dual
+coordinates), which a Gray-code sweep checks where m*j <= 12.  The paper
+writes W with powers of x^e + 1, e the order of x mod P; those are 1 mod x^n
+since e * 2^T > n (duality.py), which leaves (P * P_star)^-j = q^-1.  A
+serial scan walks the rings over powers 2^T of the self-reciprocal
+trinomials x^(2*3^v) + x^(3^v) + 1 (family_poly), whose codes the paper
+conjectures are all LCD.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import NamedTuple
 from ._linalg import parity_dot, rank
 from .codes import PolycyclicCode, chain
 from .errors import InternalConsistencyError, ValidationError
-from .gf2poly import degree, mul, mul_trunc, power_trunc, reciprocal
+from .gf2poly import degree, inverse_trunc, mul_trunc, reciprocal
 from .ring import new_context
 
 
@@ -76,12 +80,12 @@ def _reconstruction_dim(q: int, n: int, a: int) -> int:
 
 
 def _hull_by_reconstruction(c: PolycyclicCode) -> int:
-    """dim(C intersect C-dual): a*g lies in C-dual iff deg(a*q mod x^n) < m*j = n - k, q = (P * P_star)^j.
+    """dim(C intersect C-dual): a*g lies in C-dual iff deg(a*q mod x^n) < m*j = n - k, q = g * g_star mod x^n.
 
-    q = g * h^-1 mod x^n, since the dual word h has inverse P_star^j mod x^n (e * 2^T > n).
+    q = g * h^-1 mod x^n, since the dual word h is g_star^-1 mod x^n (duality.dual_code).
     """
-    ctx = c.ctx
-    return _reconstruction_dim(power_trunc(mul(ctx.P, reciprocal(ctx.P)), c.j, ctx.n), ctx.n, c.k)
+    g, n = c.generator, c.ctx.n
+    return _reconstruction_dim(mul_trunc(g, reciprocal(g), n), n, c.k)
 
 
 def hull_dimension_oracle(c: PolycyclicCode) -> int:
@@ -128,12 +132,12 @@ def is_lcd_tail_criterion(c: PolycyclicCode) -> bool:
 def _criterion(c: PolycyclicCode) -> bool:
     """Whether no nonzero delta with deg delta < m*j has deg(delta*W mod x^n) < k, W = (P * P_star)^-j.
 
-    W is q^-1 for the hull's q = (P * P_star)^j, so delta = a*q mod x^n maps
-    the hull {a : deg a < k, deg(a*q mod x^n) < m*j} onto this kernel.  W is
-    a power of the ring constant ctx.PP_star_inv = (P * P_star)^-1 mod x^n.
+    W = q^-1 mod x^n for the hull's q = g * g_star mod x^n (_hull_by_reconstruction),
+    so delta = a*q mod x^n maps the hull {a : deg a < k, deg(a*q mod x^n) < m*j}
+    onto this kernel.
     """
-    ctx, n, k, mj = c.ctx, c.ctx.n, c.k, c.ctx.m * c.j
-    W = power_trunc(ctx.PP_star_inv, c.j, n)
+    g, n, k, mj = c.generator, c.ctx.n, c.k, c.ctx.m * c.j
+    W = inverse_trunc(mul_trunc(g, reciprocal(g), n), n)
     full_rank = _reconstruction_dim(W, n, mj) == 0
     if mj <= 12:
         # exhaustive sweep over nonzero delta: the top block of W*delta must never vanish
@@ -199,8 +203,8 @@ def family_poly(v: int) -> int:
 def conjecture_scan(v_max: int, t_max: int, dim_cap: int = 4096) -> list[dict]:
     """Hull of every C_j over every family ring with n <= dim_cap; rows in (v, T, j) order.
 
-    Every ring is set up before the first hull, so a ring over the power-table
-    budget is refused at once, not after the smaller rings are scanned.
+    Every ring is set up before the first hull, so a ring over the ring budget
+    RING_TABLE_BITS is refused at once, not after the smaller rings are scanned.
     """
     if v_max < 0 or t_max < 1:
         raise ValidationError("conjecture scan needs v_max >= 0 and t_max >= 1")

@@ -4,33 +4,26 @@ P must be irreducible of degree m >= 2 and L >= 2.  The ring is a chain ring:
 its ideals are exactly <P^j> for j = 0..L, each a binary code of length
 n = m*L once polynomials (ints, bit i = coefficient of x^i) are read as
 coordinate vectors.  A RingContext carries the derived constants everything
-else keys off: T with 2^(T-1) < L <= 2^T, the power-series inverses P*^-1
-and (P * P*)^-1 mod x^n (P* the reciprocal of P), and the anchor lattice
+else keys off: T with 2^(T-1) < L <= 2^T and the anchor lattice
 `tops`: the upper anchors j = 2^T - 2^(T-r) below L, for r = 1, 2, ...  Every
 anchor j has the spread B = j & -j (so tops[0] = 2^(T-1) is also the top
 lower anchor, B = j), and the unanchored tail past the last one has length
-L - tops[-1].  The ring holds O(n) bits and no power of P: each code carries
-its own P^j (codes.code, codes.chain).
+L - tops[-1].  The ring holds a handful of ints and no power series: each code
+carries its own generator P^j (codes.code, codes.chain), and the dual and LCD
+words are built from it (duality.py, lcd.py).
 
-With e the multiplicative order of x mod P, the paper writes the dual and LCD
-words with the cofactor (x^e + 1)/P and powers of x^e + 1.  P divides x^e + 1
-and x^m + 1 is reducible, so e > m and e * 2^T > m * L = n; then
-(x^e + 1)^(2^T) = x^(e * 2^T) + 1 == 1 mod x^n, and each such word is a power
-of P^-1 and P*^-1 mod x^n.  The dual words are powers of P*^-1 and the
-LCD-criterion words powers of (P * P*)^-1, so those two inverses are all the
-ring needs to keep.
-
-The ring never finds e itself.  The one reader of e is the `analyze` text
-header, which steps x^i mod P for i < n and prints e only when it is below
-n; the distances take min(d, 4) from the residues x^i mod P^j instead.
+The ring never finds the order e of x mod P.  The one reader of e is the
+`analyze` text header, which steps x^i mod P for i < n and prints e only
+when it is below n; the distances take min(d, 4) from the residues
+x^i mod P^j instead.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import RING_TABLE_BITS, degree, inverse_trunc, is_irreducible, mul, mul_trunc, reciprocal
+from .errors import CapExceeded, ValidationError
+from .gf2poly import RING_TABLE_BITS, degree, is_irreducible
 
 
 class RingContext(NamedTuple):
@@ -45,8 +38,6 @@ class RingContext(NamedTuple):
     L: int
     n: int
     T: int
-    P_star_inv: int  # P*^-1 mod x^n, P* the reciprocal of P
-    PP_star_inv: int  # (P * P*)^-1 mod x^n
     tops: tuple[int, ...]  # upper anchors 2^T - 2^(T-r) < L, r = 1, 2, ...; tops[0] = 2^(T-1)
 
 
@@ -65,21 +56,12 @@ def new_context(P: int, L: int) -> RingContext:
     if not is_irreducible(P):
         raise ValidationError("P must be irreducible over GF(2)")
 
-    n = m * L
     T = (L - 1).bit_length()
-    P_star = reciprocal(P)
-    PP_star = mul(P, P_star)
-    P_star_inv, PP_star_inv = inverse_trunc(P_star, n), inverse_trunc(PP_star, n)
-    if mul_trunc(P_star, P_star_inv, n) != 1 or mul_trunc(PP_star, PP_star_inv, n) != 1:
-        raise InternalConsistencyError("power-series inverse of P* or P * P* disagrees with its defining product")
-
     return RingContext(
         P=P,
         m=m,
         L=L,
-        n=n,
+        n=m * L,
         T=T,
-        P_star_inv=P_star_inv,
-        PP_star_inv=PP_star_inv,
         tops=tuple(j for j in ((1 << T) - (1 << (T - r)) for r in range(1, T + 1)) if j < L),
     )

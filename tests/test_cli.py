@@ -13,8 +13,9 @@ import time
 import pytest
 
 import polycode
-from polycode import duality, fixtures, lcd
+from polycode import duality, fixtures, gf2poly, lcd
 from polycode.cli import main
+from polycode.errors import InternalConsistencyError
 
 
 def test_analyze_json_single_index(capsys):
@@ -228,9 +229,9 @@ def test_many_calls_in_one_process_do_not_leak_options(capsys):
 
 
 def test_a_failing_hull_cross_check_exits_3(capsys, monkeypatch):
-    # a flipped bit in q = (P * P_star)^j moves the reconstruction's hull off the Gram rank's
-    real = lcd.power_trunc
-    monkeypatch.setattr(lcd, "power_trunc", lambda a, e, nbits: real(a, e, nbits) ^ 2)
+    # a flipped bit in g_star moves q = g * g_star mod x^n, and the reconstruction's hull off the Gram rank's
+    real = lcd.reciprocal
+    monkeypatch.setattr(lcd, "reciprocal", lambda a: real(a) ^ 2)
     assert main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--j", "2", "--methods", "oracle"]) == 3
     assert "hull dimension mismatch" in capsys.readouterr().err
 
@@ -246,10 +247,21 @@ def test_a_wrong_criterion_kernel_exits_3(capsys, monkeypatch, poly, j):
 
 
 def test_a_dual_word_off_the_dual_exits_3(capsys, monkeypatch):
-    real = duality.power_trunc
-    monkeypatch.setattr(duality, "power_trunc", lambda a, e, nbits: real(a, e, nbits) ^ 1)
+    real = duality.inverse_trunc
+    monkeypatch.setattr(duality, "inverse_trunc", lambda a, nbits: real(a, nbits) ^ 1)
     assert main(["dual", "--poly", "x^3+x+1", "--power", "9", "--j", "2"]) == 3
     assert "not orthogonal" in capsys.readouterr().err
+
+
+def test_a_wrong_power_series_inverse_raises_and_exits_3(capsys, monkeypatch):
+    # a square over GF(2) has no odd-degree term, so flipping bit 1 always corrupts it; every
+    # inverse checks its product, and the dual word of C_2 is one
+    real = gf2poly.square
+    monkeypatch.setattr(gf2poly, "square", lambda a: real(a) ^ 2)
+    with pytest.raises(InternalConsistencyError, match="power-series inverse"):
+        gf2poly.inverse_trunc(0b111, 16)
+    assert main(["dual", "--poly", "x^3+x+1", "--power", "9", "--j", "2"]) == 3
+    assert "power-series inverse" in capsys.readouterr().err
 
 
 def _python(*args, timeout):

@@ -59,7 +59,7 @@ def test_orthogonality_by_shifts_agrees_with_every_pair(data):
     rows = [(h << i) & ((1 << n) - 1) for i in range(m * j)]
     full_rank = rank(rows) == m * j
     orthogonal = all(parity_dot(g, r) == 0 for g in generator_rows(c) for r in rows)
-    with mock.patch.object(duality, "power_trunc", lambda a, e, nbits: h):
+    with mock.patch.object(duality, "inverse_trunc", lambda a, nbits: h):
         if full_rank and orthogonal:
             assert dual_code(c).h_star == h
         else:

@@ -138,17 +138,18 @@ def test_both_criteria_kernels_have_the_hull_dimension():
             for L in range(2, 24 // deg + 3):
                 ctx = new_context(P, L)
                 n, T = ctx.n, ctx.T
-                P_inv = inverse_trunc(P, n)  # the ring keeps only P*^-1 and (P * P*)^-1
+                P_inv, P_star_inv = inverse_trunc(P, n), inverse_trunc(reciprocal(P), n)
+                PP_star_inv = inverse_trunc(mul(P, reciprocal(P)), n)
                 for j in range(1, L):
                     c = code(ctx, j)
                     k, mj = c.k, deg * j
-                    W = power_trunc(ctx.PP_star_inv, j, n)
+                    W = power_trunc(PP_star_inv, j, n)
                     want = _reconstruction_dim(W, n, mj)
                     assert want == hull_dimension_oracle(c), (P, L, j)
                     assert _top_block_kernel_dim(W, n, mj) == want, (P, L, j)
                     if 2 * j >= 1 << T:
                         A = power_trunc(P, 2 * j - (1 << T), n)
-                        Q = mul_trunc(power_trunc(P_inv, (1 << T) - j, n), power_trunc(ctx.P_star_inv, j, n), n)
+                        Q = mul_trunc(power_trunc(P_inv, (1 << T) - j, n), power_trunc(P_star_inv, j, n), n)
                         cols = [mul_trunc(A, 1 << i, n) for i in range(k)] + [mul_trunc(Q, 1 << i, n) for i in range(mj)]
                         assert len(column_kernel(cols)) == want, (P, L, j)
 

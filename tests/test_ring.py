@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode.codes import chain, code, contains
+from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, contains
 from polycode.distance import full_distance_profile, single_distance_report
-from polycode.duality import dual_code, dual_summary
+from polycode.duality import _anchor_candidates, dual_code, dual_summary
 from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, parse, power, power_trunc, reciprocal
-from polycode import gf2poly, ring
+from polycode import gf2poly, lcd, ring
 from polycode.lcd import conjecture_scan, family_poly, lcd_verdict
 from polycode.ring import RING_TABLE_BITS, new_context
 from test_gf2poly import x_power_mod
@@ -42,15 +42,16 @@ def test_context_basic_quantities():
         assert code(ctx, j).generator == power(P4, j)
 
 
-def test_the_ring_holds_o_n_bits():
-    # no power of P is kept: the fields are O(n) bits even at the largest chain the budget admits
+def test_the_ring_holds_six_small_fields():
+    # no power of P and no power series is kept: at the largest chain the budget admits (n = 16382)
+    # the six fields hold P and a handful of indices, T + 5 ints of at most n.bit_length() bits
     ctx = new_context(P2, 8191)
-    assert ctx._fields == ("P", "m", "L", "n", "T", "P_star_inv", "PP_star_inv", "tops")
+    assert ctx._fields == ("P", "m", "L", "n", "T", "tops")
 
     def bits(field):
         return sum(map(bits, field)) if isinstance(field, tuple) else field.bit_length()
 
-    assert sum(map(bits, ctx)) <= 3 * ctx.n
+    assert sum(map(bits, ctx)) <= (ctx.T + 5) * ctx.n.bit_length() < ctx.n // 64
 
 
 def _old_regime(L):
@@ -131,12 +132,14 @@ def test_ideal_generators_are_powers():
 
 
 def _assert_inverses(ctx):
-    """P_star_inv and PP_star_inv are the power-series inverses of P* and P * P* mod x^n."""
+    """P*^-1 and (P * P*)^-1 mod x^n are the inverses their defining products say, and C_1's dual word is P*^-1."""
     n, P_star = ctx.n, reciprocal(ctx.P)
-    assert ctx.P_star_inv < 1 << n and ctx.PP_star_inv < 1 << n
-    assert mul_trunc(P_star, ctx.P_star_inv, n) == mul_trunc(mul(ctx.P, P_star), ctx.PP_star_inv, n) == 1
+    P_star_inv, PP_star_inv = inverse_trunc(P_star, n), inverse_trunc(mul(ctx.P, P_star), n)
+    assert P_star_inv < 1 << n and PP_star_inv < 1 << n
+    assert mul_trunc(P_star, P_star_inv, n) == mul_trunc(mul(ctx.P, P_star), PP_star_inv, n) == 1
     # so (P * P*)^-1 is the product of the two inverses, P^-1 computed here
-    assert ctx.PP_star_inv == mul_trunc(inverse_trunc(ctx.P, n), ctx.P_star_inv, n)
+    assert PP_star_inv == mul_trunc(inverse_trunc(ctx.P, n), P_star_inv, n)
+    assert dual_code(code(ctx, 1)).h_star == P_star_inv
 
 
 def test_every_small_irreducible_context_builds():
@@ -167,10 +170,10 @@ def test_cofactors_are_low_bits_of_exact_division(P, L, data):
     # each word the paper builds from x^e + 1 and the cofactors is a power of P^-1 and P*^-1
     ctx = new_context(P, L)
     n, T = ctx.n, ctx.T
-    P_inv = inverse_trunc(P, n)  # the ring keeps only P*^-1 and (P * P*)^-1
+    P_inv, P_star_inv = inverse_trunc(P, n), inverse_trunc(reciprocal(P), n)
     x_e_1, U, U_star = cofactor_forms(ctx)
     low = (1 << order(P, n)) - 1  # P*U = x^e + 1 == 1 mod x^e; order(P, n) = min(e, n)
-    assert P_inv & low == U & low and ctx.P_star_inv & low == U_star & low
+    assert P_inv & low == U & low and P_star_inv & low == U_star & low
 
     def form(x_exp, u_exp, us_exp, nbits):
         """(x^e + 1)^x_exp * U^u_exp * U*^us_exp mod x^nbits."""
@@ -179,20 +182,61 @@ def test_cofactors_are_low_bits_of_exact_division(P, L, data):
 
     j = data.draw(st.integers(1, L - 1))
     assert dual_code(code(ctx, j)).h_star == form((1 << T) - j, 0, j, n)
-    W = power_trunc(ctx.PP_star_inv, j, n)
+    W = power_trunc(inverse_trunc(mul(P, reciprocal(P)), n), j, n)
     if j <= 1 << (T - 1):  # the head criterion's W
         assert W == form((1 << T) - 2 * j, j, j, n)
     else:  # the tail criterion's Q, and Q * A^-1 = W, on which the tail criterion rests
-        Q = mul_trunc(power_trunc(P_inv, (1 << T) - j, n), power_trunc(ctx.P_star_inv, j, n), n)
+        Q = mul_trunc(power_trunc(P_inv, (1 << T) - j, n), power_trunc(P_star_inv, j, n), n)
         assert Q == form(0, (1 << T) - j, j, n)
         assert mul_trunc(Q, inverse_trunc(power_trunc(P, 2 * j - (1 << T), n), n), n) == W
     # the spread bases, mod x^tbits with tbits = ceil(n / 2^(T-t))
     s = data.draw(st.integers(1, T))
     tbits = -(-n // (1 << (T - s)))
-    assert ctx.P_star_inv & ((1 << tbits) - 1) == form((1 << s) - 1, 0, 1, tbits)
+    assert P_star_inv & ((1 << tbits) - 1) == form((1 << s) - 1, 0, 1, tbits)
     r = data.draw(st.integers(1, len(ctx.tops)))
     tbits = -(-n // (1 << (T - r)))
-    assert power_trunc(ctx.P_star_inv, (1 << r) - 1, tbits) == form(1, 0, (1 << r) - 1, tbits)
+    assert power_trunc(P_star_inv, (1 << r) - 1, tbits) == form(1, 0, (1 << r) - 1, tbits)
+
+
+def test_each_code_word_is_a_power_of_a_ring_inverse(monkeypatch):
+    # every irreducible P of degree 2-6, n <= 64, every 1 <= j < L: the words each code builds from its
+    # generator g = P^j are the j-th powers of P*^-1, P * P* and (P * P*)^-1 mod x^n (and the anchors'
+    # bases powers of P*^-1 cut to n // B bits), the forms the paper's words reduce to
+    seen: list[tuple[int, int, int]] = []
+    real = lcd._reconstruction_dim
+
+    def spy(q, n, a):
+        seen.append((q, n, a))
+        return real(q, n, a)
+
+    monkeypatch.setattr(lcd, "_reconstruction_dim", spy)
+    codes = anchors = 0
+    for m in range(2, 7):
+        for P in (f for f in range((1 << m) | 1, 2 << m, 2) if is_irreducible(f)):
+            P_star, PP_star = reciprocal(P), mul(P, reciprocal(P))
+            for L in range(2, 64 // m + 1):
+                ctx = new_context(P, L)
+                n = ctx.n
+                P_star_inv, PP_star_inv = inverse_trunc(P_star, n), inverse_trunc(PP_star, n)
+                for j in range(1, L):
+                    c = code(ctx, j)
+                    assert dual_code(c).h_star == power_trunc(P_star_inv, j, n), (P, L, j)
+                    seen.clear()
+                    assert lcd_verdict(c, "all").methods[0] == "oracle"
+                    q_call, W_call = seen  # the hull's cross-check, then the criterion
+                    assert q_call == (power_trunc(PP_star, j, n), n, c.k), (P, L, j)
+                    assert W_call == (power_trunc(PP_star_inv, j, n), n, m * j), (P, L, j)
+                    codes += 1
+                for j in sorted({1 << i for i in range(ctx.T)} | set(ctx.tops)):
+                    B = j & -j
+                    lead_deg, mask = m * (j // B) - 1, (1 << (n // B)) - 1
+                    if 1 << lead_deg > DEFAULT_CANDIDATE_CAP:
+                        continue
+                    base = power_trunc(P_star_inv, j // B, n) & mask
+                    want = ((base << lead_deg) & mask, [(base << b) & mask for b in range(lead_deg)])
+                    assert _anchor_candidates(ctx, j) == want, (P, L, j)
+                    anchors += 1
+    assert (codes, anchors) == (2077, 955)
 
 
 def test_context_builds_on_wide_primitive_rings():
