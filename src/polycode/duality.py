@@ -6,11 +6,12 @@ mod x^n, P* the reciprocal of P.  The paper builds h* as
 x^e + 1 and x^m + 1 is reducible, so e > m and e * 2^T > m * L = n; then
 (x^e + 1)^(2^T) = x^(e * 2^T) + 1 == 1 mod x^n and that product is P*^-j,
 the inverse of the reciprocal of the code's own generator, since
-(P^j)* = (P*)^j.  Construction always verifies full rank and
-orthogonality against the generator matrix, the latter by n - 1 parities
-since both row sets are shifts of one word.  Duals are "sequential"
-codes: shifting a dual word right by one position stays in the dual after an
-appropriate bit enters at the top; dual_summary raises on a dual that does not.
+(P^j)* = (P*)^j.  A DualCode holds that one word and no rows.  Construction
+verifies full rank from the lowest set bit of h* and orthogonality against
+the generator by n - 1 parities, since both row sets are shifts of one word.
+Duals are "sequential" codes: shifting a dual word right by one position
+stays in the dual after an appropriate bit enters at the top; the closure
+test reads h* alone, and dual_summary raises on a dual that does not close.
 At every anchor j (a power of two below 2^T, or an upper anchor 2^T - 2^(T-r)
 in ctx.tops) the dual distance is the minimum over a candidate set keyed by
 j alone, through B = j & -j, as the primal anchors are (distance.py).  The
@@ -23,20 +24,19 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._linalg import affine_weights, min_weight_affine, min_weight_span, parity_dot, rank
+from ._linalg import affine_weights, min_weight_affine, min_weight_span, parity_dot
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import inverse_trunc, power_trunc, reciprocal
+from .gf2poly import inverse_trunc, mul_trunc, power_trunc, reciprocal
 from .ring import RingContext
 
 
 class DualCode(NamedTuple):
-    """The dual of C_j, spanned by shifts of h_star; rank-checked at build time."""
+    """The dual of C_j, spanned by the rows (h_star << i) mod x^n, 0 <= i < dim; checked at build time."""
 
     ctx: RingContext
     j: int
     h_star: int
-    rows: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -53,24 +53,25 @@ def dual_code(c: PolycyclicCode) -> DualCode:
     if not 1 <= j <= ctx.L - 1:
         raise ValidationError("dual construction covers 1 <= j <= L - 1")
     n = ctx.n
-    mask = (1 << n) - 1
     g = c.generator
     h = inverse_trunc(reciprocal(g), n)
-    rows = tuple((h << i) & mask for i in range(ctx.m * j))
-    if rank(list(rows)) != ctx.m * j:
+    # row i has its lowest bit at p + i, p that of h: the rows are independent
+    # exactly when the last one, (h << (m*j - 1)) mod x^n, is nonzero
+    if not (h << (ctx.m * j - 1)) & ((1 << n) - 1):
         raise InternalConsistencyError("dual spanning rows are not independent")
     # generator rows g << a never pass n bits, so <g << a, (h << b) & mask> is
     # <g << (a - b), h> or <g, h << (b - a)>: n - 1 parities decide all k*m*j pairs
     if any(parity_dot(g << d, h) for d in range(c.k)) or any(parity_dot(g, h << d) for d in range(1, ctx.m * j)):
         raise InternalConsistencyError("dual spanning row not orthogonal to the code")
-    return DualCode(ctx, j, h, rows)
+    return DualCode(ctx, j, h)
 
 
 def dual_min_distance_bruteforce(dual: DualCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact dual distance over the whole dual code (information-set search)."""
     if dual.dim > cap:
         raise CapExceeded(f"dual oracle: dimension {dual.dim} is over the oracle cap of {cap}; raise the cap")
-    return min_weight_span(list(dual.rows))
+    mask = (1 << dual.n) - 1
+    return min_weight_span([(dual.h_star << i) & mask for i in range(dual.dim)])
 
 
 def sequential_closure_check(dual: DualCode) -> bool:
@@ -78,10 +79,14 @@ def sequential_closure_check(dual: DualCode) -> bool:
 
     With top = x^(n-1), "w >> 1 or (w >> 1) | top lies in D" says w >> 1 lies
     in D + <top>, a subspace, and w -> w >> 1 is linear: so the whole dual
-    closes exactly when every row does, which one rank comparison decides.
+    closes exactly when every row does.  Row i >> 1 is row i - 1 less its top
+    bit, so only h >> 1 needs testing, and it lies in D + <top> exactly when
+    it is a*h mod x^(n-1) for some a of degree below dim: h odd and
+    a = (h >> 1) * h^-1 mod x^(n-1).  (An even h leaves h >> 1 a set bit
+    below every word of D and below the top.)
     """
-    with_top = [*dual.rows, 1 << (dual.n - 1)]
-    return rank(with_top + [r >> 1 for r in dual.rows]) == rank(with_top)
+    h, n = dual.h_star, dual.n
+    return bool(h & 1) and mul_trunc(h >> 1, inverse_trunc(h, n - 1), n - 1).bit_length() <= dual.dim
 
 
 # ---------------------------------------------------------------------------

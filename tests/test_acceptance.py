@@ -16,6 +16,7 @@ from polycode.gf2poly import div_rem, format_poly, is_irreducible, mul, parse, p
 from polycode.lcd import conjecture_scan, family_poly, lcd_verdict
 from polycode.ring import new_context
 from test_codes import reversible_by_rows
+from test_duality import _rows
 from test_ring import valuation
 
 
@@ -186,8 +187,9 @@ def test_structural_property_suite():
             c = code(ctx, j)
             dual = dual_code(c)
             assert c.k + dual.dim == ctx.n
+            rows = _rows(dual.h_star, ctx.n, dual.dim)
             for g in generator_rows(c):
-                assert all(parity_dot(g, h) == 0 for h in dual.rows)
+                assert all(parity_dot(g, h) == 0 for h in rows)
             assert sequential_closure_check(dual)
 
     # reversibility across the trinomial family, and shift closure everywhere

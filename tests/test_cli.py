@@ -293,8 +293,27 @@ def test_a_huge_degree_is_refused_within_a_second(poly):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak resident set from /proc")
+def test_a_dual_near_the_top_of_the_chain_holds_one_word():
+    # the dual is its word h* and the closure test reads only h*: no m*j rows of n bits.  The peak
+    # is VmHWM, not ru_maxrss, which keeps across exec the size of the forked test process.
+    script = (
+        "import contextlib, io, json; from polycode.cli import main; out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    rc = main(['dual', '--poly', 'x^16+x^5+x^3+x+1', '--power', '2000', '--j', '1999', '--json'])\n"
+        "peak = int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        "print(json.dumps([rc, json.loads(out.getvalue()), peak]))"
+    )
+    run = _python("-c", script, timeout=60)
+    assert run.returncode == 0, run.stderr
+    rc, report, peak_kb = json.loads(run.stdout)
+    assert rc == 0 and report["k_dual"] == 31984 and report["d_dual"] is None
+    assert report["provenance"] == ["sequential-closure"]
+    assert peak_kb < 64 * 1024
+
+
 def test_the_dual_closure_takes_no_sample_count():
-    # the rows decide closure for every dual word, so --samples is gone
+    # the dual word h* decides closure for the whole dual, so --samples is gone
     with pytest.raises(SystemExit) as exc:
         main(["dual", "--poly", "x^3+x+1", "--power", "4", "--j", "1", "--samples", "5"])
     assert exc.value.code == 2

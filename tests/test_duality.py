@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polycode._linalg import affine_weights, nullspace, parity_dot, rank
@@ -30,14 +31,20 @@ M3 = parse("x^3+x+1")
 M4 = parse("x^4+x+1")
 
 
+def _rows(h, n, dim):
+    """The dual's spanning rows (h << i) mod x^n, 0 <= i < dim, which a DualCode does not store."""
+    return [(h << i) & ((1 << n) - 1) for i in range(dim)]
+
+
 def test_dual_dimensions_and_orthogonality():
     ctx = new_context(M3, 5)
     for j in range(1, 5):
         dual = dual_code(code(ctx, j))
         assert dual.dim == 3 * j
-        assert rank(list(dual.rows)) == dual.dim
+        rows = _rows(dual.h_star, dual.n, dual.dim)
+        assert rank(rows) == dual.dim
         for g in generator_rows(code(ctx, j)):
-            assert all(parity_dot(g, h) == 0 for h in dual.rows)
+            assert all(parity_dot(g, h) == 0 for h in rows)
 
 
 @settings(deadline=None)
@@ -67,6 +74,20 @@ def test_orthogonality_by_shifts_agrees_with_every_pair(data):
                 dual_code(c)
 
 
+def test_full_rank_is_read_from_the_lowest_set_bit():
+    # every shift of h* up to the rows' length, and h = 0: "independent" is raised exactly when the rows' rank is short
+    for poly, L in ((parse("x^2+x+1"), 5), (M3, 4), (M4, 3)):
+        ctx = new_context(poly, L)
+        for j in range(1, L):
+            c, n, dim = code(ctx, j), ctx.n, ctx.m * j
+            good = dual_code(c).h_star
+            for h in [0, *((good << s) & ((1 << n) - 1) for s in range(1, dim + 1))]:
+                with mock.patch.object(duality, "inverse_trunc", lambda a, nbits: h):
+                    with pytest.raises(InternalConsistencyError) as err:
+                        dual_code(c)
+                assert ("independent" in str(err.value)) == (rank(_rows(h, n, dim)) < dim), (poly, L, j, h)
+
+
 def test_dual_rejects_trivial_ideals():
     ctx = new_context(M3, 4)
     with pytest.raises(ValidationError):
@@ -83,7 +104,8 @@ def test_dual_rows_span_the_nullspace_for_small_rings():
             rows = generator_rows(c)
             ns = nullspace(list(rows), ctx.n)
             dual = dual_code(c)
-            assert rank(list(dual.rows)) == rank(list(ns)) == rank(list(dual.rows) + list(ns))
+            d_rows = _rows(dual.h_star, dual.n, dual.dim)
+            assert rank(d_rows) == rank(list(ns)) == rank(d_rows + list(ns))
 
 
 def test_dual_reduced_set_distances_m3L9():
@@ -303,19 +325,59 @@ def _stays_shifted(rows, n, w):
     return rank([*rows, w1]) == full or rank([*rows, w1 | 1 << (n - 1)]) == full
 
 
+def _closed_by_rank(rows, n):
+    """Closure by one rank comparison over all rows: every r >> 1 lies in span(rows) + <x^(n-1)>."""
+    with_top = [*rows, 1 << (n - 1)]
+    return rank(with_top + [r >> 1 for r in rows]) == rank(with_top)
+
+
+def _perturbed_words(h, n, dim, rng):
+    """h and seven words near it: four single bits flipped, h shifted by 1 and by 2, and a random odd word."""
+    mask = (1 << n) - 1
+    flips = [h ^ (1 << b) for b in (0, n - 1, n // 2, dim - 1)]
+    return [h, *flips, (h << 1) & mask, (h << 2) & mask, rng.getrandbits(n) | 1]
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_closure_rank_check_matches_a_per_word_reference(data):
-    # a real dual (always closed), or one with a bit flipped in a row (closed or not)
+    # the real h* (always closed), or a word near it or a random odd word (closed or not);
+    # words whose rows are not independent are refused by dual_code and skipped here
     m = data.draw(st.integers(2, 4))
     P = data.draw(st.sampled_from([f for f in range((1 << m) | 1, 1 << (m + 1), 2) if is_irreducible(f)]))
     ctx = new_context(P, data.draw(st.integers(2, 6)))
-    dual = dual_code(code(ctx, data.draw(st.integers(1, ctx.L - 1))))
-    rows = list(dual.rows)
-    if data.draw(st.booleans()):
-        i = data.draw(st.integers(0, len(rows) - 1))
-        rows[i] ^= 1 << data.draw(st.integers(0, ctx.n - 1))
-    combos = data.draw(st.lists(st.integers(1, (1 << len(rows)) - 1), min_size=1, max_size=30))
+    j = data.draw(st.integers(1, ctx.L - 1))
+    n, dim, good = ctx.n, ctx.m * j, dual_code(code(ctx, j)).h_star
+    h = data.draw(
+        st.just(good)
+        | st.integers(0, n - 1).map(lambda b: good ^ (1 << b))
+        | st.integers(0, (1 << n) - 1).map(lambda w: w | 1)
+        | st.integers(1, 2).map(lambda s: (good << s) & ((1 << n) - 1))
+    )
+    rows = _rows(h, n, dim)
+    assume(rank(rows) == dim)
+    combos = data.draw(st.lists(st.integers(1, (1 << dim) - 1), min_size=1, max_size=30))
     words = rows + [_combine(rows, c) for c in combos]
-    want = all(_stays_shifted(rows, ctx.n, w) for w in words)
-    assert sequential_closure_check(duality.DualCode(ctx, dual.j, rows[0], tuple(rows))) == want
+    want = all(_stays_shifted(rows, n, w) for w in words)
+    assert sequential_closure_check(duality.DualCode(ctx, j, h)) == want == _closed_by_rank(rows, n)
+
+
+def test_closure_from_the_word_matches_the_rank_comparison_on_every_small_ring():
+    # every irreducible P of degree 2-6, L = 2..11, every j: h* and seven words near it
+    rng = random.Random(29)
+    checked = closed = 0
+    for m in range(2, 7):
+        for P in (f for f in range((1 << m) | 1, 1 << (m + 1), 2) if is_irreducible(f)):
+            for L in range(2, 12):
+                ctx = new_context(P, L)
+                for j in range(1, L):
+                    n, dim = ctx.n, m * j
+                    for h in _perturbed_words(dual_code(code(ctx, j)).h_star, n, dim, rng):
+                        rows = _rows(h, n, dim)
+                        if rank(rows) < dim:
+                            continue
+                        got = sequential_closure_check(duality.DualCode(ctx, j, h))
+                        assert got == _closed_by_rank(rows, n), (P, L, j, h)
+                        checked += 1
+                        closed += got
+    assert (checked, closed) == (9172, 1467)
