@@ -14,12 +14,12 @@ import csv
 import json
 import sys
 
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, chain, code
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, code
 from .distance import full_distance_profile, single_distance_report
 from .duality import dual_summary
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import order, parse
-from .lcd import conjecture_scan, lcd_verdict
+from .lcd import conjecture_scan, lcd_chain, lcd_verdict
 from .ring import new_context
 
 def _context(args: argparse.Namespace):
@@ -82,12 +82,9 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 def _cmd_lcd(args: argparse.Namespace) -> int:
     ctx = _context(args)
     if args.j is not None:
-        codes = [code(ctx, args.j)]
-    elif args.methods == "theorem":
-        codes = chain(ctx, 1, ctx.L)  # the structural tests cover proper nonzero ideals only
+        verdicts = [lcd_verdict(code(ctx, args.j), args.methods)]
     else:
-        codes = chain(ctx, 0, ctx.L + 1)
-    verdicts = [lcd_verdict(c, args.methods) for c in codes]
+        verdicts = lcd_chain(ctx, args.methods)
     if args.json:
         payload = [v._asdict() for v in verdicts]
         print(json.dumps(payload[0] if args.j is not None else payload, indent=2))

@@ -8,12 +8,18 @@ Toeplitz matrix built from k parities.  The oracle's cross-check and both
 criteria run one extended Euclid: on q = g * g_star mod x^n, g = P^j the
 code's generator and g_star = (P_star)^j its reciprocal, it measures the
 hull, on W = q^-1 mod x^n the criteria's kernel (the hull in dual
-coordinates), which a Gray-code sweep checks where m*j <= 12.  The paper
+coordinates), which a Gray-code sweep checks where m*j <= 12; where both
+routes run, the kernel's dimension must equal the hull's.  The paper
 writes W with powers of x^e + 1, e the order of x mod P; those are 1 mod x^n
-since e * 2^T > n (duality.py), which leaves (P * P_star)^-j = q^-1.  A
-serial scan walks the rings over powers 2^T of the self-reciprocal
-trinomials x^(2*3^v) + x^(3^v) + 1 (family_poly), whose codes the paper
-conjectures are all LCD.
+since e * 2^T > n (duality.py), which leaves (P * P_star)^-j = q^-1.
+lcd_verdict builds one code's q and W from its generator.  lcd_chain, for a
+whole chain, takes one product g * g_star and one power-series inverse per
+ring, at j = L-1, and steps the rest by running products with P * P_star (of
+weight at most wt(P)^2): q_j = q_(j-1) * P * P_star up the chain, which must
+reach the built q_(L-1), and W_(j-1) = W_j * P * P_star down it, which must
+land on W_0 = 1.  A serial scan runs lcd_chain's oracle over the rings over
+powers 2^T of the self-reciprocal trinomials x^(2*3^v) + x^(3^v) + 1
+(family_poly), whose codes the paper conjectures are all LCD.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from typing import NamedTuple
 from ._linalg import parity_dot, rank
 from .codes import PolycyclicCode, chain
 from .errors import InternalConsistencyError, ValidationError
-from .gf2poly import degree, inverse_trunc, mul_trunc, reciprocal
-from .ring import new_context
+from .gf2poly import degree, inverse_trunc, mul, mul_trunc, reciprocal
+from .ring import RingContext, new_context
 
 
 class LcdVerdict(NamedTuple):
@@ -79,26 +85,33 @@ def _reconstruction_dim(q: int, n: int, a: int) -> int:
     return min(a - degree(t1), n - a - degree(r1) if r1 else a)
 
 
-def _hull_by_reconstruction(c: PolycyclicCode) -> int:
+def _hull_word(c: PolycyclicCode) -> int:
+    """q = g * g_star mod x^n, built from the code's generator g = P^j: (P * P_star)^j mod x^n."""
+    g = c.generator
+    return mul_trunc(g, reciprocal(g), c.ctx.n)
+
+
+def _hull_by_reconstruction(c: PolycyclicCode, q: int | None = None) -> int:
     """dim(C intersect C-dual): a*g lies in C-dual iff deg(a*q mod x^n) < m*j = n - k, q = g * g_star mod x^n.
 
-    q = g * h^-1 mod x^n, since the dual word h is g_star^-1 mod x^n (duality.dual_code).
+    q = g * h^-1 mod x^n, since the dual word h is g_star^-1 mod x^n (duality.dual_code);
+    it is built from the generator when not given.
     """
-    g, n = c.generator, c.ctx.n
-    return _reconstruction_dim(mul_trunc(g, reciprocal(g), n), n, c.k)
+    return _reconstruction_dim(_hull_word(c) if q is None else q, c.ctx.n, c.k)
 
 
-def hull_dimension_oracle(c: PolycyclicCode) -> int:
-    """dim(C intersect C-dual) via the Gram matrix, cross-checked by rational reconstruction.
+def hull_dimension_oracle(c: PolycyclicCode, q: int | None = None) -> int:
+    """dim(C intersect C-dual) via the Gram matrix, cross-checked by rational reconstruction on q.
 
     The generator rows are x^i * P^j for i < k; the last one has degree
     k-1 + m*j = n-1, so no row wraps and the Gram matrix is Toeplitz
-    (_toeplitz_gram): k parities instead of k^2.
+    (_toeplitz_gram): k parities instead of k^2.  q = g * g_star mod x^n is
+    built from the generator when not given.
     """
     if c.j == c.ctx.L:
         return 0
     hull = c.k - rank(_toeplitz_gram(c.generator, c.k))
-    hull_rr = _hull_by_reconstruction(c)
+    hull_rr = _hull_by_reconstruction(c, q)
     if hull != hull_rr:
         raise InternalConsistencyError(
             f"hull dimension mismatch: Gram rank gives {hull}, rational reconstruction gives {hull_rr}"
@@ -111,40 +124,48 @@ def hull_dimension_oracle(c: PolycyclicCode) -> int:
 # ---------------------------------------------------------------------------
 
 
-def is_lcd_head_criterion(c: PolycyclicCode) -> bool:
-    """The paper's rank test for 1 <= j <= 2^(T-1): the top n - k bits of W*x^i, i < m*j, are independent."""
+def is_lcd_head_criterion(c: PolycyclicCode, W: int | None = None, hull: int | None = None) -> bool:
+    """The paper's rank test for 1 <= j <= 2^(T-1): the top n - k bits of W*x^i, i < m*j, are independent.
+
+    W = (P * P_star)^-j mod x^n is built from the generator when not given; a
+    given hull dimension must equal the kernel's.
+    """
     if not 1 <= c.j <= 1 << (c.ctx.T - 1):
         raise ValidationError("the head rank criterion covers 1 <= j <= 2^(T-1)")
-    return _criterion(c)
+    return _criterion(c, W, hull)
 
 
-def is_lcd_tail_criterion(c: PolycyclicCode) -> bool:
+def is_lcd_tail_criterion(c: PolycyclicCode, W: int | None = None, hull: int | None = None) -> bool:
     """The paper's rank test for 2^(T-1) < j < L: x^i*A (i < k) and x^i*Q (i < m*j) are independent mod x^n.
 
     A = P^(2j - 2^T) is a unit, so gamma*A + delta*Q == 0 iff gamma == delta*Q*A^-1; with
     Q = P^-(2^T - j) * P_star^-j, Q*A^-1 = P^-j * P_star^-j is the head's W, and so is the kernel.
+    W and hull are taken as in is_lcd_head_criterion.
     """
     if not (1 << (c.ctx.T - 1)) < c.j < c.ctx.L:
         raise ValidationError("the tail rank criterion covers 2^(T-1) < j < L")
-    return _criterion(c)
+    return _criterion(c, W, hull)
 
 
-def _criterion(c: PolycyclicCode) -> bool:
+def _criterion(c: PolycyclicCode, W: int | None, hull: int | None) -> bool:
     """Whether no nonzero delta with deg delta < m*j has deg(delta*W mod x^n) < k, W = (P * P_star)^-j.
 
     W = q^-1 mod x^n for the hull's q = g * g_star mod x^n (_hull_by_reconstruction),
     so delta = a*q mod x^n maps the hull {a : deg a < k, deg(a*q mod x^n) < m*j}
-    onto this kernel.
+    one to one onto this kernel: the two dimensions are equal.
     """
-    g, n, k, mj = c.generator, c.ctx.n, c.k, c.ctx.m * c.j
-    W = inverse_trunc(mul_trunc(g, reciprocal(g), n), n)
-    full_rank = _reconstruction_dim(W, n, mj) == 0
+    n, k, mj = c.ctx.n, c.k, c.ctx.m * c.j
+    if W is None:
+        W = inverse_trunc(_hull_word(c), n)
+    kernel = _reconstruction_dim(W, n, mj)
+    if hull is not None and kernel != hull:
+        raise InternalConsistencyError(f"rank criterion's kernel has dimension {kernel}, the hull {hull}, at j={c.j}")
     if mj <= 12:
         # exhaustive sweep over nonzero delta: the top block of W*delta must never vanish
         steps = [mul_trunc(W, 1 << i, n) >> k for i in range(mj)]
-        if _gray_sweep(steps) != full_rank:
+        if _gray_sweep(steps) != (kernel == 0):
             raise InternalConsistencyError(f"rank criterion disagrees with direct sweep at j={c.j}")
-    return full_rank
+    return kernel == 0
 
 
 def _gray_sweep(steps: list[int]) -> bool:
@@ -160,31 +181,73 @@ def _gray_sweep(steps: list[int]) -> bool:
     return all(accumulate(map(steps.__getitem__, ruler), xor))
 
 
-def lcd_verdict(c: PolycyclicCode, methods: str = "all") -> LcdVerdict:
-    """Combined verdict; running several methods asserts they agree."""
+# ---------------------------------------------------------------------------
+# verdicts: one code, or the whole chain by running products
+# ---------------------------------------------------------------------------
+
+
+def _check_methods(methods: str) -> None:
     if methods not in ("all", "oracle", "theorem"):
         raise ValidationError("methods must be one of: all, oracle, theorem")
-    ctx, j = c.ctx, c.j
-    votes: list[bool] = []
-    used: list[str] = []
-    hull: int | None = None
 
-    if methods in ("all", "oracle"):
-        hull = hull_dimension_oracle(c)
-        votes.append(hull == 0)
-        used.append("oracle")
-    if methods in ("all", "theorem"):
-        if 1 <= j <= 1 << (ctx.T - 1):
-            votes.append(is_lcd_head_criterion(c))
-            used.append("head-criterion")
-        elif (1 << (ctx.T - 1)) < j < ctx.L:
-            votes.append(is_lcd_tail_criterion(c))
-            used.append("tail-criterion")
-        elif methods == "theorem":
-            raise ValidationError("no rank criterion applies to j = 0 or j = L")
-    if len(set(votes)) > 1:
-        raise InternalConsistencyError(f"LCD methods disagree at j={j}: {dict(zip(used, votes))}")
-    return LcdVerdict(j, votes[0], hull, tuple(used))
+
+def _verdict(c: PolycyclicCode, methods: str, q: int, W: int | None) -> LcdVerdict:
+    """One code's verdict from its words q = (P * P_star)^j and W = q^-1 mod x^n (inverted here if None).
+
+    Where both routes run, the criterion checks its kernel's dimension against the oracle's hull.
+    """
+    ctx, j = c.ctx, c.j
+    hull = None if methods == "theorem" else hull_dimension_oracle(c, q)
+    used: tuple[str, ...] = () if methods == "theorem" else ("oracle",)
+    is_lcd = hull == 0
+    if methods != "oracle" and 0 < j < ctx.L:
+        head = j <= 1 << (ctx.T - 1)
+        criterion = is_lcd_head_criterion if head else is_lcd_tail_criterion
+        is_lcd = criterion(c, inverse_trunc(q, ctx.n) if W is None else W, hull)
+        used += ("head-criterion" if head else "tail-criterion",)
+    elif methods == "theorem":
+        raise ValidationError("no rank criterion applies to j = 0 or j = L")
+    return LcdVerdict(j, is_lcd, hull, used)
+
+
+def lcd_verdict(c: PolycyclicCode, methods: str = "all") -> LcdVerdict:
+    """Combined verdict on one code, its words built from its generator; running several methods asserts they agree."""
+    _check_methods(methods)
+    return _verdict(c, methods, _hull_word(c), None)
+
+
+def lcd_chain(ctx: RingContext, methods: str = "all", proper: bool = False) -> list[LcdVerdict]:
+    """lcd_verdict on C_0 .. C_L, or on C_1 .. C_(L-1) if proper or for methods="theorem", by running products.
+
+    Neighbouring codes' words differ by one factor P * P_star, of weight at
+    most wt(P)^2.  q_j steps up the chain from q_0 = 1 and must reach
+    g * g_star at j = L-1; W_(L-1) = q_(L-1)^-1 is the one inverse, and
+    W_(j-1) = W_j * P * P_star steps down, which must land on W_0 = 1.  The
+    walk's generators are taken first, so that C_(L-1)'s is at hand for the
+    one built word, with one power in all; they and the L words W_j are held
+    at once: m*L*(L+1)/2 + m*L^2 bits.
+    """
+    _check_methods(methods)
+    n, L = ctx.n, ctx.L
+    step = mul(ctx.P, reciprocal(ctx.P))
+    lo, hi = (1, L) if proper or methods == "theorem" else (0, L + 1)
+    codes = list(chain(ctx, 0, hi))
+    q_top = _hull_word(codes[L - 1])
+    Ws: list[int | None] = [None] * (L + 1)
+    if methods != "oracle":
+        Ws[L - 1] = inverse_trunc(q_top, n)
+        for j in range(L - 1, 0, -1):
+            Ws[j - 1] = mul_trunc(Ws[j], step, n)
+        if Ws[0] != 1:
+            raise InternalConsistencyError("W_j stepped down the chain by P * P_star misses W_0 = 1")
+    verdicts, q = [], 1
+    for c in codes:
+        if c.j == L - 1 and q != q_top:
+            raise InternalConsistencyError("q_(L-1) stepped up the chain by P * P_star differs from g * g_star")
+        if c.j >= lo:
+            verdicts.append(_verdict(c, methods, q, Ws[c.j]))
+        q = mul_trunc(q, step, n)
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +264,7 @@ def family_poly(v: int) -> int:
 
 
 def conjecture_scan(v_max: int, t_max: int, dim_cap: int = 4096) -> list[dict]:
-    """Hull of every C_j over every family ring with n <= dim_cap; rows in (v, T, j) order.
+    """Hull of every C_j, 0 < j < L, over every family ring with n <= dim_cap (lcd_chain); rows in (v, T, j) order.
 
     Every ring is set up before the first hull, so a ring over the ring budget
     RING_TABLE_BITS is refused at once, not after the smaller rings are scanned.
@@ -216,19 +279,8 @@ def conjecture_scan(v_max: int, t_max: int, dim_cap: int = 4096) -> list[dict]:
         for v in takewhile(lambda v: 4 * 3**v <= dim_cap, range(v_max + 1))
         for T in takewhile(lambda T: 2 * 3**v << T <= dim_cap, range(1, t_max + 1))
     ]
-    rows = []
-    for v, T, ctx in rings:
-        for c in chain(ctx, 1, ctx.L):
-            hull = hull_dimension_oracle(c)
-            rows.append(
-                {
-                    "v": v,
-                    "T": T,
-                    "j": c.j,
-                    "n": ctx.n,
-                    "k": c.k,
-                    "is_lcd": hull == 0,
-                    "hull_dim": hull,
-                }
-            )
-    return rows
+    return [
+        {"v": v, "T": T, "j": r.j, "n": ctx.n, "k": ctx.m * (ctx.L - r.j), "is_lcd": r.is_lcd, "hull_dim": r.hull_dim}
+        for v, T, ctx in rings
+        for r in lcd_chain(ctx, "oracle", proper=True)
+    ]

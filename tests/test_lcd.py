@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from polycode import lcd
 from polycode._linalg import column_kernel, nullspace, parity_dot, rank
+from polycode.cli import main
 from polycode.codes import code, generator_rows
 from polycode.duality import dual_code
-from polycode.errors import CapExceeded, ValidationError
+from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import inverse_trunc, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
 from polycode.lcd import (
     _gray_sweep,
@@ -27,6 +28,7 @@ from polycode.lcd import (
     hull_dimension_oracle,
     is_lcd_head_criterion,
     is_lcd_tail_criterion,
+    lcd_chain,
     lcd_verdict,
 )
 from polycode.ring import new_context
@@ -216,6 +218,14 @@ def test_tail_criterion_matches_oracle_on_small_rings():
                     assert is_lcd_tail_criterion(code(ctx, j)) == want, (f, L, j)
 
 
+def test_a_criterion_given_the_hull_checks_its_kernel_dimension_as_an_integer():
+    # the published-as-LCD ring with a 10-dimensional hull: 9 and 10 are both "not LCD"
+    c = code(new_context(parse("x^11+x^10+x^5+x^4+1"), 8), 1)
+    assert is_lcd_head_criterion(c, None, 10) is False
+    with pytest.raises(InternalConsistencyError, match="kernel has dimension 10, the hull 9"):
+        is_lcd_head_criterion(c, None, 9)
+
+
 def test_criteria_regime_boundaries():
     ctx = new_context(M3, 8)  # T = 3, boundary at j = 4
     assert isinstance(is_lcd_head_criterion(code(ctx, 4)), bool)
@@ -264,3 +274,64 @@ def test_conjecture_scan_refuses_an_over_budget_ring_before_the_first_hull(monke
     monkeypatch.setattr(lcd, "hull_dimension_oracle", unreachable)
     with pytest.raises(CapExceeded, match="budget"):
         conjecture_scan(0, 13, dim_cap=16384)
+
+
+def _irreducible_rings(degrees, n_max):
+    for deg in degrees:
+        for P in range((1 << deg) | 1, 1 << (deg + 1), 2):
+            if is_irreducible(P):
+                for L in range(2, n_max // deg + 1):
+                    yield new_context(P, L)
+
+
+@pytest.mark.parametrize("methods", ["all", "oracle", "theorem"])
+def test_lcd_chain_equals_lcd_verdict_code_by_code(methods):
+    for ctx in _irreducible_rings(range(2, 7), 60):
+        js = range(1, ctx.L) if methods == "theorem" else range(ctx.L + 1)
+        want = [lcd_verdict(code(ctx, j), methods) for j in js]
+        assert lcd_chain(ctx, methods) == want, (ctx.P, ctx.L)
+        if methods != "theorem":
+            assert lcd_chain(ctx, methods, proper=True) == want[1:-1], (ctx.P, ctx.L)
+
+
+def test_lcd_chain_validates_methods():
+    with pytest.raises(ValidationError, match="methods must be one of"):
+        lcd_chain(new_context(M3, 4), "both")
+
+
+@pytest.mark.parametrize(("v_max", "t_max"), [(1, 5), (0, 7)])
+def test_conjecture_scan_rows_equal_the_per_code_oracle(v_max, t_max):
+    want = []
+    for v in range(v_max + 1):
+        for T in range(1, t_max + 1):
+            ctx = new_context(family_poly(v), 1 << T)
+            for j in range(1, ctx.L):
+                c = code(ctx, j)
+                hull = hull_dimension_oracle(c)
+                want.append({"v": v, "T": T, "j": j, "n": ctx.n, "k": c.k, "is_lcd": hull == 0, "hull_dim": hull})
+    assert conjecture_scan(v_max, t_max) == want
+
+
+def _corrupt_step(monkeypatch):
+    """Flip one coefficient of the step word P * P_star, the only product lcd takes with mul itself."""
+    monkeypatch.setattr(lcd, "mul", lambda a, b: mul(a, b) ^ 0b10)
+
+
+@pytest.mark.parametrize("methods", ["all", "theorem"])
+def test_a_corrupted_step_misses_w0_and_lcd_exits_3(monkeypatch, capsys, methods):
+    _corrupt_step(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match="misses W_0 = 1"):
+        lcd_chain(new_context(parse("x^4+x+1"), 16), methods)
+    assert main(["lcd", "--poly", "x^4+x+1", "--power", "16", "--methods", methods, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "misses W_0 = 1" in captured.err
+
+
+def test_a_corrupted_step_misses_the_built_q(monkeypatch, capsys):
+    _corrupt_step(monkeypatch)
+    # with the oracle's own cross-check out of the way, the walk up reaches j = L-1
+    monkeypatch.setattr(lcd, "hull_dimension_oracle", lambda c, q=None: 0)
+    with pytest.raises(InternalConsistencyError, match=re.escape("q_(L-1) stepped up the chain")):
+        lcd_chain(new_context(parse("x^4+x+1"), 16), "oracle")
+    assert main(["lcd", "--poly", "x^4+x+1", "--power", "16", "--methods", "oracle"]) == 3
+    assert "q_(L-1)" in capsys.readouterr().err
