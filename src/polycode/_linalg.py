@@ -9,16 +9,18 @@ mask over the rows.
 One kernel, min_weight_affine, finds the minimum nonzero weight over an
 affine span g ^ span(rows) from those words alone; the oracle, the spread
 component, the reduced candidate sets and the dual candidate sets all call
-it.  Beyond 8 rows it runs Brouwer-Zimmermann's
-information-set search on plain ints: exact, at a cost that grows with the
-answer, not with 2^k.  Up to 8 rows it weighs every word of one int table,
-affine_weights, which the dual candidate weights read too.
+it.  It takes one of two walks, whichever its inputs say costs less: the
+Gray-code walk, gray_walk, which yields the 2^k words one at a time (the dual
+candidate weights and the LCD criterion's sweep read it too), or
+Brouwer-Zimmermann's information-set search on plain ints, exact at a cost
+that grows with the answer, not with 2^k.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import reduce
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from operator import xor
 
 from .errors import InternalConsistencyError
@@ -132,19 +134,19 @@ def column_kernel(cols: list[int]) -> list[int]:
 # minimum nonzero weight over an affine span: the one enumeration kernel
 # ---------------------------------------------------------------------------
 
-_TABLE_MAX = 8  # up to 8 rows the kernel weighs every word of one int table
 
+def gray_walk(g: int, rows: list[int]) -> Iterator[int]:
+    """The 2^k words of g ^ span(rows), k = len(rows), in Gray-code order, one at a time.
 
-def affine_weights(g: int, rows: list[int]) -> list[int]:
-    """Weight of the word g ^ combo(i) at index i, for every i < 2^len(rows).
-
-    combo(i) is the XOR of rows[b] over the set bits b of i.  The words fill
-    one int table, built by doubling: the kernel's table up to _TABLE_MAX rows.
+    The word at position t is g ^ combo(t ^ (t >> 1)), combo(i) the XOR of
+    rows[b] over the set bits b of i, so each word differs from the last by
+    one step: rows[b], b the lowest set bit of t.  The ruler of steps holds
+    2^k - 1 references to the k rows; no word is kept once the next is made.
     """
-    tab = [g]
+    steps: list[int] = []
     for r in rows:
-        tab += [w ^ r for w in tab]
-    return list(map(int.bit_count, tab))
+        steps = [*steps, r, *steps]
+    return accumulate(steps, xor, initial=g)
 
 
 def _information_sets(rows: list[int]) -> list[dict[int, int]]:
@@ -173,54 +175,69 @@ def _information_sets(rows: list[int]) -> list[dict[int, int]]:
         used |= sum(1 << c for c in lead)
 
 
-def _level(g: int, R: list[int], pairs: list[int], w: int):
-    """Yield (x, tail): the words x ^ t, t in tail, are g ^ (XOR of w rows of R), each once."""
-    if w <= 2:
-        yield g, R if w == 1 else pairs
+def _level(g: int, R: list[int], w: int):
+    """Yield (x, tail): the words x ^ t, t in tail, are g ^ (XOR of w rows of R), each once.
+
+    Level w >= 2 builds R's table of pair XORs, the C(k-1-a, 2) pairs of rows
+    past row a first, and holds it only while it runs.
+    """
+    if w == 1:
+        yield g, R
         return
     k = len(R)
+    pairs = [R[a] ^ R[b] for a in range(k - 2, -1, -1) for b in range(a + 1, k)]
     for head in combinations(range(k - 2), w - 2):
-        a = k - 1 - head[-1]  # rows past the head's last one
+        a = k - 1 - head[-1] if head else k  # rows past the head's last one
         yield reduce(xor, map(R.__getitem__, head), g), islice(pairs, a * (a - 1) // 2)
 
 
-def min_weight_affine(g: int, rows: list[int]) -> int | None:
-    """Minimum nonzero weight over g ^ span(rows), or None when every word is zero.
+def _information_set_search(g: int, rows: list[int]) -> int:
+    """Minimum nonzero weight over g ^ span(rows), rows nonzero, by Brouwer-Zimmermann's search.
 
-    Up to _TABLE_MAX nonzero rows every word is weighed.  Beyond, the search is
-    Brouwer-Zimmermann's over N disjoint information sets of the span, with
-    rank k.  Per set, g's bits on the set's pivot columns are cleared against
-    its systematic rows; then g ^ (XOR of w of those rows) are exactly the
-    words with w bits on the set.  Levels w = 0, 1, ... run over every set in
-    turn.  Once level w has run on sets 0..i-1 and level w-1 on the rest, a
-    word not yet seen has at least w+1 bits on each of those i sets and w on
-    each other set, so weighs at least N*w + i; the search stops when the
-    lightest word found is that light.  Level w >= 3 runs depth-first: each
-    XOR of w-2 rows meets the table of pair XORs past its last row, so no
-    level is ever held whole.
+    The search runs over N disjoint information sets of the span, with rank
+    k.  Per set, g's bits on the set's pivot columns are cleared against its
+    systematic rows; then g ^ (XOR of w of those rows) are exactly the words
+    with w bits on the set.  Levels w = 0, 1, ... run over every set in turn.
+    Once level w has run on sets 0..i-1 and level w-1 on the rest, a word not
+    yet seen has at least w+1 bits on each of those i sets and w on each other
+    set, so weighs at least N*w + i; the search stops when the lightest word
+    found is that light.  Level w >= 3 runs depth-first: each XOR of w-2 rows
+    meets the table of pair XORs past its last row, so no level is ever held
+    whole, and each (w, set) step builds its own table (_level), so one table
+    is alive at a time.
     """
-    rows = list(filter(None, rows))
-    if len(rows) <= _TABLE_MAX or not rows:
-        return min(filter(None, affine_weights(g, rows)), default=None)
-    none = max(g.bit_length(), *map(int.bit_length, rows)) + 1  # heavier than any word
+    none = max(map(int.bit_length, [g, *rows])) + 1  # heavier than any word
     sets = _information_sets(rows)
     k, N = len(sets[0]), len(sets)
     # per set: g with its bits on the pivot columns cleared, and the set's rows
     starts = [(reduce(xor, (r for c, r in piv.items() if g >> c & 1), g), list(piv.values())) for piv in sets]
     best = min(filter(None, (gs.bit_count() for gs, _ in starts)), default=none)  # level 0
-    pairs: list[list[int]] = [[] for _ in sets]
     for w in range(1, k + 1):
         for i, (gs, R) in enumerate(starts):
             stop = N * w + i
             if best <= stop:
                 return best
-            if w == 2:  # the C(k-1-a, 2) pairs of rows past row a come first
-                pairs[i] = [R[a] ^ R[b] for a in range(k - 2, -1, -1) for b in range(a + 1, k)]
-            for x, tail in _level(gs, R, pairs[i], w):
+            for x, tail in _level(gs, R, w):
                 best = min(best, min(map(int.bit_count, map(x.__xor__, tail))))
                 if best <= stop:
                     return best
     return best
+
+
+def min_weight_affine(g: int, rows: list[int]) -> int | None:
+    """Minimum nonzero weight over g ^ span(rows), or None when every word is zero.
+
+    With k nonzero rows, n bits in the longest word and N = max(1, n // k),
+    the information-set search's own set-up is N eliminations and N tables of
+    pair XORs, N*(k^2 + k(k-1)/2) steps.  Where 2^k is no more than that, or
+    there are no rows, gray_walk weighs every word; otherwise
+    _information_set_search runs.
+    """
+    rows = list(filter(None, rows))
+    k = len(rows)
+    if k and 1 << k > max(1, max(map(int.bit_length, [g, *rows])) // k) * (k * k + k * (k - 1) // 2):
+        return _information_set_search(g, rows)
+    return min(filter(None, map(int.bit_count, gray_walk(g, rows))), default=None)
 
 
 def min_weight_span(rows: list[int]) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._linalg import affine_weights, min_weight_affine, min_weight_span, parity_dot
+from ._linalg import gray_walk, min_weight_affine, min_weight_span, parity_dot
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import inverse_trunc, mul_trunc, power_trunc, reciprocal
@@ -126,12 +126,16 @@ def dual_anchor_distance(ctx: RingContext, j: int) -> int:
 
 
 def dual_pow2_candidates(ctx: RingContext, s: int) -> dict[int, int]:
-    """Candidate weights for the dual distance at j = 2^(T-s): {ell mask: weight}."""
+    """Candidate weights for the dual distance at j = 2^(T-s): {ell mask: weight}.
+
+    The words come from the Gray-code walk over the anchor's (g, rows), so the
+    word at position t is that of index t ^ (t >> 1) and the dict is in walk order.
+    """
     if not 1 <= s <= ctx.T:
         raise ValidationError("dual anchor parameter s must satisfy 1 <= s <= T")
     g, rows = _anchor_candidates(ctx, 1 << (ctx.T - s))
     lead = 1 << len(rows)
-    return {lead | i: w for i, w in enumerate(affine_weights(g, rows))}
+    return {lead | t ^ (t >> 1): w.bit_count() for t, w in enumerate(gray_walk(g, rows))}
 
 
 def dual_complement_distance(ctx: RingContext, r: int) -> int:

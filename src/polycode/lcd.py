@@ -8,10 +8,11 @@ Toeplitz matrix built from k parities.  The oracle's cross-check and both
 criteria run one extended Euclid: on q = g * g_star mod x^n, g = P^j the
 code's generator and g_star = (P_star)^j its reciprocal, it measures the
 hull, on W = q^-1 mod x^n the criteria's kernel (the hull in dual
-coordinates), which a Gray-code sweep checks where m*j <= 12; where both
-routes run, the kernel's dimension must equal the hull's.  The paper
-writes W with powers of x^e + 1, e the order of x mod P; those are 1 mod x^n
-since e * 2^T > n (duality.py), which leaves (P * P_star)^-j = q^-1.
+coordinates), which the Gray-code walk (_linalg.gray_walk) checks where
+m*j <= 12; where both routes run, the kernel's dimension must equal the
+hull's.  The paper writes W with powers of x^e + 1, e the order of x mod P;
+those are 1 mod x^n since e * 2^T > n (duality.py), which leaves
+(P * P_star)^-j = q^-1.
 lcd_verdict builds one code's q and W from its generator.  lcd_chain, for a
 whole chain, takes one product g * g_star and one power-series inverse per
 ring, at j = L-1, and steps the rest by running products with P * P_star (of
@@ -24,11 +25,10 @@ powers 2^T of the self-reciprocal trinomials x^(2*3^v) + x^(3^v) + 1
 
 from __future__ import annotations
 
-from itertools import accumulate, takewhile
-from operator import xor
+from itertools import islice, takewhile
 from typing import NamedTuple
 
-from ._linalg import parity_dot, rank
+from ._linalg import gray_walk, parity_dot, rank
 from .codes import PolycyclicCode, chain
 from .errors import InternalConsistencyError, ValidationError
 from .gf2poly import degree, inverse_trunc, mul, mul_trunc, reciprocal
@@ -161,24 +161,12 @@ def _criterion(c: PolycyclicCode, W: int | None, hull: int | None) -> bool:
     if hull is not None and kernel != hull:
         raise InternalConsistencyError(f"rank criterion's kernel has dimension {kernel}, the hull {hull}, at j={c.j}")
     if mj <= 12:
-        # exhaustive sweep over nonzero delta: the top block of W*delta must never vanish
-        steps = [mul_trunc(W, 1 << i, n) >> k for i in range(mj)]
-        if _gray_sweep(steps) != (kernel == 0):
+        # exhaustive sweep over nonzero delta: the top block of W*delta, the XOR of the
+        # top blocks of W*x^i over the set bits i of delta, must never vanish
+        steps = [((W << i) & ((1 << n) - 1)) >> k for i in range(mj)]
+        if all(islice(gray_walk(0, steps), 1, None)) != (kernel == 0):
             raise InternalConsistencyError(f"rank criterion disagrees with direct sweep at j={c.j}")
     return kernel == 0
-
-
-def _gray_sweep(steps: list[int]) -> bool:
-    """Whether the XOR of steps[i] over the set bits i of delta is nonzero for every delta > 0.
-
-    delta walks 1 .. 2^len(steps) - 1 in Gray-code order, so each next XOR
-    differs from the last by one step vector: steps[ruler[t]], where ruler[t]
-    is the lowest set bit of t + 1.
-    """
-    ruler: list[int] = []
-    for i in range(len(steps)):
-        ruler = [*ruler, i, *ruler]
-    return all(accumulate(map(steps.__getitem__, ruler), xor))
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,24 @@ def test_a_dual_near_the_top_of_the_chain_holds_one_word():
     assert peak_kb < 64 * 1024
 
 
+def test_a_dual_at_the_foot_of_a_wide_chain_walks_its_words():
+    # j = 1 on n = 46 320: the anchor (15 rows) and the oracle (16 rows) each weigh their 2^k words by
+    # the Gray-code walk, where the information-set search over ~3 000 sets had not finished in 60 s
+    script = (
+        "import contextlib, io, json; from polycode.cli import main; out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    rc = main(['dual', '--poly', 'x^16+x^5+x^3+x+1', '--power', '2895', '--j', '1', '--json'])\n"
+        "peak = int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        "print(json.dumps([rc, json.loads(out.getvalue()), peak]))"
+    )
+    run = _python("-c", script, timeout=60)
+    assert run.returncode == 0, run.stderr
+    rc, report, peak_kb = json.loads(run.stdout)
+    assert rc == 0 and report["k_dual"] == 16 and report["d_dual"] == 23022
+    assert report["provenance"] == ["dual-reduced-set", "dual-oracle", "sequential-closure"]
+    assert peak_kb < 64 * 1024
+
+
 def test_the_dual_closure_takes_no_sample_count():
     # the dual word h* decides closure for the whole dual, so --samples is gone
     with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polycode._linalg import affine_weights, nullspace, parity_dot, rank
+from polycode._linalg import gray_walk, nullspace, parity_dot, rank
 from polycode.cli import main
 from polycode.codes import DEFAULT_CANDIDATE_CAP, code, generator_rows
 from polycode.duality import (
@@ -192,7 +192,8 @@ def test_unspread_candidates_weigh_as_the_spread_words():
                     u = j // B
                     x_e_power = power_trunc(x_e_1, (1 << ctx.T) // B - u, tbits)
                     base = mul_trunc(x_e_power, power_trunc(U_star, u, tbits), tbits)
-                    got = dict(enumerate(affine_weights(*duality._anchor_candidates(ctx, j))))
+                    walk = gray_walk(*duality._anchor_candidates(ctx, j))  # position t holds index t ^ (t >> 1)
+                    got = {t ^ (t >> 1): w.bit_count() for t, w in enumerate(walk)}
                     want = _spread_weights_reference(ctx, base, lead_deg, B)
                     assert {(1 << lead_deg) | i: w for i, w in got.items()} == want, (P, L, j)
                     checked += 1

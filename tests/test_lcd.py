@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 from functools import reduce
+from itertools import islice
 from operator import xor
 
 import pytest
@@ -12,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import lcd
-from polycode._linalg import column_kernel, nullspace, parity_dot, rank
+from polycode._linalg import column_kernel, gray_walk, nullspace, parity_dot, rank
 from polycode.cli import main
 from polycode.codes import code, generator_rows
 from polycode.duality import dual_code
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import inverse_trunc, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
 from polycode.lcd import (
-    _gray_sweep,
     _hull_by_reconstruction,
     _reconstruction_dim,
     _toeplitz_gram,
@@ -156,15 +156,22 @@ def test_both_criteria_kernels_have_the_hull_dimension():
                         assert len(column_kernel(cols)) == want, (P, L, j)
 
 
+def _gray_sweep(steps):
+    """The criterion's sweep: whether the Gray-code walk over the steps meets no zero past its start."""
+    return all(islice(gray_walk(0, steps), 1, None))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_gray_sweep_matches_the_per_delta_product_sweep(data):
-    # a narrow top block (n - k small) makes vanishing products likely
+    # a narrow top block (n - k small) makes vanishing products likely; the criterion's steps,
+    # W*x^i cut by a shift and a mask, are its products by the monomials x^i
     n = data.draw(st.integers(2, 48))
     k = data.draw(st.integers(0, n - 1))
     mj = data.draw(st.integers(1, 12))
     W = data.draw(st.integers(0, (1 << n) - 1))
-    steps = [mul_trunc(W, 1 << i, n) >> k for i in range(mj)]
+    steps = [((W << i) & ((1 << n) - 1)) >> k for i in range(mj)]
+    assert steps == [mul_trunc(W, 1 << i, n) >> k for i in range(mj)]
     want = all((mul_trunc(W, delta, n) >> k) != 0 for delta in range(1, 1 << mj))
     assert _gray_sweep(steps) == want
 

@@ -20,8 +20,8 @@ from polycode.errors import InternalConsistencyError
 from polycode.gf2poly import is_irreducible
 from polycode.ring import new_context
 from polycode._linalg import (
-    affine_weights,
     column_kernel,
+    gray_walk,
     min_weight_affine,
     min_weight_span,
     nullspace,
@@ -182,7 +182,7 @@ def test_min_weight_handles_dependent_rows():
 
 
 def test_min_weight_crosses_the_engine_split():
-    # 17 rows, past the int table: no heavier than any XOR of up to three rows
+    # 17 rows on 40 bits, where the information-set search runs: no heavier than any XOR of up to three rows
     rng = random.Random(29)
     rows = [rng.getrandbits(40) | 1 for _ in range(17)]
     got = min_weight_span(rows)
@@ -230,43 +230,89 @@ def affine_sets(draw, min_k=0, max_k=12):
     return g, rows
 
 
+def _walk_by_index(g, rows):
+    """gray_walk's words in index order: the word at walk position t is that of index t ^ (t >> 1)."""
+    words = [None] * (1 << len(rows))
+    for t, w in enumerate(gray_walk(g, rows)):
+        words[t ^ (t >> 1)] = w
+    return words
+
+
+def _walk_min(g, rows):
+    return min(filter(None, map(int.bit_count, gray_walk(g, rows))), default=None)
+
+
+def _search_min(g, rows):
+    """The information-set search, which takes nonzero rows; with none, the only word is g."""
+    rows = list(filter(None, rows))
+    return _linalg._information_set_search(g, rows) if rows else _walk_min(g, rows)
+
+
+KERNELS = {"walk": _walk_min, "search": _search_min, "rule": min_weight_affine}
+
+
 def _check_kernel(g, rows):
+    """Both walks and the kernel's choice between them against the itertools brute force."""
     want = _affine_weights_brute(g, rows)
-    assert affine_weights(g, rows) == want
-    assert min_weight_affine(g, rows) == min((w for w in want if w), default=None)
+    assert [w.bit_count() for w in _walk_by_index(g, rows)] == want
+    best = min((w for w in want if w), default=None)
+    assert {name: kernel(g, rows) for name, kernel in KERNELS.items()} == dict.fromkeys(KERNELS, best)
 
 
-@given(affine_sets(), st.sampled_from([-1, 3, _linalg._TABLE_MAX]))
-def test_kernel_matches_brute_force(case, table_max):
-    # shrinking the threshold sends small sets down the information-set search
-    with mock.patch.object(_linalg, "_TABLE_MAX", table_max):
-        _check_kernel(*case)
-
-
-@settings(max_examples=6, deadline=None)
-@given(affine_sets(min_k=_linalg._TABLE_MAX, max_k=_linalg._TABLE_MAX + 1))
-def test_kernel_matches_brute_force_across_the_table_split(case):
-    # the last size the int table weighs and the first the information-set search takes
+@given(affine_sets())
+def test_kernel_matches_brute_force(case):
     _check_kernel(*case)
 
 
-@pytest.mark.parametrize("table_max", [16, 8, -1])
-def test_kernel_finds_the_lightest_word_wherever_it_sits(table_max):
-    # one weight-1 word among random 64-bit words, moved through every index of a 2^10-word set:
-    # the int table, then the information-set search (at the real threshold and with the table off)
+def _spy_walks(g, rows):
+    """(answer, levels the information-set search ran, whether the Gray-code walk ran) for min_weight_affine."""
+    levels, walks = [], []
+    real_level, real_walk = _linalg._level, _linalg.gray_walk
+    with (
+        mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real_level(*args)),
+        mock.patch.object(_linalg, "gray_walk", lambda *args: walks.append(1) or real_walk(*args)),
+    ):
+        return min_weight_affine(g, rows), levels, bool(walks)
+
+
+@pytest.mark.parametrize(
+    "k, n, walk",
+    [(10, 79, False), (10, 80, True), (1, 1, False), (1, 2, True), (1, 3, True)],
+    ids=["k10-n79-search", "k10-n80-walk", "k1-n1-search", "k1-n2-walk", "k1-n3-walk"],
+)
+def test_the_kernel_takes_the_walk_its_set_up_rule_names_at_the_boundary(k, n, walk):
+    # 2^k against N*(k^2 + k(k-1)/2), N = n // k: 1024 against 7*145 = 1015 at n = 79 and 8*145 = 1160 at
+    # n = 80; 2 against 1, 2 (equal: the walk) and 3 at k = 1.  g = 0 leaves level 0 nothing to weigh, so
+    # a search always reaches level 1
+    rng = random.Random(n)
+    rows = [rng.getrandbits(n) | 1 for _ in range(k)]
+    rows[0] |= 1 << (n - 1)
+    got, levels, walked = _spy_walks(0, rows)
+    assert walked == walk and bool(levels) == (not walk)
+    assert got == min(w for w in _affine_weights_brute(0, rows) if w)
+
+
+@pytest.mark.parametrize("kernel", ["search", "walk", "rule"])
+def test_kernel_finds_the_lightest_word_wherever_it_sits(kernel):
+    # one weight-1 word among random 64-bit words, moved through every index of a 2^10-word set: the
+    # information-set search, the Gray-code walk (its word at each index too) and the kernel's choice
     rng = random.Random(7)
     rows = [rng.getrandbits(64) for _ in range(10)]
-    with mock.patch.object(_linalg, "_TABLE_MAX", table_max):
-        for t in range(1 << len(rows)):
-            g = reduce(xor, (r for b, r in enumerate(rows) if t >> b & 1), 1 << 40)
-            assert min_weight_affine(g, rows) == 1, t
-            assert affine_weights(g, rows)[t] == 1, t
+    for t in range(1 << len(rows)):
+        g = reduce(xor, (r for b, r in enumerate(rows) if t >> b & 1), 1 << 40)
+        assert KERNELS[kernel](g, rows) == 1, t
+        if kernel == "walk":
+            assert _walk_by_index(g, rows)[t] == 1 << 40, t
 
 
 def test_kernel_returns_none_when_every_word_is_zero():
-    for k in (0, 3, _linalg._TABLE_MAX + 2, 20):
+    for k in (0, 3, 10, 20):
         assert min_weight_affine(0, [0] * k) is None
-    assert min_weight_affine(0b101, [0b101] * 10) == 2
+    for k in (0, 1, 3, 10):
+        assert not any(gray_walk(0, [0] * k)) and len(list(gray_walk(0, [0] * k))) == 1 << k
+    assert list(gray_walk(0b101, [])) == [0b101]
+    # g ^ span([g] * 10) holds only 0 and g, so each walk (the rule takes the search here) reads 2
+    assert {name: kernel(0b101, [0b101] * 10) for name, kernel in KERNELS.items()} == dict.fromkeys(KERNELS, 2)
     assert min_weight_affine(0b100, [0] * 10) == 1
 
 
@@ -277,8 +323,8 @@ def test_kernel_returns_none_when_every_word_is_zero():
 
 @st.composite
 def searched_sets(draw):
-    """(g, rows, nbits) above the table threshold: one information set (nbits < 2k) or many (nbits >> k)."""
-    k = draw(st.integers(_linalg._TABLE_MAX + 1, 13))
+    """(g, rows, nbits) for the information-set search: one information set (nbits < 2k) or many (nbits >> k)."""
+    k = draw(st.integers(1, 13))
     nbits = draw(st.integers(k, 2 * k - 1) | st.integers(4 * k, 200))
     word = st.integers(0, (1 << nbits) - 1)
     sparse = st.lists(st.integers(0, nbits - 1), max_size=4).map(lambda bits: sum(1 << b for b in set(bits)))
@@ -299,7 +345,7 @@ def test_information_set_search_matches_brute_force(case):
     g, rows, _ = case
     words = {reduce(xor, combo, g) for combo in product(*([0, r] for r in rows))}
     best = min((w.bit_count() for w in words if w), default=None)
-    assert min_weight_affine(g, rows) == best
+    assert {name: kernel(g, rows) for name, kernel in KERNELS.items()} == dict.fromkeys(KERNELS, best)
     if g == 0 and any(rows):
         assert min_weight_span(rows) == min_weight_span_reference(rows) == best
 
@@ -328,7 +374,7 @@ def test_kernel_search_stops_at_the_proven_bound():
     rows = [(1 << i) | (1 << (i + 10)) | (1 << (i + 20)) for i in range(10)]
     assert len(_linalg._information_sets(rows)) == 3
     levels, real = [], _linalg._level
-    with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[3]) or real(*args)):
+    with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real(*args)):
         assert min_weight_affine(0, rows) == 3
     assert levels == [1]
     assert min_weight_affine(1 << 29, rows) == 1
@@ -347,8 +393,33 @@ def test_kernel_memory_stays_bounded_at_k_28():
     assert peak < 4 << 20
 
 
+def test_kernel_holds_one_pair_table_at_a_time_on_a_wide_ring():
+    # x^2+x+1, L = 8191, j = 8177: k = 28 on n = 16 382 bits over 551 information sets.  Their
+    # systematic rows hold about 33 MB; the pair tables of every set at once held 243 MB more
+    rows = generator_rows(code(new_context(0b111, 8191), 8177))
+    tracemalloc.start()
+    try:
+        assert min_weight_span(rows) == 1364
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
+
+
+def test_the_gray_walk_holds_no_table_of_its_words():
+    # 2^16 words of 1 024 bits would take over 10 MB; the walk holds its ruler of 2^16 row references
+    rows = [(1 << 1023) | (1 << i) for i in range(16)]
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in gray_walk(0, rows)) == 1 << 16
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def _numpy_weights(g, rows, nbits):
-    """affine_weights' index order by a numpy doubling table, one uint64 lane per 64 bits of a word."""
+    """The weight of every word of g ^ span(rows) by a numpy doubling table, one uint64 lane per 64 bits of a word."""
     lanes = -(-nbits // 64)
     words = np.array([[w >> (64 * i) & (1 << 64) - 1 for i in range(lanes)] for w in [g, *rows]], dtype=np.uint64)
     tab = words[:1]
