@@ -82,17 +82,16 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 def _cmd_lcd(args: argparse.Namespace) -> int:
     ctx = _context(args)
     if args.j is not None:
-        verdicts = [lcd_verdict(code(ctx, args.j), args.methods)]
+        verdicts = [lcd_verdict(code(ctx, args.j))]
     else:
-        verdicts = lcd_chain(ctx, args.methods)
+        verdicts = lcd_chain(ctx)
     if args.json:
         payload = [v._asdict() for v in verdicts]
         print(json.dumps(payload[0] if args.j is not None else payload, indent=2))
     else:
         for v in verdicts:
-            hull = "?" if v.hull_dim is None else v.hull_dim
             flag = "LCD" if v.is_lcd else "not LCD"
-            print(f"j={v.j:>3}  {flag:<8}  hull={hull:<4}  methods={','.join(v.methods)}")
+            print(f"j={v.j:>3}  {flag:<8}  hull={v.hull_dim:<4}  methods={','.join(v.methods)}")
     return 0
 
 
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcd", help="hull dimensions and LCD verdicts")
     _add_ring_args(p)
     p.add_argument("--j", type=int, default=None)
-    p.add_argument("--methods", choices=("all", "oracle", "theorem"), default="all")
+    p.add_argument("--methods", choices=("all",), default="all", help="accepted for compatibility: every code runs the same routes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lcd)
 

@@ -234,7 +234,7 @@ class _Ring:
         self.code = cache(lambda j: code(self.ctx(), j))
         self.structural = cache(lambda: full_distance_profile(self.ctx(), oracle_cap=0))
         self.resolved = cache(lambda: full_distance_profile(self.ctx()))
-        self.verdict = cache(lambda: lcd_verdict(self.code(1), "all"))
+        self.verdict = cache(lambda: lcd_verdict(self.code(1)))
         self.dual_oracle = cache(lambda j: dual_min_distance_bruteforce(dual_code(self.code(j))))
         self.dual_candidates = cache(lambda s: dual_pow2_candidates(self.ctx(), s))
         # the dual distance at an anchor j, from its reduced candidate set

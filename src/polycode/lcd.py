@@ -1,26 +1,25 @@
 """Linear-complementary-dual (LCD) verdicts for the chain codes.
 
-Two independent routes: an oracle that measures the hull C intersect C-dual
-through the rank of the Gram matrix G*G^T, and the paper's rank criteria,
-one form for j up to 2^(T-1) and another beyond it.  The rows of G are the
-shifts x^i * P^j, none of which wraps past x^(n-1), so G*G^T is a symmetric
-Toeplitz matrix built from k parities.  The oracle's cross-check and both
-criteria run one extended Euclid: on q = g * g_star mod x^n, g = P^j the
-code's generator and g_star = (P_star)^j its reciprocal, it measures the
-hull, on W = q^-1 mod x^n the criteria's kernel (the hull in dual
-coordinates), which the Gray-code walk (_linalg.gray_walk) checks where
-m*j <= 12; where both routes run, the kernel's dimension must equal the
-hull's.  The paper writes W with powers of x^e + 1, e the order of x mod P;
-those are 1 mod x^n since e * 2^T > n (duality.py), which leaves
-(P * P_star)^-j = q^-1.
+Every code takes the same routes.  One extended Euclid on q = g * g_star mod
+x^n, g = P^j the code's generator and g_star = (P_star)^j its reciprocal,
+measures the hull C intersect C-dual.  Where k <= GRAM_MAX_K an oracle measures
+it again, through the rank of the Gram matrix G*G^T, and the two must agree:
+the rows of G are the shifts x^i * P^j, none of which wraps past x^(n-1), so
+G*G^T is a symmetric Toeplitz matrix built from k parities.  For 0 < j < L the
+paper's rank criterion, one form for j up to 2^(T-1) and another beyond it,
+runs the same Euclid on W = q^-1 mod x^n; its kernel is the hull in dual
+coordinates, so its dimension must equal the hull's, and the Gray-code walk
+(_linalg.gray_walk) checks it where m*j <= 12.  The paper writes W with powers
+of x^e + 1, e the order of x mod P; those are 1 mod x^n since e * 2^T > n
+(duality.py), which leaves (P * P_star)^-j = q^-1.
 lcd_verdict builds one code's q and W from its generator.  lcd_chain, for a
 whole chain, takes one product g * g_star and one power-series inverse per
 ring, at j = L-1, and steps the rest by running products with P * P_star (of
 weight at most wt(P)^2): q_j = q_(j-1) * P * P_star up the chain, which must
 reach the built q_(L-1), and W_(j-1) = W_j * P * P_star down it, which must
-land on W_0 = 1.  A serial scan runs lcd_chain's oracle over the rings over
-powers 2^T of the self-reciprocal trinomials x^(2*3^v) + x^(3^v) + 1
-(family_poly), whose codes the paper conjectures are all LCD.
+land on W_0 = 1.  A serial scan runs lcd_chain over the rings over powers 2^T
+of the self-reciprocal trinomials x^(2*3^v) + x^(3^v) + 1 (family_poly), whose
+codes the paper conjectures are all LCD.
 """
 
 from __future__ import annotations
@@ -40,8 +39,14 @@ class LcdVerdict(NamedTuple):
 
     j: int
     is_lcd: bool
-    hull_dim: int | None  # None when only a rank criterion ran
+    hull_dim: int
     methods: tuple[str, ...]
+
+
+# The Gram rank runs where k <= GRAM_MAX_K: up to there it takes under half a millisecond
+# a code (2-core x86 VM); at k in the thousands it takes milliseconds a code and nearly all
+# of a whole chain's time, where the Euclid on q and the criterion's kernel still answer.
+GRAM_MAX_K = 256
 
 
 # ---------------------------------------------------------------------------
@@ -174,38 +179,33 @@ def _criterion(c: PolycyclicCode, W: int | None, hull: int | None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_methods(methods: str) -> None:
-    if methods not in ("all", "oracle", "theorem"):
-        raise ValidationError("methods must be one of: all, oracle, theorem")
-
-
-def _verdict(c: PolycyclicCode, methods: str, q: int, W: int | None) -> LcdVerdict:
+def _verdict(c: PolycyclicCode, q: int, W: int | None) -> LcdVerdict:
     """One code's verdict from its words q = (P * P_star)^j and W = q^-1 mod x^n (inverted here if None).
 
-    Where both routes run, the criterion checks its kernel's dimension against the oracle's hull.
+    The hull is the Gram rank's where k <= GRAM_MAX_K (hull_dimension_oracle, which
+    cross-checks the Euclid on q) and that Euclid's alone above it; for 0 < j < L the
+    criterion checks its kernel's dimension against the hull.
     """
     ctx, j = c.ctx, c.j
-    hull = None if methods == "theorem" else hull_dimension_oracle(c, q)
-    used: tuple[str, ...] = () if methods == "theorem" else ("oracle",)
-    is_lcd = hull == 0
-    if methods != "oracle" and 0 < j < ctx.L:
+    if c.k <= GRAM_MAX_K:
+        hull, used = hull_dimension_oracle(c, q), ("oracle",)
+    else:
+        hull, used = _hull_by_reconstruction(c, q), ("hull-euclid",)
+    if 0 < j < ctx.L:
         head = j <= 1 << (ctx.T - 1)
         criterion = is_lcd_head_criterion if head else is_lcd_tail_criterion
-        is_lcd = criterion(c, inverse_trunc(q, ctx.n) if W is None else W, hull)
+        criterion(c, inverse_trunc(q, ctx.n) if W is None else W, hull)
         used += ("head-criterion" if head else "tail-criterion",)
-    elif methods == "theorem":
-        raise ValidationError("no rank criterion applies to j = 0 or j = L")
-    return LcdVerdict(j, is_lcd, hull, used)
+    return LcdVerdict(j, hull == 0, hull, used)
 
 
-def lcd_verdict(c: PolycyclicCode, methods: str = "all") -> LcdVerdict:
-    """Combined verdict on one code, its words built from its generator; running several methods asserts they agree."""
-    _check_methods(methods)
-    return _verdict(c, methods, _hull_word(c), None)
+def lcd_verdict(c: PolycyclicCode) -> LcdVerdict:
+    """One code's verdict, its words built from its generator; every route that runs must agree."""
+    return _verdict(c, _hull_word(c), None)
 
 
-def lcd_chain(ctx: RingContext, methods: str = "all", proper: bool = False) -> list[LcdVerdict]:
-    """lcd_verdict on C_0 .. C_L, or on C_1 .. C_(L-1) if proper or for methods="theorem", by running products.
+def lcd_chain(ctx: RingContext) -> list[LcdVerdict]:
+    """lcd_verdict on C_0 .. C_L, by running products.
 
     Neighbouring codes' words differ by one factor P * P_star, of weight at
     most wt(P)^2.  q_j steps up the chain from q_0 = 1 and must reach
@@ -215,25 +215,21 @@ def lcd_chain(ctx: RingContext, methods: str = "all", proper: bool = False) -> l
     one built word, with one power in all; they and the L words W_j are held
     at once: m*L*(L+1)/2 + m*L^2 bits.
     """
-    _check_methods(methods)
     n, L = ctx.n, ctx.L
     step = mul(ctx.P, reciprocal(ctx.P))
-    lo, hi = (1, L) if proper or methods == "theorem" else (0, L + 1)
-    codes = list(chain(ctx, 0, hi))
+    codes = list(chain(ctx, 0, L + 1))
     q_top = _hull_word(codes[L - 1])
     Ws: list[int | None] = [None] * (L + 1)
-    if methods != "oracle":
-        Ws[L - 1] = inverse_trunc(q_top, n)
-        for j in range(L - 1, 0, -1):
-            Ws[j - 1] = mul_trunc(Ws[j], step, n)
-        if Ws[0] != 1:
-            raise InternalConsistencyError("W_j stepped down the chain by P * P_star misses W_0 = 1")
+    Ws[L - 1] = inverse_trunc(q_top, n)
+    for j in range(L - 1, 0, -1):
+        Ws[j - 1] = mul_trunc(Ws[j], step, n)
+    if Ws[0] != 1:
+        raise InternalConsistencyError("W_j stepped down the chain by P * P_star misses W_0 = 1")
     verdicts, q = [], 1
     for c in codes:
         if c.j == L - 1 and q != q_top:
             raise InternalConsistencyError("q_(L-1) stepped up the chain by P * P_star differs from g * g_star")
-        if c.j >= lo:
-            verdicts.append(_verdict(c, methods, q, Ws[c.j]))
+        verdicts.append(_verdict(c, q, Ws[c.j]))
         q = mul_trunc(q, step, n)
     return verdicts
 
@@ -252,10 +248,12 @@ def family_poly(v: int) -> int:
 
 
 def conjecture_scan(v_max: int, t_max: int, dim_cap: int = 4096) -> list[dict]:
-    """Hull of every C_j, 0 < j < L, over every family ring with n <= dim_cap (lcd_chain); rows in (v, T, j) order.
+    """Hull of every C_j, 0 < j < L, over every family ring with n <= dim_cap; rows in (v, T, j) order.
 
-    Every ring is set up before the first hull, so a ring over the ring budget
-    RING_TABLE_BITS is refused at once, not after the smaller rings are scanned.
+    Each ring's rows are lcd_chain's verdicts less the trivial C_0 and C_L, so
+    every code takes lcd's routes.  Every ring is set up before the first hull,
+    so a ring over the ring budget RING_TABLE_BITS is refused at once, not
+    after the smaller rings are scanned.
     """
     if v_max < 0 or t_max < 1:
         raise ValidationError("conjecture scan needs v_max >= 0 and t_max >= 1")
@@ -270,5 +268,5 @@ def conjecture_scan(v_max: int, t_max: int, dim_cap: int = 4096) -> list[dict]:
     return [
         {"v": v, "T": T, "j": r.j, "n": ctx.n, "k": ctx.m * (ctx.L - r.j), "is_lcd": r.is_lcd, "hull_dim": r.hull_dim}
         for v, T, ctx in rings
-        for r in lcd_chain(ctx, "oracle", proper=True)
+        for r in lcd_chain(ctx)[1:-1]
     ]

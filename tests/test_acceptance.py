@@ -159,7 +159,7 @@ def test_lcd_families_and_scan_have_no_counterexamples():
             js = [1 << r for r in range(T)] + [(1 << T) - (1 << (T - r)) for r in range(2, T + 1)]
             js += [3] if T >= 3 else []
             for j in js:
-                assert lcd_verdict(code(ctx, j), "all").is_lcd, (v, T, j)
+                assert lcd_verdict(code(ctx, j)).is_lcd, (v, T, j)
     rows = conjecture_scan(0, 3)
     assert rows and all(row["hull_dim"] == 0 for row in rows)
 

@@ -104,11 +104,26 @@ def test_lcd_single_and_sweep(capsys):
     assert main(["lcd", "--poly", "x^3+x+1", "--power", "4"]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 5  # j = 0..4
+    assert out.startswith("j=  0  LCD       hull=0     methods=oracle\n")  # no rank criterion covers j = 0 or L
+    assert out.endswith("j=  4  LCD       hull=0     methods=oracle\n")
 
 
-def test_lcd_theorem_sweep_skips_trivial_ideals(capsys):
-    assert main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--methods", "theorem"]) == 0
-    assert capsys.readouterr().out.count("\n") == 3  # j = 1..3
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("j", [[], ["--j", "3"]], ids=["chain", "single"])
+def test_lcd_methods_all_is_accepted_and_changes_nothing(capsys, fmt, j):
+    argv = ["lcd", "--poly", "x^4+x+1", "--power", "8", *j, *fmt]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    assert main([*argv, "--methods", "all"]) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("methods", ["oracle", "theorem"])
+def test_lcd_refuses_the_retired_methods(capsys, methods):
+    with pytest.raises(SystemExit) as exc:
+        main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--methods", methods])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_fixtures_single_pass_line(capsys):
@@ -216,8 +231,8 @@ def test_many_calls_in_one_process_do_not_leak_options(capsys):
     assert json.loads(capsys.readouterr().out)["j"] == 9
     assert main(["analyze", *ring, "--json"]) == 0  # --j from the call before must not stick
     assert [row["j"] for row in json.loads(capsys.readouterr().out)] == list(range(17))
-    assert main(["lcd", *ring, "--methods", "theorem"]) == 0
-    assert capsys.readouterr().out.count("\n") == 15  # j = 1..15
+    assert main(["lcd", *ring]) == 0
+    assert capsys.readouterr().out.count("\n") == 17  # j = 0..16
     assert main(["lcd", *ring, "--j", "3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["methods"] == ["oracle", "head-criterion"]
     assert main(["dual", *ring, "--j", "2", "--json"]) == 0
@@ -232,18 +247,21 @@ def test_a_failing_hull_cross_check_exits_3(capsys, monkeypatch):
     # a flipped bit in g_star moves q = g * g_star mod x^n, and the reconstruction's hull off the Gram rank's
     real = lcd.reciprocal
     monkeypatch.setattr(lcd, "reciprocal", lambda a: real(a) ^ 2)
-    assert main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--j", "2", "--methods", "oracle"]) == 3
+    assert main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--j", "2"]) == 3
     assert "hull dimension mismatch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("poly,j", [("x^3+x+1", 2), ("x^3+x+1", 3), ("x^2+x+1", 1), ("x^2+x+1", 3)])
 def test_a_wrong_criterion_kernel_exits_3(capsys, monkeypatch, poly, j):
     # a Euclid that reports a kernel where there is none, or none where there is one, in either
-    # regime (j = 3 is a tail code in both rings); x^3+x+1 has no LCD code at L = 4, x^2+x+1 no other
+    # regime (j = 3 is a tail code in both rings); x^3+x+1 has no LCD code at L = 4, x^2+x+1 no other.
+    # The hull's Euclid is as wrong as the criterion's, so with the Gram rank out of the way, as
+    # above GRAM_MAX_K, the kernels agree and the criterion's sweep is the check that trips
     real = lcd._reconstruction_dim
     monkeypatch.setattr(lcd, "_reconstruction_dim", lambda q, n, a: 0 if real(q, n, a) else 1)
-    assert main(["lcd", "--poly", poly, "--power", "4", "--j", str(j), "--methods", "theorem"]) == 3
-    assert "internal consistency failure" in capsys.readouterr().err
+    monkeypatch.setattr(lcd, "hull_dimension_oracle", lcd._hull_by_reconstruction)
+    assert main(["lcd", "--poly", poly, "--power", "4", "--j", str(j)]) == 3
+    assert "disagrees with direct sweep" in capsys.readouterr().err
 
 
 def test_a_dual_word_off_the_dual_exits_3(capsys, monkeypatch):

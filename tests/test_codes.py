@@ -137,10 +137,9 @@ def test_each_code_takes_at_most_one_power(monkeypatch, capsys):
     min_distance_bruteforce(c)
     lcd_verdict(c)
     assert calls == [6]
-    for methods in ("all", "theorem"):
-        calls.clear()
-        assert main(["lcd", "--poly", "x^3+x+1", "--power", "8", "--methods", methods]) == 0
-        assert len(calls) <= 1
+    calls.clear()
+    assert main(["lcd", "--poly", "x^3+x+1", "--power", "8"]) == 0
+    assert len(calls) <= 1
     calls.clear()
     rows = conjecture_scan(0, 5)
     assert len(rows) == 57  # j = 1..2^T - 1 over T = 1..5

@@ -189,8 +189,8 @@ def test_the_hull_of_an_even_j_is_2_to_the_a_times_the_halved_ring_hull():
             B = c.j & -c.j
             if B == 1 or ctx.L % B:
                 continue
-            hull = lcd_verdict(c, "oracle").hull_dim
-            halved = lcd_verdict(code(new_context(ctx.P, ctx.L // B), c.j // B), "oracle").hull_dim
+            hull = lcd_verdict(c).hull_dim
+            halved = lcd_verdict(code(new_context(ctx.P, ctx.L // B), c.j // B)).hull_dim
             assert hull == B * halved, (ctx.P, ctx.L, c.j)
             codes += 1
             nonzero += hull > 0

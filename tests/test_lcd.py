@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from polycode import lcd
 from polycode._linalg import column_kernel, gray_walk, nullspace, parity_dot, rank
 from polycode.cli import main
-from polycode.codes import code, generator_rows
+from polycode.codes import chain, code, generator_rows
 from polycode.duality import dual_code
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import inverse_trunc, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
@@ -39,13 +39,10 @@ M3 = parse("x^3+x+1")
 def test_three_way_agreement_m3L8():
     ctx = new_context(M3, 8)
     c = code(ctx, 1)
-    v_all = lcd_verdict(c, "all")
-    v_oracle = lcd_verdict(c, "oracle")
-    v_theorem = lcd_verdict(c, "theorem")
-    assert v_all.is_lcd and v_oracle.is_lcd and v_theorem.is_lcd
-    assert v_all.hull_dim == 0 and v_oracle.hull_dim == 0
-    assert v_theorem.hull_dim is None  # criterion-only runs never compute the hull
-    assert v_all.methods == ("oracle", "head-criterion")
+    # the Gram rank, the Euclid on q and the head criterion's Euclid on W each find no hull
+    assert hull_dimension_oracle(c) == _hull_by_reconstruction(c) == 0
+    assert is_lcd_head_criterion(c)
+    assert lcd_verdict(c) == (1, True, 0, ("oracle", "head-criterion"))
 
 
 def test_hull_dimensions_frozen():
@@ -188,17 +185,12 @@ def test_gray_sweep_catches_a_single_vanishing_delta_anywhere(mj):
 
 
 def test_trivial_ideals_are_lcd():
+    # no rank criterion covers j = 0 or j = L: the hull alone decides
     ctx = new_context(M3, 4)
-    assert lcd_verdict(code(ctx, 0), "oracle").is_lcd
-    assert lcd_verdict(code(ctx, 4), "oracle").is_lcd
-    with pytest.raises(ValidationError, match="no rank criterion applies to j = 0 or j = L"):
-        lcd_verdict(code(ctx, 0), "theorem")
-
-
-def test_methods_argument_validated():
-    ctx = new_context(M3, 4)
-    with pytest.raises(ValidationError):
-        lcd_verdict(code(ctx, 1), "both")
+    assert lcd_verdict(code(ctx, 0)) == (0, True, 0, ("oracle",))
+    assert lcd_verdict(code(ctx, 4)) == (4, True, 0, ("oracle",))
+    wide = new_context(M3, 90)  # C_0 has k = n = 270 > GRAM_MAX_K
+    assert lcd_verdict(code(wide, 0)) == (0, True, 0, ("hull-euclid",))
 
 
 def test_head_criterion_matches_oracle_on_small_rings():
@@ -251,7 +243,7 @@ def test_lcd_families_hold():
             js = [1 << r for r in range(T)] + [(1 << T) - (1 << (T - r)) for r in range(2, T + 1)]
             js += [3] if T >= 3 else []
             for j in js:
-                verdict = lcd_verdict(code(ctx, j), "all")
+                verdict = lcd_verdict(code(ctx, j))
                 assert verdict.is_lcd and verdict.hull_dim == 0, (v, T, j)
 
 
@@ -291,19 +283,24 @@ def _irreducible_rings(degrees, n_max):
                     yield new_context(P, L)
 
 
-@pytest.mark.parametrize("methods", ["all", "oracle", "theorem"])
-def test_lcd_chain_equals_lcd_verdict_code_by_code(methods):
+def test_lcd_chain_equals_lcd_verdict_code_by_code():
     for ctx in _irreducible_rings(range(2, 7), 60):
-        js = range(1, ctx.L) if methods == "theorem" else range(ctx.L + 1)
-        want = [lcd_verdict(code(ctx, j), methods) for j in js]
-        assert lcd_chain(ctx, methods) == want, (ctx.P, ctx.L)
-        if methods != "theorem":
-            assert lcd_chain(ctx, methods, proper=True) == want[1:-1], (ctx.P, ctx.L)
+        want = [lcd_verdict(code(ctx, j)) for j in range(ctx.L + 1)]
+        assert lcd_chain(ctx) == want, (ctx.P, ctx.L)
 
 
-def test_lcd_chain_validates_methods():
-    with pytest.raises(ValidationError, match="methods must be one of"):
-        lcd_chain(new_context(M3, 4), "both")
+@pytest.mark.parametrize(("poly", "L"), [("x^2+x+1", 150), ("x^3+x+1", 100), ("x^5+x^2+1", 60), ("x^4+x^3+1", 130)])
+def test_above_the_gram_bound_the_hull_is_the_euclids_and_equals_the_oracle(poly, L):
+    # codes with k just above GRAM_MAX_K skip the Gram rank; the oracle, called here, still measures it
+    ctx = new_context(parse(poly), L)
+    verdicts = lcd_chain(ctx)
+    for c in chain(ctx, 0, ctx.L + 1):
+        if lcd.GRAM_MAX_K < c.k <= lcd.GRAM_MAX_K + 4 * ctx.m:
+            v = verdicts[c.j]
+            assert v.hull_dim == hull_dimension_oracle(c), (poly, L, c.j)
+            assert v.methods[0] == "hull-euclid" and v == lcd_verdict(c), (poly, L, c.j)
+        elif c.k <= lcd.GRAM_MAX_K:
+            assert verdicts[c.j].methods[0] == "oracle", (poly, L, c.j)
 
 
 @pytest.mark.parametrize(("v_max", "t_max"), [(1, 5), (0, 7)])
@@ -324,21 +321,24 @@ def _corrupt_step(monkeypatch):
     monkeypatch.setattr(lcd, "mul", lambda a, b: mul(a, b) ^ 0b10)
 
 
-@pytest.mark.parametrize("methods", ["all", "theorem"])
-def test_a_corrupted_step_misses_w0_and_lcd_exits_3(monkeypatch, capsys, methods):
+def test_a_corrupted_step_misses_w0_and_lcd_exits_3(monkeypatch, capsys):
     _corrupt_step(monkeypatch)
     with pytest.raises(InternalConsistencyError, match="misses W_0 = 1"):
-        lcd_chain(new_context(parse("x^4+x+1"), 16), methods)
-    assert main(["lcd", "--poly", "x^4+x+1", "--power", "16", "--methods", methods, "--json"]) == 3
+        lcd_chain(new_context(parse("x^4+x+1"), 16))
+    assert main(["lcd", "--poly", "x^4+x+1", "--power", "16", "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "misses W_0 = 1" in captured.err
 
 
 def test_a_corrupted_step_misses_the_built_q(monkeypatch, capsys):
     _corrupt_step(monkeypatch)
-    # with the oracle's own cross-check out of the way, the walk up reaches j = L-1
-    monkeypatch.setattr(lcd, "hull_dimension_oracle", lambda c, q=None: 0)
+    # the walk down starts from the corrupted chain's own top, so it lands on W_0 = 1; with
+    # the per-code checks out of the way, only the walk up's check at j = L-1 is left
+    real, P = lcd.inverse_trunc, parse("x^4+x+1")
+    bad_step = mul(P, reciprocal(P)) ^ 0b10
+    monkeypatch.setattr(lcd, "inverse_trunc", lambda a, n: real(power_trunc(bad_step, 15, n), n))
+    monkeypatch.setattr(lcd, "_verdict", lambda c, q, W: None)
     with pytest.raises(InternalConsistencyError, match=re.escape("q_(L-1) stepped up the chain")):
-        lcd_chain(new_context(parse("x^4+x+1"), 16), "oracle")
-    assert main(["lcd", "--poly", "x^4+x+1", "--power", "16", "--methods", "oracle"]) == 3
+        lcd_chain(new_context(parse("x^4+x+1"), 16))
+    assert main(["lcd", "--poly", "x^4+x+1", "--power", "16"]) == 3
     assert "q_(L-1)" in capsys.readouterr().err

@@ -222,7 +222,7 @@ def test_each_code_word_is_a_power_of_a_ring_inverse(monkeypatch):
                     c = code(ctx, j)
                     assert dual_code(c).h_star == power_trunc(P_star_inv, j, n), (P, L, j)
                     seen.clear()
-                    assert lcd_verdict(c, "all").methods[0] == "oracle"
+                    assert lcd_verdict(c).methods[0] == "oracle"
                     q_call, W_call = seen  # the hull's cross-check, then the criterion
                     assert q_call == (power_trunc(PP_star, j, n), n, c.k), (P, L, j)
                     assert W_call == (power_trunc(PP_star_inv, j, n), n, m * j), (P, L, j)
@@ -262,7 +262,7 @@ def test_ring_set_up_dual_and_lcd_never_find_the_order(monkeypatch):
             monkeypatch.setattr(module, "order", unreachable)
     ctx = new_context(parse("x^97+x^6+1"), 2)
     assert dual_summary(ctx, 1)["k_dual"] == 97
-    assert lcd_verdict(code(ctx, 1), "all").is_lcd
+    assert lcd_verdict(code(ctx, 1)).is_lcd
     assert len(conjecture_scan(1, 3)) == 22
     # min(d, 4) comes from the residues x^i mod P^j, so no distance source reads the order either
     assert full_distance_profile(ctx)[1].lower == single_distance_report(ctx, 1, oracle_cap=0).lower == 3

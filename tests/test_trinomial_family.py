@@ -175,7 +175,7 @@ def test_family_codes_are_reversible_and_lcd_spot_checks():
         ctx = new_context(family_poly(v), L)
         for j in range(L + 1):
             assert reversible_by_rows(code(ctx, j))
-        verdict = lcd_verdict(code(ctx, 1), "all")
+        verdict = lcd_verdict(code(ctx, 1))
         assert verdict.is_lcd and verdict.hull_dim == 0
 
 
