@@ -104,8 +104,23 @@ def test_lcd_single_and_sweep(capsys):
     assert main(["lcd", "--poly", "x^3+x+1", "--power", "4"]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 5  # j = 0..4
-    assert out.startswith("j=  0  LCD       hull=0     methods=oracle\n")  # no rank criterion covers j = 0 or L
-    assert out.endswith("j=  4  LCD       hull=0     methods=oracle\n")
+
+
+def test_lcd_theorem_sweep_skips_trivial_ideals(capsys, monkeypatch):
+    # no rank criterion covers j = 0 or L: there the hull alone decides, by the Gram rank
+    # where k <= GRAM_MAX_K and by the hull Euclid above it
+    ring = ["lcd", "--poly", "x^3+x+1", "--power", "4"]
+    assert main(ring) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [("criterion" in line) for line in lines] == [False, True, True, True, False]
+    assert lines[0] == "j=  0  LCD       hull=0     methods=oracle"
+    assert lines[4] == "j=  4  LCD       hull=0     methods=oracle"
+    monkeypatch.setattr(lcd, "GRAM_MAX_K", -1)
+    assert main(ring) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [("criterion" in line) for line in lines] == [False, True, True, True, False]
+    assert lines[0] == "j=  0  LCD       hull=0     methods=hull-euclid"
+    assert lines[4] == "j=  4  LCD       hull=0     methods=hull-euclid"
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])

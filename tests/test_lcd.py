@@ -283,9 +283,20 @@ def _irreducible_rings(degrees, n_max):
                     yield new_context(P, L)
 
 
-def test_lcd_chain_equals_lcd_verdict_code_by_code():
+# GRAM_MAX_K set by the routes it leaves on rings with n <= 64: some codes of a chain on
+# each side of the bound, the Gram oracle on every code, or on none (the hull Euclid and
+# the paper's rank criteria alone, as above the bound)
+_GRAM_BOUNDS = {"all": 24, "oracle": 10**9, "theorem": -1}
+
+
+@pytest.mark.parametrize("routes", ["all", "oracle", "theorem"])
+def test_lcd_chain_equals_lcd_verdict_code_by_code(monkeypatch, routes):
+    bound = _GRAM_BOUNDS[routes]
+    monkeypatch.setattr(lcd, "GRAM_MAX_K", bound)
     for ctx in _irreducible_rings(range(2, 7), 60):
-        want = [lcd_verdict(code(ctx, j)) for j in range(ctx.L + 1)]
+        codes = list(chain(ctx, 0, ctx.L + 1))
+        want = [lcd_verdict(c) for c in codes]
+        assert [v.methods[0] for v in want] == ["oracle" if c.k <= bound else "hull-euclid" for c in codes]
         assert lcd_chain(ctx) == want, (ctx.P, ctx.L)
 
 
@@ -321,7 +332,9 @@ def _corrupt_step(monkeypatch):
     monkeypatch.setattr(lcd, "mul", lambda a, b: mul(a, b) ^ 0b10)
 
 
-def test_a_corrupted_step_misses_w0_and_lcd_exits_3(monkeypatch, capsys):
+@pytest.mark.parametrize("routes", ["all", "theorem"])
+def test_a_corrupted_step_misses_w0_and_lcd_exits_3(monkeypatch, capsys, routes):
+    monkeypatch.setattr(lcd, "GRAM_MAX_K", _GRAM_BOUNDS[routes])
     _corrupt_step(monkeypatch)
     with pytest.raises(InternalConsistencyError, match="misses W_0 = 1"):
         lcd_chain(new_context(parse("x^4+x+1"), 16))
