@@ -22,6 +22,7 @@ from .gf2poly import order, parse
 from .lcd import conjecture_scan, lcd_chain, lcd_verdict
 from .ring import new_context
 
+
 def _context(args: argparse.Namespace):
     return new_context(parse(args.poly), args.power)
 
@@ -34,11 +35,9 @@ def _context(args: argparse.Namespace):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     ctx = _context(args)
     if args.j is not None:
-        reports = [
-            single_distance_report(ctx, args.j, oracle_cap=args.oracle_cap, candidate_cap=args.candidate_cap)
-        ]
+        reports = [single_distance_report(ctx, args.j, oracle_cap=args.oracle_cap)]
     else:
-        reports = full_distance_profile(ctx, oracle_cap=args.oracle_cap, candidate_cap=args.candidate_cap)
+        reports = full_distance_profile(ctx, oracle_cap=args.oracle_cap)
     if args.json:
         payload = [rep.to_json_dict() for rep in reports]
         print(json.dumps(payload[0] if args.j is not None else payload, indent=2))
@@ -144,10 +143,9 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     rows = conjecture_scan(args.vmax, args.tmax, dim_cap=args.dim_cap)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["v", "T", "j", "n", "k", "is_lcd", "hull_dim"])
-    for row in rows:
-        writer.writerow([row["v"], row["T"], row["j"], row["n"], row["k"], row["is_lcd"], row["hull_dim"]])
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))  # dim_cap >= 4 admits the v = 0, T = 1 ring
+    writer.writeheader()
+    writer.writerows(rows)
     bad = sum(1 for row in rows if not row["is_lcd"])
     note = "all LCD" if bad == 0 else f"{bad} with nonzero hull"
     print(f"scanned {len(rows)} codes: {note}", file=sys.stderr)
@@ -172,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_args(p)
     p.add_argument("--j", type=int, default=None, help="single index instead of the whole chain")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ENUM_CAP, help="max dimension handed to the exact oracle")
-    p.add_argument("--candidate-cap", type=int, default=DEFAULT_CANDIDATE_CAP, help="max candidates per reduced set")
+    p.add_argument("--candidate-cap", type=int, choices=(DEFAULT_CANDIDATE_CAP,), default=DEFAULT_CANDIDATE_CAP,
+                   help="accepted for compatibility: every reduced set refuses above the fixed 2^20 candidates")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

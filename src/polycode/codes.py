@@ -7,9 +7,10 @@ polynomial multiples of P^j of degree below n.  Codewords travel as ints
 one power, chain() steps from one code to the next by one product by P.  Here
 live the code object, the walk, generator rows, membership, the split of
 C_j into t interleaved codes up to t times shorter (interleave), and the
-two default caps every search shares: DEFAULT_ENUM_CAP on the
-dimension an exact oracle takes, and DEFAULT_CANDIDATE_CAP on the words in
-one reduced candidate set (check_caps refuses a negative one).
+two caps every search shares: DEFAULT_ENUM_CAP, the default oracle_cap on
+the dimension an exact oracle takes (check_caps refuses a negative one), and
+DEFAULT_CANDIDATE_CAP, the fixed bound on the words in one reduced candidate
+set, primal or dual.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ DEFAULT_ENUM_CAP = 28
 DEFAULT_CANDIDATE_CAP = 1 << 20  # words in one reduced or dual candidate set
 
 
-def check_caps(**caps: int) -> None:
-    """Refuse a negative cap; 0 is legal and turns its search off."""
-    for name, value in caps.items():
-        if value < 0:
-            raise ValidationError(f"{name.replace('_', ' ')} must be >= 0, got {value}")
+def check_caps(oracle_cap: int) -> None:
+    """Refuse a negative oracle cap; 0 is legal and turns the oracle's searches off."""
+    if oracle_cap < 0:
+        raise ValidationError(f"oracle cap must be >= 0, got {oracle_cap}")
 
 
 class PolycyclicCode(NamedTuple):

@@ -12,7 +12,9 @@ Four independent sources feed one report per j:
   dimensions, and checks the direct oracle where both run;
 * exact values on a lattice of "anchor" indices, where the minimum is
   attained inside a small reduced candidate set P^j * a(x^B) with B = j & -j
-  and a running over constant-term-1 polynomials of bounded degree.  The
+  and a running over constant-term-1 polynomials of bounded degree; a set
+  of more than the fixed DEFAULT_CANDIDATE_CAP (2^20) candidates is refused,
+  as on the dual side, and its slot is left to the other sources.  The
   lower anchors are j = 2^(T-s); the upper ones are ctx.tops, whose first
   entry 2^(T-1) is also the top lower anchor;
 * a small-weight kernel that decides min(d, 4) exactly from P^j alone, in
@@ -138,29 +140,29 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 # ---------------------------------------------------------------------------
 
 
-def _reduced_set_min(ctx: RingContext, j: int, cap: int) -> int:
+def _reduced_set_min(ctx: RingContext, j: int) -> int:
     """Min weight of P^j * a(x^B), B = j & -j, over constant-term-1 a of degree < lam = ceil(m(L-j)/B)."""
     B = j & -j
     lam = -(-(ctx.m * (ctx.L - j)) // B)
-    if 1 << (lam - 1) > cap:
-        raise CapExceeded(f"reduced set has 2^{lam - 1} candidates, over the cap of {cap}")
+    if 1 << (lam - 1) > DEFAULT_CANDIDATE_CAP:
+        raise CapExceeded(f"reduced set has 2^{lam - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
     g = code(ctx, j).generator
     rows = [g << (B * t) for t in range(1, lam)]
     return min_weight_affine(g, rows)  # type: ignore[return-value]
 
 
-def lower_anchor_distance(ctx: RingContext, s: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
+def lower_anchor_distance(ctx: RingContext, s: int) -> int:
     """Exact d(C_j) at j = 2^(T-s), 1 <= s <= T."""
     if not 1 <= s <= ctx.T:
         raise ValidationError("anchor parameter s must satisfy 1 <= s <= T")
-    return _reduced_set_min(ctx, 1 << (ctx.T - s), candidate_cap)
+    return _reduced_set_min(ctx, 1 << (ctx.T - s))
 
 
-def upper_anchor_distance(ctx: RingContext, r: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
+def upper_anchor_distance(ctx: RingContext, r: int) -> int:
     """Exact d(C_j) at the upper anchor j = ctx.tops[r - 1] = 2^T - 2^(T-r), 1 <= r <= len(ctx.tops)."""
     if not 1 <= r <= len(ctx.tops):
         raise ValidationError(f"anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
-    return _reduced_set_min(ctx, ctx.tops[r - 1], candidate_cap)
+    return _reduced_set_min(ctx, ctx.tops[r - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,7 @@ def monotone_fuse(reports: list[DistanceReport]) -> None:
         reports[j].cut_upper(reports[j + 1].upper, "monotone")
 
 
-def _structural_profile(ctx: RingContext, candidate_cap: int) -> list[DistanceReport]:
+def _structural_profile(ctx: RingContext) -> list[DistanceReport]:
     """Reports for j = 0..L from structure alone: anchors, weight witnesses and doubling bounds, fused."""
     L, T, n = ctx.L, ctx.T, ctx.n
     reports = [DistanceReport(j, 1, n) for j in range(L + 1)]
@@ -295,14 +297,14 @@ def _structural_profile(ctx: RingContext, candidate_cap: int) -> list[DistanceRe
     for s in range(1, T + 1):
         j = 1 << (T - s)
         try:
-            reports[j].set_exact(lower_anchor_distance(ctx, s, candidate_cap), "reduced-set")
+            reports[j].set_exact(lower_anchor_distance(ctx, s), "reduced-set")
         except CapExceeded:
             pass
     # upper anchors r >= 2; r = 1 is the lower anchor s = 1 (j = B = 2^(T-1)), weighed above
     tops = ctx.tops
     for r, j in enumerate(tops[1:], 2):
         try:
-            reports[j].set_exact(upper_anchor_distance(ctx, r, candidate_cap), "reduced-set")
+            reports[j].set_exact(upper_anchor_distance(ctx, r), "reduced-set")
         except CapExceeded:
             pass
 
@@ -325,14 +327,10 @@ def _structural_profile(ctx: RingContext, candidate_cap: int) -> list[DistanceRe
     return reports
 
 
-def full_distance_profile(
-    ctx: RingContext,
-    oracle_cap: int = DEFAULT_ENUM_CAP,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> list[DistanceReport]:
+def full_distance_profile(ctx: RingContext, oracle_cap: int = DEFAULT_ENUM_CAP) -> list[DistanceReport]:
     """Best-known distance report for every j = 0..L, cross-checked along the way."""
-    check_caps(oracle_cap=oracle_cap, candidate_cap=candidate_cap)
-    reports = _structural_profile(ctx, candidate_cap)
+    check_caps(oracle_cap=oracle_cap)
+    reports = _structural_profile(ctx)
     for c in chain(ctx, 1, ctx.L):
         _search(c, reports[c.j], oracle_cap)
     monotone_fuse(reports)
@@ -362,12 +360,7 @@ def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
     rep.set_exact(min_weight_span([R << i for i in range(iv.k0)]), f"spread-t{iv.t}")
 
 
-def single_distance_report(
-    ctx: RingContext,
-    j: int,
-    oracle_cap: int = DEFAULT_ENUM_CAP,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> DistanceReport:
+def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     """The whole chain's interval at j, from the searches on j and on its neighbours out to the nearest exact slots.
 
     The searches and the kernel run on j first.  While j is open, the searches
@@ -378,8 +371,8 @@ def single_distance_report(
     """
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
-    check_caps(oracle_cap=oracle_cap, candidate_cap=candidate_cap)
-    reports = _structural_profile(ctx, candidate_cap)
+    check_caps(oracle_cap=oracle_cap)
+    reports = _structural_profile(ctx)
     rep = reports[j]
     if 0 < j < ctx.L:
         c = code(ctx, j)

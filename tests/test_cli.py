@@ -85,16 +85,34 @@ ANALYZE_M3 = ["analyze", "--poly", "x^3+x+1", "--power", "4"]
     "argv, cap, value",
     [
         (ANALYZE_M3, "--oracle-cap", "-5"),
-        (ANALYZE_M3, "--candidate-cap", "-1"),
         ([*ANALYZE_M3, "--j", "2"], "--oracle-cap", "-1"),
         (["dual", "--poly", "x^3+x+1", "--power", "4", "--j", "2"], "--oracle-cap", "-1"),
     ],
-    ids=["analyze-oracle", "analyze-candidate", "analyze-single", "dual"],
+    ids=["analyze-oracle", "analyze-single", "dual"],
 )
 def test_a_negative_cap_exits_2(capsys, argv, cap, value):
     assert main([*argv, cap, value]) == 2
     assert "must be >= 0" in capsys.readouterr().err
     assert main([*argv, cap, "0"]) == 0  # cap 0 stays legal: it only turns the search off
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1024"])
+def test_analyze_refuses_a_candidate_cap_but_its_default(capsys, value):
+    # every reduced set refuses above the fixed 2^20 candidates; the option takes that value alone
+    with pytest.raises(SystemExit) as exc:
+        main([*ANALYZE_M3, "--candidate-cap", value])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]], ids=["text", "json", "csv"])
+@pytest.mark.parametrize("j", [[], ["--j", "9"]], ids=["chain", "single"])
+def test_analyze_candidate_cap_default_is_accepted_and_changes_nothing(capsys, fmt, j):
+    argv = ["analyze", "--poly", "x^4+x+1", "--power", "16", *j, *fmt]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    assert main([*argv, "--candidate-cap", "1048576"]) == 0
+    assert capsys.readouterr() == want
 
 
 def test_lcd_single_and_sweep(capsys):

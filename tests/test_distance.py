@@ -102,14 +102,16 @@ def test_anchor_distances_m4L16():
     assert upper_anchor_distance(ctx, 4) == 33  # j = 15
 
 
-def test_plateau_and_tail_bounds():
+def test_plateau_and_tail_bounds(monkeypatch):
     # plateau: 2*d(anchor r) <= d <= d(anchor r+1); tail: 2*d(last anchor) from below
     ctx = new_context(M4, 16)
     profile = full_distance_profile(ctx, oracle_cap=0)
     assert profile[9].lower == 6 and profile[9].upper <= 8  # j = 9, between tops 8 and 12
     # with every reduced set refused, the kernel's min(d, 4) = 3 at j = 8 is what the doubling reads
-    assert full_distance_profile(ctx, oracle_cap=0, candidate_cap=0)[9].lower == 6
-    assert single_distance_report(ctx, 9, oracle_cap=0, candidate_cap=0).lower == 6
+    with monkeypatch.context() as mp:
+        mp.setattr(distance, "DEFAULT_CANDIDATE_CAP", 0)
+        assert full_distance_profile(ctx, oracle_cap=0)[9].lower == 6
+        assert single_distance_report(ctx, 9, oracle_cap=0).lower == 6
     low_ctx = new_context(M5, 12)
     assert low_ctx.tops == (8,)
     assert full_distance_profile(low_ctx, oracle_cap=0)[9].lower == 2 * lower_anchor_distance(low_ctx, 1) == 6
@@ -133,9 +135,9 @@ def test_profile_weighs_each_reduced_set_once(regime, monkeypatch):
     weighed = []
     inner = distance._reduced_set_min
 
-    def counting(ctx, j, cap):
+    def counting(ctx, j):
         weighed.append(j)
-        return inner(ctx, j, cap)
+        return inner(ctx, j)
 
     monkeypatch.setattr(distance, "_reduced_set_min", counting)
     full_distance_profile(ctx, oracle_cap=0)
@@ -239,10 +241,29 @@ def test_profile_is_monotone_for_many_rings():
         assert profile[0].lower == 1 and profile[L].lower == ctx.n
 
 
-def test_candidate_cap_refuses_reduced_sets():
+def test_candidate_cap_refuses_reduced_sets(monkeypatch):
     ctx = new_context(M4, 16)
+    monkeypatch.setattr(distance, "DEFAULT_CANDIDATE_CAP", 2)
     with pytest.raises(CapExceeded):
-        lower_anchor_distance(ctx, 4, candidate_cap=2)  # j = 1 needs 2^(k-1) candidates
+        lower_anchor_distance(ctx, 4)  # j = 1 needs 2^(k-1) candidates
+
+
+def test_the_fixed_cap_refuses_every_top_anchor_of_a_real_ring():
+    # x^23+x^5+1, L = 8 (n = 184): each top j = 4, 6, 7 weighs 2^22 candidates, over the fixed cap of 2^20
+    ctx = new_context(parse("x^23+x^5+1"), 8)
+    assert ctx.tops == (4, 6, 7) and 1 << 22 > DEFAULT_CANDIDATE_CAP
+    with pytest.raises(CapExceeded, match=r"2\^22 candidates"):
+        lower_anchor_distance(ctx, 1)
+    for r in (2, 3):
+        with pytest.raises(CapExceeded):
+            upper_anchor_distance(ctx, r)
+    # the kernel, the doubling, the spread and the oracle answer the refused slots instead
+    profile = full_distance_profile(ctx)
+    got = {j: (profile[j].lower, profile[j].upper, profile[j].provenance[-1]) for j in (4, 5, 6, 7)}
+    assert got == {4: (3, 3, "weight-3"), 5: (6, 9, "double-bound"), 6: (9, 9, "spread-t2"), 7: (27, 27, "oracle")}
+    assert not any("reduced-set" in rep.provenance for rep in profile)
+    for j in range(ctx.L + 1):
+        assert single_distance_report(ctx, j).to_json_dict() == profile[j].to_json_dict(), j
 
 
 def test_oracle_pass_tags_provenance():
@@ -316,7 +337,7 @@ def test_a_witness_off_by_one_bit_raises(monkeypatch, text, L, w):
 
 def test_the_kernel_closes_a_slot_over_the_oracle_cap():
     ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)  # j = 1: k = 32, over the default cap of 28
-    assert distance._structural_profile(ctx, DEFAULT_CANDIDATE_CAP)[1].upper == 4
+    assert distance._structural_profile(ctx)[1].upper == 4
     for cap in (0, 28):
         rep = single_distance_report(ctx, 1, oracle_cap=cap)
         assert (rep.lower, rep.upper) == (3, 3) and rep.provenance[-1] == "weight-3"
@@ -325,7 +346,7 @@ def test_the_kernel_closes_a_slot_over_the_oracle_cap():
 
 def test_the_kernel_raises_the_lower_bound_to_4():
     ctx = new_context(parse("x^11+x^10+x^5+x^4+1"), 8)  # j = 1: [1, 5] from structure alone, d = 4
-    assert distance._structural_profile(ctx, DEFAULT_CANDIDATE_CAP)[1].lower == 1
+    assert distance._structural_profile(ctx)[1].lower == 1
     for cap in (0, 28):
         rep = single_distance_report(ctx, 1, oracle_cap=cap)
         assert (rep.lower, rep.upper, rep.provenance[-1]) == (4, 5, "no-weight-3")

@@ -130,7 +130,7 @@ def test_every_anchor_reduced_set_equals_the_interleave_component():
             if 1 << (lam - 1) > DEFAULT_CANDIDATE_CAP or 1 << (iv.k0 - 1) > DEFAULT_CANDIDATE_CAP:
                 continue
             want = min_weight_span([iv.R << i for i in range(iv.k0)])
-            assert distance._reduced_set_min(ctx, j, DEFAULT_CANDIDATE_CAP) == want, (ctx.P, ctx.L, j)
+            assert distance._reduced_set_min(ctx, j) == want, (ctx.P, ctx.L, j)
             anchors += 1
     assert (rings, anchors) == (1384, 4145)
 
