@@ -13,7 +13,9 @@ it.  It takes one of two walks, whichever its inputs say costs less: the
 Gray-code walk, gray_walk, which yields the 2^k words one at a time (the dual
 candidate weights and the LCD criterion's sweep read it too), or
 Brouwer-Zimmermann's information-set search on plain ints, exact at a cost
-that grows with the answer, not with 2^k.
+that grows with the answer, not with 2^k.  The choice is made before d is
+known, so the search counts the words it weighs and hands over to gray_walk
+once they pass 2^k, the cost of the whole walk.
 """
 
 from __future__ import annotations
@@ -176,19 +178,21 @@ def _information_sets(rows: list[int]) -> list[dict[int, int]]:
 
 
 def _level(g: int, R: list[int], w: int):
-    """Yield (x, tail): the words x ^ t, t in tail, are g ^ (XOR of w rows of R), each once.
+    """Yield (x, tail, size): the words x ^ t, t in tail, are g ^ (XOR of w rows of R), each once.
 
-    Level w >= 2 builds R's table of pair XORs, the C(k-1-a, 2) pairs of rows
-    past row a first, and holds it only while it runs.
+    tail holds size words.  Level w >= 2 builds R's table of pair XORs, the
+    C(k-1-a, 2) pairs of rows past row a first, holds it only while it runs,
+    and hands out each tail as a slice of it, never as a list of its own.
     """
-    if w == 1:
-        yield g, R
-        return
     k = len(R)
+    if w == 1:
+        yield g, R, k
+        return
     pairs = [R[a] ^ R[b] for a in range(k - 2, -1, -1) for b in range(a + 1, k)]
     for head in combinations(range(k - 2), w - 2):
         a = k - 1 - head[-1] if head else k  # rows past the head's last one
-        yield reduce(xor, map(R.__getitem__, head), g), islice(pairs, a * (a - 1) // 2)
+        size = a * (a - 1) // 2
+        yield reduce(xor, map(R.__getitem__, head), g), islice(pairs, size), size
 
 
 def _information_set_search(g: int, rows: list[int]) -> int:
@@ -205,6 +209,12 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     meets the table of pair XORs past its last row, so no level is ever held
     whole, and each (w, set) step builds its own table (_level), so one table
     is alive at a time.
+
+    The search counts the words it weighs.  Once they pass 2^k, the cost of
+    the whole Gray-code walk over the first set's k rows, it hands over to
+    that walk, which is exact too: so a d larger than the set-up rule of
+    min_weight_affine foresaw costs at most about twice the walk, not the
+    levels a proof of that d needs.
     """
     none = max(map(int.bit_length, [g, *rows])) + 1  # heavier than any word
     sets = _information_sets(rows)
@@ -212,15 +222,19 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     # per set: g with its bits on the pivot columns cleared, and the set's rows
     starts = [(reduce(xor, (r for c, r in piv.items() if g >> c & 1), g), list(piv.values())) for piv in sets]
     best = min(filter(None, (gs.bit_count() for gs, _ in starts)), default=none)  # level 0
+    weighed = 0
     for w in range(1, k + 1):
         for i, (gs, R) in enumerate(starts):
             stop = N * w + i
             if best <= stop:
                 return best
-            for x, tail in _level(gs, R, w):
+            for x, tail, size in _level(gs, R, w):
                 best = min(best, min(map(int.bit_count, map(x.__xor__, tail))))
                 if best <= stop:
                     return best
+                weighed += size
+                if weighed > 1 << k:
+                    return _walk_min(g, starts[0][1])
     return best
 
 
@@ -231,12 +245,19 @@ def min_weight_affine(g: int, rows: list[int]) -> int | None:
     the information-set search's own set-up is N eliminations and N tables of
     pair XORs, N*(k^2 + k(k-1)/2) steps.  Where 2^k is no more than that, or
     there are no rows, gray_walk weighs every word; otherwise
-    _information_set_search runs.
+    _information_set_search runs.  The rule cannot foresee d: where d is large,
+    the search's levels cost more than the walk, so the search hands over to
+    gray_walk once the words it has weighed pass 2^k.
     """
     rows = list(filter(None, rows))
     k = len(rows)
     if k and 1 << k > max(1, max(map(int.bit_length, [g, *rows])) // k) * (k * k + k * (k - 1) // 2):
         return _information_set_search(g, rows)
+    return _walk_min(g, rows)
+
+
+def _walk_min(g: int, rows: list[int]) -> int | None:
+    """Minimum nonzero weight over the words of gray_walk(g, rows), or None when every word is zero."""
     return min(filter(None, map(int.bit_count, gray_walk(g, rows))), default=None)
 
 

@@ -5,6 +5,13 @@ Subcommands: analyze (distance bounds along the chain of codes), dual
 embedded regression fixtures), conjecture (LCD scan over the trinomial
 family).  Exit codes: 0 success, 1 fixture mismatch, 2 bad input or a cap
 refusing work, 3 an internal cross-check tripping.
+
+Each call to main builds a fresh parser in which only the command it runs
+gets its options (one options function per command, all named in one table,
+_COMMANDS); the other commands are registered with their help lines alone.
+The parser is not cached across calls: the polycode script makes one call per
+process, so a cache would save its users nothing, while a smaller build saves
+in every process.
 """
 
 from __future__ import annotations
@@ -162,11 +169,7 @@ def _add_ring_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--power", required=True, type=int, metavar="L", help="modulus exponent (chain length)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="polycode", description=__doc__.strip().splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="distance bounds for the chain of codes")
+def _analyze_options(p: argparse.ArgumentParser) -> None:
     _add_ring_args(p)
     p.add_argument("--j", type=int, default=None, help="single index instead of the whole chain")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ENUM_CAP, help="max dimension handed to the exact oracle")
@@ -177,38 +180,79 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("dual", help="dual code summary for one index")
+
+def _dual_options(p: argparse.ArgumentParser) -> None:
     _add_ring_args(p)
     p.add_argument("--j", required=True, type=int)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ENUM_CAP, help="max dual dimension handed to the exact oracle")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("lcd", help="hull dimensions and LCD verdicts")
+
+def _lcd_options(p: argparse.ArgumentParser) -> None:
     _add_ring_args(p)
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--methods", choices=("all",), default="all", help="accepted for compatibility: every code runs the same routes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lcd)
 
-    p = sub.add_parser("fixtures", help="replay the embedded regression fixtures")
+
+def _fixtures_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--which", default="all", help="one fixture key, or all")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--dump", action="store_true", help="list each check's label and reference value; compute nothing")
     fmt.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fixtures)
 
-    p = sub.add_parser("conjecture", help="LCD scan over the reversible trinomial family")
+
+def _conjecture_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vmax", type=int, default=1)
     p.add_argument("--tmax", type=int, default=3)
     p.add_argument("--dim-cap", type=int, default=4096, help="skip rings with more than this many bits")
     p.set_defaults(func=_cmd_conjecture)
 
+
+# each command's help line and the function that adds its options, in the order --help lists them
+_COMMANDS = {
+    "analyze": ("distance bounds for the chain of codes", _analyze_options),
+    "dual": ("dual code summary for one index", _dual_options),
+    "lcd": ("hull dimensions and LCD verdicts", _lcd_options),
+    "fixtures": ("replay the embedded regression fixtures", _fixtures_options),
+    "conjecture": ("LCD scan over the reversible trinomial family", _conjecture_options),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser for one call: every command is registered with its help line, only `command` gets its options.
+
+    A subcommand's options are read only when that subcommand is parsed, so
+    the others can go without them: help, usage and error text are those of
+    the parser with every option.  Each add_argument outside a mutually
+    exclusive group builds a HelpFormatter, which asks for the terminal size:
+    a build makes 7 for the commands and their -h, plus one per such option of
+    `command`, 8-12 in all, against 26 with every command's options.
+    """
+    parser = argparse.ArgumentParser(prog="polycode", description=__doc__.strip().splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_options(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one polycode command on argv (sys.argv[1:] when None) and return its exit code.
+
+    Each call builds its own parser for the one command argv names, its first
+    token that is a command name (not argv[0]: in `polycode --json analyze`,
+    argparse must still refuse --json), and keeps no parser once it returns.
+    The parser is not cached: the polycode script calls main once per
+    process, so a cache would save its users nothing.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, CapExceeded) as exc:

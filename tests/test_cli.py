@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
 import polycode
-from polycode import duality, fixtures, gf2poly, lcd
+from polycode import cli, duality, fixtures, gf2poly, lcd
 from polycode.cli import main
 from polycode.errors import InternalConsistencyError
 
@@ -232,6 +235,76 @@ def test_missing_subcommand_is_usage_error():
     assert err.value.code == 2
 
 
+HELP_LINES = {
+    "analyze": "distance bounds for the chain of codes",
+    "dual": "dual code summary for one index",
+    "lcd": "hull dimensions and LCD verdicts",
+    "fixtures": "replay the embedded regression fixtures",
+    "conjecture": "LCD scan over the reversible trinomial family",
+}
+OPTIONS = {
+    "analyze": ["--poly", "--power", "--j", "--oracle-cap", "--candidate-cap", "--json", "--csv"],
+    "dual": ["--poly", "--power", "--j", "--oracle-cap", "--json"],
+    "lcd": ["--poly", "--power", "--j", "--methods", "--json"],
+    "fixtures": ["--which", "--dump", "--json"],
+    "conjecture": ["--vmax", "--tmax", "--dim-cap"],
+}
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_names_every_command_with_its_help_line(capsys):
+    out = _help(capsys, ["--help"])
+    assert "{analyze,dual,lcd,fixtures,conjecture}" in out
+    for name, line in HELP_LINES.items():
+        assert re.search(rf"^ +{name} +{line}$", out, re.M), name
+    assert _help(capsys, ["-h", "analyze"]) == out
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_each_command_help_lists_every_one_of_its_options(capsys, command):
+    out = _help(capsys, [command, "--help"])
+    assert out.startswith(f"usage: polycode {command} [-h]")
+    assert sorted(set(re.findall(r"--[a-z-]+", out))) == sorted(["--help", *OPTIONS[command]])
+
+
+def test_an_option_before_the_command_is_refused(capsys):
+    # the parser is built for the first token that names a command, not for argv[0]
+    with pytest.raises(SystemExit) as err:
+        main(["--json", "analyze", "--poly", "x^3+x+1", "--power", "4"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith("unrecognized arguments: --json")
+
+
+def test_a_call_adds_only_the_options_of_the_command_it_runs(capsys, monkeypatch):
+    ran = []
+    for name, (line, add_options) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, (line, lambda p, name=name, add=add_options: ran.append(name) or add(p)))
+    assert main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--j", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["j"] == 2
+    assert ran == ["lcd"]
+    ran.clear()
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert ran == [] and "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_no_parser_outlives_a_call(capsys, monkeypatch):
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: built.append(weakref.ref(parser := real(command))) or parser)
+    assert main(["dual", "--poly", "x^3+x+1", "--power", "9", "--j", "2"]) == 0
+    with pytest.raises(SystemExit):
+        main(["dual", "--help"])
+    capsys.readouterr()
+    gc.collect()
+    assert len(built) == 2 and all(ref() is None for ref in built)
+
+
 @pytest.mark.parametrize("dim_cap", ["3", "0", "-1"])
 def test_conjecture_refuses_a_dim_cap_below_the_smallest_ring(capsys, dim_cap):
     # a scan of no ring would report "scanned 0 codes: all LCD"
@@ -267,6 +340,14 @@ def test_many_calls_in_one_process_do_not_leak_options(capsys):
     assert main(["lcd", *ring]) == 0
     assert capsys.readouterr().out.count("\n") == 17  # j = 0..16
     assert main(["lcd", *ring, "--j", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["methods"] == ["oracle", "head-criterion"]
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "--help"])
+    assert err.value.code == 0 and "--candidate-cap" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        main(["dual", *ring, "--json"])  # refused: --j is required
+    assert err.value.code == 2 and "--j" in capsys.readouterr().err
+    assert main(["lcd", *ring, "--j", "3", "--json"]) == 0  # neither call before leaves anything behind
     assert json.loads(capsys.readouterr().out)["methods"] == ["oracle", "head-criterion"]
     assert main(["dual", *ring, "--j", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["j"] == 2

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode import _linalg
+from polycode import _linalg, duality
 from polycode.codes import code, generator_rows
 from polycode.errors import InternalConsistencyError
 from polycode.gf2poly import is_irreducible
@@ -265,14 +265,14 @@ def test_kernel_matches_brute_force(case):
 
 
 def _spy_walks(g, rows):
-    """(answer, levels the information-set search ran, whether the Gray-code walk ran) for min_weight_affine."""
-    levels, walks = [], []
+    """(answer, calls) for min_weight_affine: calls lists the search's levels as w and each Gray-code walk as "walk", in order."""
+    calls = []
     real_level, real_walk = _linalg._level, _linalg.gray_walk
     with (
-        mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real_level(*args)),
-        mock.patch.object(_linalg, "gray_walk", lambda *args: walks.append(1) or real_walk(*args)),
+        mock.patch.object(_linalg, "_level", lambda *args: calls.append(args[2]) or real_level(*args)),
+        mock.patch.object(_linalg, "gray_walk", lambda *args: calls.append("walk") or real_walk(*args)),
     ):
-        return min_weight_affine(g, rows), levels, bool(walks)
+        return min_weight_affine(g, rows), calls
 
 
 @pytest.mark.parametrize(
@@ -287,8 +287,33 @@ def test_the_kernel_takes_the_walk_its_set_up_rule_names_at_the_boundary(k, n, w
     rng = random.Random(n)
     rows = [rng.getrandbits(n) | 1 for _ in range(k)]
     rows[0] |= 1 << (n - 1)
-    got, levels, walked = _spy_walks(0, rows)
-    assert walked == walk and bool(levels) == (not walk)
+    got, calls = _spy_walks(0, rows)
+    # the walk the rule starts with: a search runs its levels before any hand-over to the walk
+    assert calls[0] == ("walk" if walk else 1)
+    if walk:
+        assert calls == ["walk"]
+    assert got == min(w for w in _affine_weights_brute(0, rows) if w)
+
+
+def _random_high_d_span():
+    # 12 random rows of 200 bits: the rule picks the search (2^12 = 4096 against 16 * 210), but d is near
+    # 70, so the levels needed to prove it weigh far more than the 4096 words of the whole walk
+    rng = random.Random(12)
+    return [rng.getrandbits(200) | 1 << 199 for _ in range(12)]
+
+
+def _dual_oracle_rows_L100():
+    # the 16-row dual oracle of x^16+x^5+x^3+x+1, L = 100, j = 1: n = 1 600 and d_dual = 750
+    dual = duality.dual_code(code(new_context(0b10000000000101011, 100), 1))
+    return [(dual.h_star << i) & ((1 << dual.n) - 1) for i in range(dual.dim)]
+
+
+@pytest.mark.parametrize("make_rows", [_random_high_d_span, _dual_oracle_rows_L100], ids=["random-k12-n200", "dual-L100"])
+def test_the_search_hands_over_to_the_walk_once_it_has_weighed_2_to_the_k_words(make_rows):
+    rows = make_rows()
+    got, calls = _spy_walks(0, rows)
+    assert calls[0] == 1 and calls[-1] == "walk" and calls.count("walk") == 1
+    assert max(c for c in calls if c != "walk") >= 3  # levels past the first two ran before the hand-over
     assert got == min(w for w in _affine_weights_brute(0, rows) if w)
 
 
