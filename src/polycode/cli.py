@@ -6,12 +6,16 @@ embedded regression fixtures), conjecture (LCD scan over the trinomial
 family).  Exit codes: 0 success, 1 fixture mismatch, 2 bad input or a cap
 refusing work, 3 an internal cross-check tripping.
 
-Each call to main builds a fresh parser in which only the command it runs
-gets its options (one options function per command, all named in one table,
-_COMMANDS); the other commands are registered with their help lines alone.
-The parser is not cached across calls: the polycode script makes one call per
-process, so a cache would save its users nothing, while a smaller build saves
-in every process.
+Each call to main that starts with a command builds one parser, that
+command's (one options function per command, all named in one table,
+_COMMANDS), and parses the rest of argv with it.  The whole parser, every
+command registered with its help line, is built only for what that parser
+cannot answer alone: argv that does not start with a command (--help, bare
+polycode, an unknown command) and arguments left over after the command,
+whose "unrecognized arguments" error names the whole parser.  No parser is
+cached across calls: the polycode script makes one call per process, so a
+cache would save its users nothing, while a smaller build saves in every
+process.
 """
 
 from __future__ import annotations
@@ -223,14 +227,13 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser for one call: every command is registered with its help line, only `command` gets its options.
+    """The whole parser: every command registered with its help line, only `command` with its options.
 
-    A subcommand's options are read only when that subcommand is parsed, so
-    the others can go without them: help, usage and error text are those of
-    the parser with every option.  Each add_argument outside a mutually
-    exclusive group builds a HelpFormatter, which asks for the terminal size:
-    a build makes 7 for the commands and their -h, plus one per such option of
-    `command`, 8-12 in all, against 26 with every command's options.
+    main builds it only for help and errors: when argv does not start with a
+    command, or the command's own parser leaves arguments over.  A
+    subcommand's options are read only when that subcommand is parsed, so the
+    others can go without them: help, usage and error text are those of the
+    parser with every option.
     """
     parser = argparse.ArgumentParser(prog="polycode", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,15 +247,23 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one polycode command on argv (sys.argv[1:] when None) and return its exit code.
 
-    Each call builds its own parser for the one command argv names, its first
-    token that is a command name (not argv[0]: in `polycode --json analyze`,
-    argparse must still refuse --json), and keeps no parser once it returns.
-    The parser is not cached: the polycode script calls main once per
-    process, so a cache would save its users nothing.
+    When argv[0] names a command, the call builds that command's parser
+    alone, the one the whole parser's add_parser would build (prog "polycode
+    <command>"; its help line is printed only by the whole parser), so its
+    help, usage and errors read the same.  The whole parser, built for the
+    first token of argv that names a command (not argv[0]: in `polycode
+    --json analyze`, argparse must still refuse --json), parses argv when
+    argv[0] is no command or the command leaves arguments over, whose error
+    only the whole parser prints.  No parser is kept once the call returns.
     """
     argv = sys.argv[1:] if argv is None else argv
-    command = next((arg for arg in argv if arg in _COMMANDS), None)
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"polycode {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+    if not argv or argv[0] not in _COMMANDS or rest:
+        command = next((arg for arg in argv if arg in _COMMANDS), None)
+        args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, CapExceeded) as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import gc
 import io
@@ -294,15 +295,62 @@ def test_a_call_adds_only_the_options_of_the_command_it_runs(capsys, monkeypatch
     assert ran == [] and "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def _outcome(capsys, run, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
 def test_no_parser_outlives_a_call(capsys, monkeypatch):
-    built, real = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command: built.append(weakref.ref(parser := real(command))) or parser)
-    assert main(["dual", "--poly", "x^3+x+1", "--power", "9", "--j", "2"]) == 0
-    with pytest.raises(SystemExit):
-        main(["dual", "--help"])
-    capsys.readouterr()
-    gc.collect()
-    assert len(built) == 2 and all(ref() is None for ref in built)
+    built, real = [], argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    ring = ["--poly", "x^3+x+1", "--power", "9"]
+    # a call that starts with its command builds that command's parser alone; the whole parser
+    # (its own and the five commands') only for help and errors
+    for argv, code, parsers in (
+        (["dual", *ring, "--j", "2"], 0, 1),
+        (["dual", "--help"], 0, 1),
+        (["analyze", *ring, "extra"], 2, 1 + 6),
+        (["--help"], 0, 6),
+    ):
+        built.clear()
+        assert _outcome(capsys, main, argv)[0] == code, argv
+        gc.collect()
+        assert len(built) == parsers and all(ref() is None for ref in built), argv
+
+
+RING = ["--poly", "x^3+x+1", "--power", "4"]
+PARITY_ARGVS = [
+    [], ["--help"], ["-h"], ["-h", "analyze"], ["bogus"], ["--json", "analyze", *RING],
+    ["-1", "analyze"], ["--", "analyze", *RING],
+    *([command, "--help"] for command in OPTIONS), ["analyze", *RING, "-h"],
+    ["analyze"], ["analyze", "--power", "4"], ["dual", *RING], ["dual", *RING, "--j", "x"], ["dual", *RING, "--j"],
+    ["analyze", "--pol", "x^3+x+1", "--power", "4", "--js"], ["dual", *RING, "--j", "2", "--js"],
+    ["analyze", *RING, "--json", "--csv"], ["fixtures", "--dump", "--json"],
+    ["analyze", *RING, "--candidate-cap", "0"], ["lcd", *RING, "--methods", "theorem"],
+    ["analyze", *RING, "extra"], ["analyze", *RING, "dual"], ["analyze", "--", *RING], ["analyze", *RING, "--bogus"],
+    ["analyze", *RING, "--j", "2"], ["dual", *RING, "--j", "2", "--json"], ["lcd", *RING],
+    ["fixtures", "--which", "dual-weights-m3L9", "--dump"], ["conjecture", "--vmax", "0", "--tmax", "2"],
+]
+
+
+def _whole_parser_main(argv):
+    args = cli.build_parser(next((arg for arg in argv if arg in cli._COMMANDS), None)).parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
+def test_a_call_reads_as_if_the_whole_parser_parsed_it(capsys, monkeypatch, argv):
+    # help, usage and error text are byte for byte those of the whole parser, whichever parser runs
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _whole_parser_main, argv)
 
 
 @pytest.mark.parametrize("dim_cap", ["3", "0", "-1"])
