@@ -1,13 +1,14 @@
 """Linear-complementary-dual (LCD) verdicts for the chain codes.
 
-Every code takes the same routes.  One extended Euclid on q = g * g_star mod
-x^n, g = P^j the code's generator and g_star = (P_star)^j its reciprocal,
-measures the hull C intersect C-dual.  Where k <= GRAM_MAX_K an oracle measures
-it again, through the rank of the Gram matrix G*G^T, and the two must agree:
-the rows of G are the shifts x^i * P^j, none of which wraps past x^(n-1), so
-G*G^T is a symmetric Toeplitz matrix built from k parities.  For 0 < j < L the
+Every code takes the same routes.  The hull C intersect C-dual has dimension
+k - rank(G*G^T), and the rows of G are the shifts x^i * P^j (i < k), none of
+which wraps past x^(n-1), so G*G^T is the symmetric Toeplitz matrix of the band
+t[d] = <g, x^d * g>: the coefficients of q = g * g_star mod x^n around x^(m*j),
+g = P^j the code's generator and g_star = (P_star)^j its reciprocal.  One
+Berlekamp-Massey pass over the band's 2k - 1 entries gives their linear
+complexity, and with it the rank (hull_dimension_oracle).  For 0 < j < L the
 paper's rank criterion, one form for j up to 2^(T-1) and another beyond it,
-runs the same Euclid on W = q^-1 mod x^n; its kernel is the hull in dual
+runs an extended Euclid on W = q^-1 mod x^n; its kernel is the hull in dual
 coordinates, so its dimension must equal the hull's, and the Gray-code walk
 (_linalg.gray_walk) checks it where m*j <= 12.  The paper writes W with powers
 of x^e + 1, e the order of x mod P; those are 1 mod x^n since e * 2^T > n
@@ -27,7 +28,7 @@ from __future__ import annotations
 from itertools import islice, takewhile
 from typing import NamedTuple
 
-from ._linalg import gray_walk, parity_dot, rank
+from ._linalg import gray_walk
 from .codes import PolycyclicCode, chain
 from .errors import InternalConsistencyError, ValidationError
 from .gf2poly import degree, inverse_trunc, mul, mul_trunc, reciprocal
@@ -43,30 +44,9 @@ class LcdVerdict(NamedTuple):
     methods: tuple[str, ...]
 
 
-# The Gram rank runs where k <= GRAM_MAX_K: up to there it takes under half a millisecond
-# a code (2-core x86 VM); at k in the thousands it takes milliseconds a code and nearly all
-# of a whole chain's time, where the Euclid on q and the criterion's kernel still answer.
-GRAM_MAX_K = 256
-
-
 # ---------------------------------------------------------------------------
 # oracle: hull dimension
 # ---------------------------------------------------------------------------
-
-
-def _toeplitz_gram(g: int, k: int) -> list[int]:
-    """Gram matrix of the rows x^a * g for a < k, taken whole (no row wraps mod x^n).
-
-    Gram[a][b] = <x^a g, x^b g> = <g, x^|a-b| g> = t[|a-b|]: a symmetric
-    Toeplitz matrix.  The band holds t[d] at bits k-1+d and k-1-d, so row a is
-    the band shifted right by k-1-a, cut to k bits.
-    """
-    band = 0
-    for d in range(min(k, g.bit_length())):  # t[d] = 0 once the shift clears g
-        if parity_dot(g, g << d):
-            band |= (1 << (k - 1 + d)) | (1 << (k - 1 - d))
-    mask = (1 << k) - 1
-    return [(band >> (k - 1 - a)) & mask for a in range(k)]
 
 
 def _reconstruction_dim(q: int, n: int, a: int) -> int:
@@ -96,32 +76,50 @@ def _hull_word(c: PolycyclicCode) -> int:
     return mul_trunc(g, reciprocal(g), c.ctx.n)
 
 
-def _hull_by_reconstruction(c: PolycyclicCode, q: int | None = None) -> int:
-    """dim(C intersect C-dual): a*g lies in C-dual iff deg(a*q mod x^n) < m*j = n - k, q = g * g_star mod x^n.
+def _linear_complexity(s: int, N: int) -> int:
+    """Length of the shortest LFSR that generates the bits s_0 .. s_(N-1) of s (Berlekamp-Massey).
 
-    q = g * h^-1 mod x^n, since the dual word h is g_star^-1 mod x^n (duality.dual_code);
-    it is built from the generator when not given.
+    Of the connection polynomials C (current) and B (before the last length
+    change) only U = (C*S) >> i and V = (B*S) >> i_B are kept, S the series of
+    s and i_B the step at which B was last C: the discrepancy at step i is
+    U's low bit, and C + x^(i - i_B)*B moves U to U ^ V.  A run of zero
+    discrepancies is one shift.
     """
-    return _reconstruction_dim(_hull_word(c) if q is None else q, c.ctx.n, c.k)
+    U, V, ell, i = s, s << 1, 0, 0
+    while U:
+        z = (U & -U).bit_length() - 1
+        i += z
+        if i >= N:
+            break
+        U >>= z
+        if 2 * ell <= i:
+            U, V, ell = U ^ V, U, i + 1 - ell
+        else:
+            U ^= V
+        U >>= 1
+        i += 1
+    return ell
 
 
 def hull_dimension_oracle(c: PolycyclicCode, q: int | None = None) -> int:
-    """dim(C intersect C-dual) via the Gram matrix, cross-checked by rational reconstruction on q.
+    """dim(C intersect C-dual) = k - rank(G*G^T), the rank by Berlekamp-Massey over the Gram band.
 
-    The generator rows are x^i * P^j for i < k; the last one has degree
-    k-1 + m*j = n-1, so no row wraps and the Gram matrix is Toeplitz
-    (_toeplitz_gram): k parities instead of k^2.  q = g * g_star mod x^n is
-    built from the generator when not given.
+    The Gram matrix is Toeplitz in t[d] = <g, x^d*g>, the coefficient of
+    x^(m*j + d) in q = g * g_star mod x^n (built from the generator when not
+    given), and t[-d] = t[d]: the band is the 2k - 1 coefficients of q from
+    x^(m*j - k + 1) to x^(n-1), which must read the same both ways.  A k x k
+    Toeplitz (or Hankel) matrix whose 2k - 1 entries have linear complexity l
+    has rank l if l <= k, and 2k - l otherwise.
     """
-    if c.j == c.ctx.L:
-        return 0
-    hull = c.k - rank(_toeplitz_gram(c.generator, c.k))
-    hull_rr = _hull_by_reconstruction(c, q)
-    if hull != hull_rr:
-        raise InternalConsistencyError(
-            f"hull dimension mismatch: Gram rank gives {hull}, rational reconstruction gives {hull_rr}"
-        )
-    return hull
+    k, lo = c.k, c.ctx.m * c.j - c.k + 1
+    if q is None:
+        q = _hull_word(c)
+    band = q >> lo if lo >= 0 else q << -lo
+    bits = f"{band:b}".zfill(2 * k - 1)
+    if bits != bits[::-1]:
+        raise InternalConsistencyError(f"q's Gram band around x^(m*j) is not a palindrome at j={c.j}")
+    ell = _linear_complexity(band, 2 * k - 1)
+    return k - (ell if ell <= k else 2 * k - ell)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +153,10 @@ def is_lcd_tail_criterion(c: PolycyclicCode, W: int | None = None, hull: int | N
 def _criterion(c: PolycyclicCode, W: int | None, hull: int | None) -> bool:
     """Whether no nonzero delta with deg delta < m*j has deg(delta*W mod x^n) < k, W = (P * P_star)^-j.
 
-    W = q^-1 mod x^n for the hull's q = g * g_star mod x^n (_hull_by_reconstruction),
-    so delta = a*q mod x^n maps the hull {a : deg a < k, deg(a*q mod x^n) < m*j}
-    one to one onto this kernel: the two dimensions are equal.
+    W = q^-1 mod x^n for the hull's q = g * g_star mod x^n: a*g lies in C-dual iff
+    deg(a*q mod x^n) < m*j, so delta = a*q mod x^n maps the hull
+    {a : deg a < k, deg(a*q mod x^n) < m*j} one to one onto this kernel: the two
+    dimensions are equal.
     """
     n, k, mj = c.ctx.n, c.k, c.ctx.m * c.j
     if W is None:
@@ -182,15 +181,12 @@ def _criterion(c: PolycyclicCode, W: int | None, hull: int | None) -> bool:
 def _verdict(c: PolycyclicCode, q: int, W: int | None) -> LcdVerdict:
     """One code's verdict from its words q = (P * P_star)^j and W = q^-1 mod x^n (inverted here if None).
 
-    The hull is the Gram rank's where k <= GRAM_MAX_K (hull_dimension_oracle, which
-    cross-checks the Euclid on q) and that Euclid's alone above it; for 0 < j < L the
-    criterion checks its kernel's dimension against the hull.
+    The hull is the Gram rank's by Berlekamp-Massey on q (hull_dimension_oracle) on
+    every code; for 0 < j < L the criterion's Euclid on W checks its kernel's
+    dimension against it, a second derivation by another algorithm on another word.
     """
     ctx, j = c.ctx, c.j
-    if c.k <= GRAM_MAX_K:
-        hull, used = hull_dimension_oracle(c, q), ("oracle",)
-    else:
-        hull, used = _hull_by_reconstruction(c, q), ("hull-euclid",)
+    hull, used = hull_dimension_oracle(c, q), ("oracle",)
     if 0 < j < ctx.L:
         head = j <= 1 << (ctx.T - 1)
         criterion = is_lcd_head_criterion if head else is_lcd_tail_criterion

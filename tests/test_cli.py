@@ -128,21 +128,14 @@ def test_lcd_single_and_sweep(capsys):
     assert out.count("\n") == 5  # j = 0..4
 
 
-def test_lcd_theorem_sweep_skips_trivial_ideals(capsys, monkeypatch):
-    # no rank criterion covers j = 0 or L: there the hull alone decides, by the Gram rank
-    # where k <= GRAM_MAX_K and by the hull Euclid above it
-    ring = ["lcd", "--poly", "x^3+x+1", "--power", "4"]
-    assert main(ring) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [("criterion" in line) for line in lines] == [False, True, True, True, False]
-    assert lines[0] == "j=  0  LCD       hull=0     methods=oracle"
-    assert lines[4] == "j=  4  LCD       hull=0     methods=oracle"
-    monkeypatch.setattr(lcd, "GRAM_MAX_K", -1)
-    assert main(ring) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [("criterion" in line) for line in lines] == [False, True, True, True, False]
-    assert lines[0] == "j=  0  LCD       hull=0     methods=hull-euclid"
-    assert lines[4] == "j=  4  LCD       hull=0     methods=hull-euclid"
+def test_lcd_theorem_sweep_skips_trivial_ideals(capsys):
+    # no rank criterion covers j = 0 or L: there the hull's oracle alone decides, at every k
+    for power in ("4", "90"):  # k = n = 270 at j = 0 of the second ring
+        assert main(["lcd", "--poly", "x^3+x+1", "--power", power]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [("criterion" in line) for line in lines] == [False] + [True] * (int(power) - 1) + [False]
+        assert lines[0] == "j=  0  LCD       hull=0     methods=oracle"
+        assert lines[-1] == f"j={int(power):3d}  LCD       hull=0     methods=oracle"
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
@@ -406,22 +399,33 @@ def test_many_calls_in_one_process_do_not_leak_options(capsys):
 
 
 def test_a_failing_hull_cross_check_exits_3(capsys, monkeypatch):
-    # a flipped bit in g_star moves q = g * g_star mod x^n, and the reconstruction's hull off the Gram rank's
+    # a flipped bit in g_star moves q = g * g_star mod x^n, and with it W = q^-1: the hull and the
+    # criterion's kernel move alike, but q's Gram band no longer reads the same both ways
     real = lcd.reciprocal
     monkeypatch.setattr(lcd, "reciprocal", lambda a: real(a) ^ 2)
     assert main(["lcd", "--poly", "x^3+x+1", "--power", "4", "--j", "2"]) == 3
-    assert "hull dimension mismatch" in capsys.readouterr().err
+    assert "not a palindrome" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("j", "err"), [("5", "dimension 0, the hull 1"), ("10", "dimension 1, the hull 0")])
+def test_an_inverted_euclid_past_k_256_exits_3(capsys, monkeypatch, j, err):
+    # k = 285 and 270 on x^3+x+1 at L = 100, and m*j > 12: the Gray sweep does not run, and the
+    # hull by Berlekamp-Massey is the check on the criterion's Euclid
+    real = lcd._reconstruction_dim
+    monkeypatch.setattr(lcd, "_reconstruction_dim", lambda q, n, a: 0 if real(q, n, a) else 1)
+    assert main(["lcd", "--poly", "x^3+x+1", "--power", "100", "--j", j]) == 3
+    assert f"kernel has {err}, at j={j}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("poly,j", [("x^3+x+1", 2), ("x^3+x+1", 3), ("x^2+x+1", 1), ("x^2+x+1", 3)])
 def test_a_wrong_criterion_kernel_exits_3(capsys, monkeypatch, poly, j):
     # a Euclid that reports a kernel where there is none, or none where there is one, in either
     # regime (j = 3 is a tail code in both rings); x^3+x+1 has no LCD code at L = 4, x^2+x+1 no other.
-    # The hull's Euclid is as wrong as the criterion's, so with the Gram rank out of the way, as
-    # above GRAM_MAX_K, the kernels agree and the criterion's sweep is the check that trips
+    # The hull, replaced by the same wrong Euclid on q, agrees with the criterion's kernel, so the
+    # criterion's sweep is the check that trips
     real = lcd._reconstruction_dim
     monkeypatch.setattr(lcd, "_reconstruction_dim", lambda q, n, a: 0 if real(q, n, a) else 1)
-    monkeypatch.setattr(lcd, "hull_dimension_oracle", lcd._hull_by_reconstruction)
+    monkeypatch.setattr(lcd, "hull_dimension_oracle", lambda c, q: lcd._reconstruction_dim(q, c.ctx.n, c.k))
     assert main(["lcd", "--poly", poly, "--power", "4", "--j", str(j)]) == 3
     assert "disagrees with direct sweep" in capsys.readouterr().err
 

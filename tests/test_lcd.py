@@ -20,9 +20,9 @@ from polycode.duality import dual_code
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import inverse_trunc, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
 from polycode.lcd import (
-    _hull_by_reconstruction,
+    _hull_word,
+    _linear_complexity,
     _reconstruction_dim,
-    _toeplitz_gram,
     conjecture_scan,
     family_poly,
     hull_dimension_oracle,
@@ -36,11 +36,37 @@ from polycode.ring import new_context
 M3 = parse("x^3+x+1")
 
 
+def _toeplitz_gram(g: int, k: int) -> list[int]:
+    """Gram matrix of the rows x^a * g for a < k, taken whole (no row wraps mod x^n).
+
+    Gram[a][b] = <x^a g, x^b g> = <g, x^|a-b| g> = t[|a-b|]: a symmetric
+    Toeplitz matrix.  The band holds t[d] at bits k-1+d and k-1-d, so row a is
+    the band shifted right by k-1-a, cut to k bits.
+    """
+    band = 0
+    for d in range(min(k, g.bit_length())):  # t[d] = 0 once the shift clears g
+        if parity_dot(g, g << d):
+            band |= (1 << (k - 1 + d)) | (1 << (k - 1 - d))
+    mask = (1 << k) - 1
+    return [(band >> (k - 1 - a)) & mask for a in range(k)]
+
+
+def _gram_hull(c) -> int:
+    """Reference hull: k - rank of the Gram matrix, by elimination."""
+    return c.k - rank(_toeplitz_gram(c.generator, c.k))
+
+
+def _euclid_hull(c, q: int | None = None) -> int:
+    """Reference hull: a*g lies in C-dual iff deg(a*q mod x^n) < m*j = n - k, by the extended Euclid on q."""
+    return _reconstruction_dim(_hull_word(c) if q is None else q, c.ctx.n, c.k)
+
+
 def test_three_way_agreement_m3L8():
     ctx = new_context(M3, 8)
     c = code(ctx, 1)
-    # the Gram rank, the Euclid on q and the head criterion's Euclid on W each find no hull
-    assert hull_dimension_oracle(c) == _hull_by_reconstruction(c) == 0
+    # Berlekamp-Massey on q, the Gram elimination, the Euclid on q and the head criterion's
+    # Euclid on W each find no hull
+    assert hull_dimension_oracle(c) == _gram_hull(c) == _euclid_hull(c) == 0
     assert is_lcd_head_criterion(c)
     assert lcd_verdict(c) == (1, True, 0, ("oracle", "head-criterion"))
 
@@ -71,7 +97,7 @@ def test_toeplitz_gram_matches_the_pairwise_gram(deg, seed):
         c = code(ctx, j)
         rows = generator_rows(c)
         pairwise = [sum(parity_dot(ra, rb) << b for b, rb in enumerate(rows)) for ra in rows]
-        assert _toeplitz_gram(c.generator, c.k) == pairwise, (P, ctx.L, j)
+        assert _toeplitz_gram(c.generator, c.k) == pairwise, (ctx.P, ctx.L, j)
         assert hull_dimension_oracle(c) == c.k - rank(pairwise)
 
 
@@ -89,7 +115,7 @@ def test_reconstruction_hull_matches_the_nullspace_hull(deg, seed):
     for j in range(ctx.L + 1):
         c = code(ctx, j)
         want = _nullspace_hull(c)
-        assert _hull_by_reconstruction(c) == want, (ctx.P, ctx.L, j)
+        assert _euclid_hull(c) == want, (ctx.P, ctx.L, j)
         assert hull_dimension_oracle(c) == want, (ctx.P, ctx.L, j)
 
 
@@ -189,8 +215,8 @@ def test_trivial_ideals_are_lcd():
     ctx = new_context(M3, 4)
     assert lcd_verdict(code(ctx, 0)) == (0, True, 0, ("oracle",))
     assert lcd_verdict(code(ctx, 4)) == (4, True, 0, ("oracle",))
-    wide = new_context(M3, 90)  # C_0 has k = n = 270 > GRAM_MAX_K
-    assert lcd_verdict(code(wide, 0)) == (0, True, 0, ("hull-euclid",))
+    wide = new_context(M3, 90)  # C_0 has k = n = 270: the oracle has no bound on k
+    assert lcd_verdict(code(wide, 0)) == (0, True, 0, ("oracle",))
 
 
 def test_head_criterion_matches_oracle_on_small_rings():
@@ -283,35 +309,77 @@ def _irreducible_rings(degrees, n_max):
                     yield new_context(P, L)
 
 
-# GRAM_MAX_K set by the routes it leaves on rings with n <= 64: some codes of a chain on
-# each side of the bound, the Gram oracle on every code, or on none (the hull Euclid and
-# the paper's rank criteria alone, as above the bound)
-_GRAM_BOUNDS = {"all": 24, "oracle": 10**9, "theorem": -1}
-
-
-@pytest.mark.parametrize("routes", ["all", "oracle", "theorem"])
-def test_lcd_chain_equals_lcd_verdict_code_by_code(monkeypatch, routes):
-    bound = _GRAM_BOUNDS[routes]
-    monkeypatch.setattr(lcd, "GRAM_MAX_K", bound)
-    for ctx in _irreducible_rings(range(2, 7), 60):
-        codes = list(chain(ctx, 0, ctx.L + 1))
-        want = [lcd_verdict(c) for c in codes]
-        assert [v.methods[0] for v in want] == ["oracle" if c.k <= bound else "hull-euclid" for c in codes]
+def test_lcd_chain_equals_lcd_verdict_code_by_code():
+    # x^3+x+1 at L = 100 has codes with k up to 300
+    rings = [*_irreducible_rings(range(2, 7), 60), new_context(M3, 100)]
+    for ctx in rings:
+        want = [lcd_verdict(c) for c in chain(ctx, 0, ctx.L + 1)]
+        assert all(v.methods[0] == "oracle" for v in want)
         assert lcd_chain(ctx) == want, (ctx.P, ctx.L)
 
 
 @pytest.mark.parametrize(("poly", "L"), [("x^2+x+1", 150), ("x^3+x+1", 100), ("x^5+x^2+1", 60), ("x^4+x^3+1", 130)])
-def test_above_the_gram_bound_the_hull_is_the_euclids_and_equals_the_oracle(poly, L):
-    # codes with k just above GRAM_MAX_K skip the Gram rank; the oracle, called here, still measures it
+def test_past_k_256_the_hull_equals_the_gram_elimination(poly, L):
+    # codes with k just above 256, past the reach of the exhaustive differential test below
     ctx = new_context(parse(poly), L)
     verdicts = lcd_chain(ctx)
     for c in chain(ctx, 0, ctx.L + 1):
-        if lcd.GRAM_MAX_K < c.k <= lcd.GRAM_MAX_K + 4 * ctx.m:
-            v = verdicts[c.j]
-            assert v.hull_dim == hull_dimension_oracle(c), (poly, L, c.j)
-            assert v.methods[0] == "hull-euclid" and v == lcd_verdict(c), (poly, L, c.j)
-        elif c.k <= lcd.GRAM_MAX_K:
-            assert verdicts[c.j].methods[0] == "oracle", (poly, L, c.j)
+        v = verdicts[c.j]
+        assert v.methods[0] == "oracle", (poly, L, c.j)
+        if 256 < c.k <= 256 + 4 * ctx.m:
+            assert v.hull_dim == _gram_hull(c) and v == lcd_verdict(c), (poly, L, c.j)
+
+
+def test_berlekamp_massey_hull_equals_the_gram_elimination():
+    # every code with k > 0 (j < L) of every irreducible P of degree 2-7 with n <= 96
+    codes = 0
+    for ctx in _irreducible_rings(range(2, 8), 96):
+        for c in chain(ctx, 0, ctx.L):
+            assert hull_dimension_oracle(c) == _gram_hull(c), (ctx.P, ctx.L, c.j)
+            codes += 1
+    assert codes == 7095
+
+
+def _lfsr_bits(rng: random.Random, ell: int, N: int) -> int:
+    """N bits of a random recurrence of length ell: s_i, i >= ell, is the parity of taps & (s_(i-ell) .. s_(i-1))."""
+    if ell == 0:
+        return 0
+    taps, s = rng.getrandbits(ell), rng.getrandbits(ell)
+    for i in range(ell, N):
+        s |= (bin(taps & (s >> (i - ell))).count("1") & 1) << i
+    return s & ((1 << N) - 1)
+
+
+def test_hankel_rank_is_read_off_the_linear_complexity():
+    # a k x k Hankel matrix H[a][b] = s_(a+b) over 2k - 1 entries of linear complexity l has rank
+    # l if l <= k and 2k - l otherwise: random, recurrent and sparse sequences, by elimination
+    rng = random.Random(36)
+    seen = set()
+    for trial in range(21000):
+        k = rng.randrange(1, 40)
+        N = 2 * k - 1
+        kind = trial % 3
+        if kind == 0:
+            s = rng.getrandbits(N)
+        elif kind == 1:
+            s = _lfsr_bits(rng, rng.randrange(0, k + 3), N)
+        else:
+            s = rng.getrandbits(N) & rng.getrandbits(N) & rng.getrandbits(N)
+        ell = _linear_complexity(s, N)
+        want = rank([(s >> a) & ((1 << k) - 1) for a in range(k)])
+        assert (ell if ell <= k else 2 * k - ell) == want, (s, k)
+        seen.add((ell <= k, ell == 0))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_an_off_palindrome_gram_band_raises():
+    # the band of a true q = g * g_star reads the same both ways; one flipped coefficient inside it does not
+    c = code(new_context(M3, 8), 3)  # m*j = 9, k = 15: the band is bits 0..23 of q
+    q = _hull_word(c)
+    assert hull_dimension_oracle(c, q) == hull_dimension_oracle(c)
+    for bit in (0, 5, 20, 23):
+        with pytest.raises(InternalConsistencyError, match="not a palindrome at j=3"):
+            hull_dimension_oracle(c, q ^ (1 << bit))
 
 
 @pytest.mark.parametrize(("v_max", "t_max"), [(1, 5), (0, 7)])
@@ -332,9 +400,7 @@ def _corrupt_step(monkeypatch):
     monkeypatch.setattr(lcd, "mul", lambda a, b: mul(a, b) ^ 0b10)
 
 
-@pytest.mark.parametrize("routes", ["all", "theorem"])
-def test_a_corrupted_step_misses_w0_and_lcd_exits_3(monkeypatch, capsys, routes):
-    monkeypatch.setattr(lcd, "GRAM_MAX_K", _GRAM_BOUNDS[routes])
+def test_a_corrupted_step_misses_w0_and_lcd_exits_3(monkeypatch, capsys):
     _corrupt_step(monkeypatch)
     with pytest.raises(InternalConsistencyError, match="misses W_0 = 1"):
         lcd_chain(new_context(parse("x^4+x+1"), 16))

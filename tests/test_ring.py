@@ -202,14 +202,19 @@ def test_each_code_word_is_a_power_of_a_ring_inverse(monkeypatch):
     # every irreducible P of degree 2-6, n <= 64, every 1 <= j < L: the words each code builds from its
     # generator g = P^j are the j-th powers of P*^-1, P * P* and (P * P*)^-1 mod x^n (and the anchors'
     # bases powers of P*^-1 cut to n // B bits), the forms the paper's words reduce to
-    seen: list[tuple[int, int, int]] = []
-    real = lcd._reconstruction_dim
+    seen: list = []
+    real_hull, real_kernel = lcd.hull_dimension_oracle, lcd._reconstruction_dim
 
-    def spy(q, n, a):
-        seen.append((q, n, a))
-        return real(q, n, a)
+    def hull_spy(c, q=None):
+        seen.append(q)
+        return real_hull(c, q)
 
-    monkeypatch.setattr(lcd, "_reconstruction_dim", spy)
+    def kernel_spy(W, n, a):
+        seen.append((W, n, a))
+        return real_kernel(W, n, a)
+
+    monkeypatch.setattr(lcd, "hull_dimension_oracle", hull_spy)
+    monkeypatch.setattr(lcd, "_reconstruction_dim", kernel_spy)
     codes = anchors = 0
     for m in range(2, 7):
         for P in (f for f in range((1 << m) | 1, 2 << m, 2) if is_irreducible(f)):
@@ -223,8 +228,8 @@ def test_each_code_word_is_a_power_of_a_ring_inverse(monkeypatch):
                     assert dual_code(c).h_star == power_trunc(P_star_inv, j, n), (P, L, j)
                     seen.clear()
                     assert lcd_verdict(c).methods[0] == "oracle"
-                    q_call, W_call = seen  # the hull's cross-check, then the criterion
-                    assert q_call == (power_trunc(PP_star, j, n), n, c.k), (P, L, j)
+                    q_call, W_call = seen  # the hull's word, then the criterion's
+                    assert q_call == power_trunc(PP_star, j, n), (P, L, j)
                     assert W_call == (power_trunc(PP_star_inv, j, n), n, m * j), (P, L, j)
                     codes += 1
                 for j in sorted({1 << i for i in range(ctx.T)} | set(ctx.tops)):

@@ -15,7 +15,7 @@ from polycode.distance import full_distance_profile, upper_anchor_distance
 from polycode.duality import dual_anchor_distance, dual_code, dual_min_distance_bruteforce
 from polycode.errors import ValidationError
 from polycode.gf2poly import is_irreducible, mul, order, power, reciprocal, weight
-from polycode.lcd import family_poly, lcd_verdict
+from polycode.lcd import family_poly, lcd_chain, lcd_verdict
 from polycode.ring import new_context
 from test_codes import reversible_by_rows
 from test_distance import head_zone_split
@@ -256,3 +256,17 @@ def test_family_profile_agrees_with_the_generic_profile_on_every_ring_shape():
             profile = full_distance_profile(ctx, oracle_cap=24)
             for j, (lo, hi) in paper_profile(ctx).items():
                 assert max(lo, profile[j].lower) <= min(hi, profile[j].upper), (v, L, j, profile[j])
+
+
+def test_family_hulls_are_3v_times_the_v0_hulls():
+    # x^(2s) + x^s + 1 = Q(x^s), Q = x^2+x+1 and s = 3^v: C_j over its L-th power is the s-fold
+    # interleave of C_j over Q^L, and the hull of an interleave is the sum of its components' hulls
+    codes = with_hull = 0
+    for v, Ls in ((1, range(2, 40)), (2, range(2, 8))):
+        for L in Ls:
+            base = lcd_chain(new_context(family_poly(0), L))
+            for verdict in lcd_chain(new_context(family_poly(v), L)):
+                assert verdict.hull_dim == 3**v * base[verdict.j].hull_dim, (v, L, verdict.j)
+                codes += 1
+                with_hull += verdict.hull_dim > 0
+    assert (codes, with_hull) == (850, 362)
