@@ -7,9 +7,11 @@ bit; rref then back-substitutes once, lowest pivot first.  nullspace checks
 every basis vector against every row through the columns of the rows, each a
 mask over the rows.
 One kernel, min_weight_affine, finds the minimum nonzero weight over an
-affine span g ^ span(rows) from those words alone; the oracle, the spread
-component, the reduced candidate sets and the dual candidate sets all call
-it.  It takes one of two walks, whichever its inputs say costs less: the
+affine span g ^ span(rows) from those words alone.  Every exact search calls
+it on the lead coset of the shifts of one word (codes.lead_coset): the
+oracle, the spread component, the reduced candidate sets, the dual oracle and
+the dual candidate sets; min_weight_span is the same kernel on a linear span.
+It takes one of two walks, whichever its inputs say costs less: the
 Gray-code walk, gray_walk, which yields the 2^k words one at a time (the dual
 candidate weights and the LCD criterion's sweep read it too), or
 Brouwer-Zimmermann's information-set search on plain ints, exact at a cost

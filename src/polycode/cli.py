@@ -9,13 +9,13 @@ refusing work, 3 an internal cross-check tripping.
 Each call to main that starts with a command builds one parser, that
 command's (one options function per command, all named in one table,
 _COMMANDS), and parses the rest of argv with it.  The whole parser, every
-command registered with its help line, is built only for what that parser
-cannot answer alone: argv that does not start with a command (--help, bare
-polycode, an unknown command) and arguments left over after the command,
-whose "unrecognized arguments" error names the whole parser.  No parser is
-cached across calls: the polycode script makes one call per process, so a
-cache would save its users nothing, while a smaller build saves in every
-process.
+command registered with its help line and its options, is built only for
+what that parser cannot answer alone: argv that does not start with a
+command (--help, bare polycode, an unknown command) and arguments left over
+after the command, whose "unrecognized arguments" error names the whole
+parser.  No parser is cached across calls: the polycode script makes one
+call per process, so a cache would save its users nothing, while a smaller
+build saves in every process.
 """
 
 from __future__ import annotations
@@ -226,35 +226,21 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The whole parser: every command registered with its help line, only `command` with its options.
-
-    main builds it only for help and errors: when argv does not start with a
-    command, or the command's own parser leaves arguments over.  A
-    subcommand's options are read only when that subcommand is parsed, so the
-    others can go without them: help, usage and error text are those of the
-    parser with every option.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, every command registered with its help line and its options: main's for help and errors."""
     parser = argparse.ArgumentParser(prog="polycode", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if name == command:
-            add_options(p)
+        add_options(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one polycode command on argv (sys.argv[1:] when None) and return its exit code.
 
-    When argv[0] names a command, the call builds that command's parser
-    alone, the one the whole parser's add_parser would build (prog "polycode
-    <command>"; its help line is printed only by the whole parser), so its
-    help, usage and errors read the same.  The whole parser, built for the
-    first token of argv that names a command (not argv[0]: in `polycode
-    --json analyze`, argparse must still refuse --json), parses argv when
-    argv[0] is no command or the command leaves arguments over, whose error
-    only the whole parser prints.  No parser is kept once the call returns.
+    When argv[0] names a command, that command's parser alone parses the rest, built as the whole
+    parser's add_parser builds it (prog "polycode <command>"), so its help, usage and errors read the
+    same; the whole parser parses argv that starts with no command or leaves arguments over.
     """
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _COMMANDS:
@@ -262,8 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[argv[0]][1](parser)
         args, rest = parser.parse_known_args(argv[1:])
     if not argv or argv[0] not in _COMMANDS or rest:
-        command = next((arg for arg in argv if arg in _COMMANDS), None)
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, CapExceeded) as exc:

@@ -3,14 +3,15 @@
 C_j has length n = m*L and dimension k = m*(L - j); its generator matrix
 stacks the shifts x^i * P^j for i < k, so codewords are exactly the masks of
 polynomial multiples of P^j of degree below n.  Codewords travel as ints
-(bit i = coordinate i).  Each code carries its own generator P^j: code() takes
-one power, chain() steps from one code to the next by one product by P.  Here
-live the code object, the walk, generator rows, membership, the split of
-C_j into t interleaved codes up to t times shorter (interleave), and the
-two caps every search shares: DEFAULT_ENUM_CAP, the default oracle_cap on
-the dimension an exact oracle takes (check_caps refuses a negative one), and
-DEFAULT_CANDIDATE_CAP, the fixed bound on the words in one reduced candidate
-set, primal or dual.
+(bit i = coordinate i).  Each code carries its own generator P^j: code()
+takes one power, chain() steps from one code to the next by one product by
+P.  Here live the code object, the walk, generator rows, the one candidate
+shape of every exact search (lead_coset: the k shifts of one word mod x^N,
+with the top one fixed), membership, the split of C_j into t interleaved
+codes up to t times shorter (interleave), and the two caps every search
+shares: DEFAULT_ENUM_CAP, the default oracle_cap on the dimension an exact
+oracle takes (check_caps refuses a negative one), and DEFAULT_CANDIDATE_CAP,
+the fixed bound on the words in one reduced candidate set, primal or dual.
 """
 
 from __future__ import annotations
@@ -101,6 +102,18 @@ def interleave(ctx: RingContext, j: int) -> Interleave:
 def generator_rows(c: PolycyclicCode) -> list[int]:
     """The k shifted-generator rows x^i * P^j, i = 0..k-1."""
     return [c.generator << i for i in range(c.k)]
+
+
+def lead_coset(base: int, k: int, nbits: int) -> tuple[int, list[int]]:
+    """The words c*base mod x^nbits with deg c = k - 1, as (g, rows): g = x^(k-1)*base, rows x^i*base for i < k - 1.
+
+    Where the k shifts x^i*base mod x^nbits are independent, these 2^(k-1) words hold the least nonzero
+    weight of their span: c -> x*c sends a word w to x*w mod x^nbits, which never gains weight and
+    stays nonzero.  The searches weigh the cosets of the oracle (P^j, k, n), the reduced sets (P^(j/B), lam,
+    ceil(n/B)), the spread (R, k0, ceil(n/t)), the dual oracle (h*, m*j, n) and the dual anchors (P*^-u, m*u, n // B).
+    """
+    mask = (1 << nbits) - 1
+    return (base << (k - 1)) & mask, [(base << i) & mask for i in range(k - 1)]
 
 
 def contains(c: PolycyclicCode, word: int) -> bool:

@@ -12,11 +12,11 @@ Four independent sources feed one report per j:
   dimensions, and checks the direct oracle where both run;
 * exact values on a lattice of "anchor" indices, where the minimum is
   attained inside a small reduced candidate set P^j * a(x^B) with B = j & -j
-  and a running over constant-term-1 polynomials of bounded degree; a set
-  of more than the fixed DEFAULT_CANDIDATE_CAP (2^20) candidates is refused,
-  as on the dual side, and its slot is left to the other sources.  The
-  lower anchors are j = 2^(T-s); the upper ones are ctx.tops, whose first
-  entry 2^(T-1) is also the top lower anchor;
+  and a of bounded degree, weighed as P^(j/B) * a; a set of more than the
+  fixed DEFAULT_CANDIDATE_CAP (2^20) candidates is refused, as on the dual
+  side, and its slot is left to the other sources.  The lower anchors are
+  j = 2^(T-s); the upper ones are ctx.tops, whose first entry 2^(T-1) is
+  also the top lower anchor;
 * a small-weight kernel that decides min(d, 4) exactly from P^j alone, in
   O(n) steps and independent of k: the residues r_i = x^i mod P^j, i < n,
   give a weight-2 word x^a + x^b at a repeat r_a = r_b and a weight-3 word
@@ -35,8 +35,10 @@ Four independent sources feed one report per j:
   of the first anchor 2^(T-1) is over the candidate cap, the kernel's
   min(d, 4) there is the lower bound the doubling reads.
 
-The oracles and the reduced sets are all minima over an affine span of
-words, taken by the one kernel of _linalg (min_weight_affine).
+Each search weighs the k shifts of one word w as their lead coset
+(codes.lead_coset) with the one kernel of _linalg (min_weight_affine): the
+oracle w = P^j on n bits, the reduced set w = P^(j/B), k = lam on ceil(n/B)
+bits, the spread w = R, k = k0 on ceil(n/t) bits.
 _structural_profile holds the anchors and the interval bounds.  _search, the
 one search step, runs the oracle and then weighs D_0: full_distance_profile on
 every j before it fuses and runs the kernel, single_distance_report on j, then
@@ -46,19 +48,10 @@ Every bound is tagged; two sources that disagree raise InternalConsistencyError.
 
 from __future__ import annotations
 
-from ._linalg import min_weight_affine, min_weight_span
-from .codes import (
-    DEFAULT_CANDIDATE_CAP,
-    DEFAULT_ENUM_CAP,
-    PolycyclicCode,
-    chain,
-    check_caps,
-    code,
-    generator_rows,
-    interleave,
-)
+from ._linalg import min_weight_affine
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, chain, check_caps, code, interleave, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import degree, div_rem, substitute_power, weight
+from .gf2poly import degree, div_rem, power, substitute_power, weight
 from .ring import RingContext
 
 
@@ -132,7 +125,7 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
         raise ValidationError("the zero code has no nonzero word, hence no distance")
     if c.k > cap:
         raise CapExceeded(f"distance oracle: dimension {c.k} is over the oracle cap of {cap}; raise the cap")
-    return min_weight_span(generator_rows(c))
+    return min_weight_affine(*lead_coset(c.generator, c.k, c.n))  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +134,16 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 
 
 def _reduced_set_min(ctx: RingContext, j: int) -> int:
-    """Min weight of P^j * a(x^B), B = j & -j, over constant-term-1 a of degree < lam = ceil(m(L-j)/B)."""
+    """Min weight of the paper's set P^j * a(x^B), B = j & -j, a of constant term 1 and degree < lam = ceil(m(L-j)/B).
+
+    P^j = P^(j/B)(x^B), so each word weighs what P^(j/B) * a does on ceil(n/B) bits, which no shift of a
+    changes: the lead coset of P^(j/B), a's top term fixed instead, holds the same minimum.
+    """
     B = j & -j
     lam = -(-(ctx.m * (ctx.L - j)) // B)
     if 1 << (lam - 1) > DEFAULT_CANDIDATE_CAP:
         raise CapExceeded(f"reduced set has 2^{lam - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    g = code(ctx, j).generator
-    rows = [g << (B * t) for t in range(1, lam)]
-    return min_weight_affine(g, rows)  # type: ignore[return-value]
+    return min_weight_affine(*lead_coset(power(ctx.P, j // B), lam, -(-ctx.n // B)))  # type: ignore[return-value]
 
 
 def lower_anchor_distance(ctx: RingContext, s: int) -> int:
@@ -357,7 +352,7 @@ def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
     R = iv.R
     if substitute_power(R, iv.t) != c.generator:
         raise InternalConsistencyError(f"j={c.j}: R(x^{iv.t}) is not P^j")
-    rep.set_exact(min_weight_span([R << i for i in range(iv.k0)]), f"spread-t{iv.t}")
+    rep.set_exact(min_weight_affine(*lead_coset(R, iv.k0, -(-c.n // iv.t))), f"spread-t{iv.t}")  # type: ignore[arg-type]
 
 
 def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:

@@ -14,18 +14,18 @@ stays in the dual after an appropriate bit enters at the top; the closure
 test reads h* alone, and dual_summary raises on a dual that does not close.
 At every anchor j (a power of two below 2^T, or an upper anchor 2^T - 2^(T-r)
 in ctx.tops) the dual distance is the minimum over a candidate set keyed by
-j alone, through B = j & -j, as the primal anchors are (distance.py).  The
-set is an affine span of 2^(m*j/B - 1) words on n // B coefficients, refused
-above the fixed DEFAULT_CANDIDATE_CAP, and the minimum-weight kernel of
-_linalg searches it, as it searches the whole dual in the oracle for every other j.
+j alone, through B = j & -j, as the primal anchors are (distance.py): the
+lead coset (codes.lead_coset) of P*^-(j/B) with m*j/B shifts on n // B bits,
+refused above the fixed DEFAULT_CANDIDATE_CAP.  The oracle weighs that of h*
+with m*j shifts on n bits, half the whole dual; _linalg's kernel weighs both.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._linalg import gray_walk, min_weight_affine, min_weight_span, parity_dot
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code
+from ._linalg import gray_walk, min_weight_affine, parity_dot
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import inverse_trunc, mul_trunc, power_trunc, reciprocal
 from .ring import RingContext
@@ -70,8 +70,7 @@ def dual_min_distance_bruteforce(dual: DualCode, cap: int = DEFAULT_ENUM_CAP) ->
     """Exact dual distance over the whole dual code (information-set search)."""
     if dual.dim > cap:
         raise CapExceeded(f"dual oracle: dimension {dual.dim} is over the oracle cap of {cap}; raise the cap")
-    mask = (1 << dual.n) - 1
-    return min_weight_span([(dual.h_star << i) & mask for i in range(dual.dim)])
+    return min_weight_affine(*lead_coset(dual.h_star, dual.dim, dual.n))  # type: ignore[return-value]
 
 
 def sequential_closure_check(dual: DualCode) -> bool:
@@ -102,27 +101,20 @@ def _anchor_candidates(ctx: RingContext, j: int) -> tuple[int, list[int]]:
     n // B <= m * 2^T/B < e * 2^T/B, (x^e + 1)^(2^T/B) == 1 mod x^(n // B).  spread moves
     coefficient i to B*i + B - 1 and keeps it exactly when i < n // B, so each candidate
     weighs what ell * P*^-u does mod x^(n // B), linearly in ell: the candidate of
-    x^(m*u - 1) + i is word i of g ^ span(rows), with g = P*^-u * x^(m*u - 1) and
-    rows[b] = P*^-u * x^b, all mod x^(n // B).
+    x^(m*u - 1) + i is word i of the lead coset of P*^-u with m*u shifts on n // B bits.
     """
     B = j & -j
-    lead_deg = ctx.m * (j // B) - 1
-    if 1 << lead_deg > DEFAULT_CANDIDATE_CAP:
-        raise CapExceeded(f"dual reduced set has 2^{lead_deg} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    nbits = ctx.n // B
-    base = power_trunc(inverse_trunc(reciprocal(ctx.P), nbits), j // B, nbits)
-    mask = (1 << nbits) - 1
-    return (base << lead_deg) & mask, [(base << b) & mask for b in range(lead_deg)]
+    k, nbits = ctx.m * (j // B), ctx.n // B
+    if 1 << (k - 1) > DEFAULT_CANDIDATE_CAP:
+        raise CapExceeded(f"dual reduced set has 2^{k - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
+    return lead_coset(power_trunc(inverse_trunc(reciprocal(ctx.P), nbits), j // B, nbits), k, nbits)
 
 
 def dual_anchor_distance(ctx: RingContext, j: int) -> int:
     """Exact dual distance at an anchor j (a power of two below 2^T, or an entry of ctx.tops) over its candidates."""
     if not (0 < j < 1 << ctx.T and j & (j - 1) == 0 or j in ctx.tops):
         raise ValidationError(f"dual anchor j={j} is neither a power of two below 2^T = {1 << ctx.T} nor in {ctx.tops}")
-    best = min_weight_affine(*_anchor_candidates(ctx, j))
-    if best is None:
-        raise InternalConsistencyError("every dual candidate reduced to zero")
-    return best
+    return min_weight_affine(*_anchor_candidates(ctx, j))  # type: ignore[return-value]
 
 
 def dual_pow2_candidates(ctx: RingContext, s: int) -> dict[int, int]:

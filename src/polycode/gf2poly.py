@@ -5,17 +5,18 @@ coefficient of x^i, so the constant term sits in bit 0 and x^4 + x + 1 is
 0b10011.  Addition is XOR, multiplication is carry-less, and degrees are one
 less than ``int.bit_length``.  Everything here is pure int arithmetic with no
 size limit beyond memory, except that parse refuses a term past
-RING_TABLE_BITS (no ring over such a polynomial can be set up) and that
-order walks the powers of x only up to the cap its caller gives.
+RING_TABLE_BITS (no ring over it can be set up), order walks the powers
+of x only up to its caller's cap, and is_irreducible stops at IRREDUCIBLE_WORK.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import CapExceeded, InternalConsistencyError, ValidationError
 
 RING_TABLE_BITS = 1 << 26  # budget for the bits of P^0..P^L (about m*L^2/2) that a walk along a whole chain produces
+IRREDUCIBLE_WORK = 1 << 24  # budget for one irreducibility test, in squared bits (about 0.5 s on a 2-core x86 VM)
 
 # ---------------------------------------------------------------------------
 # basic queries
@@ -189,7 +190,10 @@ def is_irreducible(f: int) -> bool:
     gcd(x^(2^(m/p)) - x, f) == 1 for each prime p dividing m: m squarings and
     one gcd per prime.  When g = f - x^m has degree at most m/2, a square
     is reduced by folding its high half through g (at most two folds, each
-    wt(g) shifts); a dense f is reduced by division.
+    wt(g) shifts and one XOR); a dense f is reduced by division.
+    Work is counted in squared bits (a square, one string pass, costs about 30 ns a bit; an XOR step of
+    a fold, a division or a gcd on b-bit words about 8 + b/1024 squared bits): a step that could pass
+    IRREDUCIBLE_WORK is refused with CapExceeded before it runs, so no degree hangs the test.
     """
     m = degree(f)
     if m < 1:
@@ -201,8 +205,14 @@ def is_irreducible(f: int) -> bool:
     g, mask = f ^ (1 << m), (1 << m) - 1
     sparse = 2 * degree(g) <= m
     checks = {m // p for p in _prime_divisors(m)}
+    work = 0
     t = 2  # x^(2^i) mod f
     for i in range(1, m + 1):
+        b = t.bit_length()
+        xors = 2 * weight(g) + 2 if sparse else max(0, 2 * b - m)  # two folds, or one division of 2b bits by f
+        work += b + xors * (8 + b // 512) + (i in checks) * (2 * m + 1) * (8 + m // 1024)  # and a gcd of m bits
+        if work > IRREDUCIBLE_WORK:
+            raise CapExceeded(f"the irreducibility test of degree {m} is over its budget of {IRREDUCIBLE_WORK} squared bits")
         t = square(t)
         if sparse:
             while t >> m:

@@ -268,7 +268,7 @@ def test_each_command_help_lists_every_one_of_its_options(capsys, command):
 
 
 def test_an_option_before_the_command_is_refused(capsys):
-    # the parser is built for the first token that names a command, not for argv[0]
+    # argv that does not start with a command goes to the whole parser, which refuses --json before the command
     with pytest.raises(SystemExit) as err:
         main(["--json", "analyze", "--poly", "x^3+x+1", "--power", "4"])
     assert err.value.code == 2
@@ -284,8 +284,8 @@ def test_a_call_adds_only_the_options_of_the_command_it_runs(capsys, monkeypatch
     assert ran == ["lcd"]
     ran.clear()
     with pytest.raises(SystemExit):
-        main(["bogus"])
-    assert ran == [] and "invalid choice: 'bogus'" in capsys.readouterr().err
+        main(["bogus"])  # the whole parser, built for errors alone, adds every command's options
+    assert ran == list(cli._COMMANDS) and "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def _outcome(capsys, run, argv):
@@ -331,11 +331,12 @@ PARITY_ARGVS = [
     ["analyze", *RING, "extra"], ["analyze", *RING, "dual"], ["analyze", "--", *RING], ["analyze", *RING, "--bogus"],
     ["analyze", *RING, "--j", "2"], ["dual", *RING, "--j", "2", "--json"], ["lcd", *RING],
     ["fixtures", "--which", "dual-weights-m3L9", "--dump"], ["conjecture", "--vmax", "0", "--tmax", "2"],
+    ["--json", "dual", "lcd"], ["-x", "lcd", "--j"], ["lcd", "dual", "--j", "1"],
 ]
 
 
 def _whole_parser_main(argv):
-    args = cli.build_parser(next((arg for arg in argv if arg in cli._COMMANDS), None)).parse_args(argv)
+    args = cli.build_parser().parse_args(argv)
     return args.func(args)
 
 
@@ -467,8 +468,9 @@ def test_an_oversized_ring_is_refused_within_a_second():
     [
         "x^100000000+x+1",  # parse refuses the term before building its 10^8-bit mask
         "x^30000000+x+1",  # parses, but P^0..P^2 needs 9*10^7 bits: refused before the irreducibility test
+        "x^1000000+x+1",  # within the ring budget: Rabin's test refuses a step past its work budget
     ],
-    ids=["parse", "ring"],
+    ids=["parse", "ring", "rabin"],
 )
 def test_a_huge_degree_is_refused_within_a_second(poly):
     start = time.perf_counter()

@@ -19,6 +19,7 @@ from polycode import distance
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import degree, is_irreducible, order, parse
 from polycode.ring import new_context
+from test_interleave import _spy_searches
 from test_ring import _old_regime
 
 M4 = parse("x^4+x+1")
@@ -374,7 +375,7 @@ def test_the_kernel_checks_slots_that_are_already_exact(monkeypatch):
 
 def test_the_kernel_runs_at_an_oracle_cap_of_zero(monkeypatch):
     # the oracle cap bounds the two searches alone: at cap 0 neither runs, and the kernel still settles min(d, 4)
-    monkeypatch.setattr(distance, "min_weight_span", lambda *args: pytest.fail("a search ran at cap 0"))
+    _spy_searches(monkeypatch, lambda g, rows: pytest.fail("a search ran at cap 0"))
     probed = []
     real = distance.small_weight
 

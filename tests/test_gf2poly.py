@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycode.errors import ValidationError
+from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import (
+    IRREDUCIBLE_WORK,
     RING_TABLE_BITS,
     degree,
     div_rem,
@@ -178,6 +180,18 @@ def test_rabin_on_large_trinomials():
     assert not is_irreducible(mul(f, parse("x+1")))  # a dense tail, reduced by division
     assert not is_irreducible(parse("x^1280+x^216+1"))  # (x^640 + x^108 + 1)^2
     assert not is_irreducible(parse("x^1279+x^217+x^216+1"))  # x + 1 divides every f with an even weight
+
+
+def test_rabin_refuses_to_pass_its_work_budget():
+    # deciding x^19937+x^9842+1 takes 8 s (2-core x86 VM); the paper's family ring at v = 7 (m = 4374), which
+    # folds, stays within the budget
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"budget of {IRREDUCIBLE_WORK}"):
+        is_irreducible(parse("x^19937+x^9842+1"))
+    with pytest.raises(CapExceeded, match="budget"):
+        is_irreducible(mul(parse("x^4374+x^2187+1"), parse("x+1")))  # a dense tail, reduced by division
+    assert time.perf_counter() - start < 2.0
+    assert is_irreducible(parse("x^4374+x^2187+1"))
 
 
 def test_known_orders():

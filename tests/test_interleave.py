@@ -10,10 +10,12 @@ hull under halving j and L.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from polycode import distance
-from polycode._linalg import min_weight_span
+from polycode._linalg import min_weight_affine, min_weight_span
 from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, interleave
 from polycode.distance import DistanceReport, full_distance_profile, min_distance_bruteforce, single_distance_report
 from polycode.errors import InternalConsistencyError, ValidationError
@@ -31,6 +33,18 @@ def _rings(polys, nmax):
     for P in polys:
         for L in range(2, nmax // degree(P) + 1):
             yield new_context(P, L)
+
+
+def _spy_searches(monkeypatch, spy):
+    """Hand spy(g, rows) each coset that distance weighs in a search, the oracle or the spread, before weighing it."""
+    real = distance.min_weight_affine
+
+    def weigh(g, rows):
+        if sys._getframe(1).f_code.co_name != "_reduced_set_min":  # the anchors' sets run at every cap
+            spy(g, rows)
+        return real(g, rows)
+
+    monkeypatch.setattr(distance, "min_weight_affine", weigh)
 
 
 def test_the_split_rebuilds_every_power_and_its_dimension():
@@ -100,27 +114,32 @@ def test_the_spread_checks_the_direct_oracle_where_both_run(monkeypatch):
     # after it; at j = 5 the oracle closes the slot first and keeps its tag, and D_0 is weighed there and at
     # the anchors j = 6, 7 (k <= 36), where it must agree with what each already holds
     weighed = []
-    real = distance.min_weight_span
-
-    def counting(rows):
-        weighed.append((max(map(int.bit_length, rows)), len(rows)))
-        return real(rows)
-
-    monkeypatch.setattr(distance, "min_weight_span", counting)
+    _spy_searches(monkeypatch, lambda g, rows: weighed.append((max(map(int.bit_length, [g, *rows])), len(rows) + 1)))
     ctx = new_context(parse("x^12+x^3+1"), 8)
     profile = full_distance_profile(ctx, oracle_cap=36)
     assert all(rep.exact for rep in profile)
     assert profile[5].provenance[-1] == "oracle" and profile[5].lower == 6
     assert [rep.j for rep in profile if any("spread" in tag for tag in rep.provenance)] == [1, 2, 3]
     # D_0 at j = 1, 2, 3 (t = 3, 6, 3), C_5 itself and its D_0 (t = 3), then D_0 at j = 6, 7 (t = 6, 3);
-    # j = 4 is an anchor with k = 48; each weighing as (the longest row's bit length, the row count)
+    # j = 4 is an anchor with k = 48; each weighing as (the longest word's bit length, the shifts of the coset)
     assert weighed == [(32, 28), (16, 12), (32, 20), (96, 36), (32, 12), (16, 4), (32, 4)]
+
+
+def _paper_reduced_set_min(ctx, j):
+    """The paper's reduced set at j as it states it, on n bits: min weight of P^j * a(x^B), B = j & -j.
+
+    a runs over the polynomials of constant term 1 and degree below lam = ceil(m(L - j)/B).
+    """
+    B = j & -j
+    g = power(ctx.P, j)
+    return min_weight_affine(g, [g << (B * t) for t in range(1, -(-(ctx.m * (ctx.L - j)) // B))])
 
 
 def test_every_anchor_reduced_set_equals_the_interleave_component():
     # two theorems for d(C_j) at an anchor j: the paper's reduced set P^j * a(x^B), and D_0 of the interleave
     # lemma; every irreducible P of degree 2-7, n <= 200, every anchor where both sets (2^(lam-1) and 2^(k0-1)
-    # words of constant term 1) are within the candidate cap, far past the oracle cap that _search needs
+    # words of constant term 1) are within the candidate cap, far past the oracle cap that _search needs.
+    # The profile weighs the first as a lead coset of P^(j/B) on ceil(n/B) bits.
     rings = anchors = 0
     for ctx in _rings(IRREDUCIBLE_2_TO_7, 200):
         rings += 1
@@ -130,7 +149,7 @@ def test_every_anchor_reduced_set_equals_the_interleave_component():
             if 1 << (lam - 1) > DEFAULT_CANDIDATE_CAP or 1 << (iv.k0 - 1) > DEFAULT_CANDIDATE_CAP:
                 continue
             want = min_weight_span([iv.R << i for i in range(iv.k0)])
-            assert distance._reduced_set_min(ctx, j) == want, (ctx.P, ctx.L, j)
+            assert distance._reduced_set_min(ctx, j) == _paper_reduced_set_min(ctx, j) == want, (ctx.P, ctx.L, j)
             anchors += 1
     assert (rings, anchors) == (1384, 4145)
 
@@ -150,7 +169,7 @@ def test_a_wrong_split_raises(monkeypatch, field):
 
 
 def test_an_oracle_cap_of_zero_turns_the_spread_off(monkeypatch):
-    monkeypatch.setattr(distance, "min_weight_span", lambda rows: pytest.fail("an oracle ran"))
+    _spy_searches(monkeypatch, lambda g, rows: pytest.fail("an oracle ran"))
     for text in SPREAD_RINGS:
         ctx = new_context(parse(text), 8)
         full_distance_profile(ctx, oracle_cap=0)
