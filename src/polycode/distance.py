@@ -9,7 +9,9 @@ Four independent sources feed one report per j:
   (codes.interleave), and d(C_j) = d(D_0), of dimension k0 about k/t.
   Wherever t > 1 and k0 is within the cap, D_0 is weighed (the spread
   source); it closes even j and every j on P = Q(x^s), s > 1, at k/t
-  dimensions, and checks the direct oracle where both run;
+  dimensions, and checks the direct oracle where both run.  On a ring with
+  s = 1 an anchor's D_0 is its reduced set (t = B, R = P^(j/B), k0 = lam),
+  so the spread skips an anchor whose reduced set answered;
 * exact values on a lattice of "anchor" indices, where the minimum is
   attained inside a small reduced candidate set P^j * a(x^B) with B = j & -j
   and a of bounded degree, weighed as P^(j/B) * a; a set of more than the
@@ -340,7 +342,9 @@ def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
     The direct oracle closes an open slot when k <= ocap.  D_0, C_j's longest
     interleave component, is then weighed when t > 1 and k0 <= ocap (never at
     cap 0: k0 >= 1): on an open slot, to close it, and on one within the
-    oracle's reach, where d(D_0) must equal the exact value.
+    oracle's reach, where d(D_0) must equal the exact value.  With s = 1 an
+    anchor's reduced set is D_0's coset itself, so where it answered (its tag
+    is on the report) D_0 is not weighed again: each coset is weighed once.
     """
     if not rep.exact and c.k <= ocap:
         rep.set_exact(min_distance_bruteforce(c, cap=ocap), "oracle")
@@ -349,6 +353,8 @@ def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
     iv = interleave(c.ctx, c.j)
     if iv.t == 1 or iv.k0 > ocap:
         return
+    if iv.s == 1 and "reduced-set" in rep.provenance:
+        return  # t = B, R = P^(j/B), k0 = lam: D_0 is the anchor's reduced set, already weighed
     R = iv.R
     if substitute_power(R, iv.t) != c.generator:
         raise InternalConsistencyError(f"j={c.j}: R(x^{iv.t}) is not P^j")

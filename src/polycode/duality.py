@@ -18,6 +18,10 @@ j alone, through B = j & -j, as the primal anchors are (distance.py): the
 lead coset (codes.lead_coset) of P*^-(j/B) with m*j/B shifts on n // B bits,
 refused above the fixed DEFAULT_CANDIDATE_CAP.  The oracle weighs that of h*
 with m*j shifts on n bits, half the whole dual; _linalg's kernel weighs both.
+At an odd anchor (B = 1: j = 1, or j = L - 1 when L = 2^T) the two are one
+coset, so dual_summary weighs it once, as the anchor.  The oracle runs, within
+its cap, at every even j, where its coset on n bits checks the anchor's on
+n // B, and wherever no anchor answered.
 """
 
 from __future__ import annotations
@@ -138,7 +142,11 @@ def dual_complement_distance(ctx: RingContext, r: int) -> int:
 
 
 def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> dict:
-    """JSON-ready dual summary for C_j: closure, then the anchor's reduced set, then the oracle."""
+    """JSON-ready dual summary for C_j: closure, then the anchor's reduced set, then the oracle.
+
+    The oracle runs where m*j is within oracle_cap, except at an answered odd anchor, whose candidates
+    are the oracle's own coset (h*, m*j, n): there provenance reads dual-reduced-set alone.
+    """
     check_caps(oracle_cap=oracle_cap)
     dual = dual_code(code(ctx, j))
     if not sequential_closure_check(dual):
@@ -152,7 +160,8 @@ def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -
         except CapExceeded:
             pass
 
-    if dual.dim <= oracle_cap:
+    # at an odd anchor (B = 1) the anchor's coset is the oracle's, (h*, m*j, n): weigh it once
+    if dual.dim <= oracle_cap and not (d is not None and j & 1):
         oracle_d = dual_min_distance_bruteforce(dual, cap=oracle_cap)
         if d is not None and oracle_d != d:
             raise InternalConsistencyError(

@@ -108,6 +108,15 @@ def test_square_matches_mul(a):
     assert square(a) == mul(a, a)
 
 
+def test_square_spreads_every_byte_across_byte_edges():
+    # each byte value alone, at each offset of a 24-bit word, and a word of 10^4 bits
+    for b in range(256):
+        for shift in range(0, 17, 4):
+            assert square(b << shift) == mul(b << shift, b << shift)
+    a = int("1101" * 2500, 2)
+    assert square(a) == mul(a, a) and square(0) == 0
+
+
 @given(small, st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=120))
 def test_power_trunc_matches_masked_power(a, e, nbits):
     assert power_trunc(a, e, nbits) == power(a, e) & ((1 << nbits) - 1)

@@ -7,21 +7,26 @@ over the coset is that over the whole span of the k shifts.  The five
 searches weigh five such cosets: the oracle, the anchors' reduced sets, the
 spread, the dual oracle and the dual anchors.  Only the dual words are cut
 at x^N, so only there does fixing the top coefficient, not the bottom one,
-matter.
+matter.  Each command weighs each distinct coset at most once: at an odd dual
+anchor the anchor's coset is the dual oracle's, and on a ring with s = 1 an
+anchor's reduced set is the spread's D_0, so each is weighed once there.
 """
 
 from __future__ import annotations
 
+import contextlib
 from functools import partial
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycode import distance
+from polycode import distance, duality
 from polycode._linalg import min_weight_affine, min_weight_span
-from polycode.codes import DEFAULT_CANDIDATE_CAP, code, interleave, lead_coset
-from polycode.distance import min_distance_bruteforce
-from polycode.duality import dual_anchor_distance, dual_code, dual_min_distance_bruteforce
+from polycode.codes import DEFAULT_CANDIDATE_CAP, code, generator_rows, interleave, lead_coset
+from polycode.distance import full_distance_profile, min_distance_bruteforce, single_distance_report
+from polycode.duality import _anchor_candidates, dual_anchor_distance, dual_code, dual_min_distance_bruteforce, dual_summary
+from polycode.errors import CapExceeded
 from polycode.gf2poly import degree, inverse_trunc, is_irreducible, parse, power, power_trunc, reciprocal
 from polycode.ring import new_context
 
@@ -93,3 +98,112 @@ def test_a_lead_coset_weighs_its_span_minimum(data):
     p = data.draw(st.integers(0, nbits - k))
     base = (data.draw(st.integers(0, (1 << 48) - 1)) << 1 | 1) << p
     assert _coset_min(base, k, nbits) == _span_min(base, k, nbits)
+
+
+def _small_rings():
+    for P in IRREDUCIBLE_2_TO_6:
+        for L in range(2, 60 // degree(P) + 1):
+            yield new_context(P, L)
+
+
+def _is_anchor(ctx, j):
+    return j & (j - 1) == 0 or j in ctx.tops
+
+
+@pytest.fixture
+def weighed(monkeypatch):
+    """The (g, rows) of every min_weight_affine call the distance and dual searches make, in call order."""
+    calls = []
+
+    def spy(g, rows):
+        calls.append((g, tuple(rows)))
+        return min_weight_affine(g, rows)
+
+    for mod in (distance, duality):
+        monkeypatch.setattr(mod, "min_weight_affine", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [20, 28])
+def test_no_command_weighs_a_coset_twice(weighed, cap):
+    # every irreducible P of degree 2-6 with n <= 60: the whole chain, analyze --j at every j, dual at every j
+    commands = []
+    for ctx in _small_rings():
+        commands.append(partial(full_distance_profile, ctx, cap))
+        commands += [partial(single_distance_report, ctx, j, cap) for j in range(ctx.L + 1)]
+        commands += [partial(dual_summary, ctx, j, cap) for j in range(1, ctx.L)]
+    repeats = weights = 0
+    for command in commands:
+        weighed.clear()
+        command()
+        weights += len(weighed)
+        repeats += len(weighed) - len(set(weighed))
+    assert weights > 0 and repeats == 0
+
+
+def test_each_skipped_coset_is_the_one_weighed(weighed):
+    # an odd answered dual anchor's candidates are the dual oracle's coset; on an s = 1 ring an answered
+    # anchor's reduced set is the spread's D_0
+    odd = primal = 0
+    for ctx in _small_rings():
+        for j in range(1, ctx.L):
+            if not _is_anchor(ctx, j):
+                continue
+            if j & 1:
+                dual = dual_code(code(ctx, j))
+                with contextlib.suppress(CapExceeded):
+                    assert _anchor_candidates(ctx, j) == lead_coset(dual.h_star, dual.dim, ctx.n)
+                    odd += 1
+            iv = interleave(ctx, j)
+            if iv.s == 1:
+                with contextlib.suppress(CapExceeded):
+                    distance._reduced_set_min(ctx, j)
+                    g, rows = lead_coset(iv.R, iv.k0, -(-ctx.n // iv.t))
+                    assert weighed[-1] == (g, tuple(rows))
+                    primal += 1
+    assert odd > 0 and primal > 0
+
+
+@pytest.mark.parametrize("cap", [20, 28])
+def test_an_even_dual_anchor_keeps_the_oracle_as_its_check(cap):
+    # B > 1: the anchor weighs n // B coefficients and the oracle n, two cosets, so both run and must agree
+    checked = 0
+    for ctx in _small_rings():
+        for j in range(2, ctx.L, 2):
+            if not _is_anchor(ctx, j) or ctx.m * j > cap:
+                continue
+            try:
+                dual_anchor_distance(ctx, j)
+            except CapExceeded:
+                continue
+            assert dual_summary(ctx, j, cap)["provenance"] == ["dual-reduced-set", "dual-oracle", "sequential-closure"]
+            checked += 1
+    assert checked > 0
+
+
+def _span_min_by_enumeration(rows):
+    """The least nonzero weight over all 2^len(rows) - 1 nonzero sums, one XOR each (a Gray code)."""
+    best, w = None, 0
+    for i in range(1, 1 << len(rows)):
+        w ^= rows[(i & -i).bit_length() - 1]
+        best = w.bit_count() if best is None else min(best, w.bit_count())
+    return best
+
+
+@pytest.mark.parametrize("P", [*IRREDUCIBLE_2_TO_6, parse("x^8+x^4+x^3+x+1"), parse("x^16+x^5+x^3+x+1")])
+def test_an_odd_anchor_dual_distance_is_its_whole_dual_span_minimum(P):
+    # where the anchor alone answers (j = 1, and j = L - 1 on L = 2^T), the dual's m*j <= 16 rows are built
+    # here from (P^j)*^-1 mod x^n, checked orthogonal to the code and independent, and every word enumerated
+    m = degree(P)
+    for L in range(2, max(3, 60 // m + 1)):
+        ctx = new_context(P, L)
+        for j in (1, L - 1) if L & (L - 1) == 0 else (1,):
+            if m * j > 16:
+                continue
+            n, mask = ctx.n, (1 << ctx.n) - 1
+            h = inverse_trunc(reciprocal(power(P, j)), n)
+            rows = [(h << i) & mask for i in range(m * j)]
+            assert rows[-1] and all(not (g & r).bit_count() & 1 for g in generator_rows(code(ctx, j)) for r in rows)
+            summary = dual_summary(ctx, j)
+            assert summary["provenance"] == ["dual-reduced-set", "sequential-closure"]
+            assert summary["d_dual"] == _span_min_by_enumeration(rows), (P, L, j)
