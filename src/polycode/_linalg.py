@@ -9,8 +9,9 @@ mask over the rows.
 One kernel, min_weight_affine, finds the minimum nonzero weight over an
 affine span g ^ span(rows) from those words alone.  Every exact search calls
 it on the lead coset of the shifts of one word (codes.lead_coset): the
-oracle, the spread component, the reduced candidate sets, the dual oracle and
-the dual candidate sets; min_weight_span is the same kernel on a linear span.
+oracle, the longest interleave component D_0 (at the anchors and in the
+spread), the dual oracle and the dual's shortest interleave component;
+min_weight_span is the same kernel on a linear span.
 It takes one of two walks, whichever its inputs say costs less: the
 Gray-code walk, gray_walk, which yields the 2^k words one at a time (the dual
 candidate weights and the LCD criterion's sweep read it too), or
@@ -157,9 +158,9 @@ def _information_sets(rows: list[int]) -> list[dict[int, int]]:
     """Disjoint information sets of span(rows), each as systematic rows {pivot column: row}.
 
     Each set eliminates with pivots restricted to the columns no earlier set
-    took (a mask _echelon does not take: the hull oracle's ranks would pay for
-    it), so its rows are a basis of the span with the identity on its pivot
-    columns.  The first set of rank below the span's ends the list.
+    took (a mask _echelon does not take: rank and rref need none), so its
+    rows are a basis of the span with the identity on its pivot columns.  The
+    first set of rank below the span's ends the list.
     """
     sets: list[dict[int, int]] = []
     used = 0

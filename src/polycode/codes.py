@@ -7,11 +7,12 @@ polynomial multiples of P^j of degree below n.  Codewords travel as ints
 takes one power, chain() steps from one code to the next by one product by
 P.  Here live the code object, the walk, generator rows, the one candidate
 shape of every exact search (lead_coset: the k shifts of one word mod x^N,
-with the top one fixed), membership, the split of C_j into t interleaved
-codes up to t times shorter (interleave), and the two caps every search
-shares: DEFAULT_ENUM_CAP, the default oracle_cap on the dimension an exact
-oracle takes (check_caps refuses a negative one), and DEFAULT_CANDIDATE_CAP,
-the fixed bound on the words in one reduced candidate set, primal or dual.
+with the top one fixed), membership, the split of C_j and of its dual into t
+interleaved codes up to t times shorter (interleave), which picks every
+reduced search on both sides, and the two caps every search shares:
+DEFAULT_ENUM_CAP, the default oracle_cap on the dimension an exact oracle
+takes (check_caps refuses a negative one), and DEFAULT_CANDIDATE_CAP, the
+fixed bound on the words in one reduced candidate set, primal or dual.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class Interleave(NamedTuple):
     P^j = Q(x^s)^(2^a*b) = R(x^t) over GF(2), R = Q^b.  A word f = sum over
     i < t of x^i*f_i(x^t) is a multiple of R(x^t) iff every f_i is one of R,
     so d(C_j) is d(D_0), the longest component: D_0 has ceil(n/t) coordinates,
-    dimension k0.
+    dimension k0.  The dual splits the same way: P*^-j = (Q*^-b)(x^t), and its
+    least weight lies in its shortest component, Q*^-b's m*b/s shifts on n // t bits.
     Every field is a small constant; R, one power, is taken only when read.
     """
 
@@ -109,8 +111,8 @@ def lead_coset(base: int, k: int, nbits: int) -> tuple[int, list[int]]:
 
     Where the k shifts x^i*base mod x^nbits are independent, these 2^(k-1) words hold the least nonzero
     weight of their span: c -> x*c sends a word w to x*w mod x^nbits, which never gains weight and
-    stays nonzero.  The searches weigh the cosets of the oracle (P^j, k, n), the reduced sets (P^(j/B), lam,
-    ceil(n/B)), the spread (R, k0, ceil(n/t)), the dual oracle (h*, m*j, n) and the dual anchors (P*^-u, m*u, n // B).
+    stays nonzero.  The searches weigh the cosets of the oracle (P^j, k, n), D_0 at the anchors and in the spread
+    (R, k0, ceil(n/t)), the dual oracle (h*, m*j, n) and the dual's shortest component (Q*^-b, m*b/s, n // t).
     """
     mask = (1 << nbits) - 1
     return (base << (k - 1)) & mask, [(base << i) & mask for i in range(k - 1)]

@@ -1,24 +1,25 @@
 """Minimum Hamming distances of the chain codes C_j.
 
-Four independent sources feed one report per j:
+Every search but the direct oracle weighs one component of one split:
+P^j = R(x^t) splits C_j into t interleaved components
+D_i = {R*c : deg(R*c) < ceil((n - i)/t)} (codes.interleave), and
+d(C_j) = d(D_0), the longest, of dimension k0 about k/t.  Four independent
+sources feed one report per j:
 
+* exact values on a lattice of "anchor" indices, the powers of two below
+  2^T and ctx.tops (the upper anchors 2^T - 2^(T-r), whose first entry
+  2^(T-1) is also a power of two), where D_0 is small: with s = 1 it is the
+  paper's reduced candidate set P^j * a(x^B), B = j & -j, a of bounded
+  degree (t = B, R = P^(j/B), k0 = lam), and with P = Q(x^s), s > 1, it is
+  s times shorter.  D_0 is weighed there at every oracle cap; a set of more
+  than the fixed DEFAULT_CANDIDATE_CAP (2^20) candidates is refused, as on
+  the dual side, and its slot is left to the other sources;
 * an exact oracle by information-set search, capped by the dimension it
   takes (oracle_cap, which bounds nothing else), run two ways: over the
-  whole code, and on a code up to t times shorter.  P^j = R(x^t) splits C_j
-  into t interleaved components D_i = {R*c : deg(R*c) < ceil((n - i)/t)}
-  (codes.interleave), and d(C_j) = d(D_0), of dimension k0 about k/t.
-  Wherever t > 1 and k0 is within the cap, D_0 is weighed (the spread
-  source); it closes even j and every j on P = Q(x^s), s > 1, at k/t
-  dimensions, and checks the direct oracle where both run.  On a ring with
-  s = 1 an anchor's D_0 is its reduced set (t = B, R = P^(j/B), k0 = lam),
-  so the spread skips an anchor whose reduced set answered;
-* exact values on a lattice of "anchor" indices, where the minimum is
-  attained inside a small reduced candidate set P^j * a(x^B) with B = j & -j
-  and a of bounded degree, weighed as P^(j/B) * a; a set of more than the
-  fixed DEFAULT_CANDIDATE_CAP (2^20) candidates is refused, as on the dual
-  side, and its slot is left to the other sources.  The lower anchors are
-  j = 2^(T-s); the upper ones are ctx.tops, whose first entry 2^(T-1) is
-  also the top lower anchor;
+  whole code, and on D_0 wherever t > 1 and k0 is within the cap (the
+  spread source), which closes even j and every j on P = Q(x^s), s > 1, at
+  k/t dimensions and checks the direct oracle where both run.  The spread
+  skips an anchor whose D_0 answered, so each coset is weighed once;
 * a small-weight kernel that decides min(d, 4) exactly from P^j alone, in
   O(n) steps and independent of k: the residues r_i = x^i mod P^j, i < n,
   give a weight-2 word x^a + x^b at a repeat r_a = r_b and a weight-3 word
@@ -33,14 +34,14 @@ Four independent sources feed one report per j:
   nothing here reads e;
 * interval bounds everywhere else: weight witnesses wt(P^j), doubling lower
   bounds 2*d(anchor) from each upper anchor up to the next one (or L), and
-  monotonicity along the chain (C_{j+1} inside C_j).  Where the reduced set
-  of the first anchor 2^(T-1) is over the candidate cap, the kernel's
-  min(d, 4) there is the lower bound the doubling reads.
+  monotonicity along the chain (C_{j+1} inside C_j).  Where D_0 of the
+  first anchor 2^(T-1) is over the candidate cap, the kernel's min(d, 4)
+  there is the lower bound the doubling reads.
 
 Each search weighs the k shifts of one word w as their lead coset
 (codes.lead_coset) with the one kernel of _linalg (min_weight_affine): the
-oracle w = P^j on n bits, the reduced set w = P^(j/B), k = lam on ceil(n/B)
-bits, the spread w = R, k = k0 on ceil(n/t) bits.
+oracle w = P^j on n bits, and D_0, at the anchors and in the spread, w = R,
+k = k0 on ceil(n/t) bits.
 _structural_profile holds the anchors and the interval bounds.  _search, the
 one search step, runs the oracle and then weighs D_0: full_distance_profile on
 every j before it fuses and runs the kernel, single_distance_report on j, then
@@ -51,9 +52,9 @@ Every bound is tagged; two sources that disagree raise InternalConsistencyError.
 from __future__ import annotations
 
 from ._linalg import min_weight_affine
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, chain, check_caps, code, interleave, lead_coset
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, Interleave, PolycyclicCode, chain, check_caps, code, interleave, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import degree, div_rem, power, substitute_power, weight
+from .gf2poly import degree, div_rem, substitute_power, weight
 from .ring import RingContext
 
 
@@ -131,35 +132,40 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 
 
 # ---------------------------------------------------------------------------
-# anchor indices: exact values from small reduced sets
+# D_0, the longest interleave component: the anchors and the spread
 # ---------------------------------------------------------------------------
 
 
-def _reduced_set_min(ctx: RingContext, j: int) -> int:
-    """Min weight of the paper's set P^j * a(x^B), B = j & -j, a of constant term 1 and degree < lam = ceil(m(L-j)/B).
+def _d0_min(ctx: RingContext, iv: Interleave) -> int:
+    """d(C_j) = d(D_0): the least weight of the lead coset of R with k0 shifts on ceil(n/t) bits."""
+    return min_weight_affine(*lead_coset(iv.R, iv.k0, -(-ctx.n // iv.t)))  # type: ignore[return-value]
 
-    P^j = P^(j/B)(x^B), so each word weighs what P^(j/B) * a does on ceil(n/B) bits, which no shift of a
-    changes: the lead coset of P^(j/B), a's top term fixed instead, holds the same minimum.
+
+def _anchor_min(ctx: RingContext, j: int) -> int:
+    """Exact d(C_j) at an anchor j from D_0, refused when its 2^(k0-1) candidates pass the fixed candidate cap.
+
+    With s = 1, D_0 is the paper's reduced set P^j * a(x^B), B = j & -j, a of constant term 1 and degree
+    below lam = ceil(m(L-j)/B), weighed as R * a on ceil(n/B) bits: t = B, R = P^(j/B), k0 = lam.  With
+    s > 1 it is s times shorter.
     """
-    B = j & -j
-    lam = -(-(ctx.m * (ctx.L - j)) // B)
-    if 1 << (lam - 1) > DEFAULT_CANDIDATE_CAP:
-        raise CapExceeded(f"reduced set has 2^{lam - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    return min_weight_affine(*lead_coset(power(ctx.P, j // B), lam, -(-ctx.n // B)))  # type: ignore[return-value]
+    iv = interleave(ctx, j)
+    if 1 << (iv.k0 - 1) > DEFAULT_CANDIDATE_CAP:
+        raise CapExceeded(f"reduced set has 2^{iv.k0 - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
+    return _d0_min(ctx, iv)
 
 
 def lower_anchor_distance(ctx: RingContext, s: int) -> int:
-    """Exact d(C_j) at j = 2^(T-s), 1 <= s <= T."""
+    """Exact d(C_j) at j = 2^(T-s), 1 <= s <= T (an entry point by anchor parameter; the profile reads _anchor_min)."""
     if not 1 <= s <= ctx.T:
         raise ValidationError("anchor parameter s must satisfy 1 <= s <= T")
-    return _reduced_set_min(ctx, 1 << (ctx.T - s))
+    return _anchor_min(ctx, 1 << (ctx.T - s))
 
 
 def upper_anchor_distance(ctx: RingContext, r: int) -> int:
     """Exact d(C_j) at the upper anchor j = ctx.tops[r - 1] = 2^T - 2^(T-r), 1 <= r <= len(ctx.tops)."""
     if not 1 <= r <= len(ctx.tops):
         raise ValidationError(f"anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
-    return _reduced_set_min(ctx, ctx.tops[r - 1])
+    return _anchor_min(ctx, ctx.tops[r - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +291,15 @@ def monotone_fuse(reports: list[DistanceReport]) -> None:
 
 def _structural_profile(ctx: RingContext) -> list[DistanceReport]:
     """Reports for j = 0..L from structure alone: anchors, weight witnesses and doubling bounds, fused."""
-    L, T, n = ctx.L, ctx.T, ctx.n
+    L, T, n, tops = ctx.L, ctx.T, ctx.n, ctx.tops
     reports = [DistanceReport(j, 1, n) for j in range(L + 1)]
     reports[0].set_exact(1, "full-space")
     reports[L].set_exact(n, "zero-code")
 
-    # exact anchors from reduced candidate sets (skipped when over the cap)
-    for s in range(1, T + 1):
-        j = 1 << (T - s)
+    # exact anchors from D_0 (skipped when over the cap): the powers of two below 2^T and the upper anchors
+    for j in sorted({1 << i for i in range(T)} | set(tops)):
         try:
-            reports[j].set_exact(lower_anchor_distance(ctx, s), "reduced-set")
-        except CapExceeded:
-            pass
-    # upper anchors r >= 2; r = 1 is the lower anchor s = 1 (j = B = 2^(T-1)), weighed above
-    tops = ctx.tops
-    for r, j in enumerate(tops[1:], 2):
-        try:
-            reports[j].set_exact(upper_anchor_distance(ctx, r), "reduced-set")
+            reports[j].set_exact(_anchor_min(ctx, j), "reduced-set")
         except CapExceeded:
             pass
 
@@ -342,23 +340,20 @@ def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
     The direct oracle closes an open slot when k <= ocap.  D_0, C_j's longest
     interleave component, is then weighed when t > 1 and k0 <= ocap (never at
     cap 0: k0 >= 1): on an open slot, to close it, and on one within the
-    oracle's reach, where d(D_0) must equal the exact value.  With s = 1 an
-    anchor's reduced set is D_0's coset itself, so where it answered (its tag
-    is on the report) D_0 is not weighed again: each coset is weighed once.
+    oracle's reach, where d(D_0) must equal the exact value.  An anchor whose
+    D_0 answered (its tag is on the report) is not weighed again: each coset
+    is weighed once.
     """
     if not rep.exact and c.k <= ocap:
         rep.set_exact(min_distance_bruteforce(c, cap=ocap), "oracle")
-    if rep.exact and c.k > ocap:
+    if "reduced-set" in rep.provenance or rep.exact and c.k > ocap:
         return
     iv = interleave(c.ctx, c.j)
     if iv.t == 1 or iv.k0 > ocap:
         return
-    if iv.s == 1 and "reduced-set" in rep.provenance:
-        return  # t = B, R = P^(j/B), k0 = lam: D_0 is the anchor's reduced set, already weighed
-    R = iv.R
-    if substitute_power(R, iv.t) != c.generator:
+    if substitute_power(iv.R, iv.t) != c.generator:
         raise InternalConsistencyError(f"j={c.j}: R(x^{iv.t}) is not P^j")
-    rep.set_exact(min_weight_affine(*lead_coset(R, iv.k0, -(-c.n // iv.t))), f"spread-t{iv.t}")  # type: ignore[arg-type]
+    rep.set_exact(_d0_min(c.ctx, iv), f"spread-t{iv.t}")
 
 
 def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:

@@ -12,16 +12,18 @@ the generator by n - 1 parities, since both row sets are shifts of one word.
 Duals are "sequential" codes: shifting a dual word right by one position
 stays in the dual after an appropriate bit enters at the top; the closure
 test reads h* alone, and dual_summary raises on a dual that does not close.
-At every anchor j (a power of two below 2^T, or an upper anchor 2^T - 2^(T-r)
-in ctx.tops) the dual distance is the minimum over a candidate set keyed by
-j alone, through B = j & -j, as the primal anchors are (distance.py): the
-lead coset (codes.lead_coset) of P*^-(j/B) with m*j/B shifts on n // B bits,
-refused above the fixed DEFAULT_CANDIDATE_CAP.  The oracle weighs that of h*
-with m*j shifts on n bits, half the whole dual; _linalg's kernel weighs both.
-At an odd anchor (B = 1: j = 1, or j = L - 1 when L = 2^T) the two are one
-coset, so dual_summary weighs it once, as the anchor.  The oracle runs, within
-its cap, at every even j, where its coset on n bits checks the anchor's on
-n // B, and wherever no anchor answered.
+The dual splits as the code does (codes.interleave): with P = Q(x^s) and
+P^j = R(x^t), R = Q^b, h* is (Q*^-b)(x^t) mod x^n, so the dual of C_j is the
+t-fold interleave of truncations of the multiples of Q*^-b, and its distance
+is that of the shortest one: the lead coset (codes.lead_coset) of Q*^-b with
+m*b/s shifts on n // t bits, at every j, refused above the fixed
+DEFAULT_CANDIDATE_CAP.  With s = 1 and j an anchor (a power of two, or an
+upper anchor in ctx.tops) that is the paper's candidate set.  The oracle
+weighs the lead coset of h* with m*j shifts on n bits, half the whole dual;
+_linalg's kernel weighs both.  Where t = 1 the two are one coset, so
+dual_summary weighs it once, as the component.  The oracle runs, within its
+cap, wherever t > 1, where its coset on n bits checks the component's on
+n // t, and wherever the component was refused.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ._linalg import gray_walk, min_weight_affine, parity_dot
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, lead_coset
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, interleave, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import inverse_trunc, mul_trunc, power_trunc, reciprocal
 from .ring import RingContext
@@ -93,43 +95,39 @@ def sequential_closure_check(dual: DualCode) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dual distances at the anchors, keyed by j
+# dual distances from the shortest interleave component
 # ---------------------------------------------------------------------------
 
 
-def _anchor_candidates(ctx: RingContext, j: int) -> tuple[int, list[int]]:
-    """The dual candidates at the anchor j, as (g, rows), with B = j & -j and u = j // B.
+def _component(ctx: RingContext, j: int) -> tuple[int, list[int]]:
+    """The dual of C_j's shortest interleave component, as (g, rows): Q*^-b with m*b/s shifts on n // t bits.
 
-    The paper's candidates are spread(ell * base), ell = x^(m*u - 1) + lower terms, with
-    spread(w) = w(x^B) * x^(B - 1) mod x^n and base = P*^-u * (x^e + 1)^(2^T/B - u); since
-    n // B <= m * 2^T/B < e * 2^T/B, (x^e + 1)^(2^T/B) == 1 mod x^(n // B).  spread moves
-    coefficient i to B*i + B - 1 and keeps it exactly when i < n // B, so each candidate
-    weighs what ell * P*^-u does mod x^(n // B), linearly in ell: the candidate of
-    x^(m*u - 1) + i is word i of the lead coset of P*^-u with m*u shifts on n // B bits.
+    A dual word a*h* mod x^n, deg a < m*j = t*(m*b/s), splits by the residue i mod t of each exponent into
+    x^i * (a_i * Q*^-b mod x^ceil((n - i)/t))(x^t), deg a_i < m*b/s.  A shorter truncation of a word never
+    weighs more, so the shortest, on n // t bits, holds the least weight.  At t = 1 this is the dual
+    oracle's coset (h*, m*j, n).
     """
-    B = j & -j
-    k, nbits = ctx.m * (j // B), ctx.n // B
+    iv = interleave(ctx, j)
+    k, nbits = ctx.m * iv.b // iv.s, ctx.n // iv.t
     if 1 << (k - 1) > DEFAULT_CANDIDATE_CAP:
-        raise CapExceeded(f"dual reduced set has 2^{k - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    return lead_coset(power_trunc(inverse_trunc(reciprocal(ctx.P), nbits), j // B, nbits), k, nbits)
+        raise CapExceeded(f"dual component has 2^{k - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
+    return lead_coset(power_trunc(inverse_trunc(reciprocal(iv.Q), nbits), iv.b, nbits), k, nbits)
 
 
-def dual_anchor_distance(ctx: RingContext, j: int) -> int:
-    """Exact dual distance at an anchor j (a power of two below 2^T, or an entry of ctx.tops) over its candidates."""
-    if not (0 < j < 1 << ctx.T and j & (j - 1) == 0 or j in ctx.tops):
-        raise ValidationError(f"dual anchor j={j} is neither a power of two below 2^T = {1 << ctx.T} nor in {ctx.tops}")
-    return min_weight_affine(*_anchor_candidates(ctx, j))  # type: ignore[return-value]
+def dual_component_distance(ctx: RingContext, j: int) -> int:
+    """Exact dual distance of C_j, 1 <= j <= L - 1, over its shortest interleave component."""
+    return min_weight_affine(*_component(ctx, j))  # type: ignore[return-value]
 
 
 def dual_pow2_candidates(ctx: RingContext, s: int) -> dict[int, int]:
     """Candidate weights for the dual distance at j = 2^(T-s): {ell mask: weight}.
 
-    The words come from the Gray-code walk over the anchor's (g, rows), so the
+    The words come from the Gray-code walk over the component's (g, rows), so the
     word at position t is that of index t ^ (t >> 1) and the dict is in walk order.
     """
     if not 1 <= s <= ctx.T:
         raise ValidationError("dual anchor parameter s must satisfy 1 <= s <= T")
-    g, rows = _anchor_candidates(ctx, 1 << (ctx.T - s))
+    g, rows = _component(ctx, 1 << (ctx.T - s))
     lead = 1 << len(rows)
     return {lead | t ^ (t >> 1): w.bit_count() for t, w in enumerate(gray_walk(g, rows))}
 
@@ -138,14 +136,14 @@ def dual_complement_distance(ctx: RingContext, r: int) -> int:
     """Exact dual distance at the upper anchor j = ctx.tops[r - 1] = 2^T - 2^(T-r), 1 <= r <= len(ctx.tops)."""
     if not 1 <= r <= len(ctx.tops):
         raise ValidationError(f"dual anchor parameter r must satisfy 1 <= r <= {len(ctx.tops)}")
-    return dual_anchor_distance(ctx, ctx.tops[r - 1])
+    return dual_component_distance(ctx, ctx.tops[r - 1])
 
 
 def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> dict:
-    """JSON-ready dual summary for C_j: closure, then the anchor's reduced set, then the oracle.
+    """JSON-ready dual summary for C_j: closure, then the shortest interleave component, then the oracle.
 
-    The oracle runs where m*j is within oracle_cap, except at an answered odd anchor, whose candidates
-    are the oracle's own coset (h*, m*j, n): there provenance reads dual-reduced-set alone.
+    The oracle runs where m*j is within oracle_cap, except where t = 1 and the component answered: there
+    the component is the oracle's own coset (h*, m*j, n), and provenance reads dual-reduced-set alone.
     """
     check_caps(oracle_cap=oracle_cap)
     dual = dual_code(code(ctx, j))
@@ -153,19 +151,17 @@ def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -
         raise InternalConsistencyError(f"the dual of C_{j} is not sequential")
     d: int | None = None
     provenance: list[str] = []
-    if j & (j - 1) == 0 or j in ctx.tops:
-        try:
-            d = dual_anchor_distance(ctx, j)
-            provenance.append("dual-reduced-set")
-        except CapExceeded:
-            pass
+    try:
+        d = dual_component_distance(ctx, j)
+        provenance.append("dual-reduced-set")
+    except CapExceeded:
+        pass
 
-    # at an odd anchor (B = 1) the anchor's coset is the oracle's, (h*, m*j, n): weigh it once
-    if dual.dim <= oracle_cap and not (d is not None and j & 1):
+    if dual.dim <= oracle_cap and (d is None or interleave(ctx, j).t > 1):
         oracle_d = dual_min_distance_bruteforce(dual, cap=oracle_cap)
         if d is not None and oracle_d != d:
             raise InternalConsistencyError(
-                f"dual distance at j={j}: reduced set says {d}, oracle says {oracle_d}"
+                f"dual distance at j={j}: component says {d}, oracle says {oracle_d}"
             )
         d = oracle_d
         provenance.append("dual-oracle")

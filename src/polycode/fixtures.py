@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .codes import code
 from .distance import full_distance_profile, single_distance_report, upper_anchor_distance
-from .duality import dual_anchor_distance, dual_code, dual_min_distance_bruteforce, dual_pow2_candidates
+from .duality import dual_code, dual_component_distance, dual_min_distance_bruteforce, dual_pow2_candidates
 from .errors import ValidationError
 from .gf2poly import is_irreducible, mul, parse, substitute_power, weight
 from .lcd import lcd_verdict
@@ -124,9 +124,8 @@ ANCHOR_WEIGHTS_M4L16 = {
 ANCHOR_WEIGHTS_M6L25 = {1: 5, 3: 6, 5: 6, 7: 3, 9: 4, 11: 9, 13: 5, 15: 6}
 ANCHOR_WITNESS_M6L25 = (7, (1 << 128) | (1 << 16) | 1)  # the weight-3 candidate at a = 1+x+x^2
 
-# dual distances over (x^3 + x + 1)^9: reduced sets at j in {1, 2, 4, 8}, oracle everywhere
+# dual distances over (x^3 + x + 1)^9, each from the shortest interleave component and from the oracle
 DUAL_DISTANCES_M3L9 = {1: 15, 2: 7, 3: 7, 4: 3, 5: 3, 6: 2, 7: 2, 8: 1}
-DUAL_ANCHORED_M3L9 = (1, 2, 4, 8)
 
 # dual candidate weights over (x^3 + x + 1)^9, keyed by s then by the lead word ell
 DUAL_WEIGHTS_M3L9 = {
@@ -237,8 +236,8 @@ class _Ring:
         self.verdict = cache(lambda: lcd_verdict(self.code(1)))
         self.dual_oracle = cache(lambda j: dual_min_distance_bruteforce(dual_code(self.code(j))))
         self.dual_candidates = cache(lambda s: dual_pow2_candidates(self.ctx(), s))
-        # the dual distance at an anchor j, from its reduced candidate set
-        self.dual_reduced = cache(lambda j: dual_anchor_distance(self.ctx(), j))
+        # the dual distance at j, from its shortest interleave component
+        self.dual_component = cache(lambda j: dual_component_distance(self.ctx(), j))
 
     def on(self, fn: Callable, *args) -> Callable[[], object]:
         """The deferred fn(ctx, *args)."""
@@ -299,7 +298,7 @@ def _anchor_weights_m6l25() -> list[Check]:
 def _dual_distances_m3l9() -> list[Check]:
     ring, table = _Ring("x^3 + x + 1", 9), DUAL_DISTANCES_M3L9
     return [
-        *(Check(f"reduced set d_dual j={j}", table[j], partial(ring.dual_reduced, j)) for j in DUAL_ANCHORED_M3L9),
+        *(Check(f"component d_dual j={j}", d, partial(ring.dual_component, j)) for j, d in sorted(table.items())),
         *(Check(f"oracle d_dual j={j}", d, partial(ring.dual_oracle, j)) for j, d in sorted(table.items())),
     ]
 
@@ -323,7 +322,7 @@ def _survey_row(poly_text: str, L: int, n: int, k: int, d: int, k_dual: int, d_d
         Check(f"{tag} k_dual", k_dual, ring.on(lambda ctx: ctx.m)),
         # the small-weight kernel decides min(d, 4), so only d >= 4 may stay a proven interval
         Check(f"{tag} d", d, report, within=True) if d >= 4 else Check(f"{tag} d", d, lambda: _shown(report())),
-        Check(f"{tag} d_dual", d_dual, lambda: ring.dual_reduced(1)),
+        Check(f"{tag} d_dual", d_dual, lambda: ring.dual_component(1)),
         Check(f"{tag} d_dual oracle", d_dual, lambda: ring.dual_oracle(1)),
     ]
     if lcd:

@@ -77,7 +77,7 @@ def test_dual_text_and_json(capsys):
 
 
 def test_dual_unresolved_prints_placeholder(capsys):
-    assert main(["dual", "--poly", "x^5+x^4+x^2+x+1", "--power", "12", "--j", "3",
+    assert main(["dual", "--poly", "x^5+x^4+x^2+x+1", "--power", "12", "--j", "5",
                  "--oracle-cap", "0"]) == 0
     assert "unresolved" in capsys.readouterr().out
 

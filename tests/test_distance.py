@@ -134,13 +134,13 @@ def test_upper_anchor_one_is_the_lower_anchor_one(regime):
 def test_profile_weighs_each_reduced_set_once(regime, monkeypatch):
     ctx = new_context(*RINGS_BY_REGIME[regime])
     weighed = []
-    inner = distance._reduced_set_min
+    inner = distance._anchor_min
 
     def counting(ctx, j):
         weighed.append(j)
         return inner(ctx, j)
 
-    monkeypatch.setattr(distance, "_reduced_set_min", counting)
+    monkeypatch.setattr(distance, "_anchor_min", counting)
     full_distance_profile(ctx, oracle_cap=0)
     assert len(weighed) == len(set(weighed)), weighed
     lower = {1 << (ctx.T - s) for s in range(1, ctx.T + 1)}

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from polycode._linalg import gray_walk, nullspace, parity_dot, rank
 from polycode.cli import main
-from polycode.codes import DEFAULT_CANDIDATE_CAP, code, generator_rows
+from polycode.codes import DEFAULT_CANDIDATE_CAP, code, generator_rows, interleave
 from polycode.duality import (
-    dual_anchor_distance,
     dual_code,
     dual_complement_distance,
+    dual_component_distance,
     dual_min_distance_bruteforce,
     dual_pow2_candidates,
     dual_summary,
@@ -110,9 +110,9 @@ def test_dual_rows_span_the_nullspace_for_small_rings():
 
 def test_dual_reduced_set_distances_m3L9():
     ctx = new_context(M3, 9)
-    expected = {1: 15, 2: 7, 4: 3, 8: 1}  # j -> dual distance, j = 2^(T-s)
+    expected = {1: 15, 2: 7, 3: 7, 4: 3, 5: 3, 6: 2, 7: 2, 8: 1}  # j -> dual distance
     for j, d in expected.items():
-        assert dual_anchor_distance(ctx, j) == d
+        assert dual_component_distance(ctx, j) == d
         assert dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=24) == d
 
 
@@ -162,8 +162,11 @@ def test_dual_candidates_match_a_per_ell_loop(ctx, data):
     x_e_1, _, U_star = cofactor_forms(ctx)
     base = mul_trunc(power_trunc(x_e_1, (1 << s) - 1, tbits), U_star, tbits)
     want = _spread_weights_reference(ctx, base, ctx.m - 1, factor)
-    assert dual_pow2_candidates(ctx, s) == want
-    assert dual_anchor_distance(ctx, 1 << (ctx.T - s)) == min(w for w in want.values() if w)
+    got = dual_pow2_candidates(ctx, s)
+    if interleave(ctx, 1).s == 1:  # else the component is s times shorter than the paper's set: only the minima agree
+        assert got == want
+    d = dual_component_distance(ctx, 1 << (ctx.T - s))
+    assert d == min(w for w in got.values() if w) == min(w for w in want.values() if w)
     r = data.draw(st.integers(1, len(ctx.tops)))
     lead_deg = ctx.m * ((1 << r) - 1) - 1
     if lead_deg <= 12:
@@ -174,8 +177,9 @@ def test_dual_candidates_match_a_per_ell_loop(ctx, data):
 
 
 def test_unspread_candidates_weigh_as_the_spread_words():
-    # every anchor with m*(j/B) - 1 <= 12 on every irreducible P of degree 2-6, n <= 64: the candidates on
-    # n // B coefficients weigh, ell by ell, what the paper's spread words of its cofactor bases weigh
+    # every anchor with m*(j/B) - 1 <= 12 on every irreducible P of degree 2-6, n <= 64: the component on
+    # n // B coefficients (s = 1, t = B) weighs, ell by ell, what the paper's spread words of its cofactor bases
+    # weigh; on x^6+x^3+1 (s = 3) the component is three times shorter, and only the minima agree
     checked = 0
     for m in range(2, 7):
         for P in (f for f in range((1 << m) | 1, 2 << m, 2) if is_irreducible(f)):
@@ -192,10 +196,12 @@ def test_unspread_candidates_weigh_as_the_spread_words():
                     u = j // B
                     x_e_power = power_trunc(x_e_1, (1 << ctx.T) // B - u, tbits)
                     base = mul_trunc(x_e_power, power_trunc(U_star, u, tbits), tbits)
-                    walk = gray_walk(*duality._anchor_candidates(ctx, j))  # position t holds index t ^ (t >> 1)
+                    walk = gray_walk(*duality._component(ctx, j))  # position t holds index t ^ (t >> 1)
                     got = {t ^ (t >> 1): w.bit_count() for t, w in enumerate(walk)}
                     want = _spread_weights_reference(ctx, base, lead_deg, B)
-                    assert {(1 << lead_deg) | i: w for i, w in got.items()} == want, (P, L, j)
+                    if interleave(ctx, j).s == 1:
+                        assert {(1 << lead_deg) | i: w for i, w in got.items()} == want, (P, L, j)
+                    assert min(w for w in got.values() if w) == min(w for w in want.values() if w), (P, L, j)
                     checked += 1
     assert checked == 897
 
@@ -210,7 +216,7 @@ def test_complement_and_pow2_paths_agree_on_shared_anchor():
     for poly, L, regime in ((M4, 16, "pow2"), (M4, 14, "high"), (parse("x^5+x^4+x^2+x+1"), 12, "low")):
         ctx = new_context(poly, L)
         assert _old_regime(L)[0] == regime
-        assert dual_complement_distance(ctx, 1) == _pow2_min(ctx, 1) == dual_anchor_distance(ctx, 1 << (ctx.T - 1))
+        assert dual_complement_distance(ctx, 1) == _pow2_min(ctx, 1) == dual_component_distance(ctx, 1 << (ctx.T - 1))
 
 
 def test_every_dual_anchor_matches_the_dual_oracle():
@@ -224,17 +230,18 @@ def test_every_dual_anchor_matches_the_dual_oracle():
                 within = (a for a in anchors if m * a <= 32 and 1 << (m * a // (a & -a) - 1) <= DEFAULT_CANDIDATE_CAP)
                 for j in sorted(within):
                     want = dual_min_distance_bruteforce(dual_code(code(ctx, j)), cap=32)
-                    assert dual_anchor_distance(ctx, j) == want, (P, L, j)
+                    assert dual_component_distance(ctx, j) == want, (P, L, j)
                     checked += 1
                     upper += j & (j - 1) != 0
     assert (checked, upper) == (849, 54)
 
 
-def test_dual_anchor_distance_refuses_an_index_off_the_anchors():
+def test_dual_component_distance_refuses_an_index_off_the_chain():
     ctx = new_context(M4, 16)
-    for j in (0, 3):
+    for j in (0, 16):
         with pytest.raises(ValidationError):
-            dual_anchor_distance(ctx, j)
+            dual_component_distance(ctx, j)
+    assert dual_component_distance(ctx, 3) == dual_min_distance_bruteforce(dual_code(code(ctx, 3)), cap=12) == 16
 
 
 def test_dual_oracle_matches_plain_nullspace_enumeration():
@@ -271,10 +278,15 @@ def test_dual_distance_provenance_paths():
     ctx = new_context(M3, 9)
     summary = dual_summary(ctx, 4, oracle_cap=24)
     assert summary["d_dual"] == 3 and summary["provenance"] == ["dual-reduced-set", "dual-oracle", "sequential-closure"]
-    # j = 3 is no anchor here
-    summary = dual_summary(ctx, 3, oracle_cap=24)
-    assert summary["d_dual"] == 7 and summary["provenance"] == ["dual-oracle", "sequential-closure"]
-    summary = dual_summary(ctx, 3, oracle_cap=0)
+    # j = 3 has t = 1: the component is the oracle's coset, weighed once, at every oracle cap
+    for cap in (24, 0):
+        summary = dual_summary(ctx, 3, oracle_cap=cap)
+        assert summary["d_dual"] == 7 and summary["provenance"] == ["dual-reduced-set", "sequential-closure"]
+    # x^4+x+1, L = 16, j = 7: the component's 2^27 candidates are over the cap, so the oracle alone answers
+    ctx = new_context(M4, 16)
+    summary = dual_summary(ctx, 7, oracle_cap=28)
+    assert summary["d_dual"] is not None and summary["provenance"] == ["dual-oracle", "sequential-closure"]
+    summary = dual_summary(ctx, 7, oracle_cap=0)
     assert summary["d_dual"] is None and summary["provenance"] == ["sequential-closure"]
 
 
@@ -305,15 +317,15 @@ def test_dual_summary_builds_the_dual_once(monkeypatch):
         return dual_code(c)
 
     monkeypatch.setattr(duality, "dual_code", counting)
-    summary = dual_summary(new_context(M3, 9), 3, oracle_cap=24)
-    assert summary["d_dual"] == 7 and summary["provenance"] == ["dual-oracle", "sequential-closure"]
-    assert built == [3]
+    summary = dual_summary(new_context(M3, 9), 6, oracle_cap=24)
+    assert summary["d_dual"] == 2 and summary["provenance"] == ["dual-reduced-set", "dual-oracle", "sequential-closure"]
+    assert built == [6]
 
 
 def test_complement_distance_covers_exactly_the_tops():
     low_ctx = new_context(parse("x^5+x^4+x^2+x+1"), 12)
     assert low_ctx.tops == (8,)
-    assert dual_complement_distance(low_ctx, 1) == _pow2_min(low_ctx, 1) == dual_anchor_distance(low_ctx, 8)
+    assert dual_complement_distance(low_ctx, 1) == _pow2_min(low_ctx, 1) == dual_component_distance(low_ctx, 8)
     for r in (0, 2):
         with pytest.raises(ValidationError):
             dual_complement_distance(low_ctx, r)

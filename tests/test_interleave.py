@@ -1,11 +1,12 @@
 """The interleave split P^j = R(x^t) and the `spread` distance source it feeds.
 
 C_j is the t-fold interleave of D_i = {R*c : deg(R*c) < ceil((n - i)/t)}, so
-d(C_j) = d(D_0).  The profile weighs D_0 wherever t > 1 and its dimension k0
-fits the oracle cap; these tests check the split itself, the spread against
-the direct oracle with the cap lifted, the family rings against the v = 0
-ring, and two identities of the same kind: reversal (P against P*) and the
-hull under halving j and L.
+d(C_j) = d(D_0).  The profile weighs D_0 at every anchor within the candidate
+cap, and wherever else t > 1 and its dimension k0 fits the oracle cap; these
+tests check the split itself, the spread against the direct oracle with the
+cap lifted, D_0 at the anchors against the paper's reduced sets, the family
+rings against the v = 0 ring, and two identities of the same kind: reversal
+(P against P*) and the hull under halving j and L.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _spy_searches(monkeypatch, spy):
     real = distance.min_weight_affine
 
     def weigh(g, rows):
-        if sys._getframe(1).f_code.co_name != "_reduced_set_min":  # the anchors' sets run at every cap
+        if sys._getframe(2).f_code.co_name != "_anchor_min":  # the anchors' D_0 is weighed at every cap
             spy(g, rows)
         return real(g, rows)
 
@@ -110,19 +111,21 @@ def test_profile_closes_an_odd_j_on_a_spread_ring():
 
 
 def test_the_spread_checks_the_direct_oracle_where_both_run(monkeypatch):
-    # cap 36, one walk up the chain: the spread closes the head j = 1..3, which the small-weight kernel checks
-    # after it; at j = 5 the oracle closes the slot first and keeps its tag, and D_0 is weighed there and at
-    # the anchors j = 6, 7 (k <= 36), where it must agree with what each already holds
+    # cap 36, one walk up the chain: the anchors j = 2, 4, 6, 7 answer from D_0 (k0 = 12, 4, 4, 4) in the
+    # structure and are not weighed again; the spread closes j = 1 and 3, which the small-weight kernel checks
+    # after it; at j = 5 the oracle closes the slot first and keeps its tag, and D_0 is weighed there too,
+    # where it must agree with the oracle's value
     weighed = []
     _spy_searches(monkeypatch, lambda g, rows: weighed.append((max(map(int.bit_length, [g, *rows])), len(rows) + 1)))
     ctx = new_context(parse("x^12+x^3+1"), 8)
     profile = full_distance_profile(ctx, oracle_cap=36)
     assert all(rep.exact for rep in profile)
     assert profile[5].provenance[-1] == "oracle" and profile[5].lower == 6
-    assert [rep.j for rep in profile if any("spread" in tag for tag in rep.provenance)] == [1, 2, 3]
-    # D_0 at j = 1, 2, 3 (t = 3, 6, 3), C_5 itself and its D_0 (t = 3), then D_0 at j = 6, 7 (t = 6, 3);
-    # j = 4 is an anchor with k = 48; each weighing as (the longest word's bit length, the shifts of the coset)
-    assert weighed == [(32, 28), (16, 12), (32, 20), (96, 36), (32, 12), (16, 4), (32, 4)]
+    assert [rep.j for rep in profile if any("spread" in tag for tag in rep.provenance)] == [1, 3]
+    assert [rep.j for rep in profile if "reduced-set" in rep.provenance] == [2, 4, 6, 7]
+    # D_0 at j = 1 (an anchor whose k0 = 28 is over the candidate cap, not the oracle cap) and j = 3 (t = 3),
+    # then C_5 itself and its D_0 (t = 3); each weighing as (the longest word's bit length, the coset's shifts)
+    assert weighed == [(32, 28), (32, 20), (96, 36), (32, 12)]
 
 
 def _paper_reduced_set_min(ctx, j):
@@ -139,7 +142,7 @@ def test_every_anchor_reduced_set_equals_the_interleave_component():
     # two theorems for d(C_j) at an anchor j: the paper's reduced set P^j * a(x^B), and D_0 of the interleave
     # lemma; every irreducible P of degree 2-7, n <= 200, every anchor where both sets (2^(lam-1) and 2^(k0-1)
     # words of constant term 1) are within the candidate cap, far past the oracle cap that _search needs.
-    # The profile weighs the first as a lead coset of P^(j/B) on ceil(n/B) bits.
+    # The profile weighs the second, as a lead coset of R on ceil(n/t) bits; the first lives on here alone.
     rings = anchors = 0
     for ctx in _rings(IRREDUCIBLE_2_TO_7, 200):
         rings += 1
@@ -149,7 +152,7 @@ def test_every_anchor_reduced_set_equals_the_interleave_component():
             if 1 << (lam - 1) > DEFAULT_CANDIDATE_CAP or 1 << (iv.k0 - 1) > DEFAULT_CANDIDATE_CAP:
                 continue
             want = min_weight_span([iv.R << i for i in range(iv.k0)])
-            assert distance._reduced_set_min(ctx, j) == _paper_reduced_set_min(ctx, j) == want, (ctx.P, ctx.L, j)
+            assert distance._anchor_min(ctx, j) == _paper_reduced_set_min(ctx, j) == want, (ctx.P, ctx.L, j)
             anchors += 1
     assert (rings, anchors) == (1384, 4145)
 

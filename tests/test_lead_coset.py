@@ -3,13 +3,14 @@
 codes.lead_coset(base, k, N) is the 2^(k-1) words c*base mod x^N with
 deg c = k - 1.  Where the k shifts x^i*base mod x^N are independent, c -> x*c
 never adds weight to a word and never zeroes it, so the least nonzero weight
-over the coset is that over the whole span of the k shifts.  The five
-searches weigh five such cosets: the oracle, the anchors' reduced sets, the
-spread, the dual oracle and the dual anchors.  Only the dual words are cut
-at x^N, so only there does fixing the top coefficient, not the bottom one,
-matter.  Each command weighs each distinct coset at most once: at an odd dual
-anchor the anchor's coset is the dual oracle's, and on a ring with s = 1 an
-anchor's reduced set is the spread's D_0, so each is weighed once there.
+over the coset is that over the whole span of the k shifts.  The searches
+weigh four shapes of coset: the oracle, D_0 of the interleave split (at the
+anchors and in the spread), the dual oracle and the dual's shortest
+interleave component.  Only the dual words are cut at x^N, so only there
+does fixing the top coefficient, not the bottom one, matter.  Each command
+weighs each distinct coset at most once: where t = 1 the dual component is
+the dual oracle's coset, and an anchor's D_0 is the spread's, so each is
+weighed once there.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from polycode import distance, duality
 from polycode._linalg import min_weight_affine, min_weight_span
 from polycode.codes import DEFAULT_CANDIDATE_CAP, code, generator_rows, interleave, lead_coset
 from polycode.distance import full_distance_profile, min_distance_bruteforce, single_distance_report
-from polycode.duality import _anchor_candidates, dual_anchor_distance, dual_code, dual_min_distance_bruteforce, dual_summary
+from polycode.duality import _component, dual_code, dual_component_distance, dual_min_distance_bruteforce, dual_summary
 from polycode.errors import CapExceeded
 from polycode.gf2poly import degree, inverse_trunc, is_irreducible, parse, power, power_trunc, reciprocal
 from polycode.ring import new_context
@@ -50,35 +51,38 @@ def _searches(ctx, j):
     """
     c, iv = code(ctx, j), interleave(ctx, j)
     dual = dual_code(c)
-    B, n = j & -j, ctx.n
+    n = ctx.n
     yield "oracle", (c.generator, c.k, n), partial(min_distance_bruteforce, c, cap=c.k)
     if iv.t > 1:
         yield "spread", (iv.R, iv.k0, -(-n // iv.t)), None
+    if _is_anchor(ctx, j):
+        yield "reduced-set", (iv.R, iv.k0, -(-n // iv.t)), partial(distance._anchor_min, ctx, j)
     yield "dual-oracle", (dual.h_star, dual.dim, n), partial(dual_min_distance_bruteforce, dual, cap=dual.dim)
-    if j & (j - 1) == 0 or j in ctx.tops:
-        lam = -(-(ctx.m * (ctx.L - j)) // B)
-        yield "reduced-set", (power(ctx.P, j // B), lam, -(-n // B)), partial(distance._reduced_set_min, ctx, j)
-        base = power_trunc(inverse_trunc(reciprocal(ctx.P), n // B), j // B, n // B)
-        yield "dual-reduced-set", (base, ctx.m * (j // B), n // B), partial(dual_anchor_distance, ctx, j)
+    base = power_trunc(inverse_trunc(reciprocal(iv.Q), n // iv.t), iv.b, n // iv.t)
+    yield "dual-component", (base, ctx.m * iv.b // iv.s, n // iv.t), partial(dual_component_distance, ctx, j)
 
 
 def test_every_search_of_every_small_ring_weighs_its_span_minimum():
-    # every irreducible P of degree 2-6, n <= 60, every 1 <= j <= L - 1 and every search that runs there; each
-    # search's own answer too, where no candidate cap refuses it
+    # every irreducible P of degree 2-6 (x^6+x^3+1 = Q(x^3) among them), n <= 60, every 1 <= j <= L - 1 and
+    # every search that runs there; each search's own answer too, where no candidate cap refuses it; and the
+    # cosets of each side agree, on d(C_j) and on the dual distance
     seen, answered = {}, 0
     for P in IRREDUCIBLE_2_TO_6:
         for L in range(2, 60 // degree(P) + 1):
             ctx = new_context(P, L)
             for j in range(1, L):
+                wants = {}
                 for name, (base, k, nbits), search in _searches(ctx, j):
-                    want = _span_min(base, k, nbits)
+                    want = wants[name] = _span_min(base, k, nbits)
                     assert _coset_min(base, k, nbits) == want, (P, L, j, name)
                     seen[name] = seen.get(name, 0) + 1
                     if search is not None and ("oracle" in name or 1 << (k - 1) <= DEFAULT_CANDIDATE_CAP):
                         assert search() == want, (P, L, j, name)
                         answered += 1
-    assert seen == {"oracle": 1931, "spread": 922, "dual-oracle": 1931, "reduced-set": 940, "dual-reduced-set": 940}
-    assert answered == 5507
+                assert {w for name, w in wants.items() if "dual" not in name} == {wants["oracle"]}, (P, L, j)
+                assert wants["dual-component"] == wants["dual-oracle"], (P, L, j)
+    assert seen == {"oracle": 1931, "spread": 922, "dual-oracle": 1931, "reduced-set": 940, "dual-component": 1931}
+    assert answered == 6098
 
 
 def test_a_dual_of_distance_one_is_found_by_its_top_coefficient():
@@ -142,26 +146,23 @@ def test_no_command_weighs_a_coset_twice(weighed, cap):
 
 
 def test_each_skipped_coset_is_the_one_weighed(weighed):
-    # an odd answered dual anchor's candidates are the dual oracle's coset; on an s = 1 ring an answered
-    # anchor's reduced set is the spread's D_0
-    odd = primal = 0
+    # where t = 1 the dual component is the dual oracle's coset; an answered anchor's D_0 is the spread's
+    one = primal = 0
     for ctx in _small_rings():
         for j in range(1, ctx.L):
-            if not _is_anchor(ctx, j):
-                continue
-            if j & 1:
+            iv = interleave(ctx, j)
+            if iv.t == 1:
                 dual = dual_code(code(ctx, j))
                 with contextlib.suppress(CapExceeded):
-                    assert _anchor_candidates(ctx, j) == lead_coset(dual.h_star, dual.dim, ctx.n)
-                    odd += 1
-            iv = interleave(ctx, j)
-            if iv.s == 1:
+                    assert _component(ctx, j) == lead_coset(dual.h_star, dual.dim, ctx.n)
+                    one += 1
+            if _is_anchor(ctx, j):
                 with contextlib.suppress(CapExceeded):
-                    distance._reduced_set_min(ctx, j)
+                    distance._anchor_min(ctx, j)
                     g, rows = lead_coset(iv.R, iv.k0, -(-ctx.n // iv.t))
                     assert weighed[-1] == (g, tuple(rows))
                     primal += 1
-    assert odd > 0 and primal > 0
+    assert one > 0 and primal > 0
 
 
 @pytest.mark.parametrize("cap", [20, 28])
@@ -173,7 +174,7 @@ def test_an_even_dual_anchor_keeps_the_oracle_as_its_check(cap):
             if not _is_anchor(ctx, j) or ctx.m * j > cap:
                 continue
             try:
-                dual_anchor_distance(ctx, j)
+                dual_component_distance(ctx, j)
             except CapExceeded:
                 continue
             assert dual_summary(ctx, j, cap)["provenance"] == ["dual-reduced-set", "dual-oracle", "sequential-closure"]
@@ -192,8 +193,9 @@ def _span_min_by_enumeration(rows):
 
 @pytest.mark.parametrize("P", [*IRREDUCIBLE_2_TO_6, parse("x^8+x^4+x^3+x+1"), parse("x^16+x^5+x^3+x+1")])
 def test_an_odd_anchor_dual_distance_is_its_whole_dual_span_minimum(P):
-    # where the anchor alone answers (j = 1, and j = L - 1 on L = 2^T), the dual's m*j <= 16 rows are built
-    # here from (P^j)*^-1 mod x^n, checked orthogonal to the code and independent, and every word enumerated
+    # at j = 1, and j = L - 1 on L = 2^T, the dual's m*j <= 16 rows are built here from (P^j)*^-1 mod x^n,
+    # checked orthogonal to the code and independent, and every word enumerated; the component answers alone
+    # where t = 1, and the oracle checks it where t = s > 1
     m = degree(P)
     for L in range(2, max(3, 60 // m + 1)):
         ctx = new_context(P, L)
@@ -205,5 +207,6 @@ def test_an_odd_anchor_dual_distance_is_its_whole_dual_span_minimum(P):
             rows = [(h << i) & mask for i in range(m * j)]
             assert rows[-1] and all(not (g & r).bit_count() & 1 for g in generator_rows(code(ctx, j)) for r in rows)
             summary = dual_summary(ctx, j)
-            assert summary["provenance"] == ["dual-reduced-set", "sequential-closure"]
+            checked = ["dual-oracle"] if interleave(ctx, j).t > 1 else []
+            assert summary["provenance"] == ["dual-reduced-set", *checked, "sequential-closure"]
             assert summary["d_dual"] == _span_min_by_enumeration(rows), (P, L, j)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, contains
 from polycode.distance import full_distance_profile, single_distance_report
-from polycode.duality import _anchor_candidates, dual_code, dual_summary
+from polycode.duality import _component, dual_code, dual_summary
 from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul, mul_trunc, order, parse, power, power_trunc, reciprocal
 from polycode import gf2poly, lcd, ring
@@ -200,8 +201,9 @@ def test_cofactors_are_low_bits_of_exact_division(P, L, data):
 
 def test_each_code_word_is_a_power_of_a_ring_inverse(monkeypatch):
     # every irreducible P of degree 2-6, n <= 64, every 1 <= j < L: the words each code builds from its
-    # generator g = P^j are the j-th powers of P*^-1, P * P* and (P * P*)^-1 mod x^n (and the anchors'
-    # bases powers of P*^-1 cut to n // B bits), the forms the paper's words reduce to
+    # generator g = P^j are the j-th powers of P*^-1, P * P* and (P * P*)^-1 mod x^n, the forms the paper's
+    # words reduce to; and h* = P*^-j is a word in x^t, t = (j & -j) * s with P a word in x^s, whose
+    # coefficients at 0, t, 2t, ... below n // t * t are the base of the dual's shortest interleave component
     seen: list = []
     real_hull, real_kernel = lcd.hull_dimension_oracle, lcd._reconstruction_dim
 
@@ -215,7 +217,7 @@ def test_each_code_word_is_a_power_of_a_ring_inverse(monkeypatch):
 
     monkeypatch.setattr(lcd, "hull_dimension_oracle", hull_spy)
     monkeypatch.setattr(lcd, "_reconstruction_dim", kernel_spy)
-    codes = anchors = 0
+    codes = components = 0
     for m in range(2, 7):
         for P in (f for f in range((1 << m) | 1, 2 << m, 2) if is_irreducible(f)):
             P_star, PP_star = reciprocal(P), mul(P, reciprocal(P))
@@ -232,16 +234,18 @@ def test_each_code_word_is_a_power_of_a_ring_inverse(monkeypatch):
                     assert q_call == power_trunc(PP_star, j, n), (P, L, j)
                     assert W_call == (power_trunc(PP_star_inv, j, n), n, m * j), (P, L, j)
                     codes += 1
-                for j in sorted({1 << i for i in range(ctx.T)} | set(ctx.tops)):
-                    B = j & -j
-                    lead_deg, mask = m * (j // B) - 1, (1 << (n // B)) - 1
-                    if 1 << lead_deg > DEFAULT_CANDIDATE_CAP:
+                s = gcd(*(i for i in range(1, m + 1) if P >> i & 1))
+                for j in range(1, L):
+                    t = (j & -j) * s
+                    h, k, nbits = power_trunc(P_star_inv, j, n), m * j // t, n // t
+                    assert not h & ~sum(1 << (t * i) for i in range(-(-n // t))), (P, L, j)
+                    if 1 << (k - 1) > DEFAULT_CANDIDATE_CAP:
                         continue
-                    base = power_trunc(P_star_inv, j // B, n) & mask
-                    want = ((base << lead_deg) & mask, [(base << b) & mask for b in range(lead_deg)])
-                    assert _anchor_candidates(ctx, j) == want, (P, L, j)
-                    anchors += 1
-    assert (codes, anchors) == (2077, 955)
+                    base, mask = sum((h >> (t * i) & 1) << i for i in range(nbits)), (1 << nbits) - 1
+                    want = ((base << (k - 1)) & mask, [(base << b) & mask for b in range(k - 1)])
+                    assert _component(ctx, j) == want, (P, L, j)
+                    components += 1
+    assert (codes, components) == (2077, 1587)
 
 
 def test_context_builds_on_wide_primitive_rings():

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from polycode.codes import DEFAULT_CANDIDATE_CAP, code
+from polycode.codes import code
 from polycode.distance import full_distance_profile, upper_anchor_distance
-from polycode.duality import dual_anchor_distance, dual_code, dual_min_distance_bruteforce
+from polycode.duality import dual_code, dual_component_distance, dual_min_distance_bruteforce
 from polycode.errors import ValidationError
 from polycode.gf2poly import is_irreducible, mul, order, power, reciprocal, weight
 from polycode.lcd import family_poly, lcd_chain, lcd_verdict
@@ -148,7 +148,7 @@ def test_family_profile_exact_slots_v0_L16():
 )
 def test_family_dual_first_distance(v, T, want):
     ctx = new_context(family_poly(v), 1 << T)
-    assert dual_d1(T) == dual_anchor_distance(ctx, 1) == want  # j = 1 = 2^(T-s) at s = T
+    assert dual_d1(T) == dual_component_distance(ctx, 1) == want  # j = 1 = 2^(T-s) at s = T
     if ctx.m <= 12:
         assert dual_min_distance_bruteforce(dual_code(code(ctx, 1)), cap=24) == want
 
@@ -228,8 +228,8 @@ def test_paper_family_formulas_hold_on_the_generic_profile():
                 if lo == hi:
                     assert (profile[j].lower, profile[j].upper) == (lo, lo), (v, L, j)
                 assert max(lo, profile[j].lower) <= min(hi, profile[j].upper), (v, L, j)
-            if L >= 1 << ctx.T and 1 << (ctx.m - 1) <= DEFAULT_CANDIDATE_CAP:
-                assert dual_anchor_distance(ctx, 1) == dual_d1(ctx.T), (v, L)
+            if L >= 1 << ctx.T:  # the dual component at j = 1 is Q*^-1 with 2 shifts on n // 3^v bits
+                assert dual_component_distance(ctx, 1) == dual_d1(ctx.T), (v, L)
                 dual = dual_code(code(ctx, 1))
                 if dual.dim <= 24:
                     assert dual_min_distance_bruteforce(dual, cap=24) == dual_d1(ctx.T), (v, L)
