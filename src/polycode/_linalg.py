@@ -14,11 +14,14 @@ spread), the dual oracle and the dual's shortest interleave component;
 min_weight_span is the same kernel on a linear span.
 It takes one of two walks, whichever its inputs say costs less: the
 Gray-code walk, gray_walk, which yields the 2^k words one at a time (the dual
-candidate weights and the LCD criterion's sweep read it too), or
-Brouwer-Zimmermann's information-set search on plain ints, exact at a cost
-that grows with the answer, not with 2^k.  The choice is made before d is
-known, so the search counts the words it weighs and hands over to gray_walk
-once they pass 2^k, the cost of the whole walk.
+candidate weights and the two half walks of the LCD criterion's
+meet-in-the-middle check read it too), or Brouwer-Zimmermann's information-set
+search on plain ints, exact at a cost that grows with the answer, not with
+2^k.  The choice is made before d is known, so the search counts the words it
+weighs and hands over to gray_walk once they pass 2^k, the cost of the whole
+walk.  The search's level 2 reads its pairs from slices of the rows and holds
+no table; levels 3 and up hold one table of pair XORs at a time, whose size
+nothing bounds but k.
 """
 
 from __future__ import annotations
@@ -183,13 +186,19 @@ def _information_sets(rows: list[int]) -> list[dict[int, int]]:
 def _level(g: int, R: list[int], w: int):
     """Yield (x, tail, size): the words x ^ t, t in tail, are g ^ (XOR of w rows of R), each once.
 
-    tail holds size words.  Level w >= 2 builds R's table of pair XORs, the
-    C(k-1-a, 2) pairs of rows past row a first, holds it only while it runs,
-    and hands out each tail as a slice of it, never as a list of its own.
+    tail holds size words.  Level 2 reads each word's tail, the rows past
+    its row a, as a slice of R and builds no table.  Level w >= 3 builds R's
+    table of pair XORs, the C(k-1-a, 2) pairs of rows past row a first, holds
+    it only while it runs, and hands out each tail as a slice of it, never as
+    a list of its own.
     """
     k = len(R)
     if w == 1:
         yield g, R, k
+        return
+    if w == 2:
+        for a in range(k - 1):
+            yield g ^ R[a], R[a + 1 :], k - 1 - a
         return
     pairs = [R[a] ^ R[b] for a in range(k - 2, -1, -1) for b in range(a + 1, k)]
     for head in combinations(range(k - 2), w - 2):
@@ -208,7 +217,8 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     Once level w has run on sets 0..i-1 and level w-1 on the rest, a word not
     yet seen has at least w+1 bits on each of those i sets and w on each other
     set, so weighs at least N*w + i; the search stops when the lightest word
-    found is that light.  Level w >= 3 runs depth-first: each XOR of w-2 rows
+    found is that light.  Level 2 streams its pairs, one row against the
+    rows past it.  Level w >= 3 runs depth-first: each XOR of w-2 rows
     meets the table of pair XORs past its last row, so no level is ever held
     whole, and each (w, set) step builds its own table (_level), so one table
     is alive at a time.

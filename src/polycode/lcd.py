@@ -9,23 +9,27 @@ Berlekamp-Massey pass over the band's 2k - 1 entries gives their linear
 complexity, and with it the rank (hull_dimension_oracle).  For 0 < j < L the
 paper's rank criterion, one form for j up to 2^(T-1) and another beyond it,
 runs an extended Euclid on W = q^-1 mod x^n; its kernel is the hull in dual
-coordinates, so its dimension must equal the hull's, and the Gray-code walk
-(_linalg.gray_walk) checks it where m*j <= 12.  The paper writes W with powers
-of x^e + 1, e the order of x mod P; those are 1 mod x^n since e * 2^T > n
-(duality.py), which leaves (P * P_star)^-j = q^-1.
+coordinates, so its dimension must equal the hull's, and a meet-in-the-middle
+check, two half walks by Gray code (_linalg.gray_walk), checks it where
+m*j <= 12.  The paper writes W with powers of x^e + 1, e the order of x mod
+P; those are 1 mod x^n since e * 2^T > n (duality.py), which leaves
+(P * P_star)^-j = q^-1.
 lcd_verdict builds one code's q and W from its generator.  lcd_chain, for a
 whole chain, takes one product g * g_star and one power-series inverse per
 ring, at j = L-1, and steps the rest by running products with P * P_star (of
-weight at most wt(P)^2): q_j = q_(j-1) * P * P_star up the chain, which must
-reach the built q_(L-1), and W_(j-1) = W_j * P * P_star down it, which must
-land on W_0 = 1.  A serial scan runs lcd_chain over the rings over powers 2^T
-of the self-reciprocal trinomials x^(2*3^v) + x^(3^v) + 1 (family_poly), whose
-codes the paper conjectures are all LCD.
+weight at most wt(P)^2), each an XOR of shifts by its exponents:
+q_j = q_(j-1) * P * P_star up the chain, which must reach the built q_(L-1),
+and W_(j-1) = W_j * P * P_star down it, which must land on W_0 = 1.  A serial
+scan runs lcd_chain over the rings over powers 2^T of the self-reciprocal
+trinomials x^(2*3^v) + x^(3^v) + 1 (family_poly), whose codes the paper
+conjectures are all LCD.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import islice, takewhile
+from operator import xor
 from typing import NamedTuple
 
 from ._linalg import gray_walk
@@ -57,14 +61,20 @@ def _reconstruction_dim(q: int, n: int, a: int) -> int:
     Modern Computer Algebra, 5.7).  deg(alpha*t) < a and deg(alpha*r) < n - a (if r != 0) bound
     deg alpha; deg t = n - deg(the remainder before r) <= a, so the count is never negative.
     """
-    # (r0, t0), (r1, t1) are consecutive Euclid rows; each keeps r == t*q mod x^n
-    r0, t0, r1, t1 = 1 << n, 0, q, 1
-    while r1.bit_length() > n - a:
-        while r0.bit_length() >= r1.bit_length():
-            shift = r0.bit_length() - r1.bit_length()
-            r0 ^= r1 << shift
-            t0 ^= t1 << shift
-        r0, t0, r1, t1 = r1, t1, r0, t0
+    # (r0, t0), (r1, t1) are consecutive Euclid rows; each keeps r == t*q mod x^n.  A row is
+    # packed as X = r << S | t: every cofactor, partial quotients included, has degree at most
+    # n - deg(some remainder) <= n, below S, so one shift and one XOR step both halves, and
+    # b = X.bit_length() - S is r's bit length (at most 0 when r = 0)
+    S = n + 1
+    X0, X1 = 1 << (n + S), q << S | 1
+    b1 = X1.bit_length() - S
+    while b1 > n - a:
+        b0 = X0.bit_length() - S
+        while b0 >= b1:
+            X0 ^= X1 << (b0 - b1)
+            b0 = X0.bit_length() - S
+        X0, X1, b1 = X1, X0, b0
+    r1, t1 = X1 >> S, X1 & ((1 << S) - 1)
     if mul_trunc(t1, q, n) != r1:
         raise InternalConsistencyError("extended Euclid stopped on a row with r != t*q mod x^n")
     return min(a - degree(t1), n - a - degree(r1) if r1 else a)
@@ -83,21 +93,19 @@ def _linear_complexity(s: int, N: int) -> int:
     change) only U = (C*S) >> i and V = (B*S) >> i_B are kept, S the series of
     s and i_B the step at which B was last C: the discrepancy at step i is
     U's low bit, and C + x^(i - i_B)*B moves U to U ^ V.  A run of zero
-    discrepancies is one shift.
+    discrepancies is one shift.  The loop counts i one past the step it is at.
     """
     U, V, ell, i = s, s << 1, 0, 0
     while U:
-        z = (U & -U).bit_length() - 1
+        z = (U & -U).bit_length()  # the run of zero discrepancies and the nonzero one after it
         i += z
-        if i >= N:
+        if i > N:
             break
-        U >>= z
-        if 2 * ell <= i:
-            U, V, ell = U ^ V, U, i + 1 - ell
+        U >>= z - 1
+        if 2 * ell < i:
+            U, V, ell = (U ^ V) >> 1, U, i - ell
         else:
-            U ^= V
-        U >>= 1
-        i += 1
+            U = (U ^ V) >> 1
     return ell
 
 
@@ -165,12 +173,26 @@ def _criterion(c: PolycyclicCode, W: int | None, hull: int | None) -> bool:
     if hull is not None and kernel != hull:
         raise InternalConsistencyError(f"rank criterion's kernel has dimension {kernel}, the hull {hull}, at j={c.j}")
     if mj <= 12:
-        # exhaustive sweep over nonzero delta: the top block of W*delta, the XOR of the
+        # exhaustive check over nonzero delta: the top block of W*delta, the XOR of the
         # top blocks of W*x^i over the set bits i of delta, must never vanish
         steps = [((W << i) & ((1 << n) - 1)) >> k for i in range(mj)]
-        if all(islice(gray_walk(0, steps), 1, None)) != (kernel == 0):
+        if _no_xor_vanishes(steps) != (kernel == 0):
             raise InternalConsistencyError(f"rank criterion disagrees with direct sweep at j={c.j}")
     return kernel == 0
+
+
+def _no_xor_vanishes(steps: list[int]) -> bool:
+    """Whether every nonempty XOR of the steps is nonzero, by meeting in the middle (Horowitz-Sahni).
+
+    A nonempty XOR lo ^ hi of the low h = len(steps) // 2 steps and the rest
+    vanishes iff lo == hi: iff the low half's 2^h XORs are not all distinct
+    (hi empty), or a nonempty XOR of the high half is one of them.  So two
+    Gray-code walks of 2^h and 2^(len - h) words decide what one walk over
+    all 2^len would.
+    """
+    h = len(steps) // 2
+    low = set(gray_walk(0, steps[:h]))
+    return len(low) == 1 << h and low.isdisjoint(islice(gray_walk(0, steps[h:]), 1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +226,28 @@ def lcd_chain(ctx: RingContext) -> list[LcdVerdict]:
     """lcd_verdict on C_0 .. C_L, by running products.
 
     Neighbouring codes' words differ by one factor P * P_star, of weight at
-    most wt(P)^2.  q_j steps up the chain from q_0 = 1 and must reach
+    most wt(P)^2, whose exponents are taken once: each step is the XOR of
+    the word's shifts by them.  q_j steps up the chain from q_0 = 1 and must reach
     g * g_star at j = L-1; W_(L-1) = q_(L-1)^-1 is the one inverse, and
     W_(j-1) = W_j * P * P_star steps down, which must land on W_0 = 1.  The
     walk's generators are taken first, so that C_(L-1)'s is at hand for the
     one built word, with one power in all; they and the L words W_j are held
     at once: m*L*(L+1)/2 + m*L^2 bits.
     """
-    n, L = ctx.n, ctx.L
+    n, L, mask = ctx.n, ctx.L, (1 << ctx.n) - 1
     step = mul(ctx.P, reciprocal(ctx.P))
+    shifts = [i for i in range(step.bit_length()) if step >> i & 1]
+
+    def times_step(w: int) -> int:
+        """w * P * P_star mod x^n, one shift of w per term of the step."""
+        return reduce(xor, map(w.__lshift__, shifts)) & mask
+
     codes = list(chain(ctx, 0, L + 1))
     q_top = _hull_word(codes[L - 1])
     Ws: list[int | None] = [None] * (L + 1)
     Ws[L - 1] = inverse_trunc(q_top, n)
     for j in range(L - 1, 0, -1):
-        Ws[j - 1] = mul_trunc(Ws[j], step, n)
+        Ws[j - 1] = times_step(Ws[j])
     if Ws[0] != 1:
         raise InternalConsistencyError("W_j stepped down the chain by P * P_star misses W_0 = 1")
     verdicts, q = [], 1
@@ -226,7 +255,7 @@ def lcd_chain(ctx: RingContext) -> list[LcdVerdict]:
         if c.j == L - 1 and q != q_top:
             raise InternalConsistencyError("q_(L-1) stepped up the chain by P * P_star differs from g * g_star")
         verdicts.append(_verdict(c, q, Ws[c.j]))
-        q = mul_trunc(q, step, n)
+        q = times_step(q)
     return verdicts
 
 

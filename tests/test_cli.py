@@ -410,7 +410,7 @@ def test_a_failing_hull_cross_check_exits_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize(("j", "err"), [("5", "dimension 0, the hull 1"), ("10", "dimension 1, the hull 0")])
 def test_an_inverted_euclid_past_k_256_exits_3(capsys, monkeypatch, j, err):
-    # k = 285 and 270 on x^3+x+1 at L = 100, and m*j > 12: the Gray sweep does not run, and the
+    # k = 285 and 270 on x^3+x+1 at L = 100, and m*j > 12: the meet-in-the-middle check does not run, and the
     # hull by Berlekamp-Massey is the check on the criterion's Euclid
     real = lcd._reconstruction_dim
     monkeypatch.setattr(lcd, "_reconstruction_dim", lambda q, n, a: 0 if real(q, n, a) else 1)
@@ -423,7 +423,7 @@ def test_a_wrong_criterion_kernel_exits_3(capsys, monkeypatch, poly, j):
     # a Euclid that reports a kernel where there is none, or none where there is one, in either
     # regime (j = 3 is a tail code in both rings); x^3+x+1 has no LCD code at L = 4, x^2+x+1 no other.
     # The hull, replaced by the same wrong Euclid on q, agrees with the criterion's kernel, so the
-    # criterion's sweep is the check that trips
+    # criterion's meet-in-the-middle check is what trips
     real = lcd._reconstruction_dim
     monkeypatch.setattr(lcd, "_reconstruction_dim", lambda q, n, a: 0 if real(q, n, a) else 1)
     monkeypatch.setattr(lcd, "hull_dimension_oracle", lambda c, q: lcd._reconstruction_dim(q, c.ctx.n, c.k))
@@ -514,6 +514,30 @@ def test_a_dual_at_the_foot_of_a_wide_chain_walks_its_words():
     assert rc == 0 and report["k_dual"] == 16 and report["d_dual"] == 23022
     assert report["provenance"] == ["dual-reduced-set", "sequential-closure"]
     assert peak_kb < 64 * 1024
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="sets RLIMIT_AS through the resource module")
+def test_a_raised_oracle_cap_on_a_wide_ring_runs_within_1_gb():
+    # x^2+x+1, L = 8191, j = 7425: the oracle's search on k = 1 532 rows of 16 382 bits finds d = 21
+    # at level 2, whose table of pair XORs alone would take about 2.4 GB
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(polycode.__file__))}
+    argv = ["analyze", "--poly", "x^2+x+1", "--power", "8191", "--j", "7425", "--oracle-cap", "2000", "--json"]
+    run = subprocess.run(
+        [sys.executable, "-m", "polycode.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap_address_space,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["exact"] is True and report["lower"] == 21 and "oracle" in report["provenance"]
 
 
 def test_the_dual_closure_takes_no_sample_count():

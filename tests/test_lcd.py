@@ -180,7 +180,7 @@ def test_both_criteria_kernels_have_the_hull_dimension():
 
 
 def _gray_sweep(steps):
-    """The criterion's sweep: whether the Gray-code walk over the steps meets no zero past its start."""
+    """Whether the Gray-code walk over the steps meets no zero past its start (lcd._no_xor_vanishes's reference)."""
     return all(islice(gray_walk(0, steps), 1, None))
 
 
@@ -199,15 +199,38 @@ def test_gray_sweep_matches_the_per_delta_product_sweep(data):
     assert _gray_sweep(steps) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_meet_in_the_middle_check_matches_the_gray_sweep(data):
+    # criterion-shaped steps (W*x^i cut to a narrow top block, where vanishing XORs are likely),
+    # and steps from a handful of short words, where repeats and zero steps are likely too
+    mj = data.draw(st.integers(1, 12))
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(2, 48))
+        k = data.draw(st.integers(max(0, n - 16), n - 1))
+        W = data.draw(st.integers(0, (1 << n) - 1))
+        steps = [((W << i) & ((1 << n) - 1)) >> k for i in range(mj)]
+    else:
+        steps = data.draw(st.lists(st.integers(0, (1 << data.draw(st.integers(1, 14))) - 1), min_size=mj, max_size=mj))
+    assert lcd._no_xor_vanishes(steps) == _gray_sweep(steps), steps
+
+
 @pytest.mark.parametrize("mj", range(1, 9))
 def test_gray_sweep_catches_a_single_vanishing_delta_anywhere(mj):
-    # the only vanishing combination is delta0: the Gray walk must reach every delta
+    # the only vanishing combination is delta0: the Gray walk must reach every delta, and the
+    # meet-in-the-middle check must catch delta0 within its low half, within its high half
+    # (bits h and up, h = mj // 2) and across both
+    h, seen = mj // 2, set()
     for delta0 in range(1, 1 << mj):
         top = delta0.bit_length() - 1
         steps = [1 << i for i in range(mj)]
         steps[top] = reduce(xor, (1 << i for i in range(top) if delta0 >> i & 1), 0)
         assert not _gray_sweep(steps), (mj, delta0)
+        assert not lcd._no_xor_vanishes(steps), (mj, delta0)
+        seen.add("low" if delta0 >> h == 0 else "high" if delta0 & ((1 << h) - 1) == 0 else "across")
+    assert seen == ({"low", "high", "across"} if mj > 1 else {"high"})  # at mj = 1 the low half is empty
     assert _gray_sweep([1 << i for i in range(mj)])
+    assert lcd._no_xor_vanishes([1 << i for i in range(mj)])
 
 
 def test_trivial_ideals_are_lcd():
@@ -393,6 +416,24 @@ def test_conjecture_scan_rows_equal_the_per_code_oracle(v_max, t_max):
                 hull = hull_dimension_oracle(c)
                 want.append({"v": v, "T": T, "j": j, "n": ctx.n, "k": c.k, "is_lcd": hull == 0, "hull_dim": hull})
     assert conjecture_scan(v_max, t_max) == want
+
+
+@pytest.mark.parametrize(("poly", "L"), [("x^2+x+1", 9), ("x^4+x+1", 16), ("x^5+x^4+x^3+x^2+1", 7)])
+def test_lcd_chain_steps_its_words_as_mul_trunc_does(monkeypatch, poly, L):
+    # the words each code's verdict gets: q_j up the chain and W_j down it, by products with P * P_star
+    ctx = new_context(parse(poly), L)
+    got = {}
+    monkeypatch.setattr(lcd, "_verdict", lambda c, q, W: got.setdefault(c.j, (q, W)))
+    lcd_chain(ctx)
+    step, n = mul(ctx.P, reciprocal(ctx.P)), ctx.n
+    q, W = [1], [inverse_trunc(power_trunc(step, L - 1, n), n)]
+    for _ in range(L):
+        q.append(mul_trunc(q[-1], step, n))
+    for _ in range(L - 1):
+        W.append(mul_trunc(W[-1], step, n))
+    W = [*W[::-1], None]
+    assert W[0] == 1
+    assert got == {j: (q[j], W[j]) for j in range(L + 1)}
 
 
 def _corrupt_step(monkeypatch):

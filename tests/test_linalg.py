@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import _linalg, duality
-from polycode.codes import code, generator_rows
+from polycode.codes import code, generator_rows, lead_coset
 from polycode.errors import InternalConsistencyError
 from polycode.gf2poly import is_irreducible
 from polycode.ring import new_context
@@ -420,7 +420,8 @@ def test_kernel_memory_stays_bounded_at_k_28():
 
 def test_kernel_holds_one_pair_table_at_a_time_on_a_wide_ring():
     # x^2+x+1, L = 8191, j = 8177: k = 28 on n = 16 382 bits over 551 information sets.  Their
-    # systematic rows hold about 33 MB; the pair tables of every set at once held 243 MB more
+    # systematic rows hold about 33 MB; the pair tables of every set at once held 243 MB more.
+    # The search stops within level 2, which streams its pairs, so it now builds no table at all
     rows = generator_rows(code(new_context(0b111, 8191), 8177))
     tracemalloc.start()
     try:
@@ -429,6 +430,32 @@ def test_kernel_holds_one_pair_table_at_a_time_on_a_wide_ring():
     finally:
         tracemalloc.stop()
     assert peak < 48 << 20
+
+
+def test_the_kernel_streams_level_2_on_a_wide_coset():
+    # the oracle's coset at x^2+x+1, L = 8191, j = 8001: k = 380 on n = 16 382 bits over 43 information
+    # sets, d = 85.  Level 1 runs on every set and level 2 on the first; a table of its 72 010 pair XORs
+    # held about 150 MB on top of the sets' rows
+    c = code(new_context(0b111, 8191), 8001)
+    g, rows = lead_coset(c.generator, c.k, c.n)
+    levels, real = [], _linalg._level
+    tracemalloc.start()
+    try:
+        with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real(*args)):
+            assert min_weight_affine(g, rows) == 85
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert levels.count(2) == 1 and max(levels) == 2
+    assert peak < 64 << 20
+
+
+def test_level_2_hands_out_every_pair_once():
+    # level 2 of the search yields each row against the rows past it: C(k, 2) words in all
+    rng = random.Random(2)
+    R = [rng.getrandbits(40) for _ in range(9)]
+    words = [x ^ t for x, tail, size in _linalg._level(5, R, 2) for t in list(tail)[:size]]
+    assert sorted(words) == sorted(5 ^ a ^ b for a, b in combinations(R, 2))
 
 
 def test_the_gray_walk_holds_no_table_of_its_words():
