@@ -19,17 +19,19 @@ meet-in-the-middle check read it too), or Brouwer-Zimmermann's information-set
 search on plain ints, exact at a cost that grows with the answer, not with
 2^k.  The choice is made before d is known, so the search counts the words it
 weighs and hands over to gray_walk once they pass 2^k, the cost of the whole
-walk.  The search's level 2 reads its pairs from slices of the rows and holds
-no table; levels 3 and up hold one table of pair XORs at a time, whose size
-nothing bounds but k.
+walk.  The search's level 2 is one stream per information set, the XORs of
+the set's row pairs, weighed by one min and held in no table; levels 3 and
+up hold one table of pair XORs at a time, whose size nothing bounds but k.
+No elimination is started that cannot reach full rank: the information sets
+stop once fewer than k of the span's columns are left free.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import reduce
-from itertools import accumulate, combinations, islice
-from operator import xor
+from itertools import accumulate, combinations, islice, starmap
+from operator import or_, xor
 
 from .errors import InternalConsistencyError
 
@@ -160,34 +162,43 @@ def gray_walk(g: int, rows: list[int]) -> Iterator[int]:
 def _information_sets(rows: list[int]) -> list[dict[int, int]]:
     """Disjoint information sets of span(rows), each as systematic rows {pivot column: row}.
 
-    Each set eliminates with pivots restricted to the columns no earlier set
-    took (a mask _echelon does not take: rank and rref need none), so its
-    rows are a basis of the span with the identity on its pivot columns.  The
-    first set of rank below the span's ends the list.
+    Each set eliminates with pivots restricted to the span's columns no earlier
+    set took (_pivots: rank and rref take no mask), so its rows are a basis of
+    the span with the identity on its pivot columns.  The list ends at the
+    first set of rank below the span's, or, without eliminating, once fewer
+    than k columns are left free, since k pivots need k columns.
     """
     sets: list[dict[int, int]] = []
-    used = 0
+    free = reduce(or_, rows, 0)  # the span's support
     while True:
-        lead: dict[int, int] = {}
-        for v in rows:
-            while live := v & ~used:
-                c = live.bit_length() - 1
-                if c not in lead:
-                    lead[c] = v
-                    break
-                v ^= lead[c]
+        if sets and free.bit_count() < len(rows):
+            return sets
+        lead = _pivots(rows, free)
         if not lead or (sets and len(lead) < len(rows)):
             return sets
         sets.append(_reduce_pivots(lead))
         rows = list(sets[-1].values())
-        used |= sum(1 << c for c in lead)
+        free ^= sum(1 << c for c in lead)
+
+
+def _pivots(rows: list[int], free: int) -> dict[int, int]:
+    """Echelon form of rows as {pivot column: row}, pivots restricted to the columns of the mask free."""
+    lead: dict[int, int] = {}
+    for v in rows:
+        while live := v & free:
+            c = live.bit_length() - 1
+            if c not in lead:
+                lead[c] = v
+                break
+            v ^= lead[c]
+    return lead
 
 
 def _level(g: int, R: list[int], w: int):
     """Yield (x, tail, size): the words x ^ t, t in tail, are g ^ (XOR of w rows of R), each once.
 
-    tail holds size words.  Level 2 reads each word's tail, the rows past
-    its row a, as a slice of R and builds no table.  Level w >= 3 builds R's
+    tail holds size words.  Level 2 yields once: x = g and the stream of the
+    XORs of R's C(k, 2) row pairs, which builds no table.  Level w >= 3 builds R's
     table of pair XORs, the C(k-1-a, 2) pairs of rows past row a first, holds
     it only while it runs, and hands out each tail as a slice of it, never as
     a list of its own.
@@ -197,8 +208,7 @@ def _level(g: int, R: list[int], w: int):
         yield g, R, k
         return
     if w == 2:
-        for a in range(k - 1):
-            yield g ^ R[a], R[a + 1 :], k - 1 - a
+        yield g, starmap(xor, combinations(R, 2)), k * (k - 1) // 2
         return
     pairs = [R[a] ^ R[b] for a in range(k - 2, -1, -1) for b in range(a + 1, k)]
     for head in combinations(range(k - 2), w - 2):
@@ -217,8 +227,8 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     Once level w has run on sets 0..i-1 and level w-1 on the rest, a word not
     yet seen has at least w+1 bits on each of those i sets and w on each other
     set, so weighs at least N*w + i; the search stops when the lightest word
-    found is that light.  Level 2 streams its pairs, one row against the
-    rows past it.  Level w >= 3 runs depth-first: each XOR of w-2 rows
+    found is that light.  Level 2 weighs its C(k, 2) pairs as one stream.
+    Level w >= 3 runs depth-first: each XOR of w-2 rows
     meets the table of pair XORs past its last row, so no level is ever held
     whole, and each (w, set) step builds its own table (_level), so one table
     is alive at a time.

@@ -8,8 +8,9 @@ takes one power, chain() steps from one code to the next by one product by
 P.  Here live the code object, the walk, generator rows, the one candidate
 shape of every exact search (lead_coset: the k shifts of one word mod x^N,
 with the top one fixed), membership, the split of C_j and of its dual into t
-interleaved codes up to t times shorter (interleave), which picks every
-reduced search on both sides, and the two caps every search shares:
+interleaved codes up to t times shorter (interleave, on the ring's split
+P = Q(x^s)), which picks every reduced search on both sides, and the two
+caps every search shares:
 DEFAULT_ENUM_CAP, the default oracle_cap on the dimension an exact oracle
 takes (check_caps refuses a negative one), and DEFAULT_CANDIDATE_CAP, the
 fixed bound on the words in one reduced candidate set, primal or dual.
@@ -18,7 +19,6 @@ fixed bound on the words in one reduced candidate set, primal or dual.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import gcd
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -76,7 +76,8 @@ class Interleave(NamedTuple):
     so d(C_j) is d(D_0), the longest component: D_0 has ceil(n/t) coordinates,
     dimension k0.  The dual splits the same way: P*^-j = (Q*^-b)(x^t), and its
     least weight lies in its shortest component, Q*^-b's m*b/s shifts on n // t bits.
-    Every field is a small constant; R, one power, is taken only when read.
+    s and Q are the ring's (RingContext.s, .Q); every field is a small constant,
+    and R, one power, is taken only when read.
     """
 
     s: int
@@ -91,14 +92,12 @@ class Interleave(NamedTuple):
 
 
 def interleave(ctx: RingContext, j: int) -> Interleave:
-    """The interleave split of C_j, 1 <= j <= L - 1."""
+    """The interleave split of C_j, 1 <= j <= L - 1, on the ring's split P = Q(x^s)."""
     if not 1 <= j < ctx.L:
         raise ValidationError("the interleave split covers 1 <= j <= L - 1")
-    exps = [i for i in range(1, ctx.m + 1) if ctx.P >> i & 1]
-    s = gcd(*exps)
-    t = (j & -j) * s
-    b = j // (j & -j)
-    return Interleave(s, sum(1 << (i // s) for i in [0, *exps]), t, b, -(-ctx.n // t) - b * ctx.m // s)
+    B = j & -j
+    t, b = B * ctx.s, j // B
+    return Interleave(ctx.s, ctx.Q, t, b, -(-ctx.n // t) - b * ctx.m // ctx.s)
 
 
 def generator_rows(c: PolycyclicCode) -> list[int]:

@@ -46,10 +46,16 @@ _structural_profile holds the anchors and the interval bounds.  _search, the
 one search step, runs the oracle and then weighs D_0: full_distance_profile on
 every j before it fuses and runs the kernel, single_distance_report on j, then
 (past the kernel) out to the nearest exact slot each side before it fuses.
+full_distance_profile walks the generators P^0..P^L once, one product by P
+per step, and the weight witnesses, the searches and the kernel's probes all
+read that one walk; single_distance_report streams the chain, holding no
+list of its generators, so `analyze --j` stays within O(n) bits.
 Every bound is tagged; two sources that disagree raise InternalConsistencyError.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from ._linalg import min_weight_affine
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, Interleave, PolycyclicCode, chain, check_caps, code, interleave, lead_coset
@@ -136,9 +142,9 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 # ---------------------------------------------------------------------------
 
 
-def _d0_min(ctx: RingContext, iv: Interleave) -> int:
-    """d(C_j) = d(D_0): the least weight of the lead coset of R with k0 shifts on ceil(n/t) bits."""
-    return min_weight_affine(*lead_coset(iv.R, iv.k0, -(-ctx.n // iv.t)))  # type: ignore[return-value]
+def _d0_min(ctx: RingContext, iv: Interleave, R: int) -> int:
+    """d(C_j) = d(D_0): the least weight of the lead coset of R = iv.R with k0 shifts on ceil(n/t) bits."""
+    return min_weight_affine(*lead_coset(R, iv.k0, -(-ctx.n // iv.t)))  # type: ignore[return-value]
 
 
 def _anchor_min(ctx: RingContext, j: int) -> int:
@@ -151,7 +157,7 @@ def _anchor_min(ctx: RingContext, j: int) -> int:
     iv = interleave(ctx, j)
     if 1 << (iv.k0 - 1) > DEFAULT_CANDIDATE_CAP:
         raise CapExceeded(f"reduced set has 2^{iv.k0 - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    return _d0_min(ctx, iv)
+    return _d0_min(ctx, iv, iv.R)
 
 
 def lower_anchor_distance(ctx: RingContext, s: int) -> int:
@@ -240,7 +246,7 @@ def _last(pred, lo: int, hi: int, guess: int) -> int:
     return lo
 
 
-def _small_weight_chain(ctx: RingContext, reports: list[DistanceReport]) -> None:
+def _small_weight_chain(codes: list[PolycyclicCode], reports: list[DistanceReport]) -> None:
     """Settle min(d, 4) on every j in 1..L-1 whose interval meets {2, 3}, with O(log L) kernel calls.
 
     C_(j+1) lies in C_j, so min(d, 4) never falls along the chain: a binary
@@ -248,14 +254,14 @@ def _small_weight_chain(ctx: RingContext, reports: list[DistanceReport]) -> None
     where the fused bounds put them, so those bounds are checked right at their
     edges.  The fused lower bounds make the slots a prefix of the chain; every
     one is set from the two thresholds, already exact ones included, which
-    leaves the chain fused.
+    leaves the chain fused.  codes[j] is C_j, so a probe takes no power.
     """
-    top = _last(lambda j: reports[j].lower <= 3, 0, ctx.L, 0)
+    top = _last(lambda j: reports[j].lower <= 3, 0, len(codes) - 1, 0)
     memo: dict[int, int] = {}
 
     def d4(j: int) -> int:
         if j not in memo:
-            memo[j] = small_weight(code(ctx, j))
+            memo[j] = small_weight(codes[j])
         return memo[j]
 
     guess = _last(lambda j: reports[j].upper <= 2, 0, top + 1, 0)
@@ -289,8 +295,11 @@ def monotone_fuse(reports: list[DistanceReport]) -> None:
         reports[j].cut_upper(reports[j + 1].upper, "monotone")
 
 
-def _structural_profile(ctx: RingContext) -> list[DistanceReport]:
-    """Reports for j = 0..L from structure alone: anchors, weight witnesses and doubling bounds, fused."""
+def _structural_profile(ctx: RingContext, codes: Iterable[PolycyclicCode]) -> list[DistanceReport]:
+    """Reports for j = 0..L from structure alone: anchors, weight witnesses and doubling bounds, fused.
+
+    codes yields C_1..C_(L-1) in order, each read once: a list or a stream.
+    """
     L, T, n, tops = ctx.L, ctx.T, ctx.n, ctx.tops
     reports = [DistanceReport(j, 1, n) for j in range(L + 1)]
     reports[0].set_exact(1, "full-space")
@@ -303,15 +312,14 @@ def _structural_profile(ctx: RingContext) -> list[DistanceReport]:
         except CapExceeded:
             pass
 
-    # weight witnesses
-    for c in chain(ctx, 1, L):
-        reports[c.j].cut_upper(weight(c.generator), "weight-witness")
-
-    # the doubling reads d(tops[0]); where its reduced set is over the cap, the kernel's min(d, 4) bounds it,
-    # from below only, so the oracle still runs there and the last kernel pass checks it
-    if not reports[tops[0]].exact:
-        d4 = small_weight(code(ctx, tops[0]))
-        reports[tops[0]].raise_lower(d4, f"weight-{d4}" if d4 < 4 else "no-weight-3")
+    # weight witnesses; the doubling reads d(tops[0]): where its reduced set is over the cap, the kernel's
+    # min(d, 4) bounds it, from below only, so the oracle still runs there and the last kernel pass checks it
+    for c in codes:
+        rep = reports[c.j]
+        rep.cut_upper(weight(c.generator), "weight-witness")
+        if c.j == tops[0] and not rep.exact:
+            d4 = small_weight(c)
+            rep.raise_lower(d4, f"weight-{d4}" if d4 < 4 else "no-weight-3")
 
     # doubling lower bounds: every index past an upper anchor, up to the next (or L), gets 2*d(anchor)
     for a, nxt in zip(tops, tops[1:] + (L,)):
@@ -325,12 +333,14 @@ def _structural_profile(ctx: RingContext) -> list[DistanceReport]:
 def full_distance_profile(ctx: RingContext, oracle_cap: int = DEFAULT_ENUM_CAP) -> list[DistanceReport]:
     """Best-known distance report for every j = 0..L, cross-checked along the way."""
     check_caps(oracle_cap=oracle_cap)
-    reports = _structural_profile(ctx)
-    for c in chain(ctx, 1, ctx.L):
+    codes = list(chain(ctx, 0, ctx.L + 1))  # the one walk: codes[j] is C_j
+    inner = codes[1:-1]
+    reports = _structural_profile(ctx, inner)
+    for c in inner:
         _search(c, reports[c.j], oracle_cap)
     monotone_fuse(reports)
     # last, min(d, 4) by the small-weight kernel, which checks every value the searches returned
-    _small_weight_chain(ctx, reports)
+    _small_weight_chain(codes, reports)
     return reports
 
 
@@ -351,9 +361,10 @@ def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
     iv = interleave(c.ctx, c.j)
     if iv.t == 1 or iv.k0 > ocap:
         return
-    if substitute_power(iv.R, iv.t) != c.generator:
+    R = iv.R
+    if substitute_power(R, iv.t) != c.generator:
         raise InternalConsistencyError(f"j={c.j}: R(x^{iv.t}) is not P^j")
-    rep.set_exact(_d0_min(c.ctx, iv), f"spread-t{iv.t}")
+    rep.set_exact(_d0_min(c.ctx, iv, R), f"spread-t{iv.t}")
 
 
 def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
@@ -368,7 +379,7 @@ def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_E
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
     check_caps(oracle_cap=oracle_cap)
-    reports = _structural_profile(ctx)
+    reports = _structural_profile(ctx, chain(ctx, 1, ctx.L))
     rep = reports[j]
     if 0 < j < ctx.L:
         c = code(ctx, j)

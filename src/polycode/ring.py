@@ -8,9 +8,12 @@ else keys off: T with 2^(T-1) < L <= 2^T and the anchor lattice
 `tops`: the upper anchors j = 2^T - 2^(T-r) below L, for r = 1, 2, ...  Every
 anchor j has the spread B = j & -j (so tops[0] = 2^(T-1) is also the top
 lower anchor, B = j), and the unanchored tail past the last one has length
-L - tops[-1].  The ring holds a handful of ints and no power series: each code
-carries its own generator P^j (codes.code, codes.chain), and the dual and LCD
-words are built from it (duality.py, lcd.py).
+L - tops[-1].  With them it holds the split of P that every interleave reads
+(codes.interleave): s, the gcd of P's exponents, and Q with P = Q(x^s), each
+of at most m + 1 bits.  The ring holds these eight small fields and no power
+or power series: each code carries its own generator P^j (codes.code,
+codes.chain), and the dual and LCD words are built from it (duality.py,
+lcd.py).
 
 The ring never finds the order e of x mod P.  The one reader of e is the
 `analyze` text header, which steps x^i mod P for i < n and prints e only
@@ -20,6 +23,7 @@ x^i mod P^j instead.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .errors import CapExceeded, ValidationError
@@ -30,7 +34,7 @@ class RingContext(NamedTuple):
     """Immutable bundle of constants for one ring F2[x]/<P^L>.
 
     tops is the one record of the anchor lattice: the profile and the dual
-    anchors both read it.
+    anchors both read it.  s and Q are the one record of P's split.
     """
 
     P: int
@@ -39,6 +43,8 @@ class RingContext(NamedTuple):
     n: int
     T: int
     tops: tuple[int, ...]  # upper anchors 2^T - 2^(T-r) < L, r = 1, 2, ...; tops[0] = 2^(T-1)
+    s: int  # gcd of P's exponents, odd for an irreducible P
+    Q: int  # P = Q(x^s)
 
 
 def new_context(P: int, L: int) -> RingContext:
@@ -57,6 +63,8 @@ def new_context(P: int, L: int) -> RingContext:
         raise ValidationError("P must be irreducible over GF(2)")
 
     T = (L - 1).bit_length()
+    exps = [i for i in range(1, m + 1) if P >> i & 1]
+    s = gcd(*exps)
     return RingContext(
         P=P,
         m=m,
@@ -64,4 +72,6 @@ def new_context(P: int, L: int) -> RingContext:
         n=m * L,
         T=T,
         tops=tuple(j for j in ((1 << T) - (1 << (T - r)) for r in range(1, T + 1)) if j < L),
+        s=s,
+        Q=sum(1 << (i // s) for i in [0, *exps]),
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code
@@ -15,7 +17,7 @@ from polycode.distance import (
     small_weight,
     upper_anchor_distance,
 )
-from polycode import distance
+from polycode import codes, distance
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import degree, is_irreducible, order, parse
 from polycode.ring import new_context
@@ -317,6 +319,40 @@ def test_weight_2_is_found_before_an_earlier_weight_3_word():
     assert distance._light_word(code(new_context(M5, 5), 3).generator, 25) is None  # d(C_3) = 4 there
 
 
+def test_the_whole_chain_walks_its_generators_once(monkeypatch):
+    # no code() and no power of P per slot: the profile steps P^0..P^L once, and every power it takes is
+    # an interleave's R = Q^b (b odd), one per D_0 weighed, besides the walk's start P^0, which costs no product
+    monkeypatch.setattr(distance, "code", lambda *args: pytest.fail("the whole chain called code()"))
+    powers, weighed = [], []
+    real_power, real_d0 = codes.power, distance._d0_min
+    monkeypatch.setattr(codes, "power", lambda a, e: powers.append((a, e)) or real_power(a, e))
+    monkeypatch.setattr(distance, "_d0_min", lambda ctx, iv, R: weighed.append(R) or real_d0(ctx, iv, R))
+    rings = 0
+    for ctx in _rings_up_to_60():
+        powers.clear()
+        weighed.clear()
+        full_distance_profile(ctx)
+        assert powers[0] == (ctx.P, 0) and (ctx.P, 0) not in powers[1:], (ctx.P, ctx.L)
+        assert all(a == ctx.Q and e % 2 for a, e in powers[1:]), (ctx.P, ctx.L)
+        assert len(powers) - 1 == len(weighed), (ctx.P, ctx.L)
+        rings += 1
+    assert rings == 256
+
+
+def test_analyze_j_holds_no_list_of_the_chains_generators():
+    # x^2+x+1, L = 8191 (n = 16 382): P^0..P^L hold about 8 MB of words and their ints about 10 MB in all,
+    # so a single slot's report, which streams the chain, stays far below that
+    ctx = new_context(parse("x^2+x+1"), 8191)
+    tracemalloc.start()
+    try:
+        rep = single_distance_report(ctx, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.lower, rep.upper) == (2, 2)
+    assert peak < 4 << 20
+
+
 @pytest.mark.parametrize("text,L,w", [("x^2+x+1", 4, 2), ("x^3+x+1", 2, 3)])
 def test_a_witness_off_by_one_bit_raises(monkeypatch, text, L, w):
     # the top exponent moved up by one: never a codeword, and the division check must say so
@@ -338,7 +374,7 @@ def test_a_witness_off_by_one_bit_raises(monkeypatch, text, L, w):
 
 def test_the_kernel_closes_a_slot_over_the_oracle_cap():
     ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)  # j = 1: k = 32, over the default cap of 28
-    assert distance._structural_profile(ctx)[1].upper == 4
+    assert distance._structural_profile(ctx, chain(ctx, 1, ctx.L))[1].upper == 4
     for cap in (0, 28):
         rep = single_distance_report(ctx, 1, oracle_cap=cap)
         assert (rep.lower, rep.upper) == (3, 3) and rep.provenance[-1] == "weight-3"
@@ -347,7 +383,7 @@ def test_the_kernel_closes_a_slot_over_the_oracle_cap():
 
 def test_the_kernel_raises_the_lower_bound_to_4():
     ctx = new_context(parse("x^11+x^10+x^5+x^4+1"), 8)  # j = 1: [1, 5] from structure alone, d = 4
-    assert distance._structural_profile(ctx)[1].lower == 1
+    assert distance._structural_profile(ctx, chain(ctx, 1, ctx.L))[1].lower == 1
     for cap in (0, 28):
         rep = single_distance_report(ctx, 1, oracle_cap=cap)
         assert (rep.lower, rep.upper, rep.provenance[-1]) == (4, 5, "no-weight-3")

@@ -394,6 +394,48 @@ def test_information_sets_are_disjoint_systematic_bases(case):
         assert len(sets) == 1
 
 
+def _information_sets_reference(rows):
+    """The information sets as they were built before the free-column count: each elimination runs to its end."""
+    sets, used = [], 0
+    while True:
+        lead = {}
+        for v in rows:
+            while live := v & ~used:
+                c = live.bit_length() - 1
+                if c not in lead:
+                    lead[c] = v
+                    break
+                v ^= lead[c]
+        if not lead or (sets and len(lead) < len(rows)):
+            return sets
+        sets.append(_linalg._reduce_pivots(lead))
+        rows = list(sets[-1].values())
+        used |= sum(1 << c for c in lead)
+
+
+@given(searched_sets())
+def test_information_sets_start_no_elimination_that_cannot_reach_full_rank(case):
+    # the same sets as the loop that ran every elimination to its end, and no elimination started with
+    # fewer than k free columns of the span, where no set of k pivots can follow
+    _, rows, _ = case
+    k = rank(list(rows))
+    started, real = [], _linalg._pivots
+    with mock.patch.object(_linalg, "_pivots", lambda rows, free: started.append(free.bit_count()) or real(rows, free)):
+        sets = _linalg._information_sets(rows)
+    assert sets == _information_sets_reference(rows)
+    assert all(free >= k for free in started)
+
+
+def test_the_last_elimination_is_skipped_where_the_columns_run_out():
+    # three disjoint copies of the identity on 30 columns: after three sets no column is free, so the
+    # three sets take three eliminations, not four
+    rows = [(1 << i) | (1 << (i + 10)) | (1 << (i + 20)) for i in range(10)]
+    started, real = [], _linalg._pivots
+    with mock.patch.object(_linalg, "_pivots", lambda rows, free: started.append(free) or real(rows, free)):
+        assert len(_linalg._information_sets(rows)) == 3
+    assert len(started) == 3
+
+
 def test_kernel_search_stops_at_the_proven_bound():
     # three disjoint copies of the identity: every row weighs 3 = N * 1, so level 1 on the first set proves it
     rows = [(1 << i) | (1 << (i + 10)) | (1 << (i + 20)) for i in range(10)]
@@ -451,10 +493,12 @@ def test_the_kernel_streams_level_2_on_a_wide_coset():
 
 
 def test_level_2_hands_out_every_pair_once():
-    # level 2 of the search yields each row against the rows past it: C(k, 2) words in all
+    # level 2 of the search yields once: g and the stream of the C(k, 2) pair XORs, each pair once
     rng = random.Random(2)
     R = [rng.getrandbits(40) for _ in range(9)]
-    words = [x ^ t for x, tail, size in _linalg._level(5, R, 2) for t in list(tail)[:size]]
+    (x, tail, size), = _linalg._level(5, R, 2)
+    words = [x ^ t for t in tail]
+    assert x == 5 and size == len(words) == 36
     assert sorted(words) == sorted(5 ^ a ^ b for a, b in combinations(R, 2))
 
 
