@@ -41,23 +41,22 @@ def parity_dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
-def _echelon(rows: list[int]) -> dict[int, int]:
-    """Echelon form as {pivot column: row}, each row reduced against the table by leading bit."""
+def _pivots(rows: list[int], free: int) -> dict[int, int]:
+    """Echelon form of rows as {pivot column: row}, pivots restricted to the columns of the mask free (-1: all)."""
     lead: dict[int, int] = {}
     for v in rows:
-        while v:
-            c = v.bit_length() - 1
-            b = lead.get(c)
-            if b is None:
+        while live := v & free:
+            c = live.bit_length() - 1
+            if c not in lead:
                 lead[c] = v
                 break
-            v ^= b
+            v ^= lead[c]
     return lead
 
 
 def rank(rows: list[int]) -> int:
     """Rank of the row set."""
-    return len(_echelon(rows))
+    return len(_pivots(rows, -1))
 
 
 def _reduce_pivots(lead: dict[int, int]) -> dict[int, int]:
@@ -80,7 +79,7 @@ def _reduce_pivots(lead: dict[int, int]) -> dict[int, int]:
 
 def rref(rows: list[int]) -> list[tuple[int, int]]:
     """Reduced echelon form as (pivot_column, row) pairs, highest pivot first."""
-    return sorted(_reduce_pivots(_echelon(rows)).items(), reverse=True)
+    return sorted(_reduce_pivots(_pivots(rows, -1)).items(), reverse=True)
 
 
 def nullspace(rows: list[int], ncols: int) -> list[int]:
@@ -163,10 +162,10 @@ def _information_sets(rows: list[int]) -> list[dict[int, int]]:
     """Disjoint information sets of span(rows), each as systematic rows {pivot column: row}.
 
     Each set eliminates with pivots restricted to the span's columns no earlier
-    set took (_pivots: rank and rref take no mask), so its rows are a basis of
-    the span with the identity on its pivot columns.  The list ends at the
-    first set of rank below the span's, or, without eliminating, once fewer
-    than k columns are left free, since k pivots need k columns.
+    set took (_pivots, which rank and rref call with the mask -1), so its rows
+    are a basis of the span with the identity on its pivot columns.  The list
+    ends at the first set of rank below the span's, or, without eliminating,
+    once fewer than k columns are left free, since k pivots need k columns.
     """
     sets: list[dict[int, int]] = []
     free = reduce(or_, rows, 0)  # the span's support
@@ -179,19 +178,6 @@ def _information_sets(rows: list[int]) -> list[dict[int, int]]:
         sets.append(_reduce_pivots(lead))
         rows = list(sets[-1].values())
         free ^= sum(1 << c for c in lead)
-
-
-def _pivots(rows: list[int], free: int) -> dict[int, int]:
-    """Echelon form of rows as {pivot column: row}, pivots restricted to the columns of the mask free."""
-    lead: dict[int, int] = {}
-    for v in rows:
-        while live := v & free:
-            c = live.bit_length() - 1
-            if c not in lead:
-                lead[c] = v
-                break
-            v ^= lead[c]
-    return lead
 
 
 def _level(g: int, R: list[int], w: int):

@@ -43,9 +43,11 @@ Each search weighs the k shifts of one word w as their lead coset
 oracle w = P^j on n bits, and D_0, at the anchors and in the spread, w = R,
 k = k0 on ceil(n/t) bits.
 _structural_profile holds the anchors and the interval bounds.  _search, the
-one search step, runs the oracle and then weighs D_0: full_distance_profile on
-every j before it fuses and runs the kernel, single_distance_report on j, then
-(past the kernel) out to the nearest exact slot each side before it fuses.
+one search step, runs the oracle and then weighs D_0.  Both flows take the
+sources in one order (structure, the searches, the fuse, then the kernel), so
+`analyze --j` returns the whole chain's slot, provenance included:
+full_distance_profile searches every j, single_distance_report j and, while
+j is open, its neighbours out to the nearest exact slot on each side.
 full_distance_profile walks the generators P^0..P^L once, one product by P
 per step, and the weight witnesses, the searches and the kernel's probes all
 read that one walk; single_distance_report streams the chain, holding no
@@ -368,13 +370,14 @@ def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
 
 
 def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
-    """The whole chain's interval at j, from the searches on j and on its neighbours out to the nearest exact slots.
+    """The whole chain's report at j, from the searches on j and on its neighbours out to the nearest exact slots.
 
-    The searches and the kernel run on j first.  While j is open, the searches
-    walk up from j + 1 and down from j - 1, each side stopping at its first
-    exact slot, and the chain is fused.  d never falls along the chain, so no
-    slot past those two can tighten j, and no neighbour's min(d, 4) can tighten
-    what the kernel gave at j.
+    The order is full_distance_profile's.  The searches run on j; while j is
+    open, they walk up from j + 1 and down from j - 1, each side stopping at
+    its first exact slot, and the chain is fused.  d never falls along the
+    chain, so no slot past those two can tighten j.  Last, where j's lower
+    bound is at most 3, the kernel settles min(d, 4) at j, as the chain's
+    kernel pass does, and no neighbour's min(d, 4) can tighten it.
     """
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
@@ -384,13 +387,13 @@ def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_E
     if 0 < j < ctx.L:
         c = code(ctx, j)
         _search(c, rep, oracle_cap)
+        if not rep.exact:
+            for side in (chain(ctx, j + 1, ctx.L), (code(ctx, i) for i in range(j - 1, 0, -1))):
+                for nb in side:
+                    _search(nb, reports[nb.j], oracle_cap)
+                    if reports[nb.j].exact:
+                        break
+            monotone_fuse(reports)
         if rep.lower <= 3:
             _apply_small_weight(rep, small_weight(c))
-    if not rep.exact:
-        for side in (chain(ctx, j + 1, ctx.L), (code(ctx, i) for i in range(j - 1, 0, -1))):
-            for c in side:
-                _search(c, reports[c.j], oracle_cap)
-                if reports[c.j].exact:
-                    break
-        monotone_fuse(reports)
     return rep

@@ -8,7 +8,8 @@ x^e + 1 and x^m + 1 is reducible, so e > m and e * 2^T > m * L = n; then
 the inverse of the reciprocal of the code's own generator, since
 (P^j)* = (P*)^j.  A DualCode holds that one word and no rows.  Construction
 verifies full rank from the lowest set bit of h* and orthogonality against
-the generator by n - 1 parities, since both row sets are shifts of one word.
+the generator by one product: both row sets are shifts of one word, so their
+n - 1 correlations are one band of g read backwards times h*.
 Duals are "sequential" codes: shifting a dual word right by one position
 stays in the dual after an appropriate bit enters at the top; the closure
 test reads h* alone, and dual_summary raises on a dual that does not close.
@@ -30,10 +31,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._linalg import gray_walk, min_weight_affine, parity_dot
+from ._linalg import gray_walk, min_weight_affine
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, interleave, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import inverse_trunc, mul_trunc, power_trunc, reciprocal
+from .gf2poly import inverse_trunc, mul, mul_trunc, power_trunc, reciprocal
 from .ring import RingContext
 
 
@@ -65,9 +66,11 @@ def dual_code(c: PolycyclicCode) -> DualCode:
     # exactly when the last one, (h << (m*j - 1)) mod x^n, is nonzero
     if not (h << (ctx.m * j - 1)) & ((1 << n) - 1):
         raise InternalConsistencyError("dual spanning rows are not independent")
-    # generator rows g << a never pass n bits, so <g << a, (h << b) & mask> is
-    # <g << (a - b), h> or <g, h << (b - a)>: n - 1 parities decide all k*m*j pairs
-    if any(parity_dot(g << d, h) for d in range(c.k)) or any(parity_dot(g, h << d) for d in range(1, ctx.m * j)):
+    # generator rows g << a never pass n bits, so <g << a, (h << b) & mask> is <g << (a - b), h> or
+    # <g, h << (b - a)>: n - 1 correlations of g with h, which are bits n - m*j .. 2n - m*j - 2 of
+    # rev * h, rev = g read backwards over n bits (the hull's Gram band reads g * g* the same way)
+    rev = reciprocal(g) << (n - g.bit_length())
+    if (mul(rev, h) >> (n - ctx.m * j)) & ((1 << (n - 1)) - 1):
         raise InternalConsistencyError("dual spanning row not orthogonal to the code")
     return DualCode(ctx, j, h)
 

@@ -246,28 +246,13 @@ def parse(text: str) -> int:
     if re.fullmatch(r"\d+", stripped):
         return _decimal(stripped)
     out = 0
-    pos = 0
-    expecting_term = True
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        if text[pos] == "+":
-            if expecting_term:
-                raise ValidationError(f"empty term at offset {pos} in {text!r}")
-            expecting_term = True
-            pos += 1
-            continue
-        if not expecting_term:
-            raise ValidationError(f"missing '+' at offset {pos} in {text!r}")
-        start = pos
-        while pos < n and not text[pos].isspace() and text[pos] != "+":
-            pos += 1
-        token = text[start:pos]
+    offset = 0  # of the part in text
+    for part in text.split("+"):
+        token = part.strip()
         match = _MONOMIAL.fullmatch(token)
         if match is None:
-            raise ValidationError(f"malformed term {token!r} at offset {start} in {text!r}")
+            at = offset + len(part) - len(part.lstrip())
+            raise ValidationError(f"malformed term {token!r} at offset {at} in {text!r}")
         if token == "1":
             exp = 0
         elif token == "x":
@@ -277,9 +262,7 @@ def parse(text: str) -> int:
             if exp > RING_TABLE_BITS:
                 raise ValidationError(f"term {token[:40]!r} is past the budget of x^{RING_TABLE_BITS}")
         out ^= 1 << exp  # repeated terms cancel over GF(2)
-        expecting_term = False
-    if expecting_term:
-        raise ValidationError(f"empty term at offset {n} in {text!r}")
+        offset += len(part) + 1
     return out
 
 

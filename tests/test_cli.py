@@ -432,10 +432,12 @@ def test_a_wrong_criterion_kernel_exits_3(capsys, monkeypatch, poly, j):
 
 
 def test_a_dual_word_off_the_dual_exits_3(capsys, monkeypatch):
+    # h* with its low, a middle or its top bit flipped (n = 27); the top bit meets only the last generator row
     real = duality.inverse_trunc
-    monkeypatch.setattr(duality, "inverse_trunc", lambda a, nbits: real(a, nbits) ^ 1)
-    assert main(["dual", "--poly", "x^3+x+1", "--power", "9", "--j", "2"]) == 3
-    assert "not orthogonal" in capsys.readouterr().err
+    for bit in (lambda nbits: 0, lambda nbits: nbits // 2, lambda nbits: nbits - 1):
+        monkeypatch.setattr(duality, "inverse_trunc", lambda a, nbits, bit=bit: real(a, nbits) ^ 1 << bit(nbits))
+        assert main(["dual", "--poly", "x^3+x+1", "--power", "9", "--j", "2"]) == 3
+        assert "not orthogonal" in capsys.readouterr().err
 
 
 def test_a_wrong_power_series_inverse_raises_and_exits_3(capsys, monkeypatch):

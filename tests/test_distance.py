@@ -181,33 +181,29 @@ def test_monotone_fuse_enforces_chain_order():
     assert "monotone" in reports[2].provenance
 
 
-def test_single_report_matches_full_profile():
-    ctx = new_context(M5, 12)
-    profile = full_distance_profile(ctx, oracle_cap=28)
-    for j in (1, 5, 9, 11):
-        rep = single_distance_report(ctx, j, oracle_cap=28)
-        assert (rep.lower, rep.upper, rep.exact) == (
-            profile[j].lower,
-            profile[j].upper,
-            profile[j].exact,
-        )
-
-
 def test_the_single_j_report_is_the_whole_chain_answer():
     # j = 17 alone reads [6, 9]; the spread closes j = 18 at 6, and fusing it in gives the chain's 6
     ctx = new_context(parse("x^3+x+1"), 24)
     whole = full_distance_profile(ctx, oracle_cap=20)[17]
     one = single_distance_report(ctx, 17, oracle_cap=20)
     assert (one.lower, one.upper) == (whole.lower, whole.upper) == (6, 6)
+    # j = 3 closes at 2 by monotonicity before the kernel runs, so neither flow tags weight-2 (an s = 1 and an s = 3 ring)
+    for text in ("x^2+x+1", "x^6+x^3+1"):
+        ctx = new_context(parse(text), 24)
+        one = single_distance_report(ctx, 3)
+        assert one.to_json_dict() == full_distance_profile(ctx)[3].to_json_dict()
+        assert one.provenance == ["weight-witness", "monotone"]
+    wider = [new_context(parse("x^6+x^3+1"), L) for L in range(11, 25)]  # L <= 10 is in _rings_up_to_60()
     for cap in (0, 20, 28):
-        slots = 0
-        for ctx in _rings_up_to_60():
-            profile = full_distance_profile(ctx, oracle_cap=cap)
-            for j in range(ctx.L + 1):
-                one = single_distance_report(ctx, j, oracle_cap=cap)
-                assert (one.lower, one.upper) == (profile[j].lower, profile[j].upper), (ctx.P, ctx.L, j, cap)
-                slots += 1
-        assert slots == 2443
+        for rings, count in ((_rings_up_to_60(), 2443), (wider, 259)):
+            slots = 0
+            for ctx in rings:
+                profile = full_distance_profile(ctx, oracle_cap=cap)
+                for j in range(ctx.L + 1):
+                    one = single_distance_report(ctx, j, oracle_cap=cap)
+                    assert one.to_json_dict() == profile[j].to_json_dict(), (ctx.P, ctx.L, j, cap)
+                    slots += 1
+            assert slots == count
 
 
 def test_the_single_report_searches_out_to_the_nearest_exact_slots(monkeypatch):
@@ -219,8 +215,9 @@ def test_the_single_report_searches_out_to_the_nearest_exact_slots(monkeypatch):
         real(c, rep, ocap)
 
     monkeypatch.setattr(distance, "_search", recording)
-    ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)  # j = 1: the kernel closes it at 3, so no neighbour is searched
-    assert single_distance_report(ctx, 1).exact and searched == [1]
+    ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)  # j = 1 (k = 32) stays open past its search; j = 2 closes, then the kernel closes j at 3
+    rep = single_distance_report(ctx, 1)
+    assert (rep.lower, rep.upper) == (3, 3) and searched == [1, 2]
     searched.clear()
     ctx = new_context(parse("x^3+x+1"), 24)  # j = 17 stays [6, 9]; j = 18 closes by the spread, j = 16 is an anchor
     assert single_distance_report(ctx, 17, oracle_cap=20).exact and searched == [17, 18, 16]
