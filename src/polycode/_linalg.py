@@ -19,9 +19,9 @@ meet-in-the-middle check read it too), or Brouwer-Zimmermann's information-set
 search on plain ints, exact at a cost that grows with the answer, not with
 2^k.  The choice is made before d is known, so the search counts the words it
 weighs and hands over to gray_walk once they pass 2^k, the cost of the whole
-walk.  The search's level 2 is one stream per information set, the XORs of
-the set's row pairs, weighed by one min and held in no table; levels 3 and
-up hold one table of pair XORs at a time, whose size nothing bounds but k.
+walk.  Every level of the search is a stream: each XOR of w-2 of a set's
+rows meets the XORs of the row pairs past its last row, weighed by one min
+and held in no table.
 No elimination is started that cannot reach full rank: the information sets
 stop once fewer than k of the span's columns are left free.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import reduce
-from itertools import accumulate, combinations, islice, starmap
+from itertools import accumulate, combinations, starmap
 from operator import or_, xor
 
 from .errors import InternalConsistencyError
@@ -183,24 +183,19 @@ def _information_sets(rows: list[int]) -> list[dict[int, int]]:
 def _level(g: int, R: list[int], w: int):
     """Yield (x, tail, size): the words x ^ t, t in tail, are g ^ (XOR of w rows of R), each once.
 
-    tail holds size words.  Level 2 yields once: x = g and the stream of the
-    XORs of R's C(k, 2) row pairs, which builds no table.  Level w >= 3 builds R's
-    table of pair XORs, the C(k-1-a, 2) pairs of rows past row a first, holds
-    it only while it runs, and hands out each tail as a slice of it, never as
-    a list of its own.
+    tail holds size words.  Level 1 yields once: x = g and the rows.  Level
+    w >= 2 yields once per head, an XOR of w-2 rows (level 2's is empty):
+    x = g ^ head and the stream of the XORs of the row pairs past the head's
+    last row, so no level builds a table.
     """
     k = len(R)
     if w == 1:
         yield g, R, k
         return
-    if w == 2:
-        yield g, starmap(xor, combinations(R, 2)), k * (k - 1) // 2
-        return
-    pairs = [R[a] ^ R[b] for a in range(k - 2, -1, -1) for b in range(a + 1, k)]
     for head in combinations(range(k - 2), w - 2):
-        a = k - 1 - head[-1] if head else k  # rows past the head's last one
-        size = a * (a - 1) // 2
-        yield reduce(xor, map(R.__getitem__, head), g), islice(pairs, size), size
+        rest = R[head[-1] + 1:] if head else R
+        size = len(rest) * (len(rest) - 1) // 2
+        yield reduce(xor, map(R.__getitem__, head), g), starmap(xor, combinations(rest, 2)), size
 
 
 def _information_set_search(g: int, rows: list[int]) -> int:
@@ -213,11 +208,10 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     Once level w has run on sets 0..i-1 and level w-1 on the rest, a word not
     yet seen has at least w+1 bits on each of those i sets and w on each other
     set, so weighs at least N*w + i; the search stops when the lightest word
-    found is that light.  Level 2 weighs its C(k, 2) pairs as one stream.
-    Level w >= 3 runs depth-first: each XOR of w-2 rows
-    meets the table of pair XORs past its last row, so no level is ever held
-    whole, and each (w, set) step builds its own table (_level), so one table
-    is alive at a time.
+    found is that light.  Level w >= 2 runs depth-first (_level): each XOR of
+    w-2 rows meets the stream of the pair XORs past its last row, level 2's
+    empty head all C(k, 2) pairs, so no level is held whole and no pair
+    table is built.
 
     The search counts the words it weighs.  Once they pass 2^k, the cost of
     the whole Gray-code walk over the first set's k rows, it hands over to
@@ -251,12 +245,12 @@ def min_weight_affine(g: int, rows: list[int]) -> int | None:
     """Minimum nonzero weight over g ^ span(rows), or None when every word is zero.
 
     With k nonzero rows, n bits in the longest word and N = max(1, n // k),
-    the information-set search's own set-up is N eliminations and N tables of
-    pair XORs, N*(k^2 + k(k-1)/2) steps.  Where 2^k is no more than that, or
-    there are no rows, gray_walk weighs every word; otherwise
-    _information_set_search runs.  The rule cannot foresee d: where d is large,
-    the search's levels cost more than the walk, so the search hands over to
-    gray_walk once the words it has weighed pass 2^k.
+    the information-set search's own set-up is N eliminations and level 2's
+    k(k-1)/2 pair words per set, N*(k^2 + k(k-1)/2) steps.  Where 2^k is no
+    more than that, or there are no rows, gray_walk weighs every word;
+    otherwise _information_set_search runs.  The rule cannot foresee d: where
+    d is large, the search's levels cost more than the walk, so the search
+    hands over to gray_walk once the words it has weighed pass 2^k.
     """
     rows = list(filter(None, rows))
     k = len(rows)

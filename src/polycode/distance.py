@@ -47,7 +47,8 @@ one search step, runs the oracle and then weighs D_0.  Both flows take the
 sources in one order (structure, the searches, the fuse, then the kernel), so
 `analyze --j` returns the whole chain's slot, provenance included:
 full_distance_profile searches every j, single_distance_report j and, while
-j is open, its neighbours out to the nearest exact slot on each side.
+j is open, its neighbours out to the nearest exact slot on each side, taking
+a neighbour's power P^i only where a search runs (k0 <= oracle_cap).
 full_distance_profile walks the generators P^0..P^L once, one product by P
 per step, and the weight witnesses, the searches and the kernel's probes all
 read that one walk; single_distance_report streams the chain, holding no
@@ -374,10 +375,12 @@ def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_E
 
     The order is full_distance_profile's.  The searches run on j; while j is
     open, they walk up from j + 1 and down from j - 1, each side stopping at
-    its first exact slot, and the chain is fused.  d never falls along the
-    chain, so no slot past those two can tighten j.  Last, where j's lower
-    bound is at most 3, the kernel settles min(d, 4) at j, as the chain's
-    kernel pass does, and no neighbour's min(d, 4) can tighten it.
+    its first exact slot, and the chain is fused.  A neighbour's code is
+    built and searched only where k0 <= oracle_cap (k0 = k where t = 1), the
+    one place _search works, and a searched slot always ends exact.  d never
+    falls along the chain, so no slot past those two can tighten j.  Last,
+    where j's lower bound is at most 3, the kernel settles min(d, 4) at j, as
+    the chain's kernel pass does, and no neighbour's min(d, 4) can tighten it.
     """
     if not 0 <= j <= ctx.L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
@@ -388,10 +391,11 @@ def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_E
         c = code(ctx, j)
         _search(c, rep, oracle_cap)
         if not rep.exact:
-            for side in (chain(ctx, j + 1, ctx.L), (code(ctx, i) for i in range(j - 1, 0, -1))):
-                for nb in side:
-                    _search(nb, reports[nb.j], oracle_cap)
-                    if reports[nb.j].exact:
+            for side in (range(j + 1, ctx.L), range(j - 1, 0, -1)):
+                for i in side:
+                    if interleave(ctx, i).k0 <= oracle_cap:
+                        _search(code(ctx, i), reports[i], oracle_cap)
+                    if reports[i].exact:
                         break
             monotone_fuse(reports)
         if rep.lower <= 3:

@@ -230,6 +230,22 @@ def test_the_single_report_reads_the_chain_deep_in_a_long_ring():
     assert (rep.lower, rep.upper) == (4, 4)
 
 
+def test_the_single_report_builds_a_neighbours_code_only_where_a_search_runs(monkeypatch):
+    # x^2+x+1, L = 8191: at oracle cap 0 no search runs, so j = 5000 and j = 6000 build their own code
+    # alone, for the kernel (905 and 1 905 codes while every neighbour out to the nearest exact slot
+    # took one); at cap 28 the first neighbour on each side whose D_0 is within the cap closes j
+    built, real = [], distance.code
+    monkeypatch.setattr(distance, "code", lambda ctx, i: built.append(i) or real(ctx, i))
+    ctx = new_context(parse("x^2+x+1"), 8191)
+    for j in (5000, 6000):
+        built.clear()
+        rep = single_distance_report(ctx, j, oracle_cap=0)
+        assert (rep.lower, rep.upper) == (4, 5) and built == [j]
+    built.clear()
+    rep = single_distance_report(ctx, 5000, oracle_cap=28)
+    assert (rep.lower, rep.upper) == (4, 4) and built == [5000, 5120, 4864]
+
+
 def test_profile_is_monotone_for_many_rings():
     for poly_text, L in (("x^2+x+1", 9), ("x^3+x+1", 7), ("x^4+x+1", 11), ("x^5+x^2+1", 6)):
         ctx = new_context(parse(poly_text), L)

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from functools import reduce
 from itertools import combinations, product
+from math import comb
 from operator import xor
 from unittest import mock
 
@@ -460,10 +461,10 @@ def test_kernel_memory_stays_bounded_at_k_28():
     assert peak < 4 << 20
 
 
-def test_kernel_holds_one_pair_table_at_a_time_on_a_wide_ring():
+def test_kernel_holds_no_pair_table_on_a_wide_ring():
     # x^2+x+1, L = 8191, j = 8177: k = 28 on n = 16 382 bits over 551 information sets.  Their
     # systematic rows hold about 33 MB; the pair tables of every set at once held 243 MB more.
-    # The search stops within level 2, which streams its pairs, so it now builds no table at all
+    # Every level streams its pair XORs, so the search holds the sets' rows and no table
     rows = generator_rows(code(new_context(0b111, 8191), 8177))
     tracemalloc.start()
     try:
@@ -492,14 +493,43 @@ def test_the_kernel_streams_level_2_on_a_wide_coset():
     assert peak < 64 << 20
 
 
-def test_level_2_hands_out_every_pair_once():
-    # level 2 of the search yields once: g and the stream of the C(k, 2) pair XORs, each pair once
+def test_every_level_hands_out_each_xor_of_w_rows_once():
+    # level w yields g ^ (XOR of a head of w-2 rows) with the stream of the pair XORs past the head's last
+    # row (level 2: g and all C(k, 2) pairs), so the words x ^ t are each XOR of w rows, each once
     rng = random.Random(2)
     R = [rng.getrandbits(40) for _ in range(9)]
-    (x, tail, size), = _linalg._level(5, R, 2)
-    words = [x ^ t for t in tail]
-    assert x == 5 and size == len(words) == 36
-    assert sorted(words) == sorted(5 ^ a ^ b for a, b in combinations(R, 2))
+    for w in range(1, 5):
+        steps = [(x, list(tail), size) for x, tail, size in _linalg._level(5, R, w)]
+        assert all(size == len(tail) for _, tail, size in steps)
+        words = [x ^ t for x, tail, _ in steps for t in tail]
+        assert sum(size for *_, size in steps) == len(words) == comb(len(R), w)
+        assert sorted(words) == sorted(reduce(xor, combo, 5) for combo in combinations(R, w)), w
+
+
+def test_level_3_streams_its_pairs():
+    # the first level-3 step over 300 random rows of 4 096 bits: the head is row 0 and the tail the
+    # C(299, 2) pair XORs past it, which a table of 512-byte words held in about 25 MB
+    rng = random.Random(3)
+    R = [rng.getrandbits(4096) for _ in range(300)]
+    tracemalloc.start()
+    try:
+        x, tail, size = next(_linalg._level(0, R, 3))
+        assert x == R[0] and size == 299 * 298 // 2
+        assert min(map(int.bit_count, map(x.__xor__, tail))) > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_search_reaches_level_3_on_a_long_code():
+    # the oracle's coset at x^4+x+1, L = 256, j = 206: k = 200 on n = 1 024 bits over 5 information
+    # sets, d = 16, which level 2 alone cannot prove
+    c = code(new_context(0b10011, 256), 206)
+    levels, real = [], _linalg._level
+    with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real(*args)):
+        assert min_weight_affine(*lead_coset(c.generator, c.k, c.n)) == 16
+    assert max(levels) == 3
 
 
 def test_the_gray_walk_holds_no_table_of_its_words():
