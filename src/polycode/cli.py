@@ -2,20 +2,20 @@
 
 Subcommands: analyze (distance bounds along the chain of codes), dual
 (parity-check side summary), lcd (hull/LCD verdicts), fixtures (replay the
-embedded regression fixtures), conjecture (LCD scan over the trinomial
-family).  Exit codes: 0 success, 1 fixture mismatch, 2 bad input or a cap
-refusing work, 3 an internal cross-check tripping.
+embedded regression fixtures), conjecture (LCD scan over the trinomial family).
+Exit codes: 0 success, 1 fixture mismatch, 2 bad input or a cap refusing work,
+3 an internal cross-check tripping.  Every --json answer is one line from the
+C encoder: an indent would route json.dumps through its pure-Python encoder.
 
-Each call to main that starts with a command builds one parser, that
-command's (one options function per command, all named in one table,
-_COMMANDS), and parses the rest of argv with it.  The whole parser, every
-command registered with its help line and its options, is built only for
-what that parser cannot answer alone: argv that does not start with a
-command (--help, bare polycode, an unknown command) and arguments left over
-after the command, whose "unrecognized arguments" error names the whole
-parser.  No parser is cached across calls: the polycode script makes one
-call per process, so a cache would save its users nothing, while a smaller
-build saves in every process.
+Each call to main that starts with a command builds one parser, that command's
+(one options function per command, all named in one table, _COMMANDS), and
+parses the rest of argv with it.  The whole parser, every command registered
+with its help line and its options, is built only for what that parser cannot
+answer alone: argv that does not start with a command (--help, bare polycode,
+an unknown command) and arguments left over after the command, whose
+"unrecognized arguments" error names the whole parser.  No parser is cached
+across calls: the polycode script makes one call per process, so a cache would
+save nothing, while a smaller build saves in every process.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         reports = full_distance_profile(ctx, oracle_cap=args.oracle_cap)
     if args.json:
         payload = [rep.to_json_dict() for rep in reports]
-        print(json.dumps(payload[0] if args.j is not None else payload, indent=2))
+        print(json.dumps(payload[0] if args.j is not None else payload))
     elif args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["j", "lower", "upper", "exact", "provenance"])
@@ -75,7 +75,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     ctx = _context(args)
     summary = dual_summary(ctx, args.j, oracle_cap=args.oracle_cap)
     if args.json:
-        print(json.dumps(summary, indent=2))
+        print(json.dumps(summary))
     else:
         for key in ("j", "n", "k_dual", "d_dual"):
             value = summary[key]
@@ -97,7 +97,7 @@ def _cmd_lcd(args: argparse.Namespace) -> int:
         verdicts = lcd_chain(ctx)
     if args.json:
         payload = [v._asdict() for v in verdicts]
-        print(json.dumps(payload[0] if args.j is not None else payload, indent=2))
+        print(json.dumps(payload[0] if args.j is not None else payload))
     else:
         for v in verdicts:
             flag = "LCD" if v.is_lcd else "not LCD"
@@ -143,7 +143,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
                 print(f"  {row.label}: expected {row.expected}, got {row.got}")
         failed = failed or bad
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     return 1 if failed else 0
 
 

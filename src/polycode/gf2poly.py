@@ -16,7 +16,7 @@ import re
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 
 RING_TABLE_BITS = 1 << 26  # budget for the bits of P^0..P^L (about m*L^2/2) that a walk along a whole chain produces
-IRREDUCIBLE_WORK = 1 << 24  # budget for one irreducibility test, in squared bits (0.15-0.3 s on a 2-core x86 VM)
+IRREDUCIBLE_WORK = 1 << 24  # budget for one irreducibility test, in squared bits (0.35-0.45 s on a 2-core x86 VM)
 
 # ---------------------------------------------------------------------------
 # basic queries
@@ -195,8 +195,9 @@ def is_irreducible(f: int) -> bool:
     one gcd per prime.  When g = f - x^m has degree at most m/2, a square
     is reduced by folding its high half through g (at most two folds, each
     wt(g) shifts and one XOR); a dense f is reduced by division.
-    Work is counted in squared bits (a square, one table pass, costs about 10 ns a bit; an XOR step of
-    a fold, a division or a gcd on b-bit words about 8 + b/1024 squared bits): a step that could pass
+    Work is counted in squared bits: an XOR step of a fold, a division or a gcd on b-bit words costs
+    about 8 + b/1024 of them (15-30 ns each on a 2-core x86 VM), and a square of b bits, one table
+    pass, about b/3 (measured b/4 at a few thousand bits, b/2 at a million).  A step that could pass
     IRREDUCIBLE_WORK is refused with CapExceeded before it runs, so no degree hangs the test.
     """
     m = degree(f)
@@ -214,7 +215,7 @@ def is_irreducible(f: int) -> bool:
     for i in range(1, m + 1):
         b = t.bit_length()
         xors = 2 * weight(g) + 2 if sparse else max(0, 2 * b - m)  # two folds, or one division of 2b bits by f
-        work += b + xors * (8 + b // 512) + (i in checks) * (2 * m + 1) * (8 + m // 1024)  # and a gcd of m bits
+        work += b // 3 + xors * (8 + b // 512) + (i in checks) * (2 * m + 1) * (8 + m // 1024)  # and a gcd of m bits
         if work > IRREDUCIBLE_WORK:
             raise CapExceeded(f"the irreducibility test of degree {m} is over its budget of {IRREDUCIBLE_WORK} squared bits")
         t = square(t)

@@ -19,7 +19,12 @@ import pytest
 import polycode
 from polycode import cli, duality, fixtures, gf2poly, lcd
 from polycode.cli import main
+from polycode.codes import code
+from polycode.distance import full_distance_profile, single_distance_report
+from polycode.duality import dual_summary
 from polycode.errors import InternalConsistencyError
+from polycode.lcd import lcd_chain, lcd_verdict
+from polycode.ring import new_context
 
 
 def test_analyze_json_single_index(capsys):
@@ -167,6 +172,38 @@ def test_fixtures_json_shape(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["key"] == "profile-m5L5" and payload[0]["passed"] is True
     assert payload[0]["failures"] == []
+
+
+_LIBRARY_ANSWERS = {
+    "analyze": lambda ctx, j: [r.to_json_dict() for r in full_distance_profile(ctx)],
+    "analyze --j": lambda ctx, j: single_distance_report(ctx, j).to_json_dict(),
+    "dual --j": lambda ctx, j: dual_summary(ctx, j),
+    "lcd": lambda ctx, j: [v._asdict() for v in lcd_chain(ctx)],
+    "lcd --j": lambda ctx, j: lcd_verdict(code(ctx, j))._asdict(),
+}
+# (poly, L, j); x^6+x^3+1 = Q(x^3) has s = 3
+_JSON_RINGS = [("x^3+x+1", 4, 2), ("x^2+x+1", 6, 3), ("x^6+x^3+1", 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "command, ring",
+    [pytest.param(c, r, id=f"{c}-{r[0]}") for c in _LIBRARY_ANSWERS for r in _JSON_RINGS]
+    + [pytest.param("fixtures", None, id="fixtures")],
+)
+def test_every_json_answer_is_one_line_holding_the_librarys_value(capsys, command, ring):
+    if ring is None:
+        argv = ["fixtures", "--which", "profile-m5L5", "--json"]
+        checks = len(fixtures.run_fixture("profile-m5L5").rows)
+        expected = [{"key": "profile-m5L5", "passed": True, "checks": checks, "failures": []}]
+    else:
+        poly, L, j = ring
+        name, *index = command.split()
+        argv = [name, "--poly", poly, "--power", str(L), *(["--j", str(j)] if index else []), "--json"]
+        expected = _LIBRARY_ANSWERS[command](new_context(gf2poly.parse(poly), L), j)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out) == json.loads(json.dumps(expected))
 
 
 def test_fixtures_dump_prints_reference_rows(capsys):
