@@ -42,17 +42,22 @@ Each search weighs the k shifts of one word w as their lead coset
 (codes.lead_coset) with the one kernel of _linalg (min_weight_affine): the
 oracle w = P^j on n bits, and D_0, at the anchors and in the spread, w = R,
 k = k0 on ceil(n/t) bits.
-_structural_profile holds the anchors and the interval bounds.  _search, the
-one search step, runs the oracle and then weighs D_0.  Both flows take the
-sources in one order (structure, the searches, the fuse, then the kernel), so
-`analyze --j` returns the whole chain's slot, provenance included:
-full_distance_profile searches every j, single_distance_report j and, while
-j is open, its neighbours out to the nearest exact slot on each side, taking
-a neighbour's power P^i only where a search runs (k0 <= oracle_cap).
-full_distance_profile walks the generators P^0..P^L once, one product by P
-per step, and the weight witnesses, the searches and the kernel's probes all
-read that one walk; single_distance_report streams the chain, holding no
-list of its generators, so `analyze --j` stays within O(n) bits.
+_structural_profile holds the anchors and the interval bounds over a window
+[lo, hi] of the chain.  _search, the one search step, runs the oracle and
+then weighs D_0.  Both flows take the sources in one order (structure, the
+searches, the fuse, then the kernel), so `analyze --j` returns the whole
+chain's slot, provenance included: full_distance_profile searches every j,
+single_distance_report j and, while j is open, its neighbours out to the
+nearest exact slot on each side, taking a neighbour's power P^i only where a
+search runs (k0 <= oracle_cap).  full_distance_profile builds the structure
+over [0, L] and walks the generators P^0..P^L once, one product by P per
+step, and the weight witnesses, the searches and the kernel's probes all
+read that one walk.  single_distance_report weighs the anchors outward from
+j until one answers on each side, and builds the structure and streams the
+walk over the window between those two alone (on x^2+x+1, L = 8191, j = 3:
+11 anchors and P^1..P^1024, not 24 and P^1..P^8190); it holds no list of
+its generators, so `analyze --j` stays within O(n) bits and checks no slot
+outside its window.
 Every bound is tagged; two sources that disagree raise InternalConsistencyError.
 """
 
@@ -298,27 +303,49 @@ def monotone_fuse(reports: list[DistanceReport]) -> None:
         reports[j].cut_upper(reports[j + 1].upper, "monotone")
 
 
-def _structural_profile(ctx: RingContext, codes: Iterable[PolycyclicCode]) -> list[DistanceReport]:
-    """Reports for j = 0..L from structure alone: anchors, weight witnesses and doubling bounds, fused.
+def _anchors(ctx: RingContext) -> list[int]:
+    """The anchor lattice in ascending order: the powers of two below 2^T and the upper anchors ctx.tops."""
+    return sorted({1 << i for i in range(ctx.T)} | set(ctx.tops))
 
-    codes yields C_1..C_(L-1) in order, each read once: a list or a stream.
+
+def _anchor_or_none(ctx: RingContext, j: int, weighed: dict[int, int | None]) -> int | None:
+    """d(C_j) at the anchor j from D_0, or None where its set is over the candidate cap; weighed once, kept in weighed."""
+    if j not in weighed:
+        try:
+            weighed[j] = _anchor_min(ctx, j)
+        except CapExceeded:
+            weighed[j] = None
+    return weighed[j]
+
+
+def _structural_profile(
+    ctx: RingContext, lo: int, hi: int, codes: Iterable[PolycyclicCode], weighed: dict[int, int | None]
+) -> list[DistanceReport]:
+    """Reports for j = lo..hi, 0 <= lo <= hi <= L, from structure alone: anchors, weight witnesses and doubling bounds, fused.
+
+    reports[i] is slot lo + i.  codes yields C_j for every j in [lo, hi] with 0 < j < L, in order, each read
+    once: a list or a stream.  weighed holds the anchors already weighed (_anchor_or_none) and takes the rest.
+    The whole chain passes [0, L].  A window whose ends are exact (or 0 and L) reads the whole chain's
+    structure on every slot inside it: d never falls along the chain, so no slot outside moves one inside; no
+    anchor lies strictly between two consecutive tops (every power of two is at most tops[0]), so every
+    doubling that reaches the window starts at a top inside it; and the kernel runs at tops[0] only there.
     """
-    L, T, n, tops = ctx.L, ctx.T, ctx.n, ctx.tops
-    reports = [DistanceReport(j, 1, n) for j in range(L + 1)]
-    reports[0].set_exact(1, "full-space")
-    reports[L].set_exact(n, "zero-code")
+    L, n, tops = ctx.L, ctx.n, ctx.tops
+    reports = [DistanceReport(j, 1, n) for j in range(lo, hi + 1)]
+    if lo == 0:
+        reports[0].set_exact(1, "full-space")
+    if hi == L:
+        reports[-1].set_exact(n, "zero-code")
 
     # exact anchors from D_0 (skipped when over the cap): the powers of two below 2^T and the upper anchors
-    for j in sorted({1 << i for i in range(T)} | set(tops)):
-        try:
-            reports[j].set_exact(_anchor_min(ctx, j), "reduced-set")
-        except CapExceeded:
-            pass
+    for j in _anchors(ctx):
+        if lo <= j <= hi and (d := _anchor_or_none(ctx, j, weighed)) is not None:
+            reports[j - lo].set_exact(d, "reduced-set")
 
     # weight witnesses; the doubling reads d(tops[0]): where its reduced set is over the cap, the kernel's
     # min(d, 4) bounds it, from below only, so the oracle still runs there and the last kernel pass checks it
     for c in codes:
-        rep = reports[c.j]
+        rep = reports[c.j - lo]
         rep.cut_upper(weight(c.generator), "weight-witness")
         if c.j == tops[0] and not rep.exact:
             d4 = small_weight(c)
@@ -326,8 +353,9 @@ def _structural_profile(ctx: RingContext, codes: Iterable[PolycyclicCode]) -> li
 
     # doubling lower bounds: every index past an upper anchor, up to the next (or L), gets 2*d(anchor)
     for a, nxt in zip(tops, tops[1:] + (L,)):
-        for jj in range(a + 1, nxt):
-            reports[jj].raise_lower(2 * reports[a].lower, "double-bound")
+        if lo <= a <= hi:
+            for jj in range(a + 1, min(nxt, hi + 1)):
+                reports[jj - lo].raise_lower(2 * reports[a - lo].lower, "double-bound")
 
     monotone_fuse(reports)
     return reports
@@ -338,7 +366,7 @@ def full_distance_profile(ctx: RingContext, oracle_cap: int = DEFAULT_ENUM_CAP) 
     check_caps(oracle_cap=oracle_cap)
     codes = list(chain(ctx, 0, ctx.L + 1))  # the one walk: codes[j] is C_j
     inner = codes[1:-1]
-    reports = _structural_profile(ctx, inner)
+    reports = _structural_profile(ctx, 0, ctx.L, inner, {})
     for c in inner:
         _search(c, reports[c.j], oracle_cap)
     monotone_fuse(reports)
@@ -371,31 +399,48 @@ def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
 
 
 def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
-    """The whole chain's report at j, from the searches on j and on its neighbours out to the nearest exact slots.
+    """The whole chain's report at j, from the structure between the nearest exact anchors around j and the searches.
 
-    The order is full_distance_profile's.  The searches run on j; while j is
-    open, they walk up from j + 1 and down from j - 1, each side stopping at
-    its first exact slot, and the chain is fused.  A neighbour's code is
-    built and searched only where k0 <= oracle_cap (k0 = k where t = 1), the
-    one place _search works, and a searched slot always ends exact.  d never
-    falls along the chain, so no slot past those two can tighten j.  Last,
-    where j's lower bound is at most 3, the kernel settles min(d, 4) at j, as
-    the chain's kernel pass does, and no neighbour's min(d, 4) can tighten it.
+    The order is full_distance_profile's.  The anchors are weighed outward
+    from j until one answers on each side: lo is the last answered anchor at
+    or below j (or 0), hi the first at or above j (or L), and the structure,
+    the walk C_lo..C_hi and the fuse cover [lo, hi] alone, which reads the
+    whole chain's structure there (_structural_profile).  The searches run
+    on j; while j is open, they walk up from j + 1 and down from j - 1, each
+    side stopping at its first exact slot, inside [lo, hi], and the window
+    is fused.  A neighbour's code is built and searched only where
+    k0 <= oracle_cap (k0 = k where t = 1), the one place _search works, and a
+    searched slot always ends exact.  d never falls along the chain, so no
+    slot past those two can tighten j.  Last, where j's lower bound is at
+    most 3, the kernel settles min(d, 4) at j, as the chain's kernel pass
+    does, and no neighbour's min(d, 4) can tighten it.  Slots outside
+    [lo, hi] are neither computed nor checked; every check on a value the
+    answer reads still runs (lo and hi meet their weight witnesses, the
+    doubling and the fuse run across the window).
     """
-    if not 0 <= j <= ctx.L:
+    L = ctx.L
+    if not 0 <= j <= L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
     check_caps(oracle_cap=oracle_cap)
-    reports = _structural_profile(ctx, chain(ctx, 1, ctx.L))
-    rep = reports[j]
-    if 0 < j < ctx.L:
+    weighed: dict[int, int | None] = {}
+    ends = [0, *_anchors(ctx), L]
+
+    def answered(a: int) -> bool:
+        return a in (0, L) or _anchor_or_none(ctx, a, weighed) is not None
+
+    lo = next(a for a in reversed(ends) if a <= j and answered(a))
+    hi = next(a for a in ends if a >= j and answered(a))
+    reports = _structural_profile(ctx, lo, hi, chain(ctx, max(lo, 1), min(hi + 1, L)), weighed)
+    rep = reports[j - lo]
+    if 0 < j < L:
         c = code(ctx, j)
         _search(c, rep, oracle_cap)
         if not rep.exact:
-            for side in (range(j + 1, ctx.L), range(j - 1, 0, -1)):
+            for side in (range(j + 1, min(hi + 1, L)), range(j - 1, max(lo - 1, 0), -1)):
                 for i in side:
                     if interleave(ctx, i).k0 <= oracle_cap:
-                        _search(code(ctx, i), reports[i], oracle_cap)
-                    if reports[i].exact:
+                        _search(code(ctx, i), reports[i - lo], oracle_cap)
+                    if reports[i - lo].exact:
                         break
             monotone_fuse(reports)
         if rep.lower <= 3:

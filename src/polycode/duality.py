@@ -17,7 +17,9 @@ The dual splits as the code does (codes.interleave): with P = Q(x^s) and
 P^j = R(x^t), R = Q^b, h* is (Q*^-b)(x^t) mod x^n, so the dual of C_j is the
 t-fold interleave of truncations of the multiples of Q*^-b, and its distance
 is that of the shortest one: the lead coset (codes.lead_coset) of Q*^-b with
-m*b/s shifts on n // t bits, at every j, refused above the fixed
+m*b/s shifts on n // t bits, Q*^-b read from h*'s coefficients at the
+multiples of t (h* with a bit anywhere else raises InternalConsistencyError),
+at every j, refused above the fixed
 DEFAULT_CANDIDATE_CAP.  With s = 1 and j an anchor (a power of two, or an
 upper anchor in ctx.tops) that is the paper's candidate set.  The oracle
 weighs the lead coset of h* with m*j shifts on n bits, half the whole dual;
@@ -34,7 +36,7 @@ from typing import NamedTuple
 from ._linalg import gray_walk, min_weight_affine
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, interleave, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import inverse_trunc, mul, mul_trunc, power_trunc, reciprocal
+from .gf2poly import inverse_trunc, mul, mul_trunc, reciprocal
 from .ring import RingContext
 
 
@@ -102,24 +104,30 @@ def sequential_closure_check(dual: DualCode) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _component(ctx: RingContext, j: int) -> tuple[int, list[int]]:
+def _component(dual: DualCode) -> tuple[int, list[int]]:
     """The dual of C_j's shortest interleave component, as (g, rows): Q*^-b with m*b/s shifts on n // t bits.
 
     A dual word a*h* mod x^n, deg a < m*j = t*(m*b/s), splits by the residue i mod t of each exponent into
     x^i * (a_i * Q*^-b mod x^ceil((n - i)/t))(x^t), deg a_i < m*b/s.  A shorter truncation of a word never
-    weighs more, so the shortest, on n // t bits, holds the least weight.  At t = 1 this is the dual
-    oracle's coset (h*, m*j, n).
+    weighs more, so the shortest, on n // t bits, holds the least weight.  Q*^-b is read from h* itself, as
+    its coefficients at the multiples of t; h* must be that word at x^t, or InternalConsistencyError.  At
+    t = 1 this is the dual oracle's coset (h*, m*j, n).
     """
-    iv = interleave(ctx, j)
+    ctx, h = dual.ctx, dual.h_star
+    iv = interleave(ctx, dual.j)
     k, nbits = ctx.m * iv.b // iv.s, ctx.n // iv.t
     if 1 << (k - 1) > DEFAULT_CANDIDATE_CAP:
         raise CapExceeded(f"dual component has 2^{k - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    return lead_coset(power_trunc(inverse_trunc(reciprocal(iv.Q), nbits), iv.b, nbits), k, nbits)
+    word = int(format(h, "b")[::-1][:: iv.t][::-1], 2)  # bit i is h*'s coefficient at x^(t*i)
+    # word(x^t) holds h*'s bits at the multiples of t, so it is h* exactly when h* has no other bit
+    if word.bit_count() != h.bit_count():
+        raise InternalConsistencyError(f"j={dual.j}: h* is not a word in x^{iv.t}")
+    return lead_coset(word, k, nbits)
 
 
 def dual_component_distance(ctx: RingContext, j: int) -> int:
-    """Exact dual distance of C_j, 1 <= j <= L - 1, over its shortest interleave component."""
-    return min_weight_affine(*_component(ctx, j))  # type: ignore[return-value]
+    """Exact dual distance of C_j, 1 <= j <= L - 1, over its shortest interleave component, read from dual_code's h*."""
+    return min_weight_affine(*_component(dual_code(code(ctx, j))))  # type: ignore[return-value]
 
 
 def dual_pow2_candidates(ctx: RingContext, s: int) -> dict[int, int]:
@@ -130,7 +138,7 @@ def dual_pow2_candidates(ctx: RingContext, s: int) -> dict[int, int]:
     """
     if not 1 <= s <= ctx.T:
         raise ValidationError("dual anchor parameter s must satisfy 1 <= s <= T")
-    g, rows = _component(ctx, 1 << (ctx.T - s))
+    g, rows = _component(dual_code(code(ctx, 1 << (ctx.T - s))))
     lead = 1 << len(rows)
     return {lead | t ^ (t >> 1): w.bit_count() for t, w in enumerate(gray_walk(g, rows))}
 
@@ -155,7 +163,7 @@ def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -
     d: int | None = None
     provenance: list[str] = []
     try:
-        d = dual_component_distance(ctx, j)
+        d = min_weight_affine(*_component(dual))  # type: ignore[assignment]
         provenance.append("dual-reduced-set")
     except CapExceeded:
         pass

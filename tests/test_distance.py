@@ -204,6 +204,13 @@ def test_the_single_j_report_is_the_whole_chain_answer():
                     assert one.to_json_dict() == profile[j].to_json_dict(), (ctx.P, ctx.L, j, cap)
                     slots += 1
             assert slots == count
+    # x^2+x+1, L = 8191: each side of the answered anchors 1 024, 4 096 and 6 144 and the chain's two ends,
+    # where an off-by-one at either end of the window would show
+    ctx = new_context(parse("x^2+x+1"), 8191)
+    for cap in (0, 28):
+        profile = full_distance_profile(ctx, oracle_cap=cap)
+        for j in (0, 1, 1023, 1024, 1025, 4095, 4096, 4097, 6143, 6144, 6145, 8190, 8191):
+            assert single_distance_report(ctx, j, oracle_cap=cap).to_json_dict() == profile[j].to_json_dict(), (j, cap)
 
 
 def test_the_single_report_searches_out_to_the_nearest_exact_slots(monkeypatch):
@@ -228,6 +235,23 @@ def test_the_single_report_reads_the_chain_deep_in_a_long_ring():
     ctx = new_context(parse("x^2+x+1"), 8191)
     rep = single_distance_report(ctx, 5000)
     assert (rep.lower, rep.upper) == (4, 4)
+
+
+def test_the_single_report_builds_the_chain_only_between_the_nearest_answered_anchors(monkeypatch):
+    # x^2+x+1, L = 8191: every D_0 below the anchor 1 024 is over the candidate cap, so j = 3 weighs 2 and 1,
+    # then 4 .. 1 024, and walks P^1..P^1 024 (the whole chain weighs 24 anchors and walks P^1..P^8 190);
+    # j = 5 000 lies between the answered anchors 4 096 and 6 144 and weighs those two alone
+    weighed, walks = [], []
+    real_anchor, real_chain = distance._anchor_min, distance.chain
+    monkeypatch.setattr(distance, "_anchor_min", lambda ctx, j: weighed.append(j) or real_anchor(ctx, j))
+    monkeypatch.setattr(distance, "chain", lambda ctx, start, stop: walks.append((start, stop)) or real_chain(ctx, start, stop))
+    ctx = new_context(parse("x^2+x+1"), 8191)
+    assert single_distance_report(ctx, 3).exact
+    assert weighed == [2, 1] + [1 << i for i in range(2, 11)] and walks == [(1, 1025)]
+    weighed.clear()
+    walks.clear()
+    assert single_distance_report(ctx, 5000).exact
+    assert weighed == [4096, 6144] and walks == [(4096, 6145)]
 
 
 def test_the_single_report_builds_a_neighbours_code_only_where_a_search_runs(monkeypatch):
@@ -387,7 +411,7 @@ def test_a_witness_off_by_one_bit_raises(monkeypatch, text, L, w):
 
 def test_the_kernel_closes_a_slot_over_the_oracle_cap():
     ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)  # j = 1: k = 32, over the default cap of 28
-    assert distance._structural_profile(ctx, chain(ctx, 1, ctx.L))[1].upper == 4
+    assert distance._structural_profile(ctx, 0, ctx.L, chain(ctx, 1, ctx.L), {})[1].upper == 4
     for cap in (0, 28):
         rep = single_distance_report(ctx, 1, oracle_cap=cap)
         assert (rep.lower, rep.upper) == (3, 3) and rep.provenance[-1] == "weight-3"
@@ -396,7 +420,7 @@ def test_the_kernel_closes_a_slot_over_the_oracle_cap():
 
 def test_the_kernel_raises_the_lower_bound_to_4():
     ctx = new_context(parse("x^11+x^10+x^5+x^4+1"), 8)  # j = 1: [1, 5] from structure alone, d = 4
-    assert distance._structural_profile(ctx, chain(ctx, 1, ctx.L))[1].lower == 1
+    assert distance._structural_profile(ctx, 0, ctx.L, chain(ctx, 1, ctx.L), {})[1].lower == 1
     for cap in (0, 28):
         rep = single_distance_report(ctx, 1, oracle_cap=cap)
         assert (rep.lower, rep.upper, rep.provenance[-1]) == (4, 5, "no-weight-3")

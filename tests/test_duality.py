@@ -196,7 +196,7 @@ def test_unspread_candidates_weigh_as_the_spread_words():
                     u = j // B
                     x_e_power = power_trunc(x_e_1, (1 << ctx.T) // B - u, tbits)
                     base = mul_trunc(x_e_power, power_trunc(U_star, u, tbits), tbits)
-                    walk = gray_walk(*duality._component(ctx, j))  # position t holds index t ^ (t >> 1)
+                    walk = gray_walk(*duality._component(dual_code(code(ctx, j))))  # position t holds index t ^ (t >> 1)
                     got = {t ^ (t >> 1): w.bit_count() for t, w in enumerate(walk)}
                     want = _spread_weights_reference(ctx, base, lead_deg, B)
                     if interleave(ctx, j).s == 1:
@@ -242,6 +242,22 @@ def test_dual_component_distance_refuses_an_index_off_the_chain():
         with pytest.raises(ValidationError):
             dual_component_distance(ctx, j)
     assert dual_component_distance(ctx, 3) == dual_min_distance_bruteforce(dual_code(code(ctx, 3)), cap=12) == 16
+
+
+def test_an_h_star_with_a_bit_off_the_multiples_of_t_raises():
+    # h* = (Q*^-b)(x^t) mod x^n: the component is read from h*'s coefficients at the multiples of t, and a
+    # flipped coefficient anywhere else breaks the split (x^4+x+1, j = 12, t = 4; x^6+x^3+1 = Q(x^3), j = 5, t = 3)
+    for poly, j in ((M4, 12), (parse("x^6+x^3+1"), 5)):
+        ctx = new_context(poly, 16)
+        dual, t = dual_code(code(ctx, j)), interleave(ctx, j).t
+        duality._component(dual)
+        for bit in range(ctx.n):
+            bad = dual._replace(h_star=dual.h_star ^ 1 << bit)
+            if bit % t:
+                with pytest.raises(InternalConsistencyError):
+                    duality._component(bad)
+            else:
+                duality._component(bad)
 
 
 def test_dual_oracle_matches_plain_nullspace_enumeration():

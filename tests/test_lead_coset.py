@@ -154,7 +154,7 @@ def test_each_skipped_coset_is_the_one_weighed(weighed):
             if iv.t == 1:
                 dual = dual_code(code(ctx, j))
                 with contextlib.suppress(CapExceeded):
-                    assert _component(ctx, j) == lead_coset(dual.h_star, dual.dim, ctx.n)
+                    assert _component(dual) == lead_coset(dual.h_star, dual.dim, ctx.n)
                     one += 1
             if _is_anchor(ctx, j):
                 with contextlib.suppress(CapExceeded):

@@ -245,7 +245,7 @@ def test_each_code_word_is_a_power_of_a_ring_inverse(monkeypatch):
                         continue
                     base, mask = sum((h >> (t * i) & 1) << i for i in range(nbits)), (1 << nbits) - 1
                     want = ((base << (k - 1)) & mask, [(base << b) & mask for b in range(k - 1)])
-                    assert _component(ctx, j) == want, (P, L, j)
+                    assert _component(dual_code(code(ctx, j))) == want, (P, L, j)
                     components += 1
     assert (codes, components) == (2077, 1587)
 
