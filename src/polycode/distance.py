@@ -25,8 +25,9 @@ sources feed one report per j:
   give a weight-2 word x^a + x^b at a repeat r_a = r_b and a weight-3 word
   1 + x^a + x^b at r_a + r_b = 1 (a weight-3 word divided by its lowest power
   of x stays in C_j, so this is complete); with neither, d >= 4.  Since
-  min(d, 4) never falls along the chain, the whole-chain profile binary-searches
-  its two thresholds over the slots whose interval meets {2, 3}.  Every
+  min(d, 4) never falls along the chain, the whole-chain profile probes the
+  slots whose interval meets {2, 3} only where two known values differ, at
+  the middle slot between them (_small_weight_chain).  Every
   witness is checked by division.  It runs at every cap and after both
   oracle runs, so it checks every value they return below 4.  The paper's
   theorem for the head of the chain (d = 2 exactly while
@@ -63,6 +64,7 @@ Every bound is tagged; two sources that disagree raise InternalConsistencyError.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 
 from ._linalg import min_weight_affine
@@ -230,57 +232,37 @@ def small_weight(c: PolycyclicCode) -> int:
     return weight(word)
 
 
-def _last(pred, lo: int, hi: int, guess: int) -> int:
-    """The largest j in [lo, hi) with pred(j), for pred true on a prefix; lo is taken as true without asking.
-
-    A binary search whose first two probes are guess and guess + 1, so a right
-    guess costs two calls of pred.  The guesses pay: over the 334 whole chains
-    of the benchmark's chain-sweep seed 1, _small_weight_chain makes 1 154
-    kernel calls (0.05 s on a 2-core x86 VM) where a plain bisection makes
-    1 654 (0.07 s).
-    """
-    for mid in (guess, guess + 1):
-        if lo < mid < hi:
-            if pred(mid):
-                lo = mid
-            else:
-                hi = mid
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _small_weight_chain(codes: list[PolycyclicCode], reports: list[DistanceReport]) -> None:
     """Settle min(d, 4) on every j in 1..L-1 whose interval meets {2, 3}, with O(log L) kernel calls.
 
-    C_(j+1) lies in C_j, so min(d, 4) never falls along the chain: a binary
-    search finds the last j with d = 2 and the last with d <= 3, probing first
-    where the fused bounds put them, so those bounds are checked right at their
-    edges.  The fused lower bounds make the slots a prefix of the chain; every
-    one is set from the two thresholds, already exact ones included, which
-    leaves the chain fused.  codes[j] is C_j, so a probe takes no power.
+    The fused lower bounds make those slots a prefix 1..top of the chain.
+    C_(j+1) lies in C_j, so min(d, 4) never falls along it: slot 0 counts as
+    2 and slot top + 1 as 4, and neither is probed.  The kernel first probes
+    each side of the two edges the fused bounds give (the last j with upper
+    bound 2, and with 3): that checks those bounds where they change, and
+    where they are right it leaves nothing to halve.  Then, while two
+    neighbouring known slots hold different values with a slot between them,
+    it probes the middle one.  Known values that fall along the chain raise.
+    Every slot in 1..top, exact ones included, is set from the nearest known
+    slot at or before it, which leaves the chain fused.  codes[j] is C_j, so
+    a probe takes no power.
     """
-    top = _last(lambda j: reports[j].lower <= 3, 0, len(codes) - 1, 0)
-    memo: dict[int, int] = {}
-
-    def d4(j: int) -> int:
-        if j not in memo:
-            memo[j] = small_weight(codes[j])
-        return memo[j]
-
-    guess = _last(lambda j: reports[j].upper <= 2, 0, top + 1, 0)
-    two = _last(lambda j: d4(j) == 2, 0, top + 1, guess)
-    # the first search's probes already bracket the second threshold
-    lo = max([two] + [j for j, d in memo.items() if d == 3])
-    hi = min([top + 1] + [j for j, d in memo.items() if d == 4])
-    guess = _last(lambda j: reports[j].upper <= 3, lo, hi, lo)
-    three = _last(lambda j: d4(j) <= 3, lo, hi, guess)
+    top = bisect_right(reports, 3, hi=len(reports) - 1, key=lambda r: r.lower) - 1
+    known = {0: 2, top + 1: 4}
+    edges = [bisect_right(reports, d, hi=top + 1, key=lambda r: r.upper) - 1 for d in (2, 3)]
+    probes = [j for edge in edges for j in (edge, edge + 1)]
+    while probes:
+        for j in probes:
+            if 0 < j <= top and j not in known:
+                known[j] = small_weight(codes[j])
+        slots = sorted(known)
+        probes = [(a + b) // 2 for a, b in zip(slots, slots[1:]) if b - a > 1 and known[a] != known[b]]
+    values = [known[j] for j in slots]
+    if values != sorted(values):
+        probed = dict(zip(slots[1:-1], values[1:-1]))
+        raise InternalConsistencyError(f"min(d, 4) falls along the chain: the kernel's probes read {probed}")
     for j in range(1, top + 1):
-        _apply_small_weight(reports[j], 2 if j <= two else 3 if j <= three else 4)
+        _apply_small_weight(reports[j], known[slots[bisect_right(slots, j) - 1]])
 
 
 def _apply_small_weight(rep: DistanceReport, d4: int) -> None:

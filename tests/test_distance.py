@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code
 from polycode.distance import (
@@ -463,3 +466,51 @@ def test_the_kernel_runs_at_an_oracle_cap_of_zero(monkeypatch):
     probed.clear()
     rep = single_distance_report(ctx, 1, oracle_cap=0)
     assert (rep.lower, rep.upper) == (3, 3) and probed == [1]
+
+
+@pytest.mark.parametrize("L,j", [(5, 4), (9, 8)])
+def test_a_kernel_probe_that_falls_along_the_chain_raises(monkeypatch, L, j):
+    # x^2+x+1: d(C_j) = 3, and j is a probe; a kernel that reads 2 there falls below an earlier probe's 3
+    ctx = new_context(parse("x^2+x+1"), L)
+    assert full_distance_profile(ctx)[j].lower == 3
+    real = distance.small_weight
+    monkeypatch.setattr(distance, "small_weight", lambda c: 2 if c.j == j else real(c))
+    with pytest.raises(InternalConsistencyError, match=f"falls along the chain: the kernel's probes read .*{j}: 2"):
+        full_distance_profile(ctx)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_the_kernel_pass_settles_a_synthetic_chain(data):
+    # a monotone d over 1..L-1 and fused bounds that contain it; the stand-in code of slot j is j itself
+    L = data.draw(st.integers(2, 300), label="L")
+    cuts = sorted(data.draw(st.lists(st.integers(0, L - 1), min_size=3, max_size=3), label="cuts"))
+    d = [1] + [2 + sum(j > cut for cut in cuts) for j in range(1, L)]
+    slack = st.lists(st.integers(0, 3), min_size=L - 1, max_size=L - 1)
+    lower = list(accumulate([1] + [dj - s for dj, s in zip(d[1:], data.draw(slack, label="below"))], max))
+    upper = [1] + list(accumulate([dj + s for dj, s in zip(d[:0:-1], data.draw(slack, label="above"))], min))[::-1]
+    reports = [DistanceReport(j, lower[j], upper[j]) for j in range(L)] + [DistanceReport(L, 2 * L, 2 * L)]
+    top = max(j for j in range(L) if lower[j] <= 3)
+    probed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "small_weight", lambda j: probed.append(j) or min(d[j], 4))
+        distance._small_weight_chain(list(range(L + 1)), reports)
+    for j in range(1, top + 1):
+        if d[j] < 4:
+            assert (reports[j].lower, reports[j].upper) == (d[j], d[j]), j
+        else:
+            assert reports[j].lower >= 4, j
+    assert len(set(probed)) == len(probed) and all(1 <= j <= top for j in probed)
+    assert len(probed) <= 4 + 2 * top.bit_length()  # top.bit_length() = ceil(log2(top + 1))
+
+
+def test_the_kernel_pass_call_counts(monkeypatch):
+    # kernel calls over every chain of _rings_up_to_60(), at each cap: the edge probes and the halving alone
+    calls = []
+    real = distance.small_weight
+    monkeypatch.setattr(distance, "small_weight", lambda c: calls.append(c.j) or real(c))
+    for cap, most in ((0, 643), (20, 620), (28, 594)):
+        calls.clear()
+        for ctx in _rings_up_to_60():
+            full_distance_profile(ctx, oracle_cap=cap)
+        assert len(calls) <= most, (cap, len(calls))
