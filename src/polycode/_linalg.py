@@ -21,9 +21,13 @@ search on plain ints, exact at a cost that grows with the answer, not with
 weighs and hands over to gray_walk once they pass 2^k, the cost of the whole
 walk.  Every level of the search is a stream: each XOR of w-2 of a set's
 rows meets the XORs of the row pairs past its last row, weighed by one min
-and held in no table.
+and held in no table.  Its lower bound counts the bits that g holds on the
+columns no row reaches, which every word of the coset holds too: every oracle
+and D_0 coset has at least g's top bit there.
 No elimination is started that cannot reach full rank: the information sets
-stop once fewer than k of the span's columns are left free.
+stop once fewer than k of the span's columns are left free, and the first
+set of consecutive shifts (every uncut lead coset) is built by a k-step
+recurrence, not eliminated.
 """
 
 from __future__ import annotations
@@ -166,9 +170,31 @@ def _information_sets(rows: list[int]) -> list[dict[int, int]]:
     are a basis of the span with the identity on its pivot columns.  The list
     ends at the first set of rank below the span's, or, without eliminating,
     once fewer than k columns are left free, since k pivots need k columns.
+
+    Where the rows are consecutive shifts, rows[i] == rows[0] << i with no bit
+    cut off, set 0 is built without elimination.  Row i's top bit is D + i, D
+    that of rows[0], so the elimination takes each row as it comes, pivot
+    D + i: set 0's pivot columns are the window [D, D + k), and its systematic
+    rows, unique for those pivots, are u_0 = rows[0] and u_i = u_{i-1} << 1,
+    with rows[0] XORed in where that sets bit D.  (u_{i-1} is zero on columns
+    D..D+i-2, so the shift is zero on D+1..D+i-1, and rows[0] clears bit D
+    without touching a column above it.)  The sets after it are those the
+    elimination leads to.
     """
     sets: list[dict[int, int]] = []
     free = reduce(or_, rows, 0)  # the span's support
+    k, first = len(rows), rows[0] if rows else 0
+    if first and all(r == first << i for i, r in enumerate(rows)):
+        # consecutive shifts: set 0 is the window [D, D + k) from first's top bit D, by recurrence
+        D, u, piv = first.bit_length() - 1, first, {}
+        for c in range(D, D + k):
+            piv[c] = u
+            u <<= 1
+            if u >> D & 1:
+                u ^= first
+        sets.append(piv)
+        rows = list(piv.values())
+        free ^= (1 << k) - 1 << D
     while True:
         if sets and free.bit_count() < len(rows):
             return sets
@@ -207,11 +233,15 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     with w bits on the set.  Levels w = 0, 1, ... run over every set in turn.
     Once level w has run on sets 0..i-1 and level w-1 on the rest, a word not
     yet seen has at least w+1 bits on each of those i sets and w on each other
-    set, so weighs at least N*w + i; the search stops when the lightest word
-    found is that light.  Level w >= 2 runs depth-first (_level): each XOR of
-    w-2 rows meets the stream of the pair XORs past its last row, level 2's
-    empty head all C(k, 2) pairs, so no level is held whole and no pair
-    table is built.
+    set.  It also holds the f bits that g has on the columns no row touches:
+    every word of g ^ span(rows) equals g there, and no set holds such a
+    column, since each set's pivots lie in the rows' support.  So an unseen
+    word weighs at least N*w + i + f, and the search stops when the lightest
+    word found is that light.  On an oracle or D_0 coset f >= 1, since g's
+    top bit lies past every row.  Level w >= 2 runs depth-first (_level):
+    each XOR of w-2 rows meets the stream of the pair XORs past its last row,
+    level 2's empty head all C(k, 2) pairs, so no level is held whole and no
+    pair table is built.
 
     The search counts the words it weighs.  Once they pass 2^k, the cost of
     the whole Gray-code walk over the first set's k rows, it hands over to
@@ -222,13 +252,14 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     none = max(map(int.bit_length, [g, *rows])) + 1  # heavier than any word
     sets = _information_sets(rows)
     k, N = len(sets[0]), len(sets)
+    f = (g & ~reduce(or_, rows, 0)).bit_count()  # g's bits on the columns no row touches
     # per set: g with its bits on the pivot columns cleared, and the set's rows
     starts = [(reduce(xor, (r for c, r in piv.items() if g >> c & 1), g), list(piv.values())) for piv in sets]
     best = min(filter(None, (gs.bit_count() for gs, _ in starts)), default=none)  # level 0
     weighed = 0
     for w in range(1, k + 1):
         for i, (gs, R) in enumerate(starts):
-            stop = N * w + i
+            stop = N * w + i + f
             if best <= stop:
                 return best
             for x, tail, size in _level(gs, R, w):

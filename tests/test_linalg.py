@@ -7,7 +7,7 @@ import tracemalloc
 from functools import reduce
 from itertools import combinations, product
 from math import comb
-from operator import xor
+from operator import or_, xor
 from unittest import mock
 
 import numpy as np
@@ -376,6 +376,33 @@ def test_information_set_search_matches_brute_force(case):
         assert min_weight_span(rows) == min_weight_span_reference(rows) == best
 
 
+@st.composite
+def coset_shapes(draw):
+    """(g, rows): the lead coset of one word's shifts, whole or cut at nbits bits, or random rows with holes in
+    their support and g reaching past it."""
+    kind = draw(st.sampled_from(["shifts", "cut shifts", "random"]))
+    k = draw(st.integers(1, 12))
+    if kind == "random":
+        nbits = draw(st.integers(1, 80))
+        columns = draw(st.integers(1, (1 << nbits) - 1))  # the rows' support lies in these columns
+        rows = [r & columns for r in draw(st.lists(st.integers(0, (1 << nbits) - 1), min_size=k, max_size=k))]
+        return draw(st.integers(0, (1 << (nbits + 8)) - 1)), rows
+    base = draw(st.integers(1, (1 << 40) - 1))
+    whole = base.bit_length() + k - 1  # the bits of the top shift, g
+    nbits = draw(st.integers(whole, whole + 8) if kind == "shifts" else st.integers(1, max(1, whole - 1)))
+    g, rows = lead_coset(base, k + 1, nbits)
+    return draw(st.just(g) | st.integers(0, (1 << (nbits + 4)) - 1)), rows
+
+
+@settings(deadline=None)
+@given(coset_shapes())
+def test_information_set_search_counts_the_bits_no_row_reaches(case):
+    # the search forced on shift rows (set 0 by recurrence), on cut shifts (eliminated) and on random rows
+    # whose g holds bits outside their support, against the Gray-code walk
+    g, rows = case
+    assert _search_min(g, rows) == _walk_min(g, rows)
+
+
 @given(searched_sets())
 def test_information_sets_are_disjoint_systematic_bases(case):
     _, rows, nbits = case
@@ -427,14 +454,38 @@ def test_information_sets_start_no_elimination_that_cannot_reach_full_rank(case)
     assert all(free >= k for free in started)
 
 
-def test_the_last_elimination_is_skipped_where_the_columns_run_out():
-    # three disjoint copies of the identity on 30 columns: after three sets no column is free, so the
-    # three sets take three eliminations, not four
-    rows = [(1 << i) | (1 << (i + 10)) | (1 << (i + 20)) for i in range(10)]
+def _spy_pivots(rows):
+    """(sets, frees): _information_sets(rows) and the free mask of each elimination it started."""
     started, real = [], _linalg._pivots
     with mock.patch.object(_linalg, "_pivots", lambda rows, free: started.append(free) or real(rows, free)):
-        assert len(_linalg._information_sets(rows)) == 3
-    assert len(started) == 3
+        return _linalg._information_sets(rows), started
+
+
+def test_the_last_elimination_is_skipped_where_the_columns_run_out():
+    # three disjoint copies of the identity on 30 columns: after three sets no column is free, so the
+    # three sets take three eliminations, not four.  In shift order set 0 is the window [20, 30) by
+    # recurrence and two eliminations follow; in reverse order set 0 is eliminated too
+    rows = [(1 << i) | (1 << (i + 10)) | (1 << (i + 20)) for i in range(10)]
+    sets, started = _spy_pivots(rows)
+    assert len(sets) == 3 and len(started) == 2
+    sets, started = _spy_pivots(rows[::-1])
+    assert len(sets) == 3 and len(started) == 3
+
+
+@given(st.integers(1, (1 << 40) - 1), st.integers(2, 16))
+def test_set_0_of_consecutive_shifts_is_the_eliminated_window(base, k):
+    # rows x^i*base, i < k: set 0 comes from the recurrence, one elimination fewer than the same rows in
+    # reverse order, whose set 0 is eliminated, has the same pivots and so the same systematic rows, and
+    # whose later sets are those of the shift order
+    rows = [base << i for i in range(k)]
+    sets, started = _spy_pivots(rows)
+    reversed_sets, reversed_started = _spy_pivots(rows[::-1])
+    top = base.bit_length() - 1
+    eliminated = _linalg._reduce_pivots(_linalg._pivots(rows, reduce(or_, rows)))
+    assert list(sets[0].items()) == list(eliminated.items()) and list(sets[0]) == list(range(top, top + k))
+    assert [list(s.items()) for s in sets] == [list(s.items()) for s in reversed_sets]
+    assert sets == _information_sets_reference(rows)
+    assert len(started) == len(reversed_started) - 1
 
 
 def test_kernel_search_stops_at_the_proven_bound():
@@ -476,21 +527,32 @@ def test_kernel_holds_no_pair_table_on_a_wide_ring():
 
 
 def test_the_kernel_streams_level_2_on_a_wide_coset():
-    # the oracle's coset at x^2+x+1, L = 8191, j = 8001: k = 380 on n = 16 382 bits over 43 information
-    # sets, d = 85.  Level 1 runs on every set and level 2 on the first; a table of its 72 010 pair XORs
-    # held about 150 MB on top of the sets' rows
-    c = code(new_context(0b111, 8191), 8001)
+    # the oracle's coset at x^4+x+1, L = 4096, j = 4031: k = 260 on n = 16 384 bits over 63 information
+    # sets, d = 136.  Level 1 runs on every set and level 2 on the first; a table of its 33 411 pair XORs
+    # would hold about 70 MB on top of the sets' rows
+    c = code(new_context(0b10011, 4096), 4031)
     g, rows = lead_coset(c.generator, c.k, c.n)
     levels, real = [], _linalg._level
     tracemalloc.start()
     try:
         with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real(*args)):
-            assert min_weight_affine(g, rows) == 85
+            assert min_weight_affine(g, rows) == 136
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert levels.count(2) == 1 and max(levels) == 2
     assert peak < 64 << 20
+
+
+def test_the_bits_no_row_reaches_end_the_search_at_level_1():
+    # the oracle's coset at x^2+x+1, L = 8191, j = 8001: k = 380 on n = 16 382 bits over 42 information
+    # sets, d = 85.  Every word holds g's 21 bits on the columns no row reaches, so once level 1 has run
+    # on 22 sets no unseen word weighs less than 42 + 22 + 21 = 85; without them level 2 runs
+    c = code(new_context(0b111, 8191), 8001)
+    levels, real = [], _linalg._level
+    with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real(*args)):
+        assert min_weight_affine(*lead_coset(c.generator, c.k, c.n)) == 85
+    assert levels == [1] * 22
 
 
 def test_every_level_hands_out_each_xor_of_w_rows_once():
@@ -523,12 +585,12 @@ def test_level_3_streams_its_pairs():
 
 
 def test_the_search_reaches_level_3_on_a_long_code():
-    # the oracle's coset at x^4+x+1, L = 256, j = 206: k = 200 on n = 1 024 bits over 5 information
-    # sets, d = 16, which level 2 alone cannot prove
-    c = code(new_context(0b10011, 256), 206)
+    # the oracle's coset at x^4+x+1, L = 256, j = 243: k = 52 on n = 1 024 bits over 19 information
+    # sets, d = 66, which level 2 alone cannot prove
+    c = code(new_context(0b10011, 256), 243)
     levels, real = [], _linalg._level
     with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real(*args)):
-        assert min_weight_affine(*lead_coset(c.generator, c.k, c.n)) == 16
+        assert min_weight_affine(*lead_coset(c.generator, c.k, c.n)) == 66
     assert max(levels) == 3
 
 
