@@ -9,8 +9,10 @@ P.  Here live the code object, the walk, generator rows, the one candidate
 shape of every exact search (lead_coset: the k shifts of one word mod x^N,
 with the top one fixed), membership, the split of C_j and of its dual into t
 interleaved codes up to t times shorter (interleave, on the ring's split
-P = Q(x^s)), which picks every reduced search on both sides, and the two
-caps every search shares:
+P = Q(x^s)), which picks every reduced search on both sides, the one reader
+of a component's word (decimate: w from w(x^t), read off P^j on the primal
+side and off h* on the dual side, and checked), and the two caps every
+search shares:
 DEFAULT_ENUM_CAP, the default oracle_cap on the dimension an exact oracle
 takes (check_caps refuses a negative one), and DEFAULT_CANDIDATE_CAP, the
 fixed bound on the words in one reduced candidate set, primal or dual.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import InternalConsistencyError, ValidationError
 from .gf2poly import div_rem, mul, power
 from .ring import RingContext
 
@@ -76,19 +78,14 @@ class Interleave(NamedTuple):
     so d(C_j) is d(D_0), the longest component: D_0 has ceil(n/t) coordinates,
     dimension k0.  The dual splits the same way: P*^-j = (Q*^-b)(x^t), and its
     least weight lies in its shortest component, Q*^-b's m*b/s shifts on n // t bits.
-    s and Q are the ring's (RingContext.s, .Q); every field is a small constant,
-    and R, one power, is taken only when read.
+    Every field is a small constant: each search reads its component's word off
+    its own code's word by decimate, R off P^j and Q*^-b off h*.
     """
 
-    s: int
-    Q: int
+    s: int  # the ring's RingContext.s
     t: int
     b: int
     k0: int  # ceil(n/t) - deg R
-
-    @property
-    def R(self) -> int:
-        return power(self.Q, self.b)
 
 
 def interleave(ctx: RingContext, j: int) -> Interleave:
@@ -97,7 +94,16 @@ def interleave(ctx: RingContext, j: int) -> Interleave:
         raise ValidationError("the interleave split covers 1 <= j <= L - 1")
     B = j & -j
     t, b = B * ctx.s, j // B
-    return Interleave(ctx.s, ctx.Q, t, b, -(-ctx.n // t) - b * ctx.m // ctx.s)
+    return Interleave(ctx.s, t, b, -(-ctx.n // t) - b * ctx.m // ctx.s)
+
+
+def decimate(word: int, t: int, label: str) -> int:
+    """The word w with w(x^t) == word; InternalConsistencyError naming word by label if it has a bit off the multiples of t."""
+    w = int(format(word, "b")[::-1][::t][::-1], 2)  # bit i is word's coefficient at x^(t*i)
+    # w(x^t) holds word's bits at the multiples of t, so it is word exactly when word has no other bit
+    if w.bit_count() != word.bit_count():
+        raise InternalConsistencyError(f"{label} is not a word in x^{t}")
+    return w
 
 
 def generator_rows(c: PolycyclicCode) -> list[int]:

@@ -11,9 +11,10 @@ sources feed one report per j:
   2^(T-1) is also a power of two), where D_0 is small: with s = 1 it is the
   paper's reduced candidate set P^j * a(x^B), B = j & -j, a of bounded
   degree (t = B, R = P^(j/B), k0 = lam), and with P = Q(x^s), s > 1, it is
-  s times shorter.  D_0 is weighed there at every oracle cap; a set of more
-  than the fixed DEFAULT_CANDIDATE_CAP (2^20) candidates is refused, as on
-  the dual side, and its slot is left to the other sources;
+  s times shorter.  D_0 is weighed there at every oracle cap, in the walk
+  over the chain; whether it answers is a size test on k0 alone (_answers):
+  a set of more than the fixed DEFAULT_CANDIDATE_CAP (2^20) candidates is
+  refused, as on the dual side, and its slot is left to the other sources;
 * an exact oracle by information-set search, capped by the dimension it
   takes (oracle_cap, which bounds nothing else), run two ways: over the
   whole code, and on D_0 wherever t > 1 and k0 is within the cap (the
@@ -42,10 +43,11 @@ sources feed one report per j:
 Each search weighs the k shifts of one word w as their lead coset
 (codes.lead_coset) with the one kernel of _linalg (min_weight_affine): the
 oracle w = P^j on n bits, and D_0, at the anchors and in the spread, w = R,
-k = k0 on ceil(n/t) bits.
-_structural_profile holds the anchors and the interval bounds over a window
-[lo, hi] of the chain.  _search, the one search step, runs the oracle and
-then weighs D_0.  Both flows take the sources in one order (structure, the
+k = k0 on ceil(n/t) bits, R read off P^j (codes.decimate) and checked
+against k0 (_d0_min).  _structural_profile weighs the anchors and holds the
+interval bounds over a window [lo, hi] of the chain, in one walk over its
+generators.  _search, the one search step, runs the oracle and then weighs
+D_0.  Both flows take the sources in one order (structure, the
 searches, the fuse, then the kernel), so `analyze --j` returns the whole
 chain's slot, provenance included: full_distance_profile searches every j,
 single_distance_report j and, while j is open, its neighbours out to the
@@ -53,12 +55,12 @@ nearest exact slot on each side, taking a neighbour's power P^i only where a
 search runs (k0 <= oracle_cap).  full_distance_profile builds the structure
 over [0, L] and walks the generators P^0..P^L once, one product by P per
 step, and the weight witnesses, the searches and the kernel's probes all
-read that one walk.  single_distance_report weighs the anchors outward from
-j until one answers on each side, and builds the structure and streams the
-walk over the window between those two alone (on x^2+x+1, L = 8191, j = 3:
-11 anchors and P^1..P^1024, not 24 and P^1..P^8190); it holds no list of
-its generators, so `analyze --j` stays within O(n) bits and checks no slot
-outside its window.
+read that one walk.  single_distance_report finds by size the nearest
+anchors that answer on each side of j, and builds the structure and streams
+the walk over the window between those two alone (on x^2+x+1, L = 8191,
+j = 3: one anchor weighed and P^1..P^1024, not 24 and P^1..P^8190); it
+holds no list of its generators, so `analyze --j` stays within O(n) bits
+and checks no slot outside its window.
 Every bound is tagged; two sources that disagree raise InternalConsistencyError.
 """
 
@@ -68,9 +70,9 @@ from bisect import bisect_right
 from collections.abc import Iterable
 
 from ._linalg import min_weight_affine
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, Interleave, PolycyclicCode, chain, check_caps, code, interleave, lead_coset
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, Interleave, PolycyclicCode, chain, check_caps, code, decimate, interleave, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
-from .gf2poly import degree, div_rem, substitute_power, weight
+from .gf2poly import degree, div_rem, weight
 from .ring import RingContext
 
 
@@ -152,9 +154,21 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 # ---------------------------------------------------------------------------
 
 
-def _d0_min(ctx: RingContext, iv: Interleave, R: int) -> int:
-    """d(C_j) = d(D_0): the least weight of the lead coset of R = iv.R with k0 shifts on ceil(n/t) bits."""
-    return min_weight_affine(*lead_coset(R, iv.k0, -(-ctx.n // iv.t)))  # type: ignore[return-value]
+def _answers(iv: Interleave) -> bool:
+    """Whether D_0's 2^(k0-1) candidates are within the fixed candidate cap: the one test of whether an anchor answers."""
+    return 1 << (iv.k0 - 1) <= DEFAULT_CANDIDATE_CAP
+
+
+def _d0_min(c: PolycyclicCode, iv: Interleave) -> int:
+    """d(C_j) = d(D_0): the least weight of the lead coset of R with k0 shifts on ceil(n/t) bits.
+
+    R is read off C_j's own generator P^j = R(x^t) (decimate), and ceil(n/t) - deg R must be the split's k0.
+    """
+    nbits = -(-c.n // iv.t)
+    R = decimate(c.generator, iv.t, f"j={c.j}: P^j")
+    if nbits - degree(R) != iv.k0:
+        raise InternalConsistencyError(f"j={c.j}: D_0 has dimension {nbits - degree(R)}, the split says {iv.k0}")
+    return min_weight_affine(*lead_coset(R, iv.k0, nbits))  # type: ignore[return-value]
 
 
 def _anchor_min(ctx: RingContext, j: int) -> int:
@@ -162,16 +176,16 @@ def _anchor_min(ctx: RingContext, j: int) -> int:
 
     With s = 1, D_0 is the paper's reduced set P^j * a(x^B), B = j & -j, a of constant term 1 and degree
     below lam = ceil(m(L-j)/B), weighed as R * a on ceil(n/B) bits: t = B, R = P^(j/B), k0 = lam.  With
-    s > 1 it is s times shorter.
+    s > 1 it is s times shorter.  The entry point by anchor index; the profile weighs its anchors in its walk.
     """
     iv = interleave(ctx, j)
-    if 1 << (iv.k0 - 1) > DEFAULT_CANDIDATE_CAP:
+    if not _answers(iv):
         raise CapExceeded(f"reduced set has 2^{iv.k0 - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    return _d0_min(ctx, iv, iv.R)
+    return _d0_min(code(ctx, j), iv)
 
 
 def lower_anchor_distance(ctx: RingContext, s: int) -> int:
-    """Exact d(C_j) at j = 2^(T-s), 1 <= s <= T (an entry point by anchor parameter; the profile reads _anchor_min)."""
+    """Exact d(C_j) at j = 2^(T-s), 1 <= s <= T (an entry point by anchor parameter)."""
     if not 1 <= s <= ctx.T:
         raise ValidationError("anchor parameter s must satisfy 1 <= s <= T")
     return _anchor_min(ctx, 1 << (ctx.T - s))
@@ -285,32 +299,21 @@ def monotone_fuse(reports: list[DistanceReport]) -> None:
         reports[j].cut_upper(reports[j + 1].upper, "monotone")
 
 
-def _anchors(ctx: RingContext) -> list[int]:
-    """The anchor lattice in ascending order: the powers of two below 2^T and the upper anchors ctx.tops."""
-    return sorted({1 << i for i in range(ctx.T)} | set(ctx.tops))
+def _anchors(ctx: RingContext) -> set[int]:
+    """The anchor lattice: the powers of two below 2^T and the upper anchors ctx.tops."""
+    return {1 << i for i in range(ctx.T)} | set(ctx.tops)
 
 
-def _anchor_or_none(ctx: RingContext, j: int, weighed: dict[int, int | None]) -> int | None:
-    """d(C_j) at the anchor j from D_0, or None where its set is over the candidate cap; weighed once, kept in weighed."""
-    if j not in weighed:
-        try:
-            weighed[j] = _anchor_min(ctx, j)
-        except CapExceeded:
-            weighed[j] = None
-    return weighed[j]
-
-
-def _structural_profile(
-    ctx: RingContext, lo: int, hi: int, codes: Iterable[PolycyclicCode], weighed: dict[int, int | None]
-) -> list[DistanceReport]:
+def _structural_profile(ctx: RingContext, lo: int, hi: int, codes: Iterable[PolycyclicCode]) -> list[DistanceReport]:
     """Reports for j = lo..hi, 0 <= lo <= hi <= L, from structure alone: anchors, weight witnesses and doubling bounds, fused.
 
     reports[i] is slot lo + i.  codes yields C_j for every j in [lo, hi] with 0 < j < L, in order, each read
-    once: a list or a stream.  weighed holds the anchors already weighed (_anchor_or_none) and takes the rest.
-    The whole chain passes [0, L].  A window whose ends are exact (or 0 and L) reads the whole chain's
-    structure on every slot inside it: d never falls along the chain, so no slot outside moves one inside; no
-    anchor lies strictly between two consecutive tops (every power of two is at most tops[0]), so every
-    doubling that reaches the window starts at a top inside it; and the kernel runs at tops[0] only there.
+    once: a list or a stream.  The one walk over it weighs each anchor whose D_0 answers (_answers, a size
+    test) from the anchor's own generator, and meets every weight witness.  The whole chain passes [0, L].
+    A window whose ends are exact (or 0 and L) reads the whole chain's structure on every slot inside it: d
+    never falls along the chain, so no slot outside moves one inside; no anchor lies strictly between two
+    consecutive tops (every power of two is at most tops[0]), so every doubling that reaches the window
+    starts at a top inside it; and the kernel runs at tops[0] only there.
     """
     L, n, tops = ctx.L, ctx.n, ctx.tops
     reports = [DistanceReport(j, 1, n) for j in range(lo, hi + 1)]
@@ -319,15 +322,14 @@ def _structural_profile(
     if hi == L:
         reports[-1].set_exact(n, "zero-code")
 
-    # exact anchors from D_0 (skipped when over the cap): the powers of two below 2^T and the upper anchors
-    for j in _anchors(ctx):
-        if lo <= j <= hi and (d := _anchor_or_none(ctx, j, weighed)) is not None:
-            reports[j - lo].set_exact(d, "reduced-set")
-
-    # weight witnesses; the doubling reads d(tops[0]): where its reduced set is over the cap, the kernel's
-    # min(d, 4) bounds it, from below only, so the oracle still runs there and the last kernel pass checks it
+    # exact anchors from D_0 (skipped when over the cap), then weight witnesses; the doubling reads
+    # d(tops[0]): where its reduced set is over the cap, the kernel's min(d, 4) bounds it, from below only,
+    # so the oracle still runs there and the last kernel pass checks it
+    anchors = _anchors(ctx)
     for c in codes:
         rep = reports[c.j - lo]
+        if c.j in anchors and _answers(iv := interleave(ctx, c.j)):
+            rep.set_exact(_d0_min(c, iv), "reduced-set")
         rep.cut_upper(weight(c.generator), "weight-witness")
         if c.j == tops[0] and not rep.exact:
             d4 = small_weight(c)
@@ -348,7 +350,7 @@ def full_distance_profile(ctx: RingContext, oracle_cap: int = DEFAULT_ENUM_CAP) 
     check_caps(oracle_cap=oracle_cap)
     codes = list(chain(ctx, 0, ctx.L + 1))  # the one walk: codes[j] is C_j
     inner = codes[1:-1]
-    reports = _structural_profile(ctx, 0, ctx.L, inner, {})
+    reports = _structural_profile(ctx, 0, ctx.L, inner)
     for c in inner:
         _search(c, reports[c.j], oracle_cap)
     monotone_fuse(reports)
@@ -374,20 +376,18 @@ def _search(c: PolycyclicCode, rep: DistanceReport, ocap: int) -> None:
     iv = interleave(c.ctx, c.j)
     if iv.t == 1 or iv.k0 > ocap:
         return
-    R = iv.R
-    if substitute_power(R, iv.t) != c.generator:
-        raise InternalConsistencyError(f"j={c.j}: R(x^{iv.t}) is not P^j")
-    rep.set_exact(_d0_min(c.ctx, iv, R), f"spread-t{iv.t}")
+    rep.set_exact(_d0_min(c, iv), f"spread-t{iv.t}")
 
 
 def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> DistanceReport:
     """The whole chain's report at j, from the structure between the nearest exact anchors around j and the searches.
 
-    The order is full_distance_profile's.  The anchors are weighed outward
-    from j until one answers on each side: lo is the last answered anchor at
-    or below j (or 0), hi the first at or above j (or L), and the structure,
-    the walk C_lo..C_hi and the fuse cover [lo, hi] alone, which reads the
-    whole chain's structure there (_structural_profile).  The searches run
+    The order is full_distance_profile's.  Whether an anchor's D_0 answers is
+    a size test (_answers), so no word is built to find the window: lo is the
+    last answering anchor at or below j (or 0), hi the first at or above j
+    (or L), and the structure, which weighs the anchors inside in its walk
+    C_lo..C_hi, and the fuse cover [lo, hi] alone, which reads the whole
+    chain's structure there (_structural_profile).  The searches run
     on j; while j is open, they walk up from j + 1 and down from j - 1, each
     side stopping at its first exact slot, inside [lo, hi], and the window
     is fused.  A neighbour's code is built and searched only where
@@ -404,15 +404,10 @@ def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_E
     if not 0 <= j <= L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
     check_caps(oracle_cap=oracle_cap)
-    weighed: dict[int, int | None] = {}
-    ends = [0, *_anchors(ctx), L]
-
-    def answered(a: int) -> bool:
-        return a in (0, L) or _anchor_or_none(ctx, a, weighed) is not None
-
-    lo = next(a for a in reversed(ends) if a <= j and answered(a))
-    hi = next(a for a in ends if a >= j and answered(a))
-    reports = _structural_profile(ctx, lo, hi, chain(ctx, max(lo, 1), min(hi + 1, L)), weighed)
+    ends = [0, *(a for a in _anchors(ctx) if _answers(interleave(ctx, a))), L]
+    lo = max(a for a in ends if a <= j)
+    hi = min(a for a in ends if a >= j)
+    reports = _structural_profile(ctx, lo, hi, chain(ctx, max(lo, 1), min(hi + 1, L)))
     rep = reports[j - lo]
     if 0 < j < L:
         c = code(ctx, j)

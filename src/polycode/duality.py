@@ -18,10 +18,10 @@ P^j = R(x^t), R = Q^b, h* is (Q*^-b)(x^t) mod x^n, so the dual of C_j is the
 t-fold interleave of truncations of the multiples of Q*^-b, and its distance
 is that of the shortest one: the lead coset (codes.lead_coset) of Q*^-b with
 m*b/s shifts on n // t bits, Q*^-b read from h*'s coefficients at the
-multiples of t (h* with a bit anywhere else raises InternalConsistencyError),
-at every j, refused above the fixed
-DEFAULT_CANDIDATE_CAP.  With s = 1 and j an anchor (a power of two, or an
-upper anchor in ctx.tops) that is the paper's candidate set.  The oracle
+multiples of t by codes.decimate, as D_0's R is read from P^j (h* with a bit
+anywhere else raises InternalConsistencyError), at every j, refused above
+the fixed DEFAULT_CANDIDATE_CAP.  With s = 1 and j an anchor (a power of
+two, or an upper anchor in ctx.tops) that is the paper's candidate set.  The oracle
 weighs the lead coset of h* with m*j shifts on n bits, half the whole dual;
 _linalg's kernel weighs both.  Where t = 1 the two are one coset, so
 dual_summary weighs it once, as the component.  The oracle runs, within its
@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ._linalg import gray_walk, min_weight_affine
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, interleave, lead_coset
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, decimate, interleave, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import inverse_trunc, mul, mul_trunc, reciprocal
 from .ring import RingContext
@@ -109,20 +109,16 @@ def _component(dual: DualCode) -> tuple[int, list[int]]:
 
     A dual word a*h* mod x^n, deg a < m*j = t*(m*b/s), splits by the residue i mod t of each exponent into
     x^i * (a_i * Q*^-b mod x^ceil((n - i)/t))(x^t), deg a_i < m*b/s.  A shorter truncation of a word never
-    weighs more, so the shortest, on n // t bits, holds the least weight.  Q*^-b is read from h* itself, as
-    its coefficients at the multiples of t; h* must be that word at x^t, or InternalConsistencyError.  At
-    t = 1 this is the dual oracle's coset (h*, m*j, n).
+    weighs more, so the shortest, on n // t bits, holds the least weight.  Q*^-b is read from h* itself by
+    codes.decimate, as D_0's R is read from P^j; h* must be that word at x^t, or InternalConsistencyError.
+    At t = 1 this is the dual oracle's coset (h*, m*j, n).
     """
-    ctx, h = dual.ctx, dual.h_star
+    ctx = dual.ctx
     iv = interleave(ctx, dual.j)
     k, nbits = ctx.m * iv.b // iv.s, ctx.n // iv.t
     if 1 << (k - 1) > DEFAULT_CANDIDATE_CAP:
         raise CapExceeded(f"dual component has 2^{k - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    word = int(format(h, "b")[::-1][:: iv.t][::-1], 2)  # bit i is h*'s coefficient at x^(t*i)
-    # word(x^t) holds h*'s bits at the multiples of t, so it is h* exactly when h* has no other bit
-    if word.bit_count() != h.bit_count():
-        raise InternalConsistencyError(f"j={dual.j}: h* is not a word in x^{iv.t}")
-    return lead_coset(word, k, nbits)
+    return lead_coset(decimate(dual.h_star, iv.t, f"j={dual.j}: h*"), k, nbits)
 
 
 def dual_component_distance(ctx: RingContext, j: int) -> int:

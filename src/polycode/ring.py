@@ -9,9 +9,10 @@ else keys off: T with 2^(T-1) < L <= 2^T and the anchor lattice
 anchor j has the spread B = j & -j (so tops[0] = 2^(T-1) is also the top
 lower anchor, B = j), and the unanchored tail past the last one has length
 L - tops[-1].  With them it holds the split of P that every interleave reads
-(codes.interleave): s, the gcd of P's exponents, and Q with P = Q(x^s), each
-of at most m + 1 bits.  The ring holds these eight small fields and no power
-or power series: each code carries its own generator P^j (codes.code,
+(codes.interleave): s, the gcd of P's exponents, so that P = Q(x^s); no
+search reads Q, as each reads its component's word off its own code's word
+(codes.decimate).  The ring holds these seven small fields and no power or
+power series: each code carries its own generator P^j (codes.code,
 codes.chain), and the dual and LCD words are built from it (duality.py,
 lcd.py).
 
@@ -34,7 +35,7 @@ class RingContext(NamedTuple):
     """Immutable bundle of constants for one ring F2[x]/<P^L>.
 
     tops is the one record of the anchor lattice: the profile and the dual
-    anchors both read it.  s and Q are the one record of P's split.
+    anchors both read it.  s is the one record of P's split P = Q(x^s).
     """
 
     P: int
@@ -44,7 +45,6 @@ class RingContext(NamedTuple):
     T: int
     tops: tuple[int, ...]  # upper anchors 2^T - 2^(T-r) < L, r = 1, 2, ...; tops[0] = 2^(T-1)
     s: int  # gcd of P's exponents, odd for an irreducible P
-    Q: int  # P = Q(x^s)
 
 
 def new_context(P: int, L: int) -> RingContext:
@@ -63,8 +63,6 @@ def new_context(P: int, L: int) -> RingContext:
         raise ValidationError("P must be irreducible over GF(2)")
 
     T = (L - 1).bit_length()
-    exps = [i for i in range(1, m + 1) if P >> i & 1]
-    s = gcd(*exps)
     return RingContext(
         P=P,
         m=m,
@@ -72,6 +70,5 @@ def new_context(P: int, L: int) -> RingContext:
         n=m * L,
         T=T,
         tops=tuple(j for j in ((1 << T) - (1 << (T - r)) for r in range(1, T + 1)) if j < L),
-        s=s,
-        Q=sum(1 << (i // s) for i in [0, *exps]),
+        s=gcd(*(i for i in range(1, m + 1) if P >> i & 1)),
     )

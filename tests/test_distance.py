@@ -137,19 +137,18 @@ def test_upper_anchor_one_is_the_lower_anchor_one(regime):
 
 @pytest.mark.parametrize("regime", RINGS_BY_REGIME)
 def test_profile_weighs_each_reduced_set_once(regime, monkeypatch):
+    # at cap 0 only the anchors build cosets: each whose paper's set of 2^(lam-1) words is within the
+    # candidate cap is weighed once, and a refused anchor builds none
     ctx = new_context(*RINGS_BY_REGIME[regime])
-    weighed = []
-    inner = distance._anchor_min
-
-    def counting(ctx, j):
-        weighed.append(j)
-        return inner(ctx, j)
-
-    monkeypatch.setattr(distance, "_anchor_min", counting)
+    weighed, cosets = [], []
+    real_d0, real_coset = distance._d0_min, distance.lead_coset
+    monkeypatch.setattr(distance, "_d0_min", lambda c, iv: weighed.append(c.j) or real_d0(c, iv))
+    monkeypatch.setattr(distance, "lead_coset", lambda *args: cosets.append(args) or real_coset(*args))
     full_distance_profile(ctx, oracle_cap=0)
-    assert len(weighed) == len(set(weighed)), weighed
-    lower = {1 << (ctx.T - s) for s in range(1, ctx.T + 1)}
-    assert sorted(weighed) == sorted(lower | set(ctx.tops))
+    anchors = {1 << (ctx.T - s) for s in range(1, ctx.T + 1)} | set(ctx.tops)
+    answered = {j for j in anchors if 1 << (-(-(ctx.m * (ctx.L - j)) // (j & -j)) - 1) <= DEFAULT_CANDIDATE_CAP}
+    assert sorted(weighed) == sorted(answered) and len(cosets) == len(weighed)
+    assert 0 < len(answered) < len(anchors)
 
 
 def test_full_profile_m4L16_matches_frozen_values():
@@ -241,20 +240,21 @@ def test_the_single_report_reads_the_chain_deep_in_a_long_ring():
 
 
 def test_the_single_report_builds_the_chain_only_between_the_nearest_answered_anchors(monkeypatch):
-    # x^2+x+1, L = 8191: every D_0 below the anchor 1 024 is over the candidate cap, so j = 3 weighs 2 and 1,
-    # then 4 .. 1 024, and walks P^1..P^1 024 (the whole chain weighs 24 anchors and walks P^1..P^8 190);
-    # j = 5 000 lies between the answered anchors 4 096 and 6 144 and weighs those two alone
+    # x^2+x+1, L = 8191: every D_0 below the anchor 1 024 is over the candidate cap, which a size test
+    # tells, so j = 3 weighs 1 024 alone and walks P^1..P^1 024 (the whole chain walks P^1..P^8 190);
+    # j = 5 000 lies between the answered anchors 4 096 and 6 144 and weighs those two alone, then the spread
+    # weighs D_0 at the neighbours 5 120 and 4 864, where the searches stop on each side
     weighed, walks = [], []
-    real_anchor, real_chain = distance._anchor_min, distance.chain
-    monkeypatch.setattr(distance, "_anchor_min", lambda ctx, j: weighed.append(j) or real_anchor(ctx, j))
+    real_d0, real_chain = distance._d0_min, distance.chain
+    monkeypatch.setattr(distance, "_d0_min", lambda c, iv: weighed.append(c.j) or real_d0(c, iv))
     monkeypatch.setattr(distance, "chain", lambda ctx, start, stop: walks.append((start, stop)) or real_chain(ctx, start, stop))
     ctx = new_context(parse("x^2+x+1"), 8191)
     assert single_distance_report(ctx, 3).exact
-    assert weighed == [2, 1] + [1 << i for i in range(2, 11)] and walks == [(1, 1025)]
+    assert weighed == [1024] and walks == [(1, 1025)]
     weighed.clear()
     walks.clear()
     assert single_distance_report(ctx, 5000).exact
-    assert weighed == [4096, 6144] and walks == [(4096, 6145)]
+    assert weighed == [4096, 6144, 5120, 4864] and walks == [(4096, 6145)]
 
 
 def test_the_single_report_builds_a_neighbours_code_only_where_a_search_runs(monkeypatch):
@@ -360,23 +360,32 @@ def test_weight_2_is_found_before_an_earlier_weight_3_word():
 
 
 def test_the_whole_chain_walks_its_generators_once(monkeypatch):
-    # no code() and no power of P per slot: the profile steps P^0..P^L once, and every power it takes is
-    # an interleave's R = Q^b (b odd), one per D_0 weighed, besides the walk's start P^0, which costs no product
+    # no code() and no power of P per slot: the profile steps P^0..P^L once, and its one power is the walk's
+    # start P^0, which costs no product; every D_0, at the anchors and in the spread, reads R off that walk
     monkeypatch.setattr(distance, "code", lambda *args: pytest.fail("the whole chain called code()"))
     powers, weighed = [], []
     real_power, real_d0 = codes.power, distance._d0_min
     monkeypatch.setattr(codes, "power", lambda a, e: powers.append((a, e)) or real_power(a, e))
-    monkeypatch.setattr(distance, "_d0_min", lambda ctx, iv, R: weighed.append(R) or real_d0(ctx, iv, R))
+    monkeypatch.setattr(distance, "_d0_min", lambda c, iv: weighed.append(c.j) or real_d0(c, iv))
     rings = 0
     for ctx in _rings_up_to_60():
         powers.clear()
-        weighed.clear()
         full_distance_profile(ctx)
-        assert powers[0] == (ctx.P, 0) and (ctx.P, 0) not in powers[1:], (ctx.P, ctx.L)
-        assert all(a == ctx.Q and e % 2 for a, e in powers[1:]), (ctx.P, ctx.L)
-        assert len(powers) - 1 == len(weighed), (ctx.P, ctx.L)
+        assert powers == [(ctx.P, 0)], (ctx.P, ctx.L)
         rings += 1
-    assert rings == 256
+    assert rings == 256 and weighed
+
+
+def test_the_profiles_weigh_their_anchors_in_the_walk(monkeypatch):
+    # _anchor_min takes its own power of P and serves the entry points by anchor index alone: the whole chain
+    # and analyze --j read each anchor's D_0 off the walk
+    monkeypatch.setattr(distance, "_anchor_min", lambda *args: pytest.fail("a profile called _anchor_min"))
+    for ctx in (new_context(M4, 16), new_context(M5, 12), new_context(parse("x^12+x^3+1"), 8)):
+        for cap in (0, 28):
+            profile = full_distance_profile(ctx, oracle_cap=cap)
+            assert any("reduced-set" in rep.provenance for rep in profile)
+            for j in range(ctx.L + 1):
+                assert single_distance_report(ctx, j, oracle_cap=cap).to_json_dict() == profile[j].to_json_dict()
 
 
 def test_analyze_j_holds_no_list_of_the_chains_generators():
@@ -414,7 +423,7 @@ def test_a_witness_off_by_one_bit_raises(monkeypatch, text, L, w):
 
 def test_the_kernel_closes_a_slot_over_the_oracle_cap():
     ctx = new_context(parse("x^8+x^6+x^5+x+1"), 5)  # j = 1: k = 32, over the default cap of 28
-    assert distance._structural_profile(ctx, 0, ctx.L, chain(ctx, 1, ctx.L), {})[1].upper == 4
+    assert distance._structural_profile(ctx, 0, ctx.L, chain(ctx, 1, ctx.L))[1].upper == 4
     for cap in (0, 28):
         rep = single_distance_report(ctx, 1, oracle_cap=cap)
         assert (rep.lower, rep.upper) == (3, 3) and rep.provenance[-1] == "weight-3"
@@ -423,7 +432,7 @@ def test_the_kernel_closes_a_slot_over_the_oracle_cap():
 
 def test_the_kernel_raises_the_lower_bound_to_4():
     ctx = new_context(parse("x^11+x^10+x^5+x^4+1"), 8)  # j = 1: [1, 5] from structure alone, d = 4
-    assert distance._structural_profile(ctx, 0, ctx.L, chain(ctx, 1, ctx.L), {})[1].lower == 1
+    assert distance._structural_profile(ctx, 0, ctx.L, chain(ctx, 1, ctx.L))[1].lower == 1
     for cap in (0, 28):
         rep = single_distance_report(ctx, 1, oracle_cap=cap)
         assert (rep.lower, rep.upper, rep.provenance[-1]) == (4, 5, "no-weight-3")

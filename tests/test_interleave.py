@@ -17,7 +17,7 @@ import pytest
 
 from polycode import distance
 from polycode._linalg import min_weight_affine, min_weight_span
-from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, interleave
+from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, decimate, interleave
 from polycode.distance import DistanceReport, full_distance_profile, min_distance_bruteforce, single_distance_report
 from polycode.errors import InternalConsistencyError, ValidationError
 from polycode.gf2poly import degree, is_irreducible, parse, power, reciprocal, substitute_power
@@ -41,11 +41,18 @@ def _spy_searches(monkeypatch, spy):
     real = distance.min_weight_affine
 
     def weigh(g, rows):
-        if sys._getframe(2).f_code.co_name != "_anchor_min":  # the anchors' D_0 is weighed at every cap
+        if sys._getframe(2).f_code.co_name != "_structural_profile":  # the anchors' D_0 is weighed at every cap
             spy(g, rows)
         return real(g, rows)
 
     monkeypatch.setattr(distance, "min_weight_affine", weigh)
+
+
+def _split(ctx, j):
+    """(Q, R) with P = Q(x^s) and P^j = R(x^t), derived apart from the code: Q from P's exponents, R = Q^b a power."""
+    iv = interleave(ctx, j)
+    Q = sum(1 << (i // iv.s) for i in range(ctx.m + 1) if ctx.P >> i & 1)
+    return Q, power(Q, iv.b)
 
 
 def test_the_split_rebuilds_every_power_and_its_dimension():
@@ -53,12 +60,13 @@ def test_the_split_rebuilds_every_power_and_its_dimension():
     checked = 0
     for ctx in _rings(polys, 60):
         for c in chain(ctx, 1, ctx.L):
-            iv = interleave(ctx, c.j)
-            assert iv.s % 2 == 1 and substitute_power(iv.Q, iv.s) == ctx.P
+            iv, (Q, R) = interleave(ctx, c.j), _split(ctx, c.j)
+            assert iv.s % 2 == 1 and substitute_power(Q, iv.s) == ctx.P
             assert iv.t == (c.j & -c.j) * iv.s and iv.b * (c.j & -c.j) == c.j
-            assert substitute_power(iv.R, iv.t) == c.generator == power(ctx.P, c.j)
+            assert substitute_power(R, iv.t) == c.generator == power(ctx.P, c.j)
+            assert decimate(c.generator, iv.t, "P^j") == R  # the word every D_0 search reads
             # the t components D_i, lengths ceil((n - i)/t), share R: their dimensions add up to k, D_0's is k0
-            dims = [-(-(ctx.n - i) // iv.t) - degree(iv.R) for i in range(iv.t)]
+            dims = [-(-(ctx.n - i) // iv.t) - degree(R) for i in range(iv.t)]
             assert sum(max(0, d) for d in dims) == c.k
             assert iv.k0 == dims[0] >= 1
             checked += 1
@@ -67,8 +75,10 @@ def test_the_split_rebuilds_every_power_and_its_dimension():
 
 def test_the_split_knows_s_and_q():
     for text, (Q, s) in SPREAD_RINGS.items():
-        iv = interleave(new_context(parse(text), 8), 6)  # 2^a = 2, b = 3
-        assert (iv.s, iv.Q, iv.t, iv.b, iv.R) == (s, Q, 2 * s, 3, power(Q, 3))
+        ctx = new_context(parse(text), 8)
+        iv = interleave(ctx, 6)  # 2^a = 2, b = 3
+        assert (iv.s, iv.t, iv.b) == (s, 2 * s, 3) and _split(ctx, 6) == (Q, power(Q, 3))
+        assert decimate(code(ctx, 6).generator, iv.t, "P^6") == power(Q, 3)
     iv = interleave(new_context(parse("x^4+x+1"), 16), 12)
     assert (iv.s, iv.t, iv.b, iv.k0) == (1, 4, 3, 4)
     ctx = new_context(parse("x^4+x+1"), 4)
@@ -151,24 +161,32 @@ def test_every_anchor_reduced_set_equals_the_interleave_component():
             iv = interleave(ctx, j)
             if 1 << (lam - 1) > DEFAULT_CANDIDATE_CAP or 1 << (iv.k0 - 1) > DEFAULT_CANDIDATE_CAP:
                 continue
-            want = min_weight_span([iv.R << i for i in range(iv.k0)])
+            R = _split(ctx, j)[1]
+            want = min_weight_span([R << i for i in range(iv.k0)])
             assert distance._anchor_min(ctx, j) == _paper_reduced_set_min(ctx, j) == want, (ctx.P, ctx.L, j)
             anchors += 1
     assert (rings, anchors) == (1384, 4145)
 
 
-@pytest.mark.parametrize("field", ["b", "k0"])
-def test_a_wrong_split_raises(monkeypatch, field):
+@pytest.mark.parametrize(
+    "field,message",
+    [("t", r"j=4: P\^j is not a word in x\^8"), ("k0", "j=4: D_0 has dimension 12, the split says 13")],
+    ids=["t", "k0"],
+)
+def test_a_wrong_split_raises(monkeypatch, field, message):
+    # t doubled, or D_0 one dimension too large: on x^4+x+1, L = 16, j = 4 is the first anchor that answers,
+    # and D_0 there, read from P^4, refuses the split by name at every cap
     real = distance.interleave
 
-    def wrong(ctx, j):  # R = Q^(b+1), or D_0 one dimension too large
+    def wrong(ctx, j):
         iv = real(ctx, j)
-        return iv._replace(b=iv.b + 1) if field == "b" else iv._replace(k0=iv.k0 + 1)
+        return iv._replace(t=2 * iv.t) if field == "t" else iv._replace(k0=iv.k0 + 1)
 
     monkeypatch.setattr(distance, "interleave", wrong)
     ctx = new_context(parse("x^4+x+1"), 16)
-    with pytest.raises(InternalConsistencyError):
-        full_distance_profile(ctx, oracle_cap=28)
+    for cap in (0, 28):
+        with pytest.raises(InternalConsistencyError, match=message):
+            full_distance_profile(ctx, oracle_cap=cap)
 
 
 def test_an_oracle_cap_of_zero_turns_the_spread_off(monkeypatch):

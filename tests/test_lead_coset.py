@@ -30,6 +30,7 @@ from polycode.duality import _component, dual_code, dual_component_distance, dua
 from polycode.errors import CapExceeded
 from polycode.gf2poly import degree, inverse_trunc, is_irreducible, parse, power, power_trunc, reciprocal
 from polycode.ring import new_context
+from test_interleave import _split
 
 IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]
 
@@ -49,16 +50,16 @@ def _searches(ctx, j):
     The answer is a deferred call of the search's own function; the spread, which runs inside the search step
     alone, has None.
     """
-    c, iv = code(ctx, j), interleave(ctx, j)
+    c, iv, (Q, R) = code(ctx, j), interleave(ctx, j), _split(ctx, j)
     dual = dual_code(c)
     n = ctx.n
     yield "oracle", (c.generator, c.k, n), partial(min_distance_bruteforce, c, cap=c.k)
     if iv.t > 1:
-        yield "spread", (iv.R, iv.k0, -(-n // iv.t)), None
+        yield "spread", (R, iv.k0, -(-n // iv.t)), None
     if _is_anchor(ctx, j):
-        yield "reduced-set", (iv.R, iv.k0, -(-n // iv.t)), partial(distance._anchor_min, ctx, j)
+        yield "reduced-set", (R, iv.k0, -(-n // iv.t)), partial(distance._anchor_min, ctx, j)
     yield "dual-oracle", (dual.h_star, dual.dim, n), partial(dual_min_distance_bruteforce, dual, cap=dual.dim)
-    base = power_trunc(inverse_trunc(reciprocal(iv.Q), n // iv.t), iv.b, n // iv.t)
+    base = power_trunc(inverse_trunc(reciprocal(Q), n // iv.t), iv.b, n // iv.t)
     yield "dual-component", (base, ctx.m * iv.b // iv.s, n // iv.t), partial(dual_component_distance, ctx, j)
 
 
@@ -159,7 +160,7 @@ def test_each_skipped_coset_is_the_one_weighed(weighed):
             if _is_anchor(ctx, j):
                 with contextlib.suppress(CapExceeded):
                     distance._anchor_min(ctx, j)
-                    g, rows = lead_coset(iv.R, iv.k0, -(-ctx.n // iv.t))
+                    g, rows = lead_coset(_split(ctx, j)[1], iv.k0, -(-ctx.n // iv.t))
                     assert weighed[-1] == (g, tuple(rows))
                     primal += 1
     assert one > 0 and primal > 0

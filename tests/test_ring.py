@@ -43,13 +43,13 @@ def test_context_basic_quantities():
         assert code(ctx, j).generator == power(P4, j)
 
 
-def test_the_ring_holds_eight_small_fields():
+def test_the_ring_holds_seven_small_fields():
     # no power of P and no power series is kept: at the largest chain the budget admits (n = 16382)
-    # the eight fields hold P, a handful of indices and P's split P = Q(x^s), s and Q of at most m + 1
-    # bits each, within the bound of T + 5 ints of at most n.bit_length() bits
+    # the seven fields hold P, a handful of indices and s of P's split P = Q(x^s), at most m + 1 bits,
+    # within the bound of T + 5 ints of at most n.bit_length() bits
     ctx = new_context(P2, 8191)
-    assert ctx._fields == ("P", "m", "L", "n", "T", "tops", "s", "Q")
-    assert ctx.s.bit_length() <= ctx.m + 1 and ctx.Q.bit_length() <= ctx.m + 1
+    assert ctx._fields == ("P", "m", "L", "n", "T", "tops", "s")
+    assert ctx.s.bit_length() <= ctx.m + 1
 
     def bits(field):
         return sum(map(bits, field)) if isinstance(field, tuple) else field.bit_length()
