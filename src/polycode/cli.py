@@ -7,23 +7,26 @@ Exit codes: 0 success, 1 fixture mismatch, 2 bad input or a cap refusing work,
 3 an internal cross-check tripping.  Every --json answer is one line from the
 C encoder: an indent would route json.dumps through its pure-Python encoder.
 
-Each call to main that starts with a command builds one parser, that command's
-(one options function per command, all named in one table, _COMMANDS), and
-parses the rest of argv with it.  The whole parser, every command registered
-with its help line and its options, is built only for what that parser cannot
-answer alone: argv that does not start with a command (--help, bare polycode,
-an unknown command) and arguments left over after the command, whose
-"unrecognized arguments" error names the whole parser.  No parser is cached
-across calls: the polycode script makes one call per process, so a cache would
-save nothing, while a smaller build saves in every process.
+Every command's options are declared once, as data, in one table (_COMMANDS:
+each command's help line, handler and options, and its pair of switches that
+exclude each other).  main reads argv on one of two paths.  A well-formed call,
+the command followed by exact option names each given once with its value, is
+read off the table by a plain reader, and argparse is never imported.  Whatever
+the reader declines (help, a missing command, abbreviations, --opt=value,
+repeats, values starting with "-", bad values, leftovers) goes to the whole
+argparse parser, which build_parser builds from the same table: argparse stays
+the one authority on what is refused and on how its help, usage and errors
+read.  No parser is cached across calls: the polycode script makes one call per
+process, so a cache would save nothing.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, code
 from .distance import full_distance_profile, single_distance_report
@@ -33,8 +36,13 @@ from .gf2poly import order, parse
 from .lcd import conjecture_scan, lcd_chain, lcd_verdict
 from .ring import new_context
 
+if TYPE_CHECKING:
+    import argparse
 
-def _context(args: argparse.Namespace):
+    Args = argparse.Namespace | SimpleNamespace
+
+
+def _context(args: Args):
     return new_context(parse(args.poly), args.power)
 
 
@@ -43,7 +51,7 @@ def _context(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: Args) -> int:
     ctx = _context(args)
     if args.j is not None:
         reports = [single_distance_report(ctx, args.j, oracle_cap=args.oracle_cap)]
@@ -71,7 +79,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
+def _cmd_dual(args: Args) -> int:
     ctx = _context(args)
     summary = dual_summary(ctx, args.j, oracle_cap=args.oracle_cap)
     if args.json:
@@ -89,7 +97,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_lcd(args: argparse.Namespace) -> int:
+def _cmd_lcd(args: Args) -> int:
     ctx = _context(args)
     if args.j is not None:
         verdicts = [lcd_verdict(code(ctx, args.j))]
@@ -110,7 +118,7 @@ def _cmd_lcd(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fixtures(args: argparse.Namespace) -> int:
+def _cmd_fixtures(args: Args) -> int:
     from .fixtures import FIXTURES, dump_fixture, run_fixture
 
     keys = FIXTURES if args.which == "all" else (args.which,)
@@ -152,7 +160,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_conjecture(args: argparse.Namespace) -> int:
+def _cmd_conjecture(args: Args) -> int:
     rows = conjecture_scan(args.vmax, args.tmax, dim_cap=args.dim_cap)
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))  # dim_cap >= 4 admits the v = 0, T = 1 ring
     writer.writeheader()
@@ -164,90 +172,137 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# the option table, the plain reader and the whole parser
 # ---------------------------------------------------------------------------
 
 
-def _add_ring_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--poly", required=True, help="base polynomial, e.g. 'x^4+x+1', '0b10011', or '19'")
-    p.add_argument("--power", required=True, type=int, metavar="L", help="modulus exponent (chain length)")
+class _Option:
+    """One option: a value converted by kind (str or int), or a switch (kind bool, argparse's store_true)."""
+
+    def __init__(self, flag: str, kind: type = str, default: object = None, required: bool = False,
+                 choices: tuple | None = None, help: str | None = None, metavar: str | None = None):
+        self.flag, self.kind, self.default, self.required = flag, kind, default, required
+        self.choices, self.help, self.metavar = choices, help, metavar
+        self.dest = flag[2:].replace("-", "_")
 
 
-def _analyze_options(p: argparse.ArgumentParser) -> None:
-    _add_ring_args(p)
-    p.add_argument("--j", type=int, default=None, help="single index instead of the whole chain")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ENUM_CAP, help="max dimension handed to the exact oracle")
-    p.add_argument("--candidate-cap", type=int, choices=(DEFAULT_CANDIDATE_CAP,), default=DEFAULT_CANDIDATE_CAP,
-                   help="accepted for compatibility: every reduced set refuses above the fixed 2^20 candidates")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
-    p.set_defaults(func=_cmd_analyze)
+class _Command:
+    """One command: its help line, its handler, its options and the switches that exclude each other."""
+
+    def __init__(self, help: str, func: Callable[[Args], int], options: tuple[_Option, ...],
+                 exclusive: tuple[str, ...] = ()):
+        self.help, self.func, self.options, self.exclusive = help, func, options, exclusive
+        self.by_flag = {o.flag: o for o in options}
 
 
-def _dual_options(p: argparse.ArgumentParser) -> None:
-    _add_ring_args(p)
-    p.add_argument("--j", required=True, type=int)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ENUM_CAP, help="max dual dimension handed to the exact oracle")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dual)
+_RING = (
+    _Option("--poly", required=True, help="base polynomial, e.g. 'x^4+x+1', '0b10011', or '19'"),
+    _Option("--power", int, required=True, metavar="L", help="modulus exponent (chain length)"),
+)
 
-
-def _lcd_options(p: argparse.ArgumentParser) -> None:
-    _add_ring_args(p)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--methods", choices=("all",), default="all", help="accepted for compatibility: every code runs the same routes")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_lcd)
-
-
-def _fixtures_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--which", default="all", help="one fixture key, or all")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--dump", action="store_true", help="list each check's label and reference value; compute nothing")
-    fmt.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_fixtures)
-
-
-def _conjecture_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vmax", type=int, default=1)
-    p.add_argument("--tmax", type=int, default=3)
-    p.add_argument("--dim-cap", type=int, default=4096, help="skip rings with more than this many bits")
-    p.set_defaults(func=_cmd_conjecture)
-
-
-# each command's help line and the function that adds its options, in the order --help lists them
+# every command and its options, in the order --help lists them
 _COMMANDS = {
-    "analyze": ("distance bounds for the chain of codes", _analyze_options),
-    "dual": ("dual code summary for one index", _dual_options),
-    "lcd": ("hull dimensions and LCD verdicts", _lcd_options),
-    "fixtures": ("replay the embedded regression fixtures", _fixtures_options),
-    "conjecture": ("LCD scan over the reversible trinomial family", _conjecture_options),
+    "analyze": _Command("distance bounds for the chain of codes", _cmd_analyze, (
+        *_RING,
+        _Option("--j", int, help="single index instead of the whole chain"),
+        _Option("--oracle-cap", int, DEFAULT_ENUM_CAP, help="max dimension handed to the exact oracle"),
+        _Option("--candidate-cap", int, DEFAULT_CANDIDATE_CAP, choices=(DEFAULT_CANDIDATE_CAP,),
+                help="accepted for compatibility: every reduced set refuses above the fixed 2^20 candidates"),
+        _Option("--json", bool, False),
+        _Option("--csv", bool, False),
+    ), exclusive=("--json", "--csv")),
+    "dual": _Command("dual code summary for one index", _cmd_dual, (
+        *_RING,
+        _Option("--j", int, required=True),
+        _Option("--oracle-cap", int, DEFAULT_ENUM_CAP, help="max dual dimension handed to the exact oracle"),
+        _Option("--json", bool, False),
+    )),
+    "lcd": _Command("hull dimensions and LCD verdicts", _cmd_lcd, (
+        *_RING,
+        _Option("--j", int),
+        _Option("--methods", str, "all", choices=("all",), help="accepted for compatibility: every code runs the same routes"),
+        _Option("--json", bool, False),
+    )),
+    "fixtures": _Command("replay the embedded regression fixtures", _cmd_fixtures, (
+        _Option("--which", str, "all", help="one fixture key, or all"),
+        _Option("--dump", bool, False, help="list each check's label and reference value; compute nothing"),
+        _Option("--json", bool, False),
+    ), exclusive=("--dump", "--json")),
+    "conjecture": _Command("LCD scan over the reversible trinomial family", _cmd_conjecture, (
+        _Option("--vmax", int, 1),
+        _Option("--tmax", int, 3),
+        _Option("--dim-cap", int, 4096, help="skip rings with more than this many bits"),
+    )),
 }
 
 
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """argv read as the whole parser reads it, or None where that parser must read it.
+
+    Reads only ``<command> (--option value | --switch)*`` with every name exact and given once, every
+    value present, not starting with "-", converted by its kind and within its choices, every required
+    option present and no exclusive pair given together: the namespace the whole parser would return,
+    less its ``command``.  Help, abbreviations, --opt=value, repeats, values starting with "-" (such as
+    negative numbers), bad values, leftovers and a missing command return None.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = command.by_flag.get(token)
+        if option is None or option.flag in values:
+            return None
+        if option.kind is bool:
+            values[option.flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is declined as one starting with "-"
+        if text.startswith("-"):
+            return None
+        try:
+            values[option.flag] = value = option.kind(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+    if any(o.required and o.flag not in values for o in command.options):
+        return None
+    if command.exclusive and all(flag in values for flag in command.exclusive):
+        return None
+    return SimpleNamespace(**{o.dest: values.get(o.flag, o.default) for o in command.options}, func=command.func)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The whole parser, every command registered with its help line and its options: main's for help and errors."""
+    """The whole argparse parser, every command of _COMMANDS with its help line and options: main's for
+    what the plain reader leaves (help, errors and every other form argparse accepts)."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="polycode", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_options) in _COMMANDS.items():
-        add_options(sub.add_parser(name, help=help_line))
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        group = p.add_mutually_exclusive_group() if command.exclusive else None
+        for o in command.options:
+            target = group if o.flag in command.exclusive else p
+            if o.kind is bool:
+                target.add_argument(o.flag, action="store_true", default=o.default, help=o.help)
+            else:
+                target.add_argument(o.flag, type=o.kind, default=o.default, required=o.required,
+                                    choices=o.choices, help=o.help, metavar=o.metavar)
+        p.set_defaults(func=command.func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one polycode command on argv (sys.argv[1:] when None) and return its exit code.
 
-    When argv[0] names a command, that command's parser alone parses the rest, built as the whole
-    parser's add_parser builds it (prog "polycode <command>"), so its help, usage and errors read the
-    same; the whole parser parses argv that starts with no command or leaves arguments over.
+    The plain reader reads a well-formed call off _COMMANDS without argparse; whatever it declines
+    the whole parser parses, so help, usage and every refusal read exactly as argparse writes them.
     """
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"polycode {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-    if not argv or argv[0] not in _COMMANDS or rest:
+    args = _read(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
