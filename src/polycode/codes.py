@@ -9,13 +9,14 @@ P.  Here live the code object, the walk, generator rows, the one candidate
 shape of every exact search (lead_coset: the k shifts of one word mod x^N,
 with the top one fixed), membership, the split of C_j and of its dual into t
 interleaved codes up to t times shorter (interleave, on the ring's split
-P = Q(x^s)), which picks every reduced search on both sides, the one reader
+P = Q(x^s)), which sizes every reduced search on both sides, the one reader
 of a component's word (decimate: w from w(x^t), read off P^j on the primal
 side and off h* on the dual side, and checked), and the two caps every
 search shares:
 DEFAULT_ENUM_CAP, the default oracle_cap on the dimension an exact oracle
 takes (check_caps refuses a negative one), and DEFAULT_CANDIDATE_CAP, the
-fixed bound on the words in one reduced candidate set, primal or dual.
+fixed bound on the words in one reduced candidate set, primal or dual, which
+answers alone compares.
 """
 
 from __future__ import annotations
@@ -77,15 +78,14 @@ class Interleave(NamedTuple):
     i < t of x^i*f_i(x^t) is a multiple of R(x^t) iff every f_i is one of R,
     so d(C_j) is d(D_0), the longest component: D_0 has ceil(n/t) coordinates,
     dimension k0.  The dual splits the same way: P*^-j = (Q*^-b)(x^t), and its
-    least weight lies in its shortest component, Q*^-b's m*b/s shifts on n // t bits.
-    Every field is a small constant: each search reads its component's word off
-    its own code's word by decimate, R off P^j and Q*^-b off h*.
+    least weight lies in its shortest component, Q*^-b's deg_r shifts on n // t
+    bits.  The fields size every reduced search (answers); each reads its word
+    off its own code's word by decimate, R off P^j and Q*^-b off h*.
     """
 
-    s: int  # the ring's RingContext.s
     t: int
-    b: int
-    k0: int  # ceil(n/t) - deg R
+    k0: int  # ceil(n/t) - deg_r, the dimension of D_0
+    deg_r: int  # deg R = m*b/s, the dimension of every component of the dual
 
 
 def interleave(ctx: RingContext, j: int) -> Interleave:
@@ -93,8 +93,17 @@ def interleave(ctx: RingContext, j: int) -> Interleave:
     if not 1 <= j < ctx.L:
         raise ValidationError("the interleave split covers 1 <= j <= L - 1")
     B = j & -j
-    t, b = B * ctx.s, j // B
-    return Interleave(ctx.s, t, b, -(-ctx.n // t) - b * ctx.m // ctx.s)
+    t, deg_r = B * ctx.s, j // B * ctx.m // ctx.s
+    return Interleave(t, -(-ctx.n // t) - deg_r, deg_r)
+
+
+def answers(k: int) -> bool:
+    """Whether a reduced set of dimension k (D_0's k0, the dual component's deg_r) answers: 2^(k-1) words within the cap.
+
+    The one test against DEFAULT_CANDIDATE_CAP.  The oracle cap's tests (k <= oracle_cap) stay inline: each weighs
+    the dimension its caller is about to search against the cap that caller was handed, which this rule never sees.
+    """
+    return 1 << (k - 1) <= DEFAULT_CANDIDATE_CAP
 
 
 def decimate(word: int, t: int, label: str) -> int:
@@ -117,7 +126,7 @@ def lead_coset(base: int, k: int, nbits: int) -> tuple[int, list[int]]:
     Where the k shifts x^i*base mod x^nbits are independent, these 2^(k-1) words hold the least nonzero
     weight of their span: c -> x*c sends a word w to x*w mod x^nbits, which never gains weight and
     stays nonzero.  The searches weigh the cosets of the oracle (P^j, k, n), D_0 at the anchors and in the spread
-    (R, k0, ceil(n/t)), the dual oracle (h*, m*j, n) and the dual's shortest component (Q*^-b, m*b/s, n // t).
+    (R, k0, ceil(n/t)), the dual oracle (h*, m*j, n) and the dual's shortest component (Q*^-b, deg_r, n // t).
     """
     mask = (1 << nbits) - 1
     return (base << (k - 1)) & mask, [(base << i) & mask for i in range(k - 1)]

@@ -12,9 +12,10 @@ sources feed one report per j:
   paper's reduced candidate set P^j * a(x^B), B = j & -j, a of bounded
   degree (t = B, R = P^(j/B), k0 = lam), and with P = Q(x^s), s > 1, it is
   s times shorter.  D_0 is weighed there at every oracle cap, in the walk
-  over the chain; whether it answers is a size test on k0 alone (_answers):
-  a set of more than the fixed DEFAULT_CANDIDATE_CAP (2^20) candidates is
-  refused, as on the dual side, and its slot is left to the other sources;
+  over the chain; whether it answers is a size test on k0 alone
+  (codes.answers, the dual side's test too): a set of more than the fixed
+  DEFAULT_CANDIDATE_CAP (2^20) candidates is refused, and its slot is left
+  to the other sources;
 * an exact oracle by information-set search, capped by the dimension it
   takes (oracle_cap, which bounds nothing else), run two ways: over the
   whole code, and on D_0 wherever t > 1 and k0 is within the cap (the
@@ -55,12 +56,9 @@ nearest exact slot on each side, taking a neighbour's power P^i only where a
 search runs (k0 <= oracle_cap).  full_distance_profile builds the structure
 over [0, L] and walks the generators P^0..P^L once, one product by P per
 step, and the weight witnesses, the searches and the kernel's probes all
-read that one walk.  single_distance_report finds by size the nearest
-anchors that answer on each side of j, and builds the structure and streams
-the walk over the window between those two alone (on x^2+x+1, L = 8191,
-j = 3: one anchor weighed and P^1..P^1024, not 24 and P^1..P^8190); it
-holds no list of its generators, so `analyze --j` stays within O(n) bits
-and checks no slot outside its window.
+read that one walk.  single_distance_report streams the walk over the
+window between the nearest answering anchors around j alone (on x^2+x+1,
+L = 8191, j = 3: P^1..P^1024, not P^1..P^8190), within O(n) bits.
 Every bound is tagged; two sources that disagree raise InternalConsistencyError.
 """
 
@@ -70,7 +68,7 @@ from bisect import bisect_right
 from collections.abc import Iterable
 
 from ._linalg import min_weight_affine
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, Interleave, PolycyclicCode, chain, check_caps, code, decimate, interleave, lead_coset
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, Interleave, PolycyclicCode, answers, chain, check_caps, code, decimate, interleave, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import degree, div_rem, weight
 from .ring import RingContext
@@ -154,11 +152,6 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
 # ---------------------------------------------------------------------------
 
 
-def _answers(iv: Interleave) -> bool:
-    """Whether D_0's 2^(k0-1) candidates are within the fixed candidate cap: the one test of whether an anchor answers."""
-    return 1 << (iv.k0 - 1) <= DEFAULT_CANDIDATE_CAP
-
-
 def _d0_min(c: PolycyclicCode, iv: Interleave) -> int:
     """d(C_j) = d(D_0): the least weight of the lead coset of R with k0 shifts on ceil(n/t) bits.
 
@@ -179,7 +172,7 @@ def _anchor_min(ctx: RingContext, j: int) -> int:
     s > 1 it is s times shorter.  The entry point by anchor index; the profile weighs its anchors in its walk.
     """
     iv = interleave(ctx, j)
-    if not _answers(iv):
+    if not answers(iv.k0):
         raise CapExceeded(f"reduced set has 2^{iv.k0 - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
     return _d0_min(code(ctx, j), iv)
 
@@ -308,7 +301,7 @@ def _structural_profile(ctx: RingContext, lo: int, hi: int, codes: Iterable[Poly
     """Reports for j = lo..hi, 0 <= lo <= hi <= L, from structure alone: anchors, weight witnesses and doubling bounds, fused.
 
     reports[i] is slot lo + i.  codes yields C_j for every j in [lo, hi] with 0 < j < L, in order, each read
-    once: a list or a stream.  The one walk over it weighs each anchor whose D_0 answers (_answers, a size
+    once: a list or a stream.  The one walk over it weighs each anchor whose D_0 answers (codes.answers, a size
     test) from the anchor's own generator, and meets every weight witness.  The whole chain passes [0, L].
     A window whose ends are exact (or 0 and L) reads the whole chain's structure on every slot inside it: d
     never falls along the chain, so no slot outside moves one inside; no anchor lies strictly between two
@@ -328,7 +321,7 @@ def _structural_profile(ctx: RingContext, lo: int, hi: int, codes: Iterable[Poly
     anchors = _anchors(ctx)
     for c in codes:
         rep = reports[c.j - lo]
-        if c.j in anchors and _answers(iv := interleave(ctx, c.j)):
+        if c.j in anchors and answers((iv := interleave(ctx, c.j)).k0):
             rep.set_exact(_d0_min(c, iv), "reduced-set")
         rep.cut_upper(weight(c.generator), "weight-witness")
         if c.j == tops[0] and not rep.exact:
@@ -383,8 +376,8 @@ def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_E
     """The whole chain's report at j, from the structure between the nearest exact anchors around j and the searches.
 
     The order is full_distance_profile's.  Whether an anchor's D_0 answers is
-    a size test (_answers), so no word is built to find the window: lo is the
-    last answering anchor at or below j (or 0), hi the first at or above j
+    a size test (codes.answers), so no word is built to find the window: lo is
+    the last answering anchor at or below j (or 0), hi the first at or above j
     (or L), and the structure, which weighs the anchors inside in its walk
     C_lo..C_hi, and the fuse cover [lo, hi] alone, which reads the whole
     chain's structure there (_structural_profile).  The searches run
@@ -404,7 +397,7 @@ def single_distance_report(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_E
     if not 0 <= j <= L:
         raise ValidationError("index j must satisfy 0 <= j <= L")
     check_caps(oracle_cap=oracle_cap)
-    ends = [0, *(a for a in _anchors(ctx) if _answers(interleave(ctx, a))), L]
+    ends = [0, *(a for a in _anchors(ctx) if answers(interleave(ctx, a).k0)), L]
     lo = max(a for a in ends if a <= j)
     hi = min(a for a in ends if a >= j)
     reports = _structural_profile(ctx, lo, hi, chain(ctx, max(lo, 1), min(hi + 1, L)))

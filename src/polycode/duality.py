@@ -17,16 +17,14 @@ The dual splits as the code does (codes.interleave): with P = Q(x^s) and
 P^j = R(x^t), R = Q^b, h* is (Q*^-b)(x^t) mod x^n, so the dual of C_j is the
 t-fold interleave of truncations of the multiples of Q*^-b, and its distance
 is that of the shortest one: the lead coset (codes.lead_coset) of Q*^-b with
-m*b/s shifts on n // t bits, Q*^-b read from h*'s coefficients at the
-multiples of t by codes.decimate, as D_0's R is read from P^j (h* with a bit
-anywhere else raises InternalConsistencyError), at every j, refused above
-the fixed DEFAULT_CANDIDATE_CAP.  With s = 1 and j an anchor (a power of
-two, or an upper anchor in ctx.tops) that is the paper's candidate set.  The oracle
-weighs the lead coset of h* with m*j shifts on n bits, half the whole dual;
-_linalg's kernel weighs both.  Where t = 1 the two are one coset, so
-dual_summary weighs it once, as the component.  The oracle runs, within its
-cap, wherever t > 1, where its coset on n bits checks the component's on
-n // t, and wherever the component was refused.
+deg_r = m*b/s shifts on n // t bits, Q*^-b read from h*'s coefficients at
+the multiples of t by codes.decimate, as D_0's R is read from P^j (h* with a
+bit anywhere else raises InternalConsistencyError), at every j, refused by
+the split's size alone (codes.answers) before any dual word is built.  With
+s = 1 and j an anchor (a power of two, or an upper anchor in ctx.tops) that
+is the paper's candidate set.  The oracle weighs the lead coset of h* with
+m*j shifts on n bits, half the whole dual; _linalg's kernel weighs both, and
+dual_summary weighs a coset the two share (t = 1) once.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ._linalg import gray_walk, min_weight_affine
-from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, PolycyclicCode, check_caps, code, decimate, interleave, lead_coset
+from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, Interleave, PolycyclicCode, answers, check_caps, code, decimate, interleave, lead_coset
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 from .gf2poly import inverse_trunc, mul, mul_trunc, reciprocal
 from .ring import RingContext
@@ -104,26 +102,29 @@ def sequential_closure_check(dual: DualCode) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _component(dual: DualCode) -> tuple[int, list[int]]:
-    """The dual of C_j's shortest interleave component, as (g, rows): Q*^-b with m*b/s shifts on n // t bits.
+def _component(dual: DualCode, iv: Interleave) -> tuple[int, list[int]]:
+    """The dual of C_j's shortest interleave component, as (g, rows): Q*^-b with deg_r shifts on n // t bits.
 
-    A dual word a*h* mod x^n, deg a < m*j = t*(m*b/s), splits by the residue i mod t of each exponent into
-    x^i * (a_i * Q*^-b mod x^ceil((n - i)/t))(x^t), deg a_i < m*b/s.  A shorter truncation of a word never
+    A dual word a*h* mod x^n, deg a < m*j = t*deg_r, splits by the residue i mod t of each exponent into
+    x^i * (a_i * Q*^-b mod x^ceil((n - i)/t))(x^t), deg a_i < deg_r.  A shorter truncation of a word never
     weighs more, so the shortest, on n // t bits, holds the least weight.  Q*^-b is read from h* itself by
     codes.decimate, as D_0's R is read from P^j; h* must be that word at x^t, or InternalConsistencyError.
-    At t = 1 this is the dual oracle's coset (h*, m*j, n).
+    At t = 1 this is the dual oracle's coset (h*, m*j, n).  A pure read: the callers size it (codes.answers).
     """
-    ctx = dual.ctx
-    iv = interleave(ctx, dual.j)
-    k, nbits = ctx.m * iv.b // iv.s, ctx.n // iv.t
-    if 1 << (k - 1) > DEFAULT_CANDIDATE_CAP:
-        raise CapExceeded(f"dual component has 2^{k - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
-    return lead_coset(decimate(dual.h_star, iv.t, f"j={dual.j}: h*"), k, nbits)
+    return lead_coset(decimate(dual.h_star, iv.t, f"j={dual.j}: h*"), iv.deg_r, dual.n // iv.t)
+
+
+def _answering_component(ctx: RingContext, j: int) -> tuple[int, list[int]]:
+    """_component of C_j's dual, refused by the split (CapExceeded) before dual_code builds h* when it is over the cap."""
+    iv = interleave(ctx, j)
+    if not answers(iv.deg_r):
+        raise CapExceeded(f"dual component has 2^{iv.deg_r - 1} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}")
+    return _component(dual_code(code(ctx, j)), iv)
 
 
 def dual_component_distance(ctx: RingContext, j: int) -> int:
     """Exact dual distance of C_j, 1 <= j <= L - 1, over its shortest interleave component, read from dual_code's h*."""
-    return min_weight_affine(*_component(dual_code(code(ctx, j))))  # type: ignore[return-value]
+    return min_weight_affine(*_answering_component(ctx, j))  # type: ignore[return-value]
 
 
 def dual_pow2_candidates(ctx: RingContext, s: int) -> dict[int, int]:
@@ -134,7 +135,7 @@ def dual_pow2_candidates(ctx: RingContext, s: int) -> dict[int, int]:
     """
     if not 1 <= s <= ctx.T:
         raise ValidationError("dual anchor parameter s must satisfy 1 <= s <= T")
-    g, rows = _component(dual_code(code(ctx, 1 << (ctx.T - s))))
+    g, rows = _answering_component(ctx, 1 << (ctx.T - s))
     lead = 1 << len(rows)
     return {lead | t ^ (t >> 1): w.bit_count() for t, w in enumerate(gray_walk(g, rows))}
 
@@ -149,22 +150,18 @@ def dual_complement_distance(ctx: RingContext, r: int) -> int:
 def dual_summary(ctx: RingContext, j: int, oracle_cap: int = DEFAULT_ENUM_CAP) -> dict:
     """JSON-ready dual summary for C_j: closure, then the shortest interleave component, then the oracle.
 
-    The oracle runs where m*j is within oracle_cap, except where t = 1 and the component answered: there
-    the component is the oracle's own coset (h*, m*j, n), and provenance reads dual-reduced-set alone.
+    The component is weighed where its deg_r answers (codes.answers), the oracle where m*j is within oracle_cap,
+    except where t = 1 and the component answered: there the component is the oracle's own coset (h*, m*j, n).
     """
     check_caps(oracle_cap=oracle_cap)
     dual = dual_code(code(ctx, j))
     if not sequential_closure_check(dual):
         raise InternalConsistencyError(f"the dual of C_{j} is not sequential")
-    d: int | None = None
-    provenance: list[str] = []
-    try:
-        d = min_weight_affine(*_component(dual))  # type: ignore[assignment]
-        provenance.append("dual-reduced-set")
-    except CapExceeded:
-        pass
+    iv = interleave(ctx, j)
+    d = min_weight_affine(*_component(dual, iv)) if answers(iv.deg_r) else None
+    provenance = [] if d is None else ["dual-reduced-set"]
 
-    if dual.dim <= oracle_cap and (d is None or interleave(ctx, j).t > 1):
+    if dual.dim <= oracle_cap and (d is None or iv.t > 1):
         oracle_d = dual_min_distance_bruteforce(dual, cap=oracle_cap)
         if d is not None and oracle_d != d:
             raise InternalConsistencyError(

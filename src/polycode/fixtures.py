@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .codes import code
-from .distance import full_distance_profile, single_distance_report, upper_anchor_distance
+from .distance import full_distance_profile, single_distance_report
 from .duality import dual_code, dual_component_distance, dual_min_distance_bruteforce, dual_pow2_candidates
 from .errors import ValidationError
 from .gf2poly import is_irreducible, mul, parse, substitute_power, weight
@@ -281,7 +281,8 @@ def _anchor_weights_m4l16() -> list[Check]:
     checks: list[Check] = []
     for r, table in sorted(ANCHOR_WEIGHTS_M4L16.items()):
         checks += [Check(f"r={r} a={a:#06b}", w, _word(ring, a, (1 << r) - 1)) for a, w in sorted(table.items())]
-        checks.append(Check(f"r={r} min == anchor", min(table.values()), ring.on(upper_anchor_distance, r)))
+        # the profile's slot at the top j = 2^T - 2^(T-r), 2^T = L = 16, which analyze prints
+        checks.append(Check(f"r={r} min == anchor", min(table.values()), _slot(ring.structural, 16 - (16 >> r))))
     return checks
 
 
@@ -291,7 +292,7 @@ def _anchor_weights_m6l25() -> list[Check]:
     return [
         *(Check(f"a={a:#06b}", w, _word(ring, a, 16, 16)) for a, w in sorted(ANCHOR_WEIGHTS_M6L25.items())),
         Check("weight-3 witness word", word, _word(ring, a_wit, 16, 16, view=int)),
-        Check("min == anchor", min(ANCHOR_WEIGHTS_M6L25.values()), ring.on(upper_anchor_distance, 1)),
+        Check("min == anchor", min(ANCHOR_WEIGHTS_M6L25.values()), _slot(ring.structural, 32 - (32 >> 1))),  # 2^T = 32 >= L
     ]
 
 

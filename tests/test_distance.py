@@ -115,7 +115,7 @@ def test_plateau_and_tail_bounds(monkeypatch):
     assert profile[9].lower == 6 and profile[9].upper <= 8  # j = 9, between tops 8 and 12
     # with every reduced set refused, the kernel's min(d, 4) = 3 at j = 8 is what the doubling reads
     with monkeypatch.context() as mp:
-        mp.setattr(distance, "DEFAULT_CANDIDATE_CAP", 0)
+        mp.setattr(codes, "DEFAULT_CANDIDATE_CAP", 0)
         assert full_distance_profile(ctx, oracle_cap=0)[9].lower == 6
         assert single_distance_report(ctx, 9, oracle_cap=0).lower == 6
     low_ctx = new_context(M5, 12)
@@ -286,7 +286,7 @@ def test_profile_is_monotone_for_many_rings():
 
 def test_candidate_cap_refuses_reduced_sets(monkeypatch):
     ctx = new_context(M4, 16)
-    monkeypatch.setattr(distance, "DEFAULT_CANDIDATE_CAP", 2)
+    monkeypatch.setattr(codes, "DEFAULT_CANDIDATE_CAP", 2)
     with pytest.raises(CapExceeded):
         lower_anchor_distance(ctx, 4)  # j = 1 needs 2^(k-1) candidates
 

@@ -163,7 +163,7 @@ def test_dual_candidates_match_a_per_ell_loop(ctx, data):
     base = mul_trunc(power_trunc(x_e_1, (1 << s) - 1, tbits), U_star, tbits)
     want = _spread_weights_reference(ctx, base, ctx.m - 1, factor)
     got = dual_pow2_candidates(ctx, s)
-    if interleave(ctx, 1).s == 1:  # else the component is s times shorter than the paper's set: only the minima agree
+    if ctx.s == 1:  # else the component is s times shorter than the paper's set: only the minima agree
         assert got == want
     d = dual_component_distance(ctx, 1 << (ctx.T - s))
     assert d == min(w for w in got.values() if w) == min(w for w in want.values() if w)
@@ -196,10 +196,10 @@ def test_unspread_candidates_weigh_as_the_spread_words():
                     u = j // B
                     x_e_power = power_trunc(x_e_1, (1 << ctx.T) // B - u, tbits)
                     base = mul_trunc(x_e_power, power_trunc(U_star, u, tbits), tbits)
-                    walk = gray_walk(*duality._component(dual_code(code(ctx, j))))  # position t holds index t ^ (t >> 1)
+                    walk = gray_walk(*duality._component(dual_code(code(ctx, j)), interleave(ctx, j)))  # position t holds index t ^ (t >> 1)
                     got = {t ^ (t >> 1): w.bit_count() for t, w in enumerate(walk)}
                     want = _spread_weights_reference(ctx, base, lead_deg, B)
-                    if interleave(ctx, j).s == 1:
+                    if ctx.s == 1:
                         assert {(1 << lead_deg) | i: w for i, w in got.items()} == want, (P, L, j)
                     assert min(w for w in got.values() if w) == min(w for w in want.values() if w), (P, L, j)
                     checked += 1
@@ -244,20 +244,43 @@ def test_dual_component_distance_refuses_an_index_off_the_chain():
     assert dual_component_distance(ctx, 3) == dual_min_distance_bruteforce(dual_code(code(ctx, 3)), cap=12) == 16
 
 
+def test_an_over_cap_dual_component_is_refused_before_the_dual_is_built(monkeypatch):
+    # the split sizes the component (deg_r shifts), so an entry point refuses before dual_code builds h*:
+    # x^4+x+1, L = 16, j = 14 = tops[2] (t = 2, 2^27 candidates); x^23+x^5+1, L = 8, s = 1 (j = 4, 2^22)
+    m4, m23 = new_context(M4, 16), new_context(parse("x^23+x^5+1"), 8)
+
+    def unbuilt(c):
+        raise AssertionError(f"dual_code built for j={c.j} before the refusal")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(duality, "dual_code", unbuilt)
+        for call, want in (
+            (lambda: dual_component_distance(m4, 14), 27),
+            (lambda: dual_complement_distance(m4, 3), 27),
+            (lambda: dual_pow2_candidates(m23, 1), 22),
+        ):
+            message = rf"^dual component has 2\^{want} candidates, over the cap of {DEFAULT_CANDIDATE_CAP}$"
+            with pytest.raises(CapExceeded, match=message):
+                call()
+    for ctx, j in ((m4, 14), (m23, 4)):
+        summary = dual_summary(ctx, j)
+        assert summary["d_dual"] is None and summary["provenance"] == ["sequential-closure"], (ctx.L, j)
+
+
 def test_an_h_star_with_a_bit_off_the_multiples_of_t_raises():
     # h* = (Q*^-b)(x^t) mod x^n: the component is read from h*'s coefficients at the multiples of t, and a
     # flipped coefficient anywhere else breaks the split (x^4+x+1, j = 12, t = 4; x^6+x^3+1 = Q(x^3), j = 5, t = 3)
     for poly, j in ((M4, 12), (parse("x^6+x^3+1"), 5)):
         ctx = new_context(poly, 16)
-        dual, t = dual_code(code(ctx, j)), interleave(ctx, j).t
-        duality._component(dual)
+        dual, iv = dual_code(code(ctx, j)), interleave(ctx, j)
+        duality._component(dual, iv)
         for bit in range(ctx.n):
             bad = dual._replace(h_star=dual.h_star ^ 1 << bit)
-            if bit % t:
+            if bit % iv.t:
                 with pytest.raises(InternalConsistencyError):
-                    duality._component(bad)
+                    duality._component(bad, iv)
             else:
-                duality._component(bad)
+                duality._component(bad, iv)
 
 
 def test_dual_oracle_matches_plain_nullspace_enumeration():

@@ -50,9 +50,8 @@ def _spy_searches(monkeypatch, spy):
 
 def _split(ctx, j):
     """(Q, R) with P = Q(x^s) and P^j = R(x^t), derived apart from the code: Q from P's exponents, R = Q^b a power."""
-    iv = interleave(ctx, j)
-    Q = sum(1 << (i // iv.s) for i in range(ctx.m + 1) if ctx.P >> i & 1)
-    return Q, power(Q, iv.b)
+    Q = sum(1 << (i // ctx.s) for i in range(ctx.m + 1) if ctx.P >> i & 1)
+    return Q, power(Q, j // (j & -j))
 
 
 def test_the_split_rebuilds_every_power_and_its_dimension():
@@ -61,8 +60,11 @@ def test_the_split_rebuilds_every_power_and_its_dimension():
     for ctx in _rings(polys, 60):
         for c in chain(ctx, 1, ctx.L):
             iv, (Q, R) = interleave(ctx, c.j), _split(ctx, c.j)
-            assert iv.s % 2 == 1 and substitute_power(Q, iv.s) == ctx.P
-            assert iv.t == (c.j & -c.j) * iv.s and iv.b * (c.j & -c.j) == c.j
+            s, b = ctx.s, c.j // (c.j & -c.j)
+            assert s % 2 == 1 and substitute_power(Q, s) == ctx.P
+            assert iv.t == (c.j & -c.j) * s and ctx.m * b % s == 0
+            assert iv.deg_r == degree(R) == ctx.m * b // s  # the dimension of every component of the dual
+            assert iv.k0 + iv.deg_r == -(-ctx.n // iv.t)
             assert substitute_power(R, iv.t) == c.generator == power(ctx.P, c.j)
             assert decimate(c.generator, iv.t, "P^j") == R  # the word every D_0 search reads
             # the t components D_i, lengths ceil((n - i)/t), share R: their dimensions add up to k, D_0's is k0
@@ -77,10 +79,10 @@ def test_the_split_knows_s_and_q():
     for text, (Q, s) in SPREAD_RINGS.items():
         ctx = new_context(parse(text), 8)
         iv = interleave(ctx, 6)  # 2^a = 2, b = 3
-        assert (iv.s, iv.t, iv.b) == (s, 2 * s, 3) and _split(ctx, 6) == (Q, power(Q, 3))
+        assert (ctx.s, iv.t, iv.deg_r) == (s, 2 * s, 3 * degree(Q)) and _split(ctx, 6) == (Q, power(Q, 3))
         assert decimate(code(ctx, 6).generator, iv.t, "P^6") == power(Q, 3)
     iv = interleave(new_context(parse("x^4+x+1"), 16), 12)
-    assert (iv.s, iv.t, iv.b, iv.k0) == (1, 4, 3, 4)
+    assert (iv.t, iv.deg_r, iv.k0) == (4, 12, 4)  # s = 1, b = 3: deg R = 4*3
     ctx = new_context(parse("x^4+x+1"), 4)
     for j in (0, 4):
         with pytest.raises(ValidationError):

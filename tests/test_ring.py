@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, contains
+from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, contains, interleave
 from polycode.distance import full_distance_profile, single_distance_report
 from polycode.duality import _component, dual_code, dual_summary
 from polycode.errors import CapExceeded, ValidationError
@@ -245,7 +245,7 @@ def test_each_code_word_is_a_power_of_a_ring_inverse(monkeypatch):
                         continue
                     base, mask = sum((h >> (t * i) & 1) << i for i in range(nbits)), (1 << nbits) - 1
                     want = ((base << (k - 1)) & mask, [(base << b) & mask for b in range(k - 1)])
-                    assert _component(dual_code(code(ctx, j))) == want, (P, L, j)
+                    assert _component(dual_code(code(ctx, j)), interleave(ctx, j)) == want, (P, L, j)
                     components += 1
     assert (codes, components) == (2077, 1587)
 
