@@ -40,11 +40,6 @@ from operator import or_, xor
 from .errors import InternalConsistencyError
 
 
-def parity_dot(a: int, b: int) -> int:
-    """Inner product of two rows over GF(2)."""
-    return (a & b).bit_count() & 1
-
-
 def _pivots(rows: list[int], free: int) -> dict[int, int]:
     """Echelon form of rows as {pivot column: row}, pivots restricted to the columns of the mask free (-1: all)."""
     lead: dict[int, int] = {}
@@ -87,7 +82,7 @@ def rref(rows: list[int]) -> list[tuple[int, int]]:
 
 
 def nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {v : parity_dot(r, v) == 0 for every row r}, one vector per free column.
+    """Basis of {v : (r & v).bit_count() is even for every row r}, one vector per free column.
 
     Every basis vector is checked against every row, transposed: column c of
     the rows as a mask over the rows, so v's parities with all rows at once are

@@ -5,11 +5,11 @@ stacks the shifts x^i * P^j for i < k, so codewords are exactly the masks of
 polynomial multiples of P^j of degree below n.  Codewords travel as ints
 (bit i = coordinate i).  Each code carries its own generator P^j: code()
 takes one power, chain() steps from one code to the next by one product by
-P.  Here live the code object, the walk, generator rows, the one candidate
-shape of every exact search (lead_coset: the k shifts of one word mod x^N,
-with the top one fixed), membership, the split of C_j and of its dual into t
-interleaved codes up to t times shorter (interleave, on the ring's split
-P = Q(x^s)), which sizes every reduced search on both sides, the one reader
+P.  Here live the code object, the walk, the one candidate shape of every
+exact search (lead_coset: the k shifts of one word mod x^N, with the top one
+fixed), the split of C_j and of its dual into t interleaved codes up to t
+times shorter (interleave, on the ring's split P = Q(x^s)), which sizes
+every reduced search on both sides, the one reader
 of a component's word (decimate: w from w(x^t), read off P^j on the primal
 side and off h* on the dual side, and checked), and the two caps every
 search shares:
@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError, ValidationError
-from .gf2poly import div_rem, mul, power
+from .gf2poly import mul, power
 from .ring import RingContext
 
 DEFAULT_ENUM_CAP = 28
@@ -115,11 +115,6 @@ def decimate(word: int, t: int, label: str) -> int:
     return w
 
 
-def generator_rows(c: PolycyclicCode) -> list[int]:
-    """The k shifted-generator rows x^i * P^j, i = 0..k-1."""
-    return [c.generator << i for i in range(c.k)]
-
-
 def lead_coset(base: int, k: int, nbits: int) -> tuple[int, list[int]]:
     """The words c*base mod x^nbits with deg c = k - 1, as (g, rows): g = x^(k-1)*base, rows x^i*base for i < k - 1.
 
@@ -131,11 +126,3 @@ def lead_coset(base: int, k: int, nbits: int) -> tuple[int, list[int]]:
     mask = (1 << nbits) - 1
     return (base << (k - 1)) & mask, [(base << i) & mask for i in range(k - 1)]
 
-
-def contains(c: PolycyclicCode, word: int) -> bool:
-    """Whether a length-n word lies in C_j (i.e. P^j divides it)."""
-    if word < 0 or word.bit_length() > c.n:
-        raise ValidationError(f"word must fit in n = {c.n} bits")
-    if c.j == c.ctx.L:
-        return word == 0
-    return div_rem(word, c.generator)[1] == 0

@@ -116,12 +116,8 @@ class DistanceReport:
             raise InternalConsistencyError(
                 f"j={self.j}: exact value {value} ({tag}) outside [{self.lower}, {self.upper}]"
             )
-        if value > self.lower:
-            self.lower = value
-            self._tag(tag)
-        if value < self.upper:
-            self.upper = value
-            self._tag(tag)
+        self.raise_lower(value, tag)
+        self.cut_upper(value, tag)
 
     def to_json_dict(self) -> dict:
         return {

@@ -21,7 +21,7 @@ from .codes import code
 from .distance import full_distance_profile, single_distance_report
 from .duality import dual_code, dual_component_distance, dual_min_distance_bruteforce, dual_pow2_candidates
 from .errors import ValidationError
-from .gf2poly import is_irreducible, mul, parse, substitute_power, weight
+from .gf2poly import is_irreducible, mul, parse, power, weight
 from .lcd import lcd_verdict
 from .ring import new_context
 
@@ -254,8 +254,11 @@ def _slot(profile: Callable, j: int, view: Callable = _shown) -> Callable[[], ob
 
 
 def _word(ring: _Ring, a: int, j: int, spread: int = 1, view: Callable = weight) -> Callable[[], object]:
-    """The deferred view of the candidate word a(x^spread) * P^j."""
-    return lambda: view(mul(substitute_power(a, spread), ring.code(j).generator))
+    """The deferred view of the candidate word a(x^spread) * P^j, spread a power of two.
+
+    Squaring over GF(2) is the Frobenius map, a(x)^2 = a(x^2), so a(x^(2^i)) = a^(2^i): power(a, spread).
+    """
+    return lambda: view(mul(power(a, spread), ring.code(j).generator))
 
 
 def _head_survey() -> list[Check]:

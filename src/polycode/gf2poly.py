@@ -127,18 +127,6 @@ def power_trunc(a: int, e: int, nbits: int) -> int:
     return out
 
 
-def substitute_power(a: int, t: int) -> int:
-    """a(x^t): each exponent i becomes t*i (t >= 1)."""
-    if t == 1:
-        return a
-    out = 0
-    while a:
-        i = (a & -a).bit_length() - 1
-        out |= 1 << (t * i)
-        a &= a - 1
-    return out
-
-
 def reciprocal(a: int) -> int:
     """Coefficient-reversed polynomial x^deg(a) * a(1/x); reciprocal(0) == 0."""
     if a == 0:

@@ -109,19 +109,17 @@ def _linear_complexity(s: int, N: int) -> int:
     return ell
 
 
-def hull_dimension_oracle(c: PolycyclicCode, q: int | None = None) -> int:
+def hull_dimension_oracle(c: PolycyclicCode, q: int) -> int:
     """dim(C intersect C-dual) = k - rank(G*G^T), the rank by Berlekamp-Massey over the Gram band.
 
     The Gram matrix is Toeplitz in t[d] = <g, x^d*g>, the coefficient of
-    x^(m*j + d) in q = g * g_star mod x^n (built from the generator when not
-    given), and t[-d] = t[d]: the band is the 2k - 1 coefficients of q from
+    x^(m*j + d) in the given q = g * g_star mod x^n (_hull_word), and
+    t[-d] = t[d]: the band is the 2k - 1 coefficients of q from
     x^(m*j - k + 1) to x^(n-1), which must read the same both ways.  A k x k
     Toeplitz (or Hankel) matrix whose 2k - 1 entries have linear complexity l
     has rank l if l <= k, and 2k - l otherwise.
     """
     k, lo = c.k, c.ctx.m * c.j - c.k + 1
-    if q is None:
-        q = _hull_word(c)
     band = q >> lo if lo >= 0 else q << -lo
     bits = f"{band:b}".zfill(2 * k - 1)
     if bits != bits[::-1]:
@@ -135,10 +133,10 @@ def hull_dimension_oracle(c: PolycyclicCode, q: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def is_lcd_head_criterion(c: PolycyclicCode, W: int | None = None, hull: int | None = None) -> bool:
+def is_lcd_head_criterion(c: PolycyclicCode, W: int, hull: int | None = None) -> bool:
     """The paper's rank test for 1 <= j <= 2^(T-1): the top n - k bits of W*x^i, i < m*j, are independent.
 
-    W = (P * P_star)^-j mod x^n is built from the generator when not given; a
+    W = (P * P_star)^-j mod x^n is the caller's (q^-1 for the hull's q); a
     given hull dimension must equal the kernel's.
     """
     if not 1 <= c.j <= 1 << (c.ctx.T - 1):
@@ -146,7 +144,7 @@ def is_lcd_head_criterion(c: PolycyclicCode, W: int | None = None, hull: int | N
     return _criterion(c, W, hull)
 
 
-def is_lcd_tail_criterion(c: PolycyclicCode, W: int | None = None, hull: int | None = None) -> bool:
+def is_lcd_tail_criterion(c: PolycyclicCode, W: int, hull: int | None = None) -> bool:
     """The paper's rank test for 2^(T-1) < j < L: x^i*A (i < k) and x^i*Q (i < m*j) are independent mod x^n.
 
     A = P^(2j - 2^T) is a unit, so gamma*A + delta*Q == 0 iff gamma == delta*Q*A^-1; with
@@ -158,7 +156,7 @@ def is_lcd_tail_criterion(c: PolycyclicCode, W: int | None = None, hull: int | N
     return _criterion(c, W, hull)
 
 
-def _criterion(c: PolycyclicCode, W: int | None, hull: int | None) -> bool:
+def _criterion(c: PolycyclicCode, W: int, hull: int | None) -> bool:
     """Whether no nonzero delta with deg delta < m*j has deg(delta*W mod x^n) < k, W = (P * P_star)^-j.
 
     W = q^-1 mod x^n for the hull's q = g * g_star mod x^n: a*g lies in C-dual iff
@@ -167,8 +165,6 @@ def _criterion(c: PolycyclicCode, W: int | None, hull: int | None) -> bool:
     dimensions are equal.
     """
     n, k, mj = c.ctx.n, c.k, c.ctx.m * c.j
-    if W is None:
-        W = inverse_trunc(_hull_word(c), n)
     kernel = _reconstruction_dim(W, n, mj)
     if hull is not None and kernel != hull:
         raise InternalConsistencyError(f"rank criterion's kernel has dimension {kernel}, the hull {hull}, at j={c.j}")

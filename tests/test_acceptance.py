@@ -6,15 +6,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from polycode.codes import code, contains
+from polycode.codes import code
 from polycode.distance import full_distance_profile, min_distance_bruteforce
 from polycode.duality import dual_code, dual_min_distance_bruteforce, sequential_closure_check
-from polycode._linalg import parity_dot
-from polycode.codes import generator_rows
 from polycode.fixtures import run_fixture
 from polycode.gf2poly import div_rem, format_poly, is_irreducible, mul, parse, power, weight
 from polycode.lcd import conjecture_scan, family_poly, lcd_verdict
 from polycode.ring import new_context
+from _reference import contains, generator_rows, parity_dot
 from test_codes import reversible_by_rows
 from test_duality import _rows
 from test_ring import valuation

@@ -20,9 +20,10 @@ from polycode._linalg import min_weight_affine, min_weight_span
 from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, decimate, interleave
 from polycode.distance import DistanceReport, full_distance_profile, min_distance_bruteforce, single_distance_report
 from polycode.errors import InternalConsistencyError, ValidationError
-from polycode.gf2poly import degree, is_irreducible, parse, power, reciprocal, substitute_power
+from polycode.gf2poly import degree, is_irreducible, parse, power, reciprocal
 from polycode.lcd import family_poly, lcd_verdict
 from polycode.ring import new_context
+from _reference import substitute_power
 
 IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]
 IRREDUCIBLE_2_TO_7 = [f for f in range(4, 256) if is_irreducible(f)]

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import lcd
-from polycode._linalg import column_kernel, gray_walk, nullspace, parity_dot, rank
+from polycode._linalg import column_kernel, gray_walk, nullspace, rank
 from polycode.cli import main
-from polycode.codes import chain, code, generator_rows
+from polycode.codes import chain, code
 from polycode.duality import dual_code
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
 from polycode.gf2poly import inverse_trunc, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
@@ -32,6 +32,7 @@ from polycode.lcd import (
     lcd_verdict,
 )
 from polycode.ring import new_context
+from _reference import generator_rows, parity_dot
 
 M3 = parse("x^3+x+1")
 
@@ -51,6 +52,16 @@ def _toeplitz_gram(g: int, k: int) -> list[int]:
     return [(band >> (k - 1 - a)) & mask for a in range(k)]
 
 
+def _hull(c) -> int:
+    """hull_dimension_oracle on the word q = g * g_star mod x^n that lcd._hull_word builds."""
+    return hull_dimension_oracle(c, _hull_word(c))
+
+
+def _W(c) -> int:
+    """The criteria's word W = q^-1 mod x^n, for the q that lcd._hull_word builds."""
+    return inverse_trunc(_hull_word(c), c.ctx.n)
+
+
 def _gram_hull(c) -> int:
     """Reference hull: k - rank of the Gram matrix, by elimination."""
     return c.k - rank(_toeplitz_gram(c.generator, c.k))
@@ -66,18 +77,18 @@ def test_three_way_agreement_m3L8():
     c = code(ctx, 1)
     # Berlekamp-Massey on q, the Gram elimination, the Euclid on q and the head criterion's
     # Euclid on W each find no hull
-    assert hull_dimension_oracle(c) == _gram_hull(c) == _euclid_hull(c) == 0
-    assert is_lcd_head_criterion(c)
+    assert _hull(c) == _gram_hull(c) == _euclid_hull(c) == 0
+    assert is_lcd_head_criterion(c, _W(c))
     assert lcd_verdict(c) == (1, True, 0, ("oracle", "head-criterion"))
 
 
 def test_hull_dimensions_frozen():
-    assert hull_dimension_oracle(code(new_context(parse("x^2+x+1"), 2), 1)) == 0
+    assert _hull(code(new_context(parse("x^2+x+1"), 2), 1)) == 0
     for j in range(1, 4):
-        assert hull_dimension_oracle(code(new_context(parse("x^2+x+1"), 4), j)) == 0
-    assert hull_dimension_oracle(code(new_context(parse("x^9+x^7+x^2+x+1"), 2), 1)) == 0
+        assert _hull(code(new_context(parse("x^2+x+1"), 4), j)) == 0
+    assert _hull(code(new_context(parse("x^9+x^7+x^2+x+1"), 2), 1)) == 0
     # the one published-as-LCD ring that actually has a 10-dimensional hull
-    assert hull_dimension_oracle(code(new_context(parse("x^11+x^10+x^5+x^4+1"), 8), 1)) == 10
+    assert _hull(code(new_context(parse("x^11+x^10+x^5+x^4+1"), 8), 1)) == 10
 
 
 def _random_ring(deg: int, seed: int):
@@ -98,7 +109,7 @@ def test_toeplitz_gram_matches_the_pairwise_gram(deg, seed):
         rows = generator_rows(c)
         pairwise = [sum(parity_dot(ra, rb) << b for b, rb in enumerate(rows)) for ra in rows]
         assert _toeplitz_gram(c.generator, c.k) == pairwise, (ctx.P, ctx.L, j)
-        assert hull_dimension_oracle(c) == c.k - rank(pairwise)
+        assert _hull(c) == c.k - rank(pairwise)
 
 
 def _nullspace_hull(c) -> int:
@@ -116,7 +127,7 @@ def test_reconstruction_hull_matches_the_nullspace_hull(deg, seed):
         c = code(ctx, j)
         want = _nullspace_hull(c)
         assert _euclid_hull(c) == want, (ctx.P, ctx.L, j)
-        assert hull_dimension_oracle(c) == want, (ctx.P, ctx.L, j)
+        assert _hull(c) == want, (ctx.P, ctx.L, j)
 
 
 def test_reconstruction_target_inverts_the_dual_word():
@@ -170,7 +181,7 @@ def test_both_criteria_kernels_have_the_hull_dimension():
                     k, mj = c.k, deg * j
                     W = power_trunc(PP_star_inv, j, n)
                     want = _reconstruction_dim(W, n, mj)
-                    assert want == hull_dimension_oracle(c), (P, L, j)
+                    assert want == _hull(c), (P, L, j)
                     assert _top_block_kernel_dim(W, n, mj) == want, (P, L, j)
                     if 2 * j >= 1 << T:
                         A = power_trunc(P, 2 * j - (1 << T), n)
@@ -250,8 +261,8 @@ def test_head_criterion_matches_oracle_on_small_rings():
             for L in range(2, 30 // deg + 1):
                 ctx = new_context(f, L)
                 for j in range(1, (1 << (ctx.T - 1)) + 1):
-                    want = hull_dimension_oracle(code(ctx, j)) == 0
-                    assert is_lcd_head_criterion(code(ctx, j)) == want, (f, L, j)
+                    c = code(ctx, j)
+                    assert is_lcd_head_criterion(c, _W(c)) == (_hull(c) == 0), (f, L, j)
 
 
 def test_tail_criterion_matches_oracle_on_small_rings():
@@ -262,26 +273,27 @@ def test_tail_criterion_matches_oracle_on_small_rings():
             for L in range(2, 36 // deg + 1):
                 ctx = new_context(f, L)
                 for j in range((1 << (ctx.T - 1)) + 1, L):
-                    want = hull_dimension_oracle(code(ctx, j)) == 0
-                    assert is_lcd_tail_criterion(code(ctx, j)) == want, (f, L, j)
+                    c = code(ctx, j)
+                    assert is_lcd_tail_criterion(c, _W(c)) == (_hull(c) == 0), (f, L, j)
 
 
 def test_a_criterion_given_the_hull_checks_its_kernel_dimension_as_an_integer():
     # the published-as-LCD ring with a 10-dimensional hull: 9 and 10 are both "not LCD"
     c = code(new_context(parse("x^11+x^10+x^5+x^4+1"), 8), 1)
-    assert is_lcd_head_criterion(c, None, 10) is False
+    assert is_lcd_head_criterion(c, _W(c), 10) is False
     with pytest.raises(InternalConsistencyError, match="kernel has dimension 10, the hull 9"):
-        is_lcd_head_criterion(c, None, 9)
+        is_lcd_head_criterion(c, _W(c), 9)
 
 
 def test_criteria_regime_boundaries():
     ctx = new_context(M3, 8)  # T = 3, boundary at j = 4
-    assert isinstance(is_lcd_head_criterion(code(ctx, 4)), bool)
+    c4, c5 = code(ctx, 4), code(ctx, 5)
+    assert isinstance(is_lcd_head_criterion(c4, _W(c4)), bool)
     with pytest.raises(ValidationError, match=re.escape("the head rank criterion covers 1 <= j <= 2^(T-1)")):
-        is_lcd_head_criterion(code(ctx, 5))
+        is_lcd_head_criterion(c5, _W(c5))
     with pytest.raises(ValidationError, match=re.escape("the tail rank criterion covers 2^(T-1) < j < L")):
-        is_lcd_tail_criterion(code(ctx, 4))
-    assert isinstance(is_lcd_tail_criterion(code(ctx, 5)), bool)
+        is_lcd_tail_criterion(c4, _W(c4))
+    assert isinstance(is_lcd_tail_criterion(c5, _W(c5)), bool)
 
 
 def test_lcd_families_hold():
@@ -358,7 +370,7 @@ def test_berlekamp_massey_hull_equals_the_gram_elimination():
     codes = 0
     for ctx in _irreducible_rings(range(2, 8), 96):
         for c in chain(ctx, 0, ctx.L):
-            assert hull_dimension_oracle(c) == _gram_hull(c), (ctx.P, ctx.L, c.j)
+            assert _hull(c) == _gram_hull(c), (ctx.P, ctx.L, c.j)
             codes += 1
     assert codes == 7095
 
@@ -399,7 +411,7 @@ def test_an_off_palindrome_gram_band_raises():
     # the band of a true q = g * g_star reads the same both ways; one flipped coefficient inside it does not
     c = code(new_context(M3, 8), 3)  # m*j = 9, k = 15: the band is bits 0..23 of q
     q = _hull_word(c)
-    assert hull_dimension_oracle(c, q) == hull_dimension_oracle(c)
+    assert hull_dimension_oracle(c, q) == _gram_hull(c)
     for bit in (0, 5, 20, 23):
         with pytest.raises(InternalConsistencyError, match="not a palindrome at j=3"):
             hull_dimension_oracle(c, q ^ (1 << bit))
@@ -413,7 +425,7 @@ def test_conjecture_scan_rows_equal_the_per_code_oracle(v_max, t_max):
             ctx = new_context(family_poly(v), 1 << T)
             for j in range(1, ctx.L):
                 c = code(ctx, j)
-                hull = hull_dimension_oracle(c)
+                hull = _hull(c)
                 want.append({"v": v, "T": T, "j": j, "n": ctx.n, "k": c.k, "is_lcd": hull == 0, "hull_dim": hull})
     assert conjecture_scan(v_max, t_max) == want
 

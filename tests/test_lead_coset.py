@@ -24,12 +24,13 @@ from hypothesis import strategies as st
 
 from polycode import distance, duality
 from polycode._linalg import min_weight_affine, min_weight_span
-from polycode.codes import DEFAULT_CANDIDATE_CAP, answers, code, generator_rows, interleave, lead_coset
+from polycode.codes import DEFAULT_CANDIDATE_CAP, answers, code, interleave, lead_coset
 from polycode.distance import full_distance_profile, min_distance_bruteforce, single_distance_report
 from polycode.duality import _component, dual_code, dual_component_distance, dual_min_distance_bruteforce, dual_summary
 from polycode.errors import CapExceeded
 from polycode.gf2poly import degree, inverse_trunc, is_irreducible, parse, power, power_trunc, reciprocal
 from polycode.ring import new_context
+from _reference import generator_rows
 from test_interleave import _split
 
 IRREDUCIBLE_2_TO_6 = [f for f in range(4, 128) if is_irreducible(f)]

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import _linalg, duality
-from polycode.codes import code, generator_rows, lead_coset
+from polycode.codes import code, lead_coset
 from polycode.errors import InternalConsistencyError
 from polycode.gf2poly import is_irreducible
 from polycode.ring import new_context
@@ -26,10 +26,10 @@ from polycode._linalg import (
     min_weight_affine,
     min_weight_span,
     nullspace,
-    parity_dot,
     rank,
     rref,
 )
+from _reference import generator_rows, parity_dot
 
 
 def min_weight_span_reference(rows):

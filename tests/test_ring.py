@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, contains, interleave
+from polycode.codes import DEFAULT_CANDIDATE_CAP, chain, code, interleave
 from polycode.distance import full_distance_profile, single_distance_report
 from polycode.duality import _component, dual_code, dual_summary
 from polycode.errors import CapExceeded, ValidationError
@@ -17,6 +17,7 @@ from polycode.gf2poly import div_rem, inverse_trunc, is_irreducible, mul, mul_tr
 from polycode import gf2poly, lcd, ring
 from polycode.lcd import conjecture_scan, family_poly, lcd_verdict
 from polycode.ring import RING_TABLE_BITS, new_context
+from _reference import contains
 from test_gf2poly import x_power_mod
 
 P2 = parse("x^2+x+1")
