@@ -11,7 +11,8 @@ affine span g ^ span(rows) from those words alone.  Every exact search calls
 it on the lead coset of the shifts of one word (codes.lead_coset): the
 oracle, the longest interleave component D_0 (at the anchors and in the
 spread), the dual oracle and the dual's shortest interleave component;
-min_weight_span is the same kernel on a linear span.
+min_weight_span is the same kernel on a linear span.  It answers an int:
+an all-zero coset has no nonzero word, and raises ValueError.
 It takes one of two walks, whichever its inputs say costs less: the
 Gray-code walk, gray_walk, which yields the 2^k words one at a time (the dual
 candidate weights and the two half walks of the LCD criterion's
@@ -267,8 +268,8 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     return best
 
 
-def min_weight_affine(g: int, rows: list[int]) -> int | None:
-    """Minimum nonzero weight over g ^ span(rows), or None when every word is zero.
+def min_weight_affine(g: int, rows: list[int]) -> int:
+    """Minimum nonzero weight over g ^ span(rows); a coset whose every word is zero raises ValueError.
 
     With k nonzero rows, n bits in the longest word and N = max(1, n // k),
     the information-set search's own set-up is N eliminations and level 2's
@@ -285,15 +286,14 @@ def min_weight_affine(g: int, rows: list[int]) -> int | None:
     return _walk_min(g, rows)
 
 
-def _walk_min(g: int, rows: list[int]) -> int | None:
-    """Minimum nonzero weight over the words of gray_walk(g, rows), or None when every word is zero."""
-    return min(filter(None, map(int.bit_count, gray_walk(g, rows))), default=None)
+def _walk_min(g: int, rows: list[int]) -> int:
+    """Minimum nonzero weight over the words of gray_walk(g, rows); ValueError where every word is zero."""
+    return min(filter(None, map(int.bit_count, gray_walk(g, rows))))
 
 
 def min_weight_span(rows: list[int]) -> int:
-    """Minimum Hamming weight over all nonzero words spanned by rows."""
-    best = min_weight_affine(0, rows)
-    if best is None:
+    """Minimum Hamming weight over all nonzero words spanned by rows; an all-zero span raises ValueError first."""
+    if not any(rows):
         raise ValueError("empty span has no nonzero word")
-    return best
+    return min_weight_affine(0, rows)
 

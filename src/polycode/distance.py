@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
+from itertools import islice
 
 from ._linalg import min_weight_affine
 from .codes import DEFAULT_CANDIDATE_CAP, DEFAULT_ENUM_CAP, Interleave, PolycyclicCode, answers, chain, check_caps, code, decimate, interleave, lead_coset
@@ -79,11 +80,11 @@ class DistanceReport:
 
     __slots__ = ("j", "lower", "upper", "provenance")
 
-    def __init__(self, j: int, lower: int, upper: int, provenance: list[str] | None = None) -> None:
+    def __init__(self, j: int, lower: int, upper: int) -> None:
         self.j = j
         self.lower = lower
         self.upper = upper
-        self.provenance = [] if provenance is None else provenance
+        self.provenance: list[str] = []
 
     @property
     def exact(self) -> bool:
@@ -140,7 +141,7 @@ def min_distance_bruteforce(c: PolycyclicCode, cap: int = DEFAULT_ENUM_CAP) -> i
         raise ValidationError("the zero code has no nonzero word, hence no distance")
     if c.k > cap:
         raise CapExceeded(f"distance oracle: dimension {c.k} is over the oracle cap of {cap}; raise the cap")
-    return min_weight_affine(*lead_coset(c.generator, c.k, c.n))  # type: ignore[return-value]
+    return min_weight_affine(*lead_coset(c.generator, c.k, c.n))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def _d0_min(c: PolycyclicCode, iv: Interleave) -> int:
     R = decimate(c.generator, iv.t, f"j={c.j}: P^j")
     if nbits - degree(R) != iv.k0:
         raise InternalConsistencyError(f"j={c.j}: D_0 has dimension {nbits - degree(R)}, the split says {iv.k0}")
-    return min_weight_affine(*lead_coset(R, iv.k0, nbits))  # type: ignore[return-value]
+    return min_weight_affine(*lead_coset(R, iv.k0, nbits))
 
 
 def _anchor_min(ctx: RingContext, j: int) -> int:
@@ -195,16 +196,16 @@ def upper_anchor_distance(ctx: RingContext, r: int) -> int:
 def _light_word(M: int, n: int) -> int | None:
     """A word of weight 2 in <M> of length n if there is one, else one of weight 3, else None.
 
-    r_i = x^i mod M is x^i itself below D = deg M, so only the k = n - D
-    residues from i = D on are stepped.  A repeat r_a = r_b gives x^a + x^b,
-    and x is a unit mod M, so the first repeat is r_i = r_0 = 1.  With every
-    r_i distinct, r_a + r_b = 1 (0 < a < b, so b >= D) gives 1 + x^a + x^b:
-    r_b is 1 + x^a with a < D, or r_a + 1 is another stepped residue.  Any
+    Every r_i = x^i mod M, 0 < i < n, is indexed: x^i itself below D = deg M,
+    and the k = n - D residues from i = D on, stepped.  A repeat r_a = r_b
+    gives x^a + x^b, and x is a unit mod M, so the first repeat is r_i = r_0 = 1.
+    With every r_i distinct, r_a + r_b = 1 (0 < a < b, so b >= D) gives
+    1 + x^a + x^b, found by one lookup of r_b + 1 per stepped residue.  Any
     weight-3 word x^c * (1 + x^a + x^b) of length n has 1 + x^a + x^b in <M>
     too (M is prime to x), so finding none proves d >= 4.
     """
     D = degree(M)
-    res = []
+    index = {1 << a: a for a in range(1, D)}
     r = 1 << (D - 1)
     for i in range(D, n):
         r <<= 1
@@ -212,14 +213,10 @@ def _light_word(M: int, n: int) -> int | None:
             r ^= M
         if r == 1:
             return 1 | 1 << i
-        res.append(r)
+        index[r] = i
     # weight 3 only once no weight-2 word exists
-    index = dict(zip(res, range(D, n)))
-    for r, b in index.items():
-        s = r ^ 1  # nonzero, as r != 1
-        if not s & (s - 1):
-            return 1 | s | 1 << b
-        a = index.get(s)
+    for r, b in islice(index.items(), D - 1, None):
+        a = index.get(r ^ 1)
         if a is not None:
             return 1 | 1 << a | 1 << b
     return None

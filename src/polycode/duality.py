@@ -79,7 +79,7 @@ def dual_min_distance_bruteforce(dual: DualCode, cap: int = DEFAULT_ENUM_CAP) ->
     """Exact dual distance over the whole dual code (information-set search)."""
     if dual.dim > cap:
         raise CapExceeded(f"dual oracle: dimension {dual.dim} is over the oracle cap of {cap}; raise the cap")
-    return min_weight_affine(*lead_coset(dual.h_star, dual.dim, dual.n))  # type: ignore[return-value]
+    return min_weight_affine(*lead_coset(dual.h_star, dual.dim, dual.n))
 
 
 def sequential_closure_check(dual: DualCode) -> bool:
@@ -124,7 +124,7 @@ def _answering_component(ctx: RingContext, j: int) -> tuple[int, list[int]]:
 
 def dual_component_distance(ctx: RingContext, j: int) -> int:
     """Exact dual distance of C_j, 1 <= j <= L - 1, over its shortest interleave component, read from dual_code's h*."""
-    return min_weight_affine(*_answering_component(ctx, j))  # type: ignore[return-value]
+    return min_weight_affine(*_answering_component(ctx, j))
 
 
 def dual_pow2_candidates(ctx: RingContext, s: int) -> dict[int, int]:

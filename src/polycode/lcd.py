@@ -133,18 +133,18 @@ def hull_dimension_oracle(c: PolycyclicCode, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def is_lcd_head_criterion(c: PolycyclicCode, W: int, hull: int | None = None) -> bool:
+def is_lcd_head_criterion(c: PolycyclicCode, W: int, hull: int) -> bool:
     """The paper's rank test for 1 <= j <= 2^(T-1): the top n - k bits of W*x^i, i < m*j, are independent.
 
-    W = (P * P_star)^-j mod x^n is the caller's (q^-1 for the hull's q); a
-    given hull dimension must equal the kernel's.
+    W = (P * P_star)^-j mod x^n and the hull dimension are the caller's (W is
+    q^-1 for the hull's q); the kernel's dimension must equal the hull's.
     """
     if not 1 <= c.j <= 1 << (c.ctx.T - 1):
         raise ValidationError("the head rank criterion covers 1 <= j <= 2^(T-1)")
     return _criterion(c, W, hull)
 
 
-def is_lcd_tail_criterion(c: PolycyclicCode, W: int, hull: int | None = None) -> bool:
+def is_lcd_tail_criterion(c: PolycyclicCode, W: int, hull: int) -> bool:
     """The paper's rank test for 2^(T-1) < j < L: x^i*A (i < k) and x^i*Q (i < m*j) are independent mod x^n.
 
     A = P^(2j - 2^T) is a unit, so gamma*A + delta*Q == 0 iff gamma == delta*Q*A^-1; with
@@ -156,17 +156,17 @@ def is_lcd_tail_criterion(c: PolycyclicCode, W: int, hull: int | None = None) ->
     return _criterion(c, W, hull)
 
 
-def _criterion(c: PolycyclicCode, W: int, hull: int | None) -> bool:
+def _criterion(c: PolycyclicCode, W: int, hull: int) -> bool:
     """Whether no nonzero delta with deg delta < m*j has deg(delta*W mod x^n) < k, W = (P * P_star)^-j.
 
     W = q^-1 mod x^n for the hull's q = g * g_star mod x^n: a*g lies in C-dual iff
     deg(a*q mod x^n) < m*j, so delta = a*q mod x^n maps the hull
     {a : deg a < k, deg(a*q mod x^n) < m*j} one to one onto this kernel: the two
-    dimensions are equal.
+    dimensions are equal, and a kernel whose dimension is not the given hull's raises.
     """
     n, k, mj = c.ctx.n, c.k, c.ctx.m * c.j
     kernel = _reconstruction_dim(W, n, mj)
-    if hull is not None and kernel != hull:
+    if kernel != hull:
         raise InternalConsistencyError(f"rank criterion's kernel has dimension {kernel}, the hull {hull}, at j={c.j}")
     if mj <= 12:
         # exhaustive check over nonzero delta: the top block of W*delta, the XOR of the

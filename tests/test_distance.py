@@ -63,7 +63,8 @@ def test_report_bound_updates_guard_against_contradiction():
 
 
 def test_report_json_keys():
-    rep = DistanceReport(j=3, lower=5, upper=5, provenance=["x"])
+    rep = DistanceReport(j=3, lower=5, upper=5)
+    rep.provenance = ["x"]
     assert set(rep.to_json_dict()) == {"j", "lower", "upper", "exact", "provenance"}
     assert rep.to_json_dict()["exact"] is True
 
@@ -357,6 +358,13 @@ def test_weight_2_is_found_before_an_earlier_weight_3_word():
     assert distance._light_word(0b111, 6) == 0b1001
     assert distance._light_word(0b111, 3) == 0b111  # no x^3 below n = 3
     assert distance._light_word(code(new_context(M5, 5), 3).generator, 25) is None  # d(C_3) = 4 there
+
+
+def test_a_weight_3_word_is_found_through_a_low_residue():
+    # r_b + 1 = x^a with a below D = deg P^j: the index holds x^a itself, so one lookup finds 1 + x^a + x^b
+    assert distance._light_word(0b1011, 4) == 0b1011  # x^3 = 1 + x mod x^3+x+1: 1 + x + x^3 through x
+    M = code(new_context(0b111, 5), 3).generator  # (x^2+x+1)^3, D = 6, weight 5
+    assert distance._light_word(M, 10) == 1 | 1 << 4 | 1 << 8  # 1 + x^4 + x^8 through x^4
 
 
 def test_the_whole_chain_walks_its_generators_once(monkeypatch):

@@ -78,7 +78,7 @@ def test_three_way_agreement_m3L8():
     # Berlekamp-Massey on q, the Gram elimination, the Euclid on q and the head criterion's
     # Euclid on W each find no hull
     assert _hull(c) == _gram_hull(c) == _euclid_hull(c) == 0
-    assert is_lcd_head_criterion(c, _W(c))
+    assert is_lcd_head_criterion(c, _W(c), _hull(c))
     assert lcd_verdict(c) == (1, True, 0, ("oracle", "head-criterion"))
 
 
@@ -262,7 +262,8 @@ def test_head_criterion_matches_oracle_on_small_rings():
                 ctx = new_context(f, L)
                 for j in range(1, (1 << (ctx.T - 1)) + 1):
                     c = code(ctx, j)
-                    assert is_lcd_head_criterion(c, _W(c)) == (_hull(c) == 0), (f, L, j)
+                    hull = _hull(c)
+                    assert is_lcd_head_criterion(c, _W(c), hull) == (hull == 0), (f, L, j)
 
 
 def test_tail_criterion_matches_oracle_on_small_rings():
@@ -274,7 +275,8 @@ def test_tail_criterion_matches_oracle_on_small_rings():
                 ctx = new_context(f, L)
                 for j in range((1 << (ctx.T - 1)) + 1, L):
                     c = code(ctx, j)
-                    assert is_lcd_tail_criterion(c, _W(c)) == (_hull(c) == 0), (f, L, j)
+                    hull = _hull(c)
+                    assert is_lcd_tail_criterion(c, _W(c), hull) == (hull == 0), (f, L, j)
 
 
 def test_a_criterion_given_the_hull_checks_its_kernel_dimension_as_an_integer():
@@ -288,12 +290,12 @@ def test_a_criterion_given_the_hull_checks_its_kernel_dimension_as_an_integer():
 def test_criteria_regime_boundaries():
     ctx = new_context(M3, 8)  # T = 3, boundary at j = 4
     c4, c5 = code(ctx, 4), code(ctx, 5)
-    assert isinstance(is_lcd_head_criterion(c4, _W(c4)), bool)
+    assert isinstance(is_lcd_head_criterion(c4, _W(c4), _hull(c4)), bool)
     with pytest.raises(ValidationError, match=re.escape("the head rank criterion covers 1 <= j <= 2^(T-1)")):
-        is_lcd_head_criterion(c5, _W(c5))
+        is_lcd_head_criterion(c5, _W(c5), _hull(c5))
     with pytest.raises(ValidationError, match=re.escape("the tail rank criterion covers 2^(T-1) < j < L")):
-        is_lcd_tail_criterion(c4, _W(c4))
-    assert isinstance(is_lcd_tail_criterion(c5, _W(c5)), bool)
+        is_lcd_tail_criterion(c4, _W(c4), _hull(c4))
+    assert isinstance(is_lcd_tail_criterion(c5, _W(c5), _hull(c5)), bool)
 
 
 def test_lcd_families_hold():

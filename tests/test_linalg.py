@@ -256,8 +256,16 @@ def _check_kernel(g, rows):
     """Both walks and the kernel's choice between them against the itertools brute force."""
     want = _affine_weights_brute(g, rows)
     assert [w.bit_count() for w in _walk_by_index(g, rows)] == want
-    best = min((w for w in want if w), default=None)
-    assert {name: kernel(g, rows) for name, kernel in KERNELS.items()} == dict.fromkeys(KERNELS, best)
+    _assert_kernels(g, rows, min((w for w in want if w), default=None))
+
+
+def _assert_kernels(g, rows, best):
+    """Every kernel reads best; where every word is zero (best None) the two walks read None and the rule raises."""
+    if best is None:
+        with pytest.raises(ValueError):
+            min_weight_affine(g, rows)
+    names = [name for name in KERNELS if best is not None or name != "rule"]
+    assert {name: KERNELS[name](g, rows) for name in names} == dict.fromkeys(names, best)
 
 
 @given(affine_sets())
@@ -331,9 +339,14 @@ def test_kernel_finds_the_lightest_word_wherever_it_sits(kernel):
             assert _walk_by_index(g, rows)[t] == 1 << 40, t
 
 
-def test_kernel_returns_none_when_every_word_is_zero():
+def test_kernel_raises_when_every_word_is_zero():
     for k in (0, 3, 10, 20):
-        assert min_weight_affine(0, [0] * k) is None
+        with pytest.raises(ValueError):
+            min_weight_affine(0, [0] * k)
+        # the span is refused before it is weighed
+        with mock.patch.object(_linalg, "min_weight_affine", side_effect=AssertionError("weighed")):
+            with pytest.raises(ValueError, match="empty span has no nonzero word"):
+                min_weight_span([0] * k)
     for k in (0, 1, 3, 10):
         assert not any(gray_walk(0, [0] * k)) and len(list(gray_walk(0, [0] * k))) == 1 << k
     assert list(gray_walk(0b101, [])) == [0b101]
@@ -371,7 +384,7 @@ def test_information_set_search_matches_brute_force(case):
     g, rows, _ = case
     words = {reduce(xor, combo, g) for combo in product(*([0, r] for r in rows))}
     best = min((w.bit_count() for w in words if w), default=None)
-    assert {name: kernel(g, rows) for name, kernel in KERNELS.items()} == dict.fromkeys(KERNELS, best)
+    _assert_kernels(g, rows, best)
     if g == 0 and any(rows):
         assert min_weight_span(rows) == min_weight_span_reference(rows) == best
 
