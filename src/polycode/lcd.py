@@ -17,12 +17,13 @@ P; those are 1 mod x^n since e * 2^T > n (duality.py), which leaves
 lcd_verdict builds one code's q and W from its generator.  lcd_chain, for a
 whole chain, takes one product g * g_star and one power-series inverse per
 ring, at j = L-1, and steps the rest by running products with P * P_star (of
-weight at most wt(P)^2), each an XOR of shifts by its exponents:
-q_j = q_(j-1) * P * P_star up the chain, which must reach the built q_(L-1),
-and W_(j-1) = W_j * P * P_star down it, which must land on W_0 = 1.  A serial
-scan runs lcd_chain over the rings over powers 2^T of the self-reciprocal
-trinomials x^(2*3^v) + x^(3^v) + 1 (family_poly), whose codes the paper
-conjectures are all LCD.
+weight at most wt(P)^2), each an XOR of shifts by its exponents.  Its walk up
+streams the chain, steps q_j = q_(j-1) * P * P_star, which must reach the
+built q_(L-1), and takes each hull; its walk down steps
+W_(j-1) = W_j * P * P_star, runs each criterion against its code's hull, and
+must land on W_0 = 1.  A serial scan runs lcd_chain over the rings over powers
+2^T of the self-reciprocal trinomials x^(2*3^v) + x^(3^v) + 1 (family_poly),
+whose codes the paper conjectures are all LCD.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import islice, takewhile
 from operator import xor
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._linalg import gray_walk
 from .codes import PolycyclicCode, chain
@@ -133,30 +134,30 @@ def hull_dimension_oracle(c: PolycyclicCode, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def is_lcd_head_criterion(c: PolycyclicCode, W: int, hull: int) -> bool:
+def is_lcd_head_criterion(ctx: RingContext, j: int, W: int, hull: int) -> bool:
     """The paper's rank test for 1 <= j <= 2^(T-1): the top n - k bits of W*x^i, i < m*j, are independent.
 
-    W = (P * P_star)^-j mod x^n and the hull dimension are the caller's (W is
-    q^-1 for the hull's q); the kernel's dimension must equal the hull's.
+    W = (P * P_star)^-j mod x^n and the hull dimension of C_j are the caller's
+    (W is q^-1 for the hull's q); the kernel's dimension must equal the hull's.
     """
-    if not 1 <= c.j <= 1 << (c.ctx.T - 1):
+    if not 1 <= j <= 1 << (ctx.T - 1):
         raise ValidationError("the head rank criterion covers 1 <= j <= 2^(T-1)")
-    return _criterion(c, W, hull)
+    return _criterion(ctx, j, W, hull)
 
 
-def is_lcd_tail_criterion(c: PolycyclicCode, W: int, hull: int) -> bool:
+def is_lcd_tail_criterion(ctx: RingContext, j: int, W: int, hull: int) -> bool:
     """The paper's rank test for 2^(T-1) < j < L: x^i*A (i < k) and x^i*Q (i < m*j) are independent mod x^n.
 
     A = P^(2j - 2^T) is a unit, so gamma*A + delta*Q == 0 iff gamma == delta*Q*A^-1; with
     Q = P^-(2^T - j) * P_star^-j, Q*A^-1 = P^-j * P_star^-j is the head's W, and so is the kernel.
     W and hull are taken as in is_lcd_head_criterion.
     """
-    if not (1 << (c.ctx.T - 1)) < c.j < c.ctx.L:
+    if not (1 << (ctx.T - 1)) < j < ctx.L:
         raise ValidationError("the tail rank criterion covers 2^(T-1) < j < L")
-    return _criterion(c, W, hull)
+    return _criterion(ctx, j, W, hull)
 
 
-def _criterion(c: PolycyclicCode, W: int, hull: int) -> bool:
+def _criterion(ctx: RingContext, j: int, W: int, hull: int) -> bool:
     """Whether no nonzero delta with deg delta < m*j has deg(delta*W mod x^n) < k, W = (P * P_star)^-j.
 
     W = q^-1 mod x^n for the hull's q = g * g_star mod x^n: a*g lies in C-dual iff
@@ -164,16 +165,16 @@ def _criterion(c: PolycyclicCode, W: int, hull: int) -> bool:
     {a : deg a < k, deg(a*q mod x^n) < m*j} one to one onto this kernel: the two
     dimensions are equal, and a kernel whose dimension is not the given hull's raises.
     """
-    n, k, mj = c.ctx.n, c.k, c.ctx.m * c.j
+    n, mj = ctx.n, ctx.m * j
     kernel = _reconstruction_dim(W, n, mj)
     if kernel != hull:
-        raise InternalConsistencyError(f"rank criterion's kernel has dimension {kernel}, the hull {hull}, at j={c.j}")
+        raise InternalConsistencyError(f"rank criterion's kernel has dimension {kernel}, the hull {hull}, at j={j}")
     if mj <= 12:
         # exhaustive check over nonzero delta: the top block of W*delta, the XOR of the
         # top blocks of W*x^i over the set bits i of delta, must never vanish
-        steps = [((W << i) & ((1 << n) - 1)) >> k for i in range(mj)]
+        steps = [((W << i) & ((1 << n) - 1)) >> (n - mj) for i in range(mj)]
         if _no_xor_vanishes(steps) != (kernel == 0):
-            raise InternalConsistencyError(f"rank criterion disagrees with direct sweep at j={c.j}")
+            raise InternalConsistencyError(f"rank criterion disagrees with direct sweep at j={j}")
     return kernel == 0
 
 
@@ -196,39 +197,37 @@ def _no_xor_vanishes(steps: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _verdict(c: PolycyclicCode, q: int, W: int | None) -> LcdVerdict:
-    """One code's verdict from its words q = (P * P_star)^j and W = q^-1 mod x^n (inverted here if None).
+def _route(ctx: RingContext, j: int) -> tuple[Callable[..., bool] | None, tuple[str, ...]]:
+    """C_j's rank criterion, None at j = 0 and j = L where none applies, and the methods its verdict lists."""
+    if not 0 < j < ctx.L:
+        return None, ("oracle",)
+    if j <= 1 << (ctx.T - 1):
+        return is_lcd_head_criterion, ("oracle", "head-criterion")
+    return is_lcd_tail_criterion, ("oracle", "tail-criterion")
+
+
+def lcd_verdict(c: PolycyclicCode) -> LcdVerdict:
+    """One code's verdict, q and W = q^-1 mod x^n built from its generator; every route that runs must agree.
 
     The hull is the Gram rank's by Berlekamp-Massey on q (hull_dimension_oracle) on
     every code; for 0 < j < L the criterion's Euclid on W checks its kernel's
     dimension against it, a second derivation by another algorithm on another word.
     """
-    ctx, j = c.ctx, c.j
-    hull, used = hull_dimension_oracle(c, q), ("oracle",)
-    if 0 < j < ctx.L:
-        head = j <= 1 << (ctx.T - 1)
-        criterion = is_lcd_head_criterion if head else is_lcd_tail_criterion
-        criterion(c, inverse_trunc(q, ctx.n) if W is None else W, hull)
-        used += ("head-criterion" if head else "tail-criterion",)
-    return LcdVerdict(j, hull == 0, hull, used)
-
-
-def lcd_verdict(c: PolycyclicCode) -> LcdVerdict:
-    """One code's verdict, its words built from its generator; every route that runs must agree."""
-    return _verdict(c, _hull_word(c), None)
+    ctx, j, q = c.ctx, c.j, _hull_word(c)
+    hull = hull_dimension_oracle(c, q)
+    criterion, methods = _route(ctx, j)
+    if criterion is not None:
+        criterion(ctx, j, inverse_trunc(q, ctx.n), hull)
+    return LcdVerdict(j, hull == 0, hull, methods)
 
 
 def lcd_chain(ctx: RingContext) -> list[LcdVerdict]:
-    """lcd_verdict on C_0 .. C_L, by running products.
+    """lcd_verdict on C_0 .. C_L, by running products: hulls on the walk up, criteria on the walk down.
 
-    Neighbouring codes' words differ by one factor P * P_star, of weight at
-    most wt(P)^2, whose exponents are taken once: each step is the XOR of
-    the word's shifts by them.  q_j steps up the chain from q_0 = 1 and must reach
-    g * g_star at j = L-1; W_(L-1) = q_(L-1)^-1 is the one inverse, and
-    W_(j-1) = W_j * P * P_star steps down, which must land on W_0 = 1.  The
-    walk's generators are taken first, so that C_(L-1)'s is at hand for the
-    one built word, with one power in all; they and the L words W_j are held
-    at once: m*L*(L+1)/2 + m*L^2 bits.
+    Each step by P * P_star, of weight at most wt(P)^2, is the XOR of the word's
+    shifts by its exponents, taken once.  At j = L-1 the walk up checks q against
+    g * g_star built from its own generator and takes the one inverse W_(L-1).
+    Besides the L+1 hulls they hold O(n) bits: one generator and the words q and W.
     """
     n, L, mask = ctx.n, ctx.L, (1 << ctx.n) - 1
     step = mul(ctx.P, reciprocal(ctx.P))
@@ -238,21 +237,20 @@ def lcd_chain(ctx: RingContext) -> list[LcdVerdict]:
         """w * P * P_star mod x^n, one shift of w per term of the step."""
         return reduce(xor, map(w.__lshift__, shifts)) & mask
 
-    codes = list(chain(ctx, 0, L + 1))
-    q_top = _hull_word(codes[L - 1])
-    Ws: list[int | None] = [None] * (L + 1)
-    Ws[L - 1] = inverse_trunc(q_top, n)
-    for j in range(L - 1, 0, -1):
-        Ws[j - 1] = times_step(Ws[j])
-    if Ws[0] != 1:
-        raise InternalConsistencyError("W_j stepped down the chain by P * P_star misses W_0 = 1")
-    verdicts, q = [], 1
-    for c in codes:
-        if c.j == L - 1 and q != q_top:
-            raise InternalConsistencyError("q_(L-1) stepped up the chain by P * P_star differs from g * g_star")
-        verdicts.append(_verdict(c, q, Ws[c.j]))
+    hulls, q = [], 1
+    for c in chain(ctx, 0, L + 1):
+        if c.j == L - 1:
+            if q != _hull_word(c):
+                raise InternalConsistencyError("q_(L-1) stepped up the chain by P * P_star differs from g * g_star")
+            W = inverse_trunc(q, n)
+        hulls.append(hull_dimension_oracle(c, q))
         q = times_step(q)
-    return verdicts
+    for j in range(L - 1, 0, -1):
+        _route(ctx, j)[0](ctx, j, W, hulls[j])
+        W = times_step(W)
+    if W != 1:
+        raise InternalConsistencyError("W_j stepped down the chain by P * P_star misses W_0 = 1")
+    return [LcdVerdict(j, hull == 0, hull, _route(ctx, j)[1]) for j, hull in enumerate(hulls)]
 
 
 # ---------------------------------------------------------------------------

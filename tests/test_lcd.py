@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 from functools import reduce
 from itertools import islice
 from operator import xor
@@ -18,7 +19,7 @@ from polycode.cli import main
 from polycode.codes import chain, code
 from polycode.duality import dual_code
 from polycode.errors import CapExceeded, InternalConsistencyError, ValidationError
-from polycode.gf2poly import inverse_trunc, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
+from polycode.gf2poly import degree, inverse_trunc, is_irreducible, mul, mul_trunc, parse, power_trunc, reciprocal
 from polycode.lcd import (
     _hull_word,
     _linear_complexity,
@@ -78,7 +79,7 @@ def test_three_way_agreement_m3L8():
     # Berlekamp-Massey on q, the Gram elimination, the Euclid on q and the head criterion's
     # Euclid on W each find no hull
     assert _hull(c) == _gram_hull(c) == _euclid_hull(c) == 0
-    assert is_lcd_head_criterion(c, _W(c), _hull(c))
+    assert is_lcd_head_criterion(c.ctx, c.j, _W(c), _hull(c))
     assert lcd_verdict(c) == (1, True, 0, ("oracle", "head-criterion"))
 
 
@@ -263,7 +264,7 @@ def test_head_criterion_matches_oracle_on_small_rings():
                 for j in range(1, (1 << (ctx.T - 1)) + 1):
                     c = code(ctx, j)
                     hull = _hull(c)
-                    assert is_lcd_head_criterion(c, _W(c), hull) == (hull == 0), (f, L, j)
+                    assert is_lcd_head_criterion(c.ctx, c.j, _W(c), hull) == (hull == 0), (f, L, j)
 
 
 def test_tail_criterion_matches_oracle_on_small_rings():
@@ -276,26 +277,26 @@ def test_tail_criterion_matches_oracle_on_small_rings():
                 for j in range((1 << (ctx.T - 1)) + 1, L):
                     c = code(ctx, j)
                     hull = _hull(c)
-                    assert is_lcd_tail_criterion(c, _W(c), hull) == (hull == 0), (f, L, j)
+                    assert is_lcd_tail_criterion(c.ctx, c.j, _W(c), hull) == (hull == 0), (f, L, j)
 
 
 def test_a_criterion_given_the_hull_checks_its_kernel_dimension_as_an_integer():
     # the published-as-LCD ring with a 10-dimensional hull: 9 and 10 are both "not LCD"
     c = code(new_context(parse("x^11+x^10+x^5+x^4+1"), 8), 1)
-    assert is_lcd_head_criterion(c, _W(c), 10) is False
+    assert is_lcd_head_criterion(c.ctx, c.j, _W(c), 10) is False
     with pytest.raises(InternalConsistencyError, match="kernel has dimension 10, the hull 9"):
-        is_lcd_head_criterion(c, _W(c), 9)
+        is_lcd_head_criterion(c.ctx, c.j, _W(c), 9)
 
 
 def test_criteria_regime_boundaries():
     ctx = new_context(M3, 8)  # T = 3, boundary at j = 4
     c4, c5 = code(ctx, 4), code(ctx, 5)
-    assert isinstance(is_lcd_head_criterion(c4, _W(c4), _hull(c4)), bool)
+    assert isinstance(is_lcd_head_criterion(ctx, 4, _W(c4), _hull(c4)), bool)
     with pytest.raises(ValidationError, match=re.escape("the head rank criterion covers 1 <= j <= 2^(T-1)")):
-        is_lcd_head_criterion(c5, _W(c5), _hull(c5))
+        is_lcd_head_criterion(ctx, 5, _W(c5), _hull(c5))
     with pytest.raises(ValidationError, match=re.escape("the tail rank criterion covers 2^(T-1) < j < L")):
-        is_lcd_tail_criterion(c4, _W(c4), _hull(c4))
-    assert isinstance(is_lcd_tail_criterion(c5, _W(c5), _hull(c5)), bool)
+        is_lcd_tail_criterion(ctx, 4, _W(c4), _hull(c4))
+    assert isinstance(is_lcd_tail_criterion(ctx, 5, _W(c5), _hull(c5)), bool)
 
 
 def test_lcd_families_hold():
@@ -434,10 +435,26 @@ def test_conjecture_scan_rows_equal_the_per_code_oracle(v_max, t_max):
 
 @pytest.mark.parametrize(("poly", "L"), [("x^2+x+1", 9), ("x^4+x+1", 16), ("x^5+x^4+x^3+x^2+1", 7)])
 def test_lcd_chain_steps_its_words_as_mul_trunc_does(monkeypatch, poly, L):
-    # the words each code's verdict gets: q_j up the chain and W_j down it, by products with P * P_star
+    # the words the two walks hand on, by products with P * P_star: q_j to each hull on the walk up,
+    # and W_j to each criterion (0 < j < L) on the walk down
     ctx = new_context(parse(poly), L)
-    got = {}
-    monkeypatch.setattr(lcd, "_verdict", lambda c, q, W: got.setdefault(c.j, (q, W)))
+    got = []
+    real_hull = lcd.hull_dimension_oracle
+
+    def hull_spy(c, q):
+        got.append(("q", c.j, q))
+        return real_hull(c, q)
+
+    def criterion_spy(real):
+        def spy(ctx, j, W, hull):
+            got.append(("W", j, W))
+            return real(ctx, j, W, hull)
+
+        return spy
+
+    monkeypatch.setattr(lcd, "hull_dimension_oracle", hull_spy)
+    monkeypatch.setattr(lcd, "is_lcd_head_criterion", criterion_spy(lcd.is_lcd_head_criterion))
+    monkeypatch.setattr(lcd, "is_lcd_tail_criterion", criterion_spy(lcd.is_lcd_tail_criterion))
     lcd_chain(ctx)
     step, n = mul(ctx.P, reciprocal(ctx.P)), ctx.n
     q, W = [1], [inverse_trunc(power_trunc(step, L - 1, n), n)]
@@ -445,34 +462,47 @@ def test_lcd_chain_steps_its_words_as_mul_trunc_does(monkeypatch, poly, L):
         q.append(mul_trunc(q[-1], step, n))
     for _ in range(L - 1):
         W.append(mul_trunc(W[-1], step, n))
-    W = [*W[::-1], None]
+    W = W[::-1]
     assert W[0] == 1
-    assert got == {j: (q[j], W[j]) for j in range(L + 1)}
+    assert got == [("q", j, q[j]) for j in range(L + 1)] + [("W", j, W[j]) for j in range(L - 1, 0, -1)]
 
 
-def _corrupt_step(monkeypatch):
-    """Flip one coefficient of the step word P * P_star, the only product lcd takes with mul itself."""
-    monkeypatch.setattr(lcd, "mul", lambda a, b: mul(a, b) ^ 0b10)
+def test_lcd_chain_holds_o_n_bits():
+    # x^2+x+1 at L = 1024, n = 2048: past the verdicts it returns, the walks hold the L+1 hulls, one
+    # generator and the words q and W (about 10 KB).  The generators P^0..P^L alone take
+    # m*L*(L+1)/2 bits and the words W_1..W_L m*L^2 more, about 390 KB together
+    ctx = new_context(parse("x^2+x+1"), 1024)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        verdicts = lcd_chain(ctx)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(verdicts) == 1025
+    assert peak - kept < 100_000, peak - kept
 
 
-def test_a_corrupted_step_misses_w0_and_lcd_exits_3(monkeypatch, capsys):
-    _corrupt_step(monkeypatch)
+def test_a_corrupted_step_misses_the_built_q(monkeypatch, capsys):
+    # a flipped middle coefficient x^m of the step word P * P_star, the only product lcd takes with mul
+    # itself: the step stays self-reciprocal, so every q_j's Gram band still reads the same both ways and
+    # each hull is taken; the walk up's check at j = L-1 trips before any criterion runs
+    monkeypatch.setattr(lcd, "mul", lambda a, b: mul(a, b) ^ 1 << degree(a))
+    with pytest.raises(InternalConsistencyError, match=re.escape("q_(L-1) stepped up the chain")):
+        lcd_chain(new_context(parse("x^4+x+1"), 16))
+    assert main(["lcd", "--poly", "x^4+x+1", "--power", "16"]) == 3
+    assert "q_(L-1)" in capsys.readouterr().err
+
+
+def test_a_wrong_top_w_misses_w0_and_lcd_exits_3(monkeypatch, capsys):
+    # a flipped bit in the one inverse W_(L-1); each step by the unit P * P_star keeps the walk down off
+    # the true words, so with the criteria, which would catch it first, out of the way it misses W_0 = 1
+    real = lcd.inverse_trunc
+    monkeypatch.setattr(lcd, "inverse_trunc", lambda a, n: real(a, n) ^ 0b100)
+    monkeypatch.setattr(lcd, "is_lcd_head_criterion", lambda ctx, j, W, hull: hull == 0)
+    monkeypatch.setattr(lcd, "is_lcd_tail_criterion", lambda ctx, j, W, hull: hull == 0)
     with pytest.raises(InternalConsistencyError, match="misses W_0 = 1"):
         lcd_chain(new_context(parse("x^4+x+1"), 16))
     assert main(["lcd", "--poly", "x^4+x+1", "--power", "16", "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "misses W_0 = 1" in captured.err
-
-
-def test_a_corrupted_step_misses_the_built_q(monkeypatch, capsys):
-    _corrupt_step(monkeypatch)
-    # the walk down starts from the corrupted chain's own top, so it lands on W_0 = 1; with
-    # the per-code checks out of the way, only the walk up's check at j = L-1 is left
-    real, P = lcd.inverse_trunc, parse("x^4+x+1")
-    bad_step = mul(P, reciprocal(P)) ^ 0b10
-    monkeypatch.setattr(lcd, "inverse_trunc", lambda a, n: real(power_trunc(bad_step, 15, n), n))
-    monkeypatch.setattr(lcd, "_verdict", lambda c, q, W: None)
-    with pytest.raises(InternalConsistencyError, match=re.escape("q_(L-1) stepped up the chain")):
-        lcd_chain(new_context(parse("x^4+x+1"), 16))
-    assert main(["lcd", "--poly", "x^4+x+1", "--power", "16"]) == 3
-    assert "q_(L-1)" in capsys.readouterr().err
