@@ -20,11 +20,14 @@ meet-in-the-middle check read it too), or Brouwer-Zimmermann's information-set
 search on plain ints, exact at a cost that grows with the answer, not with
 2^k.  The choice is made before d is known, so the search counts the words it
 weighs and hands over to gray_walk once they pass 2^k, the cost of the whole
-walk.  Every level of the search is a stream: each XOR of w-2 of a set's
-rows meets the XORs of the row pairs past its last row, weighed by one min
-and held in no table.  Its lower bound counts the bits that g holds on the
-columns no row reaches, which every word of the coset holds too: every oracle
-and D_0 coset has at least g's top bit there.
+walk.  At every level of the search each XOR of w-2 of a set's rows meets the
+XORs of the row pairs past its last row.  Where the pair XORs of all sets
+together fit PAIR_TABLE_BITS, each set keeps them in one list, last row first,
+so those past a head are a prefix slice of it; over that budget they stream
+and no level holds a table.  One loop weighs either kind of tail.  The
+search's lower bound counts the bits that g holds on the columns no row
+reaches, which every word of the coset holds too: every oracle and D_0 coset
+has at least g's top bit there.
 No elimination is started that cannot reach full rank: the information sets
 stop once fewer than k of the span's columns are left free, and the first
 set of consecutive shifts (every uncut lead coset) is built by a k-step
@@ -39,6 +42,9 @@ from itertools import accumulate, combinations, starmap
 from operator import or_, xor
 
 from .errors import InternalConsistencyError
+
+PAIR_TABLE_BITS = 1 << 20  # budget for the pair tables of one search's sets together
+PAIR_OVERHEAD_BITS = 384  # a pair's cost past its n bits: an int's 24-byte header, its 8-byte list slot, and slack
 
 
 def _pivots(rows: list[int], free: int) -> dict[int, int]:
@@ -202,22 +208,30 @@ def _information_sets(rows: list[int]) -> list[dict[int, int]]:
         free ^= sum(1 << c for c in lead)
 
 
-def _level(g: int, R: list[int], w: int):
+def _pair_table(R: list[int]) -> list[int]:
+    """The XORs of the row pairs of R, last row first: the pairs of the rows past R[a] are its first C(k-1-a, 2)."""
+    return [R[a] ^ r for a in range(len(R) - 2, -1, -1) for r in R[a + 1:]]
+
+
+def _level(g: int, R: list[int], w: int, pairs: list[int] | None):
     """Yield (x, tail, size): the words x ^ t, t in tail, are g ^ (XOR of w rows of R), each once.
 
     tail holds size words.  Level 1 yields once: x = g and the rows.  Level
     w >= 2 yields once per head, an XOR of w-2 rows (level 2's is empty):
-    x = g ^ head and the stream of the XORs of the row pairs past the head's
-    last row, so no level builds a table.
+    x = g ^ head and the XORs of the row pairs past the head's last row.
+    Given R's _pair_table as pairs, that tail is the table's prefix of size
+    words, a list; without it, the tail is a stream and no level builds a
+    table.
     """
     k = len(R)
     if w == 1:
         yield g, R, k
         return
     for head in combinations(range(k - 2), w - 2):
-        rest = R[head[-1] + 1:] if head else R
-        size = len(rest) * (len(rest) - 1) // 2
-        yield reduce(xor, map(R.__getitem__, head), g), starmap(xor, combinations(rest, 2)), size
+        rest = k - 1 - head[-1] if head else k  # the rows past the head
+        size = rest * (rest - 1) // 2
+        tail = starmap(xor, combinations(R[k - rest:], 2)) if pairs is None else pairs[:size]
+        yield reduce(xor, map(R.__getitem__, head), g), tail, size
 
 
 def _information_set_search(g: int, rows: list[int]) -> int:
@@ -235,9 +249,14 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     word weighs at least N*w + i + f, and the search stops when the lightest
     word found is that light.  On an oracle or D_0 coset f >= 1, since g's
     top bit lies past every row.  Level w >= 2 runs depth-first (_level):
-    each XOR of w-2 rows meets the stream of the pair XORs past its last row,
-    level 2's empty head all C(k, 2) pairs, so no level is held whole and no
-    pair table is built.
+    each XOR of w-2 rows meets the pair XORs past its last row, level 2's
+    empty head all C(k, 2) pairs, so no level is held whole.  Where the N
+    sets' pair XORs fit PAIR_TABLE_BITS together, each pair priced at its n
+    bits and PAIR_OVERHEAD_BITS more, each set builds its _pair_table as
+    level 2 reaches it, and every head's tail is a prefix slice of that list;
+    otherwise every tail is a stream and no table is built.  Either way each
+    head weighs the same words, in one loop, and the search stops and hands
+    over only between heads, so both kinds of tail make the same stops.
 
     The search counts the words it weighs.  Once they pass 2^k, the cost of
     the whole Gray-code walk over the first set's k rows, it hands over to
@@ -245,21 +264,28 @@ def _information_set_search(g: int, rows: list[int]) -> int:
     min_weight_affine foresaw costs at most about twice the walk, not the
     levels a proof of that d needs.
     """
-    none = max(map(int.bit_length, [g, *rows])) + 1  # heavier than any word
+    n = max(map(int.bit_length, [g, *rows]))  # n + 1 is heavier than any word
     sets = _information_sets(rows)
     k, N = len(sets[0]), len(sets)
     f = (g & ~reduce(or_, rows, 0)).bit_count()  # g's bits on the columns no row touches
     # per set: g with its bits on the pivot columns cleared, and the set's rows
     starts = [(reduce(xor, (r for c, r in piv.items() if g >> c & 1), g), list(piv.values())) for piv in sets]
-    best = min(filter(None, (gs.bit_count() for gs, _ in starts)), default=none)  # level 0
+    tabled = N * (k * (k - 1) // 2) * (n + PAIR_OVERHEAD_BITS) <= PAIR_TABLE_BITS
+    pairs: list[list[int] | None] = [None] * N  # each set's _pair_table, built as level 2 reaches it
+    best = min(filter(None, (gs.bit_count() for gs, _ in starts)), default=n + 1)  # level 0
     weighed = 0
     for w in range(1, k + 1):
         for i, (gs, R) in enumerate(starts):
             stop = N * w + i + f
             if best <= stop:
                 return best
-            for x, tail, size in _level(gs, R, w):
-                best = min(best, min(map(int.bit_count, map(x.__xor__, tail))))
+            if w == 2 and tabled:
+                pairs[i] = _pair_table(R)
+            for x, tail, size in _level(gs, R, w, pairs[i]):
+                for t in tail:
+                    weight = (x ^ t).bit_count()
+                    if weight < best:
+                        best = weight
                 if best <= stop:
                     return best
                 weighed += size

@@ -16,7 +16,9 @@ import re
 from .errors import CapExceeded, InternalConsistencyError, ValidationError
 
 RING_TABLE_BITS = 1 << 26  # budget for the bits of P^0..P^L (about m*L^2/2) that a walk along a whole chain produces
-IRREDUCIBLE_WORK = 1 << 24  # budget for one irreducibility test, in squared bits (0.35-0.45 s on a 2-core x86 VM)
+# budget for one irreducibility test, in squared bits: a sparse f reaches it in 0.35-0.5 s on a 2-core x86 VM; a dense
+# f, whose steps are priced at their most, in about 0.03 s (measured on a degree-2 000 f past its first gcd)
+IRREDUCIBLE_WORK = 1 << 24
 
 # ---------------------------------------------------------------------------
 # basic queries
@@ -51,10 +53,22 @@ def mul(a: int, b: int) -> int:
 
 # byte b spread to 16 bits, bit i to bit 2i: its binary digits read in base 4
 _SPREAD = tuple(int(format(b, "b"), 4).to_bytes(2, "little") for b in range(256))
+_SPREAD_INT = tuple(int.from_bytes(s, "little") for s in _SPREAD)  # the same spreads as ints
 
 
 def square(a: int) -> int:
-    """a*a, which over GF(2) is a(x^2): each byte of a spread to 16 bits by table, in one C-level pass."""
+    """a*a, which over GF(2) is a(x^2): each byte of a spread to 16 bits by table.
+
+    Up to 64 bits the spreads are ints, shifted into place and ORed; past that
+    the byte strings are joined in one C-level pass, which is faster there.
+    """
+    if a.bit_length() <= 64:
+        out = shift = 0
+        while a:
+            out |= _SPREAD_INT[a & 255] << shift
+            a >>= 8
+            shift += 16
+        return out
     return int.from_bytes(b"".join(map(_SPREAD.__getitem__, a.to_bytes((a.bit_length() + 7) // 8, "little"))), "little")
 
 
@@ -180,13 +194,19 @@ def is_irreducible(f: int) -> bool:
 
     f of degree m is irreducible iff x^(2^m) == x mod f and
     gcd(x^(2^(m/p)) - x, f) == 1 for each prime p dividing m: m squarings and
-    one gcd per prime.  When g = f - x^m has degree at most m/2, a square
-    is reduced by folding its high half through g (at most two folds, each
-    wt(g) shifts and one XOR); a dense f is reduced by division.
-    Work is counted in squared bits: an XOR step of a fold, a division or a gcd on b-bit words costs
-    about 8 + b/1024 of them (15-30 ns each on a 2-core x86 VM), and a square of b bits, one table
-    pass, about b/3 (measured b/4 at a few thousand bits, b/2 at a million).  A step that could pass
-    IRREDUCIBLE_WORK is refused with CapExceeded before it runs, so no degree hangs the test.
+    one gcd per prime.  When g = f - x^m has degree at most m/2, a square is
+    reduced by folding its high half through g (at most two folds, each wt(g)
+    shifts and one XOR).  A dense f folds the high half of each square, at
+    most m - 1 bits, through the table H[i] = x^(m+i) mod f, i < m: one XOR of
+    an m-bit row per set bit.  H is built once per call, in m shift-and-reduce
+    steps.
+    Work is counted in squared bits: an XOR step of a fold, of building H, or of a gcd on b-bit words
+    costs about 8 + b/1024 of them (15-30 ns each on a 2-core x86 VM), and a square of b bits, one
+    table pass, about b/3 (measured b/4 at a few thousand bits, b/2 at a million).  A dense step is
+    priced at its most, a square of m bits and m - 1 XORs, so its price is known before the loop:
+    a dense f whose first gcd, at the least m/p, cannot be reached within IRREDUCIBLE_WORK is
+    refused before H is built.  Any step that could pass the budget is refused with CapExceeded
+    before it runs, so no degree hangs the test.
     """
     m = degree(f)
     if m < 1:
@@ -196,22 +216,42 @@ def is_irreducible(f: int) -> bool:
     if not (f & 1):
         return False  # divisible by x
     g, mask = f ^ (1 << m), (1 << m) - 1
-    sparse = 2 * degree(g) <= m
     checks = {m // p for p in _prime_divisors(m)}
-    work = 0
+    gcd_work = (2 * m + 1) * (8 + m // 1024)
+    over = f"the irreducibility test of degree {m} is over its budget of {IRREDUCIBLE_WORK} squared bits"
+    H: list[int] = []  # x^(m+i) mod f, i < m, for a dense f
+    work = dense_step = 0
+    if 2 * degree(g) > m:
+        dense_step = m // 3 + (m - 1) * (8 + m // 512)  # a square of m bits and m - 1 XORs: a dense step at its most
+        work = m * (8 + m // 512)  # building H
+        if work + min(checks) * dense_step + gcd_work > IRREDUCIBLE_WORK:
+            raise CapExceeded(over)  # the first gcd is out of reach
+        h = g
+        for _ in range(m):
+            H.append(h)
+            h <<= 1
+            if h >> m:
+                h ^= f
     t = 2  # x^(2^i) mod f
     for i in range(1, m + 1):
-        b = t.bit_length()
-        xors = 2 * weight(g) + 2 if sparse else max(0, 2 * b - m)  # two folds, or one division of 2b bits by f
-        work += b // 3 + xors * (8 + b // 512) + (i in checks) * (2 * m + 1) * (8 + m // 1024)  # and a gcd of m bits
+        if H:
+            work += dense_step
+        else:
+            b = t.bit_length()
+            work += b // 3 + (2 * weight(g) + 2) * (8 + b // 512)  # a square and two folds through g
+        work += (i in checks) * gcd_work
         if work > IRREDUCIBLE_WORK:
-            raise CapExceeded(f"the irreducibility test of degree {m} is over its budget of {IRREDUCIBLE_WORK} squared bits")
+            raise CapExceeded(over)
         t = square(t)
-        if sparse:
+        if H:
+            high, t = t >> m, t & mask
+            while high:
+                low = high & -high
+                t ^= H[low.bit_length() - 1]
+                high ^= low
+        else:
             while t >> m:
                 t = (t & mask) ^ mul(t >> m, g)
-        else:
-            t = div_rem(t, f)[1]
         if i in checks and gcd(f, t ^ 2) != 1:
             return False
     return t == 2

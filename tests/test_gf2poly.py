@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polycode import gf2poly
 from polycode.errors import CapExceeded, ValidationError
 from polycode.gf2poly import (
     IRREDUCIBLE_WORK,
@@ -29,7 +32,7 @@ from polycode.gf2poly import (
     square,
     weight,
 )
-from _reference import substitute_power
+from _reference import is_irreducible_by_division, substitute_power
 
 polys = st.integers(min_value=0, max_value=(1 << 256) - 1)
 nonzero = st.integers(min_value=1, max_value=(1 << 256) - 1)
@@ -141,7 +144,9 @@ def test_x_power_mod_matches_div_rem(e, f):
 # --- irreducibility and order ------------------------------------------------
 
 # number of monic irreducible polynomials over GF(2) by degree (necklace counts)
-IRREDUCIBLE_COUNTS = {2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30, 9: 56, 10: 99, 11: 186, 12: 335, 13: 630}
+IRREDUCIBLE_COUNTS = {
+    2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30, 9: 56, 10: 99, 11: 186, 12: 335, 13: 630, 14: 1161, 15: 2182, 16: 4080,
+}
 
 
 @pytest.mark.parametrize("deg,count", sorted(IRREDUCIBLE_COUNTS.items()))
@@ -186,7 +191,7 @@ def test_rabin_agrees_with_the_gcd_test_on_random_polynomials():
 def test_rabin_on_large_trinomials():
     f = parse("x^1279+x^216+1")  # folded through x^216 + 1
     assert is_irreducible(f)
-    assert not is_irreducible(mul(f, parse("x+1")))  # a dense tail, reduced by division
+    assert not is_irreducible(mul(f, parse("x+1")))  # a dense tail, folded through x^(1280+i) mod f
     assert not is_irreducible(parse("x^1280+x^216+1"))  # (x^640 + x^108 + 1)^2
     assert not is_irreducible(parse("x^1279+x^217+x^216+1"))  # x + 1 divides every f with an even weight
 
@@ -198,9 +203,47 @@ def test_rabin_refuses_to_pass_its_work_budget():
     with pytest.raises(CapExceeded, match=f"budget of {IRREDUCIBLE_WORK}"):
         is_irreducible(parse("x^19937+x^9842+1"))
     with pytest.raises(CapExceeded, match="budget"):
-        is_irreducible(mul(parse("x^4374+x^2187+1"), parse("x+1")))  # a dense tail, reduced by division
+        is_irreducible(mul(parse("x^4374+x^2187+1"), parse("x+1")))  # a dense tail, refused before its table is built
     assert time.perf_counter() - start < 2.0
     assert is_irreducible(parse("x^4374+x^2187+1"))
+
+
+def test_rabin_agrees_with_the_division_reference_on_every_polynomial_below_2_to_the_14():
+    assert all(is_irreducible(f) == is_irreducible_by_division(f) for f in range(2, 1 << 14))
+
+
+def test_rabin_agrees_with_the_division_reference_on_random_dense_and_sparse_polynomials():
+    # degree 13-200 with constant term 1 and odd weight (no factor x or x + 1): alternately a tail of
+    # degree up to m - 1, almost always dense (folded through x^(m+i) mod f), and one of degree <= m/2,
+    # sparse (folded through g); square takes words of up to 64 bits and past them by its two paths
+    rng = random.Random(58)
+    seen = {True: [0, 0], False: [0, 0]}  # dense or not: [polynomials, irreducible]
+    for i in range(500):
+        m = rng.randint(13, 200)
+        f = 1 << m | rng.getrandbits(m if i % 2 else m // 2 + 1) | 1
+        f ^= (f.bit_count() + 1) % 2 << 1  # odd weight
+        got = is_irreducible(f)
+        assert got == is_irreducible_by_division(f), format_poly(f)
+        kind = seen[2 * degree(f ^ 1 << m) > m]
+        kind[0] += 1
+        kind[1] += got
+    assert seen == {True: [250, 11], False: [250, 16]}
+
+
+def test_rabin_refuses_a_dense_f_before_building_its_table():
+    # the dense degree-4 375 f of the budget test cannot reach its first gcd, at i = 625, within the
+    # budget: refused before its 4 375-row table (about 2.7 MB) is built or any square is taken
+    f = mul(parse("x^4374+x^2187+1"), parse("x+1"))
+    tracemalloc.start()
+    try:
+        with mock.patch.object(gf2poly, "square", side_effect=AssertionError("squared")) as sq:
+            with pytest.raises(CapExceeded, match="budget"):
+                is_irreducible(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not sq.called
+    assert peak < 64 << 10
 
 
 def test_known_orders():

@@ -528,11 +528,13 @@ def test_kernel_memory_stays_bounded_at_k_28():
 def test_kernel_holds_no_pair_table_on_a_wide_ring():
     # x^2+x+1, L = 8191, j = 8177: k = 28 on n = 16 382 bits over 551 information sets.  Their
     # systematic rows hold about 33 MB; the pair tables of every set at once held 243 MB more.
-    # Every level streams its pair XORs, so the search holds the sets' rows and no table
+    # They are far over PAIR_TABLE_BITS, so every level streams its pair XORs, and the search holds the
+    # sets' rows and no table
     rows = generator_rows(code(new_context(0b111, 8191), 8177))
     tracemalloc.start()
     try:
-        assert min_weight_span(rows) == 1364
+        with mock.patch.object(_linalg, "_pair_table", side_effect=AssertionError("a pair table")):
+            assert min_weight_span(rows) == 1364
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -542,13 +544,16 @@ def test_kernel_holds_no_pair_table_on_a_wide_ring():
 def test_the_kernel_streams_level_2_on_a_wide_coset():
     # the oracle's coset at x^4+x+1, L = 4096, j = 4031: k = 260 on n = 16 384 bits over 63 information
     # sets, d = 136.  Level 1 runs on every set and level 2 on the first; a table of its 33 411 pair XORs
-    # would hold about 70 MB on top of the sets' rows
+    # would hold about 70 MB on top of the sets' rows, far over PAIR_TABLE_BITS, so level 2 streams
     c = code(new_context(0b10011, 4096), 4031)
     g, rows = lead_coset(c.generator, c.k, c.n)
     levels, real = [], _linalg._level
     tracemalloc.start()
     try:
-        with mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real(*args)):
+        with (
+            mock.patch.object(_linalg, "_level", lambda *args: levels.append(args[2]) or real(*args)),
+            mock.patch.object(_linalg, "_pair_table", side_effect=AssertionError("a pair table")),
+        ):
             assert min_weight_affine(g, rows) == 136
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -569,16 +574,102 @@ def test_the_bits_no_row_reaches_end_the_search_at_level_1():
 
 
 def test_every_level_hands_out_each_xor_of_w_rows_once():
-    # level w yields g ^ (XOR of a head of w-2 rows) with the stream of the pair XORs past the head's last
-    # row (level 2: g and all C(k, 2) pairs), so the words x ^ t are each XOR of w rows, each once
+    # level w yields g ^ (XOR of a head of w-2 rows) with the pair XORs past the head's last row (level 2:
+    # g and all C(k, 2) pairs), so the words x ^ t are each XOR of w rows, each once: as a stream, and as a
+    # prefix slice of the set's pair table, last row first
     rng = random.Random(2)
     R = [rng.getrandbits(40) for _ in range(9)]
-    for w in range(1, 5):
-        steps = [(x, list(tail), size) for x, tail, size in _linalg._level(5, R, w)]
-        assert all(size == len(tail) for _, tail, size in steps)
-        words = [x ^ t for x, tail, _ in steps for t in tail]
-        assert sum(size for *_, size in steps) == len(words) == comb(len(R), w)
-        assert sorted(words) == sorted(reduce(xor, combo, 5) for combo in combinations(R, w)), w
+    table = _linalg._pair_table(R)
+    assert len(table) == comb(len(R), 2)
+    for pairs in (None, table):
+        for w in range(1, 5):
+            steps = [(x, tail, size) for x, tail, size in _linalg._level(5, R, w, pairs)]
+            if pairs is not None and w >= 2:
+                assert all(tail == table[:size] for _, tail, size in steps)
+            steps = [(x, list(tail), size) for x, tail, size in steps]
+            assert all(size == len(tail) for _, tail, size in steps)
+            words = [x ^ t for x, tail, _ in steps for t in tail]
+            assert sum(size for *_, size in steps) == len(words) == comb(len(R), w)
+            assert sorted(words) == sorted(reduce(xor, combo, 5) for combo in combinations(R, w)), (w, pairs is None)
+
+
+def _traced_search(g, rows):
+    """(answer, heads, walks) of the information-set search.
+
+    heads lists each head the search weighs as (w, x, its tail's words sorted, size, whether the tail is a
+    table slice); walks lists the arguments of each hand-over to the Gray-code walk.
+    """
+    heads, walks = [], []
+    real_level, real_walk = _linalg._level, _linalg._walk_min
+
+    def level(g, R, w, pairs):
+        for x, tail, size in real_level(g, R, w, pairs):
+            tail = list(tail)
+            heads.append((w, x, sorted(tail), size, w >= 2 and pairs is not None))
+            yield x, tail, size
+
+    with (
+        mock.patch.object(_linalg, "_level", level),
+        mock.patch.object(_linalg, "_walk_min", lambda *args: walks.append(args) or real_walk(*args)),
+    ):
+        return _linalg._information_set_search(g, rows), heads, walks
+
+
+def test_the_pair_tables_weigh_what_the_stream_weighs():
+    # random cosets on up to 200 bits: random rows (k = 2..14, where a hand-over's walk is short) and
+    # lead cosets of a random word's k = 2..24 shifts.  The search with its pair tables and the search
+    # streamed (the budget patched to 0) return the same int and weigh the same words head by head, so
+    # they stop at the same head and hand over to the walk at the same point
+    rng = random.Random(58)
+    tabled = walked = deep = 0
+    for i in range(120):
+        if i % 2:
+            k, n = rng.randint(2, 14), rng.randint(14, 200)
+            rows = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(k)]
+            g = rng.getrandbits(n + rng.randint(0, 8)) if i % 3 else 0
+        else:
+            k = rng.randint(2, 24)
+            g, rows = lead_coset(rng.getrandbits(rng.randint(2, 200 - k)) | 1, k, rng.randint(k + 1, 200))
+        got, heads, walks = _traced_search(g, rows)
+        with mock.patch.object(_linalg, "PAIR_TABLE_BITS", 0):
+            streamed = _traced_search(g, rows)
+        assert (got, [h[:4] for h in heads], walks) == (streamed[0], [h[:4] for h in streamed[1]], streamed[2])
+        assert not any(h[4] for h in streamed[1])
+        tabled += any(h[4] for h in heads)
+        walked += bool(walks)
+        deep += max((h[0] for h in heads), default=0) >= 3
+    assert (tabled, walked, deep) == (81, 46, 56)  # cosets with tables, with a hand-over, reaching level 3
+
+
+def _search_peak(g, rows):
+    """(answer, tracemalloc peak, pair tables built) of the information-set search over g ^ span(rows)."""
+    built, real = [], _linalg._pair_table
+    tracemalloc.start()
+    try:
+        with mock.patch.object(_linalg, "_pair_table", lambda R: built.append(1) or real(R)):
+            got = _linalg._information_set_search(g, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return got, peak, len(built)
+
+
+def test_the_pair_tables_of_all_sets_stay_within_their_budget():
+    # 16 random rows of 240 bits over 14 information sets: their pair tables are priced at
+    # 14 * C(16, 2) * (240 + PAIR_OVERHEAD_BITS) = 1 048 320 bits, just under PAIR_TABLE_BITS = 2^20, and
+    # every set reaches level 2.  The same rows with g one bit past them (n = 241) are priced at 1 050 000:
+    # they stream
+    rng = random.Random(240)
+    rows = [rng.getrandbits(240) | 1 << 239 for _ in range(16)]
+    assert len(_linalg._information_sets(rows)) == 14
+    priced = [14 * comb(16, 2) * (n + _linalg.PAIR_OVERHEAD_BITS) for n in (240, 241)]
+    assert priced[0] <= _linalg.PAIR_TABLE_BITS < priced[1]
+    got, peak, built = _search_peak(0, rows)
+    with mock.patch.object(_linalg, "PAIR_TABLE_BITS", 0):
+        streamed, streamed_peak, none = _search_peak(0, rows)
+    assert got == streamed and built == 14 and none == 0
+    assert peak - streamed_peak <= _linalg.PAIR_TABLE_BITS // 8  # the 14 tables, held at once
+    assert _search_peak(1 << 240, rows)[2] == 0
 
 
 def test_level_3_streams_its_pairs():
@@ -588,7 +679,7 @@ def test_level_3_streams_its_pairs():
     R = [rng.getrandbits(4096) for _ in range(300)]
     tracemalloc.start()
     try:
-        x, tail, size = next(_linalg._level(0, R, 3))
+        x, tail, size = next(_linalg._level(0, R, 3, None))
         assert x == R[0] and size == 299 * 298 // 2
         assert min(map(int.bit_count, map(x.__xor__, tail))) > 0
         peak = tracemalloc.get_traced_memory()[1]
